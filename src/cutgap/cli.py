@@ -56,16 +56,9 @@ def _load_config(args) -> RunConfig:
     return RunConfig(**kwargs).validate()
 
 
-def _gram_cache_entries() -> int:
-    return int(os.environ.get("CUTGAP_GRAM_CACHE", "4096"))
-
-
 def cmd_build_ug(args) -> int:
     cfg = _load_config(args)
-    try:
-        inst, quot, cube = qt.build_kv_instance(cfg.k, cfg.eta, window=cfg.window)
-    except ValueError as exc:
-        return _fail("build-ug", str(exc))
+    inst, quot, cube = qt.build_kv_instance(cfg.k, cfg.eta, window=cfg.window)
     sol = qt.build_ug_sdp_solution(quot)
     out = cfg.out
 
@@ -100,11 +93,12 @@ def cmd_build_ug(args) -> int:
     }
     objective = qt.ug_sdp_objective(inst, sol)
     feas = qt.check_ug_sdp_feasibility(
-        sol, seed=cfg.seed, triple_samples=cfg.budget_triples
+        sol, seed=derive_seed(cfg.seed, "sdp_feasibility"),
+        triple_samples=cfg.budget_triples,
     )
     ulc = qt.verify_ulc_properties(
-        inst, sol, cfg.eta, seed=cfg.seed, triple_samples=cfg.budget_triples,
-        matching_exhaustive=cfg.k <= 3,
+        inst, sol, cfg.eta, seed=derive_seed(cfg.seed, "ulc_properties"),
+        triple_samples=cfg.budget_triples,
     )
 
     tol = 1e-9
@@ -170,15 +164,10 @@ def cmd_build_bes(args) -> int:
         if quot.num_classes != inst_ug.num_vertices or quot.N != inst_ug.num_labels:
             return _fail("build-bes", "UG file does not match configured k")
     else:
-        try:
-            inst_ug, quot, _ = qt.build_kv_instance(cfg.k, cfg.eta, window=cfg.window)
-        except ValueError as exc:
-            return _fail("build-bes", str(exc))
+        inst_ug, quot, _ = qt.build_kv_instance(cfg.k, cfg.eta, window=cfg.window)
     sol = qt.build_ug_sdp_solution(quot)
     inst = sp.build_bes(inst_ug, cfg.epsilon)
-    assign = sp.assign_sdp_solution(
-        inst, sol, l_in=cfg.l_in, t=cfg.t, cache_entries=_gram_cache_entries()
-    )
+    assign = sp.assign_sdp_solution(inst, sol, l_in=cfg.l_in, t=cfg.t)
     out = cfg.out
 
     _write(os.path.join(out, "bes_instance.txt"), sp.bes_to_text(inst))
@@ -202,7 +191,8 @@ def cmd_build_bes(args) -> int:
     lam, _ = (
         ug.opt_exhaustive(inst_ug, budget=cfg.budget_labelings)
         if inst_ug.num_labels**inst_ug.num_vertices <= cfg.budget_labelings
-        else ug.opt_search(inst_ug, seed=cfg.seed, restarts=cfg.budget_restarts)
+        else ug.opt_search(inst_ug, seed=derive_seed(cfg.seed, "opt_search"),
+                           restarts=cfg.budget_restarts)
     )
     search = sp.balanced_cut_search(
         inst,
@@ -451,7 +441,10 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_round)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        return _fail(args.command, str(exc))
 
 
 if __name__ == "__main__":

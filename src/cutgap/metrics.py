@@ -262,10 +262,12 @@ def metric_to_text(metric: FiniteMetric) -> str:
 
 def metric_from_text(text: str) -> FiniteMetric:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    tag, n = lines[0].split()
-    if tag != "METRIC":
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != "METRIC":
         raise ValueError("not a metric file")
-    n = int(n)
+    n = int(head[1])
+    if len(lines) < n:
+        raise ValueError(f"metric file truncated: {len(lines)} of {n} lines")
     d = np.zeros((n, n))
     for i in range(1, n):
         row = [float(x) for x in lines[i].split()]

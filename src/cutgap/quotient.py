@@ -10,7 +10,8 @@ g = rep_j chi_T), giving the UG edge permutation pi(b) = c xor b.
 The SDP solution attaches to class i the orthonormal basis
 {u_{rep_i chi_S}}_S of R^N, entries +/-1/sqrt(N); the SDP formally lives on
 the squared tensors u x u, but every SDP quantity here is evaluated as a
-squared base inner product (tensor identity), so nothing quadratic in N^2 is
+squared base inner product (tensor identity), read from the dense base Gram
+tensor of all m * N basis vectors, so nothing quadratic in N^2 is
 materialized.
 
 For eta >= 1/4 the typical window contains d = N/2, so within-class pairs
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypercube import NoisyHypercube, typical_window
+from .tensor import base_gram, shift_covariance_residual
 from .unique_games import UGEdge, UGInstance
 
 __all__ = [
@@ -197,12 +199,6 @@ class UGVectorSolution:
     def N(self) -> int:
         return 1 << self.k
 
-    def gram(self, i: int, j: int) -> np.ndarray:
-        """G[s, t] = <u_{i,s}, u_{j,t}> as exact multiples of 1/N."""
-        a = self.basis[i].astype(np.int64)
-        b = self.basis[j].astype(np.int64)
-        return (a @ b.T).astype(np.float64) / self.N
-
 
 def build_ug_sdp_solution(q: QuotientStructure) -> UGVectorSolution:
     if q.reps is None:
@@ -243,28 +239,24 @@ def check_ug_sdp_feasibility(sol: UGVectorSolution, seed: int = 0,
     orthogonal. Across vertices: all tensored inner products are squares
     (hence >= 0) and each cross sum equals N (basis completeness). Base
     vectors additionally satisfy 1 + <u,v> >= <v,w> + <u,w> on sampled
-    triples (entries are +/-1/sqrt(N)).
+    triples (entries are +/-1/sqrt(N)). Reads the full base Gram, so a basis
+    that is not shift-covariant is checked, not rejected.
     """
     m, N, _ = sol.basis.shape
-    norm_res = 0.0
-    orth_res = 0.0
-    cross_neg = 0.0
-    cross_res = 0.0
-    for i in range(m):
-        g = sol.gram(i, i)
-        sq = g**2
-        norm_res = max(norm_res, abs(float(np.trace(sq)) - N))
-        orth_res = max(orth_res, float(np.max(np.abs(sq - np.diag(np.diag(sq))))))
-        for j in range(i + 1, m):
-            sq = sol.gram(i, j) ** 2
-            cross_neg = max(cross_neg, float(np.max(-sq)))
-            cross_res = max(cross_res, abs(float(np.sum(sq)) - N))
+    gram = base_gram(sol.basis)
+    sq = gram.transpose(0, 2, 1, 3) ** 2  # [i, j, s, t]
+    own = sq[np.arange(m), np.arange(m)]
+    norm_res = float(np.max(np.abs(np.trace(own, axis1=1, axis2=2) - N)))
+    orth_res = float(np.max(np.abs(own - own * np.eye(N))))
+    cross = sq[np.triu_indices(m, 1)]
+    cross_neg = max(0.0, float(np.max(-cross, initial=0.0)))  # 0.0, not -0.0
+    cross_res = float(np.max(np.abs(np.sum(cross, axis=(1, 2)) - N), initial=0.0))
     rng = np.random.default_rng(seed)
-    flat = sol.basis.reshape(m * N, N).astype(np.float64) / math.sqrt(N)
+    flat = gram.reshape(m * N, m * N)
     idx = rng.integers(0, m * N, size=(triple_samples, 3))
-    gu = np.einsum("ij,ij->i", flat[idx[:, 0]], flat[idx[:, 1]])
-    gv = np.einsum("ij,ij->i", flat[idx[:, 0]], flat[idx[:, 2]])
-    gw = np.einsum("ij,ij->i", flat[idx[:, 1]], flat[idx[:, 2]])
+    gu = flat[idx[:, 0], idx[:, 1]]
+    gv = flat[idx[:, 0], idx[:, 2]]
+    gw = flat[idx[:, 1], idx[:, 2]]
     tri = float(np.max(gv + gw - gu - 1.0, initial=-np.inf))
     return FeasibilityReport(
         norm_sum_residual=norm_res,
@@ -282,12 +274,9 @@ def ug_sdp_objective(u: UGInstance, sol: UGVectorSolution) -> float:
     m, N, _ = sol.basis.shape
     if u.num_labels != N or u.num_vertices != m:
         raise ValueError("solution shape does not match instance")
-    total = 0.0
-    for e in u.edges:
-        g = sol.gram(e.v, e.w)
-        matched = g[e.perm, np.arange(N)] ** 2
-        total += e.weight * float(np.sum(matched)) / N
-    return total
+    v, w, perm, weight = u.edge_arrays()
+    matched = base_gram(sol.basis)[v[:, None], perm, w[:, None], np.arange(N)] ** 2
+    return float(np.sum(weight * np.sum(matched, axis=1) / N))
 
 
 @dataclass
@@ -301,14 +290,14 @@ class UlcPropertyReport:
 
 
 def verify_ulc_properties(u: UGInstance, sol: UGVectorSolution, eta: float,
-                          seed: int = 0, triple_samples: int = 200000,
-                          matching_exhaustive: bool = True) -> UlcPropertyReport:
+                          seed: int = 0,
+                          triple_samples: int = 200000) -> UlcPropertyReport:
     """Check the four structural properties of the gap solution.
 
     (2) basis completeness ||w||^2 = sum_i <w, v_i>^2 for random w;
     (3) the +/-1/sqrt(N) triangle inequality over sampled triples;
     (4) shift covariance <v_i, w_j> = <v_(i^l), w_(j^l)>, exhaustive over
-        vertex pairs and (i, j, l) when matching_exhaustive;
+        vertex pairs and (i, j, l);
     (5) per edge, some matched pair (i0, j0) with inner product >= 1-4*eta
         and i0 ^ l = pi_e(j0 ^ l) for all l.
     """
@@ -324,36 +313,21 @@ def verify_ulc_properties(u: UGInstance, sol: UGVectorSolution, eta: float,
 
     rep = check_ug_sdp_feasibility(sol, seed=seed, triple_samples=triple_samples)
 
-    matching = 0.0
-    if matching_exhaustive:
-        shifts = np.arange(N)
-        for i in range(m):
-            for j in range(i, m):
-                g = sol.gram(i, j)
-                for ell in range(1, N):
-                    matching = max(
-                        matching,
-                        float(np.max(np.abs(g[np.ix_(shifts ^ ell, shifts ^ ell)] - g))),
-                    )
-
-    closeness_ok = True
-    margin = np.inf
-    for e in u.edges:
-        g = sol.gram(e.v, e.w)
-        best = -np.inf
-        for j0 in range(N):
-            i0 = int(e.perm[j0])  # i0 ^ l == perm[j0 ^ l] holds iff i0 = perm[j0]
-            if np.array_equal(e.perm[np.arange(N) ^ j0], np.arange(N) ^ i0):
-                best = max(best, float(g[i0, j0]))
-        margin = min(margin, best - (1 - 4 * eta))
-        if best < 1 - 4 * eta - 1e-12:
-            closeness_ok = False
+    gram = base_gram(sol.basis)
+    v, w, perm, _ = u.edge_arrays()
+    labels = np.arange(N)
+    xor = labels[:, None] ^ labels[None, :]  # [j0, l]
+    # j0 is matched iff perm[j0 ^ l] == perm[j0] ^ l for every l, with i0 = perm[j0]
+    matched = np.all(perm[:, xor] == perm[:, :, None] ^ labels, axis=2)
+    inner = np.where(matched, gram[v[:, None], perm, w[:, None], labels], -np.inf)
+    best = np.max(inner, axis=1)
+    margin = float(np.min(best - (1 - 4 * eta)))
     return UlcPropertyReport(
         basis_completeness_residual=completeness,
         triangle_violation=rep.triangle_violation,
-        matching_residual=matching,
-        closeness_satisfied=closeness_ok,
-        closeness_margin=float(margin),
+        matching_residual=shift_covariance_residual(gram),
+        closeness_satisfied=bool(np.all(best >= 1 - 4 * eta - 1e-12)),
+        closeness_margin=margin,
         triples_checked=triple_samples,
     )
 
@@ -372,11 +346,13 @@ def basis_to_text(sol: UGVectorSolution) -> str:
 
 def basis_from_text(text: str) -> UGVectorSolution:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    tag, k, m = lines[0].split()
-    if tag != "BASIS":
+    head = lines[0].split() if lines else []
+    if len(head) != 3 or head[0] != "BASIS":
         raise ValueError("not a basis file")
-    k, m = int(k), int(m)
+    k, m = int(head[1]), int(head[2])
     N = 1 << k
+    if len(lines) < 1 + m * (N + 1):
+        raise ValueError(f"basis file truncated: {len(lines)} of {1 + m * (N + 1)} lines")
     basis = np.zeros((m, N, N), dtype=np.int8)
     pos = 1
     for i in range(m):

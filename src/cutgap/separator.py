@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quotient import UGVectorSolution
-from .tensor import BESVectorHandle, GramCache, bes_inner
+from .tensor import GramCache
 from .unique_games import UGInstance
 
 __all__ = [
@@ -218,55 +218,51 @@ def piecewise_balance(inst: BESInstance, cut) -> float:
     return float(np.mean(np.abs(np.mean(blocks, axis=1))))
 
 
+def _shift_correlations(n_bits: int) -> np.ndarray:
+    """C[x, y, d] = sum_s x_s y_(s xor d) over the +/-1 coordinates of the
+    points x, y of a block (n_bits a power of two)."""
+    signs = signs_of_points(n_bits).astype(np.float64)
+    s = np.arange(n_bits)
+    shifted = signs[:, s[:, None] ^ s[None, :]]  # [y, s, d] = y_(s xor d)
+    return np.tensordot(signs, shifted, axes=([1], [1]))
+
+
 @dataclass(frozen=True)
 class BESVectorAssignment:
-    """The tensored unit-vector solution (v, x) -> handle, wired to the
-    shared Gram cache so inner products never materialize tensors."""
+    """The tensored unit-vector solution: point (v, x) carries the vector of
+    BESVectorHandle(v, sign pattern of x, l_in, t).
+
+    With the Gram table of the basis, a base inner product is
+    base((v, x), (w, y)) = C[x, y] . table[v, w] / N for the shift
+    correlations C of the sign patterns, so no tensor and no per-pair Gram
+    block is ever formed.
+    """
 
     inst: BESInstance
     cache: GramCache
     l_in: int
     t: int
-    signs: np.ndarray  # (2^N, N) +/-1 sign pattern per point
-
-    def handle(self, v: int, x: int) -> BESVectorHandle:
-        return BESVectorHandle(v, self.signs[x], l_in=self.l_in, t=self.t)
+    corr: np.ndarray  # (2^N, 2^N, N) shift correlations C of the sign patterns
 
     def base_gram_block(self, v: int, w: int) -> np.ndarray:
         """(2^N, 2^N) base inner products between two whole blocks."""
-        m = self.cache.gram(v, w)
-        s = self.signs.astype(np.float64)
-        return s @ m @ s.T / self.cache.N
+        return self.corr @ self.cache.table[v, w] / self.cache.N
 
     def base_inner_flat(self, a_ids, b_ids) -> np.ndarray:
-        """Vectorized base inner products for flat vertex id pairs,
-        grouped by block pair so each Gram is fetched once."""
-        a_ids = np.asarray(a_ids)
-        b_ids = np.asarray(b_ids)
-        size = self.inst.block_size
-        av, ax = a_ids // size, a_ids % size
-        bv, bx = b_ids // size, b_ids % size
-        out = np.empty(len(a_ids))
-        order = np.argsort(av * self.inst.num_blocks + bv, kind="stable")
-        keys = (av * self.inst.num_blocks + bv)[order]
-        boundaries = np.flatnonzero(np.diff(keys)) + 1
-        for seg in np.split(order, boundaries):
-            v, w = int(av[seg[0]]), int(bv[seg[0]])
-            m = self.cache.gram(v, w)
-            xa = self.signs[ax[seg]].astype(np.float64)
-            xb = self.signs[bx[seg]].astype(np.float64)
-            out[seg] = np.einsum("bi,ij,bj->b", xa, m, xb) / self.cache.N
-        return np.clip(out, -1.0, 1.0)
+        """Vectorized base inner products for flat vertex id pairs."""
+        av, ax = np.divmod(np.asarray(a_ids), self.inst.block_size)
+        bv, bx = np.divmod(np.asarray(b_ids), self.inst.block_size)
+        out = np.einsum("bd,bd->b", self.corr[ax, bx], self.cache.table[av, bv])
+        return np.clip(out / self.cache.N, -1.0, 1.0)
 
 
 def assign_sdp_solution(inst: BESInstance, sol: UGVectorSolution,
-                        l_in: int = 8, t: int = 1,
-                        cache_entries: int = 4096) -> BESVectorAssignment:
+                        l_in: int = 8, t: int = 1) -> BESVectorAssignment:
     if sol.basis.shape[0] != inst.num_blocks or sol.basis.shape[1] != inst.ug.num_labels:
         raise ValueError("solution shape does not match instance")
-    cache = GramCache(sol.basis, l_in=l_in, max_entries=cache_entries)
     return BESVectorAssignment(
-        inst, cache, l_in, t, signs_of_points(inst.ug.num_labels)
+        inst, GramCache(sol.basis, l_in=l_in), l_in, t,
+        _shift_correlations(inst.ug.num_labels),
     )
 
 
@@ -280,24 +276,30 @@ def sdp_objective(inst: BESInstance, assign: BESVectorAssignment) -> float:
     enumeration of (x, mu) per UG edge. Comparable directly with cut weights
     (a +/-v0 cut solution scores exactly its cut weight), within two limits:
     a cut bounds only the SDP *minimum* from above, not this one feasible
-    point, and only when the cut's demand is >= `inst.balance`."""
+    point, and only when the cut's demand is >= `inst.balance`.
+
+    An edge of XOR shift c pairs (v, x) with (w, y), y_i = y'_(i xor c), and
+    base((v,x),(w,y)) = sum_d C[x, y', d] table[v, w, d xor c] / N; edges
+    with the same shifted table row give the same term, so each distinct
+    row is evaluated once with the summed weight of its edges.
+    """
     if not inst.exactly_enumerable():
         raise ValueError("instance too large for exact enumeration")
     n = inst.ug.num_labels
-    size = inst.block_size
     eps = inst.epsilon
     dist = _distance_matrix(n)
-    w_noise = (eps**dist) * (1 - eps) ** (n - dist) / size  # weight of (x, y')
-    signs = assign.signs.astype(np.float64)
+    w_noise = (eps**dist) * (1 - eps) ** (n - dist) / inst.block_size  # weight of (x, y')
+    v, w, perm, weight = inst.ug.edge_arrays()
+    shifted = np.arange(n) ^ perm[:, :1]
+    if not np.array_equal(perm, shifted):
+        raise ValueError("sdp_objective needs XOR-shift edge permutations")
+    rows, group = np.unique(assign.cache.table[v[:, None], w[:, None], shifted],
+                            axis=0, return_inverse=True)
+    weights = np.bincount(group.ravel(), weights=weight)
     mean_inner = 0.0
-    for e in inst.ug.edges:
-        m = assign.cache.gram(e.v, e.w)
-        # base((v,x),(w,y)) with y_i = y'_pi(i): folding the reindex into the
-        # Gram gives s_x^T M[:, pi^-1] s_y'
-        m_perm = m[:, np.argsort(e.perm)]
-        q = signs @ m_perm @ signs.T
-        q = np.clip(q / assign.cache.N, -1.0, 1.0)
-        mean_inner += e.weight * float(np.sum(w_noise * q**assign.t))
+    for row, weight in zip(rows, weights):
+        q = np.clip(assign.corr @ row / assign.cache.N, -1.0, 1.0)
+        mean_inner += weight * float(np.sum(w_noise * q**assign.t))
     return (1.0 - mean_inner) / 2.0
 
 
@@ -353,17 +355,15 @@ def check_bes_feasibility(inst: BESInstance, assign: BESVectorAssignment,
     size = inst.block_size
     m = inst.num_blocks
 
-    # (a) unit norms: within-block Gram is the identity, so the diagonal of
-    # the power matrix is exactly 1; verify through the handle path on a few
-    t_mat = _within_block_power_matrix(assign)
-    norm_res = float(np.max(np.abs(np.diag(t_mat) - 1.0)))
-    for v in (0, m - 1):
-        h = assign.handle(v, 0)
-        norm_res = max(norm_res, abs(bes_inner(h, h, assign.cache) - 1.0))
+    # (a) unit norms of every point, read from the Gram table
+    table = assign.cache.table
+    own = np.einsum("xxd,vd->vx", assign.corr, table[np.arange(m), np.arange(m)])
+    norm_res = float(np.max(np.abs((own / assign.cache.N) ** assign.t - 1.0)))
 
     # (b) well-separatedness: E_{x,y}[inner^t] vanishes by exact antipodal
     # cancellation (column y vs its complement), making the identity
     # (1/2) E ||V_x - V_y||^2 = 1 exact per block
+    t_mat = _within_block_power_matrix(assign)
     cancel = t_mat + t_mat[:, ::-1]
     ws_res = float(np.max(np.abs(cancel)))
 
@@ -381,12 +381,8 @@ def check_bes_feasibility(inst: BESInstance, assign: BESVectorAssignment,
     checked = 0
     adversarial = 0
     if inst.num_vertices <= 64:
-        g = np.empty((inst.num_vertices, inst.num_vertices))
-        for v in range(m):
-            for w in range(m):
-                g[v * size:(v + 1) * size, w * size:(w + 1) * size] = (
-                    assign.base_gram_block(v, w)
-                )
+        g = np.einsum("xyd,vwd->vxwy", assign.corr, table) / assign.cache.N
+        g = g.reshape(inst.num_vertices, inst.num_vertices)
         viol = (g[:, None, :] + g[None, :, :]) - (1.0 + g[:, :, None])
         worst = float(np.max(viol))
         checked = inst.num_vertices**3
@@ -399,10 +395,11 @@ def check_bes_feasibility(inst: BESInstance, assign: BESVectorAssignment,
             worst = max(worst, float(np.max(viol)))
         checked += m * size**3
 
-        # random triples across the whole instance
+        # random triples across the whole instance, in batches small enough
+        # that the (batch, N) gathers of base_inner_flat stay near 0.5 MB
         done = 0
         while done < triple_budget:
-            batch = min(triple_budget - done, 1 << 16)
+            batch = min(triple_budget - done, 1 << 13)
             ids = rng.integers(0, inst.num_vertices, size=(batch, 3))
             gab = assign.base_inner_flat(ids[:, 0], ids[:, 1])
             gac = assign.base_inner_flat(ids[:, 0], ids[:, 2])
@@ -418,23 +415,17 @@ def check_bes_feasibility(inst: BESInstance, assign: BESVectorAssignment,
         for v in range(m):
             for w in range(v + 1, m):
                 g_vw = assign.base_gram_block(v, w)
-                hot = np.argwhere(np.abs(g_vw) >= 1.0 / 3.0)
-                for xa, xb in hot[:200]:
-                    adversarial += 1
-                    a_flat = v * size + int(xa)
-                    b_flat = w * size + int(xb)
-                    thirds = np.concatenate([
-                        v * size + np.arange(size), w * size + np.arange(size)
-                    ])
-                    rep_a = np.full(len(thirds), a_flat)
-                    rep_b = np.full(len(thirds), b_flat)
-                    gab = assign.base_inner_flat(rep_a, rep_b)
-                    gac = assign.base_inner_flat(rep_a, thirds)
-                    gbc = assign.base_inner_flat(rep_b, thirds)
-                    worst = max(worst, float(np.max(gab + gbc - 1.0 - gac)))
-                    worst = max(worst, float(np.max(gab + gac - 1.0 - gbc)))
-                    worst = max(worst, float(np.max(gac + gbc - 1.0 - gab)))
-                    checked += len(thirds)
+                xa, xb = np.argwhere(np.abs(g_vw) >= 1.0 / 3.0)[:200].T
+                gab = g_vw[xa, xb][:, None]
+                # a = (v, xa) and b = (w, xb) against every third point: rows
+                # of the blocks (v, v), (v, w) and (w, w)
+                gac = np.hstack([assign.corr[xa] @ table[v, v] / assign.cache.N, g_vw[xa]])
+                gbc = np.hstack([g_vw[:, xb].T, assign.corr[xb] @ table[w, w] / assign.cache.N])
+                worst = max(worst, float(np.max(gab + gbc - 1.0 - gac, initial=0.0)))
+                worst = max(worst, float(np.max(gab + gac - 1.0 - gbc, initial=0.0)))
+                worst = max(worst, float(np.max(gac + gbc - 1.0 - gab, initial=0.0)))
+                adversarial += len(xa)
+                checked += len(xa) * 2 * size
         # antipodal mixed equality family: (v,x), (v,-x), (w,z)
         anti = min(2000, triple_budget // 10)
         av = rng.integers(0, m, size=anti)

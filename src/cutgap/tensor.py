@@ -8,7 +8,9 @@ pattern x, inner power l_in, outer power t) stands for the unit vector
     ( (1/sqrt(N)) sum_i x_i v_i^(tensor l_in) )^(tensor t)
 
 and the inner product of two handles is ((1/N) x^T M y)^t with
-M[i][j] = <v_i, w_j>^l_in the cached base Gram for the vertex pair.
+M[i][j] = <v_i, w_j>^l_in the base Gram block of the vertex pair. The gap
+solution's bases are shift-covariant (<v_i, w_j> depends on i xor j only),
+so one dense table of m * m * N numbers holds every block.
 
 The analytic construction fixes t astronomically large (recorded below as
 REFERENCE_OUTER_POWER); any |base| < 1 underflows to zero at that exponent,
@@ -19,7 +21,6 @@ suffices for every odd t by the odd-power transfer lemma
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,8 @@ __all__ = [
     "tensor_inner",
     "materialize_tensor_power",
     "BESVectorHandle",
+    "base_gram",
+    "shift_covariance_residual",
     "GramCache",
     "bes_inner",
     "odd_power_triangle_transfer",
@@ -90,47 +93,61 @@ class BESVectorHandle:
             raise ValueError(f"inner power l_in={self.l_in} must be even and >= 2")
 
 
-class GramCache:
-    """LRU cache of base Grams M[i][j] = <v_i, w_j>^l_in per vertex pair.
+def base_gram(basis) -> np.ndarray:
+    """G[v, s, w, t] = <u_{v,s}, u_{w,t}> for the rows u = basis / sqrt(N)
+    of an (m, N, N) +/-1 basis, N a power of two; entries are exact
+    multiples of 1/N."""
+    basis = np.asarray(basis)
+    if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
+        raise ValueError("basis must be (m, N, N)")
+    m, n, _ = basis.shape
+    if n & (n - 1):
+        raise ValueError(f"basis dimension {n} is not a power of two")
+    flat = basis.reshape(m * n, n).astype(np.float64)
+    return (flat @ flat.T).reshape(m, n, m, n) / n
 
-    basis is the (m, N, N) +/-1 array of per-vertex orthonormal bases (rows
-    scaled by 1/sqrt(N) implicitly). Keyed by unordered pair; bounded by
-    max_entries (each entry is an N x N float block).
+
+def shift_covariance_residual(gram: np.ndarray) -> float:
+    """max |G[v, s, w, t] - G[v, 0, w, s xor t]| over a base_gram tensor:
+    zero exactly when every block depends on s xor t only, which is the
+    same as invariance under shifting both indices by any l."""
+    n = gram.shape[1]
+    idx = np.arange(n)
+    predicted = gram[:, 0][:, :, idx[:, None] ^ idx[None, :]]  # [v, w, s, t]
+    return float(np.max(np.abs(gram.transpose(0, 2, 1, 3) - predicted)))
+
+
+class GramCache:
+    """Dense table of the powered base Grams of a shift-covariant basis.
+
+    table[v, w, c] = <u_{v,0}, u_{w,c}>^l_in holds every block:
+    gram(v, w)[s, t] = table[v, w, s xor t]. The table is built once from
+    the basis; a basis that is not shift-covariant is rejected with
+    ValueError, since the table would misread it.
     """
 
-    def __init__(self, basis: np.ndarray, l_in: int = DEFAULT_INNER_POWER,
-                 max_entries: int = 4096):
+    # blocks computed on demand: none, the table is built in the constructor
+    misses = 0
+
+    def __init__(self, basis: np.ndarray, l_in: int = DEFAULT_INNER_POWER):
         self.basis = np.asarray(basis, dtype=np.int8)
-        if self.basis.ndim != 3 or self.basis.shape[1] != self.basis.shape[2]:
-            raise ValueError("basis must be (m, N, N)")
+        gram = base_gram(self.basis)
+        residual = shift_covariance_residual(gram)
+        if residual:
+            raise ValueError(f"basis is not shift-covariant (residual {residual:g})")
         self.l_in = l_in
-        self.max_entries = max_entries
-        self._cache: OrderedDict = OrderedDict()
-        self.hits = 0
-        self.misses = 0
+        self.table = gram[:, 0] ** l_in
+        self.table.setflags(write=False)
+        idx = np.arange(self.N)
+        self._xor = idx[:, None] ^ idx[None, :]
 
     @property
     def N(self) -> int:
         return self.basis.shape[1]
 
     def gram(self, v: int, w: int) -> np.ndarray:
-        """M for the ordered pair (v, w); computed on demand on cache miss."""
-        key = (min(v, w), max(v, w))
-        if key in self._cache:
-            self.hits += 1
-            self._cache.move_to_end(key)
-            m = self._cache[key]
-        else:
-            self.misses += 1
-            a = self.basis[key[0]].astype(np.int64)
-            b = self.basis[key[1]].astype(np.int64)
-            base = (a @ b.T).astype(np.float64) / self.N
-            m = base**self.l_in
-            m.setflags(write=False)
-            self._cache[key] = m
-            if len(self._cache) > self.max_entries:
-                self._cache.popitem(last=False)
-        return m if v <= w else m.T
+        """M[s, t] = <u_{v,s}, u_{w,t}>^l_in for the ordered pair (v, w)."""
+        return self.table[v, w][self._xor]
 
 
 def bes_inner(a: BESVectorHandle, b: BESVectorHandle, cache: GramCache) -> float:

@@ -89,6 +89,15 @@ class UGInstance:
             deg[e.w] += e.weight
         return float(deg[0])
 
+    def edge_arrays(self):
+        """(v, w, perm, weight) of every edge as arrays; perm is (|E|, N)."""
+        return (
+            np.array([e.v for e in self.edges], dtype=np.int64),
+            np.array([e.w for e in self.edges], dtype=np.int64),
+            np.stack([e.perm for e in self.edges]),
+            np.array([e.weight for e in self.edges]),
+        )
+
 
 def value(u: UGInstance, lam) -> float:
     """Total weight of edges satisfied by the labeling."""

@@ -231,9 +231,7 @@ def test_criterion_4_constraint_suite_k3():
     start = time.time()
     inst, quot, sol = _k3_fixture()
     feas = check_ug_sdp_feasibility(sol, seed=4, triple_samples=1_000_000)
-    ulc = verify_ulc_properties(
-        inst, sol, ETA_K3, seed=4, triple_samples=1_000_000, matching_exhaustive=True
-    )
+    ulc = verify_ulc_properties(inst, sol, ETA_K3, seed=4, triple_samples=1_000_000)
     residual = max(
         feas.max_residual(),
         ulc.basis_completeness_residual,

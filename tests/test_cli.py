@@ -3,6 +3,9 @@ import os
 import numpy as np
 import pytest
 
+from cutgap import quotient as qt
+from cutgap import separator as sp
+from cutgap import unique_games as ug
 from cutgap.cli import main
 from cutgap.config import RunConfig, derive_seed, parse_config_file
 from cutgap.metrics import FiniteMetric, metric_to_text
@@ -49,9 +52,10 @@ def test_build_ug_window_error(tmp_path, capsys):
     assert "FAIL build-ug" in capsys.readouterr().out
 
 
-def test_build_ug_invalid_k():
-    with pytest.raises(ValueError):
-        main(["build-ug", "--k", "9", "--eta", "0.2", "--out", "/tmp/x"])
+def test_build_ug_invalid_k(tmp_path, capsys):
+    code = main(["build-ug", "--k", "9", "--eta", "0.2", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().out == "FAIL build-ug k=9 outside [1, 5]\n"
 
 
 def test_build_bes_pipeline_and_gap_row(tmp_path):
@@ -97,12 +101,52 @@ def test_build_bes_deterministic_outputs(tmp_path):
         assert read(outs[0] / name) == read(outs[1] / name)
 
 
-def test_build_bes_missing_ug_file(tmp_path):
-    with pytest.raises(FileNotFoundError):
-        main([
-            "build-bes", "--k", "2", "--eta", "0.3", "--epsilon", "0.3",
-            "--ug-file", str(tmp_path / "nope.txt"), "--out", str(tmp_path),
-        ])
+def test_build_bes_missing_ug_file(tmp_path, capsys):
+    code = main([
+        "build-bes", "--k", "2", "--eta", "0.3", "--epsilon", "0.3",
+        "--ug-file", str(tmp_path / "nope.txt"), "--out", str(tmp_path),
+    ])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL build-bes ") and "nope.txt" in out
+
+
+def test_build_seeds_follow_the_splitting_scheme(tmp_path, monkeypatch):
+    # --budget-labelings 1 forces opt_search in both commands; each random
+    # sub-run draws from its own derive_seed purpose code
+    seed = 4
+    calls = []
+    search, feasibility = ug.opt_search, qt.check_ug_sdp_feasibility
+
+    def record_search(inst, seed, **kwargs):
+        calls.append(("opt_search", seed))
+        return search(inst, seed=seed, **kwargs)
+
+    def record_feasibility(sol, seed, **kwargs):
+        calls.append(("feasibility", seed))
+        return feasibility(sol, seed=seed, **kwargs)
+
+    monkeypatch.setattr(ug, "opt_search", record_search)
+    monkeypatch.setattr(qt, "check_ug_sdp_feasibility", record_feasibility)
+    out = tmp_path / "run"
+    common = ["--k", "2", "--eta", "0.3", "--seed", str(seed), "--budget-labelings", "1",
+              "--budget-triples", "2000", "--out", str(out)]
+    assert main(["build-ug", *common]) == 0
+    assert main(["build-bes", *common, "--epsilon", "0.3", "--budget-samples", "2000",
+                 "--ug-file", str(out / "ug_instance.txt")]) == 0
+    assert calls == [
+        ("opt_search", derive_seed(seed, "opt_search")),
+        ("feasibility", derive_seed(seed, "sdp_feasibility")),
+        ("feasibility", derive_seed(seed, "ulc_properties")),
+        ("opt_search", derive_seed(seed, "opt_search")),
+    ]
+    report = dict(ln.split("\t", 1) for ln in read(out / "ug_report.tsv").splitlines()[1:])
+    lam = [int(v) for v in report["opt_labeling"].split()]
+    summary = read(out / "bes_summary.txt").split("candidates: ")[1].strip()
+    weights = dict(c.split("=") for c in summary.split("; "))
+    inst = sp.build_bes(ug.ug_from_text(read(out / "ug_instance.txt")), 0.3)
+    dictator = sp.cut_edge_weight(inst, sp.dictator_cut(inst, lam))
+    assert float(weights["labeling_0"].split("@")[0]) == dictator
 
 
 def test_verify_detects_tampered_weight(tmp_path, capsys):
@@ -180,12 +224,38 @@ def test_distortion_command(tmp_path, capsys):
     assert (tmp_path / "prog.lp").read_text().startswith("OBJECTIVE min")
 
 
-def test_gram_cache_env_override(monkeypatch):
-    from cutgap.cli import _gram_cache_entries
+def test_pcp_truncated_permutation_fails_cleanly(tmp_path, capsys):
+    u, hidden = plant_instance(6, 3, 0.1, 0.8, seed=0)
+    lines = ug_to_text(u).splitlines()
+    lines[1] = lines[1].rsplit(" ", 1)[0]  # drop one permutation entry
+    ug_file = tmp_path / "ug.txt"
+    ug_file.write_text("\n".join(lines) + "\n")
+    proof_file = tmp_path / "proof.txt"
+    proof_file.write_text(proof_to_text(long_code_proof(hidden, 3)))
+    code = main(["pcp", "--ug-file", str(ug_file), "--proof-file", str(proof_file),
+                 "--epsilon", "0.2", "--loose"])
+    assert code == 1
+    assert capsys.readouterr().out.startswith("FAIL pcp ")
 
-    assert _gram_cache_entries() == 4096
-    monkeypatch.setenv("CUTGAP_GRAM_CACHE", "128")
-    assert _gram_cache_entries() == 128
+
+def test_distortion_truncated_metric_fails_cleanly(tmp_path, capsys):
+    d = np.array([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]], float)
+    lines = metric_to_text(FiniteMetric(d)).splitlines()
+    mfile = tmp_path / "metric.txt"
+    mfile.write_text("\n".join(lines[:-1]) + "\n")  # last row missing
+    code = main(["distortion", "--metric-file", str(mfile)])
+    assert code == 1
+    assert capsys.readouterr().out.startswith("FAIL distortion ")
+
+
+def test_verify_truncated_basis_fails_cleanly(tmp_path, capsys):
+    _, quot, _ = qt.build_kv_instance(2, 0.3)
+    lines = qt.basis_to_text(qt.build_ug_sdp_solution(quot)).splitlines()
+    bfile = tmp_path / "basis.txt"
+    bfile.write_text("\n".join(lines[:-1]) + "\n")  # last basis row missing
+    code = main(["verify", "--basis-file", str(bfile)])
+    assert code == 1
+    assert capsys.readouterr().out.startswith("FAIL basis_structure ")
 
 
 def test_round_command(tmp_path, capsys):

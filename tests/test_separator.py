@@ -22,7 +22,8 @@ from cutgap.separator import (
     sdp_objective_closed_form_t1,
     signs_of_points,
 )
-from cutgap.unique_games import opt_exhaustive, plant_instance, value
+from cutgap.tensor import BESVectorHandle, bes_inner
+from cutgap.unique_games import UGEdge, UGInstance, opt_exhaustive, plant_instance, value
 
 
 def kv_fixture(k=2, eta=0.3, eps=0.3, l_in=8, t=1):
@@ -131,12 +132,47 @@ def test_mc_cut_weight_agrees_with_exact():
 
 def test_unit_norms_and_antipodes():
     _, _, inst, assign = kv_fixture(t=3)
-    a = assign.handle(2, 5)
-    from cutgap.tensor import bes_inner
-
+    signs = signs_of_points(4)
+    a = BESVectorHandle(2, signs[5], l_in=8, t=3)
     assert bes_inner(a, a, assign.cache) == 1.0
-    b = assign.handle(2, 16 - 1 - 5)  # complement pattern = antipode
+    b = BESVectorHandle(2, signs[16 - 1 - 5], l_in=8, t=3)  # complement = antipode
     assert bes_inner(a, b, assign.cache) == -1.0
+
+
+def test_sdp_objective_matches_explicit_edge_list():
+    # independent route for every t: (1/4) sum_pairs wt ||V_a - V_b||^2 over
+    # the expanded edge export, with inner products from the symbolic handles
+    _, q, inst, _ = kv_fixture()
+    signs = signs_of_points(4)
+    pairs = [ln.split() for ln in bes_to_text(inst, expanded=True).splitlines()[1:]]
+    for t in (1, 3, 5):
+        assign = assign_sdp_solution(inst, build_ug_sdp_solution(q), l_in=8, t=t)
+        handles = [BESVectorHandle(v, signs[x], l_in=8, t=t)
+                   for v in range(inst.num_blocks) for x in range(inst.block_size)]
+        gram = np.array([[bes_inner(a, b, assign.cache) for b in handles] for a in handles])
+        expected = 0.0
+        for v, x, w, y, wt in pairs:
+            a = int(v) * inst.block_size + int(x)
+            b = int(w) * inst.block_size + int(y)
+            expected += 0.25 * float(wt) * (gram[a, a] + gram[b, b] - 2 * gram[a, b])
+        assert abs(sdp_objective(inst, assign) - expected) < 1e-13, t
+
+
+def test_sdp_objective_k3_frozen():
+    # the benchmark's frozen k=3 objectives (perfbench/frozen.py)
+    for t, frozen in ((1, 0.49966159097948787), (3, 0.4999999808913364)):
+        _, _, inst, assign = kv_fixture(k=3, eta=0.3, eps=0.3, t=t)
+        assert abs(sdp_objective(inst, assign) - frozen) < 1e-12
+
+
+def test_sdp_objective_rejects_non_xor_permutation():
+    u, _, _, assign = kv_fixture()
+    e = u.edges[0]
+    not_xor = UGEdge(e.v, e.w, np.array([0, 1, 3, 2]), e.weight)
+    bad = build_bes(UGInstance(u.num_vertices, u.num_labels,
+                               [not_xor] + list(u.edges[1:])), 0.3)
+    with pytest.raises(ValueError):
+        sdp_objective(bad, assign)
 
 
 def test_sdp_objective_exact_vs_closed_form_t1():

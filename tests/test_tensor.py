@@ -6,9 +6,11 @@ from cutgap.tensor import (
     REFERENCE_OUTER_POWER,
     BESVectorHandle,
     GramCache,
+    base_gram,
     bes_inner,
     materialize_tensor_power,
     odd_power_triangle_transfer,
+    shift_covariance_residual,
     tensor_inner,
 )
 
@@ -130,18 +132,33 @@ def test_bes_inner_matches_materialized_tensors():
             assert abs(fast - slow) < 1e-10, (l_in, t, fast, slow)
 
 
-def test_gram_cache_lru_and_reuse():
+def test_gram_cache_transpose():
     _, q, cache = make_cache()
-    cache.max_entries = 2
-    cache.gram(0, 1)
-    cache.gram(0, 2)
-    cache.gram(0, 1)
-    cache.gram(0, 3)  # evicts (0, 2)
-    misses = cache.misses
-    cache.gram(0, 2)
-    assert cache.misses == misses + 1
     g = cache.gram(1, 0)
     assert np.array_equal(g, cache.gram(0, 1).T)
+
+
+def test_gram_table_matches_base_gram_blocks():
+    # every block of the powered base Gram is read off one table row; the
+    # reference is the per-pair product of the two bases
+    for k in (2, 3):
+        _, q, cache = make_cache(k=k)
+        basis = cache.basis.astype(np.float64)
+        for v in range(q.num_classes):
+            for w in (0, v, q.num_classes - 1):
+                block = (basis[v] @ basis[w].T / q.N) ** 8
+                assert np.array_equal(cache.gram(v, w), block)
+
+
+def test_gram_cache_rejects_non_covariant_basis():
+    # two rows of one class swapped: still orthonormal, no longer a function
+    # of s xor t, so the table would misread it
+    _, q, cache = make_cache()
+    basis = cache.basis.copy()
+    basis[1, [0, 1]] = basis[1, [1, 0]]
+    assert shift_covariance_residual(base_gram(basis)) > 0.0
+    with pytest.raises(ValueError):
+        GramCache(basis, l_in=8)
 
 
 def test_handle_validation():
