@@ -353,18 +353,7 @@ def cmd_distortion(args) -> int:
 
 def cmd_round(args) -> int:
     with open(args.graph_file) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    tag, n = lines[0].split()
-    if tag != "GRAPH":
-        return _fail("round_input", "expected GRAPH header")
-    n = int(n)
-    weights = np.zeros((n, n))
-    demands = np.zeros((n, n))
-    for ln in lines[1:]:
-        i, j, w, d = ln.split()
-        i, j = int(i), int(j)
-        weights[i, j] = weights[j, i] = float(w)
-        demands[i, j] = demands[j, i] = float(d)
+        weights, demands = mt.graph_from_text(fh.read())
     total = float(np.sum(demands) / 2)
     B = args.balance if args.balance is not None else total / 2
     oracle = lambda w, d: mt.local_search_sparsest_cut(w, d, seed=args.seed)

@@ -27,6 +27,7 @@ __all__ = [
     "naive_wht",
     "inverse_wht",
     "apply_noise_operator",
+    "apply_noise_kernel",
     "lp_norm",
     "bonami_beckner_check",
     "junta_diagnostics",
@@ -197,6 +198,28 @@ def apply_noise_operator(f, rho: float) -> RealFunction:
     sizes = np.bitwise_count(np.arange(len(spectrum.coeffs), dtype=np.uint32))
     scaled = spectrum.coeffs * np.power(rho, sizes.astype(np.float64))
     return inverse_wht(FourierSpectrum(spectrum.k, scaled))
+
+
+def apply_noise_kernel(values, eps: float, n_bits: int) -> np.ndarray:
+    """K f along the last axis, K[x, y] = eps^d(x,y) (1-eps)^(n_bits - d(x,y)):
+    the mean of f at x with each bit flipped independently with probability
+    eps, which is T_rho at rho = 1 - 2 eps. Leading axes are a batch.
+
+    Product structure over bits: one (1-eps, eps) mixing pass per coordinate,
+    butterfly-style like the Walsh-Hadamard transform. K commutes with every
+    coordinate permutation, since those preserve Hamming distance.
+    """
+    out = np.array(values, dtype=np.float64, order="C")
+    n = 1 << n_bits
+    h = 1
+    while h < n:
+        view = out.reshape(out.shape[:-1] + (n // (2 * h), 2, h))
+        a = view[..., 0, :].copy()
+        b = view[..., 1, :].copy()
+        view[..., 0, :] = (1 - eps) * a + eps * b
+        view[..., 1, :] = eps * a + (1 - eps) * b
+        h *= 2
+    return out
 
 
 def lp_norm(f, p: float) -> float:

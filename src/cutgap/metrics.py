@@ -4,7 +4,8 @@ cuts, and the iterative cut-erasure / random-XOR rounding pipeline.
 
 Metrics are symmetric nonnegative matrices with zero diagonal satisfying the
 triangle inequality (validated at construction). Graph-with-demands
-instances for the rounding side are plain (weights, demands) matrix pairs.
+instances for the rounding side are plain (weights, demands) matrix pairs,
+stored as GRAPH text files.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ __all__ = [
     "metric_from_gram",
     "metric_to_text",
     "metric_from_text",
+    "graph_to_text",
+    "graph_from_text",
     "farthest_point_sample",
     "sparsity",
     "best_xor_cut",
@@ -276,6 +279,46 @@ def metric_from_text(text: str) -> FiniteMetric:
         d[i, :i] = row
         d[:i, i] = row
     return FiniteMetric(d)
+
+
+def graph_to_text(weights, demands) -> str:
+    """Header `GRAPH n`, then `i j weight demand` for every pair i < j with
+    a nonzero weight or demand, floats at 17 significant digits."""
+    weights = np.asarray(weights, dtype=np.float64)
+    demands = np.asarray(demands, dtype=np.float64)
+    lines = [f"GRAPH {weights.shape[0]}"]
+    for i, j in zip(*np.triu_indices(weights.shape[0], 1)):
+        if weights[i, j] or demands[i, j]:
+            lines.append(f"{i} {j} {weights[i, j]:.17g} {demands[i, j]:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def graph_from_text(text: str):
+    """(weights, demands) symmetric matrices of a GRAPH file; a later line
+    for the same pair overrides an earlier one. A bad header, a line without
+    exactly four fields, an unparsable number or a vertex outside [0, n)
+    raises ValueError naming the line."""
+    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines:
+        raise ValueError("line 1: empty GRAPH file")
+    no, head = lines[0]
+    if len(head) != 2 or head[0] != "GRAPH" or not head[1].isdigit() or int(head[1]) < 1:
+        raise ValueError(f"line {no}: expected header `GRAPH n` with n >= 1")
+    n = int(head[1])
+    weights = np.zeros((n, n))
+    demands = np.zeros((n, n))
+    for no, fields in lines[1:]:
+        if len(fields) != 4:
+            raise ValueError(f"line {no}: expected `i j weight demand`, got {len(fields)} fields")
+        try:
+            i, j, w, d = int(fields[0]), int(fields[1]), float(fields[2]), float(fields[3])
+        except ValueError as exc:
+            raise ValueError(f"line {no}: {exc}") from None
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"line {no}: vertex out of range [0, {n}): {i} {j}")
+        weights[i, j] = weights[j, i] = w
+        demands[i, j] = demands[j, i] = d
+    return weights, demands
 
 
 def farthest_point_sample(metric: FiniteMetric, size: int, seed_point: int = 0):

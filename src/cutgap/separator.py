@@ -7,9 +7,11 @@ A source Unique Games instance on m vertices with N labels yields one block
 of 2^N vertices (v, x) per UG vertex v. Drawing a UG edge e{v,w} by weight,
 a uniform x and an epsilon-biased flip pattern mu produces the edge
 ((v, x), (w, (x mu) o pi_e)) -- the pair weight is
-wt(e) * 2^-N * eps^|mu-| * (1-eps)^(N-|mu-|). Edges are never materialized:
-exact expectations run per UG edge through the product-form noise kernel,
-and a Monte Carlo path samples (e, x, mu) directly.
+wt(e) * 2^-N * eps^|mu-| * (1-eps)^(N-|mu-|). This is the two-query Long
+Code test's query distribution, and cut weights read it from the UG
+instance's shared `EdgeDistribution`: the exact path is one noise-kernel
+pass over all blocks and one gather-dot over all edges, and the Monte Carlo
+path samples (e, x, mu) directly. Edges are never materialized.
 
 Demands are 1 for every unordered pair inside a block and 0 across blocks;
 D = m * C(2^N, 2) and the balance parameter is B = D / 2.
@@ -61,15 +63,6 @@ class BESInstance:
     def __post_init__(self):
         if not 0 < self.epsilon < 0.5:
             raise ValueError(f"epsilon={self.epsilon} outside (0, 1/2)")
-        object.__setattr__(self, "_tables", None)
-
-    def edge_tables(self) -> list:
-        """Reindex tables (one per edge), built once on first use."""
-        if self._tables is None:
-            object.__setattr__(
-                self, "_tables", [_reindex_table(e.perm) for e in self.ug.edges]
-            )
-        return self._tables
 
     @property
     def num_blocks(self) -> int:
@@ -106,35 +99,6 @@ def build_bes(u: UGInstance, epsilon: float, require_exact: bool = True) -> BESI
     return inst
 
 
-def _reindex_table(perm: np.ndarray) -> np.ndarray:
-    """table[y'] = y with y_i = y'_perm[i], over N-bit masks."""
-    n = len(perm)
-    yp = np.arange(1 << n, dtype=np.int64)
-    y = np.zeros_like(yp)
-    for i in range(n):
-        y |= ((yp >> int(perm[i])) & 1) << i
-    return y
-
-
-def apply_noise_kernel(vec: np.ndarray, eps: float, n_bits: int) -> np.ndarray:
-    """K vec with K[x, y] = eps^d(x,y) (1-eps)^(n_bits - d(x,y)).
-
-    Product structure over bits: one (1-eps, eps) mixing pass per coordinate,
-    butterfly-style like the Walsh-Hadamard transform.
-    """
-    out = np.asarray(vec, dtype=np.float64).copy()
-    n = 1 << n_bits
-    h = 1
-    while h < n:
-        view = out.reshape(-1, 2, h)
-        a = view[:, 0, :].copy()
-        b = view[:, 1, :].copy()
-        view[:, 0, :] = (1 - eps) * a + eps * b
-        view[:, 1, :] = eps * a + (1 - eps) * b
-        h *= 2
-    return out
-
-
 def signs_of_points(n_bits: int) -> np.ndarray:
     """(2^n, n) +/-1 matrix: row x is the point's coordinates 1 - 2 bit_i(x)."""
     idx = np.arange(1 << n_bits, dtype=np.int64)
@@ -163,15 +127,7 @@ def cut_edge_weight(inst: BESInstance, cut) -> float:
     two endpoints get different signs."""
     if not inst.exactly_enumerable():
         raise ValueError("instance too large for exact enumeration; use the MC path")
-    blocks = _block_views(inst, cut)
-    n = inst.ug.num_labels
-    tables = inst.edge_tables()
-    total = 0.0
-    for e, table in zip(inst.ug.edges, tables):
-        b = blocks[e.w][table]
-        agree = float(blocks[e.v] @ apply_noise_kernel(b, inst.epsilon, n))
-        total += e.weight * (1.0 - agree / inst.block_size) / 2.0
-    return total
+    return inst.ug.edge_distribution.disagreement(_block_views(inst, cut), inst.epsilon)
 
 
 def cut_edge_weight_mc(inst: BESInstance, cut, samples: int, seed: int):
@@ -180,25 +136,8 @@ def cut_edge_weight_mc(inst: BESInstance, cut, samples: int, seed: int):
     Returns (estimate, stderr, trustworthy) where trustworthy requires the
     standard error to be below 5% of the estimate.
     """
-    blocks = _block_views(inst, cut)
-    n = inst.ug.num_labels
-    rng = np.random.default_rng(seed)
-    weights = np.array([e.weight for e in inst.ug.edges])
-    weights = weights / weights.sum()
-    tables = np.stack(inst.edge_tables())
-    v_of = np.array([e.v for e in inst.ug.edges])
-    w_of = np.array([e.w for e in inst.ug.edges])
-    bit_weights = 1 << np.arange(n, dtype=np.int64)
-    cut_count = 0
-    done = 0
-    while done < samples:
-        batch = min(samples - done, 1 << 16)
-        ei = rng.choice(len(weights), p=weights, size=batch)
-        x = rng.integers(0, inst.block_size, size=batch)
-        mu = ((rng.random((batch, n)) < inst.epsilon) * bit_weights).sum(axis=1)
-        y = tables[ei, x ^ mu]
-        cut_count += int(np.sum(blocks[v_of[ei], x] != blocks[w_of[ei], y]))
-        done += batch
+    cut_count = inst.ug.edge_distribution.sample_disagreements(
+        _block_views(inst, cut), samples, seed, inst.epsilon)
     p = cut_count / samples
     stderr = math.sqrt(max(p * (1 - p), 1e-300) / samples)
     return p, stderr, bool(stderr < 0.05 * max(p, 1e-300))
@@ -387,12 +326,16 @@ def check_bes_feasibility(inst: BESInstance, assign: BESVectorAssignment,
         worst = float(np.max(viol))
         checked = inst.num_vertices**3
     else:
-        # exhaustive within-block sweep (base inners are (x.y)/N exactly)
-        base = 1.0 - 2.0 * _distance_matrix(inst.ug.num_labels).astype(np.float64) / inst.ug.num_labels
-        chunk = 32
-        for lo in range(0, size, chunk):
-            viol = (base[lo:lo + chunk, None, :] + base[None, :, :]) - (1.0 + base[lo:lo + chunk, :, None])
-            worst = max(worst, float(np.max(viol)))
+        # exhaustive within-block sweep of every block's Gram, read from the
+        # table: blocks with equal diagonal rows table[v, v] have equal Grams
+        # (at the quotient instance all of them are 1 - 2 d(x, y) / N), so
+        # each distinct one is swept once, four rows at a time
+        diagonal = table[np.arange(m), np.arange(m)]
+        for row in np.unique(diagonal, axis=0):
+            g = assign.corr @ row / assign.cache.N
+            for lo in range(0, size, 4):
+                viol = (g[lo:lo + 4, None, :] + g[None, :, :]) - (1.0 + g[lo:lo + 4, :, None])
+                worst = max(worst, float(np.max(viol)))
         checked += m * size**3
 
         # random triples across the whole instance, in batches small enough
@@ -565,9 +508,10 @@ def bes_to_text(inst: BESInstance, expanded: bool | None = None) -> str:
     size = inst.block_size
     eps = inst.epsilon
     dist = _distance_matrix(n)
+    tables = inst.ug.edge_distribution.tables
     accum: dict = {}
-    for e in inst.ug.edges:
-        table = _reindex_table(e.perm)
+    for e, p in zip(inst.ug.edges, inst.ug.edge_distribution.table_of):
+        table = tables[p]
         for x in range(size):
             for yp in range(size):
                 y = int(table[yp])

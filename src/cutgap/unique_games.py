@@ -11,12 +11,16 @@ Labelings are plain integer arrays indexed by vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .fourier import apply_noise_kernel
 
 __all__ = [
     "UGEdge",
     "UGInstance",
+    "EdgeDistribution",
     "BudgetExceededError",
     "value",
     "opt_exhaustive",
@@ -97,6 +101,74 @@ class UGInstance:
             np.stack([e.perm for e in self.edges]),
             np.array([e.weight for e in self.edges]),
         )
+
+    @cached_property
+    def edge_distribution(self) -> "EdgeDistribution":
+        """The two-query Long Code test's query distribution, built once."""
+        v, w, perm, weight = self.edge_arrays()
+        perms, table_of = np.unique(perm, axis=0, return_inverse=True)
+        z = np.arange(1 << self.num_labels, dtype=np.int64)
+        bits = (z >> perms[:, :, None]) & 1  # [p, i, z] = bit perm_p(i) of z
+        tables = np.sum(bits << np.arange(self.num_labels)[:, None], axis=1)
+        arrays = (v, w, weight, tables, table_of.ravel())
+        for a in arrays:
+            a.setflags(write=False)
+        return EdgeDistribution(self.num_labels, *arrays)
+
+
+@dataclass(frozen=True)
+class EdgeDistribution:
+    """The query distribution of the two-query Long Code test on a UG
+    instance, which is also the edge distribution of the separator instance
+    the test reduces it to: draw an edge e{v, w} by weight, a uniform point
+    x and an epsilon-biased flip pattern mu, and query (v, x) and (w, y)
+    with y = (x mu) o pi_e, that is bit i of y is bit pi_e(i) of x ^ mu.
+
+    Edges with the same permutation share one reindex table: `tables[p]`
+    maps x ^ mu to y and `table_of[e]` names edge e's table, so an instance
+    whose permutations are XOR shifts (the quotient instance) holds at most
+    N tables. Queried tables are +/-1 arrays with one row per UG vertex.
+    """
+
+    num_labels: int
+    v: np.ndarray
+    w: np.ndarray
+    weight: np.ndarray
+    tables: np.ndarray  # (distinct permutations, 2^N)
+    table_of: np.ndarray  # (|E|,)
+
+    def disagreement(self, blocks, epsilon: float) -> float:
+        """Exact probability that the two queries get different values,
+        sum_e wt(e) (1 - <A^v, K A^w o pi_e> / 2^N) / 2 for the noise kernel
+        K. K commutes with pi_e, so one noise pass over all rows and one
+        gather-dot over all edges evaluate every term."""
+        blocks = np.asarray(blocks, dtype=np.float64)
+        smoothed = apply_noise_kernel(blocks, epsilon, self.num_labels)
+        pulled = smoothed[self.w[:, None], self.tables[self.table_of]]
+        agree = np.einsum("ex,ex->e", blocks[self.v], pulled)
+        # a sequential sum in edge order (np.sum would pair terms up): the
+        # last digits of the written gap rows depend on this order
+        return float(np.cumsum(self.weight * (1.0 - agree / blocks.shape[1]) / 2.0)[-1])
+
+    def sample_disagreements(self, blocks, samples: int, seed: int,
+                             epsilon: float) -> int:
+        """How many of `samples` seeded draws of (e, x, mu) query two
+        different values; the draws depend only on the seed."""
+        rng = np.random.default_rng(seed)
+        n = self.num_labels
+        p = self.weight / self.weight.sum()
+        bit_weights = 1 << np.arange(n, dtype=np.int64)
+        count = 0
+        done = 0
+        while done < samples:
+            batch = min(samples - done, 1 << 16)
+            ei = rng.choice(len(p), p=p, size=batch)
+            x = rng.integers(0, 1 << n, size=batch)
+            mu = ((rng.random((batch, n)) < epsilon) * bit_weights).sum(axis=1)
+            y = self.tables[self.table_of[ei], x ^ mu]
+            count += int(np.sum(blocks[self.v[ei], x] != blocks[self.w[ei], y]))
+            done += batch
+        return count
 
 
 def value(u: UGInstance, lam) -> float:

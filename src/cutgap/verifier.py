@@ -8,10 +8,12 @@ through the per-vertex spectra,
 
     1/2 + 1/2 sum_e wt(e) sum_alpha A^v_alpha A^w_{pi^-1(alpha)} (1-2 eps)^|alpha|,
 
-and operationally through a seeded Monte Carlo sampler. The decoder draws a
-subset alpha with probability (A^v_alpha)^2 and a uniform element of alpha;
-empty draws are redrawn, and all-mass-on-empty tables fall back to a uniform
-label (flagged).
+and operationally through the seeded sampler of the instance's
+`EdgeDistribution`, the one that also estimates separator cut weights (a
+cut's weight is one minus the acceptance of its blocks as a proof). The
+decoder draws a subset alpha with probability (A^v_alpha)^2 and a uniform
+element of alpha; empty draws are redrawn, and all-mass-on-empty tables fall
+back to a uniform label (flagged).
 """
 
 from __future__ import annotations
@@ -122,38 +124,10 @@ def acceptance_probability_mc(u: UGInstance, proof: Proof, samples: int,
     times. Returns (estimate, stderr); deterministic per seed."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    n = u.num_labels
-    size = 1 << n
-    weights = np.array([e.weight for e in u.edges])
-    weights = weights / weights.sum()
-    v_of = np.array([e.v for e in u.edges])
-    w_of = np.array([e.w for e in u.edges])
-    # y = (x mu) o pi: bit i of y is bit pi(i) of x^mu
-    reindex = np.stack([_reindex(e.perm) for e in u.edges])
-    bit_weights = 1 << np.arange(n, dtype=np.int64)
-    accept = 0
-    done = 0
-    while done < samples:
-        batch = min(samples - done, 1 << 16)
-        ei = rng.choice(len(weights), p=weights, size=batch)
-        x = rng.integers(0, size, size=batch)
-        mu = ((rng.random((batch, n)) < epsilon) * bit_weights).sum(axis=1)
-        y = reindex[ei, x ^ mu]
-        accept += int(np.sum(proof.tables[v_of[ei], x] == proof.tables[w_of[ei], y]))
-        done += batch
-    p = accept / samples
+    reject = u.edge_distribution.sample_disagreements(proof.tables, samples, seed, epsilon)
+    p = (samples - reject) / samples
     stderr = math.sqrt(max(p * (1 - p), 1e-300) / samples)
     return p, stderr
-
-
-def _reindex(perm: np.ndarray) -> np.ndarray:
-    n = len(perm)
-    src = np.arange(1 << n, dtype=np.int64)
-    out = np.zeros_like(src)
-    for i in range(n):
-        out |= ((src >> int(perm[i])) & 1) << i
-    return out
 
 
 @dataclass

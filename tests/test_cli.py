@@ -266,3 +266,12 @@ def test_round_command(tmp_path, capsys):
     assert code == 0
     got = capsys.readouterr().out
     assert "demand_cut" in got
+
+
+@pytest.mark.parametrize("bad", ["0 9 1.0 0.0", "0 1 1.0", "0 1 one 0.0"])
+def test_round_malformed_graph_fails_cleanly(tmp_path, capsys, bad):
+    gfile = tmp_path / "graph.txt"
+    gfile.write_text("GRAPH 4\n" + bad + "\n")
+    code = main(["round", "--graph-file", str(gfile)])
+    assert code == 1
+    assert capsys.readouterr().out.startswith("FAIL round line 2: ")

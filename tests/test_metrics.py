@@ -7,6 +7,8 @@ from cutgap.metrics import (
     cut_metric_combination,
     export_distortion_lp,
     farthest_point_sample,
+    graph_from_text,
+    graph_to_text,
     is_negative_type,
     l1_distortion_lp,
     local_search_sparsest_cut,
@@ -307,3 +309,27 @@ def test_local_search_oracle_finds_sparse_cut():
             demands[i, j] = demands[j, i] = 1.0
     cut = local_search_sparsest_cut(weights, demands, seed=4, restarts=6)
     assert abs(sparsity(weights, demands, cut) - 0.1 / 16) < 1e-12
+
+
+def test_graph_text_round_trip():
+    rng = np.random.default_rng(5)
+    w = np.triu(rng.random((6, 6)) * (rng.random((6, 6)) < 0.5), 1)
+    d = np.triu(rng.random((6, 6)) * (rng.random((6, 6)) < 0.5), 1)
+    weights, demands = graph_from_text(graph_to_text(w + w.T, d + d.T))
+    assert np.array_equal(weights, w + w.T)
+    assert np.array_equal(demands, d + d.T)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("", "line 1"),
+    ("GRAPH\n0 1 1.0 0.0\n", "line 1"),
+    ("GRAF 4\n", "line 1"),
+    ("GRAPH -4\n", "line 1"),
+    ("GRAPH 4\n0 1 1.0 0.0\n\n1 2 1.0\n", "line 4"),
+    ("GRAPH 4\n0 x 1.0 0.0\n", "line 2"),
+    ("GRAPH 4\n0 9 1.0 0.0\n", "line 2"),
+    ("GRAPH 4\n0 1 1.0 0.0\n-1 2 1.0 0.0\n", "line 3"),
+])
+def test_graph_parser_names_the_bad_line(text, line):
+    with pytest.raises(ValueError, match=line):
+        graph_from_text(text)

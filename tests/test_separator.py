@@ -1,11 +1,15 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cutgap.quotient import build_kv_instance, build_ug_sdp_solution
+from cutgap.fourier import apply_noise_kernel
 from cutgap.separator import (
-    apply_noise_kernel,
+    BESVectorAssignment,
+    _majority_cut,
+    _shift_correlations,
     assign_sdp_solution,
     balanced_cut_search,
     bes_to_text,
@@ -24,6 +28,7 @@ from cutgap.separator import (
 )
 from cutgap.tensor import BESVectorHandle, bes_inner
 from cutgap.unique_games import UGEdge, UGInstance, opt_exhaustive, plant_instance, value
+from cutgap.verifier import Proof, acceptance_probability_exact
 
 
 def kv_fixture(k=2, eta=0.3, eps=0.3, l_in=8, t=1):
@@ -334,3 +339,97 @@ def test_build_bes_rejects_oversized_exact():
     inst = build_bes(u, 0.2, require_exact=False)
     with pytest.raises(ValueError):
         cut_edge_weight(inst, np.ones(inst.num_vertices, dtype=np.int8))
+
+
+def _spectral_cut_weight(inst, cut):
+    proof = Proof(inst.ug.num_labels, np.asarray(cut).reshape(inst.num_blocks, inst.block_size))
+    return 1.0 - acceptance_probability_exact(inst.ug, proof, inst.epsilon)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_batched_cut_weight_matches_spectral_route(k):
+    _, _, inst, _ = kv_fixture(k=k)
+    rng = np.random.default_rng(23)
+    lam = rng.integers(0, inst.ug.num_labels, size=inst.num_blocks)
+    cuts = [dictator_cut(inst, np.zeros(inst.num_blocks, dtype=np.int64)),
+            dictator_cut(inst, lam), _majority_cut(inst),
+            rng.choice([-1, 1], size=inst.num_vertices)]
+    for cut in cuts:
+        assert abs(cut_edge_weight(inst, cut) - _spectral_cut_weight(inst, cut)) < 1e-13
+
+
+def test_batched_cut_weight_matches_spectral_route_general_permutations():
+    u, hidden = plant_instance(6, 4, 0.15, 0.9, seed=9)
+    _, _, perm, _ = u.edge_arrays()
+    assert not np.array_equal(perm, np.arange(4) ^ perm[:, :1])  # not XOR shifts
+    inst = build_bes(u, 0.2)
+    rng = np.random.default_rng(29)
+    for cut in (dictator_cut(inst, hidden), _majority_cut(inst),
+                rng.choice([-1, 1], size=inst.num_vertices)):
+        assert abs(cut_edge_weight(inst, cut) - _spectral_cut_weight(inst, cut)) < 1e-13
+
+
+def test_edge_distribution_tables():
+    # one reindex table per distinct permutation, at most N of them on the
+    # quotient instance, each mapping z to y with bit i of y = bit pi(i) of z
+    for k, n in ((2, 4), (3, 8)):
+        u, _, _, _ = kv_fixture(k=k)
+        dist = u.edge_distribution
+        assert dist is u.edge_distribution  # built once per instance
+        assert dist.tables.shape == (n, 1 << n)
+        z = np.arange(1 << n)
+        for e, p in zip(u.edges, dist.table_of):
+            y = sum(((z >> int(e.perm[i])) & 1) << i for i in range(n))
+            assert np.array_equal(dist.tables[p], y)
+
+
+def test_batched_noise_pass_equals_per_row_kernel():
+    rng = np.random.default_rng(31)
+    rows = rng.normal(size=(5, 64))
+    batched = apply_noise_kernel(rows, 0.3, 6)
+    for row, out in zip(rows, batched):
+        assert np.array_equal(out, apply_noise_kernel(row, 0.3, 6))
+
+
+def test_mc_cut_weight_pinned():
+    # the (e, x, mu) draws for a seed are fixed; these counts were taken
+    # before the sampler moved into the shared edge distribution
+    _, _, inst, _ = kv_fixture()
+    cut = np.random.default_rng(9).choice([-1, 1], size=inst.num_vertices)
+    assert cut_edge_weight_mc(inst, cut, samples=30000, seed=11) == (
+        0.4425, 0.002867599170037542, True)
+    u, _ = plant_instance(6, 4, 0.15, 0.9, seed=9)
+    tables = np.random.default_rng(11).choice([-1, 1], size=(6, 16)).astype(np.int8)
+    assert cut_edge_weight_mc(build_bes(u, 0.2), tables.ravel(), samples=40000, seed=13) == (
+        0.503275, 0.0024999463712997924, True)
+
+
+def test_within_block_grams_are_the_distance_formula_k3():
+    # every block's Gram read from the table is 1 - 2 d(x, y) / N exactly,
+    # which the well-separatedness and balance identities rely on
+    _, _, inst, assign = kv_fixture(k=3)
+    idx = np.arange(256, dtype=np.uint32)
+    base = 1.0 - 2.0 * np.bitwise_count(idx[:, None] ^ idx[None, :]) / 8
+    for v in range(inst.num_blocks):
+        assert np.array_equal(assign.base_gram_block(v, v), base)
+
+
+def test_within_block_sweep_reads_each_blocks_gram():
+    # 6 blocks of 16 points (96 > 64, so the sampled path runs) with
+    # orthogonal blocks; block 2 gets the negated Gram -(x . y)/N, whose
+    # worst triangle term is 2 at (x, -x, x). With no cross pair of
+    # |inner| >= 1/3 and ten random triples, only the within-block sweep
+    # can find it.
+    u, _ = plant_instance(6, 4, 0.0, 0.9, seed=3)
+    inst = build_bes(u, 0.2)
+    table = np.zeros((6, 6, 4))
+    table[np.arange(6), np.arange(6), 0] = 1.0
+    table[2, 2, 0] = -1.0
+    assign = BESVectorAssignment(inst, SimpleNamespace(table=table, N=4), 8, 1,
+                                 _shift_correlations(4))
+    rep = check_bes_feasibility(inst, assign, triple_budget=10, seed=0)
+    assert rep.triangle_violation == 2.0
+    assert rep.triples_checked == 6 * 16**3 + 10 + 1
+    table[2, 2, 0] = 1.0
+    rep = check_bes_feasibility(inst, assign, triple_budget=10, seed=0)
+    assert rep.triangle_violation == 0.0

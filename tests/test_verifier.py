@@ -180,3 +180,13 @@ def test_proof_validation():
         Proof(2, np.array([[1, 1, 1]]))
     with pytest.raises(ValueError):
         Proof(1, np.array([[1, 2]]))
+
+
+def test_mc_acceptance_pinned():
+    # the (e, x, mu) draws for a seed are fixed; this estimate was taken
+    # before the sampler moved into the shared edge distribution, and it is
+    # one minus the separator's MC cut weight of the same tables and seed
+    u, _ = plant_instance(6, 4, 0.15, 0.9, seed=9)
+    tables = np.random.default_rng(11).choice([-1, 1], size=(6, 16)).astype(np.int8)
+    est, se = acceptance_probability_mc(u, Proof(4, tables), 40000, seed=13, epsilon=0.2)
+    assert (est, se) == (0.496725, 0.0024999463712997924)
