@@ -130,40 +130,35 @@ class DistortionResult:
     certificate: dict
 
 
-def _cut_indicators(n: int):
-    """Nontrivial cuts up to complement: subsets of {1..n-1} (point 0 stays
-    on the fixed side), 2^(n-1) - 1 of them."""
-    cuts = []
-    for code in range(1, 1 << (n - 1)):
-        members = frozenset(i + 1 for i in range(n - 1) if code >> i & 1)
-        cuts.append(members)
-    return cuts
+def _cut_bits(n: int) -> np.ndarray:
+    """Membership of points 0..n-1 in the 2^(n-1) - 1 nontrivial cuts up to
+    complement: row code - 1 holds point p >= 1 iff bit p - 1 of code is set
+    (point 0 stays on the fixed side)."""
+    codes = np.arange(1, 1 << (n - 1))
+    bits = np.zeros((len(codes), n), dtype=bool)
+    bits[:, 1:] = codes[:, None] >> np.arange(n - 1) & 1
+    return bits
 
 
 def _distortion_lp_data(metric: FiniteMetric):
     n = metric.n
-    cuts = _cut_indicators(n)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    delta = np.zeros((len(pairs), len(cuts)))
-    for col, members in enumerate(cuts):
-        ind = np.zeros(n, dtype=bool)
-        ind[list(members)] = True
-        for row, (i, j) in enumerate(pairs):
-            delta[row, col] = 1.0 if ind[i] != ind[j] else 0.0
-    dvec = np.array([metric.d[i, j] for (i, j) in pairs])
+    bits = _cut_bits(n)
+    iu, ju = np.triu_indices(n, 1)
+    delta = (bits[:, iu] != bits[:, ju]).T.astype(np.float64)
+    dvec = metric.d[iu, ju]
     # variables: (lambda_cuts, Gamma); minimize Gamma subject to
     #   -sum lambda delta <= -d   (no contraction)
     #   sum lambda delta - Gamma d <= 0  (expansion at most Gamma)
-    nvar = len(cuts) + 1
-    c = np.zeros(nvar)
+    ncuts, npairs = len(bits), len(iu)
+    c = np.zeros(ncuts + 1)
     c[-1] = 1.0
-    A = np.zeros((2 * len(pairs), nvar))
-    b = np.zeros(2 * len(pairs))
-    A[: len(pairs), : len(cuts)] = -delta
-    b[: len(pairs)] = -dvec
-    A[len(pairs):, : len(cuts)] = delta
-    A[len(pairs):, -1] = -dvec
-    return cuts, pairs, delta, dvec, c, A, b
+    A = np.zeros((2 * npairs, ncuts + 1))
+    b = np.zeros(2 * npairs)
+    A[:npairs, :ncuts] = -delta
+    b[:npairs] = -dvec
+    A[npairs:, :ncuts] = delta
+    A[npairs:, -1] = -dvec
+    return bits, (iu, ju), c, A, b
 
 
 def _zero_distance_classes(metric: FiniteMetric):
@@ -212,14 +207,19 @@ def l1_distortion_lp(metric: FiniteMetric, n_max: int = DEFAULT_LP_POINT_LIMIT) 
     contracted = metric
     if len(classes) < metric.n:
         contracted = FiniteMetric(metric.d[np.ix_(reps, reps)])
-    cuts, pairs, delta, dvec, c, A, b = _distortion_lp_data(contracted)
-    res = solve_lp(c, A, b)
+    bits, _, c, A, b = _distortion_lp_data(contracted)
+    # start from the singleton cuts ({0} as its complement, the full row) and
+    # Gamma: feasible, since Gamma is free; the other cuts enter by pricing
+    sizes = np.sum(bits, axis=1)
+    start = np.append(np.flatnonzero((sizes == 1) | (sizes == len(classes) - 1)), len(bits))
+    res = solve_lp(c, A, b, start=start)
     if res.status != "optimal":
         raise RuntimeError(f"distortion LP did not solve: {res.status}")
-    weights = res.x[: len(cuts)]
+    weights = res.x[:-1]
     decomposition = CutDecomposition(
         [
-            (frozenset(p for ci in cuts[i] for p in classes[ci]), float(weights[i]))
+            (frozenset(p for ci in np.flatnonzero(bits[i]) for p in classes[ci]),
+             float(weights[i]))
             for i in np.flatnonzero(weights > 1e-12)
         ]
     )
@@ -238,8 +238,8 @@ def export_distortion_lp(metric: FiniteMetric) -> str:
     with lines `name: coef var [coef var ...] <= rhs`; `BOUNDS` with
     `var >= 0` lines. Variables are cut_<bitcode> and gamma.
     """
-    cuts, pairs, delta, dvec, c, A, b = _distortion_lp_data(metric)
-    names = ["cut_" + "_".join(str(m) for m in sorted(members)) for members in cuts]
+    bits, (iu, ju), c, A, b = _distortion_lp_data(metric)
+    names = ["cut_" + "_".join(str(p) for p in np.flatnonzero(row)) for row in bits]
     names.append("gamma")
     lines = ["OBJECTIVE min", "1 gamma", "CONSTRAINTS"]
     for row in range(A.shape[0]):
@@ -247,8 +247,8 @@ def export_distortion_lp(metric: FiniteMetric) -> str:
             f"{A[row, j]:.17g} {names[j]}"
             for j in np.flatnonzero(np.abs(A[row]) > 0)
         )
-        kind = "lower" if row < len(pairs) else "upper"
-        i, j = pairs[row % len(pairs)]
+        kind = "lower" if row < len(iu) else "upper"
+        i, j = iu[row % len(iu)], ju[row % len(iu)]
         lines.append(f"{kind}_{i}_{j}: {terms} <= {b[row]:.17g}")
     lines.append("BOUNDS")
     lines.extend(f"{name} >= 0" for name in names)

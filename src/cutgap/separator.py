@@ -381,9 +381,9 @@ def check_bes_feasibility(inst: BESInstance, assign: BESVectorAssignment,
         gab = assign.base_inner_flat(a_flat, b_flat)
         gac = assign.base_inner_flat(a_flat, c_flat)
         gbc = assign.base_inner_flat(b_flat, c_flat)
-        worst = max(worst, float(np.max(gab + gbc - 1.0 - gac)))
-        worst = max(worst, float(np.max(gab + gac - 1.0 - gbc)))
-        worst = max(worst, float(np.max(gac + gbc - 1.0 - gab)))
+        worst = max(worst, float(np.max(gab + gbc - 1.0 - gac, initial=0.0)))
+        worst = max(worst, float(np.max(gab + gac - 1.0 - gbc, initial=0.0)))
+        worst = max(worst, float(np.max(gac + gbc - 1.0 - gab, initial=0.0)))
         checked += anti
 
     return BESFeasibilityReport(

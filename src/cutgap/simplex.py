@@ -1,12 +1,23 @@
-"""Dense two-phase primal simplex for small LPs.
+"""Dense two-phase primal simplex with column generation, for small LPs.
 
-Solves  minimize c.x  subject to  A x <= b,  x >= 0  on a dense tableau with
-Bland's anti-cycling rule (lowest eligible index enters, lowest ratio row
-with lowest basis index leaves). Meant for the cut-cone distortion programs:
-a few hundred rows and a few thousand columns at most; robustness over speed.
+Solves  minimize c.x  subject to  A x <= b,  x >= 0  on a dense tableau
+(most-negative reduced cost enters, Bland's rule as the anti-cycling
+fallback). Meant for the cut-cone distortion programs: a few hundred rows
+and a few thousand columns at most; robustness over speed.
 
-The result carries the optimal basis's dual vector and reduced costs so
-callers can certify optimality through complementary slackness.
+The tableau holds only a working set of the columns of A, besides the
+slacks and the artificials. Whenever the restricted program is optimal, in
+either phase, every column of A is priced in one product with the
+objective row's slack block (the tableau's slack block is B^-1 up to row
+signs, so that row holds the duals), and at most PRICE_BATCH columns of
+most negative reduced cost are appended to the tableau and pivoting
+resumes from the same basis (Gilmore-Gomory column generation). The solve
+stops when no column prices below -PRICE_TOL. A start holding every column
+is the plain full-tableau solve.
+
+The result carries the optimal basis's dual vector and reduced costs over
+every column of A, so callers can certify optimality of the full program
+through complementary slackness.
 """
 
 from __future__ import annotations
@@ -18,6 +29,8 @@ import numpy as np
 __all__ = ["SimplexResult", "solve_lp"]
 
 PIVOT_TOL = 1e-9
+PRICE_TOL = 1e-10
+PRICE_BATCH = 8
 
 
 @dataclass
@@ -29,6 +42,7 @@ class SimplexResult:
     reduced_costs: np.ndarray | None = None
     iterations: int = 0
     basis: np.ndarray | None = None
+    working_columns: int = 0  # columns of A the final tableau held
 
     def certificate_residuals(self, c, A, b):
         """Max primal/dual feasibility and complementary slackness residuals.
@@ -69,8 +83,7 @@ def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     rhs[np.abs(rhs) < 1e-11] = 0.0
 
 
-def _bland_iterate(tab: np.ndarray, basis: np.ndarray, ncols: int,
-                   max_iter: int) -> tuple[str, int]:
+def _bland_iterate(tab: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[str, int]:
     """Dantzig pivoting with Bland's rule as the anti-cycling fallback.
 
     Most-negative reduced cost enters while the objective makes progress;
@@ -79,6 +92,7 @@ def _bland_iterate(tab: np.ndarray, basis: np.ndarray, ncols: int,
     cycling while keeping the usual pivot counts on degenerate programs.
     The leaving row is always the lowest-basis-index exact minimum-ratio row
     (degenerate rows are clamped to exact zeros, keeping the tie set real).
+    Retired artificial columns have an exact zero cost, so they never enter.
     """
     it = 0
     m = tab.shape[0] - 1
@@ -87,7 +101,7 @@ def _bland_iterate(tab: np.ndarray, basis: np.ndarray, ncols: int,
     stall_limit = 2 * m + 16
     last_obj = tab[-1, -1]
     while it < max_iter:
-        obj = tab[-1, :ncols]
+        obj = tab[-1, :-1]
         if bland_mode:
             negative = np.flatnonzero(obj < -PIVOT_TOL)
             if len(negative) == 0:
@@ -119,15 +133,71 @@ def _bland_iterate(tab: np.ndarray, basis: np.ndarray, ncols: int,
     return "stalled", it
 
 
-def solve_lp(c, A, b, max_iter: int = 500000, perturb: bool = True) -> SimplexResult:
+class _Tableau:
+    """Rows B^-1 D [A_W | I | I_art | b] and the objective row, where W is
+    the working set and D negates the rows with negative rhs.
+
+    Tableau column j stands for column cols[j] of the full program
+    [A | I | I_art]: j < len(start) are the start columns, then come the m
+    slacks, the artificials and the columns appended by pricing.
+    """
+
+    def __init__(self, A: np.ndarray, b: np.ndarray, start: np.ndarray):
+        m, n = A.shape
+        w = len(start)
+        neg = b < 0
+        n_art = int(np.sum(neg))
+        tab = np.zeros((m + 1, w + m + n_art + 1))
+        tab[:m, :w] = np.where(neg[:, None], -A[:, start], A[:, start])
+        tab[:m, w:w + m] = np.diag(np.where(neg, -1.0, 1.0))
+        self.arts = w + m + np.arange(n_art)
+        tab[np.flatnonzero(neg), self.arts] = 1.0
+        tab[:m, -1] = np.abs(b)
+        self.tab = tab
+        self.A = A
+        self.slack = slice(w, w + m)
+        self.cols = np.concatenate([start, n + np.arange(m + n_art)])
+        self.basis = w + np.arange(m)
+        self.basis[neg] = self.arts
+
+    def optimize(self, cost: np.ndarray, max_iter: int) -> tuple[str, int]:
+        """Pivot to an optimum of the restricted program, price every column
+        of A against the objective row (whose costs on A are `cost`), append
+        the best and resume, until none prices below -PRICE_TOL."""
+        total = 0
+        while True:
+            status, it = _bland_iterate(self.tab, self.basis, max_iter - total)
+            total += it
+            if status != "optimal" or not self._append_priced(cost):
+                return status, total
+
+    def _append_priced(self, cost: np.ndarray) -> bool:
+        m, n = self.A.shape
+        rc = cost + self.tab[-1, self.slack] @ self.A
+        rc[self.cols[self.cols < n]] = np.inf
+        new = np.argsort(rc, kind="stable")[:PRICE_BATCH]
+        new = new[rc[new] < -PRICE_TOL]
+        if len(new) == 0:
+            return False
+        block = np.empty((m + 1, len(new)))
+        block[:m] = self.tab[:m, self.slack] @ self.A[:, new]
+        block[-1] = rc[new]
+        self.tab = np.concatenate([self.tab[:, :-1], block, self.tab[:, -1:]], axis=1)
+        self.cols = np.concatenate([self.cols, new])
+        return True
+
+
+def solve_lp(c, A, b, max_iter: int = 500000, perturb: bool = True,
+             start=None) -> SimplexResult:
     """minimize c.x subject to A x <= b, x >= 0.
 
-    Heavily degenerate programs (the cut-cone LPs tie almost every ratio)
-    are solved through a deterministic right-hand-side perturbation
-    b_i -> b_i + delta (i+1)/m sign(b_i), which makes ratio tests strict;
-    the optimal basis is then repaired exactly to the original b (reduced
-    costs are b-independent, so optimality transfers). Any repair failure
-    falls back to the unperturbed solve.
+    `start` names the columns of A the tableau begins with (default: all of
+    them); the rest enter through pricing. Heavily degenerate programs (the
+    cut-cone LPs tie almost every ratio) are solved through a deterministic
+    right-hand-side perturbation b_i -> b_i + delta (i+1)/m sign(b_i), which
+    makes ratio tests strict; the optimal basis is then repaired exactly to
+    the original b (reduced costs are b-independent, so optimality
+    transfers). Any repair failure falls back to the unperturbed solve.
     """
     c = np.asarray(c, dtype=np.float64)
     A = np.asarray(A, dtype=np.float64)
@@ -135,134 +205,122 @@ def solve_lp(c, A, b, max_iter: int = 500000, perturb: bool = True) -> SimplexRe
     m, n = A.shape
     if c.shape != (n,) or b.shape != (m,):
         raise ValueError("inconsistent LP shapes")
+    start = np.arange(n) if start is None else np.asarray(start, dtype=np.int64)
+    if start.ndim != 1 or len(np.unique(start)) != len(start) or np.any((start < 0) | (start >= n)):
+        raise ValueError("start must list distinct column indices of A")
     if perturb:
         scale = max(1.0, float(np.max(np.abs(b))))
         sign = np.where(b < 0, -1.0, 1.0)
         delta = 1e-6 * scale * (np.arange(m) + 1) / m * sign
-        rough = _solve_core(c, A, b + delta, max_iter)
+        rough = _solve_core(c, A, b + delta, start, max_iter)
         if rough.status == "optimal":
             repaired = _repair_basis(c, A, b, rough)
             if repaired is not None:
                 return repaired
         # rare path: perturbation failed to help or changed the status
-        return _solve_core(c, A, b, max_iter)
-    return _solve_core(c, A, b, max_iter)
+    res = _solve_core(c, A, b, start, max_iter)
+    if res.status == "optimal":
+        res.dual, res.reduced_costs = _duals(c, A, res.basis)
+    return res
+
+
+def _duals(c, A, basis):
+    """Dual y solving B^T y = c_B over the basic structural and slack
+    columns (least squares when zero-level artificials leave fewer than m
+    of them), and the reduced costs c - A^T y of every column of A."""
+    m, n = A.shape
+    kept = basis[basis < n + m]
+    B = np.hstack([A, np.eye(m)])[:, kept]
+    cost = np.concatenate([c, np.zeros(m)])[kept]
+    if len(kept) < m:
+        y = np.linalg.lstsq(B.T, cost, rcond=None)[0]
+    else:
+        y = np.linalg.solve(B.T, cost)
+    return y, c - A.T @ y
 
 
 def _repair_basis(c, A, b, rough: SimplexResult) -> SimplexResult | None:
     """Exact solution for the original rhs from the perturbed optimal basis."""
     m, n = A.shape
     basis = rough.basis
-    if basis is None or np.any(basis >= n + m):
+    if np.any(basis >= n + m):
         return None
-    full = np.hstack([A, np.eye(m)])
-    B = full[:, basis]
     try:
-        x_basic = np.linalg.solve(B, b)
+        x_basic = np.linalg.solve(np.hstack([A, np.eye(m)])[:, basis], b)
     except np.linalg.LinAlgError:
         return None
     tol = 1e-7 * max(1.0, float(np.max(np.abs(b))))
     if np.min(x_basic) < -tol:
         return None
-    x_full = np.zeros(n + m)
-    x_full[basis] = np.maximum(x_basic, 0.0)
-    cost = np.concatenate([c, np.zeros(m)])
     try:
-        y = np.linalg.solve(B.T, cost[basis])
+        y, rc = _duals(c, A, basis)
     except np.linalg.LinAlgError:
         return None
-    rc = cost - full.T @ y
+    x_full = np.zeros(n + m)
+    x_full[basis] = np.maximum(x_basic, 0.0)
     x = x_full[:n]
     return SimplexResult(
         status="optimal",
         x=x,
         objective=float(c @ x),
         dual=y,
-        reduced_costs=rc[:n],
+        reduced_costs=rc,
         iterations=rough.iterations,
         basis=basis,
+        working_columns=rough.working_columns,
     )
 
 
-def _solve_core(c, A, b, max_iter: int) -> SimplexResult:
+def _solve_core(c, A, b, start, max_iter: int) -> SimplexResult:
+    """Two-phase solve from the working set `start`; an optimal result
+    carries x and the basis in full column indices (n + i is slack i,
+    n + m + r artificial r) but no duals."""
     m, n = A.shape
-
-    # rows with negative rhs get negated and an artificial variable
-    neg = b < 0
-    n_art = int(np.sum(neg))
-    ncols = n + m + n_art
-    tab = np.zeros((m + 1, ncols + 1))
-    tab[:m, :n] = np.where(neg[:, None], -A, A)
-    tab[:m, n:n + m] = np.diag(np.where(neg, -1.0, 1.0))
-    art_cols = []
-    j = n + m
-    for i in np.flatnonzero(neg):
-        tab[i, j] = 1.0
-        art_cols.append(j)
-        j += 1
-    tab[:m, -1] = np.abs(b)
-    basis = np.empty(m, dtype=np.int64)
-    art_iter = iter(art_cols)
-    for i in range(m):
-        basis[i] = next(art_iter) if neg[i] else n + i
+    t = _Tableau(A, b, start)
 
     total_iters = 0
-    if n_art:
+    if len(t.arts):
         # phase 1: minimize the artificial sum
-        for col in art_cols:
-            tab[-1, col] = 1.0
+        t.tab[-1, t.arts] = 1.0
         for i in range(m):
-            if basis[i] in art_cols:
-                tab[-1] -= tab[i]
-        status, iters = _bland_iterate(tab, basis, ncols, max_iter)
+            if t.basis[i] in t.arts:
+                t.tab[-1] -= t.tab[i]
+        status, iters = t.optimize(np.zeros(n), max_iter)
         total_iters += iters
         if status != "optimal":
             return SimplexResult(status="stalled", iterations=total_iters)
-        if -tab[-1, -1] > 1e-7:
+        if -t.tab[-1, -1] > 1e-7:
             return SimplexResult(status="infeasible", iterations=total_iters)
         # drive leftover artificials out of the basis where possible
+        real = np.flatnonzero(t.cols < n + m)
         for i in range(m):
-            if basis[i] in art_cols:
-                for jj in range(n + m):
-                    if abs(tab[i, jj]) > PIVOT_TOL:
-                        _pivot(tab, basis, i, jj)
-                        break
-        tab[-1, :] = 0.0
-        for col in art_cols:
-            tab[:m, col] = 0.0  # retire the artificial columns
+            if t.basis[i] in t.arts:
+                hits = real[np.abs(t.tab[i, real]) > PIVOT_TOL]
+                if len(hits):
+                    _pivot(t.tab, t.basis, i, int(hits[0]))
+        t.tab[-1, :] = 0.0
+        t.tab[:m, t.arts] = 0.0  # retire the artificial columns
 
     # phase 2 objective row
-    tab[-1, :n] = c
+    structural = np.flatnonzero(t.cols < n)
+    t.tab[-1, structural] = c[t.cols[structural]]
     for i in range(m):
-        if basis[i] < n:
-            tab[-1] -= c[basis[i]] * tab[i]
-    status, iters = _bland_iterate(tab, basis, n + m, max_iter)
+        if t.cols[t.basis[i]] < n:
+            t.tab[-1] -= c[t.cols[t.basis[i]]] * t.tab[i]
+    status, iters = t.optimize(c, max_iter)
     total_iters += iters
     if status != "optimal":
         return SimplexResult(status=status, iterations=total_iters)
 
-    x = np.zeros(ncols)
-    x[basis] = tab[:m, -1]
+    basis = t.cols[t.basis]
+    x = np.zeros(n + m + len(t.arts))
+    x[basis] = t.tab[:m, -1]
     x = x[:n]
-    # dual from the basis: solve B^T y = c_B over original + slack columns
-    full = np.hstack([A, np.eye(m)])
-    cost = np.concatenate([c, np.zeros(m)])
-    in_range = basis < n + m
-    B = full[:, basis[in_range]]
-    if B.shape[1] < m:
-        # leftover zero-level artificials span redundant rows; pad duals by
-        # least squares on the square system
-        y = np.linalg.lstsq(full[:, basis[in_range]].T, cost[basis[in_range]],
-                            rcond=None)[0]
-    else:
-        y = np.linalg.solve(B.T, cost[basis])
-    rc = cost - full.T @ y
     return SimplexResult(
         status="optimal",
         x=x,
         objective=float(c @ x),
-        dual=y,
-        reduced_costs=rc[:n],
         iterations=total_iters,
-        basis=basis.copy(),
+        basis=basis,
+        working_columns=int(np.sum(t.cols < n)),
     )

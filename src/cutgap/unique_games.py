@@ -353,20 +353,24 @@ def ug_to_text(u: UGInstance) -> str:
 
 
 def ug_from_text(text: str, regularity_tol: float = 1e-9) -> UGInstance:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    tag, n, nv, ne = lines[0].split()
-    if tag != "UG":
-        raise ValueError("not a UG instance file")
-    n, nv, ne = int(n), int(nv), int(ne)
+    """Inverse of `ug_to_text`; an empty file, a bad header or an edge line
+    with the wrong number of fields raises ValueError naming the line."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines:
+        raise ValueError("line 1: empty UG file")
+    no, head = lines[0][0], lines[0][1].split()
+    if len(head) != 4 or head[0] != "UG":
+        raise ValueError(f"line {no}: expected header `UG N |V| |E|`")
+    n, nv, ne = int(head[1]), int(head[2]), int(head[3])
     if len(lines) - 1 != ne:
         raise ValueError(f"expected {ne} edge lines, found {len(lines) - 1}")
     edges = []
-    for ln in lines[1:]:
+    for no, ln in lines[1:]:
         parts = ln.split()
+        if len(parts) != n + 3:
+            raise ValueError(f"line {no}: expected `v w weight` and a permutation of {n} labels")
         v, w = int(parts[0]), int(parts[1])
         weight = float(parts[2])
         perm = np.array([int(x) for x in parts[3:]], dtype=np.int64)
-        if len(perm) != n:
-            raise ValueError("permutation length mismatch")
         edges.append(UGEdge(v, w, perm, weight))
     return UGInstance(nv, n, edges, regularity_tol=regularity_tol)

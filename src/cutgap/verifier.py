@@ -106,16 +106,21 @@ def _set_image_table(perm: np.ndarray) -> np.ndarray:
 
 
 def acceptance_probability_exact(u: UGInstance, proof: Proof, epsilon: float) -> float:
-    """Exact acceptance probability via the spectral formula."""
+    """Exact acceptance probability via the spectral formula. The set-image
+    table is built once per distinct edge permutation; the per-edge terms
+    are summed in edge order."""
     if proof.num_vertices != u.num_vertices or proof.num_labels != u.num_labels:
         raise ValueError("proof shape does not match instance")
     spectra = wht_matrix(proof.tables.astype(np.float64))
     factors = _noise_factors(u.num_labels, epsilon)
-    corr = 0.0
-    for e in u.edges:
-        pulled = spectra[e.w][_set_image_table(e.perm)]
-        corr += e.weight * float(np.sum(spectra[e.v] * pulled * factors))
-    return 0.5 + 0.5 * corr
+    v, w, perm, weight = u.edge_arrays()
+    perms, which = np.unique(perm, axis=0, return_inverse=True)
+    terms = np.empty(len(u.edges))
+    for p, distinct in enumerate(perms):
+        group = np.flatnonzero(which == p)
+        pulled = spectra[w[group]][:, _set_image_table(distinct)]
+        terms[group] = weight[group] * np.sum(spectra[v[group]] * pulled * factors, axis=1)
+    return 0.5 + 0.5 * float(np.cumsum(terms)[-1])
 
 
 def acceptance_probability_mc(u: UGInstance, proof: Proof, samples: int,
@@ -182,14 +187,16 @@ def proof_to_text(proof: Proof) -> str:
 
 
 def proof_from_text(text: str) -> Proof:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    tag, nv, n = lines[0].split()
-    if tag != "PROOF":
-        raise ValueError("not a proof file")
-    nv, n = int(nv), int(n)
-    tables = np.array(
-        [[int(x) for x in ln.split()] for ln in lines[1:]], dtype=np.int8
-    )
+    """Inverse of `proof_to_text`; an empty file or a bad header raises
+    ValueError naming the line."""
+    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines:
+        raise ValueError("line 1: empty PROOF file")
+    no, head = lines[0]
+    if len(head) != 3 or head[0] != "PROOF":
+        raise ValueError(f"line {no}: expected header `PROOF |V| N`")
+    nv, n = int(head[1]), int(head[2])
+    tables = np.array([[int(x) for x in row] for _, row in lines[1:]], dtype=np.int8)
     if tables.shape != (nv, 1 << n):
         raise ValueError("table shape mismatch")
     return Proof(n, tables)

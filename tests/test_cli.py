@@ -275,3 +275,36 @@ def test_round_malformed_graph_fails_cleanly(tmp_path, capsys, bad):
     code = main(["round", "--graph-file", str(gfile)])
     assert code == 1
     assert capsys.readouterr().out.startswith("FAIL round line 2: ")
+
+
+def _pcp_files(tmp_path, ug_text=None, proof_text=None):
+    u, hidden = plant_instance(6, 3, 0.1, 0.8, seed=0)
+    ug_file = tmp_path / "ug.txt"
+    ug_file.write_text(ug_to_text(u) if ug_text is None else ug_text)
+    proof_file = tmp_path / "proof.txt"
+    proof_file.write_text(proof_to_text(long_code_proof(hidden, 3))
+                          if proof_text is None else proof_text)
+    return str(ug_file), str(proof_file)
+
+
+def test_pcp_empty_ug_file_fails_cleanly(tmp_path, capsys):
+    ug_file, proof_file = _pcp_files(tmp_path, ug_text="")
+    code = main(["pcp", "--ug-file", ug_file, "--proof-file", proof_file,
+                 "--epsilon", "0.2", "--loose"])
+    assert code == 1
+    assert capsys.readouterr().out == "FAIL pcp line 1: empty UG file\n"
+
+
+def test_verify_empty_ug_file_fails_cleanly(tmp_path, capsys):
+    ug_file, _ = _pcp_files(tmp_path, ug_text="")
+    code = main(["verify", "--ug-file", ug_file])
+    assert code == 1
+    assert capsys.readouterr().out == "FAIL ug_structure line 1: empty UG file\n"
+
+
+def test_pcp_empty_proof_file_fails_cleanly(tmp_path, capsys):
+    ug_file, proof_file = _pcp_files(tmp_path, proof_text="")
+    code = main(["pcp", "--ug-file", ug_file, "--proof-file", proof_file,
+                 "--epsilon", "0.2", "--loose"])
+    assert code == 1
+    assert capsys.readouterr().out == "FAIL pcp line 1: empty PROOF file\n"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,18 @@ def test_distortion_size_guard_and_export():
     assert text.startswith("OBJECTIVE min")
     assert "CONSTRAINTS" in text and "BOUNDS" in text
     assert "gamma" in text
+
+
+def test_export_text_pinned():
+    # sha256 of the export text of the per-cut loop that built the LP before
+    # it was vectorised
+    pinned = {
+        "k23": "706b40366c88c85542d800c7b8a3ad7dad6cee9a3b0d9058c8081f06d0d9deb0",
+        "hamming3": "402495222bf826fc7f0a8db2d021ecb5b022ef4ce9364aa81d8ed1569a720b37",
+    }
+    for name, metric in (("k23", k23_path_metric()), ("hamming3", hamming_metric(3))):
+        text = export_distortion_lp(metric)
+        assert hashlib.sha256(text.encode()).hexdigest() == pinned[name], name
 
 
 def test_metric_text_round_trip():

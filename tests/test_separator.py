@@ -277,6 +277,16 @@ def test_bes_feasibility_k3_sampled():
     assert rep.triangle_violation <= 1e-9
 
 
+def test_bes_feasibility_k3_budget_below_ten():
+    # a budget of 1-9 leaves budget // 10 = 0 antipodal triples, and the
+    # empty family adds nothing (a budget of 10 adds one antipodal triple:
+    # test_within_block_sweep_reads_each_blocks_gram)
+    _, _, inst, assign = kv_fixture(k=3, eta=0.3, eps=0.3)
+    rep = check_bes_feasibility(inst, assign, triple_budget=5, seed=1)
+    assert rep.triangle_violation == 0.0
+    assert rep.triples_checked == 32 * 256**3 + 5 + rep.adversarial_pairs * 2 * 256
+
+
 def test_balance_claim_chain_on_random_cuts():
     # whenever a cut separates at least B/3 of the demand, Cauchy-Schwarz
     # forces piecewise balance <= sqrt((2n+1)/(3n)) < 5/6 (the finite-n form

@@ -188,3 +188,13 @@ def test_serialization_round_trip():
 def test_from_text_rejects_garbage():
     with pytest.raises(ValueError):
         ug_from_text("XX 2 2 1\n0 1 1.0 0 1\n")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("", 1),
+    ("UG 2 2\n0 1 1.0 0 1\n", 1),
+    ("\nUG 2 2 1\n0 1\n", 3),
+])
+def test_from_text_names_the_bad_line(text, line):
+    with pytest.raises(ValueError, match=f"^line {line}: "):
+        ug_from_text(text)

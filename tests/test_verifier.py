@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from cutgap.fourier import wht_matrix
 from cutgap.quotient import build_kv_instance
 from cutgap.unique_games import opt_exhaustive, plant_instance, value
 from cutgap.verifier import (
     Proof,
     acceptance_probability_exact,
     acceptance_probability_mc,
+    _noise_factors,
+    _set_image_table,
     decode_labeling,
     long_code_proof,
     piecewise_balance_stat,
@@ -168,11 +171,35 @@ def test_exact_acceptance_handles_large_epsilon():
     assert abs(got - (val * 0.3 + (1 - val) * 0.5)) < 1e-12
 
 
+def test_exact_acceptance_equals_per_edge_sum():
+    # grouping the edges by permutation builds each set-image table once;
+    # the per-edge terms and their summation order are those of one
+    # spectral term per edge, so the value is bit-identical
+    u, _ = plant_instance(8, 4, 0.2, 0.9, seed=5)
+    assert len({tuple(e.perm) for e in u.edges}) > 1
+    tables = np.random.default_rng(6).choice([-1, 1], size=(8, 16)).astype(np.int8)
+    spectra = wht_matrix(tables.astype(np.float64))
+    factors = _noise_factors(4, 0.25)
+    corr = 0.0
+    for e in u.edges:
+        pulled = spectra[e.w][_set_image_table(e.perm)]
+        corr += e.weight * float(np.sum(spectra[e.v] * pulled * factors))
+    got = acceptance_probability_exact(u, Proof(4, tables), 0.25)
+    assert got == 0.5 + 0.5 * corr
+
+
 def test_proof_text_round_trip():
     proof = long_code_proof([1, 0, 3], 4)
     back = proof_from_text(proof_to_text(proof))
     assert back.num_labels == 4
     assert np.array_equal(back.tables, proof.tables)
+
+
+def test_proof_from_text_rejects_empty_and_bad_header():
+    with pytest.raises(ValueError, match="line 1: empty PROOF file"):
+        proof_from_text("")
+    with pytest.raises(ValueError, match="line 2: expected header"):
+        proof_from_text("\nPROOF 3\n1 -1\n")
 
 
 def test_proof_validation():
