@@ -74,9 +74,6 @@ class BooleanFunction:
         bits = (1 - self.table.astype(np.int64)) // 2
         return int(np.sum(bits << np.arange(len(bits), dtype=np.int64)))
 
-    def as_real(self) -> "RealFunction":
-        return RealFunction(self.k, self.table.astype(np.float64))
-
     def __mul__(self, other: "BooleanFunction") -> "BooleanFunction":
         if self.k != other.k:
             raise ValueError("dimension mismatch")
@@ -111,9 +108,6 @@ class FourierSpectrum:
         if coeffs.ndim != 1 or len(coeffs) != 1 << self.k:
             raise ValueError(f"expected coefficients of length 2^{self.k}")
         coeffs.setflags(write=False)
-
-    def total_mass(self) -> float:
-        return float(np.sum(self.coeffs**2))
 
 
 def _values_of(f) -> np.ndarray:

@@ -336,12 +336,10 @@ def sparsity(weights: np.ndarray, demands: np.ndarray, cut) -> float:
     cut = np.asarray(cut, dtype=bool)
     if cut.all() or not cut.any():
         raise ValueError("cut must be nontrivial")
-    sep = cut[:, None] != cut[None, :]
-    dem = float(np.sum(np.asarray(demands) * sep) / 2.0)
+    dem = _cut_demand(np.asarray(demands), cut)
     if dem <= 0:
         raise ValueError("cut separates no demand")
-    wt = float(np.sum(np.asarray(weights) * sep) / 2.0)
-    return wt / dem
+    return _cut_weight(np.asarray(weights), cut) / dem
 
 
 def _cut_demand(demands: np.ndarray, cut: np.ndarray) -> float:

@@ -345,24 +345,29 @@ def basis_to_text(sol: UGVectorSolution) -> str:
 
 
 def basis_from_text(text: str) -> UGVectorSolution:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split() if lines else []
+    """Inverse of `basis_to_text`; a row that is not N entries of +/-1
+    raises ValueError naming the line."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    head = lines[0][1].split() if lines else []
     if len(head) != 3 or head[0] != "BASIS":
         raise ValueError("not a basis file")
     k, m = int(head[1]), int(head[2])
+    if not 0 <= k < 63:  # each class has 2^k rows
+        raise ValueError(f"line {lines[0][0]}: k={k} out of range")
     N = 1 << k
     if len(lines) < 1 + m * (N + 1):
         raise ValueError(f"basis file truncated: {len(lines)} of {1 + m * (N + 1)} lines")
     basis = np.zeros((m, N, N), dtype=np.int8)
     pos = 1
     for i in range(m):
-        if lines[pos] != f"CLASS {i}":
-            raise ValueError(f"expected CLASS {i} header")
+        if lines[pos][1] != f"CLASS {i}":
+            raise ValueError(f"line {lines[pos][0]}: expected CLASS {i} header")
         pos += 1
         for s in range(N):
-            row = np.array([int(x) for x in lines[pos].split()], dtype=np.int8)
-            if len(row) != N:
-                raise ValueError("basis row length mismatch")
+            no, ln = lines[pos]
+            row = [int(x) for x in ln.split()]
+            if len(row) != N or any(abs(x) != 1 for x in row):
+                raise ValueError(f"line {no}: expected {N} entries of +/-1")
             basis[i, s] = row
             pos += 1
     return UGVectorSolution(k, basis)

@@ -70,8 +70,9 @@ class UGInstance:
         for e in self.edges:
             if not (0 <= e.v < self.num_vertices and 0 <= e.w < self.num_vertices):
                 raise ValueError(f"edge endpoint out of range: {e.v},{e.w}")
-            if e.weight < 0:
-                raise ValueError("negative edge weight")
+            if not 0 <= e.weight < np.inf:
+                raise ValueError(
+                    f"edge ({e.v},{e.w}) weight {e.weight} is not finite and nonnegative")
             if sorted(e.perm) != list(range(self.num_labels)):
                 raise ValueError(f"perm on edge ({e.v},{e.w}) is not a bijection")
             total += e.weight
@@ -353,8 +354,9 @@ def ug_to_text(u: UGInstance) -> str:
 
 
 def ug_from_text(text: str, regularity_tol: float = 1e-9) -> UGInstance:
-    """Inverse of `ug_to_text`; an empty file, a bad header or an edge line
-    with the wrong number of fields raises ValueError naming the line."""
+    """Inverse of `ug_to_text`; an empty file, a bad header, an edge line
+    with the wrong number of fields or a permutation that is not one raises
+    ValueError naming the line."""
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("line 1: empty UG file")
@@ -371,6 +373,9 @@ def ug_from_text(text: str, regularity_tol: float = 1e-9) -> UGInstance:
             raise ValueError(f"line {no}: expected `v w weight` and a permutation of {n} labels")
         v, w = int(parts[0]), int(parts[1])
         weight = float(parts[2])
-        perm = np.array([int(x) for x in parts[3:]], dtype=np.int64)
-        edges.append(UGEdge(v, w, perm, weight))
+        perm = [int(x) for x in parts[3:]]
+        if sorted(perm) != list(range(n)):
+            raise ValueError(
+                f"line {no}: {' '.join(parts[3:])} is not a permutation of 0..{n - 1}")
+        edges.append(UGEdge(v, w, np.array(perm), weight))
     return UGInstance(nv, n, edges, regularity_tol=regularity_tol)

@@ -187,8 +187,8 @@ def proof_to_text(proof: Proof) -> str:
 
 
 def proof_from_text(text: str) -> Proof:
-    """Inverse of `proof_to_text`; an empty file or a bad header raises
-    ValueError naming the line."""
+    """Inverse of `proof_to_text`; an empty file, a bad header or an entry
+    other than +/-1 raises ValueError naming the line."""
     lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("line 1: empty PROOF file")
@@ -196,7 +196,14 @@ def proof_from_text(text: str) -> Proof:
     if len(head) != 3 or head[0] != "PROOF":
         raise ValueError(f"line {no}: expected header `PROOF |V| N`")
     nv, n = int(head[1]), int(head[2])
-    tables = np.array([[int(x) for x in row] for _, row in lines[1:]], dtype=np.int8)
+    if not 0 <= n < 63:  # each table has 2^n entries
+        raise ValueError(f"line {no}: label count {n} out of range")
+    rows = []
+    for no, row in lines[1:]:
+        rows.append([int(x) for x in row])
+        if any(abs(x) != 1 for x in rows[-1]):
+            raise ValueError(f"line {no}: proof entries must be +/-1")
+    tables = np.array(rows, dtype=np.int8)
     if tables.shape != (nv, 1 << n):
         raise ValueError("table shape mismatch")
     return Proof(n, tables)

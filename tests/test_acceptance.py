@@ -331,7 +331,7 @@ def test_criterion_5_separator_k2():
     total = sum(e.weight * float(np.sum(kernel_mass)) for e in inst.ug.edges)
     report("5.edge_mass", abs(total - 1.0) < 1e-9, f"sum {total!r}")
 
-    feas = check_bes_feasibility(inst, assign, seed=5)
+    feas = check_bes_feasibility(inst, assign)
     report("5.unit_norms", feas.unit_norm_residual == 0.0,
            f"residual {feas.unit_norm_residual!r}")
     report("5.well_separatedness", feas.well_separatedness_residual == 0.0,
@@ -492,7 +492,7 @@ def test_criterion_5_relaxation_inequality():
             f"cut {weight:.6f} >= lambda*B {floor_b:.6f} (demand {demand} >= B)",
         )
 
-    feas = check_bes_feasibility(inst, assign, seed=5)
+    feas = check_bes_feasibility(inst, assign)
     report(
         "5.relaxation_inequality",
         objective >= spectral * feas.balance_lhs - 1e-9,
@@ -508,9 +508,7 @@ def test_criterion_6_separator_k3():
     sol = build_ug_sdp_solution(quot)
     inst = build_bes(inst_ug, 0.3)
     assign = assign_sdp_solution(inst, sol, l_in=8, t=1)
-    feas = check_bes_feasibility(
-        inst, assign, triple_budget=1_000_000, seed=derive_seed(0, "bes_triangle")
-    )
+    feas = check_bes_feasibility(inst, assign)
     report(
         "6.feasibility_suite",
         feas.unit_norm_residual == 0.0
@@ -519,10 +517,9 @@ def test_criterion_6_separator_k3():
         f"norms {feas.unit_norm_residual!r}, balance {feas.balance_lhs!r}",
     )
     report(
-        "6.triangle_sampled_adversarial",
-        feas.triangle_violation <= 1e-9 and feas.triples_checked >= 1_000_000,
-        f"violation {feas.triangle_violation:.3g} over {feas.triples_checked} checks "
-        f"({feas.adversarial_pairs} adversarial pairs)",
+        "6.triangle_exhaustive",
+        feas.triangle_violation == 0.0 and feas.triples_checked == 8192**3,
+        f"violation {feas.triangle_violation!r} over all {feas.triples_checked} ordered triples",
     )
     elapsed = time.time() - start
     report("6.runtime", elapsed < 1200.0, f"{elapsed:.1f}s < 20min")

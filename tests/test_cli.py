@@ -308,3 +308,68 @@ def test_pcp_empty_proof_file_fails_cleanly(tmp_path, capsys):
                  "--epsilon", "0.2", "--loose"])
     assert code == 1
     assert capsys.readouterr().out == "FAIL pcp line 1: empty PROOF file\n"
+
+
+def _replace_field(text, line, field, value):
+    lines = text.splitlines()
+    parts = lines[line].split()
+    parts[field] = value
+    lines[line] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+def _clean_texts():
+    u, hidden = plant_instance(6, 3, 0.1, 0.8, seed=0)
+    return ug_to_text(u), proof_to_text(long_code_proof(hidden, 3))
+
+
+@pytest.mark.parametrize("bad_ug, bad_proof, expected", [
+    (None, (1, 0, "300"), "FAIL pcp line 2: proof entries must be +/-1\n"),
+    (None, (0, 2, str(10**30)), f"FAIL pcp line 1: label count {10**30} out of range\n"),
+    ((1, 3, str(10**30)), None, f"FAIL pcp line 2: {10**30} 1 2 is not a permutation of 0..2\n"),
+], ids=["proof_entry", "proof_header", "ug_permutation"])
+def test_pcp_malformed_number_fails_cleanly(tmp_path, capsys, bad_ug, bad_proof, expected):
+    ug_text, proof_text = _clean_texts()
+    if bad_ug:
+        ug_text = _replace_field(ug_text, *bad_ug)
+    if bad_proof:
+        proof_text = _replace_field(proof_text, *bad_proof)
+    ug_file, proof_file = _pcp_files(tmp_path, ug_text, proof_text)
+    code = main(["pcp", "--ug-file", ug_file, "--proof-file", proof_file,
+                 "--epsilon", "0.2", "--loose"])
+    assert code == 1
+    assert capsys.readouterr().out == expected
+
+
+def test_verify_oversized_permutation_entry_fails_cleanly(tmp_path, capsys):
+    ug_text, _ = _clean_texts()
+    ug_file, _ = _pcp_files(tmp_path, ug_text=_replace_field(ug_text, 1, 3, str(10**30)))
+    code = main(["verify", "--ug-file", ug_file])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        f"FAIL ug_structure line 2: {10**30} 1 2 is not a permutation of 0..2\n")
+
+
+def test_verify_all_nan_weights_fails_cleanly(tmp_path, capsys):
+    # nan compares false against every tolerance, so before weights were
+    # required to be finite this file passed with three OK lines
+    ug_text, _ = _clean_texts()
+    for line in range(1, len(ug_text.splitlines())):
+        ug_text = _replace_field(ug_text, line, 2, "nan")
+    ug_file, _ = _pcp_files(tmp_path, ug_text=ug_text)
+    code = main(["verify", "--ug-file", ug_file])
+    assert code == 1
+    assert capsys.readouterr().out.startswith("FAIL ug_structure edge (0,1) weight nan ")
+
+
+@pytest.mark.parametrize("bad, expected", [
+    ((2, 0, "300"), "FAIL basis_structure line 3: expected 4 entries of +/-1\n"),
+    ((0, 1, str(10**30)), f"FAIL basis_structure line 1: k={10**30} out of range\n"),
+], ids=["basis_entry", "basis_header"])
+def test_verify_malformed_basis_number_fails_cleanly(tmp_path, capsys, bad, expected):
+    _, quot, _ = qt.build_kv_instance(2, 0.3)
+    bfile = tmp_path / "basis.txt"
+    bfile.write_text(_replace_field(qt.basis_to_text(qt.build_ug_sdp_solution(quot)), *bad))
+    code = main(["verify", "--basis-file", str(bfile)])
+    assert code == 1
+    assert capsys.readouterr().out == expected

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from cutgap.cli import main
 from cutgap.quotient import build_kv_instance, build_ug_sdp_solution
 from cutgap.fourier import apply_noise_kernel
 from cutgap.separator import (
@@ -202,9 +203,40 @@ def test_sdp_objective_grows_with_outer_power():
     assert sdp_objective(inst, a3) >= sdp_objective(inst, a1) - 1e-12
 
 
+def brute_force_triangle(assign):
+    """Oracle: the worst term g(a, c) + g(b, c) - 1 - g(a, b) over every
+    ordered triple of the full base Gram, or 0 when none is positive."""
+    g = np.einsum("xyd,vwd->vxwy", assign.corr, assign.cache.table) / assign.cache.N
+    g = g.reshape(assign.inst.num_vertices, -1)
+    viol = (g[:, None, :] + g[None, :, :]) - (1.0 + g[:, :, None])
+    return max(float(np.max(viol)), 0.0)
+
+
+def planted_row_fixture(seed, m=5, n=4):
+    """m blocks of 2^n points: every diagonal row is e_0 (block v's points
+    are the sign vectors x / sqrt(N)), and about half the block pairs carry
+    one of three random rows of l1 norm below 1, in multiples of 1/16 so
+    that every Gram entry is exact. The certificate treats a pair at +/-1 as
+    equal or opposite points. That holds here although the tables need not
+    be Grams of vectors: only a diagonal Gram has such entries, at y = x and
+    y = -x, and under any row the Gram row of -x is that of x negated."""
+    rng = np.random.default_rng(seed)
+    u, _ = plant_instance(m, n, 0.0, 0.9, seed=3)  # only its shape is read
+    table = np.zeros((m, m, n))
+    table[np.arange(m), np.arange(m), 0] = 1.0
+    c = rng.integers(-4, 5, size=(3, n))
+    pool = np.trunc(c * 15 / np.maximum(np.abs(c).sum(axis=1, keepdims=True), 15)) / 16
+    for v in range(m):
+        for w in range(v + 1, m):
+            if rng.random() < 0.5:
+                table[v, w] = table[w, v] = pool[rng.integers(3)]
+    return BESVectorAssignment(build_bes(u, 0.2), SimpleNamespace(table=table, N=n), 8, 1,
+                               _shift_correlations(n))
+
+
 def test_bes_feasibility_k2_exact():
     _, _, inst, assign = kv_fixture()
-    rep = check_bes_feasibility(inst, assign, seed=0)
+    rep = check_bes_feasibility(inst, assign)
     assert rep.unit_norm_residual == 0.0
     assert rep.well_separatedness_residual == 0.0
     assert rep.balance_lhs == rep.balance_exact_value == 256.0
@@ -267,24 +299,48 @@ def test_innerprod_bracket_exhaustive_all_edges_k3():
     assert worst <= 1e-9
 
 
-def test_bes_feasibility_k3_sampled():
+def test_bes_feasibility_k3_exhaustive():
+    # every base inner product is a multiple of 2^-27, so the worst term of
+    # all 8192^3 ordered triples is exactly 0 (the triple (a, a, a) attains it)
     _, _, inst, assign = kv_fixture(k=3, eta=0.3, eps=0.3)
-    rep = check_bes_feasibility(inst, assign, triple_budget=120000, seed=1)
+    rep = check_bes_feasibility(inst, assign)
     assert rep.unit_norm_residual == 0.0
     assert rep.well_separatedness_residual == 0.0
     assert rep.balance_lhs == rep.balance_exact_value
     assert rep.balance_feasible()
-    assert rep.triangle_violation <= 1e-9
-
-
-def test_bes_feasibility_k3_budget_below_ten():
-    # a budget of 1-9 leaves budget // 10 = 0 antipodal triples, and the
-    # empty family adds nothing (a budget of 10 adds one antipodal triple:
-    # test_within_block_sweep_reads_each_blocks_gram)
-    _, _, inst, assign = kv_fixture(k=3, eta=0.3, eps=0.3)
-    rep = check_bes_feasibility(inst, assign, triple_budget=5, seed=1)
     assert rep.triangle_violation == 0.0
-    assert rep.triples_checked == 32 * 256**3 + 5 + rep.adversarial_pairs * 2 * 256
+    assert rep.triples_checked == 8192**3
+    assert rep.adversarial_pairs == 0
+
+
+def test_bes_feasibility_k3_budget_below_ten(tmp_path, capsys):
+    # --budget-triples once sized build-bes's sampled triangle families (a
+    # budget of 1-9 left none of the antipodal ones); the certificate now
+    # covers every triple whatever the budget
+    assert main(["build-bes", "--k", "3", "--eta", "0.3", "--epsilon", "0.3",
+                 "--budget-triples", "5", "--budget-samples", "2000",
+                 "--out", str(tmp_path)]) == 0
+    assert "triangle=0 over 549755813888 checks" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("eta", [0.15, 0.25, 0.3, 0.35, 0.45])
+def test_triangle_certificate_matches_brute_force_k2(eta):
+    _, _, inst, assign = kv_fixture(eta=eta)
+    rep = check_bes_feasibility(inst, assign)
+    assert rep.triples_checked == 64**3
+    assert rep.triangle_violation == brute_force_triangle(assign) == 0.0
+
+
+def test_triangle_certificate_matches_brute_force_planted_rows():
+    violating = 0
+    for seed in range(120):
+        assign = planted_row_fixture(seed)
+        worst = brute_force_triangle(assign)
+        rep = check_bes_feasibility(assign.inst, assign)
+        assert rep.triangle_violation == worst, seed
+        assert rep.triples_checked == 80**3
+        violating += worst > 0
+    assert violating >= 30  # a quarter of the fixtures have a violation
 
 
 def test_balance_claim_chain_on_random_cuts():
@@ -425,11 +481,10 @@ def test_within_block_grams_are_the_distance_formula_k3():
 
 
 def test_within_block_sweep_reads_each_blocks_gram():
-    # 6 blocks of 16 points (96 > 64, so the sampled path runs) with
-    # orthogonal blocks; block 2 gets the negated Gram -(x . y)/N, whose
-    # worst triangle term is 2 at (x, -x, x). With no cross pair of
-    # |inner| >= 1/3 and ten random triples, only the within-block sweep
-    # can find it.
+    # 6 blocks of 16 points with orthogonal blocks; block 2 gets the negated
+    # Gram -(x . y)/N, whose worst triangle term is 2 at (x, x, -x). Its
+    # diagonal row differs from the other blocks', so the check must sweep
+    # that row's block triple to find it.
     u, _ = plant_instance(6, 4, 0.0, 0.9, seed=3)
     inst = build_bes(u, 0.2)
     table = np.zeros((6, 6, 4))
@@ -437,9 +492,9 @@ def test_within_block_sweep_reads_each_blocks_gram():
     table[2, 2, 0] = -1.0
     assign = BESVectorAssignment(inst, SimpleNamespace(table=table, N=4), 8, 1,
                                  _shift_correlations(4))
-    rep = check_bes_feasibility(inst, assign, triple_budget=10, seed=0)
-    assert rep.triangle_violation == 2.0
-    assert rep.triples_checked == 6 * 16**3 + 10 + 1
+    rep = check_bes_feasibility(inst, assign)
+    assert rep.triangle_violation == brute_force_triangle(assign) == 2.0
+    assert rep.triples_checked == 96**3
     table[2, 2, 0] = 1.0
-    rep = check_bes_feasibility(inst, assign, triple_budget=10, seed=0)
-    assert rep.triangle_violation == 0.0
+    rep = check_bes_feasibility(inst, assign)
+    assert rep.triangle_violation == brute_force_triangle(assign) == 0.0
