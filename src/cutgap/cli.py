@@ -92,14 +92,8 @@ def cmd_build_ug(args) -> int:
         "N_pow_minus_eta": quot.N ** (-cfg.eta),
     }
     objective = qt.ug_sdp_objective(inst, sol)
-    feas = qt.check_ug_sdp_feasibility(
-        sol, seed=derive_seed(cfg.seed, "sdp_feasibility"),
-        triple_samples=cfg.budget_triples,
-    )
-    ulc = qt.verify_ulc_properties(
-        inst, sol, cfg.eta, seed=derive_seed(cfg.seed, "ulc_properties"),
-        triple_samples=cfg.budget_triples,
-    )
+    feas = qt.check_ug_sdp_feasibility(sol)
+    ulc = qt.verify_ulc_properties(inst, sol, cfg.eta)
 
     tol = 1e-9
     if feas.max_residual() > tol:
@@ -287,8 +281,7 @@ def cmd_verify(args) -> int:
         try:
             with open(args.basis_file) as fh:
                 sol = qt.basis_from_text(fh.read())
-            rep = qt.check_ug_sdp_feasibility(sol, seed=args.seed,
-                                              triple_samples=20000)
+            rep = qt.check_ug_sdp_feasibility(sol)
             if rep.max_residual() > 1e-9:
                 failures.append(("basis_orthonormality", _fmt(rep.max_residual())))
             else:
@@ -376,8 +369,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.add_argument("--budget-triples", dest="budget_triples", type=int,
-                   help="sampled triples for the UG-level triangle checks of build-ug; "
-                        "build-bes checks every triple and ignores it")
+                   help="accepted and validated, but unused: every triangle "
+                        "check covers all triples")
     p.add_argument("--budget-samples", dest="budget_samples", type=int)
     p.add_argument("--budget-restarts", dest="budget_restarts", type=int)
     p.add_argument("--budget-labelings", dest="budget_labelings", type=int)

@@ -296,8 +296,9 @@ def graph_to_text(weights, demands) -> str:
 def graph_from_text(text: str):
     """(weights, demands) symmetric matrices of a GRAPH file; a later line
     for the same pair overrides an earlier one. A bad header, a line without
-    exactly four fields, an unparsable number or a vertex outside [0, n)
-    raises ValueError naming the line."""
+    exactly four fields, an unparsable number, a weight or demand that is
+    infinite or nan, or a vertex outside [0, n) raises ValueError naming
+    the line."""
     lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("line 1: empty GRAPH file")
@@ -316,6 +317,8 @@ def graph_from_text(text: str):
             raise ValueError(f"line {no}: {exc}") from None
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"line {no}: vertex out of range [0, {n}): {i} {j}")
+        if not (np.isfinite(w) and np.isfinite(d)):
+            raise ValueError(f"line {no}: weight and demand must be finite: {w} {d}")
         weights[i, j] = weights[j, i] = w
         demands[i, j] = demands[j, i] = d
     return weights, demands

@@ -12,7 +12,10 @@ The SDP solution attaches to class i the orthonormal basis
 the squared tensors u x u, but every SDP quantity here is evaluated as a
 squared base inner product (tensor identity), read from the dense base Gram
 tensor of all m * N basis vectors, so nothing quadratic in N^2 is
-materialized.
+materialized. Every check is exact and exhaustive: the triangle inequality
+is swept over all (m N)^3 ordered triples of basis vectors in integer
+arithmetic, and basis completeness is the identity B_i^T B_i = N I per
+class, so no check draws random numbers.
 
 For eta >= 1/4 the typical window contains d = N/2, so within-class pairs
 {f, f*chi_c} are windowed in and produce UG self-loop edges (permutation
@@ -24,7 +27,6 @@ windowed hypercube.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,16 +233,38 @@ class FeasibilityReport:
         )
 
 
-def check_ug_sdp_feasibility(sol: UGVectorSolution, seed: int = 0,
-                             triple_samples: int = 20000) -> FeasibilityReport:
+def _triangle_violation(gram: np.ndarray) -> float:
+    """max (g_ac + g_bc - g_ab - 1) over every ordered triple (a, b, c) of the
+    m * N rows of a base_gram tensor, swept in integers on G = N g, the Gram
+    B B^T of the +/-1 rows, as (G_ac + G_bc - G_ab - N) / N.
+
+    |G| <= N, so G_ac + G_bc - G_ab lies in [-3N, 3N], which int8 holds for
+    N <= 42; basis_from_text accepts k <= HARD_MAX_K, so N <= 32. The triple
+    a = b = c has term 0, so the result is never negative.
+    """
+    m, N = gram.shape[:2]
+    if 3 * N > np.iinfo(np.int8).max:
+        raise ValueError(f"basis dimension {N} overflows the int8 triangle sweep")
+    g = (gram.reshape(m * N, m * N) * N).astype(np.int8)  # exact: gram holds integers / N
+    worst = -3 * N
+    for a in range(0, m * N, 16):  # 16 first points at a time: (16, mN, mN) int8
+        ga = g[a:a + 16]
+        # [a, b]: max over c of G_ac + G_bc, less G_ab
+        term = np.max(ga[:, None, :] + g[None, :, :], axis=2) - ga
+        worst = max(worst, int(np.max(term)))
+    return (worst - N) / N
+
+
+def check_ug_sdp_feasibility(sol: UGVectorSolution) -> FeasibilityReport:
     """Verify the UG SDP constraints on the squared-tensor solution.
 
     Per vertex: sum of squared-vector norms equals N and distinct shifts are
     orthogonal. Across vertices: all tensored inner products are squares
     (hence >= 0) and each cross sum equals N (basis completeness). Base
-    vectors additionally satisfy 1 + <u,v> >= <v,w> + <u,w> on sampled
-    triples (entries are +/-1/sqrt(N)). Reads the full base Gram, so a basis
-    that is not shift-covariant is checked, not rejected.
+    vectors additionally satisfy 1 + <u,v> >= <v,w> + <u,w> on every one of
+    the (m N)^3 ordered triples (entries are +/-1/sqrt(N)). Reads the full
+    base Gram, so a basis that is not shift-covariant is checked, not
+    rejected.
     """
     m, N, _ = sol.basis.shape
     gram = base_gram(sol.basis)
@@ -251,20 +275,13 @@ def check_ug_sdp_feasibility(sol: UGVectorSolution, seed: int = 0,
     cross = sq[np.triu_indices(m, 1)]
     cross_neg = max(0.0, float(np.max(-cross, initial=0.0)))  # 0.0, not -0.0
     cross_res = float(np.max(np.abs(np.sum(cross, axis=(1, 2)) - N), initial=0.0))
-    rng = np.random.default_rng(seed)
-    flat = gram.reshape(m * N, m * N)
-    idx = rng.integers(0, m * N, size=(triple_samples, 3))
-    gu = flat[idx[:, 0], idx[:, 1]]
-    gv = flat[idx[:, 0], idx[:, 2]]
-    gw = flat[idx[:, 1], idx[:, 2]]
-    tri = float(np.max(gv + gw - gu - 1.0, initial=-np.inf))
     return FeasibilityReport(
         norm_sum_residual=norm_res,
         orthogonality_residual=orth_res,
         cross_negativity=cross_neg,
         cross_sum_residual=cross_res,
-        triangle_violation=max(tri, 0.0),
-        triples_checked=triple_samples,
+        triangle_violation=_triangle_violation(gram),
+        triples_checked=(m * N) ** 3,
     )
 
 
@@ -289,30 +306,21 @@ class UlcPropertyReport:
     triples_checked: int
 
 
-def verify_ulc_properties(u: UGInstance, sol: UGVectorSolution, eta: float,
-                          seed: int = 0,
-                          triple_samples: int = 200000) -> UlcPropertyReport:
+def verify_ulc_properties(u: UGInstance, sol: UGVectorSolution,
+                          eta: float) -> UlcPropertyReport:
     """Check the four structural properties of the gap solution.
 
-    (2) basis completeness ||w||^2 = sum_i <w, v_i>^2 for random w;
-    (3) the +/-1/sqrt(N) triangle inequality over sampled triples;
+    (2) basis completeness ||w||^2 = sum_i <w, v_i>^2 for every w, i.e.
+        max_i |B_i^T B_i / N - I| over the classes i;
+    (3) the +/-1/sqrt(N) triangle inequality over all (m N)^3 triples;
     (4) shift covariance <v_i, w_j> = <v_(i^l), w_(j^l)>, exhaustive over
         vertex pairs and (i, j, l);
     (5) per edge, some matched pair (i0, j0) with inner product >= 1-4*eta
         and i0 ^ l = pi_e(j0 ^ l) for all l.
     """
     m, N, _ = sol.basis.shape
-    rng = np.random.default_rng(seed)
-
-    completeness = 0.0
-    for _ in range(50):
-        w = rng.normal(size=N)
-        i = int(rng.integers(m))
-        proj = sol.basis[i].astype(np.float64) / math.sqrt(N) @ w
-        completeness = max(completeness, abs(float(np.sum(proj**2)) - float(w @ w)))
-
-    rep = check_ug_sdp_feasibility(sol, seed=seed, triple_samples=triple_samples)
-
+    b = sol.basis.astype(np.int64)
+    completeness = float(np.max(np.abs(b.transpose(0, 2, 1) @ b - N * np.eye(N)))) / N
     gram = base_gram(sol.basis)
     v, w, perm, _ = u.edge_arrays()
     labels = np.arange(N)
@@ -324,11 +332,11 @@ def verify_ulc_properties(u: UGInstance, sol: UGVectorSolution, eta: float,
     margin = float(np.min(best - (1 - 4 * eta)))
     return UlcPropertyReport(
         basis_completeness_residual=completeness,
-        triangle_violation=rep.triangle_violation,
+        triangle_violation=_triangle_violation(gram),
         matching_residual=shift_covariance_residual(gram),
         closeness_satisfied=bool(np.all(best >= 1 - 4 * eta - 1e-12)),
         closeness_margin=margin,
-        triples_checked=triple_samples,
+        triples_checked=(m * N) ** 3,
     )
 
 
@@ -352,7 +360,7 @@ def basis_from_text(text: str) -> UGVectorSolution:
     if len(head) != 3 or head[0] != "BASIS":
         raise ValueError("not a basis file")
     k, m = int(head[1]), int(head[2])
-    if not 0 <= k < 63:  # each class has 2^k rows
+    if not 0 <= k <= HARD_MAX_K:  # N = 2^k <= 32 keeps the triangle sweep in int8
         raise ValueError(f"line {lines[0][0]}: k={k} out of range")
     N = 1 << k
     if len(lines) < 1 + m * (N + 1):

@@ -168,8 +168,9 @@ def _shift_correlations(n_bits: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BESVectorAssignment:
-    """The tensored unit-vector solution: point (v, x) carries the vector of
-    BESVectorHandle(v, sign pattern of x, l_in, t).
+    """The tensored unit-vector solution: point (v, x) carries the unit vector
+    ((1/sqrt(N)) sum_i x_i u_{v,i}^(tensor l_in))^(tensor t) of the sign
+    pattern x (see `cutgap.tensor`).
 
     With the Gram table of the basis, a base inner product is
     base((v, x), (w, y)) = C[x, y] . table[v, w] / N for the shift

@@ -105,12 +105,18 @@ def _set_image_table(perm: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 <= epsilon <= 1.0:  # also rejects nan
+        raise ValueError(f"epsilon={epsilon} is not a probability in [0, 1]")
+
+
 def acceptance_probability_exact(u: UGInstance, proof: Proof, epsilon: float) -> float:
     """Exact acceptance probability via the spectral formula. The set-image
     table is built once per distinct edge permutation; the per-edge terms
     are summed in edge order."""
     if proof.num_vertices != u.num_vertices or proof.num_labels != u.num_labels:
         raise ValueError("proof shape does not match instance")
+    _check_epsilon(epsilon)
     spectra = wht_matrix(proof.tables.astype(np.float64))
     factors = _noise_factors(u.num_labels, epsilon)
     v, w, perm, weight = u.edge_arrays()
@@ -129,6 +135,7 @@ def acceptance_probability_mc(u: UGInstance, proof: Proof, samples: int,
     times. Returns (estimate, stderr); deterministic per seed."""
     if samples < 1:
         raise ValueError("need at least one sample")
+    _check_epsilon(epsilon)
     reject = u.edge_distribution.sample_disagreements(proof.tables, samples, seed, epsilon)
     p = (samples - reject) / samples
     stderr = math.sqrt(max(p * (1 - p), 1e-300) / samples)

@@ -60,12 +60,7 @@ from cutgap.separator import (
     sdp_objective,
     sdp_objective_closed_form_t1,
 )
-from cutgap.tensor import (
-    BESVectorHandle,
-    GramCache,
-    bes_inner,
-    materialize_tensor_power,
-)
+from cutgap.tensor import GramCache
 from cutgap.unique_games import opt_exhaustive, opt_search, plant_instance, value
 from cutgap.verifier import (
     Proof,
@@ -74,6 +69,7 @@ from cutgap.verifier import (
     decode_labeling,
     long_code_proof,
 )
+from oracles import BESVectorHandle, bes_inner, materialize_tensor_power
 
 # ---------------------------------------------------------------- baselines
 # frozen on the first verified run; opt values cross-checked against the
@@ -194,8 +190,8 @@ def test_criterion_3_gap_instance_k2():
                 worst_pair >= (1 - 4 * eta) ** 2 - 1e-12,
                 f"min pair {worst_pair:.6f} >= {(1 - 4 * eta) ** 2:.6f}",
             )
-        feas = check_ug_sdp_feasibility(sol, seed=3, triple_samples=50000)
-        ulc = verify_ulc_properties(inst, sol, eta, seed=3, triple_samples=50000)
+        feas = check_ug_sdp_feasibility(sol)
+        ulc = verify_ulc_properties(inst, sol, eta)
         residual = max(
             feas.max_residual(),
             ulc.basis_completeness_residual,
@@ -230,8 +226,8 @@ def _k3_fixture():
 def test_criterion_4_constraint_suite_k3():
     start = time.time()
     inst, quot, sol = _k3_fixture()
-    feas = check_ug_sdp_feasibility(sol, seed=4, triple_samples=1_000_000)
-    ulc = verify_ulc_properties(inst, sol, ETA_K3, seed=4, triple_samples=1_000_000)
+    feas = check_ug_sdp_feasibility(sol)
+    ulc = verify_ulc_properties(inst, sol, ETA_K3)
     residual = max(
         feas.max_residual(),
         ulc.basis_completeness_residual,
@@ -240,7 +236,7 @@ def test_criterion_4_constraint_suite_k3():
     report(
         "4.constraints_1e-9",
         residual < 1e-9 and ulc.closeness_satisfied,
-        f"max residual {residual:.3g} over 10^6 sampled triples",
+        f"max residual {residual:.3g} over all 256^3 triples",
     )
     report(
         "4.matching_exhaustive",
@@ -554,7 +550,7 @@ def test_criterion_7_pcp():
         proof = Proof(4, tables)
         exact = acceptance_probability_exact(u, proof, 0.2)
         est, se = acceptance_probability_mc(
-            u, proof, samples=1_000_000, seed=derive_seed(0, "pcp_mc"), epsilon=0.2
+            u, proof, samples=1_000_000, seed=6, epsilon=0.2
         )
         report(
             f"7.mc_agreement_{name}",

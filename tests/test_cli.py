@@ -1,13 +1,16 @@
 import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
+import cutgap
 from cutgap import quotient as qt
 from cutgap import separator as sp
 from cutgap import unique_games as ug
 from cutgap.cli import main
-from cutgap.config import RunConfig, derive_seed, parse_config_file
+from cutgap.config import SEED_PURPOSE, RunConfig, derive_seed, parse_config_file
 from cutgap.metrics import FiniteMetric, metric_to_text
 from cutgap.unique_games import plant_instance, ug_to_text
 from cutgap.verifier import long_code_proof, proof_to_text
@@ -31,6 +34,16 @@ def test_config_parsing_and_validation(tmp_path):
     with pytest.raises(ValueError):
         parse_config_file("unknown = 1")
     assert derive_seed(5, "opt_search") == 5 * 1009 + 1
+
+
+def test_every_seed_purpose_is_derived_in_the_package():
+    # a purpose code that no derive_seed call names is a dead entry in the
+    # documented seed contract; codes must stay distinct
+    package = pathlib.Path(cutgap.__file__).parent
+    text = "".join(p.read_text() for p in sorted(package.glob("*.py")))
+    named = set(re.findall(r'derive_seed\([^()"]*"(\w+)"\)', text))
+    assert named == set(SEED_PURPOSE)
+    assert len(set(SEED_PURPOSE.values())) == len(SEED_PURPOSE)
 
 
 def test_build_ug_deterministic_outputs(tmp_path):
@@ -116,18 +129,13 @@ def test_build_seeds_follow_the_splitting_scheme(tmp_path, monkeypatch):
     # sub-run draws from its own derive_seed purpose code
     seed = 4
     calls = []
-    search, feasibility = ug.opt_search, qt.check_ug_sdp_feasibility
+    search = ug.opt_search
 
     def record_search(inst, seed, **kwargs):
         calls.append(("opt_search", seed))
         return search(inst, seed=seed, **kwargs)
 
-    def record_feasibility(sol, seed, **kwargs):
-        calls.append(("feasibility", seed))
-        return feasibility(sol, seed=seed, **kwargs)
-
     monkeypatch.setattr(ug, "opt_search", record_search)
-    monkeypatch.setattr(qt, "check_ug_sdp_feasibility", record_feasibility)
     out = tmp_path / "run"
     common = ["--k", "2", "--eta", "0.3", "--seed", str(seed), "--budget-labelings", "1",
               "--budget-triples", "2000", "--out", str(out)]
@@ -136,8 +144,6 @@ def test_build_seeds_follow_the_splitting_scheme(tmp_path, monkeypatch):
                  "--ug-file", str(out / "ug_instance.txt")]) == 0
     assert calls == [
         ("opt_search", derive_seed(seed, "opt_search")),
-        ("feasibility", derive_seed(seed, "sdp_feasibility")),
-        ("feasibility", derive_seed(seed, "ulc_properties")),
         ("opt_search", derive_seed(seed, "opt_search")),
     ]
     report = dict(ln.split("\t", 1) for ln in read(out / "ug_report.tsv").splitlines()[1:])
@@ -268,7 +274,7 @@ def test_round_command(tmp_path, capsys):
     assert "demand_cut" in got
 
 
-@pytest.mark.parametrize("bad", ["0 9 1.0 0.0", "0 1 1.0", "0 1 one 0.0"])
+@pytest.mark.parametrize("bad", ["0 9 1.0 0.0", "0 1 1.0", "0 1 one 0.0", "0 1 nan 1.0"])
 def test_round_malformed_graph_fails_cleanly(tmp_path, capsys, bad):
     gfile = tmp_path / "graph.txt"
     gfile.write_text("GRAPH 4\n" + bad + "\n")
@@ -341,6 +347,16 @@ def test_pcp_malformed_number_fails_cleanly(tmp_path, capsys, bad_ug, bad_proof,
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "1.5"])
+def test_pcp_epsilon_outside_probabilities_fails_cleanly(tmp_path, capsys, epsilon):
+    ug_file, proof_file = _pcp_files(tmp_path)
+    code = main(["pcp", "--ug-file", ug_file, "--proof-file", proof_file,
+                 "--epsilon", epsilon, "--loose"])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        f"FAIL pcp epsilon={float(epsilon)} is not a probability in [0, 1]\n")
+
+
 def test_verify_oversized_permutation_entry_fails_cleanly(tmp_path, capsys):
     ug_text, _ = _clean_texts()
     ug_file, _ = _pcp_files(tmp_path, ug_text=_replace_field(ug_text, 1, 3, str(10**30)))
@@ -365,7 +381,8 @@ def test_verify_all_nan_weights_fails_cleanly(tmp_path, capsys):
 @pytest.mark.parametrize("bad, expected", [
     ((2, 0, "300"), "FAIL basis_structure line 3: expected 4 entries of +/-1\n"),
     ((0, 1, str(10**30)), f"FAIL basis_structure line 1: k={10**30} out of range\n"),
-], ids=["basis_entry", "basis_header"])
+    ((0, 1, "6"), "FAIL basis_structure line 1: k=6 out of range\n"),
+], ids=["basis_entry", "basis_header", "basis_header_past_int8_sweep"])
 def test_verify_malformed_basis_number_fails_cleanly(tmp_path, capsys, bad, expected):
     _, quot, _ = qt.build_kv_instance(2, 0.3)
     bfile = tmp_path / "basis.txt"

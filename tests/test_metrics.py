@@ -343,6 +343,8 @@ def test_graph_text_round_trip():
     ("GRAPH 4\n0 x 1.0 0.0\n", "line 2"),
     ("GRAPH 4\n0 9 1.0 0.0\n", "line 2"),
     ("GRAPH 4\n0 1 1.0 0.0\n-1 2 1.0 0.0\n", "line 3"),
+    ("GRAPH 4\n0 1 nan 1.0\n", "line 2"),
+    ("GRAPH 4\n0 1 1.0 0.0\n2 3 1.0 inf\n", "line 3"),
 ])
 def test_graph_parser_names_the_bad_line(text, line):
     with pytest.raises(ValueError, match=line):

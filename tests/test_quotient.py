@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cutgap import quotient as qt
 from cutgap.hypercube import hamming
 from cutgap.quotient import (
     basis_from_text,
@@ -12,6 +13,7 @@ from cutgap.quotient import (
     ug_sdp_objective,
     verify_ulc_properties,
 )
+from cutgap.tensor import base_gram
 from cutgap.unique_games import (
     label_extended_graph,
     labeling_set_expansion_identity,
@@ -125,7 +127,7 @@ def test_sdp_solution_entries_and_identities():
     assert set(np.unique(sol.basis)) == {-1, 1}
     # squared-tensor identities: per-vertex norm sum N, shift orthogonality,
     # cross sums N (basis completeness)
-    rep = check_ug_sdp_feasibility(sol, seed=0, triple_samples=5000)
+    rep = check_ug_sdp_feasibility(sol)
     assert rep.max_residual() < 1e-12
 
 
@@ -156,11 +158,79 @@ def test_sdp_objective_bounds_small_eta():
 def test_ulc_properties_k2_exact():
     u, q, cube = build_kv_instance(2, 0.3)
     sol = build_ug_sdp_solution(q)
-    rep = verify_ulc_properties(u, sol, 0.3, seed=1, triple_samples=20000)
+    rep = verify_ulc_properties(u, sol, 0.3)
     assert rep.basis_completeness_residual < 1e-12
     assert rep.triangle_violation == 0.0
     assert rep.matching_residual == 0.0
     assert rep.closeness_satisfied
+
+
+def _triangle_oracle(gram):
+    """Brute-force float64 max of g_ac + g_bc - g_ab - 1 over every ordered
+    triple of the flat Gram, one first point a at a time."""
+    m, n = gram.shape[:2]
+    flat = gram.reshape(m * n, m * n)
+    worst = -np.inf
+    for a in range(m * n):
+        term = flat[a][None, :] + flat - flat[a][:, None] - 1.0  # [b, c]
+        worst = max(worst, float(np.max(term)))
+    return worst
+
+
+@pytest.mark.parametrize("k, eta", [(2, 0.15), (2, 0.25), (2, 0.3), (2, 0.35),
+                                    (2, 0.45), (3, 0.3)])
+def test_ug_triangle_sweep_is_exhaustive_and_exact(k, eta):
+    u, q, cube = build_kv_instance(k, eta)
+    sol = build_ug_sdp_solution(q)
+    triples = (q.num_classes * q.N) ** 3  # 16^3 at k=2, 256^3 at k=3
+    gram = base_gram(sol.basis)
+    assert qt._triangle_violation(gram) == _triangle_oracle(gram) == 0.0
+    feas = check_ug_sdp_feasibility(sol)
+    ulc = verify_ulc_properties(u, sol, eta)
+    assert feas.triangle_violation == ulc.triangle_violation == 0.0
+    assert feas.triples_checked == ulc.triples_checked == triples
+    assert ulc.basis_completeness_residual == 0.0
+
+
+def test_ug_triangle_sweep_finds_planted_violations():
+    # no +/-1 basis violates the inequality (the term is
+    # -(2/N)(d(a,c) + d(b,c) - d(a,b)) for Hamming distance d), so the
+    # violating Grams are integer tables over N built by hand, at k=2 shape
+    m, n = 16, 4
+    for a in range(m * n):
+        # with every other off-diagonal entry -n, (a, b, c) and its mirror
+        # (b, a, c) violate by 1/n; T[b, a] = 1 - n clears the mirror, so
+        # only first point a has a violating triple
+        b, c = (a + 1) % (m * n), (a + m * n // 2) % (m * n)
+        table = np.full((m * n, m * n), -n)
+        np.fill_diagonal(table, n)
+        table[a, c] = table[c, a] = 1
+        table[b, c] = table[c, b] = 0
+        table[b, a] = 1 - n
+        gram = (table / n).reshape(m, n, m, n)
+        assert qt._triangle_violation(gram) == _triangle_oracle(gram) == 1 / n
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        half = np.triu(rng.integers(-n, n + 1, size=(m * n, m * n)))
+        table = half + np.triu(half, 1).T
+        np.fill_diagonal(table, n)
+        gram = (table / n).reshape(m, n, m, n)
+        assert qt._triangle_violation(gram) == _triangle_oracle(gram)
+
+
+def test_ug_triangle_sweep_rejects_dimensions_past_int8():
+    with pytest.raises(ValueError, match="int8"):
+        qt._triangle_violation(np.zeros((1, 64, 1, 64)))
+
+
+def test_exact_completeness_flags_duplicated_row():
+    u, q, cube = build_kv_instance(2, 0.3)
+    sol = build_ug_sdp_solution(q)
+    basis = sol.basis.copy()
+    basis[1, 1] = basis[1, 0]
+    rep = verify_ulc_properties(u, qt.UGVectorSolution(2, basis), 0.3)
+    # B^T B - N I = r0 r0^T - r1 r1^T, whose largest entry is 2 for r0 != +/-r1
+    assert rep.basis_completeness_residual == 2 / q.N
 
 
 def test_opt_bound_against_reference_curve():

@@ -27,9 +27,9 @@ from cutgap.separator import (
     sdp_objective_closed_form_t1,
     signs_of_points,
 )
-from cutgap.tensor import BESVectorHandle, bes_inner
 from cutgap.unique_games import UGEdge, UGInstance, opt_exhaustive, plant_instance, value
 from cutgap.verifier import Proof, acceptance_probability_exact
+from oracles import BESVectorHandle, bes_inner
 
 
 def kv_fixture(k=2, eta=0.3, eps=0.3, l_in=8, t=1):

@@ -4,13 +4,15 @@ import pytest
 from cutgap.quotient import build_kv_instance, build_ug_sdp_solution
 from cutgap.tensor import (
     REFERENCE_OUTER_POWER,
-    BESVectorHandle,
     GramCache,
     base_gram,
+    shift_covariance_residual,
+)
+from oracles import (
+    BESVectorHandle,
     bes_inner,
     materialize_tensor_power,
     odd_power_triangle_transfer,
-    shift_covariance_residual,
     tensor_inner,
 )
 

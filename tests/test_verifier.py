@@ -217,3 +217,13 @@ def test_mc_acceptance_pinned():
     tables = np.random.default_rng(11).choice([-1, 1], size=(6, 16)).astype(np.int8)
     est, se = acceptance_probability_mc(u, Proof(4, tables), 40000, seed=13, epsilon=0.2)
     assert (est, se) == (0.496725, 0.0024999463712997924)
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), 1.5, -0.1])
+def test_acceptance_rejects_epsilon_outside_probabilities(epsilon):
+    u, hidden = plant_instance(6, 3, 0.1, 0.8, seed=41)
+    proof = long_code_proof(hidden, 3)
+    with pytest.raises(ValueError, match="not a probability"):
+        acceptance_probability_exact(u, proof, epsilon)
+    with pytest.raises(ValueError, match="not a probability"):
+        acceptance_probability_mc(u, proof, 100, seed=0, epsilon=epsilon)
