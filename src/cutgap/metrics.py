@@ -51,6 +51,8 @@ class FiniteMetric:
         object.__setattr__(self, "d", d)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("distance matrix must be square")
+        if not np.all(np.isfinite(d)):
+            raise ValueError("distances must be finite")
         if np.max(np.abs(d - d.T)) > self.tol:
             raise ValueError("distance matrix must be symmetric")
         if np.max(np.abs(np.diag(d))) > self.tol:
@@ -264,18 +266,26 @@ def metric_to_text(metric: FiniteMetric) -> str:
 
 
 def metric_from_text(text: str) -> FiniteMetric:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split() if lines else []
-    if len(head) != 2 or head[0] != "METRIC":
-        raise ValueError("not a metric file")
+    """Inverse of `metric_to_text`: header `METRIC n`, then exactly n - 1
+    rows. A missing or extra row, a row of the wrong length or an
+    unparsable number raises ValueError naming the line."""
+    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    head = lines[0][1] if lines else []
+    if len(head) != 2 or head[0] != "METRIC" or not head[1].isdigit() or int(head[1]) < 1:
+        raise ValueError("not a metric file: expected header `METRIC n` with n >= 1")
     n = int(head[1])
+    if len(lines) > n:
+        raise ValueError(f"line {lines[n][0]}: extra row, METRIC {n} has {n - 1} rows")
     if len(lines) < n:
-        raise ValueError(f"metric file truncated: {len(lines)} of {n} lines")
+        raise ValueError(f"line {lines[-1][0] + 1}: missing row {len(lines)} of {n - 1}")
     d = np.zeros((n, n))
-    for i in range(1, n):
-        row = [float(x) for x in lines[i].split()]
+    for i, (no, fields) in enumerate(lines[1:], 1):
+        try:
+            row = [float(x) for x in fields]
+        except ValueError as exc:
+            raise ValueError(f"line {no}: {exc}") from None
         if len(row) != i:
-            raise ValueError("triangular row length mismatch")
+            raise ValueError(f"line {no}: expected {i} distances, got {len(row)}")
         d[i, :i] = row
         d[:i, i] = row
     return FiniteMetric(d)
@@ -297,8 +307,8 @@ def graph_from_text(text: str):
     """(weights, demands) symmetric matrices of a GRAPH file; a later line
     for the same pair overrides an earlier one. A bad header, a line without
     exactly four fields, an unparsable number, a weight or demand that is
-    infinite or nan, or a vertex outside [0, n) raises ValueError naming
-    the line."""
+    negative, infinite or nan, or a vertex outside [0, n) raises ValueError
+    naming the line."""
     lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("line 1: empty GRAPH file")
@@ -317,8 +327,9 @@ def graph_from_text(text: str):
             raise ValueError(f"line {no}: {exc}") from None
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"line {no}: vertex out of range [0, {n}): {i} {j}")
-        if not (np.isfinite(w) and np.isfinite(d)):
-            raise ValueError(f"line {no}: weight and demand must be finite: {w} {d}")
+        if not (0 <= w < np.inf and 0 <= d < np.inf):  # also rejects nan
+            raise ValueError(f"line {no}: weight and demand must be finite and "
+                             f"nonnegative: {w} {d}")
         weights[i, j] = weights[j, i] = w
         demands[i, j] = demands[j, i] = d
     return weights, demands

@@ -291,52 +291,51 @@ def ug_sdp_objective(u: UGInstance, sol: UGVectorSolution) -> float:
     m, N, _ = sol.basis.shape
     if u.num_labels != N or u.num_vertices != m:
         raise ValueError("solution shape does not match instance")
-    v, w, perm, weight = u.edge_arrays()
-    matched = base_gram(sol.basis)[v[:, None], perm, w[:, None], np.arange(N)] ** 2
-    return float(np.sum(weight * np.sum(matched, axis=1) / N))
+    d = u.edge_distribution
+    perm = d.perms[d.table_of]
+    matched = base_gram(sol.basis)[d.v[:, None], perm, d.w[:, None], np.arange(N)] ** 2
+    return float(np.sum(d.weight * np.sum(matched, axis=1) / N))
 
 
 @dataclass
 class UlcPropertyReport:
     basis_completeness_residual: float
-    triangle_violation: float
     matching_residual: float
     closeness_satisfied: bool
     closeness_margin: float
-    triples_checked: int
 
 
 def verify_ulc_properties(u: UGInstance, sol: UGVectorSolution,
                           eta: float) -> UlcPropertyReport:
-    """Check the four structural properties of the gap solution.
+    """Check structural properties (2), (4) and (5) of the gap solution;
+    `check_ug_sdp_feasibility` checks (3), the +/-1/sqrt(N) triangle
+    inequality over all (m N)^3 triples.
 
     (2) basis completeness ||w||^2 = sum_i <w, v_i>^2 for every w, i.e.
         max_i |B_i^T B_i / N - I| over the classes i;
-    (3) the +/-1/sqrt(N) triangle inequality over all (m N)^3 triples;
     (4) shift covariance <v_i, w_j> = <v_(i^l), w_(j^l)>, exhaustive over
         vertex pairs and (i, j, l);
     (5) per edge, some matched pair (i0, j0) with inner product >= 1-4*eta
         and i0 ^ l = pi_e(j0 ^ l) for all l.
     """
-    m, N, _ = sol.basis.shape
+    N = sol.basis.shape[1]
     b = sol.basis.astype(np.int64)
     completeness = float(np.max(np.abs(b.transpose(0, 2, 1) @ b - N * np.eye(N)))) / N
     gram = base_gram(sol.basis)
-    v, w, perm, _ = u.edge_arrays()
+    d = u.edge_distribution
+    perm = d.perms[d.table_of]
     labels = np.arange(N)
     xor = labels[:, None] ^ labels[None, :]  # [j0, l]
     # j0 is matched iff perm[j0 ^ l] == perm[j0] ^ l for every l, with i0 = perm[j0]
     matched = np.all(perm[:, xor] == perm[:, :, None] ^ labels, axis=2)
-    inner = np.where(matched, gram[v[:, None], perm, w[:, None], labels], -np.inf)
+    inner = np.where(matched, gram[d.v[:, None], perm, d.w[:, None], labels], -np.inf)
     best = np.max(inner, axis=1)
     margin = float(np.min(best - (1 - 4 * eta)))
     return UlcPropertyReport(
         basis_completeness_residual=completeness,
-        triangle_violation=_triangle_violation(gram),
         matching_residual=shift_covariance_residual(gram),
         closeness_satisfied=bool(np.all(best >= 1 - 4 * eta - 1e-12)),
         closeness_margin=margin,
-        triples_checked=(m * N) ** 3,
     )
 
 

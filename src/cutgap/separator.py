@@ -29,6 +29,7 @@ import numpy as np
 from .quotient import UGVectorSolution
 from .tensor import GramCache
 from .unique_games import UGInstance
+from .verifier import dictator_tables, piecewise_balance
 
 __all__ = [
     "BESInstance",
@@ -36,12 +37,9 @@ __all__ = [
     "BESFeasibilityReport",
     "CutSearchResult",
     "build_bes",
-    "signs_of_points",
-    "dictator_cut",
     "cut_edge_weight",
     "cut_edge_weight_mc",
     "demand_cut",
-    "piecewise_balance",
     "assign_sdp_solution",
     "sdp_objective",
     "sdp_objective_closed_form_t1",
@@ -99,22 +97,6 @@ def build_bes(u: UGInstance, epsilon: float, require_exact: bool = True) -> BESI
     return inst
 
 
-def signs_of_points(n_bits: int) -> np.ndarray:
-    """(2^n, n) +/-1 matrix: row x is the point's coordinates 1 - 2 bit_i(x)."""
-    idx = np.arange(1 << n_bits, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(n_bits)) & 1
-    return (1 - 2 * bits).astype(np.int8)
-
-
-def dictator_cut(inst: BESInstance, lam) -> np.ndarray:
-    """A(v, x) = x_{lam[v]}: the completeness cut of a labeling."""
-    lam = np.asarray(lam, dtype=np.int64)
-    n = inst.ug.num_labels
-    x = np.arange(inst.block_size, dtype=np.int64)
-    blocks = [1 - 2 * ((x >> int(lam[v])) & 1) for v in range(inst.num_blocks)]
-    return np.concatenate(blocks).astype(np.int8)
-
-
 def _block_views(inst: BESInstance, cut: np.ndarray) -> np.ndarray:
     cut = np.asarray(cut, dtype=np.float64)
     if len(cut) != inst.num_vertices:
@@ -151,16 +133,10 @@ def demand_cut(inst: BESInstance, cut) -> float:
     return float(np.sum(p * (1 - p)) * inst.block_size**2)
 
 
-def piecewise_balance(inst: BESInstance, cut) -> float:
-    """E_i | E_x A(v_i, x) |: 0 for block-balanced cuts, 1 for constants."""
-    blocks = _block_views(inst, cut)
-    return float(np.mean(np.abs(np.mean(blocks, axis=1))))
-
-
 def _shift_correlations(n_bits: int) -> np.ndarray:
     """C[x, y, d] = sum_s x_s y_(s xor d) over the +/-1 coordinates of the
     points x, y of a block (n_bits a power of two)."""
-    signs = signs_of_points(n_bits).astype(np.float64)
+    signs = dictator_tables(np.arange(n_bits), n_bits).T.astype(np.float64)  # [x, s] = x_s
     s = np.arange(n_bits)
     shifted = signs[:, s[:, None] ^ s[None, :]]  # [y, s, d] = y_(s xor d)
     return np.tensordot(signs, shifted, axes=([1], [1]))
@@ -229,13 +205,13 @@ def sdp_objective(inst: BESInstance, assign: BESVectorAssignment) -> float:
     eps = inst.epsilon
     dist = _distance_matrix(n)
     w_noise = (eps**dist) * (1 - eps) ** (n - dist) / inst.block_size  # weight of (x, y')
-    v, w, perm, weight = inst.ug.edge_arrays()
-    shifted = np.arange(n) ^ perm[:, :1]
-    if not np.array_equal(perm, shifted):
+    d = inst.ug.edge_distribution
+    if not np.array_equal(d.perms, np.arange(n) ^ d.perms[:, :1]):
         raise ValueError("sdp_objective needs XOR-shift edge permutations")
-    rows, group = np.unique(assign.cache.table[v[:, None], w[:, None], shifted],
+    shifted = d.perms[d.table_of]
+    rows, group = np.unique(assign.cache.table[d.v[:, None], d.w[:, None], shifted],
                             axis=0, return_inverse=True)
-    weights = np.bincount(group.ravel(), weights=weight)
+    weights = np.bincount(group.ravel(), weights=d.weight)
     mean_inner = 0.0
     for row, weight in zip(rows, weights):
         q = np.clip(assign.corr @ row / assign.cache.N, -1.0, 1.0)
@@ -370,8 +346,8 @@ def _random_balanced_cut(inst: BESInstance, rng) -> np.ndarray:
 
 
 def _majority_cut(inst: BESInstance) -> np.ndarray:
-    signs = signs_of_points(inst.ug.num_labels)
-    sums = signs.sum(axis=1)
+    n = inst.ug.num_labels
+    sums = dictator_tables(np.arange(n), n).sum(axis=0)  # coordinate sum per point
     block = np.where(sums >= 0, 1, -1).astype(np.int8)
     return np.tile(block, inst.num_blocks)
 
@@ -393,9 +369,10 @@ def balanced_cut_search(inst: BESInstance, theta: float = 5.0 / 6.0,
     n = inst.ug.num_labels
     candidates: list[tuple[str, np.ndarray]] = []
     for i in range(n):
-        candidates.append((f"coordinate_{i}", dictator_cut(inst, np.full(inst.num_blocks, i))))
+        candidates.append((f"coordinate_{i}",
+                           dictator_tables(np.full(inst.num_blocks, i), n).ravel()))
     for idx, lam in enumerate(labelings or []):
-        candidates.append((f"labeling_{idx}", dictator_cut(inst, lam)))
+        candidates.append((f"labeling_{idx}", dictator_tables(lam, n).ravel()))
     candidates.append(("majority", _majority_cut(inst)))
     for r in range(random_candidates):
         candidates.append((f"random_{r}", _random_balanced_cut(inst, rng)))
@@ -404,7 +381,7 @@ def balanced_cut_search(inst: BESInstance, theta: float = 5.0 / 6.0,
     best_cut = None
     best_weight = np.inf
     for name, cut in candidates:
-        bal = piecewise_balance(inst, cut)
+        bal = piecewise_balance(_block_views(inst, cut))
         if bal > theta + 1e-9:
             continue
         weight = cut_edge_weight(inst, cut)
@@ -422,7 +399,7 @@ def balanced_cut_search(inst: BESInstance, theta: float = 5.0 / 6.0,
             order = rng.permutation(inst.num_vertices)
             for v in order:
                 best_cut[v] *= -1
-                if piecewise_balance(inst, best_cut) > theta + 1e-9:
+                if piecewise_balance(_block_views(inst, best_cut)) > theta + 1e-9:
                     best_cut[v] *= -1
                     continue
                 w = cut_edge_weight(inst, best_cut)
@@ -431,12 +408,13 @@ def balanced_cut_search(inst: BESInstance, theta: float = 5.0 / 6.0,
                     improved = True
                 else:
                     best_cut[v] *= -1
-        report.append(("local_search", best_weight, piecewise_balance(inst, best_cut)))
+        report.append(("local_search", best_weight,
+                       piecewise_balance(_block_views(inst, best_cut))))
 
     return CutSearchResult(
         cut=best_cut,
         edge_weight=best_weight,
-        balance=piecewise_balance(inst, best_cut),
+        balance=piecewise_balance(_block_views(inst, best_cut)),
         demand=demand_cut(inst, best_cut),
         candidates=report,
     )

@@ -187,8 +187,7 @@ class _Tableau:
         return True
 
 
-def solve_lp(c, A, b, max_iter: int = 500000, perturb: bool = True,
-             start=None) -> SimplexResult:
+def solve_lp(c, A, b, max_iter: int = 500000, start=None) -> SimplexResult:
     """minimize c.x subject to A x <= b, x >= 0.
 
     `start` names the columns of A the tableau begins with (default: all of
@@ -208,16 +207,15 @@ def solve_lp(c, A, b, max_iter: int = 500000, perturb: bool = True,
     start = np.arange(n) if start is None else np.asarray(start, dtype=np.int64)
     if start.ndim != 1 or len(np.unique(start)) != len(start) or np.any((start < 0) | (start >= n)):
         raise ValueError("start must list distinct column indices of A")
-    if perturb:
-        scale = max(1.0, float(np.max(np.abs(b))))
-        sign = np.where(b < 0, -1.0, 1.0)
-        delta = 1e-6 * scale * (np.arange(m) + 1) / m * sign
-        rough = _solve_core(c, A, b + delta, start, max_iter)
-        if rough.status == "optimal":
-            repaired = _repair_basis(c, A, b, rough)
-            if repaired is not None:
-                return repaired
-        # rare path: perturbation failed to help or changed the status
+    scale = max(1.0, float(np.max(np.abs(b))))
+    sign = np.where(b < 0, -1.0, 1.0)
+    delta = 1e-6 * scale * (np.arange(m) + 1) / m * sign
+    rough = _solve_core(c, A, b + delta, start, max_iter)
+    if rough.status == "optimal":
+        repaired = _repair_basis(c, A, b, rough)
+        if repaired is not None:
+            return repaired
+    # rare path: perturbation failed to help or changed the status
     res = _solve_core(c, A, b, start, max_iter)
     if res.status == "optimal":
         res.dual, res.reduced_costs = _duals(c, A, res.basis)

@@ -86,32 +86,21 @@ class UGInstance:
                 f"exceeds tolerance {self.regularity_tol:.3g}"
             )
 
-    def degree(self) -> float:
-        """Common weighted degree (self-loops counted twice)."""
-        deg = np.zeros(self.num_vertices)
-        for e in self.edges:
-            deg[e.v] += e.weight
-            deg[e.w] += e.weight
-        return float(deg[0])
-
-    def edge_arrays(self):
-        """(v, w, perm, weight) of every edge as arrays; perm is (|E|, N)."""
-        return (
-            np.array([e.v for e in self.edges], dtype=np.int64),
-            np.array([e.w for e in self.edges], dtype=np.int64),
-            np.stack([e.perm for e in self.edges]),
-            np.array([e.weight for e in self.edges]),
-        )
-
     @cached_property
     def edge_distribution(self) -> "EdgeDistribution":
-        """The two-query Long Code test's query distribution, built once."""
-        v, w, perm, weight = self.edge_arrays()
-        perms, table_of = np.unique(perm, axis=0, return_inverse=True)
+        """The two-query Long Code test's query distribution, built once;
+        the one array form of the edges."""
+        perms, table_of = np.unique(np.stack([e.perm for e in self.edges]), axis=0,
+                                    return_inverse=True)
         z = np.arange(1 << self.num_labels, dtype=np.int64)
         bits = (z >> perms[:, :, None]) & 1  # [p, i, z] = bit perm_p(i) of z
         tables = np.sum(bits << np.arange(self.num_labels)[:, None], axis=1)
-        arrays = (v, w, weight, tables, table_of.ravel())
+        arrays = (
+            np.array([e.v for e in self.edges], dtype=np.int64),
+            np.array([e.w for e in self.edges], dtype=np.int64),
+            np.array([e.weight for e in self.edges]),
+            perms, tables, table_of.ravel(),
+        )
         for a in arrays:
             a.setflags(write=False)
         return EdgeDistribution(self.num_labels, *arrays)
@@ -125,16 +114,21 @@ class EdgeDistribution:
     x and an epsilon-biased flip pattern mu, and query (v, x) and (w, y)
     with y = (x mu) o pi_e, that is bit i of y is bit pi_e(i) of x ^ mu.
 
-    Edges with the same permutation share one reindex table: `tables[p]`
-    maps x ^ mu to y and `table_of[e]` names edge e's table, so an instance
-    whose permutations are XOR shifts (the quotient instance) holds at most
-    N tables. Queried tables are +/-1 arrays with one row per UG vertex.
+    Edges with the same permutation share one reindex table: `perms[p]` is
+    a distinct permutation, `tables[p]` maps x ^ mu to y under it and
+    `table_of[e]` names edge e's, so edge e's permutation is
+    `perms[table_of[e]]` and an instance whose permutations are XOR shifts
+    (the quotient instance) holds at most N tables. Read as a map on subset
+    bitmasks, `tables[p]` also sends alpha to {pi^-1(i) : i in alpha}, the
+    spectral form of the same reindexing. Queried tables are +/-1 arrays
+    with one row per UG vertex.
     """
 
     num_labels: int
     v: np.ndarray
     w: np.ndarray
     weight: np.ndarray
+    perms: np.ndarray  # (distinct permutations, N)
     tables: np.ndarray  # (distinct permutations, 2^N)
     table_of: np.ndarray  # (|E|,)
 
@@ -177,9 +171,11 @@ def value(u: UGInstance, lam) -> float:
     lam = np.asarray(lam, dtype=np.int64)
     if len(lam) != u.num_vertices:
         raise ValueError("labeling must assign every vertex")
-    return float(
-        sum(e.weight for e in u.edges if lam[e.v] == e.perm[lam[e.w]])
-    )
+    d = u.edge_distribution
+    satisfied = lam[d.v] == d.perms[d.table_of, lam[d.w]]
+    # a sequential sum in edge order (an unsatisfied edge adds 0.0, which
+    # changes nothing), so every reported value keeps its last digits
+    return float(np.cumsum(np.where(satisfied, d.weight, 0.0))[-1])
 
 
 def opt_exhaustive(u: UGInstance, budget: int = 10**8):

@@ -8,12 +8,16 @@ through the per-vertex spectra,
 
     1/2 + 1/2 sum_e wt(e) sum_alpha A^v_alpha A^w_{pi^-1(alpha)} (1-2 eps)^|alpha|,
 
-and operationally through the seeded sampler of the instance's
-`EdgeDistribution`, the one that also estimates separator cut weights (a
-cut's weight is one minus the acceptance of its blocks as a proof). The
-decoder draws a subset alpha with probability (A^v_alpha)^2 and a uniform
-element of alpha; empty draws are redrawn, and all-mass-on-empty tables fall
-back to a uniform label (flagged).
+where alpha -> pi^-1(alpha) is the reindex table of the instance's
+`EdgeDistribution`, and operationally through that distribution's seeded
+sampler. The distribution is also the separator's edge distribution: a
+separator cut is a proof, its weight is one minus the acceptance of its
+blocks, and the separator builds its dictator cuts and its balance test
+with `dictator_tables` and `piecewise_balance` from here.
+
+The decoder draws a subset alpha with probability (A^v_alpha)^2 and a
+uniform element of alpha; empty draws are redrawn, and all-mass-on-empty
+tables fall back to a uniform label (flagged).
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from .unique_games import UGInstance, value as ug_value
 __all__ = [
     "Proof",
     "DecodeResult",
-    "long_code_proof",
-    "piecewise_balance_stat",
+    "dictator_tables",
+    "piecewise_balance",
     "acceptance_probability_exact",
     "acceptance_probability_mc",
     "decode_labeling",
@@ -61,19 +65,22 @@ class Proof:
         return self.tables.shape[0]
 
 
-def long_code_proof(lam, num_labels: int) -> Proof:
-    """Dictator tables encoding a labeling: A^v(x) = x_{lam[v]}."""
+def dictator_tables(lam, num_labels: int) -> np.ndarray:
+    """The Long Codes of a labeling as (len(lam), 2^N) +/-1 tables,
+    A^v(x) = x_{lam[v]}: a proof's tables, or the blocks of a separator
+    cut."""
     lam = np.asarray(lam, dtype=np.int64)
     if np.any(lam < 0) or np.any(lam >= num_labels):
         raise ValueError("label out of range")
     x = np.arange(1 << num_labels, dtype=np.int64)
-    tables = np.stack([1 - 2 * ((x >> int(l)) & 1) for l in lam])
-    return Proof(num_labels, tables.astype(np.int8))
+    return (1 - 2 * ((x >> lam[:, None]) & 1)).astype(np.int8)
 
 
-def piecewise_balance_stat(proof: Proof) -> float:
-    """E_v |A^v_empty| (the empty-set coefficient is the table mean)."""
-    return float(np.mean(np.abs(np.mean(proof.tables.astype(np.float64), axis=1))))
+def piecewise_balance(tables) -> float:
+    """E_v |A^v_empty| over +/-1 tables, one row per vertex (the empty-set
+    coefficient is the table mean): 0 when every row is balanced, 1 for
+    constant rows."""
+    return float(np.mean(np.abs(np.mean(np.asarray(tables, dtype=np.float64), axis=1))))
 
 
 def _noise_factors(num_labels: int, epsilon: float) -> np.ndarray:
@@ -94,38 +101,26 @@ def _noise_factors(num_labels: int, epsilon: float) -> np.ndarray:
     return signs * np.exp(sizes * math.log(abs(base)))
 
 
-def _set_image_table(perm: np.ndarray) -> np.ndarray:
-    """table[alpha] = bitmask of {perm^-1(i) : i in alpha}."""
-    n = len(perm)
-    inv = np.argsort(perm)
-    alphas = np.arange(1 << n, dtype=np.int64)
-    out = np.zeros_like(alphas)
-    for i in range(n):
-        out |= ((alphas >> i) & 1) << int(inv[i])
-    return out
-
-
 def _check_epsilon(epsilon: float) -> None:
     if not 0.0 <= epsilon <= 1.0:  # also rejects nan
         raise ValueError(f"epsilon={epsilon} is not a probability in [0, 1]")
 
 
 def acceptance_probability_exact(u: UGInstance, proof: Proof, epsilon: float) -> float:
-    """Exact acceptance probability via the spectral formula. The set-image
-    table is built once per distinct edge permutation; the per-edge terms
-    are summed in edge order."""
+    """Exact acceptance probability via the spectral formula. The edges
+    sharing a permutation pull their spectra through its reindex table
+    together; the per-edge terms are summed in edge order."""
     if proof.num_vertices != u.num_vertices or proof.num_labels != u.num_labels:
         raise ValueError("proof shape does not match instance")
     _check_epsilon(epsilon)
     spectra = wht_matrix(proof.tables.astype(np.float64))
     factors = _noise_factors(u.num_labels, epsilon)
-    v, w, perm, weight = u.edge_arrays()
-    perms, which = np.unique(perm, axis=0, return_inverse=True)
-    terms = np.empty(len(u.edges))
-    for p, distinct in enumerate(perms):
-        group = np.flatnonzero(which == p)
-        pulled = spectra[w[group]][:, _set_image_table(distinct)]
-        terms[group] = weight[group] * np.sum(spectra[v[group]] * pulled * factors, axis=1)
+    d = u.edge_distribution
+    terms = np.empty(len(d.v))
+    for p, table in enumerate(d.tables):
+        group = np.flatnonzero(d.table_of == p)
+        pulled = spectra[d.w[group]][:, table]
+        terms[group] = d.weight[group] * np.sum(spectra[d.v[group]] * pulled * factors, axis=1)
     return 0.5 + 0.5 * float(np.cumsum(terms)[-1])
 
 

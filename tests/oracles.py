@@ -9,6 +9,10 @@ paths against. None of them is used by the cutgap package itself.
   `cutgap.separator`.
 - `odd_power_triangle_transfer`: the transfer lemma that lets the triangle
   certificates check t = 1 only.
+- `_set_image_table`: one permutation's action on subset bitmasks, built
+  bit by bit, the oracle for the reindex tables of
+  `cutgap.unique_games.EdgeDistribution` that the verifier's spectral
+  formula reads.
 """
 
 from __future__ import annotations
@@ -98,3 +102,14 @@ def odd_power_triangle_transfer(a: float, b: float, c: float, t: int) -> bool:
     if 1 + a < b + c:
         raise ValueError("precondition 1 + a >= b + c violated")
     return bool(1 + a**t >= b**t + c**t - 1e-12)
+
+
+def _set_image_table(perm) -> np.ndarray:
+    """table[alpha] = bitmask of {perm^-1(i) : i in alpha}."""
+    n = len(perm)
+    inv = np.argsort(perm)
+    alphas = np.arange(1 << n, dtype=np.int64)
+    out = np.zeros_like(alphas)
+    for i in range(n):
+        out |= ((alphas >> i) & 1) << int(inv[i])
+    return out

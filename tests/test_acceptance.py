@@ -56,7 +56,6 @@ from cutgap.separator import (
     check_bes_feasibility,
     cut_edge_weight,
     demand_cut,
-    dictator_cut,
     sdp_objective,
     sdp_objective_closed_form_t1,
 )
@@ -67,7 +66,7 @@ from cutgap.verifier import (
     acceptance_probability_exact,
     acceptance_probability_mc,
     decode_labeling,
-    long_code_proof,
+    dictator_tables,
 )
 from oracles import BESVectorHandle, bes_inner, materialize_tensor_power
 
@@ -196,11 +195,12 @@ def test_criterion_3_gap_instance_k2():
             feas.max_residual(),
             ulc.basis_completeness_residual,
             ulc.matching_residual,
-            ulc.triangle_violation,
+            feas.triangle_violation,
         )
         report(
             f"3.constraints_eta_{eta}",
-            residual < 1e-12 and ulc.closeness_satisfied,
+            residual < 1e-12 and ulc.closeness_satisfied
+            and feas.triples_checked == (quot.num_classes * quot.N) ** 3,
             f"max residual {residual:.3g}, closeness margin {ulc.closeness_margin:.3f}",
         )
     elapsed = time.time() - start
@@ -231,11 +231,11 @@ def test_criterion_4_constraint_suite_k3():
     residual = max(
         feas.max_residual(),
         ulc.basis_completeness_residual,
-        ulc.triangle_violation,
+        feas.triangle_violation,
     )
     report(
         "4.constraints_1e-9",
-        residual < 1e-9 and ulc.closeness_satisfied,
+        residual < 1e-9 and ulc.closeness_satisfied and feas.triples_checked == 256**3,
         f"max residual {residual:.3g} over all 256^3 triples",
     )
     report(
@@ -474,11 +474,12 @@ def test_criterion_5_relaxation_inequality():
         f"{spectral * search.demand:.6f} (demand {search.demand}, B {inst.balance})",
     )
 
+    n = inst.ug.num_labels
     dictators = {
-        f"coordinate_{i}": dictator_cut(inst, np.full(inst.num_blocks, i))
-        for i in range(inst.ug.num_labels)
+        f"coordinate_{i}": dictator_tables(np.full(inst.num_blocks, i), n).ravel()
+        for i in range(n)
     }
-    dictators["labeling"] = dictator_cut(inst, lam)
+    dictators["labeling"] = dictator_tables(lam, n).ravel()
     for name, cut in dictators.items():
         weight = cut_edge_weight(inst, cut)
         demand = demand_cut(inst, cut)
@@ -527,7 +528,7 @@ def test_criterion_7_pcp():
     rng = np.random.default_rng(707)
     for eta, eps in ((0.0, 0.2), (0.1, 0.1), (0.2, 0.3)):
         u, hidden = plant_instance(8, 4, eta, 0.8, seed=int(rng.integers(100)))
-        proof = long_code_proof(hidden, 4)
+        proof = Proof(4, dictator_tables(hidden, 4))
         got = acceptance_probability_exact(u, proof, eps)
         bound = (1 - eta) * (1 - eps)
         report(
@@ -538,8 +539,8 @@ def test_criterion_7_pcp():
 
     u, hidden = plant_instance(6, 4, 0.15, 0.9, seed=11)
     fixtures = {
-        "longcode": long_code_proof(hidden, 4).tables,
-        "anti_longcode": -long_code_proof(hidden, 4).tables,
+        "longcode": dictator_tables(hidden, 4),
+        "anti_longcode": -dictator_tables(hidden, 4),
         "constant": np.ones((6, 16), dtype=np.int8),
         "random": rng.choice([-1, 1], size=(6, 16)).astype(np.int8),
         "majority_style": np.where(
@@ -561,7 +562,7 @@ def test_criterion_7_pcp():
     recovered = True
     for seed in range(10):
         u, hidden = plant_instance(8, 4, 0.1, 0.8, seed=seed)
-        res = decode_labeling(u, long_code_proof(hidden, 4), seed=seed, rounds=1)
+        res = decode_labeling(u, Proof(4, dictator_tables(hidden, 4)), seed=seed, rounds=1)
         recovered &= bool(np.array_equal(res.labeling, hidden))
     report("7.decoder_recovers_planted", recovered, "10/10 exact recoveries")
     elapsed = time.time() - start

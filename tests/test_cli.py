@@ -13,7 +13,7 @@ from cutgap.cli import main
 from cutgap.config import SEED_PURPOSE, RunConfig, derive_seed, parse_config_file
 from cutgap.metrics import FiniteMetric, metric_to_text
 from cutgap.unique_games import plant_instance, ug_to_text
-from cutgap.verifier import long_code_proof, proof_to_text
+from cutgap.verifier import Proof, dictator_tables, proof_to_text
 
 
 def read(path):
@@ -151,7 +151,7 @@ def test_build_seeds_follow_the_splitting_scheme(tmp_path, monkeypatch):
     summary = read(out / "bes_summary.txt").split("candidates: ")[1].strip()
     weights = dict(c.split("=") for c in summary.split("; "))
     inst = sp.build_bes(ug.ug_from_text(read(out / "ug_instance.txt")), 0.3)
-    dictator = sp.cut_edge_weight(inst, sp.dictator_cut(inst, lam))
+    dictator = sp.cut_edge_weight(inst, dictator_tables(lam, 4).ravel())
     assert float(weights["labeling_0"].split("@")[0]) == dictator
 
 
@@ -205,7 +205,7 @@ def test_pcp_command(tmp_path, capsys):
     ug_file = tmp_path / "ug.txt"
     ug_file.write_text(ug_to_text(u))
     proof_file = tmp_path / "proof.txt"
-    proof_file.write_text(proof_to_text(long_code_proof(hidden, 3)))
+    proof_file.write_text(proof_to_text(Proof(3, dictator_tables(hidden, 3))))
     code = main([
         "pcp", "--ug-file", str(ug_file), "--proof-file", str(proof_file),
         "--epsilon", "0.2", "--samples", "20000", "--seed", "1", "--loose",
@@ -237,21 +237,31 @@ def test_pcp_truncated_permutation_fails_cleanly(tmp_path, capsys):
     ug_file = tmp_path / "ug.txt"
     ug_file.write_text("\n".join(lines) + "\n")
     proof_file = tmp_path / "proof.txt"
-    proof_file.write_text(proof_to_text(long_code_proof(hidden, 3)))
+    proof_file.write_text(proof_to_text(Proof(3, dictator_tables(hidden, 3))))
     code = main(["pcp", "--ug-file", str(ug_file), "--proof-file", str(proof_file),
                  "--epsilon", "0.2", "--loose"])
     assert code == 1
     assert capsys.readouterr().out.startswith("FAIL pcp ")
 
 
-def test_distortion_truncated_metric_fails_cleanly(tmp_path, capsys):
-    d = np.array([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]], float)
-    lines = metric_to_text(FiniteMetric(d)).splitlines()
+_SQUARE = np.array([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]], float)
+
+
+@pytest.mark.parametrize("text, detail", [
+    pytest.param("\n".join(metric_to_text(FiniteMetric(_SQUARE)).splitlines()[:-1]) + "\n",
+                 "line 4: missing row 3 of 3", id="truncated"),
+    # nan compared as a valid distance and reached LAPACK
+    pytest.param("METRIC 3\n1\nnan 1\n", "distances must be finite", id="nan"),
+    # a row past the header's count was ignored
+    pytest.param("METRIC 2\n1\n5 5 5\n", "line 3: extra row, METRIC 2 has 1 rows",
+                 id="extra_row"),
+])
+def test_distortion_truncated_metric_fails_cleanly(tmp_path, capsys, text, detail):
     mfile = tmp_path / "metric.txt"
-    mfile.write_text("\n".join(lines[:-1]) + "\n")  # last row missing
+    mfile.write_text(text)
     code = main(["distortion", "--metric-file", str(mfile)])
     assert code == 1
-    assert capsys.readouterr().out.startswith("FAIL distortion ")
+    assert capsys.readouterr().out == f"FAIL distortion {detail}\n"
 
 
 def test_verify_truncated_basis_fails_cleanly(tmp_path, capsys):
@@ -274,7 +284,8 @@ def test_round_command(tmp_path, capsys):
     assert "demand_cut" in got
 
 
-@pytest.mark.parametrize("bad", ["0 9 1.0 0.0", "0 1 1.0", "0 1 one 0.0", "0 1 nan 1.0"])
+@pytest.mark.parametrize("bad", ["0 9 1.0 0.0", "0 1 1.0", "0 1 one 0.0", "0 1 nan 1.0",
+                                 "0 1 -1.0 1.0", "0 1 1.0 -1.0"])
 def test_round_malformed_graph_fails_cleanly(tmp_path, capsys, bad):
     gfile = tmp_path / "graph.txt"
     gfile.write_text("GRAPH 4\n" + bad + "\n")
@@ -288,7 +299,7 @@ def _pcp_files(tmp_path, ug_text=None, proof_text=None):
     ug_file = tmp_path / "ug.txt"
     ug_file.write_text(ug_to_text(u) if ug_text is None else ug_text)
     proof_file = tmp_path / "proof.txt"
-    proof_file.write_text(proof_to_text(long_code_proof(hidden, 3))
+    proof_file.write_text(proof_to_text(Proof(3, dictator_tables(hidden, 3)))
                           if proof_text is None else proof_text)
     return str(ug_file), str(proof_file)
 
@@ -326,7 +337,7 @@ def _replace_field(text, line, field, value):
 
 def _clean_texts():
     u, hidden = plant_instance(6, 3, 0.1, 0.8, seed=0)
-    return ug_to_text(u), proof_to_text(long_code_proof(hidden, 3))
+    return ug_to_text(u), proof_to_text(Proof(3, dictator_tables(hidden, 3)))
 
 
 @pytest.mark.parametrize("bad_ug, bad_proof, expected", [

@@ -42,6 +42,9 @@ def test_metric_validation():
         FiniteMetric(np.array([[0.0, 1.0], [2.0, 0.0]]))  # asymmetric
     with pytest.raises(ValueError):
         FiniteMetric(np.array([[0, 5, 1], [5, 0, 1], [1, 1, 0]], dtype=float))  # triangle
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            FiniteMetric(np.array([[0, 1, bad], [1, 0, 1], [bad, 1, 0]]))
 
 
 def test_hamming_metric_is_negative_type():
@@ -174,6 +177,17 @@ def test_metric_text_round_trip():
     metric = k23_path_metric()
     back = metric_from_text(metric_to_text(metric))
     assert np.array_equal(back.d, metric.d)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("METRIC 3\n1\n", "line 3: missing row 2 of 2"),
+    ("METRIC 2\n1\n5 5 5\n", "line 3: extra row"),
+    ("METRIC 3\n1\n\n1 1 1\n", "line 4: expected 2 distances, got 3"),
+    ("METRIC 3\n1\nx 1\n", "line 3: could not convert"),
+])
+def test_metric_parser_names_the_bad_line(text, line):
+    with pytest.raises(ValueError, match=line):
+        metric_from_text(text)
 
 
 def test_farthest_point_sample_deterministic():
@@ -345,6 +359,8 @@ def test_graph_text_round_trip():
     ("GRAPH 4\n0 1 1.0 0.0\n-1 2 1.0 0.0\n", "line 3"),
     ("GRAPH 4\n0 1 nan 1.0\n", "line 2"),
     ("GRAPH 4\n0 1 1.0 0.0\n2 3 1.0 inf\n", "line 3"),
+    ("GRAPH 4\n0 1 -1.0 1.0\n", "line 2"),
+    ("GRAPH 4\n0 1 1.0 0.0\n2 3 1.0 -0.5\n", "line 3"),
 ])
 def test_graph_parser_names_the_bad_line(text, line):
     with pytest.raises(ValueError, match=line):

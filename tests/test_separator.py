@@ -20,16 +20,18 @@ from cutgap.separator import (
     cut_from_text,
     cut_to_text,
     demand_cut,
-    dictator_cut,
     check_bes_feasibility,
-    piecewise_balance,
     sdp_objective,
     sdp_objective_closed_form_t1,
-    signs_of_points,
 )
 from cutgap.unique_games import UGEdge, UGInstance, opt_exhaustive, plant_instance, value
-from cutgap.verifier import Proof, acceptance_probability_exact
-from oracles import BESVectorHandle, bes_inner
+from cutgap.verifier import (
+    Proof,
+    acceptance_probability_exact,
+    dictator_tables,
+    piecewise_balance,
+)
+from oracles import BESVectorHandle, _set_image_table, bes_inner
 
 
 def kv_fixture(k=2, eta=0.3, eps=0.3, l_in=8, t=1):
@@ -38,6 +40,19 @@ def kv_fixture(k=2, eta=0.3, eps=0.3, l_in=8, t=1):
     inst = build_bes(u, eps)
     assign = assign_sdp_solution(inst, sol, l_in=l_in, t=t)
     return u, q, inst, assign
+
+
+def signs_of_points(n_bits):
+    """(2^n, n) +/-1 matrix: row x is the point's coordinates."""
+    return dictator_tables(np.arange(n_bits), n_bits).T
+
+
+def dictator_cut(inst, lam):
+    return dictator_tables(lam, inst.ug.num_labels).ravel()
+
+
+def block_balance(inst, cut):
+    return piecewise_balance(np.reshape(cut, (inst.num_blocks, inst.block_size)))
 
 
 def test_demand_bookkeeping_k2():
@@ -92,7 +107,7 @@ def test_constant_cut_costs_nothing():
     _, _, inst, _ = kv_fixture()
     cut = np.ones(inst.num_vertices, dtype=np.int8)
     assert cut_edge_weight(inst, cut) == 0.0
-    assert piecewise_balance(inst, cut) == 1.0
+    assert block_balance(inst, cut) == 1.0
     assert demand_cut(inst, cut) == 0.0
 
 
@@ -100,7 +115,7 @@ def test_half_split_blocks():
     _, _, inst, _ = kv_fixture()
     block = np.array([1] * 8 + [-1] * 8, dtype=np.int8)
     cut = np.tile(block, 4)
-    assert piecewise_balance(inst, cut) == 0.0
+    assert block_balance(inst, cut) == 0.0
     # sum_i p_i (1 - p_i) |V_i|^2 = 4 * (1/4) * 256: every cross pair within
     # each block is a cut demand
     assert demand_cut(inst, cut) == 256.0
@@ -360,7 +375,7 @@ def test_balance_claim_chain_on_random_cuts():
         ]).astype(np.int8)
         if demand_cut(inst, cut) >= inst.balance / 3.0:
             premise_hits += 1
-            assert piecewise_balance(inst, cut) <= finite_bound + 1e-12
+            assert block_balance(inst, cut) <= finite_bound + 1e-12
     assert premise_hits > 50  # the premise fired often enough to mean something
 
 
@@ -372,6 +387,14 @@ def test_balanced_cut_search_feasibility_and_quality():
     dictator_weight = cut_edge_weight(inst, dictator_cut(inst, lam))
     assert res.edge_weight <= dictator_weight + 1e-12
     assert all(b <= 5 / 6 + 1e-9 for _, _, b in res.candidates)
+
+
+def test_balanced_cut_search_rejects_out_of_range_labeling():
+    # the labeling-matched dictator cut of [9, 9, 9, 9] at N = 4 used to be
+    # all +1 blocks; the one dictator builder now refuses it
+    _, _, inst, _ = kv_fixture()
+    with pytest.raises(ValueError, match="label out of range"):
+        balanced_cut_search(inst, labelings=[np.full(inst.num_blocks, 9)])
 
 
 def test_cut_file_round_trip(tmp_path):
@@ -426,7 +449,8 @@ def test_batched_cut_weight_matches_spectral_route(k):
 
 def test_batched_cut_weight_matches_spectral_route_general_permutations():
     u, hidden = plant_instance(6, 4, 0.15, 0.9, seed=9)
-    _, _, perm, _ = u.edge_arrays()
+    d = u.edge_distribution
+    perm = d.perms[d.table_of]
     assert not np.array_equal(perm, np.arange(4) ^ perm[:, :1])  # not XOR shifts
     inst = build_bes(u, 0.2)
     rng = np.random.default_rng(29)
@@ -443,10 +467,42 @@ def test_edge_distribution_tables():
         dist = u.edge_distribution
         assert dist is u.edge_distribution  # built once per instance
         assert dist.tables.shape == (n, 1 << n)
+        assert dist.perms.shape == (n, n)
         z = np.arange(1 << n)
         for e, p in zip(u.edges, dist.table_of):
             y = sum(((z >> int(e.perm[i])) & 1) << i for i in range(n))
             assert np.array_equal(dist.tables[p], y)
+
+
+def _instances_with_tables():
+    """The k=2 and k=3 quotient instances and five planted instances with
+    random permutations."""
+    yield from (build_kv_instance(k, 0.3)[0] for k in (2, 3))
+    for seed in range(5):
+        yield plant_instance(6 + seed, 3 + seed % 3, 0.2, 0.9, seed=seed)[0]
+
+
+def test_edge_distribution_is_the_edge_list_as_arrays():
+    # the one array form of the edges: endpoints, weights and per-edge
+    # permutations perms[table_of] in edge order, the distinct permutations
+    # sorted and each used
+    for u in _instances_with_tables():
+        d = u.edge_distribution
+        assert np.array_equal(d.v, [e.v for e in u.edges])
+        assert np.array_equal(d.w, [e.w for e in u.edges])
+        assert np.array_equal(d.weight, [e.weight for e in u.edges])
+        assert np.array_equal(d.perms[d.table_of], np.stack([e.perm for e in u.edges]))
+        assert sorted(map(tuple, d.perms)) == [tuple(p) for p in d.perms]
+        assert np.array_equal(np.unique(d.table_of), np.arange(len(d.perms)))
+
+
+def test_set_image_oracle_equals_reindex_tables():
+    # the verifier pulls spectra through tables[p]: as a map on subset
+    # bitmasks it must send alpha to {pi^-1(i) : i in alpha}
+    for u in _instances_with_tables():
+        d = u.edge_distribution
+        for perm, table in zip(d.perms, d.tables):
+            assert np.array_equal(_set_image_table(perm), table)
 
 
 def test_batched_noise_pass_equals_per_row_kernel():

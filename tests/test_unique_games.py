@@ -34,6 +34,21 @@ def test_value_respects_direction():
     assert value(u, [0, 0]) == 0.0
 
 
+def test_value_is_the_sequential_sum_over_satisfied_edges():
+    # value reads the edge distribution's arrays; its digits are those of
+    # the per-edge Python sum in edge order
+    from cutgap.quotient import build_kv_instance
+
+    instances = [build_kv_instance(k, 0.3)[0] for k in (2, 3)]
+    instances += [plant_instance(8, 4, 0.2, 0.9, seed=s)[0] for s in range(3)]
+    rng = np.random.default_rng(3)
+    for u in instances:
+        for _ in range(20):
+            lam = rng.integers(0, u.num_labels, size=u.num_vertices)
+            expected = sum(e.weight for e in u.edges if lam[e.v] == e.perm[lam[e.w]])
+            assert value(u, lam) == float(expected)
+
+
 def test_weights_must_sum_to_one():
     with pytest.raises(ValueError):
         UGInstance(2, 2, [UGEdge(0, 1, np.arange(2), 0.5)])

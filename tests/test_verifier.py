@@ -9,21 +9,29 @@ from cutgap.verifier import (
     acceptance_probability_exact,
     acceptance_probability_mc,
     _noise_factors,
-    _set_image_table,
     decode_labeling,
-    long_code_proof,
-    piecewise_balance_stat,
+    dictator_tables,
+    piecewise_balance,
     proof_from_text,
     proof_to_text,
 )
+from oracles import _set_image_table
 
 
 def test_long_code_tables_are_dictators():
-    proof = long_code_proof([0, 2, 3], 4)
+    tables = dictator_tables([0, 2, 3], 4)
+    assert tables.shape == (3, 16) and tables.dtype == np.int8
     x = np.arange(16)
-    for row, j in zip(proof.tables, (0, 2, 3)):
+    for row, j in zip(tables, (0, 2, 3)):
         assert np.array_equal(row, 1 - 2 * ((x >> j) & 1))
-    assert piecewise_balance_stat(proof) == 0.0
+    assert piecewise_balance(tables) == 0.0
+
+
+@pytest.mark.parametrize("lam", [[9, 9, 9, 9], [4, 0, 1, 2], [0, -1, 2, 3]])
+def test_dictator_tables_reject_out_of_range_labels(lam):
+    # an out-of-range label used to give an all-+1 separator block
+    with pytest.raises(ValueError, match="label out of range"):
+        dictator_tables(lam, 4)
 
 
 def test_constant_proof_always_accepts():
@@ -37,7 +45,7 @@ def test_completeness_exact_formula_on_planted():
     # val (1-eps) + (1-val)/2 >= (1-eta)(1-eps)
     for eta, eps in ((0.0, 0.2), (0.1, 0.15), (0.2, 0.3)):
         u, hidden = plant_instance(8, 4, eta, 0.7, seed=3)
-        proof = long_code_proof(hidden, 4)
+        proof = Proof(4, dictator_tables(hidden, 4))
         val = value(u, hidden)
         got = acceptance_probability_exact(u, proof, eps)
         expected = val * (1 - eps) + (1 - val) * 0.5
@@ -47,7 +55,7 @@ def test_completeness_exact_formula_on_planted():
 
 def test_perfect_labeling_identity_instance_acceptance():
     u, hidden = plant_instance(8, 4, 0.0, 0.7, seed=5)
-    proof = long_code_proof(hidden, 4)
+    proof = Proof(4, dictator_tables(hidden, 4))
     for eps in (0.1, 0.3):
         got = acceptance_probability_exact(u, proof, eps)
         assert abs(got - (1 - eps)) < 1e-12
@@ -55,7 +63,7 @@ def test_perfect_labeling_identity_instance_acceptance():
 
 def test_dictator_proof_eps_zero_accepts_whenever_satisfied():
     u, hidden = plant_instance(8, 3, 0.25, 0.8, seed=7)
-    proof = long_code_proof(hidden, 3)
+    proof = Proof(3, dictator_tables(hidden, 3))
     got = acceptance_probability_exact(u, proof, 0.0)
     val = value(u, hidden)
     assert abs(got - (val + (1 - val) * 0.5)) < 1e-12
@@ -65,7 +73,7 @@ def test_dictator_proof_eps_zero_accepts_whenever_satisfied():
 
 def test_dictator_proof_eps_zero_perfect_instance_is_exact_one():
     u, hidden = plant_instance(8, 3, 0.0, 0.8, seed=7)
-    proof = long_code_proof(hidden, 3)
+    proof = Proof(3, dictator_tables(hidden, 3))
     est, _ = acceptance_probability_mc(u, proof, 5000, seed=3, epsilon=0.0)
     assert est == 1.0
 
@@ -74,9 +82,9 @@ def test_exact_vs_mc_on_fixture_corpus():
     u, hidden = plant_instance(6, 4, 0.15, 0.9, seed=9)
     rng = np.random.default_rng(11)
     fixtures = {
-        "longcode": long_code_proof(hidden, 4).tables,
+        "longcode": dictator_tables(hidden, 4),
         "constant": np.ones((6, 16), dtype=np.int8),
-        "anti": -long_code_proof(hidden, 4).tables,
+        "anti": -dictator_tables(hidden, 4),
         "random": rng.choice([-1, 1], size=(6, 16)).astype(np.int8),
         "majority_style": np.where(
             np.bitwise_count(np.arange(16, dtype=np.uint32))[None, :] <= 2, 1, -1
@@ -92,7 +100,7 @@ def test_exact_vs_mc_on_fixture_corpus():
 def test_acceptance_on_kv_instance_with_self_loops():
     u, q, _ = build_kv_instance(2, 0.3)
     lam, opt = opt_exhaustive(u)
-    proof = long_code_proof(lam, 4)
+    proof = Proof(4, dictator_tables(lam, 4))
     got = acceptance_probability_exact(u, proof, 0.3)
     expected = opt * 0.7 + (1 - opt) * 0.5
     assert abs(got - expected) < 1e-12
@@ -105,7 +113,7 @@ def test_soundness_direction_on_gap_instance():
     lam, opt = opt_exhaustive(u)
     rng = np.random.default_rng(33)
     fixtures = [
-        long_code_proof(lam, 4).tables,
+        dictator_tables(lam, 4),
         rng.choice([-1, 1], size=(4, 16)).astype(np.int8),
         np.where(
             np.bitwise_count(np.arange(16, dtype=np.uint32))[None, :] <= 2, 1, -1
@@ -115,7 +123,7 @@ def test_soundness_direction_on_gap_instance():
     worst_acceptance = 0.0
     for tables in fixtures:
         proof = Proof(4, tables)
-        if piecewise_balance_stat(proof) > 5 / 6:
+        if piecewise_balance(proof.tables) > 5 / 6:
             continue
         worst_acceptance = max(
             worst_acceptance, acceptance_probability_exact(u, proof, eps)
@@ -128,7 +136,7 @@ def test_soundness_direction_on_gap_instance():
 
 def test_decoder_recovers_perfect_long_code():
     u, hidden = plant_instance(8, 4, 0.0, 0.8, seed=15)
-    proof = long_code_proof(hidden, 4)
+    proof = Proof(4, dictator_tables(hidden, 4))
     for seed in range(5):
         res = decode_labeling(u, proof, seed=seed, rounds=1)
         assert np.array_equal(res.labeling, hidden)
@@ -148,7 +156,7 @@ def test_decoder_on_random_proof_is_near_baseline():
 
 def test_decoder_with_corrupted_long_codes():
     u, hidden = plant_instance(10, 4, 0.0, 0.9, seed=23)
-    tables = long_code_proof(hidden, 4).tables.copy()
+    tables = dictator_tables(hidden, 4).copy()
     tables[0] = 1  # one vertex corrupted to a constant
     res = decode_labeling(u, Proof(4, tables), seed=25, rounds=10)
     assert res.fallback_vertices == (0,)
@@ -160,7 +168,7 @@ def test_exact_acceptance_handles_large_epsilon():
     # the test is defined for eps in (0,1); above 1/2 the per-level factor
     # (1-2 eps)^|alpha| alternates sign
     u, hidden = plant_instance(6, 3, 0.1, 0.8, seed=41)
-    proof = long_code_proof(hidden, 3)
+    proof = Proof(3, dictator_tables(hidden, 3))
     for eps in (0.5, 0.7, 0.9):
         exact = acceptance_probability_exact(u, proof, eps)
         est, se = acceptance_probability_mc(u, proof, 60000, seed=43, epsilon=eps)
@@ -189,7 +197,7 @@ def test_exact_acceptance_equals_per_edge_sum():
 
 
 def test_proof_text_round_trip():
-    proof = long_code_proof([1, 0, 3], 4)
+    proof = Proof(4, dictator_tables([1, 0, 3], 4))
     back = proof_from_text(proof_to_text(proof))
     assert back.num_labels == 4
     assert np.array_equal(back.tables, proof.tables)
@@ -222,7 +230,7 @@ def test_mc_acceptance_pinned():
 @pytest.mark.parametrize("epsilon", [float("nan"), 1.5, -0.1])
 def test_acceptance_rejects_epsilon_outside_probabilities(epsilon):
     u, hidden = plant_instance(6, 3, 0.1, 0.8, seed=41)
-    proof = long_code_proof(hidden, 3)
+    proof = Proof(3, dictator_tables(hidden, 3))
     with pytest.raises(ValueError, match="not a probability"):
         acceptance_probability_exact(u, proof, epsilon)
     with pytest.raises(ValueError, match="not a probability"):
