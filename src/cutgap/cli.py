@@ -11,6 +11,7 @@ config + seed gives byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -249,10 +250,11 @@ def cmd_verify(args) -> int:
             # value invariance under a global relabeling
             sigma = rng.permutation(inst.num_labels)
             inv = np.argsort(sigma)
+            d = inst.edge_distribution
+            perms = sigma[d.perms[:, inv]][d.table_of]
             relabeled = ug.UGInstance(
                 inst.num_vertices, inst.num_labels,
-                [ug.UGEdge(e.v, e.w, sigma[e.perm[inv]], e.weight)
-                 for e in inst.edges],
+                [ug.UGEdge(e.v, e.w, perm, e.weight) for e, perm in zip(inst.edges, perms)],
                 regularity_tol=1e-6,
             )
             for _ in range(5):
@@ -371,7 +373,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget-labelings", dest="budget_labelings", type=int)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call and reused."""
     parser = argparse.ArgumentParser(
         prog="cutgap",
         description="integrality-gap instance generator and verifier for cut problems",
@@ -415,8 +419,11 @@ def main(argv=None) -> int:
     p.add_argument("--balance", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_round)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -438,23 +438,27 @@ def bes_to_text(inst: BESInstance, expanded: bool | None = None) -> str:
     size = inst.block_size
     eps = inst.epsilon
     dist = _distance_matrix(n)
-    tables = inst.ug.edge_distribution.tables
-    accum: dict = {}
-    for e, p in zip(inst.ug.edges, inst.ug.edge_distribution.table_of):
-        table = tables[p]
-        for x in range(size):
-            for yp in range(size):
-                y = int(table[yp])
-                w = e.weight * (eps ** int(dist[x, yp])) * (1 - eps) ** (n - int(dist[x, yp])) / size
-                a = (e.v, x)
-                b = (e.w, y)
-                # degenerate (a == b) pairs from loop edges stay in, so the
-                # exported mass still totals 1
-                key = (min(a, b), max(a, b))
-                accum[key] = accum.get(key, 0.0) + w
-    lines = [head]
-    for (a, b), w in sorted(accum.items()):
-        lines.append(f"{a[0]} {a[1]} {b[0]} {b[1]} {w:.17g}")
+    d = inst.ug.edge_distribution
+    # Python-float power tables, so that every pair weight is the scalar
+    # wt(e) * eps**|mu| * (1-eps)**(N-|mu|) / 2^N, evaluated left to right
+    eps_pow = np.array([eps**j for j in range(n + 1)])
+    keep_pow = np.array([(1 - eps) ** (n - j) for j in range(n + 1)])
+    weight = d.weight[:, None, None] * eps_pow[dist] * keep_pow[dist] / size  # [e, x, y']
+    a = d.v[:, None, None] * size + np.arange(size)[:, None]  # flat id of (v, x)
+    b = (d.w[:, None] * size + d.tables[d.table_of])[:, None, :]  # flat id of (w, y)
+    # degenerate (a == b) pairs from loop edges stay in, so the exported
+    # mass still totals 1; each pair's weights are summed in (e, x, y') order
+    keys, group = np.unique(np.minimum(a, b) * inst.num_vertices + np.maximum(a, b),
+                            return_inverse=True)
+    sums = np.bincount(group.ravel(), weights=weight.ravel())
+    # few distinct numbers recur: each point's `v x` and each distinct
+    # weight is formatted once
+    point = [f"{v} {x}" for v in range(inst.num_blocks) for x in range(size)]
+    values, value_of = np.unique(sums, return_inverse=True)
+    value_text = [f"{w:.17g}" for w in values.tolist()]
+    lo, hi = np.divmod(keys, inst.num_vertices)
+    lines = [head] + [f"{point[a]} {point[b]} {value_text[i]}" for a, b, i in
+                      zip(lo.tolist(), hi.tolist(), value_of.tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -64,20 +64,35 @@ class UGInstance:
     regularity_tol: float = 1e-9
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
-        total = 0.0
-        degree = np.zeros(self.num_vertices)
-        for e in self.edges:
-            if not (0 <= e.v < self.num_vertices and 0 <= e.w < self.num_vertices):
+        edges = tuple(self.edges)
+        object.__setattr__(self, "edges", edges)
+        n = self.num_labels
+        ends = _int_rows([(e.v, e.w) for e in edges], len(edges), 2)
+        weight = np.array([e.weight for e in edges], dtype=np.float64)
+        fits = np.array([len(e.perm) == n for e in edges], dtype=bool)
+        perms = np.array([e.perm for e, f in zip(edges, fits) if f], dtype=np.int64)
+        perms = perms.reshape(int(fits.sum()), max(n, 0))
+        # the checks run on whole arrays; an error names the first offending
+        # edge and, on it, the first failing check in this order
+        bad_end = ((ends < 0) | (ends >= self.num_vertices)).any(axis=1).astype(bool)
+        bad_weight = ~((weight >= 0) & (weight < np.inf))
+        bad_perm = ~fits
+        bad_perm[fits] = _not_permutations(perms, n)
+        first = np.flatnonzero(bad_end | bad_weight | bad_perm)
+        if len(first):
+            i = first[0]
+            e = edges[i]
+            if bad_end[i]:
                 raise ValueError(f"edge endpoint out of range: {e.v},{e.w}")
-            if not 0 <= e.weight < np.inf:
+            if bad_weight[i]:
                 raise ValueError(
                     f"edge ({e.v},{e.w}) weight {e.weight} is not finite and nonnegative")
-            if sorted(e.perm) != list(range(self.num_labels)):
-                raise ValueError(f"perm on edge ({e.v},{e.w}) is not a bijection")
-            total += e.weight
-            degree[e.v] += e.weight
-            degree[e.w] += e.weight  # self-loops intentionally count twice
+            raise ValueError(f"perm on edge ({e.v},{e.w}) is not a bijection")
+        # running sums in edge order from 0.0, as a loop over the edges adds
+        total = float(np.cumsum(np.append(0.0, weight))[-1])
+        # self-loops intentionally count twice
+        degree = np.bincount(ends.ravel(), weights=np.repeat(weight, 2),
+                             minlength=self.num_vertices)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"edge weights sum to {total}, expected 1")
         if degree.max() - degree.min() > self.regularity_tol:
@@ -85,25 +100,40 @@ class UGInstance:
                 f"weighted degree spread {degree.max() - degree.min():.3g} "
                 f"exceeds tolerance {self.regularity_tol:.3g}"
             )
+        object.__setattr__(self, "_edge_arrays", (*ends.T.copy(), weight, perms))
 
     @cached_property
     def edge_distribution(self) -> "EdgeDistribution":
         """The two-query Long Code test's query distribution, built once;
         the one array form of the edges."""
-        perms, table_of = np.unique(np.stack([e.perm for e in self.edges]), axis=0,
-                                    return_inverse=True)
+        v, w, weight, edge_perms = self._edge_arrays
+        perms, table_of = np.unique(edge_perms, axis=0, return_inverse=True)
         z = np.arange(1 << self.num_labels, dtype=np.int64)
         bits = (z >> perms[:, :, None]) & 1  # [p, i, z] = bit perm_p(i) of z
         tables = np.sum(bits << np.arange(self.num_labels)[:, None], axis=1)
-        arrays = (
-            np.array([e.v for e in self.edges], dtype=np.int64),
-            np.array([e.w for e in self.edges], dtype=np.int64),
-            np.array([e.weight for e in self.edges]),
-            perms, tables, table_of.ravel(),
-        )
+        arrays = (v, w, weight, perms, tables, table_of.ravel())
         for a in arrays:
             a.setflags(write=False)
         return EdgeDistribution(self.num_labels, *arrays)
+
+
+def _int_rows(values: list, rows: int, width: int) -> np.ndarray:
+    """Python integers, in rows or flat, as a (rows, width) array: int64, or
+    object when an entry does not fit int64 (it compares as the exact
+    integer)."""
+    try:
+        out = np.array(values, dtype=np.int64)
+    except OverflowError:
+        out = np.array(values, dtype=object)
+    return out.reshape(rows, width)
+
+
+def _not_permutations(perms: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the rows of an (rows, n) array that are not a permutation of
+    0..n-1."""
+    if not len(perms):
+        return np.zeros(0, dtype=bool)
+    return (np.sort(perms, axis=1) != np.arange(n)).any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -152,14 +182,16 @@ class EdgeDistribution:
         rng = np.random.default_rng(seed)
         n = self.num_labels
         p = self.weight / self.weight.sum()
-        bit_weights = 1 << np.arange(n, dtype=np.int64)
+        # bit weights in the narrowest unsigned type that holds 2^N - 1, so
+        # the product with the (batch, N) flip indicators makes no int64 copy
+        bit_weights = (1 << np.arange(n)).astype(np.min_scalar_type((1 << n) - 1))
         count = 0
         done = 0
         while done < samples:
             batch = min(samples - done, 1 << 16)
             ei = rng.choice(len(p), p=p, size=batch)
             x = rng.integers(0, 1 << n, size=batch)
-            mu = ((rng.random((batch, n)) < epsilon) * bit_weights).sum(axis=1)
+            mu = (rng.random((batch, n)) < epsilon) @ bit_weights
             y = self.tables[self.table_of[ei], x ^ mu]
             count += int(np.sum(blocks[self.v[ei], x] != blocks[self.w[ei], y]))
             done += batch
@@ -181,42 +213,31 @@ def value(u: UGInstance, lam) -> float:
 def opt_exhaustive(u: UGInstance, budget: int = 10**8):
     """Exact optimum by enumerating all N^|V| labelings.
 
+    Labeling number c gives vertex i digit i of c in base N (little-endian);
+    the first labeling of the highest value is returned, and each value is
+    `value`'s sequential sum in edge order. Labelings are scored in chunks
+    of at most 2^20 (labeling, edge) pairs.
     Refuses (with the exact count) when the enumeration exceeds `budget`.
     """
     count = u.num_labels**u.num_vertices
     if count > budget:
         raise BudgetExceededError(count, budget)
+    d = u.edge_distribution
+    edge_perms = d.perms[d.table_of]
+    edge_ids = np.arange(len(d.v))
+    place = u.num_labels ** np.arange(u.num_vertices, dtype=np.int64)
+    chunk = max(1, (1 << 20) // len(d.v))
     best_val = -1.0
     best = None
-    lam = np.zeros(u.num_vertices, dtype=np.int64)
-    for code in range(count):
-        c = code
-        for i in range(u.num_vertices):
-            lam[i] = c % u.num_labels
-            c //= u.num_labels
-        val = value(u, lam)
-        if val > best_val:
-            best_val = val
-            best = lam.copy()
+    for lo in range(0, count, chunk):
+        lams = np.arange(lo, min(lo + chunk, count))[:, None] // place % u.num_labels
+        satisfied = lams[:, d.v] == edge_perms[edge_ids, lams[:, d.w]]
+        vals = np.cumsum(np.where(satisfied, d.weight, 0.0), axis=1)[:, -1]
+        i = int(np.argmax(vals))  # the first maximum, as a strict > scan keeps
+        if vals[i] > best_val:
+            best_val = float(vals[i])
+            best = lams[i].copy()
     return best, best_val
-
-
-def _incidence(u: UGInstance):
-    """Per-vertex list of (other endpoint, weight, target-label map).
-
-    For vertex v on edge (v, w, pi): label a satisfies iff a == pi[lam[w]].
-    For vertex w on that edge: label b satisfies iff lam[v] == pi[b].
-    Self-loops are omitted (no single-vertex relabel can satisfy or break
-    one unless pi has fixed points, which value() handles directly).
-    """
-    inc = [[] for _ in range(u.num_vertices)]
-    for e in u.edges:
-        if e.v == e.w:
-            continue
-        inv = np.argsort(e.perm)
-        inc[e.v].append((e.w, e.weight, e.perm, True))
-        inc[e.w].append((e.v, e.weight, inv, True))
-    return inc
 
 
 def opt_search(u: UGInstance, seed: int, restarts: int = 10):
@@ -225,20 +246,36 @@ def opt_search(u: UGInstance, seed: int, restarts: int = 10):
     Returns the best labeling found and its value, a certified lower bound on
     the optimum. Ties break toward the lowest label index; fixed seed gives
     identical output, and the running best is nondecreasing in restarts.
+
+    Vertex v's gain for label a sums, in edge order, the weights of its
+    edges that a would satisfy: a == pi[lam[w]] on an edge (v, w, pi), and
+    lam[w'] == pi[a], that is a == pi^-1[lam[w']], on an edge (w', v, pi).
+    Self-loops are left out (no single-vertex relabel can satisfy or break
+    one unless pi has fixed points, which value() handles directly).
     """
-    inc = _incidence(u)
+    d = u.edge_distribution
+    n = u.num_labels
+    maps = np.concatenate([d.perms, np.argsort(d.perms, axis=1)])  # pi rows, then pi^-1
+    keep = d.v != d.w
+    # both ends of every edge, stably sorted by vertex so each vertex's
+    # entries stay in edge order
+    vertex = np.stack([d.v, d.w], axis=1)[keep].ravel()
+    order = np.argsort(vertex, kind="stable")
+    other = np.stack([d.w, d.v], axis=1)[keep].ravel()[order]
+    rows = np.stack([d.table_of, d.table_of + len(d.perms)], axis=1)[keep].ravel()[order]
+    wts = np.repeat(d.weight[keep], 2)[order]
+    bounds = np.searchsorted(vertex[order], np.arange(u.num_vertices + 1))
+    inc = [(other[a:b], rows[a:b], wts[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
     best: np.ndarray | None = None
     best_val = -1.0
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        lam = rng.integers(0, u.num_labels, size=u.num_vertices)
+        lam = rng.integers(0, n, size=u.num_vertices)
         improved = True
         while improved:
             improved = False
-            for v in range(u.num_vertices):
-                gains = np.zeros(u.num_labels)
-                for other, wt, mapping, _ in inc[v]:
-                    gains[mapping[lam[other]]] += wt
+            for v, (others, map_rows, weights) in enumerate(inc):
+                gains = np.bincount(maps[map_rows, lam[others]], weights=weights, minlength=n)
                 new_label = int(np.argmax(gains))  # argmax takes lowest index on ties
                 if gains[new_label] > gains[lam[v]] + 1e-15:
                     lam[v] = new_label
@@ -342,17 +379,20 @@ def labeling_set_expansion_identity(u: UGInstance, lam):
 def ug_to_text(u: UGInstance) -> str:
     """Line format: header `UG N |V| |E|`, then one edge per line as
     `v w weight pi(0) ... pi(N-1)` with 17-significant-digit weights."""
+    d = u.edge_distribution
+    perm_text = [" ".join(map(str, p)) for p in d.perms.tolist()]
     lines = [f"UG {u.num_labels} {u.num_vertices} {len(u.edges)}"]
-    for e in u.edges:
-        perm = " ".join(str(int(p)) for p in e.perm)
-        lines.append(f"{e.v} {e.w} {e.weight:.17g} {perm}")
+    lines += [f"{v} {w} {weight:.17g} {perm_text[p]}" for v, w, weight, p in
+              zip(d.v.tolist(), d.w.tolist(), d.weight.tolist(), d.table_of.tolist())]
     return "\n".join(lines) + "\n"
 
 
 def ug_from_text(text: str, regularity_tol: float = 1e-9) -> UGInstance:
     """Inverse of `ug_to_text`; an empty file, a bad header, an edge line
-    with the wrong number of fields or a permutation that is not one raises
-    ValueError naming the line."""
+    with the wrong number of fields or an unparsable number, or a
+    permutation that is not one raises ValueError, for the first line that
+    holds any of these (the field count and numbers are checked before the
+    permutation on a line)."""
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("line 1: empty UG file")
@@ -363,15 +403,34 @@ def ug_from_text(text: str, regularity_tol: float = 1e-9) -> UGInstance:
     if len(lines) - 1 != ne:
         raise ValueError(f"expected {ne} edge lines, found {len(lines) - 1}")
     edges = []
-    for no, ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != n + 3:
-            raise ValueError(f"line {no}: expected `v w weight` and a permutation of {n} labels")
-        v, w = int(parts[0]), int(parts[1])
-        weight = float(parts[2])
-        perm = [int(x) for x in parts[3:]]
-        if sorted(perm) != list(range(n)):
-            raise ValueError(
-                f"line {no}: {' '.join(parts[3:])} is not a permutation of 0..{n - 1}")
-        edges.append(UGEdge(v, w, np.array(perm), weight))
-    return UGInstance(nv, n, edges, regularity_tol=regularity_tol)
+    labels: list = []
+    try:
+        for no, ln in lines[1:]:
+            parts = ln.split()
+            if len(parts) != n + 3:
+                raise ValueError(f"line {no}: expected `v w weight` and a permutation of {n} labels")
+            edge = (int(parts[0]), int(parts[1]), float(parts[2]))
+            perm = list(map(int, parts[3:]))
+            edges.append(edge)
+            labels += perm
+    except ValueError:
+        # a bad permutation on an earlier line is the first error
+        _check_permutations(labels, lines[1:len(edges) + 1], n)
+        raise
+    perms = _check_permutations(labels, lines[1:], n)
+    perms.setflags(write=False)
+    return UGInstance(nv, n, [UGEdge(v, w, perm, weight)
+                              for (v, w, weight), perm in zip(edges, perms)],
+                      regularity_tol=regularity_tol)
+
+
+def _check_permutations(labels: list, lines: list, n: int) -> np.ndarray:
+    """The labels of the edge `lines`, n per line, as one (lines, n) array;
+    ValueError naming the first line whose labels are not a permutation of
+    0..n-1."""
+    perms = _int_rows(labels, len(lines), n)
+    bad = np.flatnonzero(_not_permutations(perms, n))
+    if len(bad):
+        no, ln = lines[bad[0]]
+        raise ValueError(f"line {no}: {' '.join(ln.split()[3:])} is not a permutation of 0..{n - 1}")
+    return perms.astype(np.int64, copy=False)

@@ -13,6 +13,12 @@ paths against. None of them is used by the cutgap package itself.
   bit by bit, the oracle for the reindex tables of
   `cutgap.unique_games.EdgeDistribution` that the verifier's spectral
   formula reads.
+- `bes_expanded_text_loop`, `opt_exhaustive_loop` and `opt_search_loop`
+  (with `incidence`): the expanded separator export, the exhaustive UG
+  optimum and the UG local search written as loops over edges, point pairs
+  and labelings, the oracles for the array code of
+  `cutgap.separator.bes_to_text` and `cutgap.unique_games`; each sums in
+  the order the array code must keep.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cutgap.tensor import DEFAULT_INNER_POWER, GramCache
+from cutgap.unique_games import value
 
 DEFAULT_OUTER_POWER = 3
 
@@ -113,3 +120,88 @@ def _set_image_table(perm) -> np.ndarray:
     for i in range(n):
         out |= ((alphas >> i) & 1) << int(inv[i])
     return out
+
+
+def bes_expanded_text_loop(inst) -> str:
+    """The expanded `BES` export, one (edge, x, y') term at a time."""
+    n = inst.ug.num_labels
+    size = inst.block_size
+    eps = inst.epsilon
+    tables = inst.ug.edge_distribution.tables
+    accum: dict = {}
+    for e, p in zip(inst.ug.edges, inst.ug.edge_distribution.table_of):
+        table = tables[p]
+        for x in range(size):
+            for yp in range(size):
+                y = int(table[yp])
+                dist = bin(x ^ yp).count("1")
+                w = e.weight * (eps**dist) * (1 - eps) ** (n - dist) / size
+                a = (e.v, x)
+                b = (e.w, y)
+                key = (min(a, b), max(a, b))
+                accum[key] = accum.get(key, 0.0) + w
+    lines = [f"BES {inst.num_blocks} {n} {eps:.17g} expanded"]
+    for (a, b), w in sorted(accum.items()):
+        lines.append(f"{a[0]} {a[1]} {b[0]} {b[1]} {w:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def opt_exhaustive_loop(u):
+    """The first labeling of the highest value, scanning labeling numbers
+    in order (vertex i takes digit i in base N)."""
+    best_val = -1.0
+    best = None
+    lam = np.zeros(u.num_vertices, dtype=np.int64)
+    for code in range(u.num_labels**u.num_vertices):
+        c = code
+        for i in range(u.num_vertices):
+            lam[i] = c % u.num_labels
+            c //= u.num_labels
+        val = value(u, lam)
+        if val > best_val:
+            best_val = val
+            best = lam.copy()
+    return best, best_val
+
+
+def incidence(u):
+    """Per-vertex list of (other endpoint, weight, target-label map), in
+    edge order, self-loops left out.
+
+    For vertex v on edge (v, w, pi): label a satisfies iff a == pi[lam[w]].
+    For vertex w on that edge: label b satisfies iff lam[v] == pi[b].
+    """
+    inc = [[] for _ in range(u.num_vertices)]
+    for e in u.edges:
+        if e.v == e.w:
+            continue
+        inc[e.v].append((e.w, e.weight, e.perm))
+        inc[e.w].append((e.v, e.weight, np.argsort(e.perm)))
+    return inc
+
+
+def opt_search_loop(u, seed: int, restarts: int = 10):
+    """Greedy single-vertex relabeling from seeded random starts, each gain
+    summed one incident edge at a time."""
+    inc = incidence(u)
+    best = None
+    best_val = -1.0
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        lam = rng.integers(0, u.num_labels, size=u.num_vertices)
+        improved = True
+        while improved:
+            improved = False
+            for v in range(u.num_vertices):
+                gains = np.zeros(u.num_labels)
+                for other, wt, mapping in inc[v]:
+                    gains[mapping[lam[other]]] += wt
+                new_label = int(np.argmax(gains))
+                if gains[new_label] > gains[lam[v]] + 1e-15:
+                    lam[v] = new_label
+                    improved = True
+        val = value(u, lam)
+        if val > best_val:
+            best_val = val
+            best = lam.copy()
+    return best, best_val

@@ -401,3 +401,28 @@ def test_verify_malformed_basis_number_fails_cleanly(tmp_path, capsys, bad, expe
     code = main(["verify", "--basis-file", str(bfile)])
     assert code == 1
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("edits, expected", [
+    ([(1, 0, "12345678901234567890")],
+     "FAIL ug_structure edge endpoint out of range: 12345678901234567890,1\n"),
+    ([(2, 3, "0"), (2, 4, "0"), (2, 5, "2")],
+     "FAIL ug_structure line 3: 0 0 2 is not a permutation of 0..2\n"),
+    ([(2, 4, "1.5")], "FAIL ug_structure invalid literal for int() with base 10: '1.5'\n"),
+    ([(2, 3, "2"), (2, 4, "2"), (4, 5, "x")],
+     "FAIL ug_structure line 3: 2 2 1 is not a permutation of 0..2\n"),
+    ([(2, 3, "2"), (2, 4, "2"), (1, 2, "x")],
+     "FAIL ug_structure could not convert string to float: 'x'\n"),
+], ids=["endpoint_20_digits", "repeated_label", "non_integer_label",
+        "permutation_before_later_bad_number", "bad_number_before_later_permutation"])
+def test_verify_malformed_ug_line_fails_cleanly(tmp_path, capsys, edits, expected):
+    # the edge lines are parsed into whole arrays, and the record still
+    # names the first offending line, with a line's numbers checked before
+    # its permutation
+    ug_text, _ = _clean_texts()
+    for edit in edits:
+        ug_text = _replace_field(ug_text, *edit)
+    ug_file, _ = _pcp_files(tmp_path, ug_text=ug_text)
+    code = main(["verify", "--ug-file", ug_file])
+    assert code == 1
+    assert capsys.readouterr().out == expected

@@ -1,0 +1,172 @@
+"""Golden outputs of the build commands: the SHA-256 of every file that
+`build-ug` and `build-bes` write, and of what each prints, at seed 0.
+
+The cases are four points of the benchmark's k=2 (eta, epsilon) grid at
+t = 1 and t = 3, and k=3 at eta = epsilon = 0.3, t = 1; each runs
+`build-ug` and then `build-bes --ug-file` on its instance, as the
+benchmark does. The digests were taken before the build commands' loops
+over edges, labelings and text lines were replaced by array code, so a
+change to any written byte fails here. Regenerate them with
+`python3 tests/test_golden_outputs.py` only for a change that means to
+move an output, and say which bytes moved and why.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+
+import pytest
+
+from cutgap.cli import main
+
+CASES = {
+    "k2_eta0.15_eps0.15": (2, 0.15, 0.15, (1, 3)),
+    "k2_eta0.25_eps0.45": (2, 0.25, 0.45, (1, 3)),
+    "k2_eta0.35_eps0.25": (2, 0.35, 0.25, (1, 3)),
+    "k2_eta0.45_eps0.35": (2, 0.45, 0.35, (1, 3)),
+    "k3_eta0.3_eps0.3": (3, 0.3, 0.3, (1,)),
+}
+
+GOLDEN = {
+    'k2_eta0.15_eps0.15': {
+        't1/bes_instance.txt': '527349889210f67c718135a507b05d2af8f113c99dfbc8a08a8cdf7f3e01b86a',
+        't1/bes_summary.txt': 'f79aee9ccb8dad32b4348e9f25abdde8c095c4c04d70cd00279c7e7e36743628',
+        't1/best_cut.txt': '0e4647c405bec769659bbfd45dcf0c424486b01f6e0d1745dbb8a54580a7ce2a',
+        't1/gap_row.tsv': 'ac125f84035ba5505d78e73e55eb7508e3f5be9bfa2583e82ed2e44fabf6f9e3',
+        't1/stdout': 'f79aee9ccb8dad32b4348e9f25abdde8c095c4c04d70cd00279c7e7e36743628',
+        't3/bes_instance.txt': '527349889210f67c718135a507b05d2af8f113c99dfbc8a08a8cdf7f3e01b86a',
+        't3/bes_summary.txt': 'af862f89f96c42d7dec4834f06e02ce4702b399505850073abed2e7ae18e112e',
+        't3/best_cut.txt': '0e4647c405bec769659bbfd45dcf0c424486b01f6e0d1745dbb8a54580a7ce2a',
+        't3/gap_row.tsv': 'e3f71c1789b4e803db48f4006b7a53c3bf9950d67b92fa3af7466e3fac1b7f0e',
+        't3/stdout': 'af862f89f96c42d7dec4834f06e02ce4702b399505850073abed2e7ae18e112e',
+        'ug/basis.txt': 'df5a8c7da5967b9dd59f9d802b5929ebe7dc587b5459062ba50b6d9292f972a6',
+        'ug/quotient_meta.txt': 'e1cad471e71210027795f3957058fc7a8e224ba431e93efe210f80d2838bfb4a',
+        'ug/stdout': '98b0ce20a6ade32bc9768e329e4aa8f598dff793d0e3377d40a9a2520bbb5f7d',
+        'ug/summary.txt': '98b0ce20a6ade32bc9768e329e4aa8f598dff793d0e3377d40a9a2520bbb5f7d',
+        'ug/ug_instance.txt': 'cfa946c2a6218e19374ec9fc01438130bb3b834b458fcc2bc920fd25fef7adfb',
+        'ug/ug_report.tsv': '663f91fc3172f783cd6b38f510ae4adaecb41e84b5e86a6e27a87edb7c3c5603',
+    },
+    'k2_eta0.25_eps0.45': {
+        't1/bes_instance.txt': 'afd2ef8537394f4107b9cc209cc51106ef33b9bb480f1d1d14c56e50cfcdc870',
+        't1/bes_summary.txt': 'f75a41dacb3296ae92e7078432085c796ea641348bee75463431978ef0a51245',
+        't1/best_cut.txt': 'd1151537c798572e2769f7812e12db07124fa09d49b53384011761a6081e6566',
+        't1/gap_row.tsv': '990878863f2d98868fb9f5a8a616fb3ad38f64f08d40f9d1e874bfbe10885baa',
+        't1/stdout': 'f75a41dacb3296ae92e7078432085c796ea641348bee75463431978ef0a51245',
+        't3/bes_instance.txt': 'afd2ef8537394f4107b9cc209cc51106ef33b9bb480f1d1d14c56e50cfcdc870',
+        't3/bes_summary.txt': '0efe40e6e7183a7f55e01bd5add0de37205664b434b715f2037d2dbcc9441385',
+        't3/best_cut.txt': 'd1151537c798572e2769f7812e12db07124fa09d49b53384011761a6081e6566',
+        't3/gap_row.tsv': 'c4b7679a1da94e421bdbe7a460b64790a7afad38aa2db9654d780419c9c487ff',
+        't3/stdout': '0efe40e6e7183a7f55e01bd5add0de37205664b434b715f2037d2dbcc9441385',
+        'ug/basis.txt': 'df5a8c7da5967b9dd59f9d802b5929ebe7dc587b5459062ba50b6d9292f972a6',
+        'ug/quotient_meta.txt': '248d83f3902f34676d75e6843e6da7fcc21c82b1009b8f65ae4bd7c79b1b2886',
+        'ug/stdout': 'c62290f3757b39725752f0186c6a8967b73f690ae1764d011da8d4269baff066',
+        'ug/summary.txt': 'c62290f3757b39725752f0186c6a8967b73f690ae1764d011da8d4269baff066',
+        'ug/ug_instance.txt': 'fb6c905a139f3e2d73af0836e1667893a6237f3f2507e3b027f68f1c4a6f9c17',
+        'ug/ug_report.tsv': 'c9104d5bc57f296fa14c8ee479b84cd76b410676985f2d4adb95c11a8ee341c9',
+    },
+    'k2_eta0.35_eps0.25': {
+        't1/bes_instance.txt': '7f56a0dda9b7e813d83cc21d78ae4c01b337c2bf6328497d9eacb6745087a2d7',
+        't1/bes_summary.txt': '674a1311817351ce8a60797a291060214c21f4eb9448e826c1373c20281c8d86',
+        't1/best_cut.txt': '0e4647c405bec769659bbfd45dcf0c424486b01f6e0d1745dbb8a54580a7ce2a',
+        't1/gap_row.tsv': 'ffaeba7c91b76cdfe678d767e55b944785a1e609d9f8245cf7eeb3503e21c972',
+        't1/stdout': '674a1311817351ce8a60797a291060214c21f4eb9448e826c1373c20281c8d86',
+        't3/bes_instance.txt': '7f56a0dda9b7e813d83cc21d78ae4c01b337c2bf6328497d9eacb6745087a2d7',
+        't3/bes_summary.txt': '14eac12427b9b45379eb3d382589b991d413aff4f0b5ea5e7ca031562d1846dd',
+        't3/best_cut.txt': '0e4647c405bec769659bbfd45dcf0c424486b01f6e0d1745dbb8a54580a7ce2a',
+        't3/gap_row.tsv': '3acae4607b1746fb46e7e19f9a566f1ab7f04858b7f2953129f4d1611079dced',
+        't3/stdout': '14eac12427b9b45379eb3d382589b991d413aff4f0b5ea5e7ca031562d1846dd',
+        'ug/basis.txt': 'df5a8c7da5967b9dd59f9d802b5929ebe7dc587b5459062ba50b6d9292f972a6',
+        'ug/quotient_meta.txt': '215eaef544ff227541be91c99c57fcc7fbe3654360a78f865760ea3c659f366f',
+        'ug/stdout': 'ca437db0a91d58aa90271e35b4262a3359e3263be4011baa7945a57199e26f89',
+        'ug/summary.txt': 'ca437db0a91d58aa90271e35b4262a3359e3263be4011baa7945a57199e26f89',
+        'ug/ug_instance.txt': 'acc51e307a591bec40be2d7f1820785e96f9209decb58ddc668653b13d4f1734',
+        'ug/ug_report.tsv': 'a1f8481a57787a204d0b858fe9450f59271b550b5fcff9ce25478b8d7c4e6b46',
+    },
+    'k2_eta0.45_eps0.35': {
+        't1/bes_instance.txt': '71cde7775581caec728cd2a5673ea336fb089b040f1a22e5e98fac2661f7dcdf',
+        't1/bes_summary.txt': '448d481e2eacdce67816c15da7fc967fb7d27641cba632cf7d132ac3189f778e',
+        't1/best_cut.txt': 'd1151537c798572e2769f7812e12db07124fa09d49b53384011761a6081e6566',
+        't1/gap_row.tsv': '2a86947d3a91f037fb9dc6e417d1f71723a28fd640e12480edec13b6213976c0',
+        't1/stdout': '448d481e2eacdce67816c15da7fc967fb7d27641cba632cf7d132ac3189f778e',
+        't3/bes_instance.txt': '71cde7775581caec728cd2a5673ea336fb089b040f1a22e5e98fac2661f7dcdf',
+        't3/bes_summary.txt': 'df451ea6ec431830a23598450b1d10a4d91b72d75f63c880ef763ee6502cc24d',
+        't3/best_cut.txt': 'd1151537c798572e2769f7812e12db07124fa09d49b53384011761a6081e6566',
+        't3/gap_row.tsv': '14ee60e7fab19aa7b05fd4f344dabb973d91d5da53b1b638470d86e4f476945c',
+        't3/stdout': 'df451ea6ec431830a23598450b1d10a4d91b72d75f63c880ef763ee6502cc24d',
+        'ug/basis.txt': 'df5a8c7da5967b9dd59f9d802b5929ebe7dc587b5459062ba50b6d9292f972a6',
+        'ug/quotient_meta.txt': '771687573f5c037e370ac9a3c5a898b5221ddd90fb1e875ade20e828da32095a',
+        'ug/stdout': 'ff2a1aba9a87d06e58f68e5115bf49de59a3446a815941f95019f97a893fac64',
+        'ug/summary.txt': 'ff2a1aba9a87d06e58f68e5115bf49de59a3446a815941f95019f97a893fac64',
+        'ug/ug_instance.txt': 'f321411e37126f790a90bde63ea6a94ac37335507508dca0b1c3bb419858be51',
+        'ug/ug_report.tsv': '0985763f15102f884439a1b6c02842d238045ba7bbe40666bf97d98ab3954ee5',
+    },
+    'k3_eta0.3_eps0.3': {
+        't1/bes_instance.txt': '8443caa4f535205ce3b0e204ad72de351c6a08f36fa038d0063696e4c040a72c',
+        't1/bes_summary.txt': '6442d6a479e3f8810311a9e730b13f7d962547c4ca521424d4c1c7fd4060aa75',
+        't1/best_cut.txt': 'a3054ac32da280449be49e8f21bb1ae43fe369e563c14826f6cdec55fc8c49a2',
+        't1/gap_row.tsv': 'e75e2ee14b7528c9178d0f82349a2090b27354a5edaad8d3194cb9fd06bb699b',
+        't1/stdout': '6442d6a479e3f8810311a9e730b13f7d962547c4ca521424d4c1c7fd4060aa75',
+        'ug/basis.txt': 'c6397897f84b0e51e7e0deb2f207a9487d46dfd764af9dfb5960206f217c743d',
+        'ug/quotient_meta.txt': 'e6838536dc36d747239ba0351251dd52d5bbfaa858c214e7482ed044bd4d7ee7',
+        'ug/stdout': '01d295b71e3e7f0a7cbfab6cc6d86a39d9311633b0612d13c61b28774e59339d',
+        'ug/summary.txt': '01d295b71e3e7f0a7cbfab6cc6d86a39d9311633b0612d13c61b28774e59339d',
+        'ug/ug_instance.txt': '6c4d82813cd0671c1e91a8f56aaea5b997a8d807ab51948854c179693f3384fa',
+        'ug/ug_report.tsv': '3edf529ca4ea5167ba8a8e60827daef3176c9c692f3b91bdd961aa8a4ae9c489',
+    },
+}
+
+
+def _sha(data: str) -> str:
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
+def run_case(root: str, k: int, eta: float, epsilon: float, ts) -> dict:
+    """Digest of every file written under `root` and of each command's
+    stdout, keyed by relative path (`<dir>/stdout` for the stdout)."""
+    ug_dir = os.path.join(root, "ug")
+    argvs = {"ug": ["build-ug", "--k", str(k), "--eta", str(eta), "--seed", "0",
+                    "--out", ug_dir]}
+    for t in ts:
+        argvs[f"t{t}"] = [
+            "build-bes", "--k", str(k), "--eta", str(eta), "--epsilon", str(epsilon),
+            "--t", str(t), "--seed", "0",
+            "--ug-file", os.path.join(ug_dir, "ug_instance.txt"),
+            "--out", os.path.join(root, f"t{t}")]
+    digests = {}
+    for name, argv in argvs.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        assert code == 0, buf.getvalue()
+        digests[f"{name}/stdout"] = _sha(buf.getvalue())
+    for dirpath, _, files in os.walk(root):
+        for f in files:
+            path = os.path.join(dirpath, f)
+            with open(path) as fh:
+                digests[os.path.relpath(path, root).replace(os.sep, "/")] = _sha(fh.read())
+    return dict(sorted(digests.items()))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_build_outputs_match_golden_digests(tmp_path, case):
+    assert run_case(str(tmp_path), *CASES[case]) == GOLDEN[case]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    out = {}
+    for case in sorted(CASES):
+        with tempfile.TemporaryDirectory() as d:
+            out[case] = run_case(d, *CASES[case])
+    sys.stdout.write("GOLDEN = {\n")
+    for case, digests in out.items():
+        sys.stdout.write(f"    {case!r}: {{\n")
+        for name, h in digests.items():
+            sys.stdout.write(f"        {name!r}: {h!r},\n")
+        sys.stdout.write("    },\n")
+    sys.stdout.write("}\n")

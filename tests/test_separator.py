@@ -31,7 +31,7 @@ from cutgap.verifier import (
     dictator_tables,
     piecewise_balance,
 )
-from oracles import BESVectorHandle, _set_image_table, bes_inner
+from oracles import BESVectorHandle, _set_image_table, bes_expanded_text_loop, bes_inner
 
 
 def kv_fixture(k=2, eta=0.3, eps=0.3, l_in=8, t=1):
@@ -524,6 +524,50 @@ def test_mc_cut_weight_pinned():
     tables = np.random.default_rng(11).choice([-1, 1], size=(6, 16)).astype(np.int8)
     assert cut_edge_weight_mc(build_bes(u, 0.2), tables.ravel(), samples=40000, seed=13) == (
         0.503275, 0.0024999463712997924, True)
+
+
+def _disagreements_with_product_mu(d, blocks, samples, seed, epsilon):
+    """The sampler as it drew mu before: the (batch, N) int64 product of the
+    flip indicators and the bit weights, summed by rows."""
+    rng = np.random.default_rng(seed)
+    n = d.num_labels
+    p = d.weight / d.weight.sum()
+    bit_weights = 1 << np.arange(n, dtype=np.int64)
+    count = done = 0
+    while done < samples:
+        batch = min(samples - done, 1 << 16)
+        ei = rng.choice(len(p), p=p, size=batch)
+        x = rng.integers(0, 1 << n, size=batch)
+        mu = ((rng.random((batch, n)) < epsilon) * bit_weights).sum(axis=1)
+        y = d.tables[d.table_of[ei], x ^ mu]
+        count += int(np.sum(blocks[d.v[ei], x] != blocks[d.w[ei], y]))
+        done += batch
+    return count
+
+
+@pytest.mark.parametrize("k, pinned", [(2, [34645, 34533, 34515]),
+                                       (3, [35129, 35125, 35169])])
+def test_mc_disagreements_match_the_product_form(k, pinned):
+    # the product with narrow unsigned bit weights gives the same flip
+    # patterns from the same draws; 70000 samples take two batches, and the
+    # pinned counts are the int64-product sampler's
+    _, _, inst, _ = kv_fixture(k=k)
+    d = inst.ug.edge_distribution
+    blocks = np.random.default_rng(5).choice([-1, 1], size=(inst.num_blocks, inst.block_size))
+    counts = [d.sample_disagreements(blocks, 70000, seed, 0.3) for seed in (0, 1, 7)]
+    assert counts == [_disagreements_with_product_mu(d, blocks, 70000, seed, 0.3)
+                      for seed in (0, 1, 7)]
+    assert counts == pinned
+
+
+@pytest.mark.parametrize("eta", [0.15, 0.25, 0.35, 0.45])
+def test_expanded_export_equals_the_pair_loop(eta):
+    # every k=2 (eta, epsilon) pair of the benchmark's sweep grid: the array
+    # export sums each pair's weights in the loop's (edge, x, y') order
+    u, _, _ = build_kv_instance(2, eta)
+    for eps in (0.15, 0.25, 0.35, 0.45):
+        inst = build_bes(u, eps)
+        assert bes_to_text(inst, expanded=True) == bes_expanded_text_loop(inst)
 
 
 def test_within_block_grams_are_the_distance_formula_k3():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,9 @@ from cutgap.unique_games import (
     ug_to_text,
     value,
 )
+from cutgap.quotient import build_kv_instance
+
+from oracles import opt_exhaustive_loop, opt_search_loop
 
 
 def single_edge_instance(n_labels=2, perm=None):
@@ -213,3 +218,55 @@ def test_from_text_rejects_garbage():
 def test_from_text_names_the_bad_line(text, line):
     with pytest.raises(ValueError, match=f"^line {line}: "):
         ug_from_text(text)
+
+
+@pytest.mark.parametrize("k, eta", [(3, 0.1), (3, 0.3), (2, 0.15), (2, 0.3)])
+def test_opt_search_equals_the_per_edge_loop(k, eta):
+    # per-vertex incidence arrays and one bincount per vertex give the
+    # loop's gains, summed in the same edge order
+    u, _, _ = build_kv_instance(k, eta)
+    for seed in (0, 1, 7):
+        lam, val = opt_search(u, seed=seed)
+        lam_loop, val_loop = opt_search_loop(u, seed=seed)
+        assert np.array_equal(lam, lam_loop) and val == val_loop
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_opt_exhaustive_equals_the_labeling_scan(seed):
+    # at 2 labels swapping both labels everywhere keeps every edge's
+    # verdict, so each optimum ties with its complement; with 91 edges a
+    # chunk holds 2^20 // 91 labelings, fewer than the 2^14 in all, and at
+    # these seeds the two tied labelings fall in different chunks
+    u, _ = plant_instance(14, 2, 0.3, 1.0, seed=seed)
+    chunk = (1 << 20) // len(u.edges)
+    lam, val = opt_exhaustive(u)
+    lam_loop, val_loop = opt_exhaustive_loop(u)
+    assert np.array_equal(lam, lam_loop) and val == val_loop
+    code = int(lam @ 2 ** np.arange(14))
+    assert value(u, 1 - lam) == val and code < 2**14 - 1 - code
+    assert 2**14 > chunk and code // chunk != (2**14 - 1 - code) // chunk
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_opt_exhaustive_equals_the_labeling_scan_planted(seed):
+    u, _ = plant_instance(6, 3, 0.2, 0.8, seed=seed)
+    lam, val = opt_exhaustive(u)
+    lam_loop, val_loop = opt_exhaustive_loop(u)
+    assert np.array_equal(lam, lam_loop) and val == val_loop
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([UGEdge(0, 1, [0, 0, 1], 0.5), UGEdge(0, 5, np.arange(3), 0.5)],
+     "perm on edge (0,1) is not a bijection"),
+    ([UGEdge(0, 1, np.arange(3), 0.5), UGEdge(-1, 1, [0, 0, 1], 0.5)],
+     "edge endpoint out of range: -1,1"),
+    ([UGEdge(0, 1, np.arange(3), 0.5), UGEdge(0, 1, [2, 2, 2], float("inf"))],
+     "edge (0,1) weight inf is not finite and nonnegative"),
+    ([UGEdge(0, 1, [0, 1], 1.0)], "perm on edge (0,1) is not a bijection"),
+    ([UGEdge(2**70, 1, np.arange(3), 1.0)], f"edge endpoint out of range: {2**70},1"),
+])
+def test_instance_checks_name_the_first_bad_edge(edges, message):
+    # the checks run on whole arrays; the error is the one a scan over the
+    # edges meets first (endpoints, then weight, then permutation per edge)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        UGInstance(2, 3, edges)
