@@ -113,7 +113,7 @@ def cmd_build_ug(args) -> int:
         f"eta\t{_fmt(cfg.eta)}",
         f"vertices\t{inst.num_vertices}",
         f"labels\t{inst.num_labels}",
-        f"edges\t{len(inst.edges)}",
+        f"edges\t{inst.num_edges}",
         f"opt_kind\t{opt_kind}",
         f"opt_value\t{_fmt(opt_val)}",
         f"opt_labeling\t{' '.join(str(int(v)) for v in lam)}",
@@ -135,7 +135,7 @@ def cmd_build_ug(args) -> int:
 
     summary = [
         f"gap instance: k={cfg.k} eta={_fmt(cfg.eta)} -> "
-        f"{inst.num_vertices} vertices, {inst.num_labels} labels, {len(inst.edges)} edges",
+        f"{inst.num_vertices} vertices, {inst.num_labels} labels, {inst.num_edges} edges",
         f"opt ({opt_kind}): {_fmt(opt_val)}  reference curves: "
         + ", ".join(f"{k2}={_fmt(v)}" for k2, v in curves.items()),
         f"SDP objective: {_fmt(objective)} (objective - opt = {_fmt(objective - opt_val)};"
@@ -243,19 +243,16 @@ def cmd_verify(args) -> int:
             with open(args.ug_file) as fh:
                 inst = ug.ug_from_text(fh.read())
             print(f"OK ug_structure vertices={inst.num_vertices} "
-                  f"labels={inst.num_labels} edges={len(inst.edges)}")
+                  f"labels={inst.num_labels} edges={inst.num_edges}")
         except ValueError as exc:
             failures.append(("ug_structure", str(exc)))
         if inst is not None:
             # value invariance under a global relabeling
             sigma = rng.permutation(inst.num_labels)
             inv = np.argsort(sigma)
-            d = inst.edge_distribution
-            perms = sigma[d.perms[:, inv]][d.table_of]
             relabeled = ug.UGInstance(
-                inst.num_vertices, inst.num_labels,
-                [ug.UGEdge(e.v, e.w, perm, e.weight) for e, perm in zip(inst.edges, perms)],
-                regularity_tol=1e-6,
+                inst.num_vertices, inst.num_labels, inst.v, inst.w, inst.weight,
+                sigma[inst.perm[:, inv]], regularity_tol=1e-6,
             )
             for _ in range(5):
                 lam = rng.integers(0, inst.num_labels, size=inst.num_vertices)

@@ -188,7 +188,8 @@ def l1_distortion_lp(metric: FiniteMetric, n_max: int = DEFAULT_LP_POINT_LIMIT) 
     Minimizes Gamma over nonnegative cut weights lambda with
     d <= sum lambda delta_S <= Gamma d, solved by the dense simplex.
     Zero-distance point classes are contracted first (distortion-preserving).
-    The returned certificate holds the complementary-slackness residuals.
+    The returned certificate holds the complementary-slackness residuals;
+    a simplex status other than optimal raises ValueError.
     """
     if metric.n > n_max:
         raise ValueError(
@@ -216,7 +217,7 @@ def l1_distortion_lp(metric: FiniteMetric, n_max: int = DEFAULT_LP_POINT_LIMIT) 
     start = np.append(np.flatnonzero((sizes == 1) | (sizes == len(classes) - 1)), len(bits))
     res = solve_lp(c, A, b, start=start)
     if res.status != "optimal":
-        raise RuntimeError(f"distortion LP did not solve: {res.status}")
+        raise ValueError(f"distortion LP did not solve: {res.status}")
     weights = res.x[:-1]
     decomposition = CutDecomposition(
         [

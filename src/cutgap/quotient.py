@@ -33,7 +33,7 @@ import numpy as np
 
 from .hypercube import NoisyHypercube, typical_window
 from .tensor import base_gram, shift_covariance_residual
-from .unique_games import UGEdge, UGInstance
+from .unique_games import UGInstance
 
 __all__ = [
     "QuotientStructure",
@@ -84,11 +84,6 @@ class QuotientStructure:
     @property
     def num_classes(self) -> int:
         return (1 << self.N) // self.N
-
-    def representative(self, class_index: int) -> int:
-        if self.reps is not None:
-            return int(self.reps[class_index])
-        raise ValueError("lazy quotient does not enumerate classes")
 
     def class_of(self, code: int):
         """Return (class id, shift s) with code == rep(class) xor masks[s].
@@ -164,24 +159,24 @@ def build_kv_instance(k: int, eta: float, window: str = "typical",
     cube = NoisyHypercube(N, eta, window=win, renormalized=True)
     profile = cube.weight_profile()
     m = q.num_classes
-    labels = np.arange(N, dtype=np.int64)
-    edges = []
+    # one row per edge: (v, w, shift c, weight); the permutation is XOR by c
+    columns = []
     for i in range(m):
         rep_i = int(q.reps[i])
         # self-bundles: pairs {g, g*chi_c} all at distance popcount(masks[c])
         for c in range(1, N):
             d = int(np.bitwise_count(q.masks[c]))
             if profile[d] > 0:
-                perm = labels ^ c
-                edges.append(UGEdge(i, i, perm, (N / 2) * float(profile[d])))
+                columns.append((i, i, c, (N / 2) * float(profile[d])))
         for j in range(i + 1, m):
             rep_j = int(q.reps[j])
             for c in range(N):
                 d = int(np.bitwise_count(np.uint64(rep_i ^ rep_j) ^ q.masks[c]))
                 if profile[d] > 0:
-                    perm = labels ^ c
-                    edges.append(UGEdge(i, j, perm, N * float(profile[d])))
-    u = UGInstance(m, N, edges, regularity_tol=1e-9)
+                    columns.append((i, j, c, N * float(profile[d])))
+    v, w, shift, weight = zip(*columns)
+    perm = np.array(shift, dtype=np.int64)[:, None] ^ np.arange(N, dtype=np.int64)
+    u = UGInstance(m, N, v, w, weight, perm, regularity_tol=1e-9)
     return u, q, cube
 
 

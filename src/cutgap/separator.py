@@ -224,12 +224,13 @@ def sdp_objective_closed_form_t1(inst: BESInstance, assign: BESVectorAssignment)
     label pairs survive in expectation, each damped by (1 - 2 eps)."""
     if assign.t != 1:
         raise ValueError("closed form only holds at t = 1")
-    n = inst.ug.num_labels
+    u = inst.ug
+    n = u.num_labels
     mean_inner = 0.0
-    for e in inst.ug.edges:
-        m = assign.cache.gram(e.v, e.w)
-        matched = m[e.perm, np.arange(n)]
-        mean_inner += e.weight * (1 - 2 * inst.epsilon) * float(np.sum(matched)) / n
+    for v, w, perm, weight in zip(u.v.tolist(), u.w.tolist(), u.perm, u.weight.tolist()):
+        m = assign.cache.gram(v, w)
+        matched = m[perm, np.arange(n)]
+        mean_inner += weight * (1 - 2 * inst.epsilon) * float(np.sum(matched)) / n
     return (1.0 - mean_inner) / 2.0
 
 

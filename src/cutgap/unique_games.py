@@ -18,7 +18,6 @@ import numpy as np
 from .fourier import apply_noise_kernel
 
 __all__ = [
-    "UGEdge",
     "UGInstance",
     "EdgeDistribution",
     "BudgetExceededError",
@@ -44,54 +43,50 @@ class BudgetExceededError(ValueError):
 
 
 @dataclass(frozen=True)
-class UGEdge:
-    v: int
-    w: int
-    perm: np.ndarray  # lam[v] = perm[lam[w]] satisfies
-    weight: float
-
-    def __post_init__(self):
-        perm = np.asarray(self.perm, dtype=np.int64)
-        object.__setattr__(self, "perm", perm)
-        perm.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class UGInstance:
+    """Edge e joins v[e] and w[e] with weight weight[e] and permutation
+    perm[e], one row of the (|E|, N) array: lam[v] = perm[lam[w]]
+    satisfies it. The columns are validated and stored as read-only
+    arrays, the one form of the edges."""
+
     num_vertices: int
     num_labels: int
-    edges: tuple
+    v: np.ndarray
+    w: np.ndarray
+    weight: np.ndarray
+    perm: np.ndarray
     regularity_tol: float = 1e-9
 
     def __post_init__(self):
-        edges = tuple(self.edges)
-        object.__setattr__(self, "edges", edges)
         n = self.num_labels
-        ends = _int_rows([(e.v, e.w) for e in edges], len(edges), 2)
-        weight = np.array([e.weight for e in edges], dtype=np.float64)
-        fits = np.array([len(e.perm) == n for e in edges], dtype=bool)
-        perms = np.array([e.perm for e, f in zip(edges, fits) if f], dtype=np.int64)
-        perms = perms.reshape(int(fits.sum()), max(n, 0))
+        # endpoints stay exact integers (an object array past int64) until
+        # the range check, so an error names the endpoint as given
+        v, w = _int_array(self.v), _int_array(self.w)
+        weight = np.array(self.weight, dtype=np.float64)
+        perm = np.array(self.perm, dtype=np.int64)
+        if perm.shape[1:] != (n,) or not len(v) == len(w) == len(weight) == len(perm):
+            raise ValueError(f"edge columns of lengths {len(v)}, {len(w)}, {len(weight)} and "
+                             f"permutations of shape {perm.shape}: need one row of width "
+                             f"N = {n} per edge")
         # the checks run on whole arrays; an error names the first offending
         # edge and, on it, the first failing check in this order
-        bad_end = ((ends < 0) | (ends >= self.num_vertices)).any(axis=1).astype(bool)
+        bad_end = (v < 0) | (v >= self.num_vertices) | (w < 0) | (w >= self.num_vertices)
         bad_weight = ~((weight >= 0) & (weight < np.inf))
-        bad_perm = ~fits
-        bad_perm[fits] = _not_permutations(perms, n)
-        first = np.flatnonzero(bad_end | bad_weight | bad_perm)
+        bad_perm = _not_permutations(perm, n)
+        first = np.flatnonzero(bad_end.astype(bool) | bad_weight | bad_perm)
         if len(first):
             i = first[0]
-            e = edges[i]
             if bad_end[i]:
-                raise ValueError(f"edge endpoint out of range: {e.v},{e.w}")
+                raise ValueError(f"edge endpoint out of range: {v[i]},{w[i]}")
             if bad_weight[i]:
                 raise ValueError(
-                    f"edge ({e.v},{e.w}) weight {e.weight} is not finite and nonnegative")
-            raise ValueError(f"perm on edge ({e.v},{e.w}) is not a bijection")
+                    f"edge ({v[i]},{w[i]}) weight {weight[i]} is not finite and nonnegative")
+            raise ValueError(f"perm on edge ({v[i]},{w[i]}) is not a bijection")
+        v, w = v.astype(np.int64, copy=False), w.astype(np.int64, copy=False)
         # running sums in edge order from 0.0, as a loop over the edges adds
         total = float(np.cumsum(np.append(0.0, weight))[-1])
         # self-loops intentionally count twice
-        degree = np.bincount(ends.ravel(), weights=np.repeat(weight, 2),
+        degree = np.bincount(np.stack([v, w], axis=1).ravel(), weights=np.repeat(weight, 2),
                              minlength=self.num_vertices)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"edge weights sum to {total}, expected 1")
@@ -100,32 +95,36 @@ class UGInstance:
                 f"weighted degree spread {degree.max() - degree.min():.3g} "
                 f"exceeds tolerance {self.regularity_tol:.3g}"
             )
-        object.__setattr__(self, "_edge_arrays", (*ends.T.copy(), weight, perms))
+        for name, a in (("v", v), ("w", w), ("weight", weight), ("perm", perm)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.weight)
 
     @cached_property
     def edge_distribution(self) -> "EdgeDistribution":
-        """The two-query Long Code test's query distribution, built once;
-        the one array form of the edges."""
-        v, w, weight, edge_perms = self._edge_arrays
-        perms, table_of = np.unique(edge_perms, axis=0, return_inverse=True)
+        """The two-query Long Code test's query distribution, built once
+        from the edge columns."""
+        perms, table_of = np.unique(self.perm, axis=0, return_inverse=True)
         z = np.arange(1 << self.num_labels, dtype=np.int64)
         bits = (z >> perms[:, :, None]) & 1  # [p, i, z] = bit perm_p(i) of z
         tables = np.sum(bits << np.arange(self.num_labels)[:, None], axis=1)
-        arrays = (v, w, weight, perms, tables, table_of.ravel())
-        for a in arrays:
+        table_of = table_of.ravel()
+        for a in (perms, tables, table_of):
             a.setflags(write=False)
-        return EdgeDistribution(self.num_labels, *arrays)
+        return EdgeDistribution(self.num_labels, self.v, self.w, self.weight,
+                                perms, tables, table_of)
 
 
-def _int_rows(values: list, rows: int, width: int) -> np.ndarray:
-    """Python integers, in rows or flat, as a (rows, width) array: int64, or
-    object when an entry does not fit int64 (it compares as the exact
-    integer)."""
+def _int_array(values) -> np.ndarray:
+    """Integers as an int64 array, or as an object array when an entry does
+    not fit int64 (it compares as the exact integer)."""
     try:
-        out = np.array(values, dtype=np.int64)
+        return np.array(values, dtype=np.int64)
     except OverflowError:
-        out = np.array(values, dtype=object)
-    return out.reshape(rows, width)
+        return np.array(values, dtype=object)
 
 
 def _not_permutations(perms: np.ndarray, n: int) -> np.ndarray:
@@ -314,7 +313,7 @@ def plant_instance(num_vertices: int, num_labels: int, eta: float,
     hidden = rng.integers(0, num_labels, size=num_vertices)
     n_bad = int(np.floor(eta * len(pairs))) if num_labels > 1 else 0
     bad = set(rng.choice(len(pairs), size=n_bad, replace=False).tolist())
-    edges = []
+    perms = np.empty((len(pairs), num_labels), dtype=np.int64)
     for idx, (v, w) in enumerate(pairs):
         perm = rng.permutation(num_labels)
         # place hidden consistency: perm[hidden[w]] == hidden[v]
@@ -326,28 +325,32 @@ def plant_instance(num_vertices: int, num_labels: int, eta: float,
             perm[hidden[w]], perm[other] = perm[other], perm[hidden[w]]
             if perm[hidden[w]] == hidden[v]:  # swap landed the same value back
                 raise AssertionError("derangement failed")
-        edges.append(UGEdge(v, w, perm, weight))
-    u = UGInstance(num_vertices, num_labels, edges, regularity_tol=1e-6)
+        perms[idx] = perm
+    v, w = np.array(pairs, dtype=np.int64).T
+    u = UGInstance(num_vertices, num_labels, v, w, np.full(len(pairs), weight), perms,
+                   regularity_tol=1e-6)
     return u, hidden
 
 
 def label_extended_graph(u: UGInstance):
     """Blow-up on V x [N]: edge (v, w, pi, wt) becomes the N label edges
-    {(v, pi(i)), (w, i)} each of weight wt, coincident edges summed.
+    {(v, pi(i)), (w, i)} each of weight wt, coincident edges summed in
+    (edge, label) order.
 
-    Vertices are flattened as v * N + label. Total weight is N.
+    Vertices are flattened as v * N + label. Returns (lo, hi, weight)
+    arrays, one entry per distinct label edge lo < hi, sorted by (lo, hi).
+    Total weight is N.
     """
     n = u.num_labels
-    out: dict = {}
-    for e in u.edges:
-        for i in range(n):
-            a = e.v * n + int(e.perm[i])
-            b = e.w * n + i
-            if a == b:
-                raise ValueError("label-extended self-loop (fixed point on a loop edge)")
-            key = (min(a, b), max(a, b))
-            out[key] = out.get(key, 0.0) + e.weight
-    return out
+    a = (u.v[:, None] * n + u.perm).ravel()
+    b = (u.w[:, None] * n + np.arange(n)).ravel()
+    if np.any(a == b):
+        raise ValueError("label-extended self-loop (fixed point on a loop edge)")
+    size = u.num_vertices * n
+    keys, index = np.unique(np.minimum(a, b) * size + np.maximum(a, b), return_inverse=True)
+    # bincount adds each key's terms in input order from 0.0, as a dict would
+    weight = np.bincount(index.ravel(), weights=np.repeat(u.weight, n))
+    return keys // size, keys % size, weight
 
 
 def labeling_set_expansion_identity(u: UGInstance, lam):
@@ -359,20 +362,16 @@ def labeling_set_expansion_identity(u: UGInstance, lam):
     """
     lam = np.asarray(lam, dtype=np.int64)
     val = value(u, lam)
-    lext = label_extended_graph(u)
-    n = u.num_labels
-    in_set = set(int(v * n + lam[v]) for v in range(u.num_vertices))
-    degree = {}
-    stay = {}
-    for (a, b), wt in lext.items():
-        degree[a] = degree.get(a, 0.0) + wt
-        degree[b] = degree.get(b, 0.0) + wt
-        if a in in_set and b in in_set:
-            stay[a] = stay.get(a, 0.0) + wt
-            stay[b] = stay.get(b, 0.0) + wt
-    one_minus_phi = sum(
-        stay.get(x, 0.0) / degree[x] for x in in_set
-    ) / len(in_set)
+    lo, hi, weight = label_extended_graph(u)
+    size = u.num_vertices * u.num_labels
+    members = np.arange(u.num_vertices) * u.num_labels + lam
+    in_set = np.zeros(size, dtype=bool)
+    in_set[members] = True
+    ends = np.concatenate([lo, hi])
+    inside = np.where(in_set[lo] & in_set[hi], weight, 0.0)
+    degree = np.bincount(ends, weights=np.tile(weight, 2), minlength=size)
+    stay = np.bincount(ends, weights=np.tile(inside, 2), minlength=size)
+    one_minus_phi = float(np.sum(stay[members] / degree[members])) / len(members)
     return val, one_minus_phi
 
 
@@ -381,7 +380,7 @@ def ug_to_text(u: UGInstance) -> str:
     `v w weight pi(0) ... pi(N-1)` with 17-significant-digit weights."""
     d = u.edge_distribution
     perm_text = [" ".join(map(str, p)) for p in d.perms.tolist()]
-    lines = [f"UG {u.num_labels} {u.num_vertices} {len(u.edges)}"]
+    lines = [f"UG {u.num_labels} {u.num_vertices} {u.num_edges}"]
     lines += [f"{v} {w} {weight:.17g} {perm_text[p]}" for v, w, weight, p in
               zip(d.v.tolist(), d.w.tolist(), d.weight.tolist(), d.table_of.tolist())]
     return "\n".join(lines) + "\n"
@@ -402,7 +401,8 @@ def ug_from_text(text: str, regularity_tol: float = 1e-9) -> UGInstance:
     n, nv, ne = int(head[1]), int(head[2]), int(head[3])
     if len(lines) - 1 != ne:
         raise ValueError(f"expected {ne} edge lines, found {len(lines) - 1}")
-    edges = []
+    # Python lists until the constructor: an endpoint past int64 stays exact
+    v, w, weight = [], [], []
     labels: list = []
     try:
         for no, ln in lines[1:]:
@@ -411,24 +411,23 @@ def ug_from_text(text: str, regularity_tol: float = 1e-9) -> UGInstance:
                 raise ValueError(f"line {no}: expected `v w weight` and a permutation of {n} labels")
             edge = (int(parts[0]), int(parts[1]), float(parts[2]))
             perm = list(map(int, parts[3:]))
-            edges.append(edge)
+            v.append(edge[0])
+            w.append(edge[1])
+            weight.append(edge[2])
             labels += perm
     except ValueError:
         # a bad permutation on an earlier line is the first error
-        _check_permutations(labels, lines[1:len(edges) + 1], n)
+        _check_permutations(labels, lines[1:len(v) + 1], n)
         raise
     perms = _check_permutations(labels, lines[1:], n)
-    perms.setflags(write=False)
-    return UGInstance(nv, n, [UGEdge(v, w, perm, weight)
-                              for (v, w, weight), perm in zip(edges, perms)],
-                      regularity_tol=regularity_tol)
+    return UGInstance(nv, n, v, w, weight, perms, regularity_tol=regularity_tol)
 
 
 def _check_permutations(labels: list, lines: list, n: int) -> np.ndarray:
     """The labels of the edge `lines`, n per line, as one (lines, n) array;
     ValueError naming the first line whose labels are not a permutation of
     0..n-1."""
-    perms = _int_rows(labels, len(lines), n)
+    perms = _int_array(labels).reshape(len(lines), n)
     bad = np.flatnonzero(_not_permutations(perms, n))
     if len(bad):
         no, ln = lines[bad[0]]

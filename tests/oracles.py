@@ -19,11 +19,18 @@ paths against. None of them is used by the cutgap package itself.
   and labelings, the oracles for the array code of
   `cutgap.separator.bes_to_text` and `cutgap.unique_games`; each sums in
   the order the array code must keep.
+- `label_extended_graph_loop` and `labeling_set_expansion_identity_loop`:
+  the label-extended graph as a dict built one (edge, label) at a time,
+  and the expansion of a labeling's set walked over that dict, the oracles
+  for the bincount routes of `cutgap.unique_games`.
+- `edge_rows`: a UG instance's edge columns read one edge at a time, the
+  form the loop oracles walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +38,20 @@ from cutgap.tensor import DEFAULT_INNER_POWER, GramCache
 from cutgap.unique_games import value
 
 DEFAULT_OUTER_POWER = 3
+
+
+class EdgeRow(NamedTuple):
+    v: int
+    w: int
+    perm: np.ndarray  # lam[v] = perm[lam[w]] satisfies
+    weight: float
+
+
+def edge_rows(u) -> list:
+    """The edges of a UG instance in edge order, read from its columns, with
+    Python-int endpoints and Python-float weights."""
+    return [EdgeRow(*row) for row in
+            zip(u.v.tolist(), u.w.tolist(), u.perm, u.weight.tolist())]
 
 
 def tensor_inner(x, z, l: int) -> float:
@@ -129,7 +150,7 @@ def bes_expanded_text_loop(inst) -> str:
     eps = inst.epsilon
     tables = inst.ug.edge_distribution.tables
     accum: dict = {}
-    for e, p in zip(inst.ug.edges, inst.ug.edge_distribution.table_of):
+    for e, p in zip(edge_rows(inst.ug), inst.ug.edge_distribution.table_of):
         table = tables[p]
         for x in range(size):
             for yp in range(size):
@@ -172,7 +193,7 @@ def incidence(u):
     For vertex w on that edge: label b satisfies iff lam[v] == pi[b].
     """
     inc = [[] for _ in range(u.num_vertices)]
-    for e in u.edges:
+    for e in edge_rows(u):
         if e.v == e.w:
             continue
         inc[e.v].append((e.w, e.weight, e.perm))
@@ -205,3 +226,42 @@ def opt_search_loop(u, seed: int, restarts: int = 10):
             best_val = val
             best = lam.copy()
     return best, best_val
+
+
+def label_extended_graph_loop(u) -> dict:
+    """{(a, b): weight} over the label edges a < b of V x [N] (vertex v,
+    label i flattened as v * N + i), each edge's N label edges added in
+    label order and edge after edge."""
+    n = u.num_labels
+    out: dict = {}
+    for e in edge_rows(u):
+        for i in range(n):
+            a = e.v * n + int(e.perm[i])
+            b = e.w * n + i
+            if a == b:
+                raise ValueError("label-extended self-loop (fixed point on a loop edge)")
+            key = (min(a, b), max(a, b))
+            out[key] = out.get(key, 0.0) + e.weight
+    return out
+
+
+def labeling_set_expansion_identity_loop(u, lam):
+    """(val, 1 - Phi(S_lam)), the expansion side summed over the dict of
+    `label_extended_graph_loop`."""
+    lam = np.asarray(lam, dtype=np.int64)
+    val = value(u, lam)
+    lext = label_extended_graph_loop(u)
+    n = u.num_labels
+    in_set = set(int(v * n + lam[v]) for v in range(u.num_vertices))
+    degree = {}
+    stay = {}
+    for (a, b), wt in lext.items():
+        degree[a] = degree.get(a, 0.0) + wt
+        degree[b] = degree.get(b, 0.0) + wt
+        if a in in_set and b in in_set:
+            stay[a] = stay.get(a, 0.0) + wt
+            stay[b] = stay.get(b, 0.0) + wt
+    one_minus_phi = sum(
+        stay.get(x, 0.0) / degree[x] for x in in_set
+    ) / len(in_set)
+    return val, one_minus_phi

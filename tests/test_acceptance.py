@@ -68,7 +68,7 @@ from cutgap.verifier import (
     decode_labeling,
     dictator_tables,
 )
-from oracles import BESVectorHandle, bes_inner, materialize_tensor_power
+from oracles import BESVectorHandle, bes_inner, edge_rows, materialize_tensor_power
 
 # ---------------------------------------------------------------- baselines
 # frozen on the first verified run; opt values cross-checked against the
@@ -182,7 +182,7 @@ def test_criterion_3_gap_instance_k2():
             # >= 0, so squaring preserves the bound (false for eta > 1/4)
             worst_pair = min(
                 (1 - 2 * _bundle_distance(quot, e) / quot.N) ** 2
-                for e in inst.edges
+                for e in edge_rows(inst)
             )
             report(
                 f"3.matched_pair_eta_{eta}",
@@ -324,7 +324,7 @@ def test_criterion_5_separator_k2():
     idx = np.arange(1 << n, dtype=np.uint32)
     dist = np.bitwise_count(idx[:, None] ^ idx[None, :])
     kernel_mass = (0.3**dist) * 0.7 ** (n - dist) / (1 << n)
-    total = sum(e.weight * float(np.sum(kernel_mass)) for e in inst.ug.edges)
+    total = sum(e.weight * float(np.sum(kernel_mass)) for e in edge_rows(inst.ug))
     report("5.edge_mass", abs(total - 1.0) < 1e-9, f"sum {total!r}")
 
     feas = check_bes_feasibility(inst, assign)

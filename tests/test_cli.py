@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cutgap
+from cutgap import metrics as mt
 from cutgap import quotient as qt
 from cutgap import separator as sp
 from cutgap import unique_games as ug
@@ -228,6 +229,23 @@ def test_distortion_command(tmp_path, capsys):
                  "--export", str(tmp_path / "prog.lp")])
     assert code == 0
     assert (tmp_path / "prog.lp").read_text().startswith("OBJECTIVE min")
+
+
+def test_distortion_unsolved_lp_fails_cleanly(tmp_path, capsys):
+    # a near-degenerate 10-point sub-metric of the k=2, t=3 gap metric on
+    # which the simplex stalls: the status is a FAIL record, not a traceback
+    inst = sp.build_bes(qt.build_kv_instance(2, 0.3)[0], 0.3)
+    sol = qt.build_ug_sdp_solution(qt.build_quotient(2))
+    assign = sp.assign_sdp_solution(inst, sol, l_in=8, t=3)
+    m = inst.num_blocks
+    metric = mt.metric_from_gram(np.block(
+        [[assign.base_gram_block(v, w) ** 3 for w in range(m)] for v in range(m)]))
+    pts = [0, 15, 16, 18, 21, 36, 37, 38, 55, 58]
+    mfile = tmp_path / "metric.txt"
+    mfile.write_text(metric_to_text(FiniteMetric(metric.d[np.ix_(pts, pts)])))
+    code = main(["distortion", "--metric-file", str(mfile)])
+    assert code != 0
+    assert re.search(r"^FAIL distortion ", capsys.readouterr().out, re.M)
 
 
 def test_pcp_truncated_permutation_fails_cleanly(tmp_path, capsys):

@@ -4,9 +4,15 @@
 The cases are four points of the benchmark's k=2 (eta, epsilon) grid at
 t = 1 and t = 3, and k=3 at eta = epsilon = 0.3, t = 1; each runs
 `build-ug` and then `build-bes --ug-file` on its instance, as the
-benchmark does. The digests were taken before the build commands' loops
-over edges, labelings and text lines were replaced by array code, so a
-change to any written byte fails here. Regenerate them with
+benchmark does. The k=3 case also pins the read side on those files:
+`verify` on its UG and basis files, and `pcp --epsilon 0.3 --samples
+20000` on a PROOF holding its best cut, both at seed 0; each parses the
+UG file, and the exact acceptance sums and the Monte Carlo draws follow
+its edge order and weights. The build digests were taken before the
+build commands' loops over edges, labelings and text lines were replaced
+by array code, and the read digests while a UG instance still kept its
+edges as objects beside its arrays, so a change to any written byte
+fails here. Regenerate them with
 `python3 tests/test_golden_outputs.py` only for a change that means to
 move an output, and say which bytes moved and why.
 """
@@ -22,6 +28,8 @@ import sys
 import pytest
 
 from cutgap.cli import main
+from cutgap.separator import cut_from_text
+from cutgap.verifier import Proof, proof_to_text
 
 CASES = {
     "k2_eta0.15_eps0.15": (2, 0.15, 0.15, (1, 3)),
@@ -30,6 +38,7 @@ CASES = {
     "k2_eta0.45_eps0.35": (2, 0.45, 0.35, (1, 3)),
     "k3_eta0.3_eps0.3": (3, 0.3, 0.3, (1,)),
 }
+READ_CASES = {"k3_eta0.3_eps0.3"}
 
 GOLDEN = {
     'k2_eta0.15_eps0.15': {
@@ -105,6 +114,8 @@ GOLDEN = {
         'ug/ug_report.tsv': '0985763f15102f884439a1b6c02842d238045ba7bbe40666bf97d98ab3954ee5',
     },
     'k3_eta0.3_eps0.3': {
+        'pcp/proof.txt': '218cdf0ddc297bdbe54b932b8d5d37efd66f2e51c92fae3fdf468fe60fd13fd2',
+        'pcp/stdout': 'dfb7fe79476374c082c4a8dffac32ed7f9d5260f2ce425516f472be4e921bd78',
         't1/bes_instance.txt': '8443caa4f535205ce3b0e204ad72de351c6a08f36fa038d0063696e4c040a72c',
         't1/bes_summary.txt': '6442d6a479e3f8810311a9e730b13f7d962547c4ca521424d4c1c7fd4060aa75',
         't1/best_cut.txt': 'a3054ac32da280449be49e8f21bb1ae43fe369e563c14826f6cdec55fc8c49a2',
@@ -116,6 +127,7 @@ GOLDEN = {
         'ug/summary.txt': '01d295b71e3e7f0a7cbfab6cc6d86a39d9311633b0612d13c61b28774e59339d',
         'ug/ug_instance.txt': '6c4d82813cd0671c1e91a8f56aaea5b997a8d807ab51948854c179693f3384fa',
         'ug/ug_report.tsv': '3edf529ca4ea5167ba8a8e60827daef3176c9c692f3b91bdd961aa8a4ae9c489',
+        'verify/stdout': 'e365f5a05b80d3cb5403ea75850b08b862a3654779264abe8a27982f20e7108c',
     },
 }
 
@@ -124,9 +136,19 @@ def _sha(data: str) -> str:
     return hashlib.sha256(data.encode()).hexdigest()
 
 
-def run_case(root: str, k: int, eta: float, epsilon: float, ts) -> dict:
+def _run(argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    assert code == 0, buf.getvalue()
+    return buf.getvalue()
+
+
+def run_case(root: str, k: int, eta: float, epsilon: float, ts,
+             read: bool = False) -> dict:
     """Digest of every file written under `root` and of each command's
-    stdout, keyed by relative path (`<dir>/stdout` for the stdout)."""
+    stdout, keyed by relative path (`<dir>/stdout` for the stdout); with
+    `read`, also of `verify` and `pcp` run on the written files."""
     ug_dir = os.path.join(root, "ug")
     argvs = {"ug": ["build-ug", "--k", str(k), "--eta", str(eta), "--seed", "0",
                     "--out", ug_dir]}
@@ -136,13 +158,22 @@ def run_case(root: str, k: int, eta: float, epsilon: float, ts) -> dict:
             "--t", str(t), "--seed", "0",
             "--ug-file", os.path.join(ug_dir, "ug_instance.txt"),
             "--out", os.path.join(root, f"t{t}")]
-    digests = {}
-    for name, argv in argvs.items():
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = main(argv)
-        assert code == 0, buf.getvalue()
-        digests[f"{name}/stdout"] = _sha(buf.getvalue())
+    digests = {f"{name}/stdout": _sha(_run(argv)) for name, argv in argvs.items()}
+    if read:
+        ug_file = os.path.join(ug_dir, "ug_instance.txt")
+        digests["verify/stdout"] = _sha(_run(
+            ["verify", "--ug-file", ug_file,
+             "--basis-file", os.path.join(ug_dir, "basis.txt"), "--seed", "0"]))
+        with open(os.path.join(root, f"t{ts[0]}", "best_cut.txt")) as fh:
+            cut = cut_from_text(fh.read())
+        n = 1 << k
+        proof_file = os.path.join(root, "pcp", "proof.txt")
+        os.makedirs(os.path.dirname(proof_file))
+        with open(proof_file, "w") as fh:
+            fh.write(proof_to_text(Proof(n, cut.reshape(-1, 1 << n))))
+        digests["pcp/stdout"] = _sha(_run(
+            ["pcp", "--ug-file", ug_file, "--proof-file", proof_file,
+             "--epsilon", str(epsilon), "--samples", "20000", "--seed", "0"]))
     for dirpath, _, files in os.walk(root):
         for f in files:
             path = os.path.join(dirpath, f)
@@ -153,7 +184,7 @@ def run_case(root: str, k: int, eta: float, epsilon: float, ts) -> dict:
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_build_outputs_match_golden_digests(tmp_path, case):
-    assert run_case(str(tmp_path), *CASES[case]) == GOLDEN[case]
+    assert run_case(str(tmp_path), *CASES[case], read=case in READ_CASES) == GOLDEN[case]
 
 
 if __name__ == "__main__":
@@ -162,7 +193,7 @@ if __name__ == "__main__":
     out = {}
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as d:
-            out[case] = run_case(d, *CASES[case])
+            out[case] = run_case(d, *CASES[case], read=case in READ_CASES)
     sys.stdout.write("GOLDEN = {\n")
     for case, digests in out.items():
         sys.stdout.write(f"    {case!r}: {{\n")

@@ -20,6 +20,8 @@ from cutgap.unique_games import (
     opt_exhaustive,
 )
 
+from oracles import edge_rows
+
 
 def test_quotient_k1_by_hand():
     q = build_quotient(1)
@@ -73,7 +75,7 @@ def test_quotient_rejects_out_of_range():
 def test_kv_instance_k2_shape():
     u, q, cube = build_kv_instance(2, 0.3)
     assert u.num_vertices == 4 and u.num_labels == 4
-    assert abs(sum(e.weight for e in u.edges) - 1.0) < 1e-9
+    assert abs(sum(u.weight.tolist()) - 1.0) < 1e-9
 
 
 def test_kv_window_degenerate_is_hard_error():
@@ -86,7 +88,7 @@ def test_parallel_pairs_define_one_edge():
     # has exactly one edge per (class pair, xor constant) with windowed distance
     u, q, cube = build_kv_instance(2, 0.3)
     seen = set()
-    for e in u.edges:
+    for e in edge_rows(u):
         c = int(e.perm[0])  # perm is XOR by c, so perm[0] = c
         assert np.array_equal(e.perm, np.arange(4) ^ c)
         key = (e.v, e.w, c)
@@ -97,7 +99,7 @@ def test_parallel_pairs_define_one_edge():
 def test_label_extended_graph_is_windowed_hypercube():
     for eta in (0.2, 0.3):  # without and with self-loop bundles
         u, q, cube = build_kv_instance(2, eta)
-        lext = label_extended_graph(u)
+        lo, hi, weight = label_extended_graph(u)
         n = q.N
         code_of = {
             i * n + s: int(q.reps[i] ^ q.masks[s])
@@ -106,7 +108,7 @@ def test_label_extended_graph_is_windowed_hypercube():
         }
         profile = cube.weight_profile()
         remapped = {}
-        for (a, b), wt in lext.items():
+        for a, b, wt in zip(lo.tolist(), hi.tolist(), weight.tolist()):
             fa, fb = code_of[a], code_of[b]
             remapped[(min(fa, fb), max(fa, fb))] = wt
         expected = {}
@@ -118,7 +120,7 @@ def test_label_extended_graph_is_windowed_hypercube():
         assert set(remapped) == set(expected)
         for key, wt in expected.items():
             assert abs(remapped[key] - wt) < 1e-12
-        assert abs(sum(lext.values()) - n) < 1e-9
+        assert abs(sum(weight) - n) < 1e-9
 
 
 def test_sdp_solution_entries_and_identities():
@@ -137,7 +139,7 @@ def test_sdp_objective_matched_pair_terms():
     u, q, cube = build_kv_instance(3, 0.2)
     sol = build_ug_sdp_solution(q)
     expected = 0.0
-    for e in u.edges:
+    for e in edge_rows(u):
         f = int(q.reps[e.v])
         g = int(q.reps[e.w]) ^ int(q.masks[int(e.perm[0])])
         d = hamming(f, g)
@@ -268,7 +270,7 @@ def test_window_disabled_degenerate_regime():
     # below the windowable range the instance is still well formed with
     # window="none"; the objective is computable, no bound is asserted
     u, q, cube = build_kv_instance(2, 0.05, window="none")
-    assert abs(sum(e.weight for e in u.edges) - 1.0) < 1e-9
+    assert abs(sum(u.weight.tolist()) - 1.0) < 1e-9
     sol = build_ug_sdp_solution(q)
     obj = ug_sdp_objective(u, sol)
     assert 0.0 <= obj <= 1.0

@@ -24,14 +24,20 @@ from cutgap.separator import (
     sdp_objective,
     sdp_objective_closed_form_t1,
 )
-from cutgap.unique_games import UGEdge, UGInstance, opt_exhaustive, plant_instance, value
+from cutgap.unique_games import UGInstance, opt_exhaustive, plant_instance, value
 from cutgap.verifier import (
     Proof,
     acceptance_probability_exact,
     dictator_tables,
     piecewise_balance,
 )
-from oracles import BESVectorHandle, _set_image_table, bes_expanded_text_loop, bes_inner
+from oracles import (
+    BESVectorHandle,
+    _set_image_table,
+    bes_expanded_text_loop,
+    bes_inner,
+    edge_rows,
+)
 
 
 def kv_fixture(k=2, eta=0.3, eps=0.3, l_in=8, t=1):
@@ -70,7 +76,7 @@ def test_edge_weights_sum_to_one():
         np.arange(16, dtype=np.uint32)[:, None] ^ np.arange(16, dtype=np.uint32)[None, :]
     )
     total = 0.0
-    for e in u.edges:
+    for e in edge_rows(u):
         w = (inst.epsilon ** dist) * (1 - inst.epsilon) ** (n - dist) / 16.0
         total += e.weight * float(np.sum(w))
     assert abs(total - 1.0) < 1e-9
@@ -79,7 +85,7 @@ def test_edge_weights_sum_to_one():
 def test_per_term_weight_formula():
     # weight of a single (e, x, mu) term with |mu-| = 1 at N = 4
     _, _, inst, _ = kv_fixture(eps=0.1)
-    e = inst.ug.edges[0]
+    e = edge_rows(inst.ug)[0]
     term = e.weight * (1 / 16) * 0.1 * 0.9**3
     n = inst.ug.num_labels
     # recompute through the kernel: weight of pair (x, x^1) summed over the
@@ -188,10 +194,9 @@ def test_sdp_objective_k3_frozen():
 
 def test_sdp_objective_rejects_non_xor_permutation():
     u, _, _, assign = kv_fixture()
-    e = u.edges[0]
-    not_xor = UGEdge(e.v, e.w, np.array([0, 1, 3, 2]), e.weight)
-    bad = build_bes(UGInstance(u.num_vertices, u.num_labels,
-                               [not_xor] + list(u.edges[1:])), 0.3)
+    perm = u.perm.copy()
+    perm[0] = [0, 1, 3, 2]
+    bad = build_bes(UGInstance(u.num_vertices, u.num_labels, u.v, u.w, u.weight, perm), 0.3)
     with pytest.raises(ValueError):
         sdp_objective(bad, assign)
 
@@ -266,8 +271,9 @@ def test_innerprod_bracket_on_edges():
     u, q, inst, assign = kv_fixture(k=3, eta=0.2, eps=0.2)
     rng = np.random.default_rng(13)
     signs = signs_of_points(8)
-    for ei in rng.choice(len(u.edges), size=25):
-        e = u.edges[int(ei)]
+    edges = edge_rows(u)
+    for ei in rng.choice(len(edges), size=25):
+        e = edges[int(ei)]
         if e.v == e.w:
             continue
         gram = (
@@ -299,7 +305,7 @@ def test_innerprod_bracket_exhaustive_all_edges_k3():
         ^ np.arange(256, dtype=np.uint32)[None, :]
     ).astype(np.float64)
     worst = -np.inf
-    for e in u.edges:
+    for e in edge_rows(u):
         m = assign.cache.gram(e.v, e.w)
         base_gram = (
             assign.cache.basis[e.v].astype(np.float64)
@@ -469,7 +475,7 @@ def test_edge_distribution_tables():
         assert dist.tables.shape == (n, 1 << n)
         assert dist.perms.shape == (n, n)
         z = np.arange(1 << n)
-        for e, p in zip(u.edges, dist.table_of):
+        for e, p in zip(edge_rows(u), dist.table_of):
             y = sum(((z >> int(e.perm[i])) & 1) << i for i in range(n))
             assert np.array_equal(dist.tables[p], y)
 
@@ -483,15 +489,13 @@ def _instances_with_tables():
 
 
 def test_edge_distribution_is_the_edge_list_as_arrays():
-    # the one array form of the edges: endpoints, weights and per-edge
+    # the instance's edge columns: endpoints, weights and per-edge
     # permutations perms[table_of] in edge order, the distinct permutations
     # sorted and each used
     for u in _instances_with_tables():
         d = u.edge_distribution
-        assert np.array_equal(d.v, [e.v for e in u.edges])
-        assert np.array_equal(d.w, [e.w for e in u.edges])
-        assert np.array_equal(d.weight, [e.weight for e in u.edges])
-        assert np.array_equal(d.perms[d.table_of], np.stack([e.perm for e in u.edges]))
+        assert d.v is u.v and d.w is u.w and d.weight is u.weight
+        assert np.array_equal(d.perms[d.table_of], u.perm)
         assert sorted(map(tuple, d.perms)) == [tuple(p) for p in d.perms]
         assert np.array_equal(np.unique(d.table_of), np.arange(len(d.perms)))
 

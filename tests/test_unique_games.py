@@ -5,7 +5,6 @@ import pytest
 
 from cutgap.unique_games import (
     BudgetExceededError,
-    UGEdge,
     UGInstance,
     label_extended_graph,
     labeling_set_expansion_identity,
@@ -18,12 +17,18 @@ from cutgap.unique_games import (
 )
 from cutgap.quotient import build_kv_instance
 
-from oracles import opt_exhaustive_loop, opt_search_loop
+from oracles import (
+    edge_rows,
+    label_extended_graph_loop,
+    labeling_set_expansion_identity_loop,
+    opt_exhaustive_loop,
+    opt_search_loop,
+)
 
 
 def single_edge_instance(n_labels=2, perm=None):
     perm = np.arange(n_labels) if perm is None else np.asarray(perm)
-    return UGInstance(2, n_labels, [UGEdge(0, 1, perm, 1.0)])
+    return UGInstance(2, n_labels, [0], [1], [1.0], [perm])
 
 
 def test_value_identity_edge():
@@ -50,35 +55,30 @@ def test_value_is_the_sequential_sum_over_satisfied_edges():
     for u in instances:
         for _ in range(20):
             lam = rng.integers(0, u.num_labels, size=u.num_vertices)
-            expected = sum(e.weight for e in u.edges if lam[e.v] == e.perm[lam[e.w]])
+            expected = sum(e.weight for e in edge_rows(u) if lam[e.v] == e.perm[lam[e.w]])
             assert value(u, lam) == float(expected)
 
 
 def test_weights_must_sum_to_one():
     with pytest.raises(ValueError):
-        UGInstance(2, 2, [UGEdge(0, 1, np.arange(2), 0.5)])
+        UGInstance(2, 2, [0], [1], [0.5], [np.arange(2)])
 
 
 def test_degree_regularity_enforced():
-    edges = [
-        UGEdge(0, 1, np.arange(2), 0.7),
-        UGEdge(1, 2, np.arange(2), 0.2),
-        UGEdge(0, 2, np.arange(2), 0.1),
-    ]
     with pytest.raises(ValueError):
-        UGInstance(3, 2, edges)
+        UGInstance(3, 2, [0, 1, 0], [1, 2, 2], [0.7, 0.2, 0.1], np.tile(np.arange(2), (3, 1)))
 
 
 def test_perm_must_be_bijection():
     with pytest.raises(ValueError):
-        UGInstance(2, 2, [UGEdge(0, 1, np.array([0, 0]), 1.0)])
+        UGInstance(2, 2, [0], [1], [1.0], [[0, 0]])
 
 
 def test_opt_exhaustive_tiny():
     u = single_edge_instance()
     lam, val = opt_exhaustive(u)
     assert val == 1.0
-    assert lam[0] == u.edges[0].perm[lam[1]]
+    assert lam[0] == u.perm[0, lam[1]]
 
 
 def test_opt_exhaustive_budget_refusal():
@@ -100,7 +100,7 @@ def test_opt_bounds_random_labeling():
 def test_planted_value_exact():
     for eta in (0.0, 0.1, 0.3):
         u, hidden = plant_instance(10, 4, eta, 0.7, seed=3)
-        n_edges = len(u.edges)
+        n_edges = u.num_edges
         expected = 1.0 - np.floor(eta * n_edges) / n_edges
         assert abs(value(u, hidden) - expected) < 1e-12
         assert value(u, hidden) >= 1 - eta - 1e-12
@@ -134,22 +134,58 @@ def test_search_monotone_in_restarts():
 
 def test_label_extended_graph_single_edge():
     u = single_edge_instance()
-    lext = label_extended_graph(u)
-    assert len(lext) == 2
-    assert all(abs(wt - 1.0) < 1e-15 for wt in lext.values())
-    assert sum(lext.values()) == 2.0  # total weight N
+    lo, hi, weight = label_extended_graph(u)
+    assert len(weight) == 2
+    assert all(abs(wt - 1.0) < 1e-15 for wt in weight)
+    assert sum(weight) == 2.0  # total weight N
 
 
 def test_label_extended_total_weight_and_regularity():
     u, _ = plant_instance(6, 4, 0.2, 0.8, seed=19)
-    lext = label_extended_graph(u)
-    assert abs(sum(lext.values()) - 4.0) < 1e-9
-    degree = {}
-    for (a, b), wt in lext.items():
-        degree[a] = degree.get(a, 0.0) + wt
-        degree[b] = degree.get(b, 0.0) + wt
-    degs = np.array(list(degree.values()))
-    assert degs.max() - degs.min() < 1e-9
+    lo, hi, weight = label_extended_graph(u)
+    assert abs(sum(weight) - 4.0) < 1e-9
+    degs = np.bincount(np.concatenate([lo, hi]), weights=np.tile(weight, 2))
+    assert len(degs) == 24 and degs.max() - degs.min() < 1e-9
+
+
+# the planted fixtures of the tests above and below, as (arguments, seed)
+PLANTED = [((8, 4, 0.2, 0.9), s) for s in range(3)] + [
+    ((8, 3, 0.2, 0.8), 0), ((10, 4, 0.0, 0.7), 3), ((10, 4, 0.1, 0.7), 3),
+    ((10, 4, 0.3, 0.7), 3), ((6, 1, 0.5, 1.0), 5), ((7, 3, 0.15, 0.9), 11),
+    ((12, 4, 0.05, 0.9), 13), ((9, 4, 0.3, 0.8), 17), ((6, 4, 0.2, 0.8), 19),
+    ((8, 3, 0.0, 0.8), 23), ((9, 4, 0.25, 0.9), 29), ((8, 4, 0.2, 0.8), 37),
+    ((7, 3, 0.2, 0.9), 43), ((14, 2, 0.3, 1.0), 1), ((14, 2, 0.3, 1.0), 3),
+] + [((6, 3, 0.2, 0.8), s) for s in range(3)]
+
+
+def _label_extended_instances():
+    """The quotient instances at k=2 (without and with self-loop bundles)
+    and k=3, and the planted fixtures of this file."""
+    yield from (build_kv_instance(k, eta)[0] for k, eta in
+                ((2, 0.2), (2, 0.3), (3, 0.1), (3, 0.3)))
+    for args, seed in PLANTED:
+        yield plant_instance(*args, seed=seed)[0]
+
+
+def test_label_extended_graph_equals_the_dict_loop():
+    # the same label edges, each weight the dict's sum bit for bit: the
+    # bincount adds a key's terms in (edge, label) order, as the loop does
+    for u in _label_extended_instances():
+        lo, hi, weight = label_extended_graph(u)
+        expected = label_extended_graph_loop(u)
+        keys = list(zip(lo.tolist(), hi.tolist()))
+        assert keys == sorted(expected)
+        assert weight.tolist() == [expected[key] for key in keys]
+
+
+def test_expansion_identity_equals_the_dict_loop():
+    rng = np.random.default_rng(47)
+    for u in _label_extended_instances():
+        for _ in range(20):
+            lam = rng.integers(0, u.num_labels, size=u.num_vertices)
+            val, ome = labeling_set_expansion_identity(u, lam)
+            val_loop, ome_loop = labeling_set_expansion_identity_loop(u, lam)
+            assert val == val_loop and abs(ome - ome_loop) < 1e-12
 
 
 def test_expansion_identity_planted_perfect():
@@ -179,12 +215,7 @@ def test_value_invariant_under_global_relabeling():
     sigma = rng.permutation(4)
     inv = np.argsort(sigma)
     relabeled = UGInstance(
-        u.num_vertices,
-        u.num_labels,
-        [
-            UGEdge(e.v, e.w, sigma[e.perm[inv]], e.weight)
-            for e in u.edges
-        ],
+        u.num_vertices, u.num_labels, u.v, u.w, u.weight, sigma[u.perm[:, inv]],
         regularity_tol=1e-6,
     )
     for _ in range(20):
@@ -198,11 +229,10 @@ def test_serialization_round_trip():
     back = ug_from_text(text, regularity_tol=1e-6)
     assert back.num_vertices == u.num_vertices
     assert back.num_labels == u.num_labels
-    assert len(back.edges) == len(u.edges)
-    for e1, e2 in zip(u.edges, back.edges):
-        assert (e1.v, e1.w) == (e2.v, e2.w)
-        assert e1.weight == e2.weight  # 17 significant digits are lossless
-        assert np.array_equal(e1.perm, e2.perm)
+    assert back.num_edges == u.num_edges
+    assert np.array_equal(back.v, u.v) and np.array_equal(back.w, u.w)
+    assert np.array_equal(back.weight, u.weight)  # 17 significant digits are lossless
+    assert np.array_equal(back.perm, u.perm)
 
 
 def test_from_text_rejects_garbage():
@@ -238,7 +268,7 @@ def test_opt_exhaustive_equals_the_labeling_scan(seed):
     # chunk holds 2^20 // 91 labelings, fewer than the 2^14 in all, and at
     # these seeds the two tied labelings fall in different chunks
     u, _ = plant_instance(14, 2, 0.3, 1.0, seed=seed)
-    chunk = (1 << 20) // len(u.edges)
+    chunk = (1 << 20) // u.num_edges
     lam, val = opt_exhaustive(u)
     lam_loop, val_loop = opt_exhaustive_loop(u)
     assert np.array_equal(lam, lam_loop) and val == val_loop
@@ -256,17 +286,21 @@ def test_opt_exhaustive_equals_the_labeling_scan_planted(seed):
 
 
 @pytest.mark.parametrize("edges, message", [
-    ([UGEdge(0, 1, [0, 0, 1], 0.5), UGEdge(0, 5, np.arange(3), 0.5)],
+    (([0, 0], [1, 5], [0.5, 0.5], [[0, 0, 1], [0, 1, 2]]),
      "perm on edge (0,1) is not a bijection"),
-    ([UGEdge(0, 1, np.arange(3), 0.5), UGEdge(-1, 1, [0, 0, 1], 0.5)],
+    (([0, -1], [1, 1], [0.5, 0.5], [[0, 1, 2], [0, 0, 1]]),
      "edge endpoint out of range: -1,1"),
-    ([UGEdge(0, 1, np.arange(3), 0.5), UGEdge(0, 1, [2, 2, 2], float("inf"))],
+    (([0, 0], [1, 1], [0.5, float("inf")], [[0, 1, 2], [2, 2, 2]]),
      "edge (0,1) weight inf is not finite and nonnegative"),
-    ([UGEdge(0, 1, [0, 1], 1.0)], "perm on edge (0,1) is not a bijection"),
-    ([UGEdge(2**70, 1, np.arange(3), 1.0)], f"edge endpoint out of range: {2**70},1"),
+    # one permutation array holds every edge's, so a width other than N is
+    # a shape error, raised before any edge is checked
+    (([0], [1], [1.0], [[0, 1]]),
+     "edge columns of lengths 1, 1, 1 and permutations of shape (1, 2): "
+     "need one row of width N = 3 per edge"),
+    (([2**70], [1], [1.0], [[0, 1, 2]]), f"edge endpoint out of range: {2**70},1"),
 ])
 def test_instance_checks_name_the_first_bad_edge(edges, message):
     # the checks run on whole arrays; the error is the one a scan over the
     # edges meets first (endpoints, then weight, then permutation per edge)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        UGInstance(2, 3, edges)
+        UGInstance(2, 3, *edges)
