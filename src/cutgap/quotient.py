@@ -159,23 +159,22 @@ def build_kv_instance(k: int, eta: float, window: str = "typical",
     cube = NoisyHypercube(N, eta, window=win, renormalized=True)
     profile = cube.weight_profile()
     m = q.num_classes
-    # one row per edge: (v, w, shift c, weight); the permutation is XOR by c
+    # edge columns (v, w, shift c, weight); the permutation is XOR by c
+    shifts = np.arange(N, dtype=np.int64)
+    self_d = np.bitwise_count(q.masks[1:])
     columns = []
     for i in range(m):
-        rep_i = int(q.reps[i])
-        # self-bundles: pairs {g, g*chi_c} all at distance popcount(masks[c])
-        for c in range(1, N):
-            d = int(np.bitwise_count(q.masks[c]))
-            if profile[d] > 0:
-                columns.append((i, i, c, (N / 2) * float(profile[d])))
-        for j in range(i + 1, m):
-            rep_j = int(q.reps[j])
-            for c in range(N):
-                d = int(np.bitwise_count(np.uint64(rep_i ^ rep_j) ^ q.masks[c]))
-                if profile[d] > 0:
-                    columns.append((i, j, c, N * float(profile[d])))
-    v, w, shift, weight = zip(*columns)
-    perm = np.array(shift, dtype=np.int64)[:, None] ^ np.arange(N, dtype=np.int64)
+        # class i's self-bundles c = 1..N-1 (pairs {g, g*chi_c}, all at
+        # distance popcount(masks[c])), then its bundles (j, c) for j > i
+        others = np.arange(i + 1, m)
+        pair_d = np.bitwise_count((q.reps[i] ^ q.reps[others])[:, None] ^ q.masks).ravel()
+        keep = profile[np.concatenate([self_d, pair_d])] > 0
+        w = np.concatenate([np.full(N - 1, i), np.repeat(others, N)])
+        shift = np.concatenate([shifts[1:], np.tile(shifts, len(others))])
+        weight = np.concatenate([(N / 2) * profile[self_d], N * profile[pair_d]])
+        columns.append((np.full(keep.sum(), i), w[keep], shift[keep], weight[keep]))
+    v, w, shift, weight = (np.concatenate(c) for c in zip(*columns))
+    perm = shift[:, None] ^ shifts
     u = UGInstance(m, N, v, w, weight, perm, regularity_tol=1e-9)
     return u, q, cube
 

@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 EXACT_LABEL_LIMIT = 8  # up to 2^8-point blocks (k <= 3 in the gap pipeline)
+# first points per step of the triangle sweep: at 2^8-point blocks its
+# (4, 256, 256) float64 buffer of pair sums takes 2 MB
+TRIANGLE_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -212,10 +215,18 @@ def sdp_objective(inst: BESInstance, assign: BESVectorAssignment) -> float:
     rows, group = np.unique(assign.cache.table[d.v[:, None], d.w[:, None], shifted],
                             axis=0, return_inverse=True)
     weights = np.bincount(group.ravel(), weights=d.weight)
+    # the distinct correlation vectors C[x, y', :], found by an integer code
+    # (entries lie in [-N, N]); each row's inner products and their powers
+    # are taken once per distinct vector, then spread back over (x, y')
+    corr = assign.corr.reshape(-1, n)
+    code = (corr.astype(np.int64) + n) @ (2 * n + 1) ** np.arange(n, dtype=np.int64)
+    _, first, spread = np.unique(code, return_index=True, return_inverse=True)
+    distinct = corr[first]
+    spread = spread.reshape(w_noise.shape)
     mean_inner = 0.0
     for row, weight in zip(rows, weights):
-        q = np.clip(assign.corr @ row / assign.cache.N, -1.0, 1.0)
-        mean_inner += weight * float(np.sum(w_noise * q**assign.t))
+        q_t = np.clip(distinct @ row / assign.cache.N, -1.0, 1.0) ** assign.t
+        mean_inner += weight * float(np.sum(w_noise * q_t[spread]))
     return (1.0 - mean_inner) / 2.0
 
 
@@ -308,12 +319,18 @@ def check_bes_feasibility(inst: BESInstance, assign: BESVectorAssignment) -> BES
     row_triples = np.unique(np.stack([r[over] for r in pair_rows], axis=1), axis=0)
     grams = {r: gram(r) for r in np.unique(row_triples)}
     worst = 0.0
+    pair_sums = np.empty((TRIANGLE_CHUNK, size, size))
     for triple in row_triples:
         g_ac, g_bc, g_ab = (grams[r] for r in triple)
         # complementing all three points keeps every Gram entry, so the
-        # triples whose first point has x < size / 2 cover all; four x at a time
-        for lo in range(0, max(size // 2, 1), 4):
-            viol = (g_ac[lo:lo + 4, None, :] + g_bc[None, :, :]) - (1.0 + g_ab[lo:lo + 4, :, None])
+        # triples whose first point has x < size / 2 cover all, TRIANGLE_CHUNK
+        # x at a time. Rounding is monotone, so for fixed (a, b) the largest
+        # fl(s - (1 + g_ab)) over c is fl(max_c s - (1 + g_ab)), with s the
+        # sum g_ac + g_bc: the same worst term as subtracting before the max
+        for lo in range(0, max(size // 2, 1), TRIANGLE_CHUNK):
+            x = slice(lo, min(lo + TRIANGLE_CHUNK, size))
+            sums = np.add(g_ac[x, None, :], g_bc[None, :, :], out=pair_sums[:x.stop - lo])
+            viol = np.max(sums, axis=2) - (1.0 + g_ab[x])
             worst = max(worst, float(np.max(viol)))
 
     return BESFeasibilityReport(

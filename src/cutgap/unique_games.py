@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 
+# edges per gather-dot step of `EdgeDistribution.disagreement`: at N = 8 its
+# two (128, 256) float64 operands take 0.5 MB
+DISAGREEMENT_CHUNK = 128
+
+
 class BudgetExceededError(ValueError):
     """Raised when exhaustive enumeration would exceed the labeling budget;
     carries the exact count so the caller can fall back to opt_search."""
@@ -164,15 +169,22 @@ class EdgeDistribution:
     def disagreement(self, blocks, epsilon: float) -> float:
         """Exact probability that the two queries get different values,
         sum_e wt(e) (1 - <A^v, K A^w o pi_e> / 2^N) / 2 for the noise kernel
-        K. K commutes with pi_e, so one noise pass over all rows and one
-        gather-dot over all edges evaluate every term."""
+        K. K commutes with pi_e, so one noise pass over all rows and a
+        gather-dot per chunk of edges evaluate every term."""
         blocks = np.asarray(blocks, dtype=np.float64)
-        smoothed = apply_noise_kernel(blocks, epsilon, self.num_labels)
-        pulled = smoothed[self.w[:, None], self.tables[self.table_of]]
-        agree = np.einsum("ex,ex->e", blocks[self.v], pulled)
+        size = blocks.shape[1]
+        smoothed = apply_noise_kernel(blocks, epsilon, self.num_labels).ravel()
+        agree = np.empty(len(self.v))
+        # DISAGREEMENT_CHUNK edges at a time, so that the gathered rows stay
+        # in cache; each edge's dot product is the same 2^N products in the
+        # same order whatever the chunk
+        for lo in range(0, len(self.v), DISAGREEMENT_CHUNK):
+            e = slice(lo, lo + DISAGREEMENT_CHUNK)
+            pulled = smoothed[self.w[e, None] * size + self.tables[self.table_of[e]]]
+            np.einsum("ex,ex->e", blocks[self.v[e]], pulled, out=agree[e])
         # a sequential sum in edge order (np.sum would pair terms up): the
         # last digits of the written gap rows depend on this order
-        return float(np.cumsum(self.weight * (1.0 - agree / blocks.shape[1]) / 2.0)[-1])
+        return float(np.cumsum(self.weight * (1.0 - agree / size) / 2.0)[-1])
 
     def sample_disagreements(self, blocks, samples: int, seed: int,
                              epsilon: float) -> int:
@@ -387,7 +399,8 @@ def ug_to_text(u: UGInstance) -> str:
 
 
 def ug_from_text(text: str, regularity_tol: float = 1e-9) -> UGInstance:
-    """Inverse of `ug_to_text`; an empty file, a bad header, an edge line
+    """Inverse of `ug_to_text`; an empty file, a bad header (counts
+    included: N >= 1, |V| >= 1, |E| >= 0), an edge line
     with the wrong number of fields or an unparsable number, or a
     permutation that is not one raises ValueError, for the first line that
     holds any of these (the field count and numbers are checked before the
@@ -399,6 +412,9 @@ def ug_from_text(text: str, regularity_tol: float = 1e-9) -> UGInstance:
     if len(head) != 4 or head[0] != "UG":
         raise ValueError(f"line {no}: expected header `UG N |V| |E|`")
     n, nv, ne = int(head[1]), int(head[2]), int(head[3])
+    if n < 1 or nv < 1 or ne < 0:
+        raise ValueError(f"line {no}: header counts N = {n}, |V| = {nv}, |E| = {ne}: "
+                         "need N >= 1, |V| >= 1 and |E| >= 0")
     if len(lines) - 1 != ne:
         raise ValueError(f"expected {ne} edge lines, found {len(lines) - 1}")
     # Python lists until the constructor: an endpoint past int64 stays exact

@@ -25,6 +25,12 @@ paths against. None of them is used by the cutgap package itself.
   for the bincount routes of `cutgap.unique_games`.
 - `edge_rows`: a UG instance's edge columns read one edge at a time, the
   form the loop oracles walk.
+- `disagreement_one_gather` and `sdp_objective_per_row`: the exact cut
+  weight as one gather of every edge's pulled row, and the tensored SDP
+  objective with the inner products and their powers taken at every
+  (x, y') point of every distinct table row, the oracles that the chunked
+  gather and the distinct-correlation powers of `cutgap` must match bit for
+  bit.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from cutgap.fourier import apply_noise_kernel
 from cutgap.tensor import DEFAULT_INNER_POWER, GramCache
 from cutgap.unique_games import value
 
@@ -265,3 +272,33 @@ def labeling_set_expansion_identity_loop(u, lam):
         stay.get(x, 0.0) / degree[x] for x in in_set
     ) / len(in_set)
     return val, one_minus_phi
+
+
+def disagreement_one_gather(d, blocks, epsilon: float) -> float:
+    """`EdgeDistribution.disagreement` with every edge's pulled row gathered
+    at once, as an (|E|, 2^N) array."""
+    blocks = np.asarray(blocks, dtype=np.float64)
+    smoothed = apply_noise_kernel(blocks, epsilon, d.num_labels)
+    pulled = smoothed[d.w[:, None], d.tables[d.table_of]]
+    agree = np.einsum("ex,ex->e", blocks[d.v], pulled)
+    return float(np.cumsum(d.weight * (1.0 - agree / blocks.shape[1]) / 2.0)[-1])
+
+
+def sdp_objective_per_row(inst, assign) -> float:
+    """`separator.sdp_objective` with each distinct table row's inner
+    products and their t-th powers taken over all (x, y') points."""
+    n = inst.ug.num_labels
+    eps = inst.epsilon
+    idx = np.arange(inst.block_size, dtype=np.uint32)
+    dist = np.bitwise_count(idx[:, None] ^ idx[None, :])
+    w_noise = (eps**dist) * (1 - eps) ** (n - dist) / inst.block_size
+    d = inst.ug.edge_distribution
+    shifted = d.perms[d.table_of]
+    rows, group = np.unique(assign.cache.table[d.v[:, None], d.w[:, None], shifted],
+                            axis=0, return_inverse=True)
+    weights = np.bincount(group.ravel(), weights=d.weight)
+    mean_inner = 0.0
+    for row, weight in zip(rows, weights):
+        q = np.clip(assign.corr @ row / assign.cache.N, -1.0, 1.0)
+        mean_inner += weight * float(np.sum(w_noise * q**assign.t))
+    return (1.0 - mean_inner) / 2.0

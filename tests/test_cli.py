@@ -444,3 +444,19 @@ def test_verify_malformed_ug_line_fails_cleanly(tmp_path, capsys, edits, expecte
     code = main(["verify", "--ug-file", ug_file])
     assert code == 1
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("UG -1 2 1\n0 1\n", "line 1: header counts N = -1, |V| = 2, |E| = 1: "
+                          "need N >= 1, |V| >= 1 and |E| >= 0"),
+    ("UG 2 -4 0\n", "line 1: header counts N = 2, |V| = -4, |E| = 0: "
+                    "need N >= 1, |V| >= 1 and |E| >= 0"),
+], ids=["negative_label_count", "negative_vertex_count"])
+def test_verify_ug_header_counts_fail_cleanly(tmp_path, capsys, text, expected):
+    # a negative label count once passed the field-count test and indexed
+    # past the edge line (an IndexError traceback); a negative vertex count
+    # failed inside the degree bincount
+    ug_file, _ = _pcp_files(tmp_path, ug_text=text)
+    code = main(["verify", "--ug-file", ug_file])
+    assert code == 1
+    assert capsys.readouterr().out == f"FAIL ug_structure {expected}\n"

@@ -1,8 +1,8 @@
 """Golden outputs of the build commands: the SHA-256 of every file that
 `build-ug` and `build-bes` write, and of what each prints, at seed 0.
 
-The cases are four points of the benchmark's k=2 (eta, epsilon) grid at
-t = 1 and t = 3, and k=3 at eta = epsilon = 0.3, t = 1; each runs
+The cases are four points of the benchmark's k=2 (eta, epsilon) grid and
+k=3 at eta = epsilon = 0.3, each at t = 1 and t = 3; each runs
 `build-ug` and then `build-bes --ug-file` on its instance, as the
 benchmark does. The k=3 case also pins the read side on those files:
 `verify` on its UG and basis files, and `pcp --epsilon 0.3 --samples
@@ -11,8 +11,10 @@ UG file, and the exact acceptance sums and the Monte Carlo draws follow
 its edge order and weights. The build digests were taken before the
 build commands' loops over edges, labelings and text lines were replaced
 by array code, and the read digests while a UG instance still kept its
-edges as objects beside its arrays, so a change to any written byte
-fails here. Regenerate them with
+edges as objects beside its arrays; the k=3 t = 3 digests, the case
+where `sdp_objective` takes one power per distinct correlation vector,
+were taken while it still took one at every point. So a change to any
+written byte fails here. Regenerate them with
 `python3 tests/test_golden_outputs.py` only for a change that means to
 move an output, and say which bytes moved and why.
 """
@@ -36,7 +38,7 @@ CASES = {
     "k2_eta0.25_eps0.45": (2, 0.25, 0.45, (1, 3)),
     "k2_eta0.35_eps0.25": (2, 0.35, 0.25, (1, 3)),
     "k2_eta0.45_eps0.35": (2, 0.45, 0.35, (1, 3)),
-    "k3_eta0.3_eps0.3": (3, 0.3, 0.3, (1,)),
+    "k3_eta0.3_eps0.3": (3, 0.3, 0.3, (1, 3)),
 }
 READ_CASES = {"k3_eta0.3_eps0.3"}
 
@@ -121,6 +123,11 @@ GOLDEN = {
         't1/best_cut.txt': 'a3054ac32da280449be49e8f21bb1ae43fe369e563c14826f6cdec55fc8c49a2',
         't1/gap_row.tsv': 'e75e2ee14b7528c9178d0f82349a2090b27354a5edaad8d3194cb9fd06bb699b',
         't1/stdout': '6442d6a479e3f8810311a9e730b13f7d962547c4ca521424d4c1c7fd4060aa75',
+        't3/bes_instance.txt': '8443caa4f535205ce3b0e204ad72de351c6a08f36fa038d0063696e4c040a72c',
+        't3/bes_summary.txt': '1b5677d1c8710af73923ec3a1e5baba73efe1d546c0964170f7c984465aa2d8f',
+        't3/best_cut.txt': 'a3054ac32da280449be49e8f21bb1ae43fe369e563c14826f6cdec55fc8c49a2',
+        't3/gap_row.tsv': '68832028264d52afba02bd667820f13adb50b1255752c71e2fb1bfc0b8381bfb',
+        't3/stdout': '1b5677d1c8710af73923ec3a1e5baba73efe1d546c0964170f7c984465aa2d8f',
         'ug/basis.txt': 'c6397897f84b0e51e7e0deb2f207a9487d46dfd764af9dfb5960206f217c743d',
         'ug/quotient_meta.txt': 'e6838536dc36d747239ba0351251dd52d5bbfaa858c214e7482ed044bd4d7ee7',
         'ug/stdout': '01d295b71e3e7f0a7cbfab6cc6d86a39d9311633b0612d13c61b28774e59339d',

@@ -8,8 +8,10 @@ from cutgap.cli import main
 from cutgap.quotient import build_kv_instance, build_ug_sdp_solution
 from cutgap.fourier import apply_noise_kernel
 from cutgap.separator import (
+    TRIANGLE_CHUNK,
     BESVectorAssignment,
     _majority_cut,
+    _random_balanced_cut,
     _shift_correlations,
     assign_sdp_solution,
     balanced_cut_search,
@@ -24,7 +26,13 @@ from cutgap.separator import (
     sdp_objective,
     sdp_objective_closed_form_t1,
 )
-from cutgap.unique_games import UGInstance, opt_exhaustive, plant_instance, value
+from cutgap.unique_games import (
+    DISAGREEMENT_CHUNK,
+    UGInstance,
+    opt_exhaustive,
+    plant_instance,
+    value,
+)
 from cutgap.verifier import (
     Proof,
     acceptance_probability_exact,
@@ -36,7 +44,9 @@ from oracles import (
     _set_image_table,
     bes_expanded_text_loop,
     bes_inner,
+    disagreement_one_gather,
     edge_rows,
+    sdp_objective_per_row,
 )
 
 
@@ -364,6 +374,18 @@ def test_triangle_certificate_matches_brute_force_planted_rows():
     assert violating >= 30  # a quarter of the fixtures have a violation
 
 
+def test_triangle_certificate_matches_brute_force_four_point_blocks():
+    # half a 4-point block is 2 first points, fewer than one sweep step
+    assert TRIANGLE_CHUNK > 2
+    violating = 0
+    for seed in range(60):
+        assign = planted_row_fixture(seed, m=8, n=2)
+        worst = brute_force_triangle(assign)
+        assert check_bes_feasibility(assign.inst, assign).triangle_violation == worst, seed
+        violating += worst > 0
+    assert violating >= 10
+
+
 def test_balance_claim_chain_on_random_cuts():
     # whenever a cut separates at least B/3 of the demand, Cauchy-Schwarz
     # forces piecewise balance <= sqrt((2n+1)/(3n)) < 5/6 (the finite-n form
@@ -602,3 +624,52 @@ def test_within_block_sweep_reads_each_blocks_gram():
     table[2, 2, 0] = 1.0
     rep = check_bes_feasibility(inst, assign)
     assert rep.triangle_violation == brute_force_triangle(assign) == 0.0
+
+
+# the 16 (eta, epsilon) instances of the benchmark's k=2 grid (its t axis
+# does not change the instance) and three k=3 instances
+GRID_K2 = [(2, eta, eps) for eta in (0.15, 0.25, 0.35, 0.45)
+           for eps in (0.15, 0.25, 0.35, 0.45)]
+POINTS_K3 = [(3, 0.1, 0.2), (3, 0.3, 0.3), (3, 0.45, 0.45)]
+
+
+def seeded_cuts(inst, seed, count=60):
+    """The majority cut, then random balanced and random +/-1 cuts in turn."""
+    rng = np.random.default_rng(seed)
+    cuts = [_majority_cut(inst)]
+    while len(cuts) < count:
+        cuts.append(_random_balanced_cut(inst, rng) if len(cuts) % 2 else
+                    rng.choice(np.array([-1, 1], dtype=np.int8), size=inst.num_vertices))
+    return cuts
+
+
+def assert_cut_weights_match_one_gather(inst, cuts):
+    d = inst.ug.edge_distribution
+    for i, cut in enumerate(cuts):
+        blocks = cut.reshape(inst.num_blocks, inst.block_size)
+        assert cut_edge_weight(inst, cut) == disagreement_one_gather(d, blocks, inst.epsilon), i
+
+
+@pytest.mark.parametrize("k, eta, eps", GRID_K2 + POINTS_K3)
+def test_chunked_cut_weight_is_the_one_gather_bit_for_bit(k, eta, eps):
+    inst = build_bes(build_kv_instance(k, eta)[0], eps)
+    assert_cut_weights_match_one_gather(inst, seeded_cuts(inst, seed=k * 100 + int(eta * 100)))
+
+
+def test_chunked_cut_weight_general_permutations_partial_chunk():
+    # 345 edges over 342 distinct permutations: the last chunk is partial
+    u, hidden = plant_instance(30, 8, 0.1, 0.8, seed=1)
+    assert u.num_edges > DISAGREEMENT_CHUNK and u.num_edges % DISAGREEMENT_CHUNK
+    assert len(u.edge_distribution.perms) > u.num_labels
+    inst = build_bes(u, 0.3)
+    assert_cut_weights_match_one_gather(inst, seeded_cuts(inst, seed=5) + [dictator_cut(inst, hidden)])
+
+
+@pytest.mark.parametrize("k, eta, eps", GRID_K2 + POINTS_K3)
+def test_distinct_correlation_objective_is_the_per_row_loop_bit_for_bit(k, eta, eps):
+    u, q, _ = build_kv_instance(k, eta)
+    inst = build_bes(u, eps)
+    sol = build_ug_sdp_solution(q)
+    for t in (1, 3, 5):
+        assign = assign_sdp_solution(inst, sol, t=t)
+        assert sdp_objective(inst, assign) == sdp_objective_per_row(inst, assign), t
