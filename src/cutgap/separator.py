@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fourier import apply_noise_kernel
 from .quotient import UGVectorSolution
 from .tensor import GramCache
 from .unique_games import UGInstance
@@ -54,6 +55,9 @@ EXACT_LABEL_LIMIT = 8  # up to 2^8-point blocks (k <= 3 in the gap pipeline)
 # first points per step of the triangle sweep: at 2^8-point blocks its
 # (4, 256, 256) float64 buffer of pair sums takes 2 MB
 TRIANGLE_CHUNK = 4
+# local search trusts a flip's gain unless it lies strictly inside
+# (-GAIN_BAND, GAIN_BAND); there the exact cut weights decide
+GAIN_BAND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -370,12 +374,76 @@ def _majority_cut(inst: BESInstance) -> np.ndarray:
     return np.tile(block, inst.num_blocks)
 
 
+class _FlipGains:
+    """The exact change in cut weight from flipping one point (the gain of
+    Kernighan-Lin and Fiduccia-Mattheyses), kept current under flips.
+
+    With S = K A the smoothed blocks, the cut weight is sum_e wt_e / 2 minus
+    sum_e wt_e <A^(v_e), S^(w_e) o T_e> / 2^(N+1), and its gradient in
+    A(u, x) is the field F_u(x) = sum_{e: v_e=u} wt_e S[w_e, T_e[x]] +
+    sum_{e: w_e=u} wt_e S[v_e, T_e^-1[x]]. Flipping (u, x) moves the weight
+    by (A(u, x) F_u(x) - 2 sum_{loop e at u} wt_e K[T_e[x], x]) / 2^N, the
+    loop term being the one quadratic part. A flip changes S[u] by
+    -2 A(u, x) K[:, x], so it moves only the fields of u's neighbours, each
+    by a multiple of one kernel row: K[T_e[x'], x] = K[x', T_e^-1[x]].
+    """
+
+    def __init__(self, inst: BESInstance, blocks: np.ndarray):
+        d = inst.ug.edge_distribution
+        n = inst.ug.num_labels
+        eps = inst.epsilon
+        size = inst.block_size
+        dist = _distance_matrix(n)
+        self.kernel = eps**dist * (1 - eps) ** (n - dist)  # K[x, y]
+        self.size = size
+        # both ends of every edge, sorted by end: (end, other end, weight,
+        # point map), the map T_e seen from v_e and T_e^-1 seen from w_e
+        inverse = np.argsort(d.tables, axis=1)
+        ends = np.concatenate([d.v, d.w])
+        order = np.argsort(ends, kind="stable")
+        ends = ends[order]
+        self.others = np.concatenate([d.w, d.v])[order]
+        self.weights = np.concatenate([d.weight, d.weight])[order]
+        self.maps = np.concatenate([d.tables[d.table_of], inverse[d.table_of]])[order]
+        self.bounds = np.searchsorted(ends, np.arange(inst.num_blocks + 1))
+        points = np.arange(size)
+        smoothed = apply_noise_kernel(blocks, eps, n)
+        pulled = self.weights[:, None] * smoothed[self.others[:, None], self.maps]
+        self.field = np.bincount((ends[:, None] * size + points).ravel(), weights=pulled.ravel(),
+                                 minlength=blocks.size).reshape(blocks.shape)
+        loops = d.v == d.w
+        loop_terms = d.weight[loops, None] * self.kernel[d.tables[d.table_of[loops]], points]
+        self.loop = np.bincount((d.v[loops, None] * size + points).ravel(),
+                                weights=loop_terms.ravel(),
+                                minlength=blocks.size).reshape(blocks.shape)
+
+    def gain(self, u: int, x: int, a: int) -> float:
+        """Weight after flipping (u, x), which holds a, minus weight before."""
+        return (a * self.field[u, x] - 2 * self.loop[u, x]) / self.size
+
+    def flip(self, u: int, x: int, a: int) -> None:
+        """Record the flip of (u, x) from a to -a."""
+        e = slice(self.bounds[u], self.bounds[u + 1])
+        rows = self.kernel[self.maps[e, x]]
+        np.add.at(self.field, self.others[e], (-2 * a * self.weights[e])[:, None] * rows)
+
+
 def balanced_cut_search(inst: BESInstance, theta: float = 5.0 / 6.0,
                         seed: int = 0, random_candidates: int = 8,
                         labelings=None, local_search: bool = True) -> CutSearchResult:
     """Best theta-piecewise-balanced cut found across dictator cuts (global
     coordinates and labeling-matched), per-block majority, random balanced
     cuts, and single-flip local search that keeps the balance feasible.
+
+    Local search visits every point once per sweep, in a seeded order, for
+    at most 8 sweeps, and stops after a sweep that keeps no flip. A flip
+    that keeps the balance is kept when it lowers the exact cut weight by
+    more than 1e-15. The search reads that from the flip's gain
+    (`_FlipGains`); only a gain inside (-GAIN_BAND, GAIN_BAND) is settled
+    by the exact weights of both cuts. The weight is recomputed exactly
+    after every sweep that kept a flip, so every flip kept and every weight
+    reported is that of an exact weight per trial, at one exact weight per
+    sweep.
 
     The returned weight is a certified upper bound on the balanced-cut
     optimum; it says nothing about cuts the search did not visit. A
@@ -409,23 +477,44 @@ def balanced_cut_search(inst: BESInstance, theta: float = 5.0 / 6.0,
             best_cut = cut.copy()
 
     if local_search and best_cut is not None:
+        size = inst.block_size
+        m = inst.num_blocks
+        blocks = best_cut.reshape(m, size)
+        sums = blocks.sum(axis=1, dtype=np.int64).tolist()
+        # piecewise_balance is imbalance / size / m as the same float: the
+        # block means and their partial sums are exact multiples of 1 / size,
+        # so only the division by m rounds
+        imbalance = sum(abs(s) for s in sums)
+        gains = _FlipGains(inst, blocks)
         improved = True
         sweeps = 0
         while improved and sweeps < 8:
             improved = False
             sweeps += 1
             order = rng.permutation(inst.num_vertices)
-            for v in order:
-                best_cut[v] *= -1
-                if piecewise_balance(_block_views(inst, best_cut)) > theta + 1e-9:
-                    best_cut[v] *= -1
+            for v in order.tolist():
+                u, x = divmod(v, size)
+                a = int(best_cut[v])
+                flipped = imbalance - abs(sums[u]) + abs(sums[u] - 2 * a)
+                if flipped / size / m > theta + 1e-9:
                     continue
-                w = cut_edge_weight(inst, best_cut)
-                if w < best_weight - 1e-15:
-                    best_weight = w
-                    improved = True
+                gain = gains.gain(u, x, a)
+                if abs(gain) < GAIN_BAND:
+                    # too close to call: the exact weights of both cuts decide
+                    current = cut_edge_weight(inst, best_cut)
+                    best_cut[v] = -a
+                    accept = cut_edge_weight(inst, best_cut) < current - 1e-15
+                    best_cut[v] = a
                 else:
-                    best_cut[v] *= -1
+                    accept = gain < 0
+                if accept:
+                    best_cut[v] = -a
+                    sums[u] -= 2 * a
+                    imbalance = flipped
+                    gains.flip(u, x, a)
+                    improved = True
+            if improved:
+                best_weight = cut_edge_weight(inst, best_cut)
         report.append(("local_search", best_weight,
                        piecewise_balance(_block_views(inst, best_cut))))
 

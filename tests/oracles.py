@@ -31,6 +31,11 @@ paths against. None of them is used by the cutgap package itself.
   (x, y') point of every distinct table row, the oracles that the chunked
   gather and the distinct-correlation powers of `cutgap` must match bit for
   bit.
+- `balanced_cut_search_per_trial`: the balanced-cut search with every
+  trial flip of its local search judged by two exact cut weights and its
+  balance by `piecewise_balance` of the whole flipped cut, the oracle that
+  the gain bookkeeping of `cutgap.separator.balanced_cut_search` must
+  match bit for bit.
 """
 
 from __future__ import annotations
@@ -41,8 +46,17 @@ from typing import NamedTuple
 import numpy as np
 
 from cutgap.fourier import apply_noise_kernel
+from cutgap.separator import (
+    CutSearchResult,
+    _block_views,
+    _majority_cut,
+    _random_balanced_cut,
+    cut_edge_weight,
+    demand_cut,
+)
 from cutgap.tensor import DEFAULT_INNER_POWER, GramCache
 from cutgap.unique_games import value
+from cutgap.verifier import dictator_tables, piecewise_balance
 
 DEFAULT_OUTER_POWER = 3
 
@@ -302,3 +316,64 @@ def sdp_objective_per_row(inst, assign) -> float:
         q = np.clip(assign.corr @ row / assign.cache.N, -1.0, 1.0)
         mean_inner += weight * float(np.sum(w_noise * q**assign.t))
     return (1.0 - mean_inner) / 2.0
+
+
+def balanced_cut_search_per_trial(inst, theta: float = 5.0 / 6.0, seed: int = 0,
+                                  random_candidates: int = 8, labelings=None,
+                                  local_search: bool = True):
+    """`separator.balanced_cut_search` with one exact cut weight per trial
+    flip: a flip that keeps the balance is kept when the flipped cut's
+    weight is below the current one's by more than 1e-15."""
+    rng = np.random.default_rng(seed)
+    n = inst.ug.num_labels
+    candidates = []
+    for i in range(n):
+        candidates.append((f"coordinate_{i}",
+                           dictator_tables(np.full(inst.num_blocks, i), n).ravel()))
+    for idx, lam in enumerate(labelings or []):
+        candidates.append((f"labeling_{idx}", dictator_tables(lam, n).ravel()))
+    candidates.append(("majority", _majority_cut(inst)))
+    for r in range(random_candidates):
+        candidates.append((f"random_{r}", _random_balanced_cut(inst, rng)))
+
+    report = []
+    best_cut = None
+    best_weight = np.inf
+    for name, cut in candidates:
+        bal = piecewise_balance(_block_views(inst, cut))
+        if bal > theta + 1e-9:
+            continue
+        weight = cut_edge_weight(inst, cut)
+        report.append((name, weight, bal))
+        if weight < best_weight:
+            best_weight = weight
+            best_cut = cut.copy()
+
+    if local_search and best_cut is not None:
+        improved = True
+        sweeps = 0
+        while improved and sweeps < 8:
+            improved = False
+            sweeps += 1
+            order = rng.permutation(inst.num_vertices)
+            for v in order:
+                best_cut[v] *= -1
+                if piecewise_balance(_block_views(inst, best_cut)) > theta + 1e-9:
+                    best_cut[v] *= -1
+                    continue
+                w = cut_edge_weight(inst, best_cut)
+                if w < best_weight - 1e-15:
+                    best_weight = w
+                    improved = True
+                else:
+                    best_cut[v] *= -1
+        report.append(("local_search", best_weight,
+                       piecewise_balance(_block_views(inst, best_cut))))
+
+    return CutSearchResult(
+        cut=best_cut,
+        edge_weight=best_weight,
+        balance=piecewise_balance(_block_views(inst, best_cut)),
+        demand=demand_cut(inst, best_cut),
+        candidates=report,
+    )

@@ -4,12 +4,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from cutgap import separator as sp
 from cutgap.cli import main
 from cutgap.quotient import build_kv_instance, build_ug_sdp_solution
 from cutgap.fourier import apply_noise_kernel
 from cutgap.separator import (
+    GAIN_BAND,
     TRIANGLE_CHUNK,
     BESVectorAssignment,
+    _FlipGains,
     _majority_cut,
     _random_balanced_cut,
     _shift_correlations,
@@ -42,6 +45,7 @@ from cutgap.verifier import (
 from oracles import (
     BESVectorHandle,
     _set_image_table,
+    balanced_cut_search_per_trial,
     bes_expanded_text_loop,
     bes_inner,
     disagreement_one_gather,
@@ -673,3 +677,134 @@ def test_distinct_correlation_objective_is_the_per_row_loop_bit_for_bit(k, eta, 
     for t in (1, 3, 5):
         assign = assign_sdp_solution(inst, sol, t=t)
         assert sdp_objective(inst, assign) == sdp_objective_per_row(inst, assign), t
+
+
+def assert_same_search(res, ref):
+    assert np.array_equal(res.cut, ref.cut)
+    assert res.edge_weight == ref.edge_weight
+    assert res.balance == ref.balance
+    assert res.demand == ref.demand
+    assert res.candidates == ref.candidates
+
+
+@pytest.mark.parametrize("k, eta, eps", GRID_K2)
+def test_gain_search_is_the_per_trial_search_bit_for_bit(k, eta, eps):
+    u = build_kv_instance(k, eta)[0]
+    inst = build_bes(u, eps)
+    lam, _ = opt_exhaustive(u)
+    for seed in range(6):
+        assert_same_search(balanced_cut_search(inst, seed=seed, labelings=[lam]),
+                           balanced_cut_search_per_trial(inst, seed=seed, labelings=[lam]))
+
+
+def assert_gains_match_exact(inst, cut, gains, points):
+    """Each point's gain against the exact weight difference of its flip."""
+    base = cut_edge_weight(inst, cut)
+    for v in points:
+        a = int(cut[v])
+        cut[v] = -a
+        diff = cut_edge_weight(inst, cut) - base
+        cut[v] = a
+        assert abs(gains.gain(*divmod(int(v), inst.block_size), a) - diff) <= 1e-13, v
+
+
+def flip(cut, gains, v, size):
+    a = int(cut[v])
+    cut[v] = -a
+    gains.flip(*divmod(int(v), size), a)
+
+
+@pytest.mark.parametrize("eta, eps", [(0.15, 0.15), (0.3, 0.3), (0.45, 0.45)])
+def test_flip_gains_match_exact_differences_k2(eta, eps):
+    inst = build_bes(build_kv_instance(2, eta)[0], eps)
+    rng = np.random.default_rng(int(eta * 100))
+    cut = _random_balanced_cut(inst, rng)
+    gains = _FlipGains(inst, cut.reshape(inst.num_blocks, inst.block_size))
+    everywhere = range(inst.num_vertices)
+    assert_gains_match_exact(inst, cut, gains, everywhere)
+    # and again after flips the bookkeeping followed, loop blocks included
+    for v in rng.choice(inst.num_vertices, size=12, replace=False):
+        flip(cut, gains, v, inst.block_size)
+    assert_gains_match_exact(inst, cut, gains, everywhere)
+
+
+def test_flip_gains_match_exact_differences_k3():
+    inst = build_bes(build_kv_instance(3, 0.3)[0], 0.3)
+    rng = np.random.default_rng(3)
+    cut = _random_balanced_cut(inst, rng)
+    gains = _FlipGains(inst, cut.reshape(inst.num_blocks, inst.block_size))
+    weight = cut_edge_weight(inst, cut)
+    # each flip is kept, so each gain is read after all the earlier updates
+    for v in rng.integers(0, inst.num_vertices, size=60):
+        gain = gains.gain(*divmod(int(v), inst.block_size), int(cut[v]))
+        flip(cut, gains, v, inst.block_size)
+        new_weight = cut_edge_weight(inst, cut)
+        assert abs(gain - (new_weight - weight)) <= 1e-13, v
+        weight = new_weight
+
+
+def test_band_trials_take_the_exact_route(monkeypatch):
+    # an isolated UG vertex (allowed by a loose regularity tolerance): every
+    # flip in its block has gain exactly 0, inside the band
+    u = kv_fixture()[0]
+    lonely = UGInstance(u.num_vertices + 1, u.num_labels, u.v, u.w, u.weight, u.perm,
+                        regularity_tol=1.0)
+    inst = build_bes(lonely, 0.3)
+    lam = np.append(opt_exhaustive(u)[0], 0)
+    events = []
+    gain = _FlipGains.gain
+
+    def recorded_gain(self, block, x, a):
+        g = gain(self, block, x, a)
+        events.append(("gain", block * inst.block_size + x, g))
+        return g
+
+    def recorded_weight(inst_, cut):
+        events.append(("exact", np.array(cut)))
+        return cut_edge_weight(inst_, cut)
+
+    monkeypatch.setattr(_FlipGains, "gain", recorded_gain)
+    monkeypatch.setattr(sp, "cut_edge_weight", recorded_weight)
+    res = balanced_cut_search(inst, seed=0, labelings=[lam])
+    monkeypatch.undo()
+    assert_same_search(res, balanced_cut_search_per_trial(inst, seed=0, labelings=[lam]))
+
+    trials = [(i, e[1], e[2]) for i, e in enumerate(events) if e[0] == "gain"]
+    band = [(i, v) for i, v, g in trials if abs(g) < GAIN_BAND]
+    assert band and [v for _, v in band] == [v for _, v, _ in trials
+                                             if v // inst.block_size == u.num_vertices]
+    lonely_block = slice(u.num_vertices * inst.block_size, None)
+    for i, v in band:
+        (kind_a, current), (kind_b, flipped) = events[i + 1], events[i + 2]
+        assert kind_a == kind_b == "exact"
+        assert np.flatnonzero(current != flipped).tolist() == [v]
+        # the exact weights are equal, so, as in the per-trial search, no
+        # flip of the isolated block is kept
+        assert np.array_equal(current[lonely_block], res.cut[lonely_block])
+
+
+def test_local_search_makes_one_exact_call_per_sweep(monkeypatch):
+    u, _, inst, _ = kv_fixture()
+    lam, _ = opt_exhaustive(u)
+    calls = []
+    monkeypatch.setattr(sp, "cut_edge_weight",
+                        lambda *args: calls.append(1) or cut_edge_weight(*args))
+    off = balanced_cut_search(inst, seed=0, labelings=[lam], local_search=False)
+    before = len(calls)
+    on = balanced_cut_search(inst, seed=0, labelings=[lam])
+    extra = len(calls) - 2 * before
+    # local search kept flips, so it weighed at least one sweep; a weight per
+    # trial would be up to 64 per sweep
+    assert on.edge_weight < off.edge_weight
+    assert 1 <= extra <= 8
+
+
+def test_block_sum_imbalance_is_piecewise_balance():
+    # the float local search compares with theta
+    rng = np.random.default_rng(8)
+    for m in (1, 3, 4, 7, 8, 9, 32, 129):
+        for size in (16, 256):
+            p = rng.random((m, 1))
+            tables = np.where(rng.random((m, size)) < p, 1, -1).astype(np.int8)
+            imbalance = int(np.abs(tables.sum(axis=1, dtype=np.int64)).sum())
+            assert imbalance / size / m == piecewise_balance(tables), (m, size)
