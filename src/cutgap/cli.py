@@ -321,11 +321,7 @@ def cmd_distortion(args) -> int:
         _write(args.export, mt.export_distortion_lp(metric))
         print(f"lp_exported\t{args.export}")
         return 0
-    if metric.n > args.n_max:
-        _write(args.metric_file + ".lp", mt.export_distortion_lp(metric))
-        return _fail("distortion_size", f"{metric.n} points > n_max={args.n_max}; "
-                                        f"LP exported to {args.metric_file}.lp")
-    res = mt.l1_distortion_lp(metric, n_max=args.n_max)
+    res = mt.l1_distortion_lp(metric)
     print(f"distortion\t{_fmt(res.gamma)}")
     print(f"lp_iterations\t{res.lp.iterations}")
     for name, val in res.certificate.items():
@@ -407,7 +403,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distortion", help="negative-type check and l1 distortion LP")
     p.add_argument("--metric-file", required=True)
-    p.add_argument("--n-max", type=int, default=12)
     p.add_argument("--export", help="write the LP text instead of solving")
     p.set_defaults(func=cmd_distortion)
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .quotient import PIPELINE_MAX_K
+
 __all__ = ["RunConfig", "parse_config_file", "derive_seed", "SEED_PURPOSE"]
 
 # seed-splitting purpose codes (documented contract, keep stable)
@@ -42,8 +44,8 @@ class RunConfig:
     out: str = "runs"
 
     def validate(self) -> "RunConfig":
-        if not 1 <= self.k <= 5:
-            raise ValueError(f"k={self.k} outside [1, 5]")
+        if not 1 <= self.k <= PIPELINE_MAX_K:
+            raise ValueError(f"k={self.k} outside [1, {PIPELINE_MAX_K}]")
         if not 0 < self.eta < 0.5:
             raise ValueError(f"eta={self.eta} outside (0, 1/2)")
         if not 0 < self.epsilon < 0.5:
@@ -65,7 +67,9 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def parse_config_file(text: str) -> dict:
-    """Parse `key = value` lines into a RunConfig kwargs dict."""
+    """Parse `key = value` lines into a RunConfig kwargs dict; a malformed
+    line, an unknown key or an unparsable number raises ValueError naming
+    the line."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -76,11 +80,8 @@ def parse_config_file(text: str) -> dict:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in _FIELD_TYPES:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        kind = _FIELD_TYPES[key]
-        if kind in ("int", int):
-            out[key] = int(val)
-        elif kind in ("float", float):
-            out[key] = float(val)
-        else:
-            out[key] = val
+        try:  # the field types are annotation strings
+            out[key] = {"int": int, "float": float}.get(_FIELD_TYPES[key], str)(val)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return out

@@ -38,7 +38,8 @@ __all__ = [
     "cut_metric_combination",
 ]
 
-DEFAULT_LP_POINT_LIMIT = 12
+LP_POINT_LIMIT = 12  # the cut-cone LP has 2^(n-1) - 1 cut columns: 2047 at 12 points
+XOR_EXHAUSTIVE_CUTS = 16  # best_xor_cut samples 2^16 subsets of more cuts
 
 
 @dataclass(frozen=True)
@@ -182,19 +183,20 @@ def _zero_distance_classes(metric: FiniteMetric):
     return list(classes.values())
 
 
-def l1_distortion_lp(metric: FiniteMetric, n_max: int = DEFAULT_LP_POINT_LIMIT) -> DistortionResult:
+def l1_distortion_lp(metric: FiniteMetric) -> DistortionResult:
     """Exact minimal l1 distortion via the cut-cone LP.
 
     Minimizes Gamma over nonnegative cut weights lambda with
     d <= sum lambda delta_S <= Gamma d, solved by the dense simplex.
     Zero-distance point classes are contracted first (distortion-preserving).
     The returned certificate holds the complementary-slackness residuals;
-    a simplex status other than optimal raises ValueError.
+    a metric of more than LP_POINT_LIMIT points or a simplex status other
+    than optimal raises ValueError.
     """
-    if metric.n > n_max:
+    if metric.n > LP_POINT_LIMIT:
         raise ValueError(
-            f"{metric.n} points exceed n_max={n_max} "
-            "(2^(n-1)-1 cut variables); use export_distortion_lp"
+            f"{metric.n} points exceed the {LP_POINT_LIMIT}-point limit "
+            "(2^(n-1)-1 cut variables); export the LP to solve it elsewhere"
         )
     classes = _zero_distance_classes(metric)
     if len(classes) < 2:
@@ -273,7 +275,8 @@ def metric_from_text(text: str) -> FiniteMetric:
     lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     head = lines[0][1] if lines else []
     if len(head) != 2 or head[0] != "METRIC" or not head[1].isdigit() or int(head[1]) < 1:
-        raise ValueError("not a metric file: expected header `METRIC n` with n >= 1")
+        raise ValueError(f"line {lines[0][0] if lines else 1}: not a metric file: "
+                         "expected header `METRIC n` with n >= 1")
     n = int(head[1])
     if len(lines) > n:
         raise ValueError(f"line {lines[n][0]}: extra row, METRIC {n} has {n - 1} rows")
@@ -367,11 +370,12 @@ def _cut_weight(weights: np.ndarray, cut: np.ndarray) -> float:
     return float(np.sum(weights * sep) / 2.0)
 
 
-def best_xor_cut(cuts, weights, demands, B, rng=None, max_exhaustive: int = 16):
+def best_xor_cut(cuts, weights, demands, B, rng=None):
     """Best XOR combination phi_A = xor of a subset A of the given cuts,
     ranked by (demand >= B/3 first, then minimal edge weight).
 
-    Exhaustive over all 2^k subsets for k <= max_exhaustive, else sampled.
+    Exhaustive over all 2^k subsets for k <= XOR_EXHAUSTIVE_CUTS, else
+    sampled.
     A random subset cuts each demand pair with probability 1/2 wherever some
     cut separates it, so the expected demand cut is at least half the
     collectively separated demand.
@@ -380,11 +384,11 @@ def best_xor_cut(cuts, weights, demands, B, rng=None, max_exhaustive: int = 16):
     k = len(cuts)
     weights = np.asarray(weights, dtype=np.float64)
     demands = np.asarray(demands, dtype=np.float64)
-    if k <= max_exhaustive:
+    if k <= XOR_EXHAUSTIVE_CUTS:
         codes = range(1 << k)
     else:
         rng = rng or np.random.default_rng(0)
-        codes = [int(c) for c in rng.integers(0, 1 << k, size=1 << max_exhaustive)]
+        codes = [int(c) for c in rng.integers(0, 1 << k, size=1 << XOR_EXHAUSTIVE_CUTS)]
     best = None
     for code in codes:
         phi = np.zeros_like(cuts[0])

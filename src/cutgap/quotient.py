@@ -51,8 +51,9 @@ __all__ = [
     "UlcPropertyReport",
 ]
 
-DEFAULT_MAX_K = 4
-HARD_MAX_K = 5
+PIPELINE_MAX_K = 3  # build_kv_instance lists every UG edge: about 10^6 at k = 4
+QUOTIENT_MAX_K = 4  # build_quotient's dense arrays: one entry per function
+BASIS_MAX_K = 5  # N = 2^k <= 32 keeps _triangle_violation's sweep in int8
 
 
 def shift_masks(k: int) -> np.ndarray:
@@ -68,14 +69,13 @@ def shift_masks(k: int) -> np.ndarray:
 @dataclass(frozen=True)
 class QuotientStructure:
     """Partition of all 2^(2^k) Boolean functions into classes closed under
-    character multiplication; class_of/shift_of are dense arrays for k <= 4
-    and computed on demand for k = 5 (too many functions to materialize)."""
+    character multiplication, with dense class_id/shift_id arrays."""
 
     k: int
     masks: np.ndarray
-    reps: np.ndarray | None
-    class_id: np.ndarray | None
-    shift_id: np.ndarray | None
+    reps: np.ndarray
+    class_id: np.ndarray
+    shift_id: np.ndarray
 
     @property
     def N(self) -> int:
@@ -86,30 +86,16 @@ class QuotientStructure:
         return (1 << self.N) // self.N
 
     def class_of(self, code: int):
-        """Return (class id, shift s) with code == rep(class) xor masks[s].
-
-        In lazy mode the class id is the canonical representative itself.
-        """
-        if self.class_id is not None:
-            return int(self.class_id[code]), int(self.shift_id[code])
-        orbit = np.uint64(code) ^ self.masks
-        s = int(np.argmin(orbit))
-        return int(orbit[s]), s
+        """Return (class id, shift s) with code == rep(class) xor masks[s]."""
+        return int(self.class_id[code]), int(self.shift_id[code])
 
 
-def build_quotient(k: int, allow_large: bool = False) -> QuotientStructure:
-    """Partition with canonical representatives (numerically smallest code).
-
-    k <= 4 by default; k = 5 (2^32 functions) is gated behind allow_large and
-    served lazily without dense per-function arrays.
-    """
-    if not 1 <= k <= HARD_MAX_K:
-        raise ValueError(f"k={k} outside [1, {HARD_MAX_K}]")
-    if k > DEFAULT_MAX_K and not allow_large:
-        raise ValueError(f"k={k} needs allow_large=True (2^{1 << k} functions)")
+def build_quotient(k: int) -> QuotientStructure:
+    """Partition with canonical representatives (numerically smallest code),
+    for 1 <= k <= QUOTIENT_MAX_K."""
+    if not 1 <= k <= QUOTIENT_MAX_K:
+        raise ValueError(f"k={k} outside [1, {QUOTIENT_MAX_K}]")
     masks = shift_masks(k)
-    if k > DEFAULT_MAX_K:
-        return QuotientStructure(k, masks, None, None, None)
     n = 1 << k
     total = 1 << n
     class_id = np.full(total, -1, dtype=np.int64)
@@ -128,22 +114,18 @@ def build_quotient(k: int, allow_large: bool = False) -> QuotientStructure:
     )
 
 
-def build_kv_instance(k: int, eta: float, window: str = "typical",
-                      quotient: QuotientStructure | None = None):
-    """The quotiented noisy-hypercube UG instance on m vertices, N labels.
+def build_kv_instance(k: int, eta: float, window: str = "typical"):
+    """The quotiented noisy-hypercube UG instance on m vertices, N labels,
+    for 1 <= k <= PIPELINE_MAX_K.
 
     window: "typical" for the [ceil(eta N/2), floor(2 eta N)] deletion
     (renormalized), "none" to keep all distances. Returns (instance,
     quotient, hypercube). The label-extended graph of the instance is
     weighted-graph-isomorphic to the windowed hypercube.
     """
-    if k > 3:
-        raise ValueError(
-            "the instance pipeline materializes the edge list and is capped "
-            "at k=3 (~10^6 edges at k=4); the quotient and vector solution "
-            "remain available via build_quotient/build_ug_sdp_solution"
-        )
-    q = quotient if quotient is not None else build_quotient(k)
+    if not 1 <= k <= PIPELINE_MAX_K:
+        raise ValueError(f"k={k} outside [1, {PIPELINE_MAX_K}]")
+    q = build_quotient(k)
     N = q.N
     if window == "typical":
         win = typical_window(N, eta)
@@ -197,8 +179,6 @@ class UGVectorSolution:
 
 
 def build_ug_sdp_solution(q: QuotientStructure) -> UGVectorSolution:
-    if q.reps is None:
-        raise ValueError("lazy quotient cannot materialize the vector solution")
     N = q.N
     m = q.num_classes
     codes = q.reps[:, None] ^ q.masks[None, :]  # (m, N) table codes
@@ -233,7 +213,7 @@ def _triangle_violation(gram: np.ndarray) -> float:
     B B^T of the +/-1 rows, as (G_ac + G_bc - G_ab - N) / N.
 
     |G| <= N, so G_ac + G_bc - G_ab lies in [-3N, 3N], which int8 holds for
-    N <= 42; basis_from_text accepts k <= HARD_MAX_K, so N <= 32. The triple
+    N <= 42; basis_from_text accepts k <= BASIS_MAX_K, so N <= 32. The triple
     a = b = c has term 0, so the result is never negative.
     """
     m, N = gram.shape[:2]
@@ -346,18 +326,25 @@ def basis_to_text(sol: UGVectorSolution) -> str:
 
 
 def basis_from_text(text: str) -> UGVectorSolution:
-    """Inverse of `basis_to_text`; a row that is not N entries of +/-1
-    raises ValueError naming the line."""
+    """Inverse of `basis_to_text`; a bad header, a missing or extra row, or
+    a row that is not N entries of +/-1 raises ValueError naming the line."""
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     head = lines[0][1].split() if lines else []
     if len(head) != 3 or head[0] != "BASIS":
-        raise ValueError("not a basis file")
-    k, m = int(head[1]), int(head[2])
-    if not 0 <= k <= HARD_MAX_K:  # N = 2^k <= 32 keeps the triangle sweep in int8
+        raise ValueError(f"line {lines[0][0] if lines else 1}: not a basis file")
+    try:
+        k, m = int(head[1]), int(head[2])
+    except ValueError as exc:
+        raise ValueError(f"line {lines[0][0]}: {exc}") from None
+    if not 0 <= k <= BASIS_MAX_K:
         raise ValueError(f"line {lines[0][0]}: k={k} out of range")
+    if m < 1:
+        raise ValueError(f"line {lines[0][0]}: class count {m} out of range")
     N = 1 << k
-    if len(lines) < 1 + m * (N + 1):
-        raise ValueError(f"basis file truncated: {len(lines)} of {1 + m * (N + 1)} lines")
+    rows = m * (N + 1)
+    if len(lines) - 1 != rows:
+        at = lines[rows + 1][0] if len(lines) - 1 > rows else lines[-1][0] + 1
+        raise ValueError(f"line {at}: BASIS {k} {m} has {rows} rows, found {len(lines) - 1}")
     basis = np.zeros((m, N, N), dtype=np.int8)
     pos = 1
     for i in range(m):
@@ -366,7 +353,10 @@ def basis_from_text(text: str) -> UGVectorSolution:
         pos += 1
         for s in range(N):
             no, ln = lines[pos]
-            row = [int(x) for x in ln.split()]
+            try:
+                row = [int(x) for x in ln.split()]
+            except ValueError as exc:
+                raise ValueError(f"line {no}: {exc}") from None
             if len(row) != N or any(abs(x) != 1 for x in row):
                 raise ValueError(f"line {no}: expected {N} entries of +/-1")
             basis[i, s] = row

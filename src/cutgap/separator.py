@@ -58,6 +58,8 @@ TRIANGLE_CHUNK = 4
 # local search trusts a flip's gain unless it lies strictly inside
 # (-GAIN_BAND, GAIN_BAND); there the exact cut weights decide
 GAIN_BAND = 1e-12
+THETA = 5.0 / 6.0  # the largest piecewise balance a searched cut may have
+RANDOM_CANDIDATES = 8  # seeded random balanced cuts among the search's candidates
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,9 @@ class BESInstance:
     def __post_init__(self):
         if not 0 < self.epsilon < 0.5:
             raise ValueError(f"epsilon={self.epsilon} outside (0, 1/2)")
+        if self.ug.num_labels > EXACT_LABEL_LIMIT:
+            raise ValueError(f"{self.ug.num_labels} labels exceed the exact-enumeration "
+                             f"limit {EXACT_LABEL_LIMIT}")
 
     @property
     def num_blocks(self) -> int:
@@ -90,18 +95,9 @@ class BESInstance:
         """B = D / 2."""
         return self.total_demand / 2
 
-    def exactly_enumerable(self) -> bool:
-        return self.ug.num_labels <= EXACT_LABEL_LIMIT
 
-
-def build_bes(u: UGInstance, epsilon: float, require_exact: bool = True) -> BESInstance:
-    inst = BESInstance(u, epsilon)
-    if require_exact and not inst.exactly_enumerable():
-        raise ValueError(
-            f"{u.num_labels} labels exceed the exact-enumeration limit "
-            f"{EXACT_LABEL_LIMIT}; pass require_exact=False for the sampling mode"
-        )
-    return inst
+def build_bes(u: UGInstance, epsilon: float) -> BESInstance:
+    return BESInstance(u, epsilon)
 
 
 def _block_views(inst: BESInstance, cut: np.ndarray) -> np.ndarray:
@@ -114,8 +110,6 @@ def _block_views(inst: BESInstance, cut: np.ndarray) -> np.ndarray:
 def cut_edge_weight(inst: BESInstance, cut) -> float:
     """Exact cut weight: the probability over the edge distribution that the
     two endpoints get different signs."""
-    if not inst.exactly_enumerable():
-        raise ValueError("instance too large for exact enumeration; use the MC path")
     return inst.ug.edge_distribution.disagreement(_block_views(inst, cut), inst.epsilon)
 
 
@@ -206,8 +200,6 @@ def sdp_objective(inst: BESInstance, assign: BESVectorAssignment) -> float:
     with the same shifted table row give the same term, so each distinct
     row is evaluated once with the summed weight of its edges.
     """
-    if not inst.exactly_enumerable():
-        raise ValueError("instance too large for exact enumeration")
     n = inst.ug.num_labels
     eps = inst.epsilon
     dist = _distance_matrix(n)
@@ -428,10 +420,9 @@ class _FlipGains:
         np.add.at(self.field, self.others[e], (-2 * a * self.weights[e])[:, None] * rows)
 
 
-def balanced_cut_search(inst: BESInstance, theta: float = 5.0 / 6.0,
-                        seed: int = 0, random_candidates: int = 8,
-                        labelings=None, local_search: bool = True) -> CutSearchResult:
-    """Best theta-piecewise-balanced cut found across dictator cuts (global
+def balanced_cut_search(inst: BESInstance, seed: int = 0, labelings=None,
+                        local_search: bool = True) -> CutSearchResult:
+    """Best THETA-piecewise-balanced cut found across dictator cuts (global
     coordinates and labeling-matched), per-block majority, random balanced
     cuts, and single-flip local search that keeps the balance feasible.
 
@@ -447,7 +438,7 @@ def balanced_cut_search(inst: BESInstance, theta: float = 5.0 / 6.0,
 
     The returned weight is a certified upper bound on the balanced-cut
     optimum; it says nothing about cuts the search did not visit. A
-    theta-piecewise-balanced cut may separate less demand than B (86 against
+    THETA-piecewise-balanced cut may separate less demand than B (86 against
     240 on the k=2, eta = epsilon = 0.3 instance), so it need not meet the
     SDP's balance constraint.
     """
@@ -460,7 +451,7 @@ def balanced_cut_search(inst: BESInstance, theta: float = 5.0 / 6.0,
     for idx, lam in enumerate(labelings or []):
         candidates.append((f"labeling_{idx}", dictator_tables(lam, n).ravel()))
     candidates.append(("majority", _majority_cut(inst)))
-    for r in range(random_candidates):
+    for r in range(RANDOM_CANDIDATES):
         candidates.append((f"random_{r}", _random_balanced_cut(inst, rng)))
 
     report = []
@@ -468,7 +459,7 @@ def balanced_cut_search(inst: BESInstance, theta: float = 5.0 / 6.0,
     best_weight = np.inf
     for name, cut in candidates:
         bal = piecewise_balance(_block_views(inst, cut))
-        if bal > theta + 1e-9:
+        if bal > THETA + 1e-9:
             continue
         weight = cut_edge_weight(inst, cut)
         report.append((name, weight, bal))
@@ -496,7 +487,7 @@ def balanced_cut_search(inst: BESInstance, theta: float = 5.0 / 6.0,
                 u, x = divmod(v, size)
                 a = int(best_cut[v])
                 flipped = imbalance - abs(sums[u]) + abs(sums[u] - 2 * a)
-                if flipped / size / m > theta + 1e-9:
+                if flipped / size / m > THETA + 1e-9:
                     continue
                 gain = gains.gain(u, x, a)
                 if abs(gain) < GAIN_BAND:

@@ -31,6 +31,7 @@ __all__ = ["SimplexResult", "solve_lp"]
 PIVOT_TOL = 1e-9
 PRICE_TOL = 1e-10
 PRICE_BATCH = 8
+MAX_ITER = 500_000  # pivots each phase of a solve may take
 
 
 @dataclass
@@ -160,13 +161,13 @@ class _Tableau:
         self.basis = w + np.arange(m)
         self.basis[neg] = self.arts
 
-    def optimize(self, cost: np.ndarray, max_iter: int) -> tuple[str, int]:
+    def optimize(self, cost: np.ndarray) -> tuple[str, int]:
         """Pivot to an optimum of the restricted program, price every column
         of A against the objective row (whose costs on A are `cost`), append
         the best and resume, until none prices below -PRICE_TOL."""
         total = 0
         while True:
-            status, it = _bland_iterate(self.tab, self.basis, max_iter - total)
+            status, it = _bland_iterate(self.tab, self.basis, MAX_ITER - total)
             total += it
             if status != "optimal" or not self._append_priced(cost):
                 return status, total
@@ -187,7 +188,7 @@ class _Tableau:
         return True
 
 
-def solve_lp(c, A, b, max_iter: int = 500000, start=None) -> SimplexResult:
+def solve_lp(c, A, b, start=None) -> SimplexResult:
     """minimize c.x subject to A x <= b, x >= 0.
 
     `start` names the columns of A the tableau begins with (default: all of
@@ -210,13 +211,13 @@ def solve_lp(c, A, b, max_iter: int = 500000, start=None) -> SimplexResult:
     scale = max(1.0, float(np.max(np.abs(b))))
     sign = np.where(b < 0, -1.0, 1.0)
     delta = 1e-6 * scale * (np.arange(m) + 1) / m * sign
-    rough = _solve_core(c, A, b + delta, start, max_iter)
+    rough = _solve_core(c, A, b + delta, start)
     if rough.status == "optimal":
         repaired = _repair_basis(c, A, b, rough)
         if repaired is not None:
             return repaired
     # rare path: perturbation failed to help or changed the status
-    res = _solve_core(c, A, b, start, max_iter)
+    res = _solve_core(c, A, b, start)
     if res.status == "optimal":
         res.dual, res.reduced_costs = _duals(c, A, res.basis)
     return res
@@ -269,7 +270,7 @@ def _repair_basis(c, A, b, rough: SimplexResult) -> SimplexResult | None:
     )
 
 
-def _solve_core(c, A, b, start, max_iter: int) -> SimplexResult:
+def _solve_core(c, A, b, start) -> SimplexResult:
     """Two-phase solve from the working set `start`; an optimal result
     carries x and the basis in full column indices (n + i is slack i,
     n + m + r artificial r) but no duals."""
@@ -283,7 +284,7 @@ def _solve_core(c, A, b, start, max_iter: int) -> SimplexResult:
         for i in range(m):
             if t.basis[i] in t.arts:
                 t.tab[-1] -= t.tab[i]
-        status, iters = t.optimize(np.zeros(n), max_iter)
+        status, iters = t.optimize(np.zeros(n))
         total_iters += iters
         if status != "optimal":
             return SimplexResult(status="stalled", iterations=total_iters)
@@ -305,7 +306,7 @@ def _solve_core(c, A, b, start, max_iter: int) -> SimplexResult:
     for i in range(m):
         if t.cols[t.basis[i]] < n:
             t.tab[-1] -= c[t.cols[t.basis[i]]] * t.tab[i]
-    status, iters = t.optimize(c, max_iter)
+    status, iters = t.optimize(c)
     total_iters += iters
     if status != "optimal":
         return SimplexResult(status=status, iterations=total_iters)

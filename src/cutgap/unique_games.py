@@ -400,41 +400,45 @@ def ug_to_text(u: UGInstance) -> str:
 
 def ug_from_text(text: str, regularity_tol: float = 1e-9) -> UGInstance:
     """Inverse of `ug_to_text`; an empty file, a bad header (counts
-    included: N >= 1, |V| >= 1, |E| >= 0), an edge line
-    with the wrong number of fields or an unparsable number, or a
-    permutation that is not one raises ValueError, for the first line that
-    holds any of these (the field count and numbers are checked before the
-    permutation on a line)."""
+    included: integers with N >= 1, |V| >= 1, |E| >= 0), a missing or extra
+    edge line, an edge line with the wrong number of fields or an unparsable
+    number, or a permutation that is not one raises ValueError naming the
+    first line that holds any of these (the field count and numbers are
+    checked before the permutation on a line)."""
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("line 1: empty UG file")
     no, head = lines[0][0], lines[0][1].split()
     if len(head) != 4 or head[0] != "UG":
         raise ValueError(f"line {no}: expected header `UG N |V| |E|`")
-    n, nv, ne = int(head[1]), int(head[2]), int(head[3])
+    try:
+        n, nv, ne = int(head[1]), int(head[2]), int(head[3])
+    except ValueError as exc:
+        raise ValueError(f"line {no}: {exc}") from None
     if n < 1 or nv < 1 or ne < 0:
         raise ValueError(f"line {no}: header counts N = {n}, |V| = {nv}, |E| = {ne}: "
                          "need N >= 1, |V| >= 1 and |E| >= 0")
     if len(lines) - 1 != ne:
-        raise ValueError(f"expected {ne} edge lines, found {len(lines) - 1}")
+        at = lines[ne + 1][0] if len(lines) - 1 > ne else lines[-1][0] + 1
+        raise ValueError(f"line {at}: expected {ne} edge lines, found {len(lines) - 1}")
     # Python lists until the constructor: an endpoint past int64 stays exact
     v, w, weight = [], [], []
     labels: list = []
-    try:
-        for no, ln in lines[1:]:
-            parts = ln.split()
+    for no, ln in lines[1:]:
+        parts = ln.split()
+        try:
             if len(parts) != n + 3:
-                raise ValueError(f"line {no}: expected `v w weight` and a permutation of {n} labels")
+                raise ValueError(f"expected `v w weight` and a permutation of {n} labels")
             edge = (int(parts[0]), int(parts[1]), float(parts[2]))
             perm = list(map(int, parts[3:]))
-            v.append(edge[0])
-            w.append(edge[1])
-            weight.append(edge[2])
-            labels += perm
-    except ValueError:
-        # a bad permutation on an earlier line is the first error
-        _check_permutations(labels, lines[1:len(v) + 1], n)
-        raise
+        except ValueError as exc:
+            # a bad permutation on an earlier line is the first error
+            _check_permutations(labels, lines[1:len(v) + 1], n)
+            raise ValueError(f"line {no}: {exc}") from None
+        v.append(edge[0])
+        w.append(edge[1])
+        weight.append(edge[2])
+        labels += perm
     perms = _check_permutations(labels, lines[1:], n)
     return UGInstance(nv, n, v, w, weight, perms, regularity_tol=regularity_tol)
 

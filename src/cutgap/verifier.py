@@ -189,23 +189,34 @@ def proof_to_text(proof: Proof) -> str:
 
 
 def proof_from_text(text: str) -> Proof:
-    """Inverse of `proof_to_text`; an empty file, a bad header or an entry
-    other than +/-1 raises ValueError naming the line."""
+    """Inverse of `proof_to_text`; an empty file, a bad header, an entry
+    other than +/-1, a row of the wrong length, or a missing or extra row
+    raises ValueError naming the line."""
     lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("line 1: empty PROOF file")
     no, head = lines[0]
     if len(head) != 3 or head[0] != "PROOF":
         raise ValueError(f"line {no}: expected header `PROOF |V| N`")
-    nv, n = int(head[1]), int(head[2])
+    try:
+        nv, n = int(head[1]), int(head[2])
+    except ValueError as exc:
+        raise ValueError(f"line {no}: {exc}") from None
+    if nv < 1:
+        raise ValueError(f"line {no}: vertex count {nv} out of range")
     if not 0 <= n < 63:  # each table has 2^n entries
         raise ValueError(f"line {no}: label count {n} out of range")
     rows = []
     for no, row in lines[1:]:
-        rows.append([int(x) for x in row])
+        try:
+            rows.append([int(x) for x in row])
+        except ValueError as exc:
+            raise ValueError(f"line {no}: {exc}") from None
         if any(abs(x) != 1 for x in rows[-1]):
             raise ValueError(f"line {no}: proof entries must be +/-1")
-    tables = np.array(rows, dtype=np.int8)
-    if tables.shape != (nv, 1 << n):
-        raise ValueError("table shape mismatch")
-    return Proof(n, tables)
+        if len(row) != 1 << n:
+            raise ValueError(f"line {no}: expected {1 << n} entries, got {len(row)}")
+    if len(rows) != nv:
+        at = lines[nv + 1][0] if nv < len(rows) else lines[-1][0] + 1
+        raise ValueError(f"line {at}: PROOF {nv} {n} has {nv} rows, found {len(rows)}")
+    return Proof(n, np.array(rows, dtype=np.int8))

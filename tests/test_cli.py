@@ -1,3 +1,4 @@
+import argparse
 import os
 import pathlib
 import re
@@ -10,7 +11,7 @@ from cutgap import metrics as mt
 from cutgap import quotient as qt
 from cutgap import separator as sp
 from cutgap import unique_games as ug
-from cutgap.cli import main
+from cutgap.cli import _parser, main
 from cutgap.config import SEED_PURPOSE, RunConfig, derive_seed, parse_config_file
 from cutgap.metrics import FiniteMetric, metric_to_text
 from cutgap.unique_games import plant_instance, ug_to_text
@@ -34,6 +35,8 @@ def test_config_parsing_and_validation(tmp_path):
         RunConfig(l_in=3).validate()
     with pytest.raises(ValueError):
         parse_config_file("unknown = 1")
+    with pytest.raises(ValueError, match=r"^line 2: invalid literal for int\(\)"):
+        parse_config_file("eta = 0.2\nk = two\n")
     assert derive_seed(5, "opt_search") == 5 * 1009 + 1
 
 
@@ -69,7 +72,7 @@ def test_build_ug_window_error(tmp_path, capsys):
 def test_build_ug_invalid_k(tmp_path, capsys):
     code = main(["build-ug", "--k", "9", "--eta", "0.2", "--out", str(tmp_path)])
     assert code == 1
-    assert capsys.readouterr().out == "FAIL build-ug k=9 outside [1, 5]\n"
+    assert capsys.readouterr().out == "FAIL build-ug k=9 outside [1, 3]\n"
 
 
 def test_build_bes_pipeline_and_gap_row(tmp_path):
@@ -231,6 +234,41 @@ def test_distortion_command(tmp_path, capsys):
     assert (tmp_path / "prog.lp").read_text().startswith("OBJECTIVE min")
 
 
+def test_distortion_past_the_point_limit_fails_and_writes_nothing(tmp_path, capsys):
+    # 13 vertices of the 4-cube: an l1 metric one point past the LP's limit;
+    # the record once came with a 6.5 MB LP written next to the input
+    x = (np.arange(13)[:, None] >> np.arange(4)) & 1
+    mfile = tmp_path / "metric.txt"
+    mfile.write_text(metric_to_text(FiniteMetric(np.abs(x[:, None] - x[None, :]).sum(axis=2))))
+    code = main(["distortion", "--metric-file", str(mfile)])
+    assert code == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("negative_type\tTrue\t")
+    assert out[1:] == ["FAIL distortion 13 points exceed the 12-point limit "
+                       "(2^(n-1)-1 cut variables); export the LP to solve it elsewhere"]
+    assert os.listdir(tmp_path) == ["metric.txt"]
+
+
+def test_every_subcommand_option_is_pinned():
+    # an option is added or removed only together with this table
+    config = {"--config", "--k", "--eta", "--epsilon", "--t", "--l-in", "--window", "--seed",
+              "--out", "--budget-triples", "--budget-samples", "--budget-restarts",
+              "--budget-labelings"}
+    expected = {
+        "build-ug": config,
+        "build-bes": config | {"--ug-file"},
+        "verify": {"--ug-file", "--basis-file", "--seed"},
+        "pcp": {"--ug-file", "--proof-file", "--epsilon", "--samples", "--rounds", "--seed",
+                "--loose"},
+        "distortion": {"--metric-file", "--export"},
+        "round": {"--graph-file", "--balance", "--seed"},
+    }
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+           for name, p in sub.choices.items()}
+    assert got == expected
+
+
 def test_distortion_unsolved_lp_fails_cleanly(tmp_path, capsys):
     # a near-degenerate 10-point sub-metric of the k=2, t=3 gap metric on
     # which the simplex stalls: the status is a FAIL record, not a traceback
@@ -273,6 +311,9 @@ _SQUARE = np.array([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]], flo
     # a row past the header's count was ignored
     pytest.param("METRIC 2\n1\n5 5 5\n", "line 3: extra row, METRIC 2 has 1 rows",
                  id="extra_row"),
+    pytest.param("\nMETRIC two\n1\n",
+                 "line 2: not a metric file: expected header `METRIC n` with n >= 1",
+                 id="bad_header"),
 ])
 def test_distortion_truncated_metric_fails_cleanly(tmp_path, capsys, text, detail):
     mfile = tmp_path / "metric.txt"
@@ -362,7 +403,16 @@ def _clean_texts():
     (None, (1, 0, "300"), "FAIL pcp line 2: proof entries must be +/-1\n"),
     (None, (0, 2, str(10**30)), f"FAIL pcp line 1: label count {10**30} out of range\n"),
     ((1, 3, str(10**30)), None, f"FAIL pcp line 2: {10**30} 1 2 is not a permutation of 0..2\n"),
-], ids=["proof_entry", "proof_header", "ug_permutation"])
+    (None, (0, 1, "six"), "FAIL pcp line 1: invalid literal for int() with base 10: 'six'\n"),
+    (None, (0, 1, "0"), "FAIL pcp line 1: vertex count 0 out of range\n"),
+    (None, (3, 2, "1.0"), "FAIL pcp line 4: invalid literal for int() with base 10: '1.0'\n"),
+    # a table shape mismatch named no line
+    (None, (0, 1, "5"), "FAIL pcp line 7: PROOF 5 3 has 5 rows, found 6\n"),
+    (None, (0, 1, "7"), "FAIL pcp line 8: PROOF 7 3 has 7 rows, found 6\n"),
+    (None, (0, 2, "2"), "FAIL pcp line 2: expected 4 entries, got 8\n"),
+], ids=["proof_entry", "proof_header", "ug_permutation", "proof_header_non_integer",
+        "proof_no_vertices", "proof_entry_non_integer", "proof_extra_row",
+        "proof_missing_row", "proof_row_length"])
 def test_pcp_malformed_number_fails_cleanly(tmp_path, capsys, bad_ug, bad_proof, expected):
     ug_text, proof_text = _clean_texts()
     if bad_ug:
@@ -411,11 +461,23 @@ def test_verify_all_nan_weights_fails_cleanly(tmp_path, capsys):
     ((2, 0, "300"), "FAIL basis_structure line 3: expected 4 entries of +/-1\n"),
     ((0, 1, str(10**30)), f"FAIL basis_structure line 1: k={10**30} out of range\n"),
     ((0, 1, "6"), "FAIL basis_structure line 1: k=6 out of range\n"),
-], ids=["basis_entry", "basis_header", "basis_header_past_int8_sweep"])
+    ((0, 0, "BASES"), "FAIL basis_structure line 1: not a basis file\n"),
+    ((0, 2, "four"), "FAIL basis_structure line 1: invalid literal for int() with base 10: 'four'\n"),
+    # numpy's "negative dimensions are not allowed"
+    ((0, 2, "-1"), "FAIL basis_structure line 1: class count -1 out of range\n"),
+    ((4, 1, "+1.0"), "FAIL basis_structure line 5: invalid literal for int() with base 10: '+1.0'\n"),
+    # rows past the header's count verified OK
+    ("BASIS 0 1\nCLASS 0\n1\nextra junk\n",
+     "FAIL basis_structure line 4: BASIS 0 1 has 2 rows, found 3\n"),
+    ((0, 2, "3"), "FAIL basis_structure line 17: BASIS 2 3 has 15 rows, found 20\n"),
+], ids=["basis_entry", "basis_header", "basis_header_past_int8_sweep", "not_a_basis_file",
+        "basis_header_non_integer", "basis_negative_class_count", "basis_entry_non_integer",
+        "basis_extra_row", "basis_header_fewer_classes"])
 def test_verify_malformed_basis_number_fails_cleanly(tmp_path, capsys, bad, expected):
     _, quot, _ = qt.build_kv_instance(2, 0.3)
+    text = qt.basis_to_text(qt.build_ug_sdp_solution(quot))
     bfile = tmp_path / "basis.txt"
-    bfile.write_text(_replace_field(qt.basis_to_text(qt.build_ug_sdp_solution(quot)), *bad))
+    bfile.write_text(bad if isinstance(bad, str) else _replace_field(text, *bad))
     code = main(["verify", "--basis-file", str(bfile)])
     assert code == 1
     assert capsys.readouterr().out == expected
@@ -426,13 +488,15 @@ def test_verify_malformed_basis_number_fails_cleanly(tmp_path, capsys, bad, expe
      "FAIL ug_structure edge endpoint out of range: 12345678901234567890,1\n"),
     ([(2, 3, "0"), (2, 4, "0"), (2, 5, "2")],
      "FAIL ug_structure line 3: 0 0 2 is not a permutation of 0..2\n"),
-    ([(2, 4, "1.5")], "FAIL ug_structure invalid literal for int() with base 10: '1.5'\n"),
+    ([(2, 4, "1.5")], "FAIL ug_structure line 3: invalid literal for int() with base 10: '1.5'\n"),
     ([(2, 3, "2"), (2, 4, "2"), (4, 5, "x")],
      "FAIL ug_structure line 3: 2 2 1 is not a permutation of 0..2\n"),
     ([(2, 3, "2"), (2, 4, "2"), (1, 2, "x")],
-     "FAIL ug_structure could not convert string to float: 'x'\n"),
+     "FAIL ug_structure line 2: could not convert string to float: 'x'\n"),
+    ([(3, 0, "v")], "FAIL ug_structure line 4: invalid literal for int() with base 10: 'v'\n"),
 ], ids=["endpoint_20_digits", "repeated_label", "non_integer_label",
-        "permutation_before_later_bad_number", "bad_number_before_later_permutation"])
+        "permutation_before_later_bad_number", "bad_number_before_later_permutation",
+        "non_integer_endpoint"])
 def test_verify_malformed_ug_line_fails_cleanly(tmp_path, capsys, edits, expected):
     # the edge lines are parsed into whole arrays, and the record still
     # names the first offending line, with a line's numbers checked before
@@ -451,7 +515,11 @@ def test_verify_malformed_ug_line_fails_cleanly(tmp_path, capsys, edits, expecte
                           "need N >= 1, |V| >= 1 and |E| >= 0"),
     ("UG 2 -4 0\n", "line 1: header counts N = 2, |V| = -4, |E| = 0: "
                     "need N >= 1, |V| >= 1 and |E| >= 0"),
-], ids=["negative_label_count", "negative_vertex_count"])
+    ("UG 2 one 0\n", "line 1: invalid literal for int() with base 10: 'one'"),
+    ("UG 2 1 2\n0 0 1 1 0\n", "line 3: expected 2 edge lines, found 1"),
+    ("UG 2 1 0\n0 0 1 1 0\n", "line 2: expected 0 edge lines, found 1"),
+], ids=["negative_label_count", "negative_vertex_count", "non_integer_vertex_count",
+        "missing_edge_line", "extra_edge_line"])
 def test_verify_ug_header_counts_fail_cleanly(tmp_path, capsys, text, expected):
     # a negative label count once passed the field-count test and indexed
     # past the edge line (an IndexError traceback); a negative vertex count

@@ -154,7 +154,7 @@ def test_distortion_k23_exceeds_one():
 def test_distortion_size_guard_and_export():
     metric = hamming_metric(2)
     with pytest.raises(ValueError):
-        l1_distortion_lp(hamming_metric(4), n_max=12)
+        l1_distortion_lp(hamming_metric(4))
     text = export_distortion_lp(metric)
     assert text.startswith("OBJECTIVE min")
     assert "CONSTRAINTS" in text and "BOUNDS" in text
