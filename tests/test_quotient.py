@@ -56,6 +56,16 @@ def test_quotient_closed_under_shifts():
         assert q.class_of(code)[0] == q.class_of(shifted)[0]
 
 
+def test_quotient_k5_is_gated_and_lazy():
+    # k = 5 is past the cap; the largest dense quotient still round-trips
+    with pytest.raises(ValueError, match=r"k=5 outside \[1, 4\]"):
+        build_quotient(5)
+    q = build_quotient(qt.QUOTIENT_MAX_K)
+    cls, s = q.class_of(12345)
+    assert 12345 == cls ^ int(q.masks[s])
+    assert q.class_of(cls)[1] == 0
+
+
 def test_quotient_rejects_out_of_range():
     # k = 5 has 2^32 functions, past the dense arrays' cap
     for k in (0, 5, 6):
