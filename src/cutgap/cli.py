@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, derive_seed, parse_config_file
+from .config import FIELD_PARSERS, RunConfig, derive_seed, parse_config_file
 from . import metrics as mt
 from . import quotient as qt
 from . import separator as sp
@@ -48,9 +48,7 @@ def _load_config(args) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             kwargs.update(parse_config_file(fh.read()))
-    for name in ("k", "eta", "epsilon", "t", "l_in", "window", "seed", "out",
-                 "budget_triples", "budget_samples", "budget_restarts",
-                 "budget_labelings"):
+    for name in FIELD_PARSERS:
         val = getattr(args, name, None)
         if val is not None:
             kwargs[name] = val
@@ -349,21 +347,11 @@ def cmd_round(args) -> int:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """`--config` and one override flag per `RunConfig` field."""
     p.add_argument("--config", help="declarative config file (key = value lines)")
-    p.add_argument("--k", type=int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--t", type=int)
-    p.add_argument("--l-in", dest="l_in", type=int)
-    p.add_argument("--window", choices=("typical", "none"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--budget-triples", dest="budget_triples", type=int,
-                   help="accepted and validated, but unused: every triangle "
-                        "check covers all triples")
-    p.add_argument("--budget-samples", dest="budget_samples", type=int)
-    p.add_argument("--budget-restarts", dest="budget_restarts", type=int)
-    p.add_argument("--budget-labelings", dest="budget_labelings", type=int)
+    for name, parse in FIELD_PARSERS.items():
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=parse,
+                       choices=("typical", "none") if name == "window" else None)
 
 
 @functools.cache

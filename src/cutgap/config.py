@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 from .quotient import PIPELINE_MAX_K
 
-__all__ = ["RunConfig", "parse_config_file", "derive_seed", "SEED_PURPOSE"]
+__all__ = ["RunConfig", "FIELD_PARSERS", "parse_config_file", "derive_seed", "SEED_PURPOSE"]
 
 # seed-splitting purpose codes (documented contract, keep stable)
 SEED_PURPOSE = {
@@ -63,7 +63,9 @@ class RunConfig:
         return self
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# the one list of config fields, each with its text parser (the field types
+# are annotation strings); config files and command-line flags both read it
+FIELD_PARSERS = {f.name: {"int": int, "float": float}.get(f.type, str) for f in fields(RunConfig)}
 
 
 def parse_config_file(text: str) -> dict:
@@ -78,10 +80,10 @@ def parse_config_file(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key = value")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _FIELD_TYPES:
+        if key not in FIELD_PARSERS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        try:  # the field types are annotation strings
-            out[key] = {"int": int, "float": float}.get(_FIELD_TYPES[key], str)(val)
+        try:
+            out[key] = FIELD_PARSERS[key](val)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return out

@@ -24,14 +24,12 @@ __all__ = [
     "RealFunction",
     "FourierSpectrum",
     "wht",
-    "naive_wht",
     "inverse_wht",
     "apply_noise_operator",
     "apply_noise_kernel",
     "lp_norm",
     "bonami_beckner_check",
     "junta_diagnostics",
-    "character_table",
     "format_spectrum",
 ]
 
@@ -151,26 +149,7 @@ def wht_matrix(tables: np.ndarray) -> np.ndarray:
 def wht(f) -> FourierSpectrum:
     """Walsh-Hadamard transform: coeffs[s] = 2^-k sum_x f(x) chi_S(x)."""
     values = _values_of(f)
-    k = _checked_dimension(len(values))
-    out = values.copy()
-    fwht_inplace(out)
-    out /= len(values)
-    return FourierSpectrum(k, out)
-
-
-def character_table(k: int) -> np.ndarray:
-    """The 2^k x 2^k matrix H[s, x] = chi_S(x) = (-1)^popcount(s & x)."""
-    idx = np.arange(1 << k, dtype=np.uint32)
-    pc = np.bitwise_count(idx[:, None] & idx[None, :])
-    return np.where(pc % 2 == 0, 1, -1).astype(np.int64)
-
-
-def naive_wht(f) -> FourierSpectrum:
-    """O(N^2) reference transform by explicit summation (testing oracle)."""
-    values = _values_of(f)
-    k = _checked_dimension(len(values))
-    coeffs = character_table(k).astype(np.float64) @ values / len(values)
-    return FourierSpectrum(k, coeffs)
+    return FourierSpectrum(_checked_dimension(len(values)), wht_matrix(values))
 
 
 def inverse_wht(spectrum: FourierSpectrum) -> RealFunction:

@@ -378,6 +378,9 @@ class _FlipGains:
     loop term being the one quadratic part. A flip changes S[u] by
     -2 A(u, x) K[:, x], so it moves only the fields of u's neighbours, each
     by a multiple of one kernel row: K[T_e[x'], x] = K[x', T_e^-1[x]].
+
+    The edge ends are the distribution's `incidence`, loops included, each
+    map row resolved to a point table: T_e from v_e, T_e^-1 from w_e.
     """
 
     def __init__(self, inst: BESInstance, blocks: np.ndarray):
@@ -388,20 +391,14 @@ class _FlipGains:
         dist = _distance_matrix(n)
         self.kernel = eps**dist * (1 - eps) ** (n - dist)  # K[x, y]
         self.size = size
-        # both ends of every edge, sorted by end: (end, other end, weight,
-        # point map), the map T_e seen from v_e and T_e^-1 seen from w_e
-        inverse = np.argsort(d.tables, axis=1)
-        ends = np.concatenate([d.v, d.w])
-        order = np.argsort(ends, kind="stable")
-        ends = ends[order]
-        self.others = np.concatenate([d.w, d.v])[order]
-        self.weights = np.concatenate([d.weight, d.weight])[order]
-        self.maps = np.concatenate([d.tables[d.table_of], inverse[d.table_of]])[order]
-        self.bounds = np.searchsorted(ends, np.arange(inst.num_blocks + 1))
+        ends = d.incidence
+        self.others, self.weights, self.bounds = ends.other, ends.weight, ends.bounds
+        self.maps = np.concatenate([d.tables, np.argsort(d.tables, axis=1)])[ends.row]
         points = np.arange(size)
         smoothed = apply_noise_kernel(blocks, eps, n)
         pulled = self.weights[:, None] * smoothed[self.others[:, None], self.maps]
-        self.field = np.bincount((ends[:, None] * size + points).ravel(), weights=pulled.ravel(),
+        self.field = np.bincount((ends.vertex[:, None] * size + points).ravel(),
+                                 weights=pulled.ravel(),
                                  minlength=blocks.size).reshape(blocks.shape)
         loops = d.v == d.w
         loop_terms = d.weight[loops, None] * self.kernel[d.tables[d.table_of[loops]], points]
@@ -565,7 +562,15 @@ def cut_to_text(cut) -> str:
 
 
 def cut_from_text(text: str) -> np.ndarray:
-    vals = np.array([int(ln) for ln in text.split()], dtype=np.int8)
-    if not np.all(np.abs(vals) == 1):
-        raise ValueError("cut entries must be +/-1")
-    return vals
+    """Inverse of `cut_to_text`; an entry that is not an integer, or not
+    +/-1, raises ValueError naming its line."""
+    vals = []
+    for no, ln in enumerate(text.splitlines(), 1):
+        try:
+            entries = [int(tok) for tok in ln.split()]
+            if any(abs(val) != 1 for val in entries):
+                raise ValueError("cut entries must be +/-1")
+        except ValueError as exc:
+            raise ValueError(f"line {no}: {exc}") from None
+        vals += entries
+    return np.array(vals, dtype=np.int8)

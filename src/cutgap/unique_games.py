@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .fourier import apply_noise_kernel
 __all__ = [
     "UGInstance",
     "EdgeDistribution",
+    "Incidence",
     "BudgetExceededError",
     "value",
     "opt_exhaustive",
@@ -119,8 +121,8 @@ class UGInstance:
         table_of = table_of.ravel()
         for a in (perms, tables, table_of):
             a.setflags(write=False)
-        return EdgeDistribution(self.num_labels, self.v, self.w, self.weight,
-                                perms, tables, table_of)
+        return EdgeDistribution(self.num_vertices, self.num_labels, self.v, self.w,
+                                self.weight, perms, tables, table_of)
 
 
 def _int_array(values) -> np.ndarray:
@@ -138,6 +140,16 @@ def _not_permutations(perms: np.ndarray, n: int) -> np.ndarray:
     if not len(perms):
         return np.zeros(0, dtype=bool)
     return (np.sort(perms, axis=1) != np.arange(n)).any(axis=1)
+
+
+class Incidence(NamedTuple):
+    """Both ends of every edge, sorted by vertex (`EdgeDistribution.incidence`)."""
+
+    vertex: np.ndarray  # the end's vertex, nondecreasing
+    other: np.ndarray  # the edge's other endpoint
+    weight: np.ndarray  # the edge's weight
+    row: np.ndarray  # map row: p from the v end, P + p from the w end
+    bounds: np.ndarray  # vertex u's ends are bounds[u]:bounds[u + 1]
 
 
 @dataclass(frozen=True)
@@ -158,6 +170,7 @@ class EdgeDistribution:
     with one row per UG vertex.
     """
 
+    num_vertices: int
     num_labels: int
     v: np.ndarray
     w: np.ndarray
@@ -165,6 +178,24 @@ class EdgeDistribution:
     perms: np.ndarray  # (distinct permutations, N)
     tables: np.ndarray  # (distinct permutations, 2^N)
     table_of: np.ndarray  # (|E|,)
+
+    @cached_property
+    def incidence(self) -> Incidence:
+        """Both ends of every edge, stably sorted by vertex, so that each
+        vertex's ends stay in edge order, a loop's two ends sit side by side
+        and an isolated vertex has none. Map row p is distinct permutation
+        p, seen from an edge's v end; row P + p is its inverse, seen from
+        the w end. Built once; the UG relabel search and the separator's
+        flip gains both read it."""
+        vertex = np.stack([self.v, self.w], axis=1).ravel()
+        order = np.argsort(vertex, kind="stable")
+        rows = np.stack([self.table_of, self.table_of + len(self.perms)], axis=1)
+        inc = Incidence(vertex[order], np.stack([self.w, self.v], axis=1).ravel()[order],
+                        np.repeat(self.weight, 2)[order], rows.ravel()[order],
+                        np.searchsorted(vertex[order], np.arange(self.num_vertices + 1)))
+        for a in inc:
+            a.setflags(write=False)
+        return inc
 
     def disagreement(self, blocks, epsilon: float) -> float:
         """Exact probability that the two queries get different values,
@@ -258,24 +289,19 @@ def opt_search(u: UGInstance, seed: int, restarts: int = 10):
     the optimum. Ties break toward the lowest label index; fixed seed gives
     identical output, and the running best is nondecreasing in restarts.
 
-    Vertex v's gain for label a sums, in edge order, the weights of its
-    edges that a would satisfy: a == pi[lam[w]] on an edge (v, w, pi), and
-    lam[w'] == pi[a], that is a == pi^-1[lam[w']], on an edge (w', v, pi).
-    Self-loops are left out (no single-vertex relabel can satisfy or break
-    one unless pi has fixed points, which value() handles directly).
+    Vertex v's gain for label a sums, in `incidence` order, the weights of
+    its edge ends that a would satisfy: a == pi[lam[w]] on an edge (v, w,
+    pi), and lam[w'] == pi[a], that is a == pi^-1[lam[w']], on an edge (w',
+    v, pi). Loop ends are left out (no single-vertex relabel can satisfy or
+    break a loop unless pi has fixed points, which value() handles directly).
     """
     d = u.edge_distribution
     n = u.num_labels
     maps = np.concatenate([d.perms, np.argsort(d.perms, axis=1)])  # pi rows, then pi^-1
-    keep = d.v != d.w
-    # both ends of every edge, stably sorted by vertex so each vertex's
-    # entries stay in edge order
-    vertex = np.stack([d.v, d.w], axis=1)[keep].ravel()
-    order = np.argsort(vertex, kind="stable")
-    other = np.stack([d.w, d.v], axis=1)[keep].ravel()[order]
-    rows = np.stack([d.table_of, d.table_of + len(d.perms)], axis=1)[keep].ravel()[order]
-    wts = np.repeat(d.weight[keep], 2)[order]
-    bounds = np.searchsorted(vertex[order], np.arange(u.num_vertices + 1))
+    ends = d.incidence
+    keep = ends.other != ends.vertex
+    other, rows, wts = ends.other[keep], ends.row[keep], ends.weight[keep]
+    bounds = np.searchsorted(ends.vertex[keep], np.arange(u.num_vertices + 1))
     inc = [(other[a:b], rows[a:b], wts[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
     best: np.ndarray | None = None
     best_val = -1.0

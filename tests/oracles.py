@@ -1,6 +1,9 @@
 """Independent reference implementations the tests compare the production
 paths against. None of them is used by the cutgap package itself.
 
+- `character_table` and `naive_wht`: the Walsh-Hadamard transform as one
+  product with the explicit character matrix, the oracle for the butterfly
+  of `cutgap.fourier`.
 - `tensor_inner` and `materialize_tensor_power`: tensor powers written out
   (<x tensor l, z tensor l> = <x, z>^l), the oracle for every symbolic
   tensored inner product.
@@ -18,7 +21,9 @@ paths against. None of them is used by the cutgap package itself.
   optimum and the UG local search written as loops over edges, point pairs
   and labelings, the oracles for the array code of
   `cutgap.separator.bes_to_text` and `cutgap.unique_games`; each sums in
-  the order the array code must keep.
+  the order the array code must keep. `incidence`, built one edge at a
+  time, is also the oracle for `EdgeDistribution.incidence` once its loop
+  ends are set aside.
 - `label_extended_graph_loop` and `labeling_set_expansion_identity_loop`:
   the label-extended graph as a dict built one (edge, label) at a time,
   and the expansion of a labeling's set walked over that dict, the oracles
@@ -45,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cutgap.fourier import apply_noise_kernel
+from cutgap.fourier import FourierSpectrum, _values_of, apply_noise_kernel
 from cutgap.separator import (
     CutSearchResult,
     _block_views,
@@ -73,6 +78,21 @@ def edge_rows(u) -> list:
     Python-int endpoints and Python-float weights."""
     return [EdgeRow(*row) for row in
             zip(u.v.tolist(), u.w.tolist(), u.perm, u.weight.tolist())]
+
+
+def character_table(k: int) -> np.ndarray:
+    """The 2^k x 2^k matrix H[s, x] = chi_S(x) = (-1)^popcount(s & x)."""
+    idx = np.arange(1 << k, dtype=np.uint32)
+    pc = np.bitwise_count(idx[:, None] & idx[None, :])
+    return np.where(pc % 2 == 0, 1, -1).astype(np.int64)
+
+
+def naive_wht(f) -> FourierSpectrum:
+    """O(N^2) transform by explicit summation over the character table."""
+    values = _values_of(f)
+    k = len(values).bit_length() - 1
+    coeffs = character_table(k).astype(np.float64) @ values / len(values)
+    return FourierSpectrum(k, coeffs)
 
 
 def tensor_inner(x, z, l: int) -> float:

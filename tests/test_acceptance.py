@@ -25,11 +25,7 @@ import time
 import numpy as np
 
 from cutgap.config import derive_seed
-from cutgap.fourier import (
-    bonami_beckner_check,
-    character_table,
-    wht_matrix,
-)
+from cutgap.fourier import bonami_beckner_check, wht_matrix
 from cutgap.hypercube import NoisyHypercube
 from cutgap.metrics import (
     FiniteMetric,
@@ -68,7 +64,13 @@ from cutgap.verifier import (
     decode_labeling,
     dictator_tables,
 )
-from oracles import BESVectorHandle, bes_inner, edge_rows, materialize_tensor_power
+from oracles import (
+    BESVectorHandle,
+    bes_inner,
+    character_table,
+    edge_rows,
+    materialize_tensor_power,
+)
 
 # ---------------------------------------------------------------- baselines
 # frozen on the first verified run; opt values cross-checked against the

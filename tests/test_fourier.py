@@ -6,15 +6,14 @@ from cutgap.fourier import (
     RealFunction,
     apply_noise_operator,
     bonami_beckner_check,
-    character_table,
     format_spectrum,
     inverse_wht,
     junta_diagnostics,
     lp_norm,
-    naive_wht,
     wht,
     wht_matrix,
 )
+from oracles import character_table, naive_wht
 
 
 def dictator(k, j):

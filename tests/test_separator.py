@@ -434,6 +434,15 @@ def test_cut_file_round_trip(tmp_path):
     cut = rng.choice([-1, 1], size=64).astype(np.int8)
     text = cut_to_text(cut)
     assert np.array_equal(cut_from_text(text), cut)
+    # entries are whitespace-separated integers, as before the line numbers
+    assert cut_from_text("1 -1\n\n+1\n").tolist() == [1, -1, 1]
+    assert cut_from_text("").tolist() == []
+    # a bad entry names its line: not an integer, or an integer other than
+    # +/-1 (300 does not fit the int8 result either)
+    for text, line in (("1\nx\n", 2), ("1\n2\n", 2), ("-1\n\n1 0\n", 3),
+                       ("1.0\n", 1), ("1\n-1\n300\n", 3)):
+        with pytest.raises(ValueError, match=f"^line {line}: "):
+            cut_from_text(text)
 
 
 def test_bes_export_expanded_mass():

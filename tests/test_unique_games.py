@@ -3,6 +3,8 @@ import re
 import numpy as np
 import pytest
 
+from cutgap import unique_games as ug
+from cutgap.separator import balanced_cut_search, build_bes
 from cutgap.unique_games import (
     BudgetExceededError,
     UGInstance,
@@ -19,6 +21,7 @@ from cutgap.quotient import build_kv_instance
 
 from oracles import (
     edge_rows,
+    incidence,
     label_extended_graph_loop,
     labeling_set_expansion_identity_loop,
     opt_exhaustive_loop,
@@ -259,6 +262,63 @@ def test_opt_search_equals_the_per_edge_loop(k, eta):
         lam, val = opt_search(u, seed=seed)
         lam_loop, val_loop = opt_search_loop(u, seed=seed)
         assert np.array_equal(lam, lam_loop) and val == val_loop
+
+
+def with_isolated_vertex():
+    u = build_kv_instance(2, 0.3)[0]
+    return UGInstance(u.num_vertices + 1, u.num_labels, u.v, u.w, u.weight, u.perm,
+                      regularity_tol=1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_kv_instance(2, 0.3)[0],
+    lambda: build_kv_instance(3, 0.3)[0],
+    lambda: plant_instance(12, 5, 0.3, 1.0, seed=4)[0],  # general permutations
+    with_isolated_vertex,
+], ids=["k2", "k3", "planted", "isolated"])
+def test_incidence_is_the_oracle_plus_adjacent_loop_ends(make):
+    u = make()
+    d = u.edge_distribution
+    inc = d.incidence
+    maps = np.concatenate([d.perms, np.argsort(d.perms, axis=1)])
+    assert len(inc.vertex) == 2 * u.num_edges and len(inc.bounds) == u.num_vertices + 1
+    want = incidence(u)
+    for v in range(u.num_vertices):
+        ends = range(inc.bounds[v], inc.bounds[v + 1])
+        assert all(inc.vertex[i] == v for i in ends)
+        # end by end, in edge order, once the loop ends are set aside
+        got = [i for i in ends if inc.other[i] != v]
+        assert len(got) == len(want[v])
+        for i, (other, weight, mapping) in zip(got, want[v]):
+            assert inc.other[i] == other and inc.weight[i] == weight
+            assert np.array_equal(maps[inc.row[i]], mapping)
+    # each loop gives two adjacent ends, its v end (row p) and then its w
+    # end (row P + p), the loops in edge order within a vertex
+    loops = np.flatnonzero(d.v == d.w)
+    loops = loops[np.argsort(d.v[loops], kind="stable")]
+    loop_ends = np.flatnonzero(inc.other == inc.vertex)
+    first = loop_ends[::2]
+    assert len(loop_ends) == 2 * len(loops) and np.array_equal(loop_ends[1::2], first + 1)
+    assert np.array_equal(inc.vertex[first], d.v[loops])
+    assert np.array_equal(inc.row[first], d.table_of[loops])
+    assert np.array_equal(inc.row[first + 1], d.table_of[loops] + len(d.perms))
+    assert np.array_equal(inc.weight[first], d.weight[loops])
+    if make is with_isolated_vertex:
+        assert inc.bounds[-2] == inc.bounds[-1] == 2 * u.num_edges
+
+
+def test_incidence_is_built_once_and_read_by_both_searches(monkeypatch):
+    u = with_isolated_vertex()  # a fresh instance, so nothing is cached yet
+    built, reads = [], []
+    make = ug.Incidence
+    cached = ug.EdgeDistribution.__dict__["incidence"]
+    monkeypatch.setattr(ug, "Incidence", lambda *cols: built.append(1) or make(*cols))
+    monkeypatch.setattr(ug.EdgeDistribution, "incidence", property(
+        lambda d: reads.append(cached.__get__(d, type(d))) or reads[-1]))
+    opt_search(u, seed=0, restarts=1)
+    assert len(built) == 1 and len(reads) == 1
+    balanced_cut_search(build_bes(u, 0.3), seed=0)  # local search builds the flip gains
+    assert len(built) == 1 and len(reads) == 2 and reads[1] is reads[0]
 
 
 @pytest.mark.parametrize("seed", [1, 3])
