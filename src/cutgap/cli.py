@@ -25,11 +25,8 @@ from . import separator as sp
 from . import unique_games as ug
 from . import verifier as pv
 
-FMT = "{:.17g}"
-
-
 def _fmt(x) -> str:
-    return FMT.format(float(x))
+    return f"{float(x):.17g}"
 
 
 def _fail(check: str, detail: str) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .quotient import PIPELINE_MAX_K
+from .tensor import INNER_POWER_LIMIT
 
 __all__ = ["RunConfig", "FIELD_PARSERS", "parse_config_file", "derive_seed", "SEED_PURPOSE"]
 
@@ -52,8 +53,8 @@ class RunConfig:
             raise ValueError(f"epsilon={self.epsilon} outside (0, 1/2)")
         if self.t < 1 or self.t % 2 == 0:
             raise ValueError(f"t={self.t} must be a positive odd integer")
-        if self.l_in < 2 or self.l_in % 2:
-            raise ValueError(f"l_in={self.l_in} must be even and >= 2")
+        if not 2 <= self.l_in <= INNER_POWER_LIMIT or self.l_in % 2:
+            raise ValueError(f"l_in={self.l_in} must be even, in [2, {INNER_POWER_LIMIT}]")
         if self.window not in ("typical", "none"):
             raise ValueError(f"window={self.window!r} not in {{typical, none}}")
         for name in ("budget_triples", "budget_samples", "budget_restarts",

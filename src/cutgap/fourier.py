@@ -41,6 +41,17 @@ def _checked_dimension(table_len: int) -> int:
     return table_len.bit_length() - 1
 
 
+def _frozen_row(obj, name: str, dtype) -> np.ndarray:
+    """Store field `name` of a frozen dataclass with a dimension k as a
+    read-only 1-D array of 2^k entries of dtype."""
+    row = np.asarray(getattr(obj, name), dtype=dtype)
+    if row.ndim != 1 or len(row) != 1 << obj.k:
+        raise ValueError(f"expected {name} of length 2^{obj.k}")
+    row.setflags(write=False)
+    object.__setattr__(obj, name, row)
+    return row
+
+
 @dataclass(frozen=True)
 class BooleanFunction:
     """A +/-1-valued function on {-1,1}^k stored as its truth table.
@@ -52,13 +63,8 @@ class BooleanFunction:
     table: np.ndarray
 
     def __post_init__(self):
-        table = np.asarray(self.table, dtype=np.int8)
-        object.__setattr__(self, "table", table)
-        if table.ndim != 1 or len(table) != 1 << self.k:
-            raise ValueError(f"expected table of length 2^{self.k}")
-        if not np.all(np.abs(table) == 1):
+        if not np.all(np.abs(_frozen_row(self, "table", np.int8)) == 1):
             raise ValueError("table entries must be +1 or -1")
-        table.setflags(write=False)
 
     @classmethod
     def from_code(cls, k: int, code: int) -> "BooleanFunction":
@@ -86,11 +92,7 @@ class RealFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 1 or len(values) != 1 << self.k:
-            raise ValueError(f"expected values of length 2^{self.k}")
-        values.setflags(write=False)
+        _frozen_row(self, "values", np.float64)
 
 
 @dataclass(frozen=True)
@@ -101,11 +103,7 @@ class FourierSpectrum:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        object.__setattr__(self, "coeffs", coeffs)
-        if coeffs.ndim != 1 or len(coeffs) != 1 << self.k:
-            raise ValueError(f"expected coefficients of length 2^{self.k}")
-        coeffs.setflags(write=False)
+        _frozen_row(self, "coeffs", np.float64)
 
 
 def _values_of(f) -> np.ndarray:

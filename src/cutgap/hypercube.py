@@ -70,33 +70,26 @@ class NoisyHypercube:
             if not (1 <= d_lo <= d_hi <= self.N):
                 raise ValueError(f"bad window {self.window}")
 
-    def _in_window(self, d: int) -> bool:
-        if d == 0:
-            return False
-        if self.window is None:
-            return True
-        return self.window[0] <= d <= self.window[1]
+    def _retained(self) -> np.ndarray:
+        """Mask of the retained distances among d = 0..N: the window, or all
+        of 1..N."""
+        lo, hi = (1, self.N) if self.window is None else self.window
+        return (np.arange(self.N + 1) >= lo) & (np.arange(self.N + 1) <= hi)
 
     def retained_mass(self) -> float:
         """sum over retained distances of C(N,d) eta^d (1-eta)^(N-d)."""
-        return float(np.sum(self.distance_mass()))
-
-    def distance_mass(self) -> np.ndarray:
-        """Total retained edge weight per distance d = 0..N, unnormalized."""
         d = np.arange(self.N + 1)
         mass = np.array(
             [math.comb(self.N, int(dd)) for dd in d], dtype=np.float64
         ) * self.eta**d * (1 - self.eta) ** (self.N - d)
-        keep = np.array([self._in_window(int(dd)) for dd in d])
-        return np.where(keep, mass, 0.0)
+        return float(np.sum(np.where(self._retained(), mass, 0.0)))
 
     def weight_profile(self) -> np.ndarray:
         """Per-pair weight indexed by distance d = 0..N (after window and
         renormalization)."""
         d = np.arange(self.N + 1)
         w = 2.0 * 2.0 ** (-self.N) * self.eta**d * (1 - self.eta) ** (self.N - d)
-        keep = np.array([self._in_window(int(dd)) for dd in d])
-        w = np.where(keep, w, 0.0)
+        w = np.where(self._retained(), w, 0.0)
         if self.renormalized:
             w = w / self.retained_mass()
         return w

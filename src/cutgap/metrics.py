@@ -60,7 +60,6 @@ class FiniteMetric:
             raise ValueError("diagonal must be zero")
         if np.min(d) < -self.tol:
             raise ValueError("distances must be nonnegative")
-        n = d.shape[0]
         viol = d[:, None, :] + d[None, :, :] - d[:, :, None]
         if np.min(viol) < -self.tol:
             raise ValueError("triangle inequality violated")
@@ -354,20 +353,16 @@ def sparsity(weights: np.ndarray, demands: np.ndarray, cut) -> float:
     cut = np.asarray(cut, dtype=bool)
     if cut.all() or not cut.any():
         raise ValueError("cut must be nontrivial")
-    dem = _cut_demand(np.asarray(demands), cut)
+    dem = _cut_sum(np.asarray(demands), cut)
     if dem <= 0:
         raise ValueError("cut separates no demand")
-    return _cut_weight(np.asarray(weights), cut) / dem
+    return _cut_sum(np.asarray(weights), cut) / dem
 
 
-def _cut_demand(demands: np.ndarray, cut: np.ndarray) -> float:
+def _cut_sum(pairs: np.ndarray, cut: np.ndarray) -> float:
+    """Sum of a symmetric weight or demand matrix over the separated pairs."""
     sep = cut[:, None] != cut[None, :]
-    return float(np.sum(demands * sep) / 2.0)
-
-
-def _cut_weight(weights: np.ndarray, cut: np.ndarray) -> float:
-    sep = cut[:, None] != cut[None, :]
-    return float(np.sum(weights * sep) / 2.0)
+    return float(np.sum(pairs * sep) / 2.0)
 
 
 def best_xor_cut(cuts, weights, demands, B, rng=None):
@@ -395,8 +390,8 @@ def best_xor_cut(cuts, weights, demands, B, rng=None):
         for i in range(k):
             if code >> i & 1:
                 phi ^= cuts[i]
-        dem = _cut_demand(demands, phi)
-        wt = _cut_weight(weights, phi)
+        dem = _cut_sum(demands, phi)
+        wt = _cut_sum(weights, phi)
         key = (dem < B / 3.0, wt)  # feasible-first, then light cuts
         if best is None or key < best[0]:
             best = (key, phi, dem, wt)
@@ -435,11 +430,11 @@ def round_to_balanced_cut(weights, demands, sparse_cut_oracle, B: float,
     while rounds < max_rounds:
         rounds += 1
         cut = np.asarray(sparse_cut_oracle(weights, remaining), dtype=bool)
-        dem_now = _cut_demand(remaining, cut)
+        dem_now = _cut_sum(remaining, cut)
         if dem_now >= B / 3.0:
             return RoundingResult(
                 cut=cut,
-                edge_weight=_cut_weight(weights, cut),
+                edge_weight=_cut_sum(weights, cut),
                 demand=dem_now,
                 rounds=rounds,
                 flagged_partial=False,
@@ -481,7 +476,7 @@ def local_search_sparsest_cut(weights, demands, seed: int = 0, restarts: int = 8
             for v in range(n):
                 cut[v] ^= True
                 ok = cut.any() and not cut.all()
-                if ok and _cut_demand(demands, cut) > 0:
+                if ok and _cut_sum(demands, cut) > 0:
                     ratio = sparsity(weights, demands, cut)
                     if ratio < best_ratio - 1e-15:
                         best_ratio = ratio
@@ -491,7 +486,7 @@ def local_search_sparsest_cut(weights, demands, seed: int = 0, restarts: int = 8
                 cut[v] ^= True
         if best_cut is None:
             best_cut = cut.copy()
-            if _cut_demand(demands, best_cut) > 0:
+            if _cut_sum(demands, best_cut) > 0:
                 best_ratio = sparsity(weights, demands, best_cut)
     return best_cut
 

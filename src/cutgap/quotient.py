@@ -13,9 +13,10 @@ the squared tensors u x u, but every SDP quantity here is evaluated as a
 squared base inner product (tensor identity), read from the dense base Gram
 tensor of all m * N basis vectors, so nothing quadratic in N^2 is
 materialized. Every check is exact and exhaustive: the triangle inequality
-is swept over all (m N)^3 ordered triples of basis vectors in integer
-arithmetic, and basis completeness is the identity B_i^T B_i = N I per
-class, so no check draws random numbers.
+is swept over all (m N)^3 ordered triples of basis vectors in int8 by
+`tensor.triangle_sweep`, the sweep the separator's certificate also runs,
+and basis completeness is the identity B_i^T B_i = N I per class, so no
+check draws random numbers.
 
 For eta >= 1/4 the typical window contains d = N/2, so within-class pairs
 {f, f*chi_c} are windowed in and produce UG self-loop edges (permutation
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypercube import NoisyHypercube, typical_window
-from .tensor import base_gram, shift_covariance_residual
+from .tensor import base_gram, shift_covariance_residual, triangle_sweep
 from .unique_games import UGInstance
 
 __all__ = [
@@ -180,7 +181,6 @@ class UGVectorSolution:
 
 def build_ug_sdp_solution(q: QuotientStructure) -> UGVectorSolution:
     N = q.N
-    m = q.num_classes
     codes = q.reps[:, None] ^ q.masks[None, :]  # (m, N) table codes
     x = np.arange(N, dtype=np.uint64)
     bits = (codes[:, :, None] >> x[None, None, :]) & np.uint64(1)
@@ -209,8 +209,8 @@ class FeasibilityReport:
 
 def _triangle_violation(gram: np.ndarray) -> float:
     """max (g_ac + g_bc - g_ab - 1) over every ordered triple (a, b, c) of the
-    m * N rows of a base_gram tensor, swept in integers on G = N g, the Gram
-    B B^T of the +/-1 rows, as (G_ac + G_bc - G_ab - N) / N.
+    m * N rows of a base_gram tensor, one `triangle_sweep` on G = N g, the
+    Gram B B^T of the +/-1 rows, as (G_ac + G_bc - G_ab - N) / N.
 
     |G| <= N, so G_ac + G_bc - G_ab lies in [-3N, 3N], which int8 holds for
     N <= 42; basis_from_text accepts k <= BASIS_MAX_K, so N <= 32. The triple
@@ -220,13 +220,7 @@ def _triangle_violation(gram: np.ndarray) -> float:
     if 3 * N > np.iinfo(np.int8).max:
         raise ValueError(f"basis dimension {N} overflows the int8 triangle sweep")
     g = (gram.reshape(m * N, m * N) * N).astype(np.int8)  # exact: gram holds integers / N
-    worst = -3 * N
-    for a in range(0, m * N, 16):  # 16 first points at a time: (16, mN, mN) int8
-        ga = g[a:a + 16]
-        # [a, b]: max over c of G_ac + G_bc, less G_ab
-        term = np.max(ga[:, None, :] + g[None, :, :], axis=2) - ga
-        worst = max(worst, int(np.max(term)))
-    return (worst - N) / N
+    return (triangle_sweep(g, g, g, range(m * N)) - N) / N
 
 
 def check_ug_sdp_feasibility(sol: UGVectorSolution) -> FeasibilityReport:

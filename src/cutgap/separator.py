@@ -21,6 +21,7 @@ Cuts are +/-1 arrays over the flat vertex order (v, x) -> v * 2^N + x.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,8 +29,8 @@ import numpy as np
 
 from .fourier import apply_noise_kernel
 from .quotient import UGVectorSolution
-from .tensor import GramCache
-from .unique_games import UGInstance
+from .tensor import INNER_POWER_LIMIT, GramCache, triangle_sweep
+from .unique_games import EXACT_LABEL_LIMIT, UGInstance, ug_to_text
 from .verifier import dictator_tables, piecewise_balance
 
 __all__ = [
@@ -51,10 +52,6 @@ __all__ = [
     "cut_from_text",
 ]
 
-EXACT_LABEL_LIMIT = 8  # up to 2^8-point blocks (k <= 3 in the gap pipeline)
-# first points per step of the triangle sweep: at 2^8-point blocks its
-# (4, 256, 256) float64 buffer of pair sums takes 2 MB
-TRIANGLE_CHUNK = 4
 # local search trusts a flip's gain unless it lies strictly inside
 # (-GAIN_BAND, GAIN_BAND); there the exact cut weights decide
 GAIN_BAND = 1e-12
@@ -71,8 +68,7 @@ class BESInstance:
         if not 0 < self.epsilon < 0.5:
             raise ValueError(f"epsilon={self.epsilon} outside (0, 1/2)")
         if self.ug.num_labels > EXACT_LABEL_LIMIT:
-            raise ValueError(f"{self.ug.num_labels} labels exceed the exact-enumeration "
-                             f"limit {EXACT_LABEL_LIMIT}")
+            raise ValueError(f"{self.ug.num_labels} labels exceed the limit {EXACT_LABEL_LIMIT}")
 
     @property
     def num_blocks(self) -> int:
@@ -134,13 +130,29 @@ def demand_cut(inst: BESInstance, cut) -> float:
     return float(np.sum(p * (1 - p)) * inst.block_size**2)
 
 
+@functools.cache
 def _shift_correlations(n_bits: int) -> np.ndarray:
     """C[x, y, d] = sum_s x_s y_(s xor d) over the +/-1 coordinates of the
-    points x, y of a block (n_bits a power of two)."""
+    points x, y of a block (n_bits a power of two), read-only."""
     signs = dictator_tables(np.arange(n_bits), n_bits).T.astype(np.float64)  # [x, s] = x_s
     s = np.arange(n_bits)
     shifted = signs[:, s[:, None] ^ s[None, :]]  # [y, s, d] = y_(s xor d)
-    return np.tensordot(signs, shifted, axes=([1], [1]))
+    corr = np.tensordot(signs, shifted, axes=([1], [1]))
+    corr.setflags(write=False)
+    return corr
+
+
+@functools.cache
+def _distinct_correlations(n_bits: int):
+    """The distinct vectors among C[x, y, :] and, per (x, y), the index of its
+    vector; read-only, found by an integer code (entries lie in [-N, N])."""
+    corr = _shift_correlations(n_bits).reshape(-1, n_bits)
+    code = (corr.astype(np.int64) + n_bits) @ (2 * n_bits + 1) ** np.arange(n_bits)
+    _, first, spread = np.unique(code, return_index=True, return_inverse=True)
+    out = corr[first], spread.reshape(1 << n_bits, -1)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -177,6 +189,8 @@ def assign_sdp_solution(inst: BESInstance, sol: UGVectorSolution,
                         l_in: int = 8, t: int = 1) -> BESVectorAssignment:
     if sol.basis.shape[0] != inst.num_blocks or sol.basis.shape[1] != inst.ug.num_labels:
         raise ValueError("solution shape does not match instance")
+    if l_in > INNER_POWER_LIMIT:
+        raise ValueError(f"l_in={l_in} exceeds INNER_POWER_LIMIT={INNER_POWER_LIMIT}")
     return BESVectorAssignment(
         inst, GramCache(sol.basis, l_in=l_in), l_in, t,
         _shift_correlations(inst.ug.num_labels),
@@ -211,14 +225,9 @@ def sdp_objective(inst: BESInstance, assign: BESVectorAssignment) -> float:
     rows, group = np.unique(assign.cache.table[d.v[:, None], d.w[:, None], shifted],
                             axis=0, return_inverse=True)
     weights = np.bincount(group.ravel(), weights=d.weight)
-    # the distinct correlation vectors C[x, y', :], found by an integer code
-    # (entries lie in [-N, N]); each row's inner products and their powers
-    # are taken once per distinct vector, then spread back over (x, y')
-    corr = assign.corr.reshape(-1, n)
-    code = (corr.astype(np.int64) + n) @ (2 * n + 1) ** np.arange(n, dtype=np.int64)
-    _, first, spread = np.unique(code, return_index=True, return_inverse=True)
-    distinct = corr[first]
-    spread = spread.reshape(w_noise.shape)
+    # each row's inner products and their powers are taken once per distinct
+    # correlation vector C[x, y', :], then spread back over (x, y')
+    distinct, spread = _distinct_correlations(n)
     mean_inner = 0.0
     for row, weight in zip(rows, weights):
         q_t = np.clip(distinct @ row / assign.cache.N, -1.0, 1.0) ** assign.t
@@ -274,8 +283,11 @@ def check_bes_feasibility(inst: BESInstance, assign: BESVectorAssignment) -> BES
     pair has a term <= 0. Any other triple in blocks (U, V, W) has a term at
     most near[UW] + near[VW] + near[UV] - 1, where near[r] is the largest
     |inner| other than 1 in row r's Gram. Only the block triples where that
-    bound is positive are swept, once per distinct row triple. The unit
-    norms the bound relies on are check (a).
+    bound is positive are swept, once per distinct row triple, by
+    `tensor.triangle_sweep` on the integer numerators N^(l_in+1) g (every
+    base inner product is a multiple of N^-(l_in+1); a Gram that is not
+    raises ValueError), so the certificate is exact. The unit norms the
+    bound relies on are check (a).
     """
     size = inst.block_size
     m = inst.num_blocks
@@ -313,21 +325,16 @@ def check_bes_feasibility(inst: BESInstance, assign: BESVectorAssignment) -> BES
     ac, bc, ab = pair_rows
     over = near[ac] + near[bc] + near[ab] > 1.0
     row_triples = np.unique(np.stack([r[over] for r in pair_rows], axis=1), axis=0)
-    grams = {r: gram(r) for r in np.unique(row_triples)}
-    worst = 0.0
-    pair_sums = np.empty((TRIANGLE_CHUNK, size, size))
-    for triple in row_triples:
-        g_ac, g_bc, g_ab = (grams[r] for r in triple)
-        # complementing all three points keeps every Gram entry, so the
-        # triples whose first point has x < size / 2 cover all, TRIANGLE_CHUNK
-        # x at a time. Rounding is monotone, so for fixed (a, b) the largest
-        # fl(s - (1 + g_ab)) over c is fl(max_c s - (1 + g_ab)), with s the
-        # sum g_ac + g_bc: the same worst term as subtracting before the max
-        for lo in range(0, max(size // 2, 1), TRIANGLE_CHUNK):
-            x = slice(lo, min(lo + TRIANGLE_CHUNK, size))
-            sums = np.add(g_ac[x, None, :], g_bc[None, :, :], out=pair_sums[:x.stop - lo])
-            viol = np.max(sums, axis=2) - (1.0 + g_ab[x])
-            worst = max(worst, float(np.max(viol)))
+    # the swept Grams as the integer numerators of their entries over scale
+    scale = assign.cache.N ** (assign.l_in + 1)
+    nums = {r: gram(r) * scale for r in np.unique(row_triples)}
+    if any(not np.array_equal(g, np.round(g)) for g in nums.values()):
+        raise ValueError(f"Gram entries not multiples of {assign.cache.N}^-{assign.l_in + 1}")
+    nums = {r: g.astype(np.min_scalar_type(-3 * scale)) for r, g in nums.items()}
+    # complementing all three points keeps every Gram entry, so the triples
+    # whose first point has x < size / 2 cover all
+    worst = max((triangle_sweep(*(nums[r] for r in triple), range(size // 2))
+                 for triple in row_triples), default=scale)
 
     return BESFeasibilityReport(
         unit_norm_residual=norm_res,
@@ -335,7 +342,7 @@ def check_bes_feasibility(inst: BESInstance, assign: BESVectorAssignment) -> BES
         balance_lhs=balance_lhs,
         balance_required=inst.balance,
         balance_exact_value=balance_exact,
-        triangle_violation=worst,
+        triangle_violation=max(worst - scale, 0) / scale,
         triples_checked=inst.num_vertices**3,
     )
 
@@ -519,8 +526,6 @@ def bes_to_text(inst: BESInstance, expanded: bool | None = None) -> str:
     """Header `BES m N epsilon <mode>`; expanded mode lists every realized
     edge as `v x w y weight` (only for <= 4-label instances), params mode
     embeds the generating UG instance."""
-    from .unique_games import ug_to_text
-
     if expanded is None:
         expanded = inst.ug.num_labels <= 4
     mode = "expanded" if expanded else "params"

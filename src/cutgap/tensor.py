@@ -35,6 +35,11 @@ __all__ = [
 REFERENCE_OUTER_POWER = 2**240 + 1
 
 DEFAULT_INNER_POWER = 8
+# the largest even inner power at which three base inner products, each a
+# multiple of N^-(l_in+1), sum exactly in float64 at N = 8: 3 * 8^17 < 2^53
+INNER_POWER_LIMIT = 16
+# pair-sum bytes per `triangle_sweep` step (k=3: 16 UG first points in int8, 4 BES ones in int32)
+TRIANGLE_STEP_BYTES = 1 << 20
 
 
 def base_gram(basis) -> np.ndarray:
@@ -59,6 +64,17 @@ def shift_covariance_residual(gram: np.ndarray) -> float:
     idx = np.arange(n)
     predicted = gram[:, 0][:, :, idx[:, None] ^ idx[None, :]]  # [v, w, s, t]
     return float(np.max(np.abs(gram.transpose(0, 2, 1, 3) - predicted)))
+
+
+def triangle_sweep(ac, bc, ab, first: range) -> int:
+    """max of ac[a, c] + bc[b, c] - ab[a, b] over a in `first` and all b, c,
+    for integer tables whose dtype holds three times their largest entry.
+    Each step takes the max over c first, on a slice of first points whose
+    pair sums fit in TRIANGLE_STEP_BYTES."""
+    step = max(1, TRIANGLE_STEP_BYTES // bc.nbytes)
+    ac, ab = ac[first.start:first.stop], ab[first.start:first.stop]
+    return max(int(np.max(np.max(ac[a:a + step, None] + bc, axis=2) - ab[a:a + step]))
+               for a in range(0, len(ac), step))
 
 
 class GramCache:

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 
+EXACT_LABEL_LIMIT = 8  # the one label cap: 2^N points per vertex (k <= 3 in the gap pipeline)
 # edges per gather-dot step of `EdgeDistribution.disagreement`: at N = 8 its
 # two (128, 256) float64 operands take 0.5 MB
 DISAGREEMENT_CHUNK = 128
@@ -113,7 +114,9 @@ class UGInstance:
     @cached_property
     def edge_distribution(self) -> "EdgeDistribution":
         """The two-query Long Code test's query distribution, built once
-        from the edge columns."""
+        from the edge columns, for at most EXACT_LABEL_LIMIT labels."""
+        if self.num_labels > EXACT_LABEL_LIMIT:
+            raise ValueError(f"{self.num_labels} labels exceed the limit {EXACT_LABEL_LIMIT}")
         perms, table_of = np.unique(self.perm, axis=0, return_inverse=True)
         z = np.arange(1 << self.num_labels, dtype=np.int64)
         bits = (z >> perms[:, :, None]) & 1  # [p, i, z] = bit perm_p(i) of z
@@ -137,8 +140,6 @@ def _int_array(values) -> np.ndarray:
 def _not_permutations(perms: np.ndarray, n: int) -> np.ndarray:
     """Mask of the rows of an (rows, n) array that are not a permutation of
     0..n-1."""
-    if not len(perms):
-        return np.zeros(0, dtype=bool)
     return (np.sort(perms, axis=1) != np.arange(n)).any(axis=1)
 
 
@@ -361,8 +362,6 @@ def plant_instance(num_vertices: int, num_labels: int, eta: float,
             # derange at the hidden label: swap with any other slot
             other = (hidden[w] + 1 + int(rng.integers(num_labels - 1))) % num_labels
             perm[hidden[w]], perm[other] = perm[other], perm[hidden[w]]
-            if perm[hidden[w]] == hidden[v]:  # swap landed the same value back
-                raise AssertionError("derangement failed")
         perms[idx] = perm
     v, w = np.array(pairs, dtype=np.int64).T
     u = UGInstance(num_vertices, num_labels, v, w, np.full(len(pairs), weight), perms,
@@ -425,12 +424,12 @@ def ug_to_text(u: UGInstance) -> str:
 
 
 def ug_from_text(text: str, regularity_tol: float = 1e-9) -> UGInstance:
-    """Inverse of `ug_to_text`; an empty file, a bad header (counts
-    included: integers with N >= 1, |V| >= 1, |E| >= 0), a missing or extra
-    edge line, an edge line with the wrong number of fields or an unparsable
-    number, or a permutation that is not one raises ValueError naming the
-    first line that holds any of these (the field count and numbers are
-    checked before the permutation on a line)."""
+    """Inverse of `ug_to_text`; an empty file, a bad header (integer counts
+    with 1 <= N <= EXACT_LABEL_LIMIT, |V| >= 1, |E| >= 0), a missing or
+    extra edge line, an edge line with the wrong number of fields or an
+    unparsable number, or a permutation that is not one raises ValueError
+    naming the first line that holds any of these (the field count and
+    numbers are checked before the permutation on a line)."""
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("line 1: empty UG file")
@@ -444,6 +443,8 @@ def ug_from_text(text: str, regularity_tol: float = 1e-9) -> UGInstance:
     if n < 1 or nv < 1 or ne < 0:
         raise ValueError(f"line {no}: header counts N = {n}, |V| = {nv}, |E| = {ne}: "
                          "need N >= 1, |V| >= 1 and |E| >= 0")
+    if n > EXACT_LABEL_LIMIT:
+        raise ValueError(f"line {no}: {n} labels exceed the limit {EXACT_LABEL_LIMIT}")
     if len(lines) - 1 != ne:
         at = lines[ne + 1][0] if len(lines) - 1 > ne else lines[-1][0] + 1
         raise ValueError(f"line {at}: expected {ne} edge lines, found {len(lines) - 1}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import wht_matrix
-from .unique_games import UGInstance, value as ug_value
+from .unique_games import EXACT_LABEL_LIMIT, UGInstance, value as ug_value
 
 __all__ = [
     "Proof",
@@ -204,7 +204,7 @@ def proof_from_text(text: str) -> Proof:
         raise ValueError(f"line {no}: {exc}") from None
     if nv < 1:
         raise ValueError(f"line {no}: vertex count {nv} out of range")
-    if not 0 <= n < 63:  # each table has 2^n entries
+    if not 0 <= n <= EXACT_LABEL_LIMIT:  # each table has 2^n entries
         raise ValueError(f"line {no}: label count {n} out of range")
     rows = []
     for no, row in lines[1:]:

@@ -14,6 +14,7 @@ from cutgap import unique_games as ug
 from cutgap.cli import _parser, main
 from cutgap.config import SEED_PURPOSE, RunConfig, derive_seed, parse_config_file
 from cutgap.metrics import FiniteMetric, metric_to_text
+from cutgap.tensor import INNER_POWER_LIMIT
 from cutgap.unique_games import plant_instance, ug_to_text
 from cutgap.verifier import Proof, dictator_tables, proof_to_text
 
@@ -38,6 +39,15 @@ def test_config_parsing_and_validation(tmp_path):
     with pytest.raises(ValueError, match=r"^line 2: invalid literal for int\(\)"):
         parse_config_file("eta = 0.2\nk = two\n")
     assert derive_seed(5, "opt_search") == 5 * 1009 + 1
+
+
+def test_inner_power_limit_bounds_config_and_assignment():
+    RunConfig(l_in=INNER_POWER_LIMIT).validate()
+    with pytest.raises(ValueError, match=r"in \[2, 16\]"):
+        RunConfig(l_in=18).validate()
+    u, q, _ = qt.build_kv_instance(2, 0.3)
+    with pytest.raises(ValueError, match="INNER_POWER_LIMIT"):
+        sp.assign_sdp_solution(sp.build_bes(u, 0.3), qt.build_ug_sdp_solution(q), l_in=18)
 
 
 def test_every_seed_purpose_is_derived_in_the_package():
@@ -402,6 +412,7 @@ def _clean_texts():
 @pytest.mark.parametrize("bad_ug, bad_proof, expected", [
     (None, (1, 0, "300"), "FAIL pcp line 2: proof entries must be +/-1\n"),
     (None, (0, 2, str(10**30)), f"FAIL pcp line 1: label count {10**30} out of range\n"),
+    (None, (0, 2, "9"), "FAIL pcp line 1: label count 9 out of range\n"),
     ((1, 3, str(10**30)), None, f"FAIL pcp line 2: {10**30} 1 2 is not a permutation of 0..2\n"),
     (None, (0, 1, "six"), "FAIL pcp line 1: invalid literal for int() with base 10: 'six'\n"),
     (None, (0, 1, "0"), "FAIL pcp line 1: vertex count 0 out of range\n"),
@@ -410,9 +421,9 @@ def _clean_texts():
     (None, (0, 1, "5"), "FAIL pcp line 7: PROOF 5 3 has 5 rows, found 6\n"),
     (None, (0, 1, "7"), "FAIL pcp line 8: PROOF 7 3 has 7 rows, found 6\n"),
     (None, (0, 2, "2"), "FAIL pcp line 2: expected 4 entries, got 8\n"),
-], ids=["proof_entry", "proof_header", "ug_permutation", "proof_header_non_integer",
-        "proof_no_vertices", "proof_entry_non_integer", "proof_extra_row",
-        "proof_missing_row", "proof_row_length"])
+], ids=["proof_entry", "proof_header", "proof_nine_labels", "ug_permutation",
+        "proof_header_non_integer", "proof_no_vertices", "proof_entry_non_integer",
+        "proof_extra_row", "proof_missing_row", "proof_row_length"])
 def test_pcp_malformed_number_fails_cleanly(tmp_path, capsys, bad_ug, bad_proof, expected):
     ug_text, proof_text = _clean_texts()
     if bad_ug:
@@ -518,8 +529,14 @@ def test_verify_malformed_ug_line_fails_cleanly(tmp_path, capsys, edits, expecte
     ("UG 2 one 0\n", "line 1: invalid literal for int() with base 10: 'one'"),
     ("UG 2 1 2\n0 0 1 1 0\n", "line 3: expected 2 edge lines, found 1"),
     ("UG 2 1 0\n0 0 1 1 0\n", "line 2: expected 0 edge lines, found 1"),
+    # 40 labels once passed as OK ug_structure, then the edge distribution
+    # asked for 8 TiB (a MemoryError traceback)
+    ("UG 9 2 1\n0 1 1 " + " ".join(map(str, range(9))) + "\n",
+     "line 1: 9 labels exceed the limit 8"),
+    ("UG 40 2 1\n0 1 1 " + " ".join(map(str, range(40))) + "\n",
+     "line 1: 40 labels exceed the limit 8"),
 ], ids=["negative_label_count", "negative_vertex_count", "non_integer_vertex_count",
-        "missing_edge_line", "extra_edge_line"])
+        "missing_edge_line", "extra_edge_line", "nine_labels", "forty_labels"])
 def test_verify_ug_header_counts_fail_cleanly(tmp_path, capsys, text, expected):
     # a negative label count once passed the field-count test and indexed
     # past the edge line (an IndexError traceback); a negative vertex count

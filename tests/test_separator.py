@@ -8,9 +8,9 @@ from cutgap import separator as sp
 from cutgap.cli import main
 from cutgap.quotient import build_kv_instance, build_ug_sdp_solution
 from cutgap.fourier import apply_noise_kernel
+from cutgap.tensor import TRIANGLE_STEP_BYTES
 from cutgap.separator import (
     GAIN_BAND,
-    TRIANGLE_CHUNK,
     BESVectorAssignment,
     _FlipGains,
     _majority_cut,
@@ -246,7 +246,7 @@ def brute_force_triangle(assign):
     return max(float(np.max(viol)), 0.0)
 
 
-def planted_row_fixture(seed, m=5, n=4):
+def planted_row_fixture(seed, m=5, n=4, l_in=8):
     """m blocks of 2^n points: every diagonal row is e_0 (block v's points
     are the sign vectors x / sqrt(N)), and about half the block pairs carry
     one of three random rows of l1 norm below 1, in multiples of 1/16 so
@@ -264,7 +264,7 @@ def planted_row_fixture(seed, m=5, n=4):
         for w in range(v + 1, m):
             if rng.random() < 0.5:
                 table[v, w] = table[w, v] = pool[rng.integers(3)]
-    return BESVectorAssignment(build_bes(u, 0.2), SimpleNamespace(table=table, N=n), 8, 1,
+    return BESVectorAssignment(build_bes(u, 0.2), SimpleNamespace(table=table, N=n), l_in, 1,
                                _shift_correlations(n))
 
 
@@ -380,7 +380,8 @@ def test_triangle_certificate_matches_brute_force_planted_rows():
 
 def test_triangle_certificate_matches_brute_force_four_point_blocks():
     # half a 4-point block is 2 first points, fewer than one sweep step
-    assert TRIANGLE_CHUNK > 2
+    # even for int64 numerators
+    assert TRIANGLE_STEP_BYTES // (4 * 4 * np.dtype(np.int64).itemsize) > 2
     violating = 0
     for seed in range(60):
         assign = planted_row_fixture(seed, m=8, n=2)
@@ -388,6 +389,26 @@ def test_triangle_certificate_matches_brute_force_four_point_blocks():
         assert check_bes_feasibility(assign.inst, assign).triangle_violation == worst, seed
         violating += worst > 0
     assert violating >= 10
+
+
+def test_triangle_certificate_int64_numerators_match_brute_force():
+    # at l_in = 16 the numerators 4^17 g need int64 (3 * 2^34 > int32)
+    assert np.min_scalar_type(-3 * 4**17) == np.int64
+    violating = 0
+    for seed in range(20):
+        assign = planted_row_fixture(seed, l_in=16)
+        worst = brute_force_triangle(assign)
+        assert check_bes_feasibility(assign.inst, assign).triangle_violation == worst, seed
+        violating += worst > 0
+    assert violating >= 3
+
+
+def test_triangle_certificate_rejects_inexact_gram():
+    # 0.1 is no multiple of 4^-9, so the row's Gram has no integer numerators
+    assign = planted_row_fixture(0)
+    assign.cache.table[0, 1] = assign.cache.table[1, 0] = [0.5, 0.1, 0.0, 0.0]
+    with pytest.raises(ValueError, match="not multiples of 4\\^-9"):
+        check_bes_feasibility(assign.inst, assign)
 
 
 def test_balance_claim_chain_on_random_cuts():

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from cutgap.quotient import build_kv_instance, build_ug_sdp_solution
+from cutgap import tensor
 from cutgap.tensor import (
     REFERENCE_OUTER_POWER,
     GramCache,
     base_gram,
     shift_covariance_residual,
+    triangle_sweep,
 )
 from oracles import (
     BESVectorHandle,
@@ -200,3 +202,17 @@ def test_odd_power_transfer_fuzz():
         rhs = vals[:, 1] ** t + vals[:, 2] ** t
         assert np.all(lhs >= rhs - 1e-12)
         checked += len(vals)
+
+
+@pytest.mark.parametrize("dtype, bound", [(np.int8, 42), (np.int32, 2**29), (np.int64, 2**60)])
+def test_triangle_sweep_is_the_brute_force_max(monkeypatch, dtype, bound):
+    rng = np.random.default_rng(23)
+    ac, bc, ab = (rng.integers(-bound, bound + 1, size=shape).astype(dtype)
+                  for shape in ((13, 9), (7, 9), (13, 7)))
+    # three first points per step: range(2, 13) is 11 points, so the last
+    # step holds two
+    monkeypatch.setattr(tensor, "TRIANGLE_STEP_BYTES", 3 * bc.nbytes)
+    first = range(2, 13)
+    terms = (ac[first, None, :].astype(object) + bc[None, :, :].astype(object)
+             - ab[first, :, None].astype(object))
+    assert triangle_sweep(ac, bc, ab, first) == max(terms.ravel())

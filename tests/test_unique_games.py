@@ -6,6 +6,7 @@ import pytest
 from cutgap import unique_games as ug
 from cutgap.separator import balanced_cut_search, build_bes
 from cutgap.unique_games import (
+    EXACT_LABEL_LIMIT,
     BudgetExceededError,
     UGInstance,
     label_extended_graph,
@@ -364,3 +365,10 @@ def test_instance_checks_name_the_first_bad_edge(edges, message):
     # edges meets first (endpoints, then weight, then permutation per edge)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         UGInstance(2, 3, *edges)
+
+
+def test_edge_distribution_reads_the_label_cap():
+    # its tables take 2^N entries per distinct permutation
+    u = single_edge_instance(n_labels=EXACT_LABEL_LIMIT + 1)
+    with pytest.raises(ValueError, match="9 labels exceed the limit 8"):
+        value(u, [0, 0])
