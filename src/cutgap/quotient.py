@@ -220,7 +220,7 @@ def _triangle_violation(gram: np.ndarray) -> float:
     if 3 * N > np.iinfo(np.int8).max:
         raise ValueError(f"basis dimension {N} overflows the int8 triangle sweep")
     g = (gram.reshape(m * N, m * N) * N).astype(np.int8)  # exact: gram holds integers / N
-    return (triangle_sweep(g, g, g, range(m * N)) - N) / N
+    return (triangle_sweep(g, g, g, slice(None)) - N) / N
 
 
 def check_ug_sdp_feasibility(sol: UGVectorSolution) -> FeasibilityReport:

@@ -155,6 +155,23 @@ def _distinct_correlations(n_bits: int):
     return out
 
 
+@functools.cache
+def _orbit_representatives(n_bits: int) -> np.ndarray:
+    """One point per orbit of the group of order 2N that the coordinate XOR
+    shifts (x o c)_s = x_(s xor c) and the complement x -> -x generate, the
+    least index of each orbit, read-only. The group keeps every shift
+    correlation, C[g x, g y, :] = C[x, y, :], so it keeps every entry of
+    every base Gram: 1, 2, 5 and 30 orbits at N = 1, 2, 4 and 8."""
+    size = 1 << n_bits
+    s = np.arange(n_bits)
+    bits = (np.arange(size)[:, None] >> s) & 1  # [x, s] = bit s of x
+    shifted = bits[:, s[None, :] ^ s[:, None]] @ (1 << s)  # [x, c] = x o c
+    orbit = np.concatenate([shifted, shifted ^ (size - 1)], axis=1)
+    reps = np.flatnonzero(orbit.min(axis=1) == np.arange(size))
+    reps.setflags(write=False)
+    return reps
+
+
 @dataclass(frozen=True)
 class BESVectorAssignment:
     """The tensored unit-vector solution: point (v, x) carries the unit vector
@@ -174,8 +191,10 @@ class BESVectorAssignment:
     corr: np.ndarray  # (2^N, 2^N, N) shift correlations C of the sign patterns
 
     def base_gram_block(self, v: int, w: int) -> np.ndarray:
-        """(2^N, 2^N) base inner products between two whole blocks."""
-        return self.corr @ self.cache.table[v, w] / self.cache.N
+        """(2^N, 2^N) base inner products between two whole blocks, each
+        taken once per distinct shift-correlation vector."""
+        distinct, spread = _distinct_correlations(self.cache.N)
+        return (distinct @ self.cache.table[v, w] / self.cache.N)[spread]
 
     def base_inner_flat(self, a_ids, b_ids) -> np.ndarray:
         """Vectorized base inner products for flat vertex id pairs."""
@@ -197,9 +216,13 @@ def assign_sdp_solution(inst: BESInstance, sol: UGVectorSolution,
     )
 
 
+@functools.cache
 def _distance_matrix(n_bits: int) -> np.ndarray:
+    """Hamming distances |x xor y| between the points of a block, read-only."""
     idx = np.arange(1 << n_bits, dtype=np.uint32)
-    return np.bitwise_count(idx[:, None] ^ idx[None, :])
+    dist = np.bitwise_count(idx[:, None] ^ idx[None, :])
+    dist.setflags(write=False)
+    return dist
 
 
 def sdp_objective(inst: BESInstance, assign: BESVectorAssignment) -> float:
@@ -273,8 +296,11 @@ def check_bes_feasibility(inst: BESInstance, assign: BESVectorAssignment) -> BES
     triple.
 
     All four read the distinct rows of the Gram table: block pairs with the
-    same row table[v, w] have the same base Gram, so each distinct Gram is
-    formed from the first pair that carries it.
+    same row table[v, w] have the same base Gram. Each distinct row's base
+    inner products are taken once per distinct shift-correlation vector
+    (`_distinct_correlations`: 1425 at N = 8); the values are exact, so the
+    order of summation does not matter. Only the diagonal rows, for checks
+    (a)-(c), and the swept rows are spread to (2^N, 2^N) tables.
 
     Triangle checks run at the base level (t = 1); the odd-power transfer
     lemma carries them to every odd t. A triple (a, b, c) violates by
@@ -285,23 +311,25 @@ def check_bes_feasibility(inst: BESInstance, assign: BESVectorAssignment) -> BES
     |inner| other than 1 in row r's Gram. Only the block triples where that
     bound is positive are swept, once per distinct row triple, by
     `tensor.triangle_sweep` on the integer numerators N^(l_in+1) g (every
-    base inner product is a multiple of N^-(l_in+1); a Gram that is not
-    raises ValueError), so the certificate is exact. The unit norms the
-    bound relies on are check (a).
+    base inner product is a multiple of N^-(l_in+1); a swept row whose
+    values are not raises ValueError), so the certificate is exact. The
+    shifts and the complement of `_orbit_representatives` keep every Gram
+    entry, so the first point of a triple runs over one point per orbit
+    (30 of 256 at N = 8). The unit norms the bound relies on are check (a).
     """
     size = inst.block_size
     m = inst.num_blocks
-    rows, first, row_of = np.unique(assign.cache.table.reshape(m * m, -1), axis=0,
-                                    return_index=True, return_inverse=True)
+    n = assign.cache.N
+    rows, row_of = np.unique(assign.cache.table.reshape(m * m, -1), axis=0,
+                             return_inverse=True)
     row_of = row_of.reshape(m, m)
-
-    def gram(r):
-        return assign.base_gram_block(*divmod(int(first[r]), m))
+    distinct, spread = _distinct_correlations(n)
+    inner = rows @ distinct.T / n  # [r, j] = row r's inner product at vector j
 
     # (a)-(c) per distinct diagonal row, weighted by the blocks that carry it
     norm_res = ws_res = balance_lhs = 0.0
     for r, blocks in zip(*np.unique(np.diagonal(row_of), return_counts=True)):
-        t_mat = gram(r) ** assign.t
+        t_mat = inner[r][spread] ** assign.t
         # (a) unit norms of every point
         norm_res = max(norm_res, float(np.max(np.abs(np.diagonal(t_mat) - 1.0))))
         # (b) well-separatedness: E_{x,y}[inner^t] vanishes by exact antipodal
@@ -316,25 +344,24 @@ def check_bes_feasibility(inst: BESInstance, assign: BESVectorAssignment) -> BES
     balance_exact = m * size**2 / 4.0
 
     # (d) triangle certificate at the base level
-    near = np.zeros(len(rows))
-    for r in range(len(rows)):
-        g = np.abs(gram(r))
-        near[r] = np.max(g, where=g != 1.0, initial=0.0)
+    g = np.abs(inner)
+    near = np.max(g, axis=1, where=g != 1.0, initial=0.0)
     # rows of (a, c), (b, c) and (a, b) for a in U, b in V, c in W
     pair_rows = np.broadcast_arrays(row_of[:, None, :], row_of[None, :, :], row_of[:, :, None])
     ac, bc, ab = pair_rows
     over = near[ac] + near[bc] + near[ab] > 1.0
     row_triples = np.unique(np.stack([r[over] for r in pair_rows], axis=1), axis=0)
-    # the swept Grams as the integer numerators of their entries over scale
-    scale = assign.cache.N ** (assign.l_in + 1)
-    nums = {r: gram(r) * scale for r in np.unique(row_triples)}
-    if any(not np.array_equal(g, np.round(g)) for g in nums.values()):
-        raise ValueError(f"Gram entries not multiples of {assign.cache.N}^-{assign.l_in + 1}")
-    nums = {r: g.astype(np.min_scalar_type(-3 * scale)) for r, g in nums.items()}
-    # complementing all three points keeps every Gram entry, so the triples
-    # whose first point has x < size / 2 cover all
-    worst = max((triangle_sweep(*(nums[r] for r in triple), range(size // 2))
-                 for triple in row_triples), default=scale)
+    # the swept rows' values as the integer numerators over scale, each
+    # spread to its Gram
+    swept = np.unique(row_triples)
+    scale = n ** (assign.l_in + 1)
+    nums = inner[swept] * scale
+    if not np.array_equal(nums, np.round(nums)):
+        raise ValueError(f"Gram entries not multiples of {n}^-{assign.l_in + 1}")
+    nums = dict(zip(swept.tolist(), nums.astype(np.min_scalar_type(-3 * scale))[:, spread]))
+    reps = _orbit_representatives(n)
+    worst = max((triangle_sweep(*(nums[r] for r in triple), reps)
+                 for triple in row_triples.tolist()), default=scale)
 
     return BESFeasibilityReport(
         unit_norm_residual=norm_res,
@@ -563,7 +590,11 @@ def bes_to_text(inst: BESInstance, expanded: bool | None = None) -> str:
 
 
 def cut_to_text(cut) -> str:
-    return "\n".join(str(int(v)) for v in np.asarray(cut)) + "\n"
+    """One entry per line; an entry other than +/-1 raises ValueError."""
+    cut = np.asarray(cut)
+    if not np.all((cut == 1) | (cut == -1)):
+        raise ValueError("cut entries must be +/-1")
+    return "\n".join(np.where(cut > 0, "1", "-1").tolist()) + "\n"
 
 
 def cut_from_text(text: str) -> np.ndarray:

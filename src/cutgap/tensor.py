@@ -66,13 +66,14 @@ def shift_covariance_residual(gram: np.ndarray) -> float:
     return float(np.max(np.abs(gram.transpose(0, 2, 1, 3) - predicted)))
 
 
-def triangle_sweep(ac, bc, ab, first: range) -> int:
-    """max of ac[a, c] + bc[b, c] - ab[a, b] over a in `first` and all b, c,
-    for integer tables whose dtype holds three times their largest entry.
-    Each step takes the max over c first, on a slice of first points whose
-    pair sums fit in TRIANGLE_STEP_BYTES."""
+def triangle_sweep(ac, bc, ab, first) -> int:
+    """max of ac[a, c] + bc[b, c] - ab[a, b] over the first points a that
+    `first` (a slice or an index array) selects and all b, c, for integer
+    tables whose dtype holds three times their largest entry. Each step
+    takes the max over c first, on as many first points as keep the pair
+    sums within TRIANGLE_STEP_BYTES."""
     step = max(1, TRIANGLE_STEP_BYTES // bc.nbytes)
-    ac, ab = ac[first.start:first.stop], ab[first.start:first.stop]
+    ac, ab = ac[first], ab[first]
     return max(int(np.max(np.max(ac[a:a + step, None] + bc, axis=2) - ab[a:a + step]))
                for a in range(0, len(ac), step))
 

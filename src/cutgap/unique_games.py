@@ -22,6 +22,7 @@ __all__ = [
     "UGInstance",
     "EdgeDistribution",
     "Incidence",
+    "Pulls",
     "BudgetExceededError",
     "value",
     "opt_exhaustive",
@@ -35,8 +36,9 @@ __all__ = [
 
 
 EXACT_LABEL_LIMIT = 8  # the one label cap: 2^N points per vertex (k <= 3 in the gap pipeline)
-# edges per gather-dot step of `EdgeDistribution.disagreement`: at N = 8 its
-# two (128, 256) float64 operands take 0.5 MB
+# edges per dot step of `EdgeDistribution.disagreement`: at N = 8 its two
+# (128, 256) float64 operands take 0.5 MB, beside the 0.5 MB of the 254
+# distinct pulled rows at k = 3
 DISAGREEMENT_CHUNK = 128
 
 
@@ -153,6 +155,15 @@ class Incidence(NamedTuple):
     bounds: np.ndarray  # vertex u's ends are bounds[u]:bounds[u + 1]
 
 
+class Pulls(NamedTuple):
+    """The distinct (other endpoint, table) pairs of the edges
+    (`EdgeDistribution.pulls`)."""
+
+    other: np.ndarray  # the pair's endpoint w
+    table: np.ndarray  # the pair's reindex table p
+    pair: np.ndarray  # per edge, the index of its (w[e], table_of[e]) pair
+
+
 @dataclass(frozen=True)
 class EdgeDistribution:
     """The query distribution of the two-query Long Code test on a UG
@@ -198,22 +209,36 @@ class EdgeDistribution:
             a.setflags(write=False)
         return inc
 
+    @cached_property
+    def pulls(self) -> Pulls:
+        """The distinct (w, p) pairs of an edge's other endpoint w and its
+        table p, sorted, and each edge's pair: an exact cut weight gathers
+        the pulled row smoothed[w, tables[p]] once per pair (254 pairs for
+        2576 edges at k = 3). Built once."""
+        keys, pair = np.unique(self.w * len(self.tables) + self.table_of, return_inverse=True)
+        pulls = Pulls(*np.divmod(keys, len(self.tables)), pair)
+        for a in pulls:
+            a.setflags(write=False)
+        return pulls
+
     def disagreement(self, blocks, epsilon: float) -> float:
         """Exact probability that the two queries get different values,
         sum_e wt(e) (1 - <A^v, K A^w o pi_e> / 2^N) / 2 for the noise kernel
-        K. K commutes with pi_e, so one noise pass over all rows and a
-        gather-dot per chunk of edges evaluate every term."""
+        K. K commutes with pi_e, so one noise pass over all rows, one gather
+        of each distinct pulled row (`pulls`) and a dot product per edge
+        evaluate every term."""
         blocks = np.asarray(blocks, dtype=np.float64)
         size = blocks.shape[1]
-        smoothed = apply_noise_kernel(blocks, epsilon, self.num_labels).ravel()
+        smoothed = apply_noise_kernel(blocks, epsilon, self.num_labels)
+        pulls = self.pulls
+        pulled = smoothed[pulls.other[:, None], self.tables[pulls.table]]
         agree = np.empty(len(self.v))
-        # DISAGREEMENT_CHUNK edges at a time, so that the gathered rows stay
-        # in cache; each edge's dot product is the same 2^N products in the
+        # DISAGREEMENT_CHUNK edges at a time, so that the operands stay in
+        # cache; each edge's dot product is the same 2^N products in the
         # same order whatever the chunk
         for lo in range(0, len(self.v), DISAGREEMENT_CHUNK):
             e = slice(lo, lo + DISAGREEMENT_CHUNK)
-            pulled = smoothed[self.w[e, None] * size + self.tables[self.table_of[e]]]
-            np.einsum("ex,ex->e", blocks[self.v[e]], pulled, out=agree[e])
+            np.einsum("ex,ex->e", blocks[self.v[e]], pulled[pulls.pair[e]], out=agree[e])
         # a sequential sum in edge order (np.sum would pair terms up): the
         # last digits of the written gap rows depend on this order
         return float(np.cumsum(self.weight * (1.0 - agree / size) / 2.0)[-1])

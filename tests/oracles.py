@@ -41,10 +41,18 @@ paths against. None of them is used by the cutgap package itself.
   balance by `piecewise_balance` of the whole flipped cut, the oracle that
   the gain bookkeeping of `cutgap.separator.balanced_cut_search` must
   match bit for bit.
+- `base_gram_block_per_pair`, `triangle_sweep_half` and
+  `check_bes_feasibility_per_pair`: a block pair's base Gram as one
+  product C[x, y] . table[v, w] / N per point pair, the triangle sweep with
+  its first point over half a block (the complement alone), and the
+  separator's feasibility check built from both, the oracles that the
+  distinct-correlation values and the orbit sweep of
+  `cutgap.separator.check_bes_feasibility` must match with `==`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,6 +60,7 @@ import numpy as np
 
 from cutgap.fourier import FourierSpectrum, _values_of, apply_noise_kernel
 from cutgap.separator import (
+    BESFeasibilityReport,
     CutSearchResult,
     _block_views,
     _majority_cut,
@@ -396,4 +405,60 @@ def balanced_cut_search_per_trial(inst, theta: float = 5.0 / 6.0, seed: int = 0,
         balance=piecewise_balance(_block_views(inst, best_cut)),
         demand=demand_cut(inst, best_cut),
         candidates=report,
+    )
+
+
+def base_gram_block_per_pair(assign, v: int, w: int) -> np.ndarray:
+    """(2^N, 2^N) base inner products of blocks v and w, one product
+    C[x, y] . table[v, w] / N per point pair."""
+    return assign.corr @ assign.cache.table[v, w] / assign.cache.N
+
+
+def triangle_sweep_half(ac, bc, ab) -> int:
+    """max of ac[a, c] + bc[b, c] - ab[a, b] in int64 over the first points
+    a < 2^N / 2 and all b, c, one first point at a time: complementing all
+    three points keeps every Gram entry, so half a block covers all."""
+    ac, bc, ab = (np.asarray(g, dtype=np.int64) for g in (ac, bc, ab))
+    return max(int(np.max(np.max(ac[a] + bc, axis=1) - ab[a])) for a in range(len(ac) // 2))
+
+
+def check_bes_feasibility_per_pair(inst, assign) -> BESFeasibilityReport:
+    """`separator.check_bes_feasibility` with each distinct row's Gram
+    formed per point pair (`base_gram_block_per_pair`) from the first block
+    pair that carries it, and every swept row triple checked by
+    `triangle_sweep_half`."""
+    size = inst.block_size
+    m = inst.num_blocks
+    rows, first, row_of = np.unique(assign.cache.table.reshape(m * m, -1), axis=0,
+                                    return_index=True, return_inverse=True)
+    row_of = row_of.reshape(m, m)
+    grams = [base_gram_block_per_pair(assign, *divmod(int(f), m)) for f in first]
+    norm_res = ws_res = balance_lhs = 0.0
+    for r, blocks in zip(*np.unique(np.diagonal(row_of), return_counts=True)):
+        t_mat = grams[r] ** assign.t
+        norm_res = max(norm_res, float(np.max(np.abs(np.diagonal(t_mat) - 1.0))))
+        ws_res = max(ws_res, float(np.max(np.abs(t_mat + t_mat[:, ::-1]))))
+        off_diag_sum = float(np.sum(t_mat)) - float(np.trace(t_mat))
+        balance_lhs += int(blocks) * (0.25 * (2 * math.comb(size, 2) - off_diag_sum))
+    near = np.array([np.max(np.abs(g), where=np.abs(g) != 1.0, initial=0.0) for g in grams])
+    # the rows of (a, c), (b, c) and (a, b) for a, b, c in blocks u, v, w
+    # whose bound near[UW] + near[VW] + near[UV] - 1 is positive
+    swept = {(row_of[u, w], row_of[v, w], row_of[u, v])
+             for u in range(m) for v in range(m) for w in range(m)
+             if near[row_of[u, w]] + near[row_of[v, w]] + near[row_of[u, v]] > 1.0}
+    scale = assign.cache.N ** (assign.l_in + 1)
+    worst = scale
+    for triple in swept:
+        nums = [grams[r] * scale for r in triple]
+        if any(not np.array_equal(g, np.round(g)) for g in nums):
+            raise ValueError(f"Gram entries not multiples of {assign.cache.N}^-{assign.l_in + 1}")
+        worst = max(worst, triangle_sweep_half(*nums))
+    return BESFeasibilityReport(
+        unit_norm_residual=norm_res,
+        well_separatedness_residual=ws_res,
+        balance_lhs=balance_lhs,
+        balance_required=inst.balance,
+        balance_exact_value=m * size**2 / 4.0,
+        triangle_violation=max(worst - scale, 0) / scale,
+        triples_checked=inst.num_vertices**3,
     )

@@ -8,12 +8,13 @@ from cutgap import separator as sp
 from cutgap.cli import main
 from cutgap.quotient import build_kv_instance, build_ug_sdp_solution
 from cutgap.fourier import apply_noise_kernel
-from cutgap.tensor import TRIANGLE_STEP_BYTES
+from cutgap.tensor import TRIANGLE_STEP_BYTES, triangle_sweep
 from cutgap.separator import (
     GAIN_BAND,
     BESVectorAssignment,
     _FlipGains,
     _majority_cut,
+    _orbit_representatives,
     _random_balanced_cut,
     _shift_correlations,
     assign_sdp_solution,
@@ -46,11 +47,14 @@ from oracles import (
     BESVectorHandle,
     _set_image_table,
     balanced_cut_search_per_trial,
+    base_gram_block_per_pair,
     bes_expanded_text_loop,
     bes_inner,
+    check_bes_feasibility_per_pair,
     disagreement_one_gather,
     edge_rows,
     sdp_objective_per_row,
+    triangle_sweep_half,
 )
 
 
@@ -466,6 +470,17 @@ def test_cut_file_round_trip(tmp_path):
             cut_from_text(text)
 
 
+def test_cut_text_is_one_entry_per_line_and_rejects_other_entries():
+    _, _, inst, _ = kv_fixture(k=3)
+    cut = _random_balanced_cut(inst, np.random.default_rng(3))
+    text = "".join(f"{int(v)}\n" for v in cut)
+    assert cut_to_text(cut) == cut_to_text(cut.astype(np.float64)) == text
+    assert cut_to_text(np.array([], dtype=np.int8)) == "\n"
+    for bad in ([1, 0, -1], [1, 2], [-1, 1.5], np.array([1, -128], dtype=np.int8)):
+        with pytest.raises(ValueError, match="cut entries must be \\+/-1"):
+            cut_to_text(bad)
+
+
 def test_bes_export_expanded_mass():
     _, _, inst, _ = kv_fixture()
     text = bes_to_text(inst)
@@ -835,3 +850,91 @@ def test_block_sum_imbalance_is_piecewise_balance():
             tables = np.where(rng.random((m, size)) < p, 1, -1).astype(np.int8)
             imbalance = int(np.abs(tables.sum(axis=1, dtype=np.int64)).sum())
             assert imbalance / size / m == piecewise_balance(tables), (m, size)
+
+
+def sign_image(n_bits, images):
+    """The point index of each +/-1 row of `images` (one row per point)."""
+    return ((1 - images) // 2) @ (1 << np.arange(n_bits))
+
+
+@pytest.mark.parametrize("n, orbits", [(1, 1), (2, 2), (4, 5), (8, 30)])
+def test_orbit_representatives_cover_every_point_once(n, orbits):
+    reps = _orbit_representatives(n)
+    signs = signs_of_points(n).astype(np.int64)
+    s = np.arange(n)
+    # the orbit of x: its coordinates shifted by every c, and their negations
+    covered = np.concatenate([np.unique(np.concatenate(
+        [sign_image(n, sign * signs[[x]][:, s ^ c]) for c in range(n) for sign in (1, -1)]))
+        for x in reps.tolist()])
+    assert len(reps) == orbits
+    assert np.array_equal(np.sort(covered), np.arange(1 << n))
+    assert np.array_equal(reps, np.unique(reps))
+
+
+def test_shift_correlations_are_kept_by_shifts_and_the_complement():
+    n = 8
+    corr = _shift_correlations(n)
+    signs = signs_of_points(n).astype(np.int64)
+    s = np.arange(n)
+    for g in [sign_image(n, signs[:, s ^ c]) for c in range(n)] + [sign_image(n, -signs)]:
+        assert np.array_equal(corr[np.ix_(g, g)], corr)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_orbit_sweep_is_the_half_sweep_on_random_integer_tables(n):
+    # a Gram C . row of any integer rows is kept by the orbit group, so the
+    # orbit representatives find the same worst term as half a block
+    rng = np.random.default_rng(31 + n)
+    corr = _shift_correlations(n).astype(np.int64)
+    for trial in range(6):
+        ac, bc, ab = (corr @ rng.integers(-9, 10, size=n) for _ in range(3))
+        worst = triangle_sweep(ac, bc, ab, _orbit_representatives(n))
+        assert worst == triangle_sweep_half(ac, bc, ab) > 0, trial
+
+
+def test_k3_check_sweeps_the_orbit_representatives_without_per_pair_grams(monkeypatch):
+    _, _, inst, assign = kv_fixture(k=3, t=3)
+    firsts = []
+    sweep = sp.triangle_sweep
+    monkeypatch.setattr(sp, "triangle_sweep", lambda *args: firsts.append(args[3]) or sweep(*args))
+    monkeypatch.setattr(BESVectorAssignment, "base_gram_block", None)
+    rep = check_bes_feasibility(inst, assign)
+    assert rep.triangle_violation == 0.0 and rep.triples_checked == 8192**3
+    reps = _orbit_representatives(8)
+    assert len(reps) == 30 and firsts and all(f is reps for f in firsts)
+
+
+def assert_check_is_the_per_pair_oracle(assign):
+    inst = assign.inst
+    rep = check_bes_feasibility(inst, assign)
+    assert rep == check_bes_feasibility_per_pair(inst, assign)
+    # one block pair per distinct row (pairs that share a row share a Gram)
+    m = inst.num_blocks
+    _, first = np.unique(assign.cache.table.reshape(m * m, -1), axis=0, return_index=True)
+    for v, w in (divmod(int(f), m) for f in first):
+        assert np.array_equal(assign.base_gram_block(v, w), base_gram_block_per_pair(assign, v, w))
+    return rep
+
+
+@pytest.mark.parametrize("k, eta, eps", GRID_K2 + POINTS_K3)
+def test_distinct_value_check_is_the_per_pair_oracle(k, eta, eps):
+    u, q, _ = build_kv_instance(k, eta)
+    inst = build_bes(u, eps)
+    sol = build_ug_sdp_solution(q)
+    for t in (1, 3):
+        assert assert_check_is_the_per_pair_oracle(assign_sdp_solution(inst, sol, t=t)) \
+            .triangle_violation == 0.0
+
+
+@pytest.mark.parametrize("l_in", [2, 8, 16])
+def test_distinct_value_check_is_the_per_pair_oracle_planted(l_in):
+    # 4-point blocks from l_in = 8 on: at l_in = 2 their rows' steps of 1/16
+    # are no multiples of 2^-3, and both routes raise
+    violating = 0
+    for seed in range(12):
+        fixtures = [planted_row_fixture(seed, l_in=l_in)]
+        if l_in > 2:
+            fixtures.append(planted_row_fixture(seed, m=8, n=2, l_in=l_in))
+        for assign in fixtures:
+            violating += assert_check_is_the_per_pair_oracle(assign).triangle_violation > 0
+    assert violating >= 4

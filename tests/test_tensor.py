@@ -209,10 +209,22 @@ def test_triangle_sweep_is_the_brute_force_max(monkeypatch, dtype, bound):
     rng = np.random.default_rng(23)
     ac, bc, ab = (rng.integers(-bound, bound + 1, size=shape).astype(dtype)
                   for shape in ((13, 9), (7, 9), (13, 7)))
-    # three first points per step: range(2, 13) is 11 points, so the last
-    # step holds two
+    # three first points per step: the slice 2:13 is 11 points, so the
+    # last step holds two
     monkeypatch.setattr(tensor, "TRIANGLE_STEP_BYTES", 3 * bc.nbytes)
-    first = range(2, 13)
+    first = slice(2, 13)
+    terms = (ac[first, None, :].astype(object) + bc[None, :, :].astype(object)
+             - ab[first, :, None].astype(object))
+    assert triangle_sweep(ac, bc, ab, first) == max(terms.ravel())
+
+
+def test_triangle_sweep_takes_an_index_array_of_first_points(monkeypatch):
+    rng = np.random.default_rng(29)
+    ac, bc, ab = (rng.integers(-2**29, 2**29 + 1, size=shape).astype(np.int32)
+                  for shape in ((13, 9), (7, 9), (13, 7)))
+    monkeypatch.setattr(tensor, "TRIANGLE_STEP_BYTES", 3 * bc.nbytes)
+    # five first points out of order: a step of three, then one of two
+    first = np.array([12, 2, 7, 4, 9])
     terms = (ac[first, None, :].astype(object) + bc[None, :, :].astype(object)
              - ab[first, :, None].astype(object))
     assert triangle_sweep(ac, bc, ab, first) == max(terms.ravel())

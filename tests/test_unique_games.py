@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cutgap import unique_games as ug
-from cutgap.separator import balanced_cut_search, build_bes
+from cutgap.separator import balanced_cut_search, build_bes, cut_edge_weight
 from cutgap.unique_games import (
     EXACT_LABEL_LIMIT,
     BudgetExceededError,
@@ -320,6 +320,27 @@ def test_incidence_is_built_once_and_read_by_both_searches(monkeypatch):
     assert len(built) == 1 and len(reads) == 1
     balanced_cut_search(build_bes(u, 0.3), seed=0)  # local search builds the flip gains
     assert len(built) == 1 and len(reads) == 2 and reads[1] is reads[0]
+
+
+def test_pulls_are_built_once_and_read_by_every_cut_weight(monkeypatch):
+    u = build_kv_instance(3, 0.3)[0]  # a fresh instance, so nothing is cached yet
+    built, reads = [], []
+    make = ug.Pulls
+    cached = ug.EdgeDistribution.__dict__["pulls"]
+    monkeypatch.setattr(ug, "Pulls", lambda *cols: built.append(1) or make(*cols))
+    monkeypatch.setattr(ug.EdgeDistribution, "pulls", property(
+        lambda d: reads.append(cached.__get__(d, type(d))) or reads[-1]))
+    inst = build_bes(u, 0.3)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        cut_edge_weight(inst, rng.choice(np.array([-1, 1], dtype=np.int8), size=inst.num_vertices))
+    assert len(built) == 1 and len(reads) == 3 and all(r is reads[0] for r in reads)
+    # one row per distinct (other endpoint, table) pair, fewer than the edges
+    d, pulls = u.edge_distribution, reads[0]
+    pairs = np.stack([pulls.other, pulls.table], axis=1)
+    assert len(pairs) == len(np.unique(pairs, axis=0)) == 254 < u.num_edges == 2576
+    assert np.array_equal(pulls.other[pulls.pair], d.w)
+    assert np.array_equal(pulls.table[pulls.pair], d.table_of)
 
 
 @pytest.mark.parametrize("seed", [1, 3])
