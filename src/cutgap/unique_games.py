@@ -22,6 +22,7 @@ __all__ = [
     "UGInstance",
     "EdgeDistribution",
     "Incidence",
+    "Guide",
     "Pulls",
     "BudgetExceededError",
     "value",
@@ -40,6 +41,12 @@ EXACT_LABEL_LIMIT = 8  # the one label cap: 2^N points per vertex (k <= 3 in the
 # (128, 256) float64 operands take 0.5 MB, beside the 0.5 MB of the 254
 # distinct pulled rows at k = 3
 DISAGREEMENT_CHUNK = 128
+# `EdgeDistribution.sample_disagreements` draws at most SAMPLE_BATCH queries
+# at a time, and their flip uniforms FLIP_ROWS rows at a time (0.25 MB of
+# float64 at N = 8); GUIDE_BITS sets the guide table's 2^16 buckets
+SAMPLE_BATCH = 1 << 16
+FLIP_ROWS = 4096
+GUIDE_BITS = 16
 
 
 class BudgetExceededError(ValueError):
@@ -119,11 +126,16 @@ class UGInstance:
         from the edge columns, for at most EXACT_LABEL_LIMIT labels."""
         if self.num_labels > EXACT_LABEL_LIMIT:
             raise ValueError(f"{self.num_labels} labels exceed the limit {EXACT_LABEL_LIMIT}")
-        perms, table_of = np.unique(self.perm, axis=0, return_inverse=True)
-        z = np.arange(1 << self.num_labels, dtype=np.int64)
+        n = self.num_labels
+        # each row read as a base-N number: numeric order is the rows'
+        # lexicographic order, and N^N <= 2^24 for N <= 8, so this is
+        # np.unique(perm, axis=0) without its structured-dtype sort
+        code = self.perm @ n ** np.arange(n - 1, -1, -1)
+        _, first, table_of = np.unique(code, return_index=True, return_inverse=True)
+        perms = self.perm[first]
+        z = np.arange(1 << n, dtype=np.int64)
         bits = (z >> perms[:, :, None]) & 1  # [p, i, z] = bit perm_p(i) of z
-        tables = np.sum(bits << np.arange(self.num_labels)[:, None], axis=1)
-        table_of = table_of.ravel()
+        tables = np.sum(bits << np.arange(n)[:, None], axis=1)
         for a in (perms, tables, table_of):
             a.setflags(write=False)
         return EdgeDistribution(self.num_vertices, self.num_labels, self.v, self.w,
@@ -153,6 +165,15 @@ class Incidence(NamedTuple):
     weight: np.ndarray  # the edge's weight
     row: np.ndarray  # map row: p from the v end, P + p from the w end
     bounds: np.ndarray  # vertex u's ends are bounds[u]:bounds[u + 1]
+
+
+class Guide(NamedTuple):
+    """The edge weights' cdf and its guide table of 2^GUIDE_BITS buckets
+    (`EdgeDistribution.guide`)."""
+
+    cdf: np.ndarray  # cumulative weights over their sum, as Generator.choice forms them
+    lo: np.ndarray  # lo[j] = #{cdf <= j / 2^GUIDE_BITS}
+    hi: np.ndarray  # hi[j] = #{cdf < (j + 1) / 2^GUIDE_BITS}
 
 
 class Pulls(NamedTuple):
@@ -221,6 +242,29 @@ class EdgeDistribution:
             a.setflags(write=False)
         return pulls
 
+    @cached_property
+    def guide(self) -> Guide:
+        """The cdf that `Generator.choice` searches for an edge draw, and a
+        guide table over it (Chen and Asau 1974): a uniform u in bucket
+        j = floor(u 2^GUIDE_BITS) finds between lo[j] and hi[j] cdf entries
+        at or below it, so the bucket alone names its edge wherever the two
+        agree. Built once and read-only. With b_i the ceiling (for lo) or
+        the floor (for hi) of cdf[i] 2^GUIDE_BITS, the entry is #{i : b_i
+        <= j}; b is nondecreasing, as the cdf is, so that count is i for
+        j in [b_(i-1), b_i), which one `np.repeat` writes."""
+        p = self.weight / self.weight.sum()
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        buckets = 1 << GUIDE_BITS
+        scaled = cdf * buckets  # exact: a power-of-two scale
+        index = np.arange(len(cdf) + 1, dtype=np.int32)
+        bounds = [np.repeat(index, np.diff(f(scaled).astype(np.int32), prepend=0, append=buckets))
+                  for f in (np.ceil, np.floor)]
+        guide = Guide(cdf, *bounds)
+        for a in guide:
+            a.setflags(write=False)
+        return guide
+
     def disagreement(self, blocks, epsilon: float) -> float:
         """Exact probability that the two queries get different values,
         sum_e wt(e) (1 - <A^v, K A^w o pi_e> / 2^N) / 2 for the noise kernel
@@ -246,24 +290,72 @@ class EdgeDistribution:
     def sample_disagreements(self, blocks, samples: int, seed: int,
                              epsilon: float) -> int:
         """How many of `samples` seeded draws of (e, x, mu) query two
-        different values; the draws depend only on the seed."""
-        rng = np.random.default_rng(seed)
+        different values; the draws depend only on the seed.
+
+        Each batch of SAMPLE_BATCH draws reads the generator as
+        `choice(len(p), p=p, size=batch)` for the edges, `integers` for x
+        and `random((batch, N)) < epsilon` for mu would, in that order, so
+        the counts are the ones those calls give. choice draws a uniform u
+        per edge and takes `cdf.searchsorted(u, side="right")`, the number
+        of cdf entries at or below u. Here u's bucket j = floor(u 2^16)
+        (exact: a power-of-two scale) bounds that number between
+        `guide.lo[j]` and `guide.hi[j]`, so wherever they agree the guide
+        table alone names the edge; only draws in a bucket that holds a
+        cdf entry are searched (about 4% at k = 3). The flip uniforms come
+        FLIP_ROWS rows at a time into one reused buffer, in the same
+        order. Values are gathered from the flattened tables, so `blocks`
+        must hold one row of 2^N values per UG vertex.
+        """
         n = self.num_labels
-        p = self.weight / self.weight.sum()
+        blocks = np.asarray(blocks)
+        if samples < 1:
+            raise ValueError(f"need at least one sample, got {samples}")
+        if blocks.shape != (self.num_vertices, 1 << n):
+            raise ValueError(f"tables of shape {blocks.shape}: need one row of 2^{n} "
+                             f"values for each of {self.num_vertices} vertices")
+        rng = np.random.default_rng(seed)
+        values = blocks.ravel()
+        tables = self.tables.ravel()
         # bit weights in the narrowest unsigned type that holds 2^N - 1, so
-        # the product with the (batch, N) flip indicators makes no int64 copy
+        # the product with the flip indicators makes no int64 copy
         bit_weights = (1 << np.arange(n)).astype(np.min_scalar_type((1 << n) - 1))
+        flips = np.empty((min(samples, FLIP_ROWS), n))
+        mu = np.empty(min(samples, SAMPLE_BATCH), dtype=bit_weights.dtype)
         count = 0
         done = 0
         while done < samples:
-            batch = min(samples - done, 1 << 16)
-            ei = rng.choice(len(p), p=p, size=batch)
+            batch = min(samples - done, SAMPLE_BATCH)
+            ei = self._draw_edges(rng, batch)
             x = rng.integers(0, 1 << n, size=batch)
-            mu = (rng.random((batch, n)) < epsilon) @ bit_weights
-            y = self.tables[self.table_of[ei], x ^ mu]
-            count += int(np.sum(blocks[self.v[ei], x] != blocks[self.w[ei], y]))
+            for lo in range(0, batch, FLIP_ROWS):
+                rows = flips[:min(batch - lo, FLIP_ROWS)]
+                rng.random(out=rows)
+                np.matmul(rows < epsilon, bit_weights, out=mu[lo:lo + len(rows)])
+            queried = values[_flat_index(self.v[ei], x, n)]
+            x ^= mu[:batch]
+            y = tables[_flat_index(self.table_of[ei], x, n)]
+            count += int(np.count_nonzero(queried != values[_flat_index(self.w[ei], y, n)]))
             done += batch
         return count
+
+    def _draw_edges(self, rng, batch: int) -> np.ndarray:
+        """`batch` edges drawn as `rng.choice(len(p), p=p, size=batch)`
+        draws them: the same uniforms, the same edges (`guide`)."""
+        guide = self.guide
+        u = rng.random(batch)
+        bucket = (u * (1 << GUIDE_BITS)).astype(np.int32)
+        ei = guide.lo[bucket]
+        miss = np.flatnonzero(ei != guide.hi[bucket])
+        ei[miss] = guide.cdf.searchsorted(u[miss], side="right")
+        return ei
+
+
+def _flat_index(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Flat indices of entries (rows, cols) of a row-major table with 2^n
+    columns, built in place in `rows`, a fresh int64 gather."""
+    rows <<= n
+    rows |= cols
+    return rows
 
 
 def value(u: UGInstance, lam) -> float:

@@ -128,8 +128,6 @@ def acceptance_probability_mc(u: UGInstance, proof: Proof, samples: int,
                               seed: int, epsilon: float):
     """Operational Monte Carlo estimate: run the two-query test `samples`
     times. Returns (estimate, stderr); deterministic per seed."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
     _check_epsilon(epsilon)
     reject = u.edge_distribution.sample_disagreements(proof.tables, samples, seed, epsilon)
     p = (samples - reject) / samples

@@ -36,6 +36,10 @@ paths against. None of them is used by the cutgap package itself.
   (x, y') point of every distinct table row, the oracles that the chunked
   gather and the distinct-correlation powers of `cutgap` must match bit for
   bit.
+- `sample_disagreements_choice`: the Monte Carlo run of the two-query
+  test with its edges drawn by `Generator.choice` and its flips as one
+  (batch, N) array of uniforms, the oracle whose counts the guide-table
+  sampler of `EdgeDistribution.sample_disagreements` must give with `==`.
 - `balanced_cut_search_per_trial`: the balanced-cut search with every
   trial flip of its local search judged by two exact cut weights and its
   balance by `piecewise_balance` of the whole flipped cut, the oracle that
@@ -325,6 +329,28 @@ def disagreement_one_gather(d, blocks, epsilon: float) -> float:
     pulled = smoothed[d.w[:, None], d.tables[d.table_of]]
     agree = np.einsum("ex,ex->e", blocks[d.v], pulled)
     return float(np.cumsum(d.weight * (1.0 - agree / blocks.shape[1]) / 2.0)[-1])
+
+
+def sample_disagreements_choice(d, blocks, samples: int, seed: int,
+                                epsilon: float) -> int:
+    """`EdgeDistribution.sample_disagreements` drawing each batch's edges
+    with `Generator.choice` and its flips as one (batch, N) array of
+    uniforms, mu the int64 product of the flip indicators and the bit
+    weights summed by rows."""
+    rng = np.random.default_rng(seed)
+    n = d.num_labels
+    p = d.weight / d.weight.sum()
+    bit_weights = 1 << np.arange(n, dtype=np.int64)
+    count = done = 0
+    while done < samples:
+        batch = min(samples - done, 1 << 16)
+        ei = rng.choice(len(p), p=p, size=batch)
+        x = rng.integers(0, 1 << n, size=batch)
+        mu = ((rng.random((batch, n)) < epsilon) * bit_weights).sum(axis=1)
+        y = d.tables[d.table_of[ei], x ^ mu]
+        count += int(np.sum(blocks[d.v[ei], x] != blocks[d.w[ei], y]))
+        done += batch
+    return count
 
 
 def sdp_objective_per_row(inst, assign) -> float:

@@ -5,15 +5,17 @@ The cases are four points of the benchmark's k=2 (eta, epsilon) grid and
 k=3 at eta = epsilon = 0.3, each at t = 1 and t = 3; each runs
 `build-ug` and then `build-bes --ug-file` on its instance, as the
 benchmark does. The k=3 case also pins the read side on those files:
-`verify` on its UG and basis files, and `pcp --epsilon 0.3 --samples
-20000` on a PROOF holding its best cut, both at seed 0; each parses the
-UG file, and the exact acceptance sums and the Monte Carlo draws follow
-its edge order and weights. The build digests were taken before the
-build commands' loops over edges, labelings and text lines were replaced
-by array code, and the read digests while a UG instance still kept its
-edges as objects beside its arrays; the k=3 t = 3 digests, the case
-where `sdp_objective` takes one power per distinct correlation vector,
-were taken while it still took one at every point. So a change to any
+`verify` on its UG and basis files, and `pcp --epsilon 0.3` with 20000
+and with 10^6 samples on a PROOF holding its best cut, all at seed 0;
+each parses the UG file, and the exact acceptance sums and the Monte
+Carlo draws follow its edge order and weights. The build digests were
+taken before the build commands' loops over edges, labelings and text
+lines were replaced by array code, and the read digests while a UG
+instance still kept its edges as objects beside its arrays; the k=3
+t = 3 digests, the case where `sdp_objective` takes one power per
+distinct correlation vector, were taken while it still took one at every
+point, and the 10^6-sample `pcp` digest while the edge draws still went
+through `Generator.choice`. So a change to any
 written byte fails here. Regenerate them with
 `python3 tests/test_golden_outputs.py` only for a change that means to
 move an output, and say which bytes moved and why.
@@ -118,6 +120,7 @@ GOLDEN = {
     'k3_eta0.3_eps0.3': {
         'pcp/proof.txt': '218cdf0ddc297bdbe54b932b8d5d37efd66f2e51c92fae3fdf468fe60fd13fd2',
         'pcp/stdout': 'dfb7fe79476374c082c4a8dffac32ed7f9d5260f2ce425516f472be4e921bd78',
+        'pcp/stdout_1e6': '9437d08622703153777987a3142fb659f0b770d1d4ef0819a1831877c2e0f54a',
         't1/bes_instance.txt': '8443caa4f535205ce3b0e204ad72de351c6a08f36fa038d0063696e4c040a72c',
         't1/bes_summary.txt': '6442d6a479e3f8810311a9e730b13f7d962547c4ca521424d4c1c7fd4060aa75',
         't1/best_cut.txt': 'a3054ac32da280449be49e8f21bb1ae43fe369e563c14826f6cdec55fc8c49a2',
@@ -178,9 +181,12 @@ def run_case(root: str, k: int, eta: float, epsilon: float, ts,
         os.makedirs(os.path.dirname(proof_file))
         with open(proof_file, "w") as fh:
             fh.write(proof_to_text(Proof(n, cut.reshape(-1, 1 << n))))
-        digests["pcp/stdout"] = _sha(_run(
-            ["pcp", "--ug-file", ug_file, "--proof-file", proof_file,
-             "--epsilon", str(epsilon), "--samples", "20000", "--seed", "0"]))
+        # 20000 samples fit in one batch of draws; 10^6 take 15 full
+        # batches and a partial one
+        for samples, name in ((20000, "pcp/stdout"), (1000000, "pcp/stdout_1e6")):
+            digests[name] = _sha(_run(
+                ["pcp", "--ug-file", ug_file, "--proof-file", proof_file,
+                 "--epsilon", str(epsilon), "--samples", str(samples), "--seed", "0"]))
     for dirpath, _, files in os.walk(root):
         for f in files:
             path = os.path.join(dirpath, f)

@@ -53,6 +53,7 @@ from oracles import (
     check_bes_feasibility_per_pair,
     disagreement_one_gather,
     edge_rows,
+    sample_disagreements_choice,
     sdp_objective_per_row,
     triangle_sweep_half,
 )
@@ -156,6 +157,18 @@ def test_dictator_cut_is_one_minus_acceptance_on_planted():
     got = cut_edge_weight(inst, cut)
     assert abs(got - expected) < 1e-12
     assert got <= 0.1 + 0.2 + 1e-9
+
+
+def test_mc_cut_weight_rejects_no_samples_and_a_cut_of_another_length():
+    # no samples would divide by zero; a cut of another length has no
+    # block of 2^N values per UG vertex
+    _, _, inst, _ = kv_fixture()
+    cut = np.ones(inst.num_vertices)
+    with pytest.raises(ValueError, match="at least one sample"):
+        cut_edge_weight_mc(inst, cut, samples=0, seed=0)
+    for bad in (cut[:-1], np.ones(inst.num_vertices + inst.block_size)):
+        with pytest.raises(ValueError, match="cut length mismatch"):
+            cut_edge_weight_mc(inst, bad, samples=100, seed=0)
 
 
 def test_random_cut_weight_near_half():
@@ -598,25 +611,6 @@ def test_mc_cut_weight_pinned():
         0.503275, 0.0024999463712997924, True)
 
 
-def _disagreements_with_product_mu(d, blocks, samples, seed, epsilon):
-    """The sampler as it drew mu before: the (batch, N) int64 product of the
-    flip indicators and the bit weights, summed by rows."""
-    rng = np.random.default_rng(seed)
-    n = d.num_labels
-    p = d.weight / d.weight.sum()
-    bit_weights = 1 << np.arange(n, dtype=np.int64)
-    count = done = 0
-    while done < samples:
-        batch = min(samples - done, 1 << 16)
-        ei = rng.choice(len(p), p=p, size=batch)
-        x = rng.integers(0, 1 << n, size=batch)
-        mu = ((rng.random((batch, n)) < epsilon) * bit_weights).sum(axis=1)
-        y = d.tables[d.table_of[ei], x ^ mu]
-        count += int(np.sum(blocks[d.v[ei], x] != blocks[d.w[ei], y]))
-        done += batch
-    return count
-
-
 @pytest.mark.parametrize("k, pinned", [(2, [34645, 34533, 34515]),
                                        (3, [35129, 35125, 35169])])
 def test_mc_disagreements_match_the_product_form(k, pinned):
@@ -627,7 +621,7 @@ def test_mc_disagreements_match_the_product_form(k, pinned):
     d = inst.ug.edge_distribution
     blocks = np.random.default_rng(5).choice([-1, 1], size=(inst.num_blocks, inst.block_size))
     counts = [d.sample_disagreements(blocks, 70000, seed, 0.3) for seed in (0, 1, 7)]
-    assert counts == [_disagreements_with_product_mu(d, blocks, 70000, seed, 0.3)
+    assert counts == [sample_disagreements_choice(d, blocks, 70000, seed, 0.3)
                       for seed in (0, 1, 7)]
     assert counts == pinned
 

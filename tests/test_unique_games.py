@@ -1,3 +1,4 @@
+import functools
 import re
 
 import numpy as np
@@ -27,6 +28,7 @@ from oracles import (
     labeling_set_expansion_identity_loop,
     opt_exhaustive_loop,
     opt_search_loop,
+    sample_disagreements_choice,
 )
 
 
@@ -393,3 +395,150 @@ def test_edge_distribution_reads_the_label_cap():
     u = single_edge_instance(n_labels=EXACT_LABEL_LIMIT + 1)
     with pytest.raises(ValueError, match="9 labels exceed the limit 8"):
         value(u, [0, 0])
+
+
+def many_scales_instance(num_labels=8, num_edges=3000, seed=0):
+    """Random permutations on random endpoints with weights 10^-U(0, 15),
+    50 of them zero: many guide buckets hold a cdf step, some hold many and
+    some steps are flat. The sampler needs no regular degrees."""
+    rng = np.random.default_rng(seed)
+    weight = 10.0 ** -rng.uniform(0, 15, size=num_edges)
+    weight[rng.choice(num_edges, 50, replace=False)] = 0.0
+    perm = rng.permuted(np.tile(np.arange(num_labels), (num_edges, 1)), axis=1)
+    ends = rng.integers(0, 40, size=(2, num_edges))
+    return UGInstance(40, num_labels, *ends, weight / weight.sum(), perm, regularity_tol=2.0)
+
+
+def dyadic_instance(num_edges=1024):
+    """Equal weights 2^-10: every cdf entry sits exactly on a bucket bound."""
+    rng = np.random.default_rng(1)
+    perm = rng.permuted(np.tile(np.arange(4), (num_edges, 1)), axis=1)
+    ends = rng.integers(0, 16, size=(2, num_edges))
+    return UGInstance(16, 4, *ends, np.full(num_edges, 1.0 / num_edges), perm,
+                      regularity_tol=2.0)
+
+
+@functools.cache
+def sampler_instance(name):
+    if name.startswith("kv"):
+        return build_kv_instance(int(name[2:]), 0.3)[0]
+    if name == "planted":
+        return plant_instance(12, 8, 0.3, 0.9, seed=5)[0]
+    return {"many_scales": many_scales_instance, "dyadic": dyadic_instance}[name]()
+
+
+SAMPLER_INSTANCES = ["kv2", "kv3", "planted", "many_scales", "dyadic"]
+
+
+@pytest.mark.parametrize("name", ["kv1"] + SAMPLER_INSTANCES)
+def test_distinct_permutations_are_the_unique_rows(name):
+    # the base-N row codes sort as the rows do, so the distinct permutations
+    # and each edge's index among them are np.unique's over the rows
+    u = sampler_instance(name)
+    d = u.edge_distribution
+    perms, table_of = np.unique(u.perm, axis=0, return_inverse=True)
+    assert d.perms.dtype == perms.dtype and np.array_equal(d.perms, perms)
+    assert np.array_equal(d.table_of, table_of.ravel())
+    assert not d.perms.flags.writeable and not d.table_of.flags.writeable
+
+
+@pytest.mark.parametrize("name", SAMPLER_INSTANCES)
+def test_guide_bounds_are_the_cdf_searches(name):
+    d = sampler_instance(name).edge_distribution
+    guide = d.guide
+    assert d.guide is guide  # built once
+    p = d.weight / d.weight.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    assert np.array_equal(guide.cdf, cdf)
+    j = np.arange(1 << ug.GUIDE_BITS)
+    assert guide.lo.dtype == guide.hi.dtype == np.int32
+    assert np.array_equal(guide.lo, cdf.searchsorted(j / (1 << ug.GUIDE_BITS), "right"))
+    assert np.array_equal(guide.hi, cdf.searchsorted((j + 1) / (1 << ug.GUIDE_BITS), "left"))
+    assert not any(a.flags.writeable for a in guide)
+
+
+@pytest.mark.parametrize("name", ["kv3", "many_scales", "dyadic"])
+def test_edge_draws_on_a_cdf_entry_or_a_bucket_bound_are_choices(name):
+    # a uniform equal to a cdf entry finds the edge after it, as choice's
+    # searchsorted(side="right") does, both where the bucket names the
+    # edge and where the draw is searched
+    d = sampler_instance(name).edge_distribution
+    cdf = d.guide.cdf
+    u = np.concatenate([cdf, np.nextafter(cdf, 0), np.nextafter(cdf, 1),
+                        np.arange(1 << ug.GUIDE_BITS) / (1 << ug.GUIDE_BITS)])
+    u = u[u < 1]
+
+    class Uniforms:
+        def random(self, size):
+            assert size == len(u)
+            return u
+
+    assert np.array_equal(d._draw_edges(Uniforms(), len(u)), cdf.searchsorted(u, "right"))
+
+
+@pytest.fixture
+def generators(monkeypatch):
+    """Every generator np.random.default_rng makes from here on, with the
+    names of the methods called on it and the shapes of their `out` arrays."""
+    made = []
+    make = np.random.default_rng
+
+    class Recorded:
+        def __init__(self, seed):
+            self.gen, self.calls, self.outs = make(seed), [], []
+            made.append(self)
+
+        def __getattr__(self, name):
+            method = getattr(self.gen, name)
+
+            def call(*args, **kwargs):
+                self.calls.append(name)
+                if "out" in kwargs:
+                    self.outs.append(kwargs["out"].shape)
+                return method(*args, **kwargs)
+            return call
+
+    monkeypatch.setattr(np.random, "default_rng", Recorded)
+    return made
+
+
+@pytest.mark.parametrize("name", SAMPLER_INSTANCES)
+def test_sampler_draws_what_choice_draws(name, generators):
+    # the same count, with the generator left where choice leaves it, over
+    # one draw, a partial flip block either side of a whole one, one whole
+    # batch and a partial one after it
+    u = sampler_instance(name)
+    d = u.edge_distribution
+    blocks = np.random.default_rng(5).choice(np.array([-1, 1], dtype=np.int8),
+                                             size=(u.num_vertices, 1 << u.num_labels))
+    for epsilon in (0.05, 0.3, 0.45):
+        for samples in (1, 4095, 4097, 65536, 65537, 100000):
+            count = d.sample_disagreements(blocks, samples, samples, epsilon)
+            sampler = generators[-1]
+            assert count == sample_disagreements_choice(d, blocks, samples, samples, epsilon)
+            oracle = generators[-1]
+            assert "choice" not in sampler.calls
+            assert sampler.gen.bit_generator.state == oracle.gen.bit_generator.state
+
+
+def test_sampler_holds_no_full_flip_array(generators):
+    # a batch of 65536 draws and one of 4464: each draws its edges' and
+    # its points' uniforms, then its flips FLIP_ROWS = 4096 rows at a time
+    # into one buffer
+    u = sampler_instance("kv3")
+    blocks = np.ones((u.num_vertices, 1 << u.num_labels))
+    u.edge_distribution.sample_disagreements(blocks, 70000, 0, 0.3)
+    rec = generators[-1]
+    assert rec.calls == (["random", "integers"] + ["random"] * 16
+                         + ["random", "integers"] + ["random"] * 2)
+    assert rec.outs == [(4096, 8)] * 17 + [(368, 8)]
+
+
+@pytest.mark.parametrize("shape", [(32, 255), (32, 257), (31, 256), (256, 32), (32 * 256,)])
+def test_sampler_rejects_tables_of_another_shape(shape):
+    # the gathers read flat indices, which a wrongly shaped table would
+    # answer from the wrong entries
+    d = sampler_instance("kv3").edge_distribution
+    with pytest.raises(ValueError, match="need one row of 2\\^8 values for each of 32"):
+        d.sample_disagreements(np.ones(shape), 100, 0, 0.3)

@@ -235,3 +235,17 @@ def test_acceptance_rejects_epsilon_outside_probabilities(epsilon):
         acceptance_probability_exact(u, proof, epsilon)
     with pytest.raises(ValueError, match="not a probability"):
         acceptance_probability_mc(u, proof, 100, seed=0, epsilon=epsilon)
+
+
+def test_acceptance_mc_rejects_no_samples_and_tables_of_another_shape():
+    # the sampler's one input check: a table per UG vertex, 2^N values
+    # each, and at least one sample
+    u, hidden = plant_instance(6, 3, 0.1, 0.8, seed=41)
+    with pytest.raises(ValueError, match="at least one sample"):
+        acceptance_probability_mc(u, Proof(3, dictator_tables(hidden, 3)), 0, seed=0,
+                                  epsilon=0.1)
+    for proof in (Proof(3, dictator_tables(hidden[:-1], 3)),
+                  Proof(3, dictator_tables(np.append(hidden, 0), 3)),
+                  Proof(4, dictator_tables(hidden, 4))):
+        with pytest.raises(ValueError, match="need one row of 2\\^3 values for each of 6"):
+            acceptance_probability_mc(u, proof, 100, seed=0, epsilon=0.1)
