@@ -475,9 +475,9 @@ def local_search_sparsest_cut(weights, demands, seed: int = 0, restarts: int = 8
             improved = False
             for v in range(n):
                 cut[v] ^= True
-                ok = cut.any() and not cut.all()
-                if ok and _cut_sum(demands, cut) > 0:
-                    ratio = sparsity(weights, demands, cut)
+                dem = _cut_sum(demands, cut) if cut.any() and not cut.all() else 0.0
+                if dem > 0:
+                    ratio = _cut_sum(weights, cut) / dem  # sparsity(weights, demands, cut)
                     if ratio < best_ratio - 1e-15:
                         best_ratio = ratio
                         best_cut = cut.copy()
@@ -486,8 +486,9 @@ def local_search_sparsest_cut(weights, demands, seed: int = 0, restarts: int = 8
                 cut[v] ^= True
         if best_cut is None:
             best_cut = cut.copy()
-            if _cut_sum(demands, best_cut) > 0:
-                best_ratio = sparsity(weights, demands, best_cut)
+            dem = _cut_sum(demands, best_cut)
+            if dem > 0:
+                best_ratio = _cut_sum(weights, best_cut) / dem
     return best_cut
 
 

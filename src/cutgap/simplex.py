@@ -15,6 +15,12 @@ resumes from the same basis (Gilmore-Gomory column generation). The solve
 stops when no column prices below -PRICE_TOL. A start holding every column
 is the plain full-tableau solve.
 
+Every pivot is the plain dense rank-1 update of the whole tableau, and its
+decisions and floats are exactly those of that update: the outer product
+is formed by `np.einsum`, whose entries are the same single products as
+`np.outer`'s, and phase 2 leaves out only the artificial columns that left
+the basis, which are zero, never enter and break no tie.
+
 The result carries the optimal basis's dual vector and reduced costs over
 every column of A, so callers can certify optimality of the full program
 through complementary slackness.
@@ -74,7 +80,9 @@ def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tab[row] /= tab[row, col]
     factors = tab[:, col].copy()
     factors[row] = 0.0
-    tab -= np.outer(factors, tab[row])
+    # each entry is the one product f_i r_j, as in np.outer, which takes
+    # about twice as long to form them
+    tab -= np.einsum("i,j->ij", factors, tab[row])
     tab[:, col] = 0.0
     tab[row, col] = 1.0
     basis[row] = col
@@ -93,7 +101,8 @@ def _bland_iterate(tab: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[s
     cycling while keeping the usual pivot counts on degenerate programs.
     The leaving row is always the lowest-basis-index exact minimum-ratio row
     (degenerate rows are clamped to exact zeros, keeping the tie set real).
-    Retired artificial columns have an exact zero cost, so they never enter.
+    Retired artificial columns have an exact zero cost, so they would never
+    enter; phase 2 keeps only those still basic.
     """
     it = 0
     m = tab.shape[0] - 1
@@ -103,24 +112,25 @@ def _bland_iterate(tab: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[s
     last_obj = tab[-1, -1]
     while it < max_iter:
         obj = tab[-1, :-1]
+        # ndarray methods rather than the np. wrappers: a pivot is short
+        # enough for the wrappers' call overhead to show
         if bland_mode:
-            negative = np.flatnonzero(obj < -PIVOT_TOL)
+            negative = (obj < -PIVOT_TOL).nonzero()[0]
             if len(negative) == 0:
                 return "optimal", it
             entering = int(negative[0])
         else:
-            entering = int(np.argmin(obj))
+            entering = int(obj.argmin())
             if obj[entering] >= -PIVOT_TOL:
                 return "optimal", it
         col = tab[:m, entering]
         rhs = tab[:m, -1]
-        eligible = np.flatnonzero(col > PIVOT_TOL)
+        eligible = (col > PIVOT_TOL).nonzero()[0]
         if len(eligible) == 0:
             return "unbounded", it
         ratios = rhs[eligible] / col[eligible]
-        rmin = float(np.min(ratios))
-        ties = eligible[ratios <= rmin]
-        best_row = int(ties[np.argmin(basis[ties])])
+        ties = eligible[ratios <= ratios.min()]
+        best_row = int(ties[basis[ties].argmin()])
         _pivot(tab, basis, best_row, entering)
         it += 1
         if tab[-1, -1] > last_obj + PIVOT_TOL:
@@ -140,7 +150,8 @@ class _Tableau:
 
     Tableau column j stands for column cols[j] of the full program
     [A | I | I_art]: j < len(start) are the start columns, then come the m
-    slacks, the artificials and the columns appended by pricing.
+    slacks, the artificials (in phase 2 only those still basic) and the
+    columns appended by pricing.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, start: np.ndarray):
@@ -160,6 +171,28 @@ class _Tableau:
         self.cols = np.concatenate([start, n + np.arange(m + n_art)])
         self.basis = w + np.arange(m)
         self.basis[neg] = self.arts
+
+    def retire_artificials(self) -> None:
+        """Zero the objective row and every artificial column, and delete the
+        artificial columns outside the basis: after phase 1 they cost
+        nothing and never enter. An artificial still basic at zero level (a
+        redundant row) keeps its zero column. Every kept column keeps its
+        relative order, so the leaving row's tie-break on the basis is the
+        same."""
+        m = self.tab.shape[0] - 1
+        self.tab[-1, :] = 0.0
+        self.tab[:m, self.arts] = 0.0
+        keep = np.ones(self.tab.shape[1], dtype=bool)
+        keep[self.arts] = False
+        keep[self.basis] = True
+        index = np.cumsum(keep) - 1
+        # compress keeps the tableau row-major, where tab[:, keep] would
+        # return it column-major, and the pricing products' last bits
+        # depend on the layout BLAS is handed
+        self.tab = self.tab.compress(keep, axis=1)
+        self.cols = self.cols[keep[:-1]]
+        self.arts = index[self.arts[keep[self.arts]]]
+        self.basis = index[self.basis]
 
     def optimize(self, cost: np.ndarray) -> tuple[str, int]:
         """Pivot to an optimum of the restricted program, price every column
@@ -297,8 +330,7 @@ def _solve_core(c, A, b, start) -> SimplexResult:
                 hits = real[np.abs(t.tab[i, real]) > PIVOT_TOL]
                 if len(hits):
                     _pivot(t.tab, t.basis, i, int(hits[0]))
-        t.tab[-1, :] = 0.0
-        t.tab[:m, t.arts] = 0.0  # retire the artificial columns
+        t.retire_artificials()
 
     # phase 2 objective row
     structural = np.flatnonzero(t.cols < n)
@@ -312,9 +344,9 @@ def _solve_core(c, A, b, start) -> SimplexResult:
         return SimplexResult(status=status, iterations=total_iters)
 
     basis = t.cols[t.basis]
-    x = np.zeros(n + m + len(t.arts))
-    x[basis] = t.tab[:m, -1]
-    x = x[:n]
+    x = np.zeros(n)
+    basic = basis < n  # the basic columns of A
+    x[basis[basic]] = t.tab[:m, -1][basic]
     return SimplexResult(
         status="optimal",
         x=x,

@@ -22,6 +22,7 @@ tables fall back to a uniform label (flagged).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -145,7 +146,11 @@ class DecodeResult:
 def decode_labeling(u: UGInstance, proof: Proof, seed: int, rounds: int = 10) -> DecodeResult:
     """Randomized Fourier decoding: per vertex draw alpha ~ (A^v_alpha)^2
     (redrawing the empty set), then a uniform element of alpha. The best of
-    `rounds` labelings by value is returned."""
+    `rounds` labelings by value is returned.
+
+    Each vertex's cdf is built once and looked up with one uniform, which
+    reads the generator as `Generator.choice(len(p), p=p)` does; the element
+    is drawn as `choice` over alpha's members draws it."""
     if rounds < 1:
         raise ValueError("rounds must be positive")
     spectra = wht_matrix(proof.tables.astype(np.float64))
@@ -153,29 +158,37 @@ def decode_labeling(u: UGInstance, proof: Proof, seed: int, rounds: int = 10) ->
     sq = sq / np.sum(sq, axis=1, keepdims=True)
     n = u.num_labels
     rng = np.random.default_rng(seed)
-    fallback = []
+    live = 1.0 - sq[:, 0] >= 1e-15  # else all mass is on the empty set
+    probs = sq[live]
+    probs[:, 0] = 0.0  # redraw rule: condition on alpha != empty set
+    probs /= probs.sum(axis=1, keepdims=True)
+    cdf = np.zeros_like(sq)
+    cdf[live] = probs.cumsum(axis=1)
+    cdf[live] /= cdf[live, -1:]
+    members = _subset_members(n)
     best_lam = None
     best_val = -1.0
-    nonempty_mass = 1.0 - sq[:, 0]
     for _ in range(rounds):
         lam = np.zeros(u.num_vertices, dtype=np.int64)
         for v in range(u.num_vertices):
-            if nonempty_mass[v] < 1e-15:
+            if not live[v]:
                 lam[v] = int(rng.integers(n))
-                if v not in fallback:
-                    fallback.append(v)
                 continue
-            probs = sq[v].copy()
-            probs[0] = 0.0  # redraw rule: condition on alpha != empty set
-            probs /= probs.sum()
-            alpha = int(rng.choice(len(probs), p=probs))
-            members = [i for i in range(n) if alpha >> i & 1]
-            lam[v] = int(rng.choice(members))
+            elems = members[int(cdf[v].searchsorted(rng.random(), side="right"))]
+            lam[v] = elems[int(rng.integers(0, len(elems)))]
         val = ug_value(u, lam)
         if val > best_val:
             best_val = val
             best_lam = lam.copy()
-    return DecodeResult(best_lam, best_val, tuple(fallback))
+    return DecodeResult(best_lam, best_val, tuple(int(v) for v in np.flatnonzero(~live)))
+
+
+@functools.cache
+def _subset_members(num_labels: int) -> tuple:
+    """The elements of each subset bitmask of num_labels labels, in
+    increasing order."""
+    return tuple(tuple(i for i in range(num_labels) if alpha >> i & 1)
+                 for alpha in range(1 << num_labels))
 
 
 def proof_to_text(proof: Proof) -> str:

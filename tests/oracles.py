@@ -52,6 +52,14 @@ paths against. None of them is used by the cutgap package itself.
   separator's feasibility check built from both, the oracles that the
   distinct-correlation values and the orbit sweep of
   `cutgap.separator.check_bes_feasibility` must match with `==`.
+- `decode_labeling_choice`: the Fourier decoder with each vertex's alpha
+  drawn by `Generator.choice` from its renormalized spectrum and its label
+  by `choice` over alpha's members, the oracle whose labelings the cdf
+  lookups of `cutgap.verifier.decode_labeling` must give with `==`.
+- `local_search_sparsest_cut_via_sparsity`: the sparsest-cut local search
+  with every trial's demand taken once for the `> 0` test and again inside
+  `cutgap.metrics.sparsity`, the oracle whose cuts
+  `cutgap.metrics.local_search_sparsest_cut` must match with `==`.
 """
 
 from __future__ import annotations
@@ -62,7 +70,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cutgap.fourier import FourierSpectrum, _values_of, apply_noise_kernel
+from cutgap.fourier import FourierSpectrum, _values_of, apply_noise_kernel, wht_matrix
+from cutgap.metrics import _cut_sum, sparsity
 from cutgap.separator import (
     BESFeasibilityReport,
     CutSearchResult,
@@ -74,7 +83,7 @@ from cutgap.separator import (
 )
 from cutgap.tensor import DEFAULT_INNER_POWER, GramCache
 from cutgap.unique_games import value
-from cutgap.verifier import dictator_tables, piecewise_balance
+from cutgap.verifier import DecodeResult, dictator_tables, piecewise_balance
 
 DEFAULT_OUTER_POWER = 3
 
@@ -488,3 +497,72 @@ def check_bes_feasibility_per_pair(inst, assign) -> BESFeasibilityReport:
         triangle_violation=max(worst - scale, 0) / scale,
         triples_checked=inst.num_vertices**3,
     )
+
+
+def decode_labeling_choice(u, proof, seed: int, rounds: int = 10) -> DecodeResult:
+    """`verifier.decode_labeling` drawing each alpha with `Generator.choice`
+    over the vertex's spectrum, renormalized with alpha = empty set zeroed,
+    and each label with `choice` over alpha's members."""
+    spectra = wht_matrix(proof.tables.astype(np.float64))
+    sq = spectra**2
+    sq = sq / np.sum(sq, axis=1, keepdims=True)
+    n = u.num_labels
+    rng = np.random.default_rng(seed)
+    fallback = []
+    best_lam = None
+    best_val = -1.0
+    nonempty_mass = 1.0 - sq[:, 0]
+    for _ in range(rounds):
+        lam = np.zeros(u.num_vertices, dtype=np.int64)
+        for v in range(u.num_vertices):
+            if nonempty_mass[v] < 1e-15:
+                lam[v] = int(rng.integers(n))
+                if v not in fallback:
+                    fallback.append(v)
+                continue
+            probs = sq[v].copy()
+            probs[0] = 0.0
+            probs /= probs.sum()
+            alpha = int(rng.choice(len(probs), p=probs))
+            members = [i for i in range(n) if alpha >> i & 1]
+            lam[v] = int(rng.choice(members))
+        val = value(u, lam)
+        if val > best_val:
+            best_val = val
+            best_lam = lam.copy()
+    return DecodeResult(best_lam, best_val, tuple(fallback))
+
+
+def local_search_sparsest_cut_via_sparsity(weights, demands, seed: int = 0,
+                                           restarts: int = 8):
+    """`metrics.local_search_sparsest_cut` judging each trial flip by
+    `sparsity`, after its own `_cut_sum` of the demands for the `> 0` test."""
+    weights = np.asarray(weights, dtype=np.float64)
+    demands = np.asarray(demands, dtype=np.float64)
+    n = weights.shape[0]
+    best_cut = None
+    best_ratio = np.inf
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        cut = rng.random(n) < 0.5
+        if cut.all() or not cut.any():
+            cut[int(rng.integers(n))] ^= True
+        improved = True
+        while improved:
+            improved = False
+            for v in range(n):
+                cut[v] ^= True
+                ok = cut.any() and not cut.all()
+                if ok and _cut_sum(demands, cut) > 0:
+                    ratio = sparsity(weights, demands, cut)
+                    if ratio < best_ratio - 1e-15:
+                        best_ratio = ratio
+                        best_cut = cut.copy()
+                        improved = True
+                        continue
+                cut[v] ^= True
+        if best_cut is None:
+            best_cut = cut.copy()
+            if _cut_sum(demands, best_cut) > 0:
+                best_ratio = sparsity(weights, demands, best_cut)
+    return best_cut

@@ -15,7 +15,17 @@ instance still kept its edges as objects beside its arrays; the k=3
 t = 3 digests, the case where `sdp_objective` takes one power per
 distinct correlation vector, were taken while it still took one at every
 point, and the 10^6-sample `pcp` digest while the edge draws still went
-through `Generator.choice`. So a change to any
+through `Generator.choice`.
+
+The k=2 read case pins what the benchmark's certify workload runs besides
+`verify` and `pcp`: `distortion` on the farthest-point 10- and 12-point
+sub-metrics of the k=2 separator handle metric (eta = epsilon = 0.3) at
+t = 1 and t = 3, and `round --seed 0` on the expanded k=2 separator
+instance as a GRAPH file with unit demands inside each block, the inputs
+built as the benchmark builds them. Those digests were taken while every
+simplex pivot still formed `np.outer` over the whole tableau, phase 2
+still carried the retired artificial columns, and `local_search_sparsest_cut`
+still computed each trial's cut demand twice. So a change to any
 written byte fails here. Regenerate them with
 `python3 tests/test_golden_outputs.py` only for a change that means to
 move an output, and say which bytes moved and why.
@@ -29,10 +39,13 @@ import io
 import os
 import sys
 
+import numpy as np
 import pytest
 
+from cutgap import metrics as mt
 from cutgap.cli import main
-from cutgap.separator import cut_from_text
+from cutgap.quotient import build_kv_instance, build_ug_sdp_solution
+from cutgap.separator import assign_sdp_solution, bes_to_text, build_bes, cut_from_text
 from cutgap.verifier import Proof, proof_to_text
 
 CASES = {
@@ -142,6 +155,16 @@ GOLDEN = {
 }
 
 
+K2_READ_GOLDEN = {
+    'distortion/t1_n10': '9012c3a87f27d0866431bf37da8aad7fa1b17066cb0fc4199f9f53bb80db5813',
+    'distortion/t1_n12': '24a9ceae25631e6d81d47534332e1bc1f7295afad37fea291b4e5ecd4b1cb2e9',
+    'distortion/t3_n10': '9012c3a87f27d0866431bf37da8aad7fa1b17066cb0fc4199f9f53bb80db5813',
+    'distortion/t3_n12': '24a9ceae25631e6d81d47534332e1bc1f7295afad37fea291b4e5ecd4b1cb2e9',
+    'round/graph.txt': '2e9245cf850f473777777b1ee66c1b8a4938e0d733f7959ac6dbffcbe10b4601',
+    'round/stdout': '3a96c24240b1b6f102b7f4e8f3ea103b7257ece1ef444f6f5e9953f59ee8923c',
+}
+
+
 def _sha(data: str) -> str:
     return hashlib.sha256(data.encode()).hexdigest()
 
@@ -195,6 +218,61 @@ def run_case(root: str, k: int, eta: float, epsilon: float, ts,
     return dict(sorted(digests.items()))
 
 
+def write_k2_read_inputs(root: str, eta: float = 0.3, epsilon: float = 0.3) -> None:
+    """`metric_t{t}_n{n}.txt` for t in (1, 3) and n in (10, 12), and
+    `graph.txt`, under `root`."""
+    u, quot, _ = build_kv_instance(2, eta)
+    inst = build_bes(u, epsilon)
+    sol = build_ug_sdp_solution(quot)
+    m = inst.num_blocks
+    for t in (1, 3):
+        assign = assign_sdp_solution(inst, sol, l_in=8, t=t)
+        g = np.block([[assign.base_gram_block(v, w) ** t for w in range(m)]
+                      for v in range(m)])
+        metric = mt.metric_from_gram(g)
+        for n in (10, 12):
+            pts = mt.farthest_point_sample(metric, n, seed_point=0)
+            with open(os.path.join(root, f"metric_t{t}_n{n}.txt"), "w") as fh:
+                fh.write(mt.metric_to_text(mt.FiniteMetric(metric.d[np.ix_(pts, pts)])))
+    with open(os.path.join(root, "graph.txt"), "w") as fh:
+        fh.write(mt.graph_to_text(*k2_graph(inst)))
+
+
+def k2_graph(inst):
+    """(weights, demands) of an expanded k=2 separator instance: the
+    weights summed from its expanded export, self-loops dropped, and unit
+    demands between the vertices of each block."""
+    size, n = inst.block_size, inst.num_vertices
+    weights = np.zeros((n, n))
+    for line in bes_to_text(inst, expanded=True).splitlines()[1:]:
+        v, x, w, y, wt = line.split()
+        a, b = int(v) * size + int(x), int(w) * size + int(y)
+        if a != b:
+            weights[a, b] += float(wt)
+    weights = np.triu(weights) + np.triu(weights, 1).T
+    blocks = np.arange(n) // size
+    demands = (blocks[:, None] == blocks[None, :]).astype(np.float64)
+    np.fill_diagonal(demands, 0.0)
+    return weights, demands
+
+
+def run_k2_read(root: str) -> dict:
+    """Digest of each k=2 read command's stdout and of the graph file."""
+    write_k2_read_inputs(root)
+    digests = {f"distortion/t{t}_n{n}": _sha(_run(
+        ["distortion", "--metric-file", os.path.join(root, f"metric_t{t}_n{n}.txt")]))
+        for t in (1, 3) for n in (10, 12)}
+    graph = os.path.join(root, "graph.txt")
+    digests["round/stdout"] = _sha(_run(["round", "--graph-file", graph, "--seed", "0"]))
+    with open(graph) as fh:
+        digests["round/graph.txt"] = _sha(fh.read())
+    return dict(sorted(digests.items()))
+
+
+def test_k2_read_outputs_match_golden_digests(tmp_path):
+    assert run_k2_read(str(tmp_path)) == K2_READ_GOLDEN
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_build_outputs_match_golden_digests(tmp_path, case):
     assert run_case(str(tmp_path), *CASES[case], read=case in READ_CASES) == GOLDEN[case]
@@ -213,4 +291,10 @@ if __name__ == "__main__":
         for name, h in digests.items():
             sys.stdout.write(f"        {name!r}: {h!r},\n")
         sys.stdout.write("    },\n")
+    sys.stdout.write("}\n")
+    with tempfile.TemporaryDirectory() as d:
+        digests = run_k2_read(d)
+    sys.stdout.write("\n\nK2_READ_GOLDEN = {\n")
+    for name, h in digests.items():
+        sys.stdout.write(f"    {name!r}: {h!r},\n")
     sys.stdout.write("}\n")

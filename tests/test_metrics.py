@@ -20,6 +20,10 @@ from cutgap.metrics import (
     round_to_balanced_cut,
     sparsity,
 )
+from cutgap.quotient import build_kv_instance
+from cutgap.separator import build_bes
+from oracles import local_search_sparsest_cut_via_sparsity
+from test_golden_outputs import k2_graph
 
 
 def hamming_metric(k):
@@ -337,6 +341,28 @@ def test_local_search_oracle_finds_sparse_cut():
             demands[i, j] = demands[j, i] = 1.0
     cut = local_search_sparsest_cut(weights, demands, seed=4, restarts=6)
     assert abs(sparsity(weights, demands, cut) - 0.1 / 16) < 1e-12
+
+
+def test_local_search_matches_sparsity_oracle():
+    """Each trial's demand taken once gives the cuts of the search that
+    judged it through `sparsity`, on the certify GRAPH (the expanded k=2
+    separator instance) and on a random weighted graph whose sparse demands
+    leave many trial cuts separating none."""
+    inst = build_bes(build_kv_instance(2, 0.3)[0], 0.3)
+    weights, demands = k2_graph(inst)
+    # the matrices `round` reads back from the GRAPH file
+    parsed = graph_from_text(graph_to_text(weights, demands))
+    assert np.array_equal(parsed[0], weights) and np.array_equal(parsed[1], demands)
+    rng = np.random.default_rng(31)
+    n = 14
+    w = np.triu(rng.uniform(0.0, 2.0, (n, n)) * (rng.random((n, n)) < 0.6), 1)
+    d = np.triu(rng.random((n, n)) < 0.1, 1).astype(np.float64)
+    graphs = [(weights, demands, range(5)), (w + w.T, d + d.T, range(20))]
+    for weights, demands, seeds in graphs:
+        for seed in seeds:
+            got = local_search_sparsest_cut(weights, demands, seed=seed)
+            want = local_search_sparsest_cut_via_sparsity(weights, demands, seed=seed)
+            assert got.tolist() == want.tolist(), seed
 
 
 def test_graph_text_round_trip():

@@ -2,6 +2,8 @@
 basis enumeration on small random LPs, and the all-columns start (the plain
 full-tableau solve) on cut-cone distortion LPs."""
 
+import functools
+import hashlib
 import itertools
 
 import numpy as np
@@ -102,15 +104,23 @@ def _assert_matches_all_columns(metric):
     return res
 
 
-def handle_submetric(n):
-    """Farthest-point submetric of the k=2 separator handle metric (eta =
-    epsilon = 0.3, t = 1) from point 0."""
+@functools.cache
+def handle_metric(t):
+    """The 64-point k=2 separator handle metric (eta = epsilon = 0.3,
+    l_in = 8) at tensor power t."""
     u, quot, _ = build_kv_instance(2, 0.3)
     inst = build_bes(u, 0.3)
-    assign = assign_sdp_solution(inst, build_ug_sdp_solution(quot), l_in=8, t=1)
-    g = np.block([[assign.base_gram_block(v, w) for w in range(4)] for v in range(4)])
-    metric = mt.metric_from_gram(g)
-    pts = mt.farthest_point_sample(metric, n, seed_point=0)
+    assign = assign_sdp_solution(inst, build_ug_sdp_solution(quot), l_in=8, t=t)
+    g = np.block([[assign.base_gram_block(v, w) ** t for w in range(4)] for v in range(4)])
+    return mt.metric_from_gram(g)
+
+
+def handle_submetric(n, t=1, pts=None):
+    """The handle metric's submetric on `pts`, by default its farthest-point
+    n-point sample from point 0."""
+    metric = handle_metric(t)
+    if pts is None:
+        pts = mt.farthest_point_sample(metric, n, seed_point=0)
     return mt.FiniteMetric(metric.d[np.ix_(pts, pts)])
 
 
@@ -166,3 +176,44 @@ def test_working_set_matches_all_columns_on_cut_metrics():
             continue
         _assert_matches_all_columns(metric)
         done += 1
+
+
+# the three t=3 failures of the distortion LP: Gamma off by 1%, a stall and
+# a singular basis
+T3_REPRODUCERS = (
+    [0, 6, 22, 25, 45, 47, 59, 60, 62, 63],
+    [0, 15, 16, 18, 21, 36, 37, 38, 55, 58],
+    [6, 7, 17, 20, 24, 48, 56, 57, 58, 61],
+)
+PIVOT_PATH_DIGEST = "c02cbf8e6bb6627213d5e8b52c33efa7cf22064cbb656de14fb09e77482ffa9b"
+
+
+def test_pivot_path_matches_digest(monkeypatch):
+    """One SHA-256 over (status or exception type, Gamma.hex(), iterations,
+    basis) of the LP that l1_distortion_lp solves, for 40 seeded 10-point
+    subsets of the t=3 handle metric and the three reproducers. It pins
+    every pivot decision of the float simplex, failures included; a change
+    that means to move the pivot path regenerates it."""
+    rng = np.random.default_rng(42)
+    subsets = [np.sort(rng.choice(64, 10, replace=False)) for _ in range(40)]
+    solved = []
+
+    def recording_solve_lp(*args, **kwargs):
+        solved.append(solve_lp(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(mt, "solve_lp", recording_solve_lp)
+    lines = []
+    for pts in [*subsets, *T3_REPRODUCERS]:
+        solved.clear()
+        try:
+            mt.l1_distortion_lp(handle_submetric(10, 3, pts))
+        except Exception as exc:  # the reproducers fail on purpose
+            if not solved:
+                lines.append(type(exc).__name__)
+                continue
+        res = solved[0]
+        gamma = None if res.x is None else res.x[-1].hex()
+        basis = None if res.basis is None else res.basis.tolist()
+        lines.append(repr((res.status, gamma, res.iterations, basis)))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PIVOT_PATH_DIGEST

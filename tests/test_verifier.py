@@ -15,7 +15,7 @@ from cutgap.verifier import (
     proof_from_text,
     proof_to_text,
 )
-from oracles import _set_image_table, edge_rows
+from oracles import _set_image_table, decode_labeling_choice, edge_rows
 
 
 def test_long_code_tables_are_dictators():
@@ -162,6 +162,29 @@ def test_decoder_with_corrupted_long_codes():
     assert res.fallback_vertices == (0,)
     planted_val = value(u, hidden)
     assert res.value >= 0.9 * planted_val - 0.25
+
+
+@pytest.mark.parametrize("case", ["k2", "k3", "planted"])
+def test_decoder_draws_as_choice_oracle(case):
+    """The cdf lookups give the labelings of `Generator.choice` for seeds
+    0-19; vertex 0 takes the fallback and vertex 1 is a dictator, whose
+    alpha has one member."""
+    if case == "planted":
+        u, hidden = plant_instance(10, 4, 0.0, 0.9, seed=23)
+        tables = dictator_tables(hidden, 4).copy()
+    else:
+        u = build_kv_instance(int(case[1]), 0.3)[0]
+        rng = np.random.default_rng(3)
+        tables = rng.choice([-1, 1], size=(u.num_vertices, 1 << u.num_labels)).astype(np.int8)
+        tables[1] = dictator_tables([1], u.num_labels)[0]
+    tables[0] = 1
+    proof = Proof(u.num_labels, tables)
+    for seed in range(20):
+        got = decode_labeling(u, proof, seed=seed)
+        want = decode_labeling_choice(u, proof, seed=seed)
+        assert got.labeling.tolist() == want.labeling.tolist(), seed
+        assert got.value == want.value
+        assert got.fallback_vertices == want.fallback_vertices == (0,)
 
 
 def test_exact_acceptance_handles_large_epsilon():
