@@ -13,13 +13,17 @@ signs, so that row holds the duals), and at most PRICE_BATCH columns of
 most negative reduced cost are appended to the tableau and pivoting
 resumes from the same basis (Gilmore-Gomory column generation). The solve
 stops when no column prices below -PRICE_TOL. A start holding every column
-is the plain full-tableau solve.
+solves the program without pricing.
 
-Every pivot is the plain dense rank-1 update of the whole tableau, and its
-decisions and floats are exactly those of that update: the outer product
-is formed by `np.einsum`, whose entries are the same single products as
-`np.outer`'s, and phase 2 leaves out only the artificial columns that left
-the basis, which are zero, never enter and break no tie.
+The tableau is kept in dictionary form: only its non-basic columns and
+the rhs are stored, each basic column being implicitly the unit column of
+its row (on the 12-point distortion LP, 108 of the 240 columns a full
+tableau would hold, on average over the pivots). Every pivot is the plain
+dense rank-1 update of those columns, and its decisions are exactly those
+of the full tableau's update: each stored float equals the full tableau's
+(see `_Tableau`), every tie is broken by the full tableau's column order,
+and phase 2 leaves out the artificial columns, which have all left the
+basis, are zero and never enter.
 
 The result carries the optimal basis's dual vector and reduced costs over
 every column of A, so callers can certify optimality of the full program
@@ -76,53 +80,44 @@ class SimplexResult:
         }
 
 
-def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tab[row] /= tab[row, col]
-    factors = tab[:, col].copy()
-    factors[row] = 0.0
-    # each entry is the one product f_i r_j, as in np.outer, which takes
-    # about twice as long to form them
-    tab -= np.einsum("i,j->ij", factors, tab[row])
-    tab[:, col] = 0.0
-    tab[row, col] = 1.0
-    basis[row] = col
-    # degenerate rows must stay exactly zero or Bland's tie set (and with it
-    # the anti-cycling guarantee) dissolves into float dust
-    rhs = tab[:-1, -1]
-    rhs[np.abs(rhs) < 1e-11] = 0.0
-
-
-def _bland_iterate(tab: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[str, int]:
+def _bland_iterate(t: _Tableau, max_iter: int) -> tuple[str, int]:
     """Dantzig pivoting with Bland's rule as the anti-cycling fallback.
 
     Most-negative reduced cost enters while the objective makes progress;
     after 2m+16 degenerate pivots in a row the iteration switches to Bland's
     rule (lowest eligible index) until progress resumes, which rules out
     cycling while keeping the usual pivot counts on degenerate programs.
-    The leaving row is always the lowest-basis-index exact minimum-ratio row
-    (degenerate rows are clamped to exact zeros, keeping the tie set real).
-    Retired artificial columns have an exact zero cost, so they would never
-    enter; phase 2 keeps only those still basic.
+    Every tie goes to the lowest tableau column index (`_Tableau.ids`), as
+    `argmin` over the full tableau would break it: the basic columns'
+    reduced costs are 0, so they never enter. The leaving row is always the
+    lowest-basis-index exact minimum-ratio row (degenerate rows are clamped
+    to exact zeros, keeping the tie set real).
     """
     it = 0
-    m = tab.shape[0] - 1
+    m = t.tab.shape[0] - 1
     bland_mode = False
     stall = 0
     stall_limit = 2 * m + 16
-    last_obj = tab[-1, -1]
+    last_obj = t.tab[-1, -1]
     while it < max_iter:
+        tab = t.tab
         obj = tab[-1, :-1]
         # ndarray methods rather than the np. wrappers: a pivot is short
         # enough for the wrappers' call overhead to show
         if bland_mode:
-            negative = (obj < -PIVOT_TOL).nonzero()[0]
-            if len(negative) == 0:
+            ties = (obj < -PIVOT_TOL).nonzero()[0]
+            if len(ties) == 0:
                 return "optimal", it
-            entering = int(negative[0])
+            entering = int(ties[t.ids[ties].argmin()])
         else:
+            if len(obj) == 0:
+                return "optimal", it
             entering = int(obj.argmin())
             if obj[entering] >= -PIVOT_TOL:
                 return "optimal", it
+            ties = (obj == obj[entering]).nonzero()[0]
+            if len(ties) > 1:
+                entering = int(ties[t.ids[ties].argmin()])
         col = tab[:m, entering]
         rhs = tab[:m, -1]
         eligible = (col > PIVOT_TOL).nonzero()[0]
@@ -130,11 +125,11 @@ def _bland_iterate(tab: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[s
             return "unbounded", it
         ratios = rhs[eligible] / col[eligible]
         ties = eligible[ratios <= ratios.min()]
-        best_row = int(ties[basis[ties].argmin()])
-        _pivot(tab, basis, best_row, entering)
+        best_row = int(ties[t.basis[ties].argmin()])
+        t.pivot(best_row, entering)
         it += 1
-        if tab[-1, -1] > last_obj + PIVOT_TOL:
-            last_obj = tab[-1, -1]
+        if t.tab[-1, -1] > last_obj + PIVOT_TOL:
+            last_obj = t.tab[-1, -1]
             stall = 0
             bland_mode = False
         else:
@@ -145,54 +140,95 @@ def _bland_iterate(tab: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[s
 
 
 class _Tableau:
-    """Rows B^-1 D [A_W | I | I_art | b] and the objective row, where W is
-    the working set and D negates the rows with negative rhs.
+    """The rows B^-1 D [A_W | I | I_art | b] and the objective row, where W
+    is the working set and D negates the rows with negative rhs, in
+    dictionary form (Chvatal, Linear Programming, 1983): only the non-basic
+    columns and the rhs are stored, each basic column being the unit
+    column of its row.
 
     Tableau column j stands for column cols[j] of the full program
     [A | I | I_art]: j < len(start) are the start columns, then come the m
-    slacks, the artificials (in phase 2 only those still basic) and the
-    columns appended by pricing.
+    slacks, the artificials and the columns appended by pricing. Stored
+    column s is tableau column ids[s], and basis[i] is the tableau column
+    basic in row i. The slots are in no particular order, so every tie that
+    the full tableau breaks by position is broken by the lowest id.
+
+    The stored floats equal the full tableau's, column for column. Every
+    basic column of the full tableau is the unit column of its row with a
+    +0.0 reduced cost: written as 0 and 1 when it enters, after which its
+    pivot-row entry is a zero, and `x - f*0` leaves each of its entries as
+    it is. The rank-1 update treats each column on its own, so a stored
+    column goes through the same operations as in the full tableau, and the
+    column that leaves the basis is stored as the update computes it from
+    its unit column. Only the sign of some zeros can differ: a drive-out
+    pivot on a negative entry writes -0.0 into the pivot row of the basic
+    columns, which the full tableau keeps when such a column leaves and the
+    dictionary form writes as 0.0. No decision reads the sign of a zero
+    (costs, ratios and the clamped rhs are compared by value), and the
+    einsum of the update adds every product to 0.0, so a zero product is
+    +0.0 and that sign never reaches another entry: the pivots, the rhs and
+    so every result are bit for bit the full tableau's.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, start: np.ndarray):
         m, n = A.shape
         w = len(start)
         neg = b < 0
-        n_art = int(np.sum(neg))
-        tab = np.zeros((m + 1, w + m + n_art + 1))
+        negative = np.flatnonzero(neg)
+        n_art = len(negative)
+        # the start columns and the slacks of the negated rows; every other
+        # slack and every artificial starts basic
+        tab = np.zeros((m + 1, w + n_art + 1))
         tab[:m, :w] = np.where(neg[:, None], -A[:, start], A[:, start])
-        tab[:m, w:w + m] = np.diag(np.where(neg, -1.0, 1.0))
-        self.arts = w + m + np.arange(n_art)
-        tab[np.flatnonzero(neg), self.arts] = 1.0
+        tab[negative, w + np.arange(n_art)] = -1.0
         tab[:m, -1] = np.abs(b)
         self.tab = tab
         self.A = A
-        self.slack = slice(w, w + m)
+        self.ids = np.concatenate([np.arange(w), w + negative])
+        self.slack0 = w  # the tableau column of slack 0
         self.cols = np.concatenate([start, n + np.arange(m + n_art)])
         self.basis = w + np.arange(m)
-        self.basis[neg] = self.arts
+        self.basis[neg] = w + m + np.arange(n_art)
+
+    def pivot(self, row: int, slot: int) -> None:
+        """The full tableau's pivot on stored column `slot`: the rank-1
+        update of the stored columns, and the leaving column stored in the
+        entering column's slot, each entry computed as the update computes
+        it from a unit column (1/p in the pivot row, 0 - f/p elsewhere)."""
+        tab = self.tab
+        p = tab[row, slot]
+        tab[row] /= p
+        factors = tab[:, slot].copy()
+        factors[row] = 0.0
+        # each entry is the one product f_i r_j added to 0.0 (np.outer's
+        # product, a zero always +0.0), formed in about half np.outer's time
+        tab -= np.einsum("i,j->ij", factors, tab[row])
+        # degenerate rows must stay exactly zero or Bland's tie set (and with it
+        # the anti-cycling guarantee) dissolves into float dust
+        rhs = tab[:-1, -1]
+        rhs[np.abs(rhs) < 1e-11] = 0.0
+        # 0.0 - (...) rather than -(...): zeros come out +0.0, as the full
+        # update's do
+        inverse = 1.0 / p
+        np.subtract(0.0, factors * inverse, out=tab[:, slot])
+        tab[row, slot] = inverse
+        self.ids[slot], self.basis[row] = self.basis[row], self.ids[slot]
 
     def retire_artificials(self) -> None:
-        """Zero the objective row and every artificial column, and delete the
-        artificial columns outside the basis: after phase 1 they cost
-        nothing and never enter. An artificial still basic at zero level (a
-        redundant row) keeps its zero column. Every kept column keeps its
-        relative order, so the leaving row's tie-break on the basis is the
-        same."""
-        m = self.tab.shape[0] - 1
-        self.tab[-1, :] = 0.0
-        self.tab[:m, self.arts] = 0.0
-        keep = np.ones(self.tab.shape[1], dtype=bool)
-        keep[self.arts] = False
-        keep[self.basis] = True
-        index = np.cumsum(keep) - 1
-        # compress keeps the tableau row-major, where tab[:, keep] would
-        # return it column-major, and the pricing products' last bits
-        # depend on the layout BLAS is handed
-        self.tab = self.tab.compress(keep, axis=1)
-        self.cols = self.cols[keep[:-1]]
-        self.arts = index[self.arts[keep[self.arts]]]
-        self.basis = index[self.basis]
+        """Zero the objective row and delete the stored artificial columns:
+        after phase 1 they cost nothing and never enter. The drive-out has
+        left no artificial basic, so none is left anywhere: the slack of an
+        artificial's row is, entry for entry, the negated artificial column
+        (the pivots' float operations are symmetric in sign), so while the
+        artificial is basic in row i that slack holds -1 in row i and the
+        drive-out can pivot on it."""
+        n = self.A.shape[1]
+        self.tab[-1] = 0.0
+        real = self.cols[self.ids] < n + len(self.basis)
+        # compress keeps the tableau row-major, and the pricing products'
+        # last bits depend on the layout BLAS is handed
+        self.tab = self.tab.compress(np.append(real, True), axis=1)
+        self.ids = self.ids[real]
 
     def optimize(self, cost: np.ndarray) -> tuple[str, int]:
         """Pivot to an optimum of the restricted program, price every column
@@ -200,23 +236,36 @@ class _Tableau:
         the best and resume, until none prices below -PRICE_TOL."""
         total = 0
         while True:
-            status, it = _bland_iterate(self.tab, self.basis, MAX_ITER - total)
+            status, it = _bland_iterate(self, MAX_ITER - total)
             total += it
             if status != "optimal" or not self._append_priced(cost):
                 return status, total
 
     def _append_priced(self, cost: np.ndarray) -> bool:
+        """The duals are the objective row's entries on the slacks (0 on the
+        basic ones), and the appended columns are B^-1 D A_j, B^-1 D being
+        the slack block, assembled row-major with the basic slacks' unit
+        columns."""
         m, n = self.A.shape
-        rc = cost + self.tab[-1, self.slack] @ self.A
+        slots = np.flatnonzero((self.ids >= self.slack0) & (self.ids < self.slack0 + m))
+        slacks = self.ids[slots] - self.slack0
+        duals = np.zeros(m)
+        duals[slacks] = self.tab[-1, slots]
+        rc = cost + duals @ self.A
         rc[self.cols[self.cols < n]] = np.inf
         new = np.argsort(rc, kind="stable")[:PRICE_BATCH]
         new = new[rc[new] < -PRICE_TOL]
         if len(new) == 0:
             return False
+        slack_block = np.zeros((m, m))
+        slack_block[:, slacks] = self.tab[:m, slots]
+        rows = np.flatnonzero((self.basis >= self.slack0) & (self.basis < self.slack0 + m))
+        slack_block[rows, self.basis[rows] - self.slack0] = 1.0
         block = np.empty((m + 1, len(new)))
-        block[:m] = self.tab[:m, self.slack] @ self.A[:, new]
+        block[:m] = slack_block @ self.A[:, new]
         block[-1] = rc[new]
         self.tab = np.concatenate([self.tab[:, :-1], block, self.tab[:, -1:]], axis=1)
+        self.ids = np.concatenate([self.ids, len(self.cols) + np.arange(len(new))])
         self.cols = np.concatenate([self.cols, new])
         return True
 
@@ -256,13 +305,25 @@ def solve_lp(c, A, b, start=None) -> SimplexResult:
     return res
 
 
+def _columns(A, columns):
+    """Columns `columns` of [A | I] (n + i is slack i), gathered into a
+    C-contiguous array without forming [A | I]."""
+    m, n = A.shape
+    B = np.zeros((m, len(columns)))
+    structural = columns < n
+    B[:, structural] = A[:, columns[structural]]
+    slacks = np.flatnonzero(~structural)
+    B[columns[slacks] - n, slacks] = 1.0
+    return B
+
+
 def _duals(c, A, basis):
     """Dual y solving B^T y = c_B over the basic structural and slack
     columns (least squares when zero-level artificials leave fewer than m
     of them), and the reduced costs c - A^T y of every column of A."""
     m, n = A.shape
     kept = basis[basis < n + m]
-    B = np.hstack([A, np.eye(m)])[:, kept]
+    B = _columns(A, kept)
     cost = np.concatenate([c, np.zeros(m)])[kept]
     if len(kept) < m:
         y = np.linalg.lstsq(B.T, cost, rcond=None)[0]
@@ -278,7 +339,7 @@ def _repair_basis(c, A, b, rough: SimplexResult) -> SimplexResult | None:
     if np.any(basis >= n + m):
         return None
     try:
-        x_basic = np.linalg.solve(np.hstack([A, np.eye(m)])[:, basis], b)
+        x_basic = np.linalg.solve(_columns(A, basis), b)
     except np.linalg.LinAlgError:
         return None
     tol = 1e-7 * max(1.0, float(np.max(np.abs(b))))
@@ -311,30 +372,28 @@ def _solve_core(c, A, b, start) -> SimplexResult:
     t = _Tableau(A, b, start)
 
     total_iters = 0
-    if len(t.arts):
+    artificial_rows = np.flatnonzero(b < 0)
+    if len(artificial_rows):
         # phase 1: minimize the artificial sum
-        t.tab[-1, t.arts] = 1.0
-        for i in range(m):
-            if t.basis[i] in t.arts:
-                t.tab[-1] -= t.tab[i]
+        for i in artificial_rows:
+            t.tab[-1] -= t.tab[i]
         status, iters = t.optimize(np.zeros(n))
         total_iters += iters
         if status != "optimal":
             return SimplexResult(status="stalled", iterations=total_iters)
         if -t.tab[-1, -1] > 1e-7:
             return SimplexResult(status="infeasible", iterations=total_iters)
-        # drive leftover artificials out of the basis where possible
-        real = np.flatnonzero(t.cols < n + m)
+        # drive the artificials left at zero level out of the basis
         for i in range(m):
-            if t.basis[i] in t.arts:
-                hits = real[np.abs(t.tab[i, real]) > PIVOT_TOL]
+            if t.cols[t.basis[i]] >= n + m:
+                hits = ((t.cols[t.ids] < n + m) & (np.abs(t.tab[i, :-1]) > PIVOT_TOL)).nonzero()[0]
                 if len(hits):
-                    _pivot(t.tab, t.basis, i, int(hits[0]))
+                    t.pivot(i, int(hits[t.ids[hits].argmin()]))
         t.retire_artificials()
 
     # phase 2 objective row
-    structural = np.flatnonzero(t.cols < n)
-    t.tab[-1, structural] = c[t.cols[structural]]
+    structural = np.flatnonzero(t.cols[t.ids] < n)
+    t.tab[-1, structural] = c[t.cols[t.ids[structural]]]
     for i in range(m):
         if t.cols[t.basis[i]] < n:
             t.tab[-1] -= c[t.cols[t.basis[i]]] * t.tab[i]

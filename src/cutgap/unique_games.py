@@ -172,8 +172,10 @@ class Guide(NamedTuple):
     (`EdgeDistribution.guide`)."""
 
     cdf: np.ndarray  # cumulative weights over their sum, as Generator.choice forms them
-    lo: np.ndarray  # lo[j] = #{cdf <= j / 2^GUIDE_BITS}
-    hi: np.ndarray  # hi[j] = #{cdf < (j + 1) / 2^GUIDE_BITS}
+    # the edge every uniform in bucket j draws, or -1 where the bucket holds
+    # a cdf entry: lo[j] = #{cdf <= j / 2^GUIDE_BITS} where it equals
+    # hi[j] = #{cdf < (j + 1) / 2^GUIDE_BITS}
+    edge: np.ndarray
 
 
 class Pulls(NamedTuple):
@@ -248,22 +250,35 @@ class EdgeDistribution:
         guide table over it (Chen and Asau 1974): a uniform u in bucket
         j = floor(u 2^GUIDE_BITS) finds between lo[j] and hi[j] cdf entries
         at or below it, so the bucket alone names its edge wherever the two
-        agree. Built once and read-only. With b_i the ceiling (for lo) or
-        the floor (for hi) of cdf[i] 2^GUIDE_BITS, the entry is #{i : b_i
-        <= j}; b is nondecreasing, as the cdf is, so that count is i for
-        j in [b_(i-1), b_i), which one `np.repeat` writes."""
+        agree, and `edge[j]` is that edge, or -1. Built once and read-only.
+        With b_i the ceiling (for lo) or the floor (for hi) of
+        cdf[i] 2^GUIDE_BITS, the bound is #{i : b_i <= j}; b is
+        nondecreasing, as the cdf is, so that count is i for j in
+        [b_(i-1), b_i), which one `np.repeat` writes."""
         p = self.weight / self.weight.sum()
         cdf = p.cumsum()
         cdf /= cdf[-1]
         buckets = 1 << GUIDE_BITS
         scaled = cdf * buckets  # exact: a power-of-two scale
-        index = np.arange(len(cdf) + 1, dtype=np.int32)
-        bounds = [np.repeat(index, np.diff(f(scaled).astype(np.int32), prepend=0, append=buckets))
-                  for f in (np.ceil, np.floor)]
-        guide = Guide(cdf, *bounds)
+        index = np.arange(len(cdf) + 1)
+        lo, hi = (np.repeat(index, np.diff(f(scaled).astype(np.intp), prepend=0, append=buckets))
+                  for f in (np.ceil, np.floor))
+        guide = Guide(cdf, np.where(lo == hi, lo, -1))
         for a in guide:
             a.setflags(write=False)
         return guide
+
+    @cached_property
+    def query_offsets(self) -> tuple:
+        """Per edge, the flat offsets of its two queries' rows: v << N in
+        the tables and pair << N in the table of pulled rows that
+        `sample_disagreements` gathers once per call (`pulls`). Built once
+        and read-only."""
+        offsets = (self.v.astype(np.intp) << self.num_labels,
+                   self.pulls.pair.astype(np.intp) << self.num_labels)
+        for a in offsets:
+            a.setflags(write=False)
+        return offsets
 
     def disagreement(self, blocks, epsilon: float) -> float:
         """Exact probability that the two queries get different values,
@@ -298,12 +313,13 @@ class EdgeDistribution:
         the counts are the ones those calls give. choice draws a uniform u
         per edge and takes `cdf.searchsorted(u, side="right")`, the number
         of cdf entries at or below u. Here u's bucket j = floor(u 2^16)
-        (exact: a power-of-two scale) bounds that number between
-        `guide.lo[j]` and `guide.hi[j]`, so wherever they agree the guide
-        table alone names the edge; only draws in a bucket that holds a
-        cdf entry are searched (about 4% at k = 3). The flip uniforms come
-        FLIP_ROWS rows at a time into one reused buffer, in the same
-        order. Values are gathered from the flattened tables, so `blocks`
+        (exact: a power-of-two scale) names that edge in `guide.edge[j]`
+        unless the bucket holds a cdf entry; only those draws are searched
+        (about 4% at k = 3). The flip uniforms come FLIP_ROWS rows at a time
+        into one reused buffer, in the same order. The first query reads
+        `blocks` at (v, x); the second reads the pulled row of the edge's
+        (w, table) pair (`pulls`) at x ^ mu, in a table of the pulled rows
+        gathered once per call. Both gathers read flat indices, so `blocks`
         must hold one row of 2^N values per UG vertex.
         """
         n = self.num_labels
@@ -315,7 +331,9 @@ class EdgeDistribution:
                              f"values for each of {self.num_vertices} vertices")
         rng = np.random.default_rng(seed)
         values = blocks.ravel()
-        tables = self.tables.ravel()
+        pulls = self.pulls
+        pulled = blocks[pulls.other[:, None], self.tables[pulls.table]].ravel()
+        first, second = self.query_offsets
         # bit weights in the narrowest unsigned type that holds 2^N - 1, so
         # the product with the flip indicators makes no int64 copy
         bit_weights = (1 << np.arange(n)).astype(np.min_scalar_type((1 << n) - 1))
@@ -331,10 +349,9 @@ class EdgeDistribution:
                 rows = flips[:min(batch - lo, FLIP_ROWS)]
                 rng.random(out=rows)
                 np.matmul(rows < epsilon, bit_weights, out=mu[lo:lo + len(rows)])
-            queried = values[_flat_index(self.v[ei], x, n)]
+            queried = values[first[ei] | x]
             x ^= mu[:batch]
-            y = tables[_flat_index(self.table_of[ei], x, n)]
-            count += int(np.count_nonzero(queried != values[_flat_index(self.w[ei], y, n)]))
+            count += int(np.count_nonzero(queried != pulled[second[ei] | x]))
             done += batch
         return count
 
@@ -343,19 +360,10 @@ class EdgeDistribution:
         draws them: the same uniforms, the same edges (`guide`)."""
         guide = self.guide
         u = rng.random(batch)
-        bucket = (u * (1 << GUIDE_BITS)).astype(np.int32)
-        ei = guide.lo[bucket]
-        miss = np.flatnonzero(ei != guide.hi[bucket])
+        ei = guide.edge[(u * (1 << GUIDE_BITS)).astype(np.intp)]
+        miss = (ei < 0).nonzero()[0]
         ei[miss] = guide.cdf.searchsorted(u[miss], side="right")
         return ei
-
-
-def _flat_index(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """Flat indices of entries (rows, cols) of a row-major table with 2^n
-    columns, built in place in `rows`, a fresh int64 gather."""
-    rows <<= n
-    rows |= cols
-    return rows
 
 
 def value(u: UGInstance, lam) -> float:

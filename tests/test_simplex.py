@@ -1,6 +1,7 @@
-"""The column-generation simplex against two independent oracles: brute-force
-basis enumeration on small random LPs, and the all-columns start (the plain
-full-tableau solve) on cut-cone distortion LPs."""
+"""The column-generation simplex against three oracles: brute-force basis
+enumeration on small random LPs, the all-columns start (the plain
+full-tableau solve) on cut-cone distortion LPs, and the full-tableau
+simplex of `tests/oracles.py`, bit for bit, on generated LPs."""
 
 import functools
 import hashlib
@@ -8,11 +9,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from cutgap import metrics as mt
+from cutgap import simplex
 from cutgap.quotient import build_kv_instance, build_ug_sdp_solution
 from cutgap.separator import assign_sdp_solution, build_bes
 from cutgap.simplex import solve_lp
+import oracles
+from oracles import solve_lp_full_tableau
+from strategies import lps
 
 
 def brute_force_optimum(c, A, b):
@@ -84,6 +90,107 @@ def test_rejects_bad_start():
     for start in ([0, 0], [2], [[0]]):
         with pytest.raises(ValueError):
             solve_lp(c, A, b, start=start)
+
+
+def outcome(solve, c, A, b, start):
+    """Everything a solve returns, every float as its hex string, or the
+    type of the exception it raised."""
+    try:
+        res = solve(c, A, b, start=start)
+    except Exception as exc:
+        return type(exc).__name__
+    floats = {name: None if a is None else [v.hex() for v in a.tolist()]
+              for name, a in (("x", res.x), ("dual", res.dual),
+                              ("reduced_costs", res.reduced_costs))}
+    basis = None if res.basis is None else res.basis.tolist()
+    return res.status, res.iterations, basis, floats, res.working_columns
+
+
+def full_tableau_columns(t):
+    """The tableau of `oracles._Tableau`: a dict from the program column
+    that each non-basic column stands for to its entries, the rhs, the
+    basis, and whether every basic column is its row's unit column."""
+    m = len(t.basis)
+    units = np.eye(m + 1)[:, :m]
+    nonbasic = np.setdiff1d(np.arange(t.tab.shape[1] - 1), t.basis)
+    return ({int(t.cols[j]): t.tab[:, j].tolist() for j in nonbasic},
+            t.tab[:, -1].tolist(), t.cols[t.basis].tolist(),
+            all(t.tab[:, j].tolist() == units[:, i].tolist() for i, j in enumerate(t.basis)))
+
+
+def dictionary_columns(t):
+    """The same for the dictionary form of `cutgap.simplex._Tableau`, whose
+    basic columns are unit columns by construction."""
+    return ({int(t.cols[j]): t.tab[:, s].tolist() for s, j in enumerate(t.ids)},
+            t.tab[:, -1].tolist(), t.cols[t.basis].tolist(), True)
+
+
+def solve_recording(solve, tableau_class, columns, lp):
+    """The outcome of `solve` on `lp`, and the tableau as `columns` reads it
+    whenever `optimize` returns (once per phase and solve)."""
+    snapshots = []
+    optimize = tableau_class.optimize
+
+    def recording_optimize(t, cost):
+        out = optimize(t, cost)
+        snapshots.append(columns(t))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tableau_class, "optimize", recording_optimize)
+        return outcome(solve, *lp), snapshots
+
+
+# Beale's cycling LP, with x4 <= 1 and x4 >= 1, which the rhs perturbation
+# makes infeasible: the unperturbed solve then cycles under Dantzig's rule
+# until Bland's rule takes over, whose ties the generated LPs never reach
+BEALE = (np.array([-0.75, 20.0, -0.5, 6.0, 0.0]),
+         np.array([[0.25, -8.0, -1.0, 9.0, 0.0], [0.5, -12.0, -0.5, 3.0, 0.0],
+                   [0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0],
+                   [0.0, 0.0, 0.0, 0.0, -1.0]]),
+         np.array([0.0, 0.0, 1.0, 1.0, -1.0]), None)
+# an LP whose drive-out has two columns to pivot on, in slots out of order
+DRIVE_OUT_TIE = (np.array([2.0, -1.0, 2.0]),
+                 np.array([[2.0, -1.0, 0.0], [0.0, 2.0, 2.0], [-1.0, 0.0, -1.0],
+                           [-2.0, 0.0, 2.0], [-1.0, -2.0, -1.0]]),
+                 np.array([0.0, 4.0, -2.0, 4.0, -2.0]), None)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(lps())
+@example(BEALE)
+@example(DRIVE_OUT_TIE)
+def test_matches_full_tableau_bit_for_bit(lp):
+    """The same outcome as the full tableau, every float in it bit for bit,
+    and at the end of each phase the same non-basic columns and rhs. The
+    tableaux are compared with ==: after a drive-out pivot on a negative
+    entry the full tableau's basic columns hold -0.0 in that row, which a
+    column leaving the basis keeps and the dictionary form writes as 0.0."""
+    assert (solve_recording(solve_lp, simplex._Tableau, dictionary_columns, lp)
+            == solve_recording(solve_lp_full_tableau, oracles._Tableau, full_tableau_columns, lp))
+
+
+def test_artificial_at_zero_level_is_driven_out(monkeypatch):
+    """x <= 2 and 2x >= 4: the perturbed right-hand sides tie, so phase 1
+    ends with the second row's artificial basic at zero level. The drive-out
+    pivots it out on its row's slack, so phase 2 starts with no artificial
+    basic (for any finite LP: that slack is the negated artificial column)."""
+    lp = (np.array([1.0]), np.array([[1.0], [-2.0]]), np.array([2.0, -4.0]), None)
+    assert outcome(solve_lp, *lp) == outcome(solve_lp_full_tableau, *lp)
+    ends = []
+    optimize = simplex._Tableau.optimize
+
+    def recording_optimize(t, cost):
+        out = optimize(t, cost)
+        rows = np.flatnonzero(t.cols[t.basis] >= 3)  # n + m: the artificials
+        ends.append((rows.tolist(), t.tab[rows, -1].tolist()))
+        return out
+
+    monkeypatch.setattr(simplex._Tableau, "optimize", recording_optimize)
+    res = solve_lp(*lp)
+    assert ends == [([1], [0.0]), ([], [])]
+    assert res.status == "optimal" and res.x.tolist() == [2.0]
+    assert res.basis.tolist() == [0, 1]  # x and the first row's slack
 
 
 def _all_columns_gamma(metric):

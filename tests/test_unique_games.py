@@ -452,9 +452,10 @@ def test_guide_bounds_are_the_cdf_searches(name):
     cdf /= cdf[-1]
     assert np.array_equal(guide.cdf, cdf)
     j = np.arange(1 << ug.GUIDE_BITS)
-    assert guide.lo.dtype == guide.hi.dtype == np.int32
-    assert np.array_equal(guide.lo, cdf.searchsorted(j / (1 << ug.GUIDE_BITS), "right"))
-    assert np.array_equal(guide.hi, cdf.searchsorted((j + 1) / (1 << ug.GUIDE_BITS), "left"))
+    lo = cdf.searchsorted(j / (1 << ug.GUIDE_BITS), "right")
+    hi = cdf.searchsorted((j + 1) / (1 << ug.GUIDE_BITS), "left")
+    assert guide.edge.dtype == np.intp
+    assert np.array_equal(guide.edge, np.where(lo == hi, lo, -1))
     assert not any(a.flags.writeable for a in guide)
 
 
@@ -520,6 +521,21 @@ def test_sampler_draws_what_choice_draws(name, generators):
             oracle = generators[-1]
             assert "choice" not in sampler.calls
             assert sampler.gen.bit_generator.state == oracle.gen.bit_generator.state
+
+
+@pytest.mark.parametrize("num_labels", range(1, EXACT_LABEL_LIMIT + 1))
+def test_sampler_draws_what_choice_draws_on_planted_instances(num_labels):
+    # every label count the sampler takes, no flips to half of them flipped,
+    # and int8 and float tables (the pulled table keeps their dtype)
+    u = plant_instance(12, num_labels, 0.3, 0.9, seed=num_labels)[0]
+    d = u.edge_distribution
+    signs = np.random.default_rng(num_labels).choice(
+        np.array([-1, 1], dtype=np.int8), size=(u.num_vertices, 1 << num_labels))
+    for blocks in (signs, signs * 0.5):
+        for epsilon in (0.0, 0.1, 0.3, 0.5):
+            for seed, samples in ((0, 1), (1, 5000), (2, 70000)):
+                assert (d.sample_disagreements(blocks, samples, seed, epsilon)
+                        == sample_disagreements_choice(d, blocks, samples, seed, epsilon))
 
 
 def test_sampler_holds_no_full_flip_array(generators):
