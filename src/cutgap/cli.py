@@ -245,10 +245,8 @@ def cmd_verify(args) -> int:
             # value invariance under a global relabeling
             sigma = rng.permutation(inst.num_labels)
             inv = np.argsort(sigma)
-            relabeled = ug.UGInstance(
-                inst.num_vertices, inst.num_labels, inst.v, inst.w, inst.weight,
-                sigma[inst.perm[:, inv]], regularity_tol=1e-6,
-            )
+            relabeled = ug.UGInstance(inst.num_vertices, inst.num_labels, inst.v, inst.w,
+                                      inst.weight, sigma[inst.perm[:, inv]])
             for _ in range(5):
                 lam = rng.integers(0, inst.num_labels, size=inst.num_vertices)
                 a = ug.value(inst, lam)
@@ -284,8 +282,7 @@ def cmd_verify(args) -> int:
 
 def cmd_pcp(args) -> int:
     with open(args.ug_file) as fh:
-        inst = ug.ug_from_text(fh.read(),
-                               regularity_tol=1e-6 if args.loose else 1e-9)
+        inst = ug.ug_from_text(fh.read())
     with open(args.proof_file) as fh:
         proof = pv.proof_from_text(fh.read())
     exact = pv.acceptance_probability_exact(inst, proof, args.epsilon)
@@ -382,8 +379,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--rounds", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--loose", action="store_true",
-                   help="loosen the regularity tolerance for planted fixtures")
     p.set_defaults(func=cmd_pcp)
 
     p = sub.add_parser("distortion", help="negative-type check and l1 distortion LP")

@@ -1,5 +1,5 @@
-"""The eta-noisy hypercube graph on {-1,1}^N: edge-weight distribution,
-typical-edge windowing, and set expansion.
+"""The eta-noisy hypercube graph on {-1,1}^N: edge-weight distribution and
+typical-edge windowing.
 
 Vertices are encoded as integer bitmasks (bit b of the index is coordinate
 value 1 - 2b, matching `cutgap.fourier`). One random-walk step flips every
@@ -9,8 +9,7 @@ bit independently with probability eta, so the weight of an unordered pair
 Self-pairs (d = 0) carry mass (1-eta)^N in that probability experiment; they
 are excluded here (expansion and label-cover semantics ignore them) and the
 retained mass is renormalized by default. Edges are never materialized as a
-list: every operation works from the closed-form distance-weight profile plus
-point iteration, so N well beyond enumeration range is fine for pair queries.
+list: the graph is its closed-form distance-weight profile.
 """
 
 from __future__ import annotations
@@ -20,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NoisyHypercube", "typical_window", "hamming", "EXACT_ENUMERATION_LIMIT"]
-
-EXACT_ENUMERATION_LIMIT = 14
-
-
-def hamming(f: int, g: int) -> int:
-    return int(f ^ g).bit_count()
+__all__ = ["NoisyHypercube", "typical_window"]
 
 
 def typical_window(N: int, eta: float):
@@ -93,65 +86,3 @@ class NoisyHypercube:
         if self.renormalized:
             w = w / self.retained_mass()
         return w
-
-    def pair_weight(self, f: int, g: int) -> float:
-        """Weight of the unordered edge {f, g}; self-loops are rejected."""
-        if f == g:
-            raise ValueError("self-loops are excluded")
-        return float(self.weight_profile()[hamming(f, g)])
-
-    def degree(self) -> float:
-        """Weighted degree of any vertex (the graph is weight-regular)."""
-        profile = self.weight_profile()
-        counts = np.array([math.comb(self.N, d) for d in range(self.N + 1)])
-        return float(np.sum(profile * counts))
-
-    def expansion(self, members) -> float:
-        """Exact expansion Phi(S): the probability of leaving S when a random
-        vertex of S and then a random incident edge is chosen.
-
-        Vertex choice is uniform (the graph is weight-regular, so
-        degree-proportional and uniform choice coincide). Exact enumeration
-        over S x S; requires N <= EXACT_ENUMERATION_LIMIT.
-        """
-        if self.N > EXACT_ENUMERATION_LIMIT:
-            raise ValueError(
-                f"exact enumeration capped at N={EXACT_ENUMERATION_LIMIT}; "
-                "use expansion_mc"
-            )
-        members = np.unique(np.asarray(members, dtype=np.uint64))
-        if len(members) == 0 or len(members) == 1 << self.N:
-            raise ValueError("S must be a nonempty proper subset")
-        profile = self.weight_profile()  # profile[0] is always 0
-        dists = np.bitwise_count(members[:, None] ^ members[None, :])
-        stay_ordered = float(np.sum(profile[dists]))
-        return 1.0 - stay_ordered / (len(members) * self.degree())
-
-    def expansion_mc(self, members, samples: int, seed: int):
-        """Monte Carlo estimate of Phi(S) with standard error.
-
-        Samples a uniform vertex of S and one noise step, rejecting steps
-        that land outside the retained window (equivalently, conditioning the
-        walk on retained edges). Deterministic per seed.
-        """
-        members = np.unique(np.asarray(members, dtype=np.uint64))
-        if len(members) == 0 or len(members) == 1 << self.N:
-            raise ValueError("S must be a nonempty proper subset")
-        rng = np.random.default_rng(seed)
-        bit_weights = np.uint64(1) << np.arange(self.N, dtype=np.uint64)
-        lo, hi = (1, self.N) if self.window is None else self.window
-        left = 0
-        done = 0
-        while done < samples:
-            batch = min(samples - done, 1 << 16)
-            starts = rng.choice(members, size=batch)
-            flips = rng.random((batch, self.N)) < self.eta
-            masks = (flips * bit_weights).sum(axis=1, dtype=np.uint64)
-            dists = np.bitwise_count(masks)
-            ok = (dists >= lo) & (dists <= hi)
-            ends = (starts ^ masks)[ok]
-            left += int(np.sum(~np.isin(ends, members)))
-            done += len(ends)
-        phi = left / done
-        stderr = math.sqrt(max(phi * (1 - phi), 1e-300) / done)
-        return phi, stderr

@@ -28,17 +28,17 @@ __all__ = [
     "metric_from_gram",
     "metric_to_text",
     "metric_from_text",
-    "graph_to_text",
     "graph_from_text",
     "farthest_point_sample",
-    "sparsity",
     "best_xor_cut",
     "round_to_balanced_cut",
     "local_search_sparsest_cut",
-    "cut_metric_combination",
 ]
 
 LP_POINT_LIMIT = 12  # the cut-cone LP has 2^(n-1) - 1 cut columns: 2047 at 12 points
+# the GRAPH reader's dense weights and demands, and each n x n temporary of
+# `_cut_sum`, take 8 MB at this cap: 16x the 64-vertex expanded k=2 graph
+GRAPH_VERTEX_LIMIT = 1024
 XOR_EXHAUSTIVE_CUTS = 16  # best_xor_cut samples 2^16 subsets of more cuts
 
 
@@ -113,15 +113,6 @@ def metric_from_gram(gram: np.ndarray) -> FiniteMetric:
 @dataclass
 class CutDecomposition:
     cuts: list  # (frozenset of point indices, weight >= 0)
-
-    def induced(self, n: int) -> np.ndarray:
-        d = np.zeros((n, n))
-        for members, weight in self.cuts:
-            ind = np.zeros(n, dtype=bool)
-            ind[list(members)] = True
-            sep = ind[:, None] != ind[None, :]
-            d += weight * sep
-        return d
 
 
 @dataclass
@@ -294,24 +285,12 @@ def metric_from_text(text: str) -> FiniteMetric:
     return FiniteMetric(d)
 
 
-def graph_to_text(weights, demands) -> str:
-    """Header `GRAPH n`, then `i j weight demand` for every pair i < j with
-    a nonzero weight or demand, floats at 17 significant digits."""
-    weights = np.asarray(weights, dtype=np.float64)
-    demands = np.asarray(demands, dtype=np.float64)
-    lines = [f"GRAPH {weights.shape[0]}"]
-    for i, j in zip(*np.triu_indices(weights.shape[0], 1)):
-        if weights[i, j] or demands[i, j]:
-            lines.append(f"{i} {j} {weights[i, j]:.17g} {demands[i, j]:.17g}")
-    return "\n".join(lines) + "\n"
-
-
 def graph_from_text(text: str):
     """(weights, demands) symmetric matrices of a GRAPH file; a later line
-    for the same pair overrides an earlier one. A bad header, a line without
-    exactly four fields, an unparsable number, a weight or demand that is
-    negative, infinite or nan, or a vertex outside [0, n) raises ValueError
-    naming the line."""
+    for the same pair overrides an earlier one. A bad header (n outside
+    [1, GRAPH_VERTEX_LIMIT]), a line without exactly four fields, an
+    unparsable number, a weight or demand that is negative, infinite or nan,
+    or a vertex outside [0, n) raises ValueError naming the line."""
     lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("line 1: empty GRAPH file")
@@ -319,6 +298,8 @@ def graph_from_text(text: str):
     if len(head) != 2 or head[0] != "GRAPH" or not head[1].isdigit() or int(head[1]) < 1:
         raise ValueError(f"line {no}: expected header `GRAPH n` with n >= 1")
     n = int(head[1])
+    if n > GRAPH_VERTEX_LIMIT:
+        raise ValueError(f"line {no}: {n} vertices exceed the limit {GRAPH_VERTEX_LIMIT}")
     weights = np.zeros((n, n))
     demands = np.zeros((n, n))
     for no, fields in lines[1:]:
@@ -346,17 +327,6 @@ def farthest_point_sample(metric: FiniteMetric, size: int, seed_point: int = 0):
         dist_to_set[chosen] = -1.0
         chosen.append(int(np.argmax(dist_to_set)))
     return sorted(chosen)
-
-
-def sparsity(weights: np.ndarray, demands: np.ndarray, cut) -> float:
-    """(cut edge weight) / (cut demand); trivial or zero-demand cuts rejected."""
-    cut = np.asarray(cut, dtype=bool)
-    if cut.all() or not cut.any():
-        raise ValueError("cut must be nontrivial")
-    dem = _cut_sum(np.asarray(demands), cut)
-    if dem <= 0:
-        raise ValueError("cut separates no demand")
-    return _cut_sum(np.asarray(weights), cut) / dem
 
 
 def _cut_sum(pairs: np.ndarray, cut: np.ndarray) -> float:
@@ -477,7 +447,7 @@ def local_search_sparsest_cut(weights, demands, seed: int = 0, restarts: int = 8
                 cut[v] ^= True
                 dem = _cut_sum(demands, cut) if cut.any() and not cut.all() else 0.0
                 if dem > 0:
-                    ratio = _cut_sum(weights, cut) / dem  # sparsity(weights, demands, cut)
+                    ratio = _cut_sum(weights, cut) / dem
                     if ratio < best_ratio - 1e-15:
                         best_ratio = ratio
                         best_cut = cut.copy()
@@ -491,7 +461,3 @@ def local_search_sparsest_cut(weights, demands, seed: int = 0, restarts: int = 8
                 best_ratio = _cut_sum(weights, best_cut) / dem
     return best_cut
 
-
-def cut_metric_combination(n: int, cuts) -> FiniteMetric:
-    """Metric sum lambda_S delta_S from explicit (members, weight) pairs."""
-    return FiniteMetric(CutDecomposition(list(cuts)).induced(n))

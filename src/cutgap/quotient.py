@@ -86,10 +86,6 @@ class QuotientStructure:
     def num_classes(self) -> int:
         return (1 << self.N) // self.N
 
-    def class_of(self, code: int):
-        """Return (class id, shift s) with code == rep(class) xor masks[s]."""
-        return int(self.class_id[code]), int(self.shift_id[code])
-
 
 def build_quotient(k: int) -> QuotientStructure:
     """Partition with canonical representatives (numerically smallest code),
@@ -173,10 +169,6 @@ class UGVectorSolution:
 
     k: int
     basis: np.ndarray  # (m, N, N) int8
-
-    @property
-    def N(self) -> int:
-        return 1 << self.k
 
 
 def build_ug_sdp_solution(q: QuotientStructure) -> UGVectorSolution:

@@ -318,17 +318,12 @@ def _columns(A, columns):
 
 
 def _duals(c, A, basis):
-    """Dual y solving B^T y = c_B over the basic structural and slack
-    columns (least squares when zero-level artificials leave fewer than m
-    of them), and the reduced costs c - A^T y of every column of A."""
+    """Dual y solving B^T y = c_B over the basic columns, structural and
+    slack (the drive-out leaves no artificial basic), and the reduced costs
+    c - A^T y of every column of A."""
     m, n = A.shape
-    kept = basis[basis < n + m]
-    B = _columns(A, kept)
-    cost = np.concatenate([c, np.zeros(m)])[kept]
-    if len(kept) < m:
-        y = np.linalg.lstsq(B.T, cost, rcond=None)[0]
-    else:
-        y = np.linalg.solve(B.T, cost)
+    cost = np.concatenate([c, np.zeros(m)])[basis]
+    y = np.linalg.solve(_columns(A, basis).T, cost)
     return y, c - A.T @ y
 
 
@@ -336,8 +331,6 @@ def _repair_basis(c, A, b, rough: SimplexResult) -> SimplexResult | None:
     """Exact solution for the original rhs from the perturbed optimal basis."""
     m, n = A.shape
     basis = rough.basis
-    if np.any(basis >= n + m):
-        return None
     try:
         x_basic = np.linalg.solve(_columns(A, basis), b)
     except np.linalg.LinAlgError:

@@ -1,5 +1,5 @@
 """General Unique Games instances: evaluation, exact and heuristic
-optimization, planted fixtures, serialization, and the label-extended graph.
+optimization, serialization, and the label-extended graph.
 
 An instance is a weighted constraint graph where each edge carries a bijection
 pi on the label set [N]; a labeling lam satisfies the (ordered) edge (v, w)
@@ -28,7 +28,6 @@ __all__ = [
     "value",
     "opt_exhaustive",
     "opt_search",
-    "plant_instance",
     "label_extended_graph",
     "labeling_set_expansion_identity",
     "ug_to_text",
@@ -102,14 +101,17 @@ class UGInstance:
         v, w = v.astype(np.int64, copy=False), w.astype(np.int64, copy=False)
         # running sums in edge order from 0.0, as a loop over the edges adds
         total = float(np.cumsum(np.append(0.0, weight))[-1])
-        # self-loops intentionally count twice
-        degree = np.bincount(np.stack([v, w], axis=1).ravel(), weights=np.repeat(weight, 2),
-                             minlength=self.num_vertices)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"edge weights sum to {total}, expected 1")
-        if degree.max() - degree.min() > self.regularity_tol:
+        # the degrees of the touched vertices only, each summed in edge order
+        # (self-loops intentionally count twice); an untouched vertex has
+        # degree 0, so no array is sized by num_vertices
+        touched, end_of = np.unique(np.stack([v, w], axis=1).ravel(), return_inverse=True)
+        degree = np.bincount(end_of, weights=np.repeat(weight, 2))
+        lowest = degree.min() if len(touched) == self.num_vertices else 0.0
+        if degree.max() - lowest > self.regularity_tol:
             raise ValueError(
-                f"weighted degree spread {degree.max() - degree.min():.3g} "
+                f"weighted degree spread {degree.max() - lowest:.3g} "
                 f"exceeds tolerance {self.regularity_tol:.3g}"
             )
         for name, a in (("v", v), ("w", w), ("weight", weight), ("perm", perm)):
@@ -450,50 +452,6 @@ def opt_search(u: UGInstance, seed: int, restarts: int = 10):
     return best, best_val
 
 
-def plant_instance(num_vertices: int, num_labels: int, eta: float,
-                   edge_density: float, seed: int):
-    """Random regular fixture with a hidden labeling of value >= 1 - eta.
-
-    The graph is a union of circulant shift classes (exactly weight-regular).
-    Permutations are chosen consistent with a hidden labeling; then a
-    floor(eta * |E|) subset of edges get their permutation deranged at the
-    hidden labels, so value(hidden) = 1 - floor(eta |E|)/|E| exactly.
-    """
-    if num_vertices < 2 or num_labels < 1:
-        raise ValueError("need at least 2 vertices and 1 label")
-    if not 0 <= eta < 1:
-        raise ValueError(f"eta={eta} outside [0, 1)")
-    rng = np.random.default_rng(seed)
-    max_shift = num_vertices // 2
-    want = max(1, min(max_shift, round(edge_density * max_shift)))
-    shifts = 1 + rng.permutation(max_shift)[:want]
-    pairs = set()
-    for s in shifts:
-        for i in range(num_vertices):
-            j = (i + int(s)) % num_vertices
-            pairs.add((min(i, j), max(i, j)))
-    pairs = sorted(pairs)
-    weight = 1.0 / len(pairs)
-    hidden = rng.integers(0, num_labels, size=num_vertices)
-    n_bad = int(np.floor(eta * len(pairs))) if num_labels > 1 else 0
-    bad = set(rng.choice(len(pairs), size=n_bad, replace=False).tolist())
-    perms = np.empty((len(pairs), num_labels), dtype=np.int64)
-    for idx, (v, w) in enumerate(pairs):
-        perm = rng.permutation(num_labels)
-        # place hidden consistency: perm[hidden[w]] == hidden[v]
-        pos = int(np.where(perm == hidden[v])[0][0])
-        perm[pos], perm[hidden[w]] = perm[hidden[w]], perm[pos]
-        if idx in bad:
-            # derange at the hidden label: swap with any other slot
-            other = (hidden[w] + 1 + int(rng.integers(num_labels - 1))) % num_labels
-            perm[hidden[w]], perm[other] = perm[other], perm[hidden[w]]
-        perms[idx] = perm
-    v, w = np.array(pairs, dtype=np.int64).T
-    u = UGInstance(num_vertices, num_labels, v, w, np.full(len(pairs), weight), perms,
-                   regularity_tol=1e-6)
-    return u, hidden
-
-
 def label_extended_graph(u: UGInstance):
     """Blow-up on V x [N]: edge (v, w, pi, wt) becomes the N label edges
     {(v, pi(i)), (w, i)} each of weight wt, coincident edges summed in
@@ -548,7 +506,7 @@ def ug_to_text(u: UGInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def ug_from_text(text: str, regularity_tol: float = 1e-9) -> UGInstance:
+def ug_from_text(text: str) -> UGInstance:
     """Inverse of `ug_to_text`; an empty file, a bad header (integer counts
     with 1 <= N <= EXACT_LABEL_LIMIT, |V| >= 1, |E| >= 0), a missing or
     extra edge line, an edge line with the wrong number of fields or an
@@ -592,7 +550,7 @@ def ug_from_text(text: str, regularity_tol: float = 1e-9) -> UGInstance:
         weight.append(edge[2])
         labels += perm
     perms = _check_permutations(labels, lines[1:], n)
-    return UGInstance(nv, n, v, w, weight, perms, regularity_tol=regularity_tol)
+    return UGInstance(nv, n, v, w, weight, perms)
 
 
 def _check_permutations(labels: list, lines: list, n: int) -> np.ndarray:

@@ -56,9 +56,10 @@ paths against. None of them is used by the cutgap package itself.
   drawn by `Generator.choice` from its renormalized spectrum and its label
   by `choice` over alpha's members, the oracle whose labelings the cdf
   lookups of `cutgap.verifier.decode_labeling` must give with `==`.
-- `local_search_sparsest_cut_via_sparsity`: the sparsest-cut local search
-  with every trial's demand taken once for the `> 0` test and again inside
-  `cutgap.metrics.sparsity`, the oracle whose cuts
+- `sparsity` and `local_search_sparsest_cut_via_sparsity`: a cut's edge
+  weight over its demand, and the sparsest-cut local search with every
+  trial's demand taken once for the `> 0` test and again inside
+  `sparsity`, the oracle whose cuts
   `cutgap.metrics.local_search_sparsest_cut` must match with `==`.
 - `solve_lp_full_tableau`: the column-generation simplex on the full
   tableau, every basic column stored as its unit column and updated by
@@ -75,8 +76,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cutgap.fourier import FourierSpectrum, _values_of, apply_noise_kernel, wht_matrix
-from cutgap.metrics import _cut_sum, sparsity
+from cutgap.fourier import apply_noise_kernel, wht_matrix
+from cutgap.metrics import _cut_sum
 from cutgap.separator import (
     BESFeasibilityReport,
     CutSearchResult,
@@ -115,12 +116,12 @@ def character_table(k: int) -> np.ndarray:
     return np.where(pc % 2 == 0, 1, -1).astype(np.int64)
 
 
-def naive_wht(f) -> FourierSpectrum:
-    """O(N^2) transform by explicit summation over the character table."""
-    values = _values_of(f)
+def naive_wht(f) -> np.ndarray:
+    """O(N^2) transform of a 1-D table by explicit summation over the
+    character table."""
+    values = np.asarray(f, dtype=np.float64)
     k = len(values).bit_length() - 1
-    coeffs = character_table(k).astype(np.float64) @ values / len(values)
-    return FourierSpectrum(k, coeffs)
+    return character_table(k).astype(np.float64) @ values / len(values)
 
 
 def tensor_inner(x, z, l: int) -> float:
@@ -537,6 +538,17 @@ def decode_labeling_choice(u, proof, seed: int, rounds: int = 10) -> DecodeResul
             best_val = val
             best_lam = lam.copy()
     return DecodeResult(best_lam, best_val, tuple(fallback))
+
+
+def sparsity(weights: np.ndarray, demands: np.ndarray, cut) -> float:
+    """(cut edge weight) / (cut demand); trivial or zero-demand cuts rejected."""
+    cut = np.asarray(cut, dtype=bool)
+    if cut.all() or not cut.any():
+        raise ValueError("cut must be nontrivial")
+    dem = _cut_sum(np.asarray(demands), cut)
+    if dem <= 0:
+        raise ValueError("cut separates no demand")
+    return _cut_sum(np.asarray(weights), cut) / dem
 
 
 def local_search_sparsest_cut_via_sparsity(weights, demands, seed: int = 0,

@@ -25,12 +25,11 @@ import time
 import numpy as np
 
 from cutgap.config import derive_seed
-from cutgap.fourier import bonami_beckner_check, wht_matrix
+from cutgap.fourier import wht_matrix
 from cutgap.hypercube import NoisyHypercube
 from cutgap.metrics import (
     FiniteMetric,
     best_xor_cut,
-    cut_metric_combination,
     farthest_point_sample,
     is_negative_type,
     l1_distortion_lp,
@@ -56,7 +55,7 @@ from cutgap.separator import (
     sdp_objective_closed_form_t1,
 )
 from cutgap.tensor import GramCache
-from cutgap.unique_games import opt_exhaustive, opt_search, plant_instance, value
+from cutgap.unique_games import opt_exhaustive, opt_search, value
 from cutgap.verifier import (
     Proof,
     acceptance_probability_exact,
@@ -64,6 +63,7 @@ from cutgap.verifier import (
     decode_labeling,
     dictator_tables,
 )
+from fixtures import bonami_beckner_check, cut_metric_combination, expansion, plant_instance
 from oracles import (
     BESVectorHandle,
     bes_inner,
@@ -150,7 +150,7 @@ def test_criterion_2_small_set_expansion():
         worst = -np.inf
         for _ in range(1000):
             members = rng.choice(1 << N, size=(1 << N) // N, replace=False)
-            worst = max(worst, 1 - cube.expansion(members))
+            worst = max(worst, 1 - expansion(cube, members))
         report(
             f"2.expansion_eta_{eta}",
             worst <= bound + 1e-9,

@@ -15,8 +15,9 @@ from cutgap.cli import _parser, main
 from cutgap.config import SEED_PURPOSE, RunConfig, derive_seed, parse_config_file
 from cutgap.metrics import FiniteMetric, metric_to_text
 from cutgap.tensor import INNER_POWER_LIMIT
-from cutgap.unique_games import plant_instance, ug_to_text
+from cutgap.unique_games import ug_to_text
 from cutgap.verifier import Proof, dictator_tables, proof_to_text
+from fixtures import plant_instance
 
 
 def read(path):
@@ -222,7 +223,7 @@ def test_pcp_command(tmp_path, capsys):
     proof_file.write_text(proof_to_text(Proof(3, dictator_tables(hidden, 3))))
     code = main([
         "pcp", "--ug-file", str(ug_file), "--proof-file", str(proof_file),
-        "--epsilon", "0.2", "--samples", "20000", "--seed", "1", "--loose",
+        "--epsilon", "0.2", "--samples", "20000", "--seed", "1",
     ])
     assert code == 0
     got = capsys.readouterr().out
@@ -268,8 +269,7 @@ def test_every_subcommand_option_is_pinned():
         "build-ug": config,
         "build-bes": config | {"--ug-file"},
         "verify": {"--ug-file", "--basis-file", "--seed"},
-        "pcp": {"--ug-file", "--proof-file", "--epsilon", "--samples", "--rounds", "--seed",
-                "--loose"},
+        "pcp": {"--ug-file", "--proof-file", "--epsilon", "--samples", "--rounds", "--seed"},
         "distortion": {"--metric-file", "--export"},
         "round": {"--graph-file", "--balance", "--seed"},
     }
@@ -305,7 +305,7 @@ def test_pcp_truncated_permutation_fails_cleanly(tmp_path, capsys):
     proof_file = tmp_path / "proof.txt"
     proof_file.write_text(proof_to_text(Proof(3, dictator_tables(hidden, 3))))
     code = main(["pcp", "--ug-file", str(ug_file), "--proof-file", str(proof_file),
-                 "--epsilon", "0.2", "--loose"])
+                 "--epsilon", "0.2"])
     assert code == 1
     assert capsys.readouterr().out.startswith("FAIL pcp ")
 
@@ -376,7 +376,7 @@ def _pcp_files(tmp_path, ug_text=None, proof_text=None):
 def test_pcp_empty_ug_file_fails_cleanly(tmp_path, capsys):
     ug_file, proof_file = _pcp_files(tmp_path, ug_text="")
     code = main(["pcp", "--ug-file", ug_file, "--proof-file", proof_file,
-                 "--epsilon", "0.2", "--loose"])
+                 "--epsilon", "0.2"])
     assert code == 1
     assert capsys.readouterr().out == "FAIL pcp line 1: empty UG file\n"
 
@@ -391,7 +391,7 @@ def test_verify_empty_ug_file_fails_cleanly(tmp_path, capsys):
 def test_pcp_empty_proof_file_fails_cleanly(tmp_path, capsys):
     ug_file, proof_file = _pcp_files(tmp_path, proof_text="")
     code = main(["pcp", "--ug-file", ug_file, "--proof-file", proof_file,
-                 "--epsilon", "0.2", "--loose"])
+                 "--epsilon", "0.2"])
     assert code == 1
     assert capsys.readouterr().out == "FAIL pcp line 1: empty PROOF file\n"
 
@@ -421,9 +421,11 @@ def _clean_texts():
     (None, (0, 1, "5"), "FAIL pcp line 7: PROOF 5 3 has 5 rows, found 6\n"),
     (None, (0, 1, "7"), "FAIL pcp line 8: PROOF 7 3 has 7 rows, found 6\n"),
     (None, (0, 2, "2"), "FAIL pcp line 2: expected 4 entries, got 8\n"),
+    # a vertex count once sized the degree array before any check
+    ((0, 2, str(10**12)), None, "FAIL pcp weighted degree spread 0.333 exceeds tolerance 1e-09\n"),
 ], ids=["proof_entry", "proof_header", "proof_nine_labels", "ug_permutation",
         "proof_header_non_integer", "proof_no_vertices", "proof_entry_non_integer",
-        "proof_extra_row", "proof_missing_row", "proof_row_length"])
+        "proof_extra_row", "proof_missing_row", "proof_row_length", "ug_trillion_vertices"])
 def test_pcp_malformed_number_fails_cleanly(tmp_path, capsys, bad_ug, bad_proof, expected):
     ug_text, proof_text = _clean_texts()
     if bad_ug:
@@ -432,7 +434,7 @@ def test_pcp_malformed_number_fails_cleanly(tmp_path, capsys, bad_ug, bad_proof,
         proof_text = _replace_field(proof_text, *bad_proof)
     ug_file, proof_file = _pcp_files(tmp_path, ug_text, proof_text)
     code = main(["pcp", "--ug-file", ug_file, "--proof-file", proof_file,
-                 "--epsilon", "0.2", "--loose"])
+                 "--epsilon", "0.2"])
     assert code == 1
     assert capsys.readouterr().out == expected
 
@@ -441,7 +443,7 @@ def test_pcp_malformed_number_fails_cleanly(tmp_path, capsys, bad_ug, bad_proof,
 def test_pcp_epsilon_outside_probabilities_fails_cleanly(tmp_path, capsys, epsilon):
     ug_file, proof_file = _pcp_files(tmp_path)
     code = main(["pcp", "--ug-file", ug_file, "--proof-file", proof_file,
-                 "--epsilon", epsilon, "--loose"])
+                 "--epsilon", epsilon])
     assert code == 1
     assert capsys.readouterr().out == (
         f"FAIL pcp epsilon={float(epsilon)} is not a probability in [0, 1]\n")
@@ -535,8 +537,11 @@ def test_verify_malformed_ug_line_fails_cleanly(tmp_path, capsys, edits, expecte
      "line 1: 9 labels exceed the limit 8"),
     ("UG 40 2 1\n0 1 1 " + " ".join(map(str, range(40))) + "\n",
      "line 1: 40 labels exceed the limit 8"),
+    # the degrees were once a bincount of length |V|: 7.3 TiB here
+    ("UG 2 1000000000000 1\n0 1 1.0 0 1\n", "weighted degree spread 1 exceeds tolerance 1e-09"),
 ], ids=["negative_label_count", "negative_vertex_count", "non_integer_vertex_count",
-        "missing_edge_line", "extra_edge_line", "nine_labels", "forty_labels"])
+        "missing_edge_line", "extra_edge_line", "nine_labels", "forty_labels",
+        "trillion_vertices"])
 def test_verify_ug_header_counts_fail_cleanly(tmp_path, capsys, text, expected):
     # a negative label count once passed the field-count test and indexed
     # past the edge line (an IndexError traceback); a negative vertex count

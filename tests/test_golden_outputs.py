@@ -47,6 +47,7 @@ from cutgap.cli import main
 from cutgap.quotient import build_kv_instance, build_ug_sdp_solution
 from cutgap.separator import assign_sdp_solution, bes_to_text, build_bes, cut_from_text
 from cutgap.verifier import Proof, proof_to_text
+from fixtures import graph_to_text
 
 CASES = {
     "k2_eta0.15_eps0.15": (2, 0.15, 0.15, (1, 3)),
@@ -235,7 +236,7 @@ def write_k2_read_inputs(root: str, eta: float = 0.3, epsilon: float = 0.3) -> N
             with open(os.path.join(root, f"metric_t{t}_n{n}.txt"), "w") as fh:
                 fh.write(mt.metric_to_text(mt.FiniteMetric(metric.d[np.ix_(pts, pts)])))
     with open(os.path.join(root, "graph.txt"), "w") as fh:
-        fh.write(mt.graph_to_text(*k2_graph(inst)))
+        fh.write(graph_to_text(*k2_graph(inst)))
 
 
 def k2_graph(inst):

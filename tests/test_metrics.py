@@ -6,11 +6,9 @@ import pytest
 from cutgap.metrics import (
     FiniteMetric,
     best_xor_cut,
-    cut_metric_combination,
     export_distortion_lp,
     farthest_point_sample,
     graph_from_text,
-    graph_to_text,
     is_negative_type,
     l1_distortion_lp,
     local_search_sparsest_cut,
@@ -18,11 +16,11 @@ from cutgap.metrics import (
     metric_from_text,
     metric_to_text,
     round_to_balanced_cut,
-    sparsity,
 )
 from cutgap.quotient import build_kv_instance
 from cutgap.separator import build_bes
-from oracles import local_search_sparsest_cut_via_sparsity
+from fixtures import cut_metric_combination, graph_to_text, induced
+from oracles import local_search_sparsest_cut_via_sparsity, sparsity
 from test_golden_outputs import k2_graph
 
 
@@ -143,8 +141,7 @@ def test_distortion_on_random_cut_combinations():
         res = l1_distortion_lp(metric)
         assert abs(res.gamma - 1.0) < 1e-7, trial
         assert max(res.certificate.values()) < 1e-7
-        induced = res.decomposition.induced(n)
-        assert np.max(np.abs(induced - metric.d)) < 1e-6
+        assert np.max(np.abs(induced(res.decomposition.cuts, n) - metric.d)) < 1e-6
 
 
 def test_distortion_k23_exceeds_one():
@@ -379,6 +376,7 @@ def test_graph_text_round_trip():
     ("GRAPH\n0 1 1.0 0.0\n", "line 1"),
     ("GRAF 4\n", "line 1"),
     ("GRAPH -4\n", "line 1"),
+    ("GRAPH 10000000\n0 1 1.0 0.0\n", "line 1"),
     ("GRAPH 4\n0 1 1.0 0.0\n\n1 2 1.0\n", "line 4"),
     ("GRAPH 4\n0 x 1.0 0.0\n", "line 2"),
     ("GRAPH 4\n0 9 1.0 0.0\n", "line 2"),

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from cutgap import quotient as qt
-from cutgap.hypercube import hamming
 from cutgap.quotient import (
     basis_from_text,
     basis_to_text,
@@ -20,6 +19,7 @@ from cutgap.unique_games import (
     opt_exhaustive,
 )
 
+from fixtures import hamming
 from oracles import edge_rows
 
 
@@ -28,8 +28,8 @@ def test_quotient_k1_by_hand():
     # 4 functions on {-1,1}; chi_{1} has code 2, so classes are {0,2}, {1,3}
     assert q.num_classes == 2
     assert sorted(int(r) for r in q.reps) == [0, 1]
-    assert q.class_of(2) == (0, 1)  # 2 = 0 ^ mask_{1}
-    assert q.class_of(3) == (1, 1)
+    assert (q.class_id[2], q.shift_id[2]) == (0, 1)  # 2 = 0 ^ mask_{1}
+    assert (q.class_id[3], q.shift_id[3]) == (1, 1)
 
 
 def test_quotient_class_sizes_and_orthogonality():
@@ -53,7 +53,7 @@ def test_quotient_closed_under_shifts():
         code = int(rng.integers(0, 1 << 8))
         s = int(rng.integers(0, 8))
         shifted = code ^ int(q.masks[s])
-        assert q.class_of(code)[0] == q.class_of(shifted)[0]
+        assert q.class_id[code] == q.class_id[shifted]
 
 
 def test_quotient_k5_is_gated_and_lazy():
@@ -61,9 +61,9 @@ def test_quotient_k5_is_gated_and_lazy():
     with pytest.raises(ValueError, match=r"k=5 outside \[1, 4\]"):
         build_quotient(5)
     q = build_quotient(qt.QUOTIENT_MAX_K)
-    cls, s = q.class_of(12345)
+    cls, s = int(q.class_id[12345]), int(q.shift_id[12345])
     assert 12345 == cls ^ int(q.masks[s])
-    assert q.class_of(cls)[1] == 0
+    assert q.shift_id[cls] == 0
 
 
 def test_quotient_rejects_out_of_range():

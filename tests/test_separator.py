@@ -34,7 +34,6 @@ from cutgap.unique_games import (
     DISAGREEMENT_CHUNK,
     UGInstance,
     opt_exhaustive,
-    plant_instance,
     value,
 )
 from cutgap.verifier import (
@@ -43,6 +42,7 @@ from cutgap.verifier import (
     dictator_tables,
     piecewise_balance,
 )
+from fixtures import plant_instance
 from oracles import (
     BESVectorHandle,
     _set_image_table,

@@ -17,6 +17,7 @@ from cutgap.quotient import build_kv_instance, build_ug_sdp_solution
 from cutgap.separator import assign_sdp_solution, build_bes
 from cutgap.simplex import solve_lp
 import oracles
+from fixtures import cut_metric_combination
 from oracles import solve_lp_full_tableau
 from strategies import lps
 
@@ -165,9 +166,14 @@ def test_matches_full_tableau_bit_for_bit(lp):
     and at the end of each phase the same non-basic columns and rhs. The
     tableaux are compared with ==: after a drive-out pivot on a negative
     entry the full tableau's basic columns hold -0.0 in that row, which a
-    column leaving the basis keeps and the dictionary form writes as 0.0."""
-    assert (solve_recording(solve_lp, simplex._Tableau, dictionary_columns, lp)
-            == solve_recording(solve_lp_full_tableau, oracles._Tableau, full_tableau_columns, lp))
+    column leaving the basis keeps and the dictionary form writes as 0.0.
+    An optimal basis holds no artificial: the drive-out pivots each one out
+    on its row's slack, so `simplex._duals` solves over columns of [A | I]."""
+    got = solve_recording(solve_lp, simplex._Tableau, dictionary_columns, lp)
+    assert got == solve_recording(solve_lp_full_tableau, oracles._Tableau, full_tableau_columns, lp)
+    result = got[0]
+    if isinstance(result, tuple) and result[0] == "optimal":
+        assert all(j < sum(lp[1].shape) for j in result[2])
 
 
 def test_artificial_at_zero_level_is_driven_out(monkeypatch):
@@ -278,7 +284,7 @@ def test_working_set_matches_all_columns_on_cut_metrics():
                 cuts.append((members, float(rng.uniform(0.2, 2.0))))
         if not cuts:
             continue
-        metric = mt.cut_metric_combination(n, cuts)
+        metric = cut_metric_combination(n, cuts)
         if np.max(metric.d) == 0.0:
             continue
         _assert_matches_all_columns(metric)

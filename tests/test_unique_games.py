@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutgap import unique_games as ug
 from cutgap.separator import balanced_cut_search, build_bes, cut_edge_weight
@@ -14,13 +16,13 @@ from cutgap.unique_games import (
     labeling_set_expansion_identity,
     opt_exhaustive,
     opt_search,
-    plant_instance,
     ug_from_text,
     ug_to_text,
     value,
 )
 from cutgap.quotient import build_kv_instance
 
+from fixtures import plant_instance
 from oracles import (
     edge_rows,
     incidence,
@@ -222,7 +224,6 @@ def test_value_invariant_under_global_relabeling():
     inv = np.argsort(sigma)
     relabeled = UGInstance(
         u.num_vertices, u.num_labels, u.v, u.w, u.weight, sigma[u.perm[:, inv]],
-        regularity_tol=1e-6,
     )
     for _ in range(20):
         lam = rng.integers(0, 4, size=8)
@@ -232,13 +233,28 @@ def test_value_invariant_under_global_relabeling():
 def test_serialization_round_trip():
     u, _ = plant_instance(7, 3, 0.2, 0.9, seed=43)
     text = ug_to_text(u)
-    back = ug_from_text(text, regularity_tol=1e-6)
+    back = ug_from_text(text)
     assert back.num_vertices == u.num_vertices
     assert back.num_labels == u.num_labels
     assert back.num_edges == u.num_edges
     assert np.array_equal(back.v, u.v) and np.array_equal(back.w, u.w)
     assert np.array_equal(back.weight, u.weight)  # 17 significant digits are lossless
     assert np.array_equal(back.perm, u.perm)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 8), st.floats(0.0, 0.9), st.floats(0.1, 1.0),
+       st.integers(0, 4))
+def test_planted_instances_are_exactly_regular(num_vertices, num_labels, eta, density, seed):
+    """Every vertex of a planted instance has the same weighted degree to
+    the last bit, so it passes the readers' default tolerance unchanged."""
+    u, _ = plant_instance(num_vertices, num_labels, eta, density, seed=seed)
+    degree = np.bincount(np.concatenate([u.v, u.w]), weights=np.tile(u.weight, 2),
+                         minlength=num_vertices)
+    assert degree.max() - degree.min() == 0.0
+    back = ug_from_text(ug_to_text(u))
+    assert np.array_equal(back.v, u.v) and np.array_equal(back.w, u.w)
+    assert np.array_equal(back.weight, u.weight) and np.array_equal(back.perm, u.perm)
 
 
 def test_from_text_rejects_garbage():

@@ -3,7 +3,7 @@ import pytest
 
 from cutgap.fourier import wht_matrix
 from cutgap.quotient import build_kv_instance
-from cutgap.unique_games import opt_exhaustive, plant_instance, value
+from cutgap.unique_games import opt_exhaustive, value
 from cutgap.verifier import (
     Proof,
     acceptance_probability_exact,
@@ -15,6 +15,7 @@ from cutgap.verifier import (
     proof_from_text,
     proof_to_text,
 )
+from fixtures import plant_instance
 from oracles import _set_image_table, decode_labeling_choice, edge_rows
 
 
