@@ -55,11 +55,12 @@ def _load_config(args) -> RunConfig:
 def _best_labeling(inst, cfg: RunConfig):
     """(labeling, value, kind): the exhaustive optimum when the N^|V|
     labelings fit the budget, else opt_search's certified lower bound."""
-    if inst.num_labels**inst.num_vertices <= cfg.budget_labelings:
+    try:
         return (*ug.opt_exhaustive(inst, budget=cfg.budget_labelings), "exhaustive")
-    lam, val = ug.opt_search(inst, seed=derive_seed(cfg.seed, "opt_search"),
-                             restarts=cfg.budget_restarts)
-    return lam, val, "search_lower_bound"
+    except ug.BudgetExceededError:
+        lam, val = ug.opt_search(inst, seed=derive_seed(cfg.seed, "opt_search"),
+                                 restarts=cfg.budget_restarts)
+        return lam, val, "search_lower_bound"
 
 
 def cmd_build_ug(args) -> int:
@@ -147,14 +148,13 @@ def cmd_build_ug(args) -> int:
 
 def cmd_build_bes(args) -> int:
     cfg = _load_config(args)
+    inst_ug, quot, _ = qt.build_kv_instance(cfg.k, cfg.eta, window=cfg.window)
     if args.ug_file:
+        # the file must be the instance this config builds, as build-ug wrote it
         with open(args.ug_file) as fh:
-            inst_ug = ug.ug_from_text(fh.read())
-        quot = qt.build_quotient(cfg.k)
-        if quot.num_classes != inst_ug.num_vertices or quot.N != inst_ug.num_labels:
-            return _fail("build-bes", "UG file does not match configured k")
-    else:
-        inst_ug, quot, _ = qt.build_kv_instance(cfg.k, cfg.eta, window=cfg.window)
+            if fh.read() != ug.ug_to_text(inst_ug):
+                return _fail("build-bes", f"{args.ug_file} is not the UG instance of "
+                             f"k={cfg.k} eta={cfg.eta!r} window={cfg.window}")
     sol = qt.build_ug_sdp_solution(quot)
     inst = sp.build_bes(inst_ug, cfg.epsilon)
     assign = sp.assign_sdp_solution(inst, sol, l_in=cfg.l_in, t=cfg.t)
@@ -363,7 +363,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-bes", help="run the reduction to a separator instance and verify")
     _add_config_flags(p)
-    p.add_argument("--ug-file", help="reuse a serialized UG instance")
+    p.add_argument("--ug-file", help="check that this UG file is the configured instance")
     p.set_defaults(func=cmd_build_bes)
 
     p = sub.add_parser("verify", help="re-run invariant suites against serialized artifacts")

@@ -8,7 +8,7 @@ bit independently with probability eta, so the weight of an unordered pair
 
 Self-pairs (d = 0) carry mass (1-eta)^N in that probability experiment; they
 are excluded here (expansion and label-cover semantics ignore them) and the
-retained mass is renormalized by default. Edges are never materialized as a
+retained weights are scaled to total 1. Edges are never materialized as a
 list: the graph is its closed-form distance-weight profile.
 """
 
@@ -42,16 +42,14 @@ def typical_window(N: int, eta: float):
 class NoisyHypercube:
     """Noise graph on {-1,1}^N with optional distance window.
 
-    window is an inclusive (d_lo, d_hi) pair or None for no windowing.
-    With renormalized=True (default) the retained edge weights are scaled to
-    total 1; renormalized=False reproduces the raw probability-experiment
-    accounting in which the deleted mass is simply ignored.
+    window is an inclusive (d_lo, d_hi) pair or None for no windowing. The
+    retained edge weights total 1: the raw probability-experiment weights
+    are `weight_profile() * retained_mass()`.
     """
 
     N: int
     eta: float
     window: tuple | None = None
-    renormalized: bool = True
 
     def __post_init__(self):
         if self.N < 1:
@@ -78,11 +76,9 @@ class NoisyHypercube:
         return float(np.sum(np.where(self._retained(), mass, 0.0)))
 
     def weight_profile(self) -> np.ndarray:
-        """Per-pair weight indexed by distance d = 0..N (after window and
-        renormalization)."""
+        """Per-pair weight indexed by distance d = 0..N, after the window,
+        scaled so that the retained weights total 1."""
         d = np.arange(self.N + 1)
         w = 2.0 * 2.0 ** (-self.N) * self.eta**d * (1 - self.eta) ** (self.N - d)
         w = np.where(self._retained(), w, 0.0)
-        if self.renormalized:
-            w = w / self.retained_mass()
-        return w
+        return w / self.retained_mass()

@@ -19,7 +19,6 @@ from .simplex import SimplexResult, solve_lp
 __all__ = [
     "FiniteMetric",
     "NegativeTypeWitness",
-    "CutDecomposition",
     "DistortionResult",
     "RoundingResult",
     "is_negative_type",
@@ -36,6 +35,9 @@ __all__ = [
 ]
 
 LP_POINT_LIMIT = 12  # the cut-cone LP has 2^(n-1) - 1 cut columns: 2047 at 12 points
+# the METRIC reader's cap: `FiniteMetric`'s triangle check holds n^3 floats,
+# and `distortion --export` writes a 98 MB LP at 16 points
+METRIC_POINT_LIMIT = 16
 # the GRAPH reader's dense weights and demands, and each n x n temporary of
 # `_cut_sum`, take 8 MB at this cap: 16x the 64-vertex expanded k=2 graph
 GRAPH_VERTEX_LIMIT = 1024
@@ -111,14 +113,8 @@ def metric_from_gram(gram: np.ndarray) -> FiniteMetric:
 
 
 @dataclass
-class CutDecomposition:
-    cuts: list  # (frozenset of point indices, weight >= 0)
-
-
-@dataclass
 class DistortionResult:
     gamma: float
-    decomposition: CutDecomposition
     lp: SimplexResult
     certificate: dict
 
@@ -191,7 +187,7 @@ def l1_distortion_lp(metric: FiniteMetric) -> DistortionResult:
     classes = _zero_distance_classes(metric)
     if len(classes) < 2:
         return DistortionResult(
-            gamma=1.0, decomposition=CutDecomposition([]),
+            gamma=1.0,
             lp=SimplexResult(status="optimal", x=np.zeros(1), objective=1.0,
                              dual=np.zeros(0), reduced_costs=np.zeros(1)),
             certificate={"primal_feasibility": 0.0, "dual_feasibility": 0.0,
@@ -210,17 +206,8 @@ def l1_distortion_lp(metric: FiniteMetric) -> DistortionResult:
     res = solve_lp(c, A, b, start=start)
     if res.status != "optimal":
         raise ValueError(f"distortion LP did not solve: {res.status}")
-    weights = res.x[:-1]
-    decomposition = CutDecomposition(
-        [
-            (frozenset(p for ci in np.flatnonzero(bits[i]) for p in classes[ci]),
-             float(weights[i]))
-            for i in np.flatnonzero(weights > 1e-12)
-        ]
-    )
     return DistortionResult(
         gamma=float(res.x[-1]),
-        decomposition=decomposition,
         lp=res,
         certificate=res.certificate_residuals(c, A, b),
     )
@@ -259,15 +246,18 @@ def metric_to_text(metric: FiniteMetric) -> str:
 
 
 def metric_from_text(text: str) -> FiniteMetric:
-    """Inverse of `metric_to_text`: header `METRIC n`, then exactly n - 1
-    rows. A missing or extra row, a row of the wrong length or an
-    unparsable number raises ValueError naming the line."""
+    """Inverse of `metric_to_text`: header `METRIC n` with
+    1 <= n <= METRIC_POINT_LIMIT, then exactly n - 1 rows. A bad header, a
+    missing or extra row, a row of the wrong length or an unparsable number
+    raises ValueError naming the line."""
     lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     head = lines[0][1] if lines else []
     if len(head) != 2 or head[0] != "METRIC" or not head[1].isdigit() or int(head[1]) < 1:
         raise ValueError(f"line {lines[0][0] if lines else 1}: not a metric file: "
                          "expected header `METRIC n` with n >= 1")
     n = int(head[1])
+    if n > METRIC_POINT_LIMIT:
+        raise ValueError(f"line {lines[0][0]}: {n} points exceed the limit {METRIC_POINT_LIMIT}")
     if len(lines) > n:
         raise ValueError(f"line {lines[n][0]}: extra row, METRIC {n} has {n - 1} rows")
     if len(lines) < n:

@@ -53,7 +53,6 @@ __all__ = [
 ]
 
 PIPELINE_MAX_K = 3  # build_kv_instance lists every UG edge: about 10^6 at k = 4
-QUOTIENT_MAX_K = 4  # build_quotient's dense arrays: one entry per function
 BASIS_MAX_K = 5  # N = 2^k <= 32 keeps _triangle_violation's sweep in int8
 
 
@@ -69,14 +68,13 @@ def shift_masks(k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuotientStructure:
-    """Partition of all 2^(2^k) Boolean functions into classes closed under
-    character multiplication, with dense class_id/shift_id arrays."""
+    """The classes of the 2^(2^k) Boolean functions under character
+    multiplication, by representative: class i is {reps[i] ^ masks[s]},
+    and reps[i] ^ masks[s] is its member of shift s."""
 
     k: int
     masks: np.ndarray
     reps: np.ndarray
-    class_id: np.ndarray
-    shift_id: np.ndarray
 
     @property
     def N(self) -> int:
@@ -88,27 +86,14 @@ class QuotientStructure:
 
 
 def build_quotient(k: int) -> QuotientStructure:
-    """Partition with canonical representatives (numerically smallest code),
-    for 1 <= k <= QUOTIENT_MAX_K."""
-    if not 1 <= k <= QUOTIENT_MAX_K:
-        raise ValueError(f"k={k} outside [1, {QUOTIENT_MAX_K}]")
+    """Partition with canonical representatives (numerically smallest code
+    of each orbit, in increasing order), for 1 <= k <= PIPELINE_MAX_K."""
+    if not 1 <= k <= PIPELINE_MAX_K:
+        raise ValueError(f"k={k} outside [1, {PIPELINE_MAX_K}]")
     masks = shift_masks(k)
-    n = 1 << k
-    total = 1 << n
-    class_id = np.full(total, -1, dtype=np.int64)
-    shift_id = np.zeros(total, dtype=np.int64)
-    reps = []
-    for code in range(total):
-        if class_id[code] >= 0:
-            continue
-        orbit = np.uint64(code) ^ masks
-        class_id[orbit] = len(reps)
-        shift_id[orbit] = np.arange(n)
-        reps.append(code)
-    assert len(reps) == total // n
-    return QuotientStructure(
-        k, masks, np.array(reps, dtype=np.uint64), class_id, shift_id
-    )
+    codes = np.arange(1 << (1 << k), dtype=np.uint64)
+    reps = codes[(codes[:, None] ^ masks).min(axis=1) == codes]
+    return QuotientStructure(k, masks, reps)
 
 
 def build_kv_instance(k: int, eta: float, window: str = "typical"):
@@ -116,9 +101,9 @@ def build_kv_instance(k: int, eta: float, window: str = "typical"):
     for 1 <= k <= PIPELINE_MAX_K.
 
     window: "typical" for the [ceil(eta N/2), floor(2 eta N)] deletion
-    (renormalized), "none" to keep all distances. Returns (instance,
-    quotient, hypercube). The label-extended graph of the instance is
-    weighted-graph-isomorphic to the windowed hypercube.
+    (the kept weights rescaled to total 1), "none" to keep all distances.
+    Returns (instance, quotient, hypercube). The label-extended graph of
+    the instance is weighted-graph-isomorphic to the windowed hypercube.
     """
     if not 1 <= k <= PIPELINE_MAX_K:
         raise ValueError(f"k={k} outside [1, {PIPELINE_MAX_K}]")
@@ -135,7 +120,7 @@ def build_kv_instance(k: int, eta: float, window: str = "typical"):
         win = None
     else:
         raise ValueError(f"unknown window mode {window!r}")
-    cube = NoisyHypercube(N, eta, window=win, renormalized=True)
+    cube = NoisyHypercube(N, eta, window=win)
     profile = cube.weight_profile()
     m = q.num_classes
     # edge columns (v, w, shift c, weight); the permutation is XOR by c
@@ -154,7 +139,7 @@ def build_kv_instance(k: int, eta: float, window: str = "typical"):
         columns.append((np.full(keep.sum(), i), w[keep], shift[keep], weight[keep]))
     v, w, shift, weight = (np.concatenate(c) for c in zip(*columns))
     perm = shift[:, None] ^ shifts
-    u = UGInstance(m, N, v, w, weight, perm, regularity_tol=1e-9)
+    u = UGInstance(m, N, v, w, weight, perm)
     return u, q, cube
 
 
@@ -251,10 +236,8 @@ def ug_sdp_objective(u: UGInstance, sol: UGVectorSolution) -> float:
     m, N, _ = sol.basis.shape
     if u.num_labels != N or u.num_vertices != m:
         raise ValueError("solution shape does not match instance")
-    d = u.edge_distribution
-    perm = d.perms[d.table_of]
-    matched = base_gram(sol.basis)[d.v[:, None], perm, d.w[:, None], np.arange(N)] ** 2
-    return float(np.sum(d.weight * np.sum(matched, axis=1) / N))
+    matched = base_gram(sol.basis)[u.v[:, None], u.perm, u.w[:, None], np.arange(N)] ** 2
+    return float(np.sum(u.weight * np.sum(matched, axis=1) / N))
 
 
 @dataclass
@@ -282,13 +265,12 @@ def verify_ulc_properties(u: UGInstance, sol: UGVectorSolution,
     b = sol.basis.astype(np.int64)
     completeness = float(np.max(np.abs(b.transpose(0, 2, 1) @ b - N * np.eye(N)))) / N
     gram = base_gram(sol.basis)
-    d = u.edge_distribution
-    perm = d.perms[d.table_of]
+    perm = u.perm
     labels = np.arange(N)
     xor = labels[:, None] ^ labels[None, :]  # [j0, l]
     # j0 is matched iff perm[j0 ^ l] == perm[j0] ^ l for every l, with i0 = perm[j0]
     matched = np.all(perm[:, xor] == perm[:, :, None] ^ labels, axis=2)
-    inner = np.where(matched, gram[d.v[:, None], perm, d.w[:, None], labels], -np.inf)
+    inner = np.where(matched, gram[u.v[:, None], perm, u.w[:, None], labels], -np.inf)
     best = np.max(inner, axis=1)
     margin = float(np.min(best - (1 - 4 * eta)))
     return UlcPropertyReport(

@@ -244,8 +244,7 @@ def sdp_objective(inst: BESInstance, assign: BESVectorAssignment) -> float:
     d = inst.ug.edge_distribution
     if not np.array_equal(d.perms, np.arange(n) ^ d.perms[:, :1]):
         raise ValueError("sdp_objective needs XOR-shift edge permutations")
-    shifted = d.perms[d.table_of]
-    rows, group = np.unique(assign.cache.table[d.v[:, None], d.w[:, None], shifted],
+    rows, group = np.unique(assign.cache.table[d.v[:, None], d.w[:, None], inst.ug.perm],
                             axis=0, return_inverse=True)
     weights = np.bincount(group.ravel(), weights=d.weight)
     # each row's inner products and their powers are taken once per distinct

@@ -36,9 +36,10 @@ __all__ = [
 
 
 EXACT_LABEL_LIMIT = 8  # the one label cap: 2^N points per vertex (k <= 3 in the gap pipeline)
-# edges per dot step of `EdgeDistribution.disagreement`: at N = 8 its two
-# (128, 256) float64 operands take 0.5 MB, beside the 0.5 MB of the 254
-# distinct pulled rows at k = 3
+# edges per dot step of `EdgeDistribution.disagreement` (and per step of the
+# verifier's spectral acceptance): at N = 8 its two (128, 256) float64
+# operands take 0.5 MB, beside the 0.5 MB of the 254 distinct pulled rows
+# at k = 3
 DISAGREEMENT_CHUNK = 128
 # `EdgeDistribution.sample_disagreements` draws at most SAMPLE_BATCH queries
 # at a time, and their flip uniforms FLIP_ROWS rows at a time (0.25 MB of
@@ -392,17 +393,15 @@ def opt_exhaustive(u: UGInstance, budget: int = 10**8):
     count = u.num_labels**u.num_vertices
     if count > budget:
         raise BudgetExceededError(count, budget)
-    d = u.edge_distribution
-    edge_perms = d.perms[d.table_of]
-    edge_ids = np.arange(len(d.v))
+    edge_ids = np.arange(u.num_edges)
     place = u.num_labels ** np.arange(u.num_vertices, dtype=np.int64)
-    chunk = max(1, (1 << 20) // len(d.v))
+    chunk = max(1, (1 << 20) // u.num_edges)
     best_val = -1.0
     best = None
     for lo in range(0, count, chunk):
         lams = np.arange(lo, min(lo + chunk, count))[:, None] // place % u.num_labels
-        satisfied = lams[:, d.v] == edge_perms[edge_ids, lams[:, d.w]]
-        vals = np.cumsum(np.where(satisfied, d.weight, 0.0), axis=1)[:, -1]
+        satisfied = lams[:, u.v] == u.perm[edge_ids, lams[:, u.w]]
+        vals = np.cumsum(np.where(satisfied, u.weight, 0.0), axis=1)[:, -1]
         i = int(np.argmax(vals))  # the first maximum, as a strict > scan keeps
         if vals[i] > best_val:
             best_val = float(vals[i])

@@ -4,8 +4,8 @@
   hidden labeling of known value, the fixture most UG, verifier and
   separator tests run on.
 - `induced` and `cut_metric_combination`: the metric sum lambda_S delta_S
-  of explicit cuts, which builds l1-embeddable inputs for the distortion LP
-  and reads a decomposition back.
+  of explicit cuts, which builds l1-embeddable inputs for the distortion LP;
+  `lp_cuts` reads the cuts of a distortion LP solution back.
 - `graph_to_text`: the GRAPH writer that `cutgap.metrics.graph_from_text`
   reads, for the `round` inputs the tests build.
 - `apply_noise_operator`, `lp_norm`, `bonami_beckner_check` and
@@ -87,6 +87,25 @@ def induced(cuts, n: int) -> np.ndarray:
 def cut_metric_combination(n: int, cuts) -> FiniteMetric:
     """Metric sum lambda_S delta_S from explicit (members, weight) pairs."""
     return FiniteMetric(induced(cuts, n))
+
+
+def lp_cuts(metric: FiniteMetric, x) -> list:
+    """The (members, weight) cuts of positive weight in a solution x of
+    `cutgap.metrics.l1_distortion_lp`'s program (cut weights, then Gamma).
+
+    The program runs on the classes of points at distance zero, in order
+    of their first point; cut column code - 1 holds class c >= 1 iff bit
+    c - 1 of code is set, and a cut holds every point of its classes."""
+    d = metric.d
+    firsts = []
+    for p in range(metric.n):
+        if all(d[p, r] > 1e-12 for r in firsts):
+            firsts.append(p)
+    cls = [next(c for c, r in enumerate(firsts) if d[p, r] <= 1e-12) for p in range(metric.n)]
+    x = np.asarray(x)[:-1]
+    return [(frozenset(p for p in range(metric.n) if cls[p] and (code + 1) >> (cls[p] - 1) & 1),
+             float(x[code]))
+            for code in np.flatnonzero(x > 1e-12)]
 
 
 def graph_to_text(weights, demands) -> str:

@@ -30,6 +30,10 @@ paths against. None of them is used by the cutgap package itself.
   for the bincount routes of `cutgap.unique_games`.
 - `edge_rows`: a UG instance's edge columns read one edge at a time, the
   form the loop oracles walk.
+- `quotient_partition_loop`: the classes of the 2^N truth-table codes
+  under XOR by the character masks, one orbit at a time in code order,
+  with every code's class and shift, the oracle for the representatives
+  of `cutgap.quotient.build_quotient`.
 - `disagreement_one_gather` and `sdp_objective_per_row`: the exact cut
   weight as one gather of every edge's pulled row, and the tensored SDP
   objective with the inner products and their powers taken at every
@@ -107,6 +111,25 @@ def edge_rows(u) -> list:
     Python-int endpoints and Python-float weights."""
     return [EdgeRow(*row) for row in
             zip(u.v.tolist(), u.w.tolist(), u.perm, u.weight.tolist())]
+
+
+def quotient_partition_loop(masks):
+    """(reps, class_id, shift_id) for the 2^N codes, N = len(masks): each
+    code not yet placed opens a class as its representative, and code
+    rep ^ masks[s] gets that class and shift s."""
+    n = len(masks)
+    total = 1 << n
+    class_id = np.full(total, -1, dtype=np.int64)
+    shift_id = np.zeros(total, dtype=np.int64)
+    reps = []
+    for code in range(total):
+        if class_id[code] >= 0:
+            continue
+        orbit = np.uint64(code) ^ masks
+        class_id[orbit] = len(reps)
+        shift_id[orbit] = np.arange(n)
+        reps.append(code)
+    return np.array(reps, dtype=np.uint64), class_id, shift_id
 
 
 def character_table(k: int) -> np.ndarray:

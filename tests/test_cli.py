@@ -139,6 +139,31 @@ def test_build_bes_missing_ug_file(tmp_path, capsys):
     assert out.startswith("FAIL build-bes ") and "nope.txt" in out
 
 
+@pytest.mark.parametrize("ug_flags, bes_flags, named", [
+    (["--k", "2", "--eta", "0.3"], ["--k", "2", "--eta", "0.2"], "k=2 eta=0.2 window=typical"),
+    (["--k", "2", "--eta", "0.3", "--window", "none"], ["--k", "2", "--eta", "0.3"],
+     "k=2 eta=0.3 window=typical"),
+    (["--k", "1", "--eta", "0.3"], ["--k", "2", "--eta", "0.3"], "k=2 eta=0.3 window=typical"),
+], ids=["eta", "window", "k"])
+def test_build_bes_rejects_the_ug_file_of_another_instance(tmp_path, capsys, ug_flags,
+                                                           bes_flags, named):
+    # the file must be the configured instance byte for byte; a gap row of
+    # one instance must never be written under another's parameters
+    ug_file = tmp_path / "ug" / "ug_instance.txt"
+    # (with no window, build-ug writes the instance and then fails its
+    # closeness check)
+    main(["build-ug", *ug_flags, "--out", str(ug_file.parent)])
+    assert ug_file.exists()
+    capsys.readouterr()
+    out = tmp_path / "bes"
+    code = main(["build-bes", *bes_flags, "--epsilon", "0.3", "--ug-file", str(ug_file),
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"FAIL build-bes {ug_file} is not the UG instance of {named}"]
+    assert not out.exists()
+
+
 def test_build_seeds_follow_the_splitting_scheme(tmp_path, monkeypatch):
     # --budget-labelings 1 forces opt_search in both commands; each random
     # sub-run draws from its own derive_seed purpose code

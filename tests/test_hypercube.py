@@ -17,13 +17,12 @@ def enumerate_expansion(h, members):
         else 0.0
         for d in range(h.N + 1)
     ]
-    if h.renormalized:
-        total = sum(
-            math.comb(h.N, d) * h.eta**d * (1 - h.eta) ** (h.N - d)
-            for d in range(1, h.N + 1)
-            if h.window is None or h.window[0] <= d <= h.window[1]
-        )
-        profile = [w / total for w in profile]
+    total = sum(
+        math.comb(h.N, d) * h.eta**d * (1 - h.eta) ** (h.N - d)
+        for d in range(1, h.N + 1)
+        if h.window is None or h.window[0] <= d <= h.window[1]
+    )
+    profile = [w / total for w in profile]
     deg = sum(math.comb(h.N, d) * profile[d] for d in range(h.N + 1))
     leave = 0.0
     for f in members:
@@ -34,9 +33,9 @@ def enumerate_expansion(h, members):
 
 
 def test_pair_weight_hand_value():
-    h = NoisyHypercube(2, 0.25, renormalized=False)
-    # d = 1: 2 * 2^-2 * (1/4) * (3/4) = 3/32
-    assert abs(pair_weight(h, 0b00, 0b01) - 3 / 32) < 1e-15
+    h = NoisyHypercube(2, 0.25)
+    # raw weight at d = 1: 2 * 2^-2 * (1/4) * (3/4) = 3/32
+    assert abs(pair_weight(h, 0b00, 0b01) * h.retained_mass() - 3 / 32) < 1e-15
 
 
 def test_pair_weight_outside_window_is_zero():
@@ -51,11 +50,11 @@ def test_pair_weight_rejects_self_loop():
 
 
 def test_total_weight_binomial_sum():
-    # Unnormalized, no window: all pairs sum to 1 - (1-eta)^N.
-    h = NoisyHypercube(3, 0.1, renormalized=False)
+    # Raw weights, no window: all pairs sum to 1 - (1-eta)^N.
+    h = NoisyHypercube(3, 0.1)
     total = sum(
         pair_weight(h, f, g) for f in range(8) for g in range(8) if f < g
-    )
+    ) * h.retained_mass()
     assert abs(total - (1 - 0.9**3)) < 1e-12
 
 

@@ -19,7 +19,7 @@ from cutgap.metrics import (
 )
 from cutgap.quotient import build_kv_instance
 from cutgap.separator import build_bes
-from fixtures import cut_metric_combination, graph_to_text, induced
+from fixtures import cut_metric_combination, graph_to_text, induced, lp_cuts
 from oracles import local_search_sparsest_cut_via_sparsity, sparsity
 from test_golden_outputs import k2_graph
 
@@ -141,7 +141,7 @@ def test_distortion_on_random_cut_combinations():
         res = l1_distortion_lp(metric)
         assert abs(res.gamma - 1.0) < 1e-7, trial
         assert max(res.certificate.values()) < 1e-7
-        assert np.max(np.abs(induced(res.decomposition.cuts, n) - metric.d)) < 1e-6
+        assert np.max(np.abs(induced(lp_cuts(metric, res.lp.x), n) - metric.d)) < 1e-6
 
 
 def test_distortion_k23_exceeds_one():
@@ -185,6 +185,8 @@ def test_metric_text_round_trip():
     ("METRIC 2\n1\n5 5 5\n", "line 3: extra row"),
     ("METRIC 3\n1\n\n1 1 1\n", "line 4: expected 2 distances, got 3"),
     ("METRIC 3\n1\nx 1\n", "line 3: could not convert"),
+    # 17 points at unit distance: valid rows, one point past the cap
+    (metric_to_text(FiniteMetric(1 - np.eye(17))), "line 1: 17 points exceed the limit 16"),
 ])
 def test_metric_parser_names_the_bad_line(text, line):
     with pytest.raises(ValueError, match=line):

@@ -20,25 +20,32 @@ from cutgap.unique_games import (
 )
 
 from fixtures import hamming
-from oracles import edge_rows
+from oracles import edge_rows, quotient_partition_loop
 
 
 def test_quotient_k1_by_hand():
     q = build_quotient(1)
     # 4 functions on {-1,1}; chi_{1} has code 2, so classes are {0,2}, {1,3}
     assert q.num_classes == 2
-    assert sorted(int(r) for r in q.reps) == [0, 1]
-    assert (q.class_id[2], q.shift_id[2]) == (0, 1)  # 2 = 0 ^ mask_{1}
-    assert (q.class_id[3], q.shift_id[3]) == (1, 1)
+    assert [int(r) for r in q.reps] == [0, 1]
+    assert int(q.reps[0] ^ q.masks[1]) == 2
+    assert int(q.reps[1] ^ q.masks[1]) == 3
 
 
 def test_quotient_class_sizes_and_orthogonality():
-    for k in (2, 3):
+    for k in (1, 2, 3):
         q = build_quotient(k)
         n = q.N
         assert q.num_classes == (1 << n) // n
-        counts = np.bincount(q.class_id)
-        assert np.all(counts == n)
+        # the partition oracle opens the classes in the same order, and
+        # member s of class i is rep_i ^ masks[s]: N members per class,
+        # every code in exactly one class
+        reps, class_id, shift_id = quotient_partition_loop(q.masks)
+        assert np.array_equal(q.reps, reps)
+        members = q.reps[:, None] ^ q.masks
+        assert np.array_equal(class_id[members], np.repeat(np.arange(q.num_classes), n)
+                              .reshape(-1, n))
+        assert np.array_equal(shift_id[members], np.tile(np.arange(n), (q.num_classes, 1)))
         # members of one class are mutually orthogonal as +/-1 vectors
         sol = build_ug_sdp_solution(q)
         for i in (0, q.num_classes - 1):
@@ -47,27 +54,21 @@ def test_quotient_class_sizes_and_orthogonality():
 
 
 def test_quotient_closed_under_shifts():
+    # chi_S chi_T = chi_(S xor T): shifting member s of a class by t lands
+    # on its member s ^ t, so the class is closed under shifts
     q = build_quotient(3)
     rng = np.random.default_rng(0)
     for _ in range(50):
-        code = int(rng.integers(0, 1 << 8))
-        s = int(rng.integers(0, 8))
-        shifted = code ^ int(q.masks[s])
-        assert q.class_id[code] == q.class_id[shifted]
-
-
-def test_quotient_k5_is_gated_and_lazy():
-    # k = 5 is past the cap; the largest dense quotient still round-trips
-    with pytest.raises(ValueError, match=r"k=5 outside \[1, 4\]"):
-        build_quotient(5)
-    q = build_quotient(qt.QUOTIENT_MAX_K)
-    cls, s = int(q.class_id[12345]), int(q.shift_id[12345])
-    assert 12345 == cls ^ int(q.masks[s])
-    assert q.shift_id[cls] == 0
+        i = int(rng.integers(0, q.num_classes))
+        s, t = (int(x) for x in rng.integers(0, 8, size=2))
+        assert q.reps[i] ^ q.masks[s] ^ q.masks[t] == q.reps[i] ^ q.masks[s ^ t]
 
 
 def test_quotient_rejects_out_of_range():
-    # k = 5 has 2^32 functions, past the dense arrays' cap
+    # the quotient stops where the instance builder does: k = 4 would list
+    # about 10^6 UG edges
+    with pytest.raises(ValueError, match=r"^k=4 outside \[1, 3\]$"):
+        build_quotient(qt.PIPELINE_MAX_K + 1)
     for k in (0, 5, 6):
         with pytest.raises(ValueError):
             build_quotient(k)
