@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,23 @@ def test_quotient_closed_under_shifts():
         i = int(rng.integers(0, q.num_classes))
         s, t = (int(x) for x in rng.integers(0, 8, size=2))
         assert q.reps[i] ^ q.masks[s] ^ q.masks[t] == q.reps[i] ^ q.masks[s ^ t]
+
+
+def test_quotient_k5_is_gated_and_lazy():
+    # k = 5 is past the cap; the largest quotient keeps only its
+    # representatives, and a code still round-trips through (class, shift):
+    # its orbit's minimum is its class's representative
+    with pytest.raises(ValueError, match=r"^k=5 outside \[1, 3\]$"):
+        build_quotient(5)
+    q = build_quotient(qt.PIPELINE_MAX_K)
+    assert [f.name for f in fields(q)] == ["k", "masks", "reps"]
+    code = 123
+    orbit = np.uint64(code) ^ q.masks
+    s = int(np.argmin(orbit))
+    cls = int(np.searchsorted(q.reps, orbit[s]))
+    assert q.reps[cls] == orbit[s]
+    assert int(q.reps[cls] ^ q.masks[s]) == code
+    assert int(q.masks[0]) == 0  # a representative is its own shift 0
 
 
 def test_quotient_rejects_out_of_range():
