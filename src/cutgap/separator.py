@@ -131,25 +131,16 @@ def demand_cut(inst: BESInstance, cut) -> float:
 
 
 @functools.cache
-def _shift_correlations(n_bits: int) -> np.ndarray:
-    """C[x, y, d] = sum_s x_s y_(s xor d) over the +/-1 coordinates of the
-    points x, y of a block (n_bits a power of two), read-only."""
-    signs = dictator_tables(np.arange(n_bits), n_bits).T.astype(np.float64)  # [x, s] = x_s
-    s = np.arange(n_bits)
-    shifted = signs[:, s[:, None] ^ s[None, :]]  # [y, s, d] = y_(s xor d)
-    corr = np.tensordot(signs, shifted, axes=([1], [1]))
-    corr.setflags(write=False)
-    return corr
-
-
-@functools.cache
 def _distinct_correlations(n_bits: int):
-    """The distinct vectors among C[x, y, :] and, per (x, y), the index of its
-    vector; read-only, found by an integer code (entries lie in [-N, N])."""
-    corr = _shift_correlations(n_bits).reshape(-1, n_bits)
+    """The distinct vectors C[x, y, :], C[x, y, d] = sum_s x_s y_(s xor d), over
+    the points x, y of a block (n_bits a power of two), and per (x, y) its
+    vector's index; read-only, found by an integer code (entries in [-N, N])."""
+    s = np.arange(n_bits)
+    signs = dictator_tables(s, n_bits).T  # int8 [x, s] = x_s; the second factor is y_(s xor d)
+    corr = np.tensordot(signs, signs[:, s[:, None] ^ s], axes=([1], [1])).reshape(-1, n_bits)
     code = (corr.astype(np.int64) + n_bits) @ (2 * n_bits + 1) ** np.arange(n_bits)
     _, first, spread = np.unique(code, return_index=True, return_inverse=True)
-    out = corr[first], spread.reshape(1 << n_bits, -1)
+    out = corr[first].astype(np.float64), spread.reshape(1 << n_bits, -1)
     for a in out:
         a.setflags(write=False)
     return out
@@ -178,17 +169,15 @@ class BESVectorAssignment:
     ((1/sqrt(N)) sum_i x_i u_{v,i}^(tensor l_in))^(tensor t) of the sign
     pattern x (see `cutgap.tensor`).
 
-    With the Gram table of the basis, a base inner product is
-    base((v, x), (w, y)) = C[x, y] . table[v, w] / N for the shift
-    correlations C of the sign patterns, so no tensor and no per-pair Gram
-    block is ever formed.
+    A base inner product is base((v, x), (w, y)) = C[x, y] . table[v, w] / N
+    for the shift correlations C of the sign patterns, read from their
+    distinct vectors: no tensor, dense C or per-pair Gram block is formed.
     """
 
     inst: BESInstance
     cache: GramCache
     l_in: int
     t: int
-    corr: np.ndarray  # (2^N, 2^N, N) shift correlations C of the sign patterns
 
     def base_gram_block(self, v: int, w: int) -> np.ndarray:
         """(2^N, 2^N) base inner products between two whole blocks, each
@@ -200,7 +189,8 @@ class BESVectorAssignment:
         """Vectorized base inner products for flat vertex id pairs."""
         av, ax = np.divmod(np.asarray(a_ids), self.inst.block_size)
         bv, bx = np.divmod(np.asarray(b_ids), self.inst.block_size)
-        out = np.einsum("bd,bd->b", self.corr[ax, bx], self.cache.table[av, bv])
+        distinct, spread = _distinct_correlations(self.cache.N)
+        out = np.einsum("bd,bd->b", distinct[spread[ax, bx]], self.cache.table[av, bv])
         return np.clip(out / self.cache.N, -1.0, 1.0)
 
 
@@ -210,10 +200,16 @@ def assign_sdp_solution(inst: BESInstance, sol: UGVectorSolution,
         raise ValueError("solution shape does not match instance")
     if l_in > INNER_POWER_LIMIT:
         raise ValueError(f"l_in={l_in} exceeds INNER_POWER_LIMIT={INNER_POWER_LIMIT}")
-    return BESVectorAssignment(
-        inst, GramCache(sol.basis, l_in=l_in), l_in, t,
-        _shift_correlations(inst.ug.num_labels),
-    )
+    return BESVectorAssignment(inst, GramCache(sol.basis, l_in=l_in), l_in, t)
+
+
+def _distinct_rows(assign: BESVectorAssignment):
+    """The sorted distinct rows of the Gram table, each block pair's row as
+    an (m, m) index array, and inner[r, j] = rows[r] . distinct[j] / N; found
+    on every call, since a table may change between calls."""
+    m, n = assign.inst.num_blocks, assign.cache.N
+    rows, row_of = np.unique(assign.cache.table.reshape(m * m, -1), axis=0, return_inverse=True)
+    return rows, row_of.reshape(m, m), rows @ _distinct_correlations(n)[0].T / n
 
 
 @functools.cache
@@ -244,9 +240,13 @@ def sdp_objective(inst: BESInstance, assign: BESVectorAssignment) -> float:
     d = inst.ug.edge_distribution
     if not np.array_equal(d.perms, np.arange(n) ^ d.perms[:, :1]):
         raise ValueError("sdp_objective needs XOR-shift edge permutations")
-    rows, group = np.unique(assign.cache.table[d.v[:, None], d.w[:, None], inst.ug.perm],
-                            axis=0, return_inverse=True)
-    weights = np.bincount(group.ravel(), weights=d.weight)
+    table_rows, row_of, _ = _distinct_rows(assign)
+    # 118 (table row, shift) keys at k = 3, whose 28 distinct shifted rows sort as every edge's
+    keys, key_of = np.unique(row_of[d.v, d.w] * n + inst.ug.perm[:, 0], return_inverse=True)
+    r, c = np.divmod(keys, n)
+    rows, group = np.unique(table_rows[r[:, None], np.arange(n) ^ c[:, None]], axis=0,
+                            return_inverse=True)
+    weights = np.bincount(group.ravel()[key_of], weights=d.weight)
     # each row's inner products and their powers are taken once per distinct
     # correlation vector C[x, y', :], then spread back over (x, y')
     distinct, spread = _distinct_correlations(n)
@@ -319,11 +319,8 @@ def check_bes_feasibility(inst: BESInstance, assign: BESVectorAssignment) -> BES
     size = inst.block_size
     m = inst.num_blocks
     n = assign.cache.N
-    rows, row_of = np.unique(assign.cache.table.reshape(m * m, -1), axis=0,
-                             return_inverse=True)
-    row_of = row_of.reshape(m, m)
-    distinct, spread = _distinct_correlations(n)
-    inner = rows @ distinct.T / n  # [r, j] = row r's inner product at vector j
+    _, row_of, inner = _distinct_rows(assign)
+    spread = _distinct_correlations(n)[1]
 
     # (a)-(c) per distinct diagonal row, weighted by the blocks that carry it
     norm_res = ws_res = balance_lhs = 0.0

@@ -499,9 +499,12 @@ def ug_to_text(u: UGInstance) -> str:
     `v w weight pi(0) ... pi(N-1)` with 17-significant-digit weights."""
     d = u.edge_distribution
     perm_text = [" ".join(map(str, p)) for p in d.perms.tolist()]
+    # each distinct weight is formatted once (by its bits: -0.0 keeps its sign)
+    _, first, weight_of = np.unique(d.weight.view(np.int64), return_index=True, return_inverse=True)
+    weight_text = [f"{w:.17g}" for w in d.weight[first].tolist()]
     lines = [f"UG {u.num_labels} {u.num_vertices} {u.num_edges}"]
-    lines += [f"{v} {w} {weight:.17g} {perm_text[p]}" for v, w, weight, p in
-              zip(d.v.tolist(), d.w.tolist(), d.weight.tolist(), d.table_of.tolist())]
+    lines += [f"{v} {w} {weight_text[i]} {perm_text[p]}" for v, w, i, p in
+              zip(d.v.tolist(), d.w.tolist(), weight_of.tolist(), d.table_of.tolist())]
     return "\n".join(lines) + "\n"
 
 

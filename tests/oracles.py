@@ -29,7 +29,9 @@ paths against. None of them is used by the cutgap package itself.
   and the expansion of a labeling's set walked over that dict, the oracles
   for the bincount routes of `cutgap.unique_games`.
 - `edge_rows`: a UG instance's edge columns read one edge at a time, the
-  form the loop oracles walk.
+  form the loop oracles walk; `ug_text_per_edge`, the UG file written one
+  edge at a time from them, each weight formatted where it stands, the
+  oracle for `cutgap.unique_games.ug_to_text`.
 - `quotient_partition_loop`: the classes of the 2^N truth-table codes
   under XOR by the character masks, one orbit at a time in code order,
   with every code's class and shift, the oracle for the representatives
@@ -49,6 +51,10 @@ paths against. None of them is used by the cutgap package itself.
   balance by `piecewise_balance` of the whole flipped cut, the oracle that
   the gain bookkeeping of `cutgap.separator.balanced_cut_search` must
   match bit for bit.
+- `shift_correlations`: the dense (2^N, 2^N, N) float64 tensor of the
+  shift correlations C[x, y, d] = sum_s x_s y_(s xor d), which the
+  separator only ever holds as its distinct vectors, for the per-point
+  oracles here and in the tests.
 - `base_gram_block_per_pair`, `triangle_sweep_half` and
   `check_bes_feasibility_per_pair`: a block pair's base Gram as one
   product C[x, y] . table[v, w] / N per point pair, the triangle sweep with
@@ -74,6 +80,7 @@ paths against. None of them is used by the cutgap package itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -111,6 +118,15 @@ def edge_rows(u) -> list:
     Python-int endpoints and Python-float weights."""
     return [EdgeRow(*row) for row in
             zip(u.v.tolist(), u.w.tolist(), u.perm, u.weight.tolist())]
+
+
+def ug_text_per_edge(u) -> str:
+    """The UG file of `u`: its header, then one `v w weight perm` line per
+    edge, each weight formatted on its own line."""
+    lines = [f"UG {u.num_labels} {u.num_vertices} {u.num_edges}"]
+    lines += [f"{e.v} {e.w} {e.weight:.17g} {' '.join(map(str, e.perm.tolist()))}"
+              for e in edge_rows(u)]
+    return "\n".join(lines) + "\n"
 
 
 def quotient_partition_loop(masks):
@@ -405,9 +421,10 @@ def sdp_objective_per_row(inst, assign) -> float:
     rows, group = np.unique(assign.cache.table[d.v[:, None], d.w[:, None], shifted],
                             axis=0, return_inverse=True)
     weights = np.bincount(group.ravel(), weights=d.weight)
+    corr = shift_correlations(n)
     mean_inner = 0.0
     for row, weight in zip(rows, weights):
-        q = np.clip(assign.corr @ row / assign.cache.N, -1.0, 1.0)
+        q = np.clip(corr @ row / assign.cache.N, -1.0, 1.0)
         mean_inner += weight * float(np.sum(w_noise * q**assign.t))
     return (1.0 - mean_inner) / 2.0
 
@@ -473,10 +490,25 @@ def balanced_cut_search_per_trial(inst, theta: float = 5.0 / 6.0, seed: int = 0,
     )
 
 
+@functools.cache
+def shift_correlations(n_bits: int) -> np.ndarray:
+    """C[x, y, d] = sum_s x_s y_(s xor d) as float64, one shift d at a
+    time, over the coordinates x_s = 1 - 2 (bit s of x) of the points of a
+    block (n_bits a power of two), read-only."""
+    size = 1 << n_bits
+    s = np.arange(n_bits)
+    signs = 1 - 2 * ((np.arange(size)[:, None] >> s) & 1)  # [x, s] = x_s
+    corr = np.zeros((size, size, n_bits))
+    for d in range(n_bits):
+        corr[:, :, d] = signs @ signs[:, s ^ d].T
+    corr.setflags(write=False)
+    return corr
+
+
 def base_gram_block_per_pair(assign, v: int, w: int) -> np.ndarray:
     """(2^N, 2^N) base inner products of blocks v and w, one product
     C[x, y] . table[v, w] / N per point pair."""
-    return assign.corr @ assign.cache.table[v, w] / assign.cache.N
+    return shift_correlations(assign.cache.N) @ assign.cache.table[v, w] / assign.cache.N
 
 
 def triangle_sweep_half(ac, bc, ab) -> int:

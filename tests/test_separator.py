@@ -16,7 +16,6 @@ from cutgap.separator import (
     _majority_cut,
     _orbit_representatives,
     _random_balanced_cut,
-    _shift_correlations,
     assign_sdp_solution,
     balanced_cut_search,
     bes_to_text,
@@ -55,6 +54,7 @@ from oracles import (
     edge_rows,
     sample_disagreements_choice,
     sdp_objective_per_row,
+    shift_correlations,
     triangle_sweep_half,
 )
 
@@ -257,7 +257,8 @@ def test_sdp_objective_grows_with_outer_power():
 def brute_force_triangle(assign):
     """Oracle: the worst term g(a, c) + g(b, c) - 1 - g(a, b) over every
     ordered triple of the full base Gram, or 0 when none is positive."""
-    g = np.einsum("xyd,vwd->vxwy", assign.corr, assign.cache.table) / assign.cache.N
+    corr = shift_correlations(assign.cache.N)
+    g = np.einsum("xyd,vwd->vxwy", corr, assign.cache.table) / assign.cache.N
     g = g.reshape(assign.inst.num_vertices, -1)
     viol = (g[:, None, :] + g[None, :, :]) - (1.0 + g[:, :, None])
     return max(float(np.max(viol)), 0.0)
@@ -281,8 +282,7 @@ def planted_row_fixture(seed, m=5, n=4, l_in=8):
         for w in range(v + 1, m):
             if rng.random() < 0.5:
                 table[v, w] = table[w, v] = pool[rng.integers(3)]
-    return BESVectorAssignment(build_bes(u, 0.2), SimpleNamespace(table=table, N=n), l_in, 1,
-                               _shift_correlations(n))
+    return BESVectorAssignment(build_bes(u, 0.2), SimpleNamespace(table=table, N=n), l_in, 1)
 
 
 def test_bes_feasibility_k2_exact():
@@ -656,8 +656,7 @@ def test_within_block_sweep_reads_each_blocks_gram():
     table = np.zeros((6, 6, 4))
     table[np.arange(6), np.arange(6), 0] = 1.0
     table[2, 2, 0] = -1.0
-    assign = BESVectorAssignment(inst, SimpleNamespace(table=table, N=4), 8, 1,
-                                 _shift_correlations(4))
+    assign = BESVectorAssignment(inst, SimpleNamespace(table=table, N=4), 8, 1)
     rep = check_bes_feasibility(inst, assign)
     assert rep.triangle_violation == brute_force_triangle(assign) == 2.0
     assert rep.triples_checked == 96**3
@@ -705,14 +704,20 @@ def test_chunked_cut_weight_general_permutations_partial_chunk():
     assert_cut_weights_match_one_gather(inst, seeded_cuts(inst, seed=5) + [dictator_cut(inst, hidden)])
 
 
-@pytest.mark.parametrize("k, eta, eps", GRID_K2 + POINTS_K3)
-def test_distinct_correlation_objective_is_the_per_row_loop_bit_for_bit(k, eta, eps):
-    u, q, _ = build_kv_instance(k, eta)
+@pytest.mark.parametrize("k, eta, eps, window", [
+    *(pytest.param(k, eta, eps, "typical", id=f"{k}-{eta}-{eps}")
+      for k, eta, eps in GRID_K2 + POINTS_K3),
+    *(pytest.param(k, eta, eps, "none", id=f"{k}-{eta}-{eps}-none")
+      for k, eta, eps in [(2, 0.3, 0.3), (2, 0.15, 0.45), (3, 0.3, 0.3), (3, 0.1, 0.2)]),
+])
+def test_distinct_correlation_objective_is_the_per_row_loop_bit_for_bit(k, eta, eps, window):
+    u, q, _ = build_kv_instance(k, eta, window=window)
     inst = build_bes(u, eps)
     sol = build_ug_sdp_solution(q)
-    for t in (1, 3, 5):
-        assign = assign_sdp_solution(inst, sol, t=t)
-        assert sdp_objective(inst, assign) == sdp_objective_per_row(inst, assign), t
+    for l_in in (2, 8, 16):
+        for t in (1, 3, 5):
+            assign = assign_sdp_solution(inst, sol, l_in=l_in, t=t)
+            assert sdp_objective(inst, assign) == sdp_objective_per_row(inst, assign), (l_in, t)
 
 
 def assert_same_search(res, ref):
@@ -867,11 +872,30 @@ def test_orbit_representatives_cover_every_point_once(n, orbits):
 
 def test_shift_correlations_are_kept_by_shifts_and_the_complement():
     n = 8
-    corr = _shift_correlations(n)
+    corr = shift_correlations(n)
+    spread = sp._distinct_correlations(n)[1]
     signs = signs_of_points(n).astype(np.int64)
     s = np.arange(n)
     for g in [sign_image(n, signs[:, s ^ c]) for c in range(n)] + [sign_image(n, -signs)]:
         assert np.array_equal(corr[np.ix_(g, g)], corr)
+        assert np.array_equal(spread[np.ix_(g, g)], spread)
+
+
+@pytest.mark.parametrize("n, vectors", [(1, 2), (2, 5), (4, 25), (8, 1425)])
+def test_distinct_correlations_spread_to_the_dense_tensor(n, vectors):
+    distinct, spread = sp._distinct_correlations(n)
+    assert len(distinct) == vectors == len(np.unique(distinct, axis=0))
+    assert np.array_equal(distinct[spread], shift_correlations(n))
+
+
+def test_assignment_holds_no_dense_correlation_tensor():
+    # the (2^N, 2^N, N) shift correlations are 4 MiB of float64 at k = 3;
+    # the assignment and its Gram cache hold only m * m * N table entries
+    _, _, inst, assign = kv_fixture(k=3)
+    dense = inst.block_size**2 * inst.ug.num_labels
+    held = [a for obj in (assign, assign.cache) for a in vars(obj).values()
+            if isinstance(a, np.ndarray)]
+    assert held and all(a.size < dense for a in held)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
@@ -879,7 +903,7 @@ def test_orbit_sweep_is_the_half_sweep_on_random_integer_tables(n):
     # a Gram C . row of any integer rows is kept by the orbit group, so the
     # orbit representatives find the same worst term as half a block
     rng = np.random.default_rng(31 + n)
-    corr = _shift_correlations(n).astype(np.int64)
+    corr = shift_correlations(n).astype(np.int64)
     for trial in range(6):
         ac, bc, ab = (corr @ rng.integers(-9, 10, size=n) for _ in range(3))
         worst = triangle_sweep(ac, bc, ab, _orbit_representatives(n))
@@ -905,8 +929,15 @@ def assert_check_is_the_per_pair_oracle(assign):
     # one block pair per distinct row (pairs that share a row share a Gram)
     m = inst.num_blocks
     _, first = np.unique(assign.cache.table.reshape(m * m, -1), axis=0, return_index=True)
+    points = np.arange(inst.block_size)
     for v, w in (divmod(int(f), m) for f in first):
-        assert np.array_equal(assign.base_gram_block(v, w), base_gram_block_per_pair(assign, v, w))
+        gram = base_gram_block_per_pair(assign, v, w)
+        assert np.array_equal(assign.base_gram_block(v, w), gram)
+        # every point pair of the two blocks by flat id, with ==
+        a_ids, b_ids = np.meshgrid(v * inst.block_size + points, w * inst.block_size + points,
+                                   indexing="ij")
+        flat = assign.base_inner_flat(a_ids.ravel(), b_ids.ravel())
+        assert np.array_equal(flat.reshape(gram.shape), gram)
     return rep
 
 

@@ -31,6 +31,7 @@ from oracles import (
     opt_exhaustive_loop,
     opt_search_loop,
     sample_disagreements_choice,
+    ug_text_per_edge,
 )
 
 
@@ -252,9 +253,28 @@ def test_planted_instances_are_exactly_regular(num_vertices, num_labels, eta, de
     degree = np.bincount(np.concatenate([u.v, u.w]), weights=np.tile(u.weight, 2),
                          minlength=num_vertices)
     assert degree.max() - degree.min() == 0.0
-    back = ug_from_text(ug_to_text(u))
+    text = ug_to_text(u)
+    assert text == ug_text_per_edge(u)
+    back = ug_from_text(text)
     assert np.array_equal(back.v, u.v) and np.array_equal(back.w, u.w)
     assert np.array_equal(back.weight, u.weight) and np.array_equal(back.perm, u.perm)
+
+
+@pytest.mark.parametrize("k, eta, window", [
+    (1, 0.3, "typical"), (1, 0.3, "none"), (2, 0.2, "typical"), (2, 0.3, "typical"),
+    (2, 0.3, "none"), (3, 0.1, "typical"), (3, 0.3, "typical"), (3, 0.3, "none"),
+])
+def test_text_formats_each_weight_as_the_per_edge_loop(k, eta, window):
+    u = build_kv_instance(k, eta, window=window)[0]
+    assert ug_to_text(u) == ug_text_per_edge(u)
+
+
+def test_text_keeps_the_sign_of_a_zero_weight():
+    # 0.0 and -0.0 are equal floats but print as "0" and "-0"
+    u = UGInstance(2, 2, [0, 1, 0, 1], [1, 0, 1, 0], [0.5, 0.5, 0.0, -0.0],
+                   [[0, 1], [1, 0], [0, 1], [1, 0]])
+    assert ug_to_text(u) == ug_text_per_edge(u) == \
+        "UG 2 2 4\n0 1 0.5 0 1\n1 0 0.5 1 0\n0 1 0 0 1\n1 0 -0 1 0\n"
 
 
 def test_from_text_rejects_garbage():
