@@ -146,13 +146,23 @@ def cmd_build_ug(args) -> int:
     return 1 if failures else 0
 
 
+def _sdp_checks(inst, assign):
+    """The separator SDP's feasibility report and objective, both read from
+    one finding of the Gram table's distinct rows."""
+    table_rows = sp._distinct_rows(assign)
+    return (sp.check_bes_feasibility(inst, assign, table_rows),
+            sp.sdp_objective(inst, assign, table_rows))
+
+
 def cmd_build_bes(args) -> int:
     cfg = _load_config(args)
     inst_ug, quot, _ = qt.build_kv_instance(cfg.k, cfg.eta, window=cfg.window)
+    ug_text = None
     if args.ug_file:
         # the file must be the instance this config builds, as build-ug wrote it
+        ug_text = ug.ug_to_text(inst_ug)
         with open(args.ug_file) as fh:
-            if fh.read() != ug.ug_to_text(inst_ug):
+            if fh.read() != ug_text:
                 return _fail("build-bes", f"{args.ug_file} is not the UG instance of "
                              f"k={cfg.k} eta={cfg.eta!r} window={cfg.window}")
     sol = qt.build_ug_sdp_solution(quot)
@@ -160,10 +170,11 @@ def cmd_build_bes(args) -> int:
     assign = sp.assign_sdp_solution(inst, sol, l_in=cfg.l_in, t=cfg.t)
     out = cfg.out
 
-    _write(os.path.join(out, "bes_instance.txt"), sp.bes_to_text(inst))
+    _write(os.path.join(out, "bes_instance.txt"), sp.bes_to_text(inst, ug_text=ug_text))
+    del ug_text  # not held through the checks and the cut search
 
     failures = []
-    feas = sp.check_bes_feasibility(inst, assign)
+    feas, objective = _sdp_checks(inst, assign)
     tol = 1e-9
     if feas.unit_norm_residual > tol:
         failures.append(("unit_norms", feas.unit_norm_residual))
@@ -174,7 +185,6 @@ def cmd_build_bes(args) -> int:
     if feas.triangle_violation > tol:
         failures.append(("triangle", feas.triangle_violation))
 
-    objective = sp.sdp_objective(inst, assign)
     lam, _, _ = _best_labeling(inst_ug, cfg)
     search = sp.balanced_cut_search(
         inst,

@@ -10,8 +10,9 @@ a uniform x and an epsilon-biased flip pattern mu produces the edge
 wt(e) * 2^-N * eps^|mu-| * (1-eps)^(N-|mu-|). This is the two-query Long
 Code test's query distribution, and cut weights read it from the UG
 instance's shared `EdgeDistribution`: the exact path is one noise-kernel
-pass over all blocks and one gather-dot over all edges, and the Monte Carlo
-path samples (e, x, mu) directly. Edges are never materialized.
+pass over the distinct blocks and one dot product per distinct pair of
+rows an edge reads, and the Monte Carlo path samples (e, x, mu) directly.
+Edges are never materialized.
 
 Demands are 1 for every unordered pair inside a block and 0 across blocks;
 D = m * C(2^N, 2) and the balance parameter is B = D / 2.
@@ -205,8 +206,10 @@ def assign_sdp_solution(inst: BESInstance, sol: UGVectorSolution,
 
 def _distinct_rows(assign: BESVectorAssignment):
     """The sorted distinct rows of the Gram table, each block pair's row as
-    an (m, m) index array, and inner[r, j] = rows[r] . distinct[j] / N; found
-    on every call, since a table may change between calls."""
+    an (m, m) index array, and inner[r, j] = rows[r] . distinct[j] / N. Not
+    kept on the assignment, since a table may change between calls: a
+    caller that runs both checks on one table finds them once and passes
+    them to both."""
     m, n = assign.inst.num_blocks, assign.cache.N
     rows, row_of = np.unique(assign.cache.table.reshape(m * m, -1), axis=0, return_inverse=True)
     return rows, row_of.reshape(m, m), rows @ _distinct_correlations(n)[0].T / n
@@ -221,7 +224,8 @@ def _distance_matrix(n_bits: int) -> np.ndarray:
     return dist
 
 
-def sdp_objective(inst: BESInstance, assign: BESVectorAssignment) -> float:
+def sdp_objective(inst: BESInstance, assign: BESVectorAssignment,
+                  table_rows=None) -> float:
     """(1/4) E[ ||V_a - V_b||^2 ] over the edge distribution, by exact
     enumeration of (x, mu) per UG edge. Comparable directly with cut weights
     (a +/-v0 cut solution scores exactly its cut weight), within two limits:
@@ -231,7 +235,8 @@ def sdp_objective(inst: BESInstance, assign: BESVectorAssignment) -> float:
     An edge of XOR shift c pairs (v, x) with (w, y), y_i = y'_(i xor c), and
     base((v,x),(w,y)) = sum_d C[x, y', d] table[v, w, d xor c] / N; edges
     with the same shifted table row give the same term, so each distinct
-    row is evaluated once with the summed weight of its edges.
+    row is evaluated once with the summed weight of its edges. `table_rows`
+    is the table's `_distinct_rows`, found here when not given.
     """
     n = inst.ug.num_labels
     eps = inst.epsilon
@@ -240,7 +245,7 @@ def sdp_objective(inst: BESInstance, assign: BESVectorAssignment) -> float:
     d = inst.ug.edge_distribution
     if not np.array_equal(d.perms, np.arange(n) ^ d.perms[:, :1]):
         raise ValueError("sdp_objective needs XOR-shift edge permutations")
-    table_rows, row_of, _ = _distinct_rows(assign)
+    table_rows, row_of, _ = table_rows or _distinct_rows(assign)
     # 118 (table row, shift) keys at k = 3, whose 28 distinct shifted rows sort as every edge's
     keys, key_of = np.unique(row_of[d.v, d.w] * n + inst.ug.perm[:, 0], return_inverse=True)
     r, c = np.divmod(keys, n)
@@ -289,7 +294,8 @@ class BESFeasibilityReport:
         return self.balance_lhs >= self.balance_required - 1e-9
 
 
-def check_bes_feasibility(inst: BESInstance, assign: BESVectorAssignment) -> BESFeasibilityReport:
+def check_bes_feasibility(inst: BESInstance, assign: BESVectorAssignment,
+                          table_rows=None) -> BESFeasibilityReport:
     """Unit norms, the per-block well-separatedness identity, the demand
     balance constraint, and the triangle inequality over every ordered
     triple.
@@ -315,11 +321,12 @@ def check_bes_feasibility(inst: BESInstance, assign: BESVectorAssignment) -> BES
     shifts and the complement of `_orbit_representatives` keep every Gram
     entry, so the first point of a triple runs over one point per orbit
     (30 of 256 at N = 8). The unit norms the bound relies on are check (a).
+    `table_rows` is the table's `_distinct_rows`, found here when not given.
     """
     size = inst.block_size
     m = inst.num_blocks
     n = assign.cache.N
-    _, row_of, inner = _distinct_rows(assign)
+    _, row_of, inner = table_rows or _distinct_rows(assign)
     spread = _distinct_correlations(n)[1]
 
     # (a)-(c) per distinct diagonal row, weighted by the blocks that carry it
@@ -545,16 +552,18 @@ def balanced_cut_search(inst: BESInstance, seed: int = 0, labelings=None,
     )
 
 
-def bes_to_text(inst: BESInstance, expanded: bool | None = None) -> str:
+def bes_to_text(inst: BESInstance, expanded: bool | None = None,
+                ug_text: str | None = None) -> str:
     """Header `BES m N epsilon <mode>`; expanded mode lists every realized
     edge as `v x w y weight` (only for <= 4-label instances), params mode
-    embeds the generating UG instance."""
+    embeds the generating UG instance, `ug_text` when the caller already
+    holds its `ug_to_text`."""
     if expanded is None:
         expanded = inst.ug.num_labels <= 4
     mode = "expanded" if expanded else "params"
     head = f"BES {inst.num_blocks} {inst.ug.num_labels} {inst.epsilon:.17g} {mode}"
     if not expanded:
-        return head + "\n" + ug_to_text(inst.ug)
+        return head + "\n" + (ug_to_text(inst.ug) if ug_text is None else ug_text)
     if inst.ug.num_labels > 4:
         raise ValueError("expanded export limited to 4-label instances")
     n = inst.ug.num_labels

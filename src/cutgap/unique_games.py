@@ -24,6 +24,8 @@ __all__ = [
     "Incidence",
     "Guide",
     "Pulls",
+    "RowKeys",
+    "distinct_rows",
     "BudgetExceededError",
     "value",
     "opt_exhaustive",
@@ -36,11 +38,6 @@ __all__ = [
 
 
 EXACT_LABEL_LIMIT = 8  # the one label cap: 2^N points per vertex (k <= 3 in the gap pipeline)
-# edges per dot step of `EdgeDistribution.disagreement` (and per step of the
-# verifier's spectral acceptance): at N = 8 its two (128, 256) float64
-# operands take 0.5 MB, beside the 0.5 MB of the 254 distinct pulled rows
-# at k = 3
-DISAGREEMENT_CHUNK = 128
 # `EdgeDistribution.sample_disagreements` draws at most SAMPLE_BATCH queries
 # at a time, and their flip uniforms FLIP_ROWS rows at a time (0.25 MB of
 # float64 at N = 8); GUIDE_BITS sets the guide table's 2^16 buckets
@@ -190,6 +187,34 @@ class Pulls(NamedTuple):
     pair: np.ndarray  # per edge, the index of its (w[e], table_of[e]) pair
 
 
+class RowKeys(NamedTuple):
+    """The distinct keys of the edges when each vertex reads one of a few
+    distinct rows (`EdgeDistribution.row_keys`)."""
+
+    pull_row: np.ndarray  # per pull, the row of w
+    pull_table: np.ndarray  # per pull, its table
+    key_pull: np.ndarray  # per key, its pull; the keys run sorted by their v-row
+    v_row: np.ndarray  # the distinct v-rows of the keys, increasing
+    bounds: np.ndarray  # v-row v_row[i]'s keys are bounds[i]:bounds[i + 1]
+    key_of: np.ndarray  # per edge, its key
+
+    def groups(self):
+        """(v-row, lo, hi) for each distinct v-row, whose keys are lo:hi."""
+        return zip(self.v_row.tolist(), self.bounds[:-1].tolist(), self.bounds[1:].tolist())
+
+
+def distinct_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D array, in order of first appearance, and
+    each row's index among them. Rows are equal when their bytes are (a
+    float -0.0 and 0.0 stay apart), so no two unequal rows ever merge."""
+    flat = values.tobytes()
+    width = len(flat) // len(values)
+    index: dict = {}
+    row_of = np.array([index.setdefault(flat[i:i + width], len(index))
+                       for i in range(0, len(flat), width)])
+    return np.frombuffer(b"".join(index), dtype=values.dtype).reshape(len(index), -1), row_of
+
+
 @dataclass(frozen=True)
 class EdgeDistribution:
     """The query distribution of the two-query Long Code test on a UG
@@ -238,9 +263,9 @@ class EdgeDistribution:
     @cached_property
     def pulls(self) -> Pulls:
         """The distinct (w, p) pairs of an edge's other endpoint w and its
-        table p, sorted, and each edge's pair: an exact cut weight gathers
-        the pulled row smoothed[w, tables[p]] once per pair (254 pairs for
-        2576 edges at k = 3). Built once."""
+        table p, sorted, and each edge's pair: the sampler gathers the
+        pulled row blocks[w, tables[p]] once per pair (254 pairs for 2576
+        edges at k = 3), and `row_keys` merges the pairs. Built once."""
         keys, pair = np.unique(self.w * len(self.tables) + self.table_of, return_inverse=True)
         pulls = Pulls(*np.divmod(keys, len(self.tables)), pair)
         for a in pulls:
@@ -283,24 +308,76 @@ class EdgeDistribution:
             a.setflags(write=False)
         return offsets
 
+    def row_keys(self, row_of) -> RowKeys:
+        """The edges' keys when vertex u reads distinct row row_of[u] of
+        2^N values: an edge (v, w) with table p reads v's row and the pulled
+        row (row of w)[tables[p]], so its term depends only on its key
+        (row of v, pull), with pull = (row of w, p). The pulls are found from
+        the distinct (w, p) pairs (`pulls`), the keys from the edges."""
+        n_tables = len(self.tables)
+        pairs = self.pulls
+        pulls, pull_of = np.unique(row_of[pairs.other] * n_tables + pairs.table,
+                                   return_inverse=True)
+        keys, key_of = np.unique(row_of[self.v] * len(pulls) + pull_of[pairs.pair],
+                                 return_inverse=True)
+        key_row, key_pull = np.divmod(keys, len(pulls))
+        v_row, first = np.unique(key_row, return_index=True)
+        return RowKeys(*np.divmod(pulls, n_tables), key_pull, v_row, np.append(first, len(keys)),
+                       key_of)
+
+    @cached_property
+    def own_row_keys(self) -> RowKeys:
+        """`row_keys` when every vertex u reads a row of its own, row u.
+        Built once and read-only."""
+        return self._fixed_keys(np.arange(self.num_vertices))
+
+    @cached_property
+    def one_row_keys(self) -> RowKeys:
+        """`row_keys` when every vertex reads the same row, as every block
+        of a coordinate or majority cut does. Built once and read-only."""
+        return self._fixed_keys(np.zeros(self.num_vertices, dtype=np.int64))
+
+    def _fixed_keys(self, row_of) -> RowKeys:
+        keys = self.row_keys(row_of)
+        for a in keys:
+            a.setflags(write=False)
+        return keys
+
+    def keyed_rows(self, values: np.ndarray) -> tuple[np.ndarray, RowKeys]:
+        """The distinct rows of an array of one row per vertex
+        (`distinct_rows`) and the edges' keys over them (`row_keys`). The
+        keys of the two extreme cases are built once: no two rows equal
+        (the rows are then taken as given, in C order) and all rows
+        equal."""
+        rows, row_of = distinct_rows(values)
+        if len(rows) == self.num_vertices:
+            return np.ascontiguousarray(values), self.own_row_keys
+        return rows, self.one_row_keys if len(rows) == 1 else self.row_keys(row_of)
+
+    def pulled_rows(self, rows, keys: RowKeys) -> np.ndarray:
+        """The pulled row rows[row of w][tables[p]] of each of the keys'
+        pulls, by one flat `take`."""
+        index = self.tables[keys.pull_table]
+        index += (keys.pull_row << self.num_labels)[:, None]
+        return rows.take(index)
+
     def disagreement(self, blocks, epsilon: float) -> float:
         """Exact probability that the two queries get different values,
         sum_e wt(e) (1 - <A^v, K A^w o pi_e> / 2^N) / 2 for the noise kernel
-        K. K commutes with pi_e, so one noise pass over all rows, one gather
-        of each distinct pulled row (`pulls`) and a dot product per edge
-        evaluate every term."""
-        blocks = np.asarray(blocks, dtype=np.float64)
-        size = blocks.shape[1]
-        smoothed = apply_noise_kernel(blocks, epsilon, self.num_labels)
-        pulls = self.pulls
-        pulled = smoothed[pulls.other[:, None], self.tables[pulls.table]]
-        agree = np.empty(len(self.v))
-        # DISAGREEMENT_CHUNK edges at a time, so that the operands stay in
-        # cache; each edge's dot product is the same 2^N products in the
-        # same order whatever the chunk
-        for lo in range(0, len(self.v), DISAGREEMENT_CHUNK):
-            e = slice(lo, lo + DISAGREEMENT_CHUNK)
-            np.einsum("ex,ex->e", blocks[self.v[e]], pulled[pulls.pair[e]], out=agree[e])
+        K. K commutes with pi_e, so one noise pass over the distinct rows of
+        `blocks`, one gather of each distinct pulled row and one dot product
+        per distinct key (`keyed_rows`) evaluate every term: a dictator or
+        majority cut repeats one row in every block."""
+        rows, keys = self.keyed_rows(np.asarray(blocks, dtype=np.float64))
+        size = rows.shape[1]
+        pulled = self.pulled_rows(apply_noise_kernel(rows, epsilon, self.num_labels), keys)
+        dots = np.empty(len(keys.key_pull))
+        # one v-row's keys at a time; each key's dot product is the same 2^N
+        # products in the same order as an edge's own
+        for r, lo, hi in keys.groups():
+            np.einsum("ex,x->e", pulled.take(keys.key_pull[lo:hi], axis=0), rows[r],
+                      out=dots[lo:hi])
+        agree = dots[keys.key_of]
         # a sequential sum in edge order (np.sum would pair terms up): the
         # last digits of the written gap rows depend on this order
         return float(np.cumsum(self.weight * (1.0 - agree / size) / 2.0)[-1])

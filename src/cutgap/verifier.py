@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import wht_matrix
-from .unique_games import DISAGREEMENT_CHUNK, EXACT_LABEL_LIMIT, UGInstance, value as ug_value
+from .unique_games import EXACT_LABEL_LIMIT, UGInstance, value as ug_value
 
 __all__ = [
     "Proof",
@@ -108,25 +108,26 @@ def _check_epsilon(epsilon: float) -> None:
 
 
 def acceptance_probability_exact(u: UGInstance, proof: Proof, epsilon: float) -> float:
-    """Exact acceptance probability via the spectral formula. Each distinct
-    (w, table) pair of the edges (`pulls`) pulls w's spectrum through the
-    reindex table once; the per-edge terms are summed in edge order."""
+    """Exact acceptance probability via the spectral formula. Only the
+    distinct rows of the proof are transformed, and each distinct key of the
+    edges (`EdgeDistribution.keyed_rows`) pulls its w-spectrum through the
+    reindex table and sums its term once; the per-edge terms are summed in
+    edge order."""
     if proof.num_vertices != u.num_vertices or proof.num_labels != u.num_labels:
         raise ValueError("proof shape does not match instance")
     _check_epsilon(epsilon)
-    spectra = wht_matrix(proof.tables.astype(np.float64))
-    factors = _noise_factors(u.num_labels, epsilon)
     d = u.edge_distribution
-    pulls = d.pulls
-    pulled = spectra[pulls.other[:, None], d.tables[pulls.table]]
-    terms = np.empty(len(d.v))
-    # DISAGREEMENT_CHUNK edges at a time, so that no (|E|, 2^N) temporary
-    # is held (5.3 MB each at k = 3); each term is the same row sum
-    for lo in range(0, len(d.v), DISAGREEMENT_CHUNK):
-        e = slice(lo, lo + DISAGREEMENT_CHUNK)
-        terms[e] = d.weight[e] * np.sum(spectra[d.v[e]] * pulled[pulls.pair[e]] * factors,
-                                        axis=1)
-    return 0.5 + 0.5 * float(np.cumsum(terms)[-1])
+    rows, keys = d.keyed_rows(proof.tables)
+    spectra = wht_matrix(rows.astype(np.float64))
+    factors = _noise_factors(u.num_labels, epsilon)
+    pulled = d.pulled_rows(spectra, keys)
+    sums = np.empty(len(keys.key_pull))
+    # one v-row's keys at a time, so that no (|E|, 2^N) temporary is held
+    # (5.3 MB each at k = 3); each key's sum is an edge's same row sum
+    for r, lo, hi in keys.groups():
+        sums[lo:hi] = np.sum(spectra[r] * pulled.take(keys.key_pull[lo:hi], axis=0) * factors,
+                             axis=1)
+    return 0.5 + 0.5 * float(np.cumsum(d.weight * sums[keys.key_of])[-1])
 
 
 def acceptance_probability_mc(u: UGInstance, proof: Proof, samples: int,

@@ -36,12 +36,13 @@ paths against. None of them is used by the cutgap package itself.
   under XOR by the character masks, one orbit at a time in code order,
   with every code's class and shift, the oracle for the representatives
   of `cutgap.quotient.build_quotient`.
-- `disagreement_one_gather` and `sdp_objective_per_row`: the exact cut
-  weight as one gather of every edge's pulled row, and the tensored SDP
+- `disagreement_one_gather`, `acceptance_exact_per_edge` and
+  `sdp_objective_per_row`: the exact cut weight and the exact acceptance
+  with one pulled row per edge, gathered at once, and the tensored SDP
   objective with the inner products and their powers taken at every
-  (x, y') point of every distinct table row, the oracles that the chunked
-  gather and the distinct-correlation powers of `cutgap` must match bit for
-  bit.
+  (x, y') point of every distinct table row, the oracles that the
+  distinct-row keys of `EdgeDistribution.keyed_rows` and the
+  distinct-correlation powers of `cutgap` must match bit for bit.
 - `sample_disagreements_choice`: the Monte Carlo run of the two-query
   test with its edges drawn by `Generator.choice` and its flips as one
   (batch, N) array of uniforms, the oracle whose counts the guide-table
@@ -101,7 +102,7 @@ from cutgap.separator import (
 from cutgap.simplex import MAX_ITER, PIVOT_TOL, PRICE_BATCH, PRICE_TOL, SimplexResult
 from cutgap.tensor import DEFAULT_INNER_POWER, GramCache
 from cutgap.unique_games import value
-from cutgap.verifier import DecodeResult, dictator_tables, piecewise_balance
+from cutgap.verifier import DecodeResult, _noise_factors, dictator_tables, piecewise_balance
 
 DEFAULT_OUTER_POWER = 3
 
@@ -384,6 +385,17 @@ def disagreement_one_gather(d, blocks, epsilon: float) -> float:
     pulled = smoothed[d.w[:, None], d.tables[d.table_of]]
     agree = np.einsum("ex,ex->e", blocks[d.v], pulled)
     return float(np.cumsum(d.weight * (1.0 - agree / blocks.shape[1]) / 2.0)[-1])
+
+
+def acceptance_exact_per_edge(u, proof, epsilon: float) -> float:
+    """`verifier.acceptance_probability_exact` with every vertex's spectrum
+    taken and every edge's term summed on its own, from an (|E|, 2^N) array
+    of pulled spectra."""
+    d = u.edge_distribution
+    spectra = wht_matrix(proof.tables.astype(np.float64))
+    pulled = spectra[d.w[:, None], d.tables[d.table_of]]
+    terms = d.weight * np.sum(spectra[d.v] * pulled * _noise_factors(u.num_labels, epsilon), axis=1)
+    return 0.5 + 0.5 * float(np.cumsum(terms)[-1])
 
 
 def sample_disagreements_choice(d, blocks, samples: int, seed: int,

@@ -195,6 +195,32 @@ def test_build_seeds_follow_the_splitting_scheme(tmp_path, monkeypatch):
     assert float(weights["labeling_0"].split("@")[0]) == dictator
 
 
+def test_build_bes_finds_its_shared_work_once(tmp_path, monkeypatch):
+    # at k = 3 the instance file embeds the UG text, which the --ug-file
+    # check has already formatted; both SDP checks read one finding of the
+    # Gram table's distinct rows
+    out = tmp_path / "run"
+    common = ["--k", "3", "--eta", "0.3", "--out", str(out)]
+    assert main(["build-ug", *common]) == 0
+    calls = {"_distinct_rows": 0, "ug_to_text": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sp, "_distinct_rows", counted("_distinct_rows", sp._distinct_rows))
+    to_text = counted("ug_to_text", ug.ug_to_text)
+    monkeypatch.setattr(ug, "ug_to_text", to_text)
+    monkeypatch.setattr(sp, "ug_to_text", to_text)
+    assert main(["build-bes", *common, "--epsilon", "0.3",
+                 "--ug-file", str(out / "ug_instance.txt")]) == 0
+    assert calls == {"_distinct_rows": 1, "ug_to_text": 1}
+    head, ug_text = read(out / "bes_instance.txt").split("\n", 1)
+    assert head.endswith(" params") and ug_text == read(out / "ug_instance.txt")
+
+
 def test_verify_detects_tampered_weight(tmp_path, capsys):
     out = tmp_path / "run"
     main(["build-ug", "--k", "2", "--eta", "0.25", "--seed", "1",

@@ -30,7 +30,6 @@ from cutgap.separator import (
     sdp_objective_closed_form_t1,
 )
 from cutgap.unique_games import (
-    DISAGREEMENT_CHUNK,
     UGInstance,
     opt_exhaustive,
     value,
@@ -673,12 +672,26 @@ POINTS_K3 = [(3, 0.1, 0.2), (3, 0.3, 0.3), (3, 0.45, 0.45)]
 
 
 def seeded_cuts(inst, seed, count=60):
-    """The majority cut, then random balanced and random +/-1 cuts in turn."""
+    """The majority cut, then random balanced and random +/-1 cuts in turn;
+    then cuts whose blocks repeat: the coordinate dictators, a labeling
+    dictator with repeated labels and a random cut with two equal blocks;
+    and float blocks that are not +/-1, one block 0.0 and one -0.0."""
     rng = np.random.default_rng(seed)
     cuts = [_majority_cut(inst)]
     while len(cuts) < count:
         cuts.append(_random_balanced_cut(inst, rng) if len(cuts) % 2 else
                     rng.choice(np.array([-1, 1], dtype=np.int8), size=inst.num_vertices))
+    m, n = inst.num_blocks, inst.ug.num_labels
+    cuts += [dictator_cut(inst, np.full(m, i)) for i in range(n)]
+    lam = rng.integers(0, n, size=m)
+    lam[1] = lam[0]
+    cuts.append(dictator_cut(inst, lam))
+    blocks = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, inst.block_size))
+    blocks[2] = blocks[0]
+    cuts.append(blocks.ravel())
+    blocks = rng.normal(size=(m, inst.block_size))
+    blocks[0], blocks[1], blocks[-1] = 0.0, -0.0, blocks[2]
+    cuts.append(blocks.ravel())
     return cuts
 
 
@@ -691,14 +704,16 @@ def assert_cut_weights_match_one_gather(inst, cuts):
 
 @pytest.mark.parametrize("k, eta, eps", GRID_K2 + POINTS_K3)
 def test_chunked_cut_weight_is_the_one_gather_bit_for_bit(k, eta, eps):
+    # the exact weight takes its dot products one distinct row of v at a
+    # time, each over that row's distinct keys
     inst = build_bes(build_kv_instance(k, eta)[0], eps)
     assert_cut_weights_match_one_gather(inst, seeded_cuts(inst, seed=k * 100 + int(eta * 100)))
 
 
-def test_chunked_cut_weight_general_permutations_partial_chunk():
-    # 345 edges over 342 distinct permutations: the last chunk is partial
+def test_row_keyed_cut_weight_general_permutations():
+    # 345 edges over 342 distinct permutations, no two edges reading the
+    # same pulled row of a cut whose blocks are all distinct
     u, hidden = plant_instance(30, 8, 0.1, 0.8, seed=1)
-    assert u.num_edges > DISAGREEMENT_CHUNK and u.num_edges % DISAGREEMENT_CHUNK
     assert len(u.edge_distribution.perms) > u.num_labels
     inst = build_bes(u, 0.3)
     assert_cut_weights_match_one_gather(inst, seeded_cuts(inst, seed=5) + [dictator_cut(inst, hidden)])

@@ -21,6 +21,7 @@ from cutgap.unique_games import (
     value,
 )
 from cutgap.quotient import build_kv_instance
+from cutgap.verifier import dictator_tables
 
 from fixtures import plant_instance
 from oracles import (
@@ -360,25 +361,73 @@ def test_incidence_is_built_once_and_read_by_both_searches(monkeypatch):
     assert len(built) == 1 and len(reads) == 2 and reads[1] is reads[0]
 
 
-def test_pulls_are_built_once_and_read_by_every_cut_weight(monkeypatch):
+def test_pulls_and_own_row_keys_are_built_once_per_instance(monkeypatch):
     u = build_kv_instance(3, 0.3)[0]  # a fresh instance, so nothing is cached yet
-    built, reads = [], []
+    built, reads, own = [], [], []
     make = ug.Pulls
     cached = ug.EdgeDistribution.__dict__["pulls"]
+    cached_own = ug.EdgeDistribution.__dict__["own_row_keys"]
     monkeypatch.setattr(ug, "Pulls", lambda *cols: built.append(1) or make(*cols))
     monkeypatch.setattr(ug.EdgeDistribution, "pulls", property(
         lambda d: reads.append(cached.__get__(d, type(d))) or reads[-1]))
+    monkeypatch.setattr(ug.EdgeDistribution, "own_row_keys", property(
+        lambda d: own.append(cached_own.__get__(d, type(d))) or own[-1]))
     inst = build_bes(u, 0.3)
     rng = np.random.default_rng(7)
-    for _ in range(3):
+    for _ in range(3):  # 32 distinct blocks each
         cut_edge_weight(inst, rng.choice(np.array([-1, 1], dtype=np.int8), size=inst.num_vertices))
-    assert len(built) == 1 and len(reads) == 3 and all(r is reads[0] for r in reads)
+    assert len(built) == 1 and len(reads) == 1
+    assert len(own) == 3 and all(keys is own[0] for keys in own)
+    # blocks that repeat merge the same pairs again
+    cut_edge_weight(inst, dictator_tables(rng.integers(0, 8, size=32), 8).ravel())
+    assert len(built) == 1 and len(reads) == 2 and reads[1] is reads[0] and len(own) == 3
     # one row per distinct (other endpoint, table) pair, fewer than the edges
     d, pulls = u.edge_distribution, reads[0]
     pairs = np.stack([pulls.other, pulls.table], axis=1)
     assert len(pairs) == len(np.unique(pairs, axis=0)) == 254 < u.num_edges == 2576
     assert np.array_equal(pulls.other[pulls.pair], d.w)
     assert np.array_equal(pulls.table[pulls.pair], d.table_of)
+
+
+def test_row_keys_name_each_distinct_read_once():
+    # an edge (v, w) with table p reads row row_of[v] and the pulled row
+    # (row row_of[w])[tables[p]]: each key and each pull is one distinct read
+    rng = np.random.default_rng(11)
+    instances = [build_kv_instance(k, 0.3)[0] for k in (2, 3)]
+    instances += [plant_instance(9, 4, 0.2, 0.9, seed=2)[0], plant_instance(30, 8, 0.1, 0.8, seed=1)[0]]
+    for u in instances:
+        d, m = u.edge_distribution, u.num_vertices
+        for row_of in (np.zeros(m, dtype=np.int64), np.arange(m), rng.permutation(m),
+                       rng.integers(0, 3, size=m)):
+            keys = d.row_keys(row_of)
+            key_row = np.repeat(keys.v_row, np.diff(keys.bounds))
+            assert np.array_equal(key_row[keys.key_of], row_of[d.v])
+            pulls = np.stack([keys.pull_row, keys.pull_table], axis=1)
+            assert np.array_equal(pulls[keys.key_pull[keys.key_of]],
+                                  np.stack([row_of[d.w], d.table_of], axis=1))
+            assert len(np.unique(pulls, axis=0)) == len(pulls)
+            assert len(set(zip(key_row.tolist(), keys.key_pull.tolist()))) == len(key_row)
+            assert np.all(np.diff(keys.v_row) > 0)
+        for name, row_of in (("own_row_keys", np.arange(m)),
+                             ("one_row_keys", np.zeros(m, dtype=np.int64))):
+            for got, want in zip(getattr(d, name), d.row_keys(row_of)):
+                assert np.array_equal(got, want) and not got.flags.writeable
+
+
+def test_distinct_rows_are_equal_bytes():
+    rng = np.random.default_rng(13)
+    floats = rng.normal(size=(6, 4))
+    floats[1], floats[3], floats[4] = 0.0, -0.0, floats[0]
+    tables = rng.choice(np.array([-1, 1], dtype=np.int8), size=(40, 4))
+    for values, count in ((floats, 5), (tables, len(np.unique(tables, axis=0))),
+                          (np.ones((3, 8)), 1)):
+        rows, row_of = ug.distinct_rows(values)
+        assert len(rows) == count and rows.dtype == values.dtype
+        assert rows[row_of].tobytes() == values.tobytes()
+    # 0.0 and -0.0 compare equal but keep their own rows
+    rows, row_of = ug.distinct_rows(floats)
+    assert row_of[1] != row_of[3] and row_of[4] == row_of[0]
+    assert np.signbit(rows[row_of[3]]).all() and not np.signbit(rows[row_of[1]]).any()
 
 
 @pytest.mark.parametrize("seed", [1, 3])

@@ -16,7 +16,7 @@ from cutgap.verifier import (
     proof_to_text,
 )
 from fixtures import plant_instance
-from oracles import _set_image_table, decode_labeling_choice, edge_rows
+from oracles import _set_image_table, acceptance_exact_per_edge, decode_labeling_choice, edge_rows
 
 
 def test_long_code_tables_are_dictators():
@@ -218,6 +218,34 @@ def test_exact_acceptance_equals_per_edge_sum():
         corr += e.weight * float(np.sum(spectra[e.v] * pulled * factors))
     got = acceptance_probability_exact(u, Proof(4, tables), 0.25)
     assert got == 0.5 + 0.5 * corr
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_exact_acceptance_is_the_per_edge_form_bit_for_bit(k):
+    # the spectra of the distinct rows only, one term per distinct key:
+    # proofs with no row repeated, some rows repeated and one row in all
+    u = build_kv_instance(k, 0.3)[0]
+    m, n = u.num_vertices, u.num_labels
+    rng = np.random.default_rng(17 + k)
+    lam = rng.integers(0, n, size=m)
+    lam[1] = lam[0]
+    paired = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, 1 << n))
+    paired[3] = paired[2]
+    majority = np.where(dictator_tables(np.arange(n), n).sum(axis=0) >= 0, 1, -1)
+    proofs = [rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, 1 << n)), paired,
+              dictator_tables(lam, n), dictator_tables(np.full(m, n - 1), n),
+              np.tile(majority, (m, 1))]
+    for tables in proofs:
+        proof = Proof(n, tables)
+        for eps in (0.0, 0.1, 0.3, 0.5, 0.77, 1.0):
+            assert acceptance_probability_exact(u, proof, eps) == \
+                acceptance_exact_per_edge(u, proof, eps), eps
+    # general permutations, 342 distinct among 345 edges
+    u, hidden = plant_instance(30, 8, 0.1, 0.8, seed=1)
+    for tables in (dictator_tables(hidden, 8), rng.choice(np.array([-1, 1], dtype=np.int8),
+                                                          size=(30, 256))):
+        proof = Proof(8, tables)
+        assert acceptance_probability_exact(u, proof, 0.3) == acceptance_exact_per_edge(u, proof, 0.3)
 
 
 def test_proof_text_round_trip():
