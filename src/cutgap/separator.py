@@ -9,9 +9,9 @@ a uniform x and an epsilon-biased flip pattern mu produces the edge
 ((v, x), (w, (x mu) o pi_e)) -- the pair weight is
 wt(e) * 2^-N * eps^|mu-| * (1-eps)^(N-|mu-|). This is the two-query Long
 Code test's query distribution, and cut weights read it from the UG
-instance's shared `EdgeDistribution`: the exact path is one noise-kernel
-pass over the distinct blocks and one dot product per distinct pair of
-rows an edge reads, and the Monte Carlo path samples (e, x, mu) directly.
+instance's shared `EdgeDistribution`: the exact path sums the blocks'
+integer Walsh spectra by level (`EdgeDistribution.probabilities`) and
+rounds once, and the Monte Carlo path samples (e, x, mu) directly.
 Edges are never materialized.
 
 Demands are 1 for every unordered pair inside a block and 0 across blocks;
@@ -98,16 +98,17 @@ def build_bes(u: UGInstance, epsilon: float) -> BESInstance:
 
 
 def _block_views(inst: BESInstance, cut: np.ndarray) -> np.ndarray:
-    cut = np.asarray(cut, dtype=np.float64)
+    cut = np.asarray(cut)
     if len(cut) != inst.num_vertices:
         raise ValueError("cut length mismatch")
     return cut.reshape(inst.num_blocks, inst.block_size)
 
 
 def cut_edge_weight(inst: BESInstance, cut) -> float:
-    """Exact cut weight: the probability over the edge distribution that the
-    two endpoints get different signs."""
-    return inst.ug.edge_distribution.disagreement(_block_views(inst, cut), inst.epsilon)
+    """Exact cut weight, correctly rounded: the probability over the edge
+    distribution that the two endpoints of a +/-1 cut get different signs
+    (`EdgeDistribution.probabilities`)."""
+    return inst.ug.edge_distribution.probabilities(_block_views(inst, cut), inst.epsilon)[0]
 
 
 def cut_edge_weight_mc(inst: BESInstance, cut, samples: int, seed: int):

@@ -11,12 +11,12 @@ Labelings are plain integer arrays indexed by vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .fourier import apply_noise_kernel
+from .fourier import fwht_inplace
 
 __all__ = [
     "UGInstance",
@@ -203,6 +203,17 @@ class RowKeys(NamedTuple):
         return zip(self.v_row.tolist(), self.bounds[:-1].tolist(), self.bounds[1:].tolist())
 
 
+@cache
+def _spectral_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2^N-point Walsh-Hadamard matrix, whose product with a row is the
+    row's unnormalized spectrum, and the (2^N, N + 1) indicator of |S| = s."""
+    tables = fwht_inplace(np.eye(1 << n)), np.equal.outer(np.bitwise_count(np.arange(1 << n)),
+                                                           np.arange(n + 1)).astype(np.float64)
+    for a in tables:
+        a.setflags(write=False)
+    return tables
+
+
 def distinct_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a 2-D array, in order of first appearance, and
     each row's index among them. Rows are equal when their bytes are (a
@@ -263,9 +274,8 @@ class EdgeDistribution:
     @cached_property
     def pulls(self) -> Pulls:
         """The distinct (w, p) pairs of an edge's other endpoint w and its
-        table p, sorted, and each edge's pair: the sampler gathers the
-        pulled row blocks[w, tables[p]] once per pair (254 pairs for 2576
-        edges at k = 3), and `row_keys` merges the pairs. Built once."""
+        table p, sorted, and each edge's pair (254 pairs for 2576 edges at
+        k = 3), which `row_keys` merges. Built once."""
         keys, pair = np.unique(self.w * len(self.tables) + self.table_of, return_inverse=True)
         pulls = Pulls(*np.divmod(keys, len(self.tables)), pair)
         for a in pulls:
@@ -295,18 +305,6 @@ class EdgeDistribution:
         for a in guide:
             a.setflags(write=False)
         return guide
-
-    @cached_property
-    def query_offsets(self) -> tuple:
-        """Per edge, the flat offsets of its two queries' rows: v << N in
-        the tables and pair << N in the table of pulled rows that
-        `sample_disagreements` gathers once per call (`pulls`). Built once
-        and read-only."""
-        offsets = (self.v.astype(np.intp) << self.num_labels,
-                   self.pulls.pair.astype(np.intp) << self.num_labels)
-        for a in offsets:
-            a.setflags(write=False)
-        return offsets
 
     def row_keys(self, row_of) -> RowKeys:
         """The edges' keys when vertex u reads distinct row row_of[u] of
@@ -361,26 +359,57 @@ class EdgeDistribution:
         index += (keys.pull_row << self.num_labels)[:, None]
         return rows.take(index)
 
-    def disagreement(self, blocks, epsilon: float) -> float:
-        """Exact probability that the two queries get different values,
-        sum_e wt(e) (1 - <A^v, K A^w o pi_e> / 2^N) / 2 for the noise kernel
-        K. K commutes with pi_e, so one noise pass over the distinct rows of
-        `blocks`, one gather of each distinct pulled row and one dot product
-        per distinct key (`keyed_rows`) evaluate every term: a dictator or
-        majority cut repeats one row in every block."""
-        rows, keys = self.keyed_rows(np.asarray(blocks, dtype=np.float64))
-        size = rows.shape[1]
-        pulled = self.pulled_rows(apply_noise_kernel(rows, epsilon, self.num_labels), keys)
-        dots = np.empty(len(keys.key_pull))
-        # one v-row's keys at a time; each key's dot product is the same 2^N
-        # products in the same order as an edge's own
+    @cached_property
+    def weight_classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct edge weights, each edge's index among them and their
+        edge counts. Built once and read-only."""
+        classes = np.unique(self.weight, return_inverse=True, return_counts=True)
+        for a in classes:
+            a.setflags(write=False)
+        return classes
+
+    def level_sums(self, tables) -> np.ndarray:
+        """G[j, s]: Â^v(S) B̂_e(S) summed over the edges e of weight class j
+        and the sets S of size s, with Â^v the unnormalized spectrum of v's
+        +/-1 table and B̂_e = Â^w read through e's reindex table. Parseval
+        bounds each edge's sum of |Â^v(S) B̂_e(S)| by 4^N, so every operand
+        and partial sum is an integer below |E| 4^N (2^28 at k = 3): exact
+        in float64 and BLAS, in any order and under any thread count."""
+        rows, keys = self.keyed_rows(np.asarray(tables))
+        if not np.all(np.abs(rows) == 1):
+            raise ValueError("table entries must be +/-1")
+        hadamard, levels = _spectral_tables(self.num_labels)
+        spectra = rows @ hadamard
+        pulled = self.pulled_rows(spectra, keys)
+        weights, class_of, _ = self.weight_classes
+        n_keys = len(keys.key_pull)
+        counts = np.bincount(class_of * n_keys + keys.key_of, minlength=len(weights) * n_keys)
+        counts = counts.reshape(-1, n_keys).astype(np.float64)
+        sums = np.zeros((len(weights), spectra.shape[1]))
         for r, lo, hi in keys.groups():
-            np.einsum("ex,x->e", pulled.take(keys.key_pull[lo:hi], axis=0), rows[r],
-                      out=dots[lo:hi])
-        agree = dots[keys.key_of]
-        # a sequential sum in edge order (np.sum would pair terms up): the
-        # last digits of the written gap rows depend on this order
-        return float(np.cumsum(self.weight * (1.0 - agree / size) / 2.0)[-1])
+            sums += (counts[:, lo:hi] @ pulled.take(keys.key_pull[lo:hi], axis=0)) * spectra[r]
+        return sums @ levels
+
+    def probabilities(self, tables, epsilon: float) -> tuple[float, float]:
+        """The two-query test on +/-1 tables, one row per vertex: the
+        probability sum_e wt(e) (1 - c_e) / 2 that its queries disagree and
+        the acceptance 1/2 + 1/2 sum_e wt(e) c_e, with c_e = sum_S rho^|S|
+        Â^v(S) B̂_e(S) / 4^N and rho = 1 - 2 epsilon (noise stability). With
+        epsilon and the weights read as exact binary fractions, both sums are
+        integers over one power of two, so each is rounded once, correctly."""
+        n = self.num_labels
+        weights, _, edges = self.weight_classes
+        ratios = [w.as_integer_ratio() for w in weights.tolist()]  # (c, 2^p)
+        top = max(den.bit_length() for _, den in ratios)
+        c = [num << top - den.bit_length() for num, den in ratios]  # weights c / 2^(top - 1)
+        m, den = float(epsilon).as_integer_ratio()  # rho = (den - 2 m) / den, den = 2^q
+        q = den.bit_length() - 1
+        factors = [(den - 2 * m)**s << q * (n - s) for s in range(n + 1)]
+        correlation = sum(cj * sum(f * g for f, g in zip(factors, row))
+                          for cj, row in zip(c, self.level_sums(tables).astype(np.int64).tolist()))
+        total = sum(cj * nj for cj, nj in zip(c, edges.tolist())) << q * n + 2 * n
+        whole = 1 << top + q * n + 2 * n  # twice the denominator of both sums
+        return (total - correlation) / whole, (whole // 2 + correlation) / whole
 
     def sample_disagreements(self, blocks, samples: int, seed: int,
                              epsilon: float) -> int:
@@ -397,10 +426,10 @@ class EdgeDistribution:
         unless the bucket holds a cdf entry; only those draws are searched
         (about 4% at k = 3). The flip uniforms come FLIP_ROWS rows at a time
         into one reused buffer, in the same order. The first query reads
-        `blocks` at (v, x); the second reads the pulled row of the edge's
-        (w, table) pair (`pulls`) at x ^ mu, in a table of the pulled rows
-        gathered once per call. Both gathers read flat indices, so `blocks`
-        must hold one row of 2^N values per UG vertex.
+        `blocks` at (v, x); the second reads the edge's pulled row at x ^ mu,
+        from the rows of `own_row_keys` gathered once per call. Both gathers
+        read flat indices, so `blocks` must hold one row of 2^N values per
+        UG vertex.
         """
         n = self.num_labels
         blocks = np.asarray(blocks)
@@ -411,9 +440,10 @@ class EdgeDistribution:
                              f"values for each of {self.num_vertices} vertices")
         rng = np.random.default_rng(seed)
         values = blocks.ravel()
-        pulls = self.pulls
-        pulled = blocks[pulls.other[:, None], self.tables[pulls.table]].ravel()
-        first, second = self.query_offsets
+        own = self.own_row_keys
+        pulled = self.pulled_rows(blocks, own).ravel()
+        first = self.v.astype(np.intp) << n  # each query's row, as a flat offset
+        second = own.key_pull[own.key_of].astype(np.intp) << n
         # bit weights in the narrowest unsigned type that holds 2^N - 1, so
         # the product with the flip indicators makes no int64 copy
         bit_weights = (1 << np.arange(n)).astype(np.min_scalar_type((1 << n) - 1))

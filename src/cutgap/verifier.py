@@ -9,11 +9,12 @@ through the per-vertex spectra,
     1/2 + 1/2 sum_e wt(e) sum_alpha A^v_alpha A^w_{pi^-1(alpha)} (1-2 eps)^|alpha|,
 
 where alpha -> pi^-1(alpha) is the reindex table of the instance's
-`EdgeDistribution`, and operationally through that distribution's seeded
-sampler. The distribution is also the separator's edge distribution: a
-separator cut is a proof, its weight is one minus the acceptance of its
-blocks, and the separator builds its dictator cuts and its balance test
-with `dictator_tables` and `piecewise_balance` from here.
+`EdgeDistribution`, whose `probabilities` sums it in integers and rounds it
+once, and operationally through that distribution's seeded sampler. The
+distribution is also the separator's edge distribution: a separator cut
+is a proof, its weight is one minus the acceptance of its blocks, and the
+separator builds its dictator cuts and its balance test with
+`dictator_tables` and `piecewise_balance` from here.
 
 The decoder draws a subset alpha with probability (A^v_alpha)^2 and a
 uniform element of alpha; empty draws are redrawn, and all-mass-on-empty
@@ -84,50 +85,18 @@ def piecewise_balance(tables) -> float:
     return float(np.mean(np.abs(np.mean(np.asarray(tables, dtype=np.float64), axis=1))))
 
 
-def _noise_factors(num_labels: int, epsilon: float) -> np.ndarray:
-    """(1 - 2 eps)^|alpha| per subset bitmask.
-
-    Magnitudes go through log space against underflow at large |alpha|;
-    eps > 1/2 flips the sign per level, eps = 1/2 kills every non-empty one.
-    """
-    sizes = np.bitwise_count(np.arange(1 << num_labels, dtype=np.uint32)).astype(
-        np.float64
-    )
-    base = 1.0 - 2.0 * epsilon
-    if base == 0.0:
-        out = np.zeros(1 << num_labels)
-        out[0] = 1.0
-        return out
-    signs = np.where(sizes % 2 == 0, 1.0, math.copysign(1.0, base))
-    return signs * np.exp(sizes * math.log(abs(base)))
-
-
 def _check_epsilon(epsilon: float) -> None:
     if not 0.0 <= epsilon <= 1.0:  # also rejects nan
         raise ValueError(f"epsilon={epsilon} is not a probability in [0, 1]")
 
 
 def acceptance_probability_exact(u: UGInstance, proof: Proof, epsilon: float) -> float:
-    """Exact acceptance probability via the spectral formula. Only the
-    distinct rows of the proof are transformed, and each distinct key of the
-    edges (`EdgeDistribution.keyed_rows`) pulls its w-spectrum through the
-    reindex table and sums its term once; the per-edge terms are summed in
-    edge order."""
+    """Exact acceptance probability by the spectral formula, correctly
+    rounded (`EdgeDistribution.probabilities`)."""
     if proof.num_vertices != u.num_vertices or proof.num_labels != u.num_labels:
         raise ValueError("proof shape does not match instance")
     _check_epsilon(epsilon)
-    d = u.edge_distribution
-    rows, keys = d.keyed_rows(proof.tables)
-    spectra = wht_matrix(rows.astype(np.float64))
-    factors = _noise_factors(u.num_labels, epsilon)
-    pulled = d.pulled_rows(spectra, keys)
-    sums = np.empty(len(keys.key_pull))
-    # one v-row's keys at a time, so that no (|E|, 2^N) temporary is held
-    # (5.3 MB each at k = 3); each key's sum is an edge's same row sum
-    for r, lo, hi in keys.groups():
-        sums[lo:hi] = np.sum(spectra[r] * pulled.take(keys.key_pull[lo:hi], axis=0) * factors,
-                             axis=1)
-    return 0.5 + 0.5 * float(np.cumsum(d.weight * sums[keys.key_of])[-1])
+    return u.edge_distribution.probabilities(proof.tables, epsilon)[1]
 
 
 def acceptance_probability_mc(u: UGInstance, proof: Proof, samples: int,

@@ -36,13 +36,23 @@ paths against. None of them is used by the cutgap package itself.
   under XOR by the character masks, one orbit at a time in code order,
   with every code's class and shift, the oracle for the representatives
   of `cutgap.quotient.build_quotient`.
-- `disagreement_one_gather`, `acceptance_exact_per_edge` and
-  `sdp_objective_per_row`: the exact cut weight and the exact acceptance
-  with one pulled row per edge, gathered at once, and the tensored SDP
-  objective with the inner products and their powers taken at every
-  (x, y') point of every distinct table row, the oracles that the
-  distinct-row keys of `EdgeDistribution.keyed_rows` and the
-  distinct-correlation powers of `cutgap` must match bit for bit.
+- `agreement_by_enumeration`: a cut's weight and a proof's acceptance
+  in rationals, every edge's (x, mu) pairs enumerated and counted by
+  |mu|, the oracle that the integer level sums of
+  `EdgeDistribution.agreement`, rounded once, must match with `==`;
+  `level_sums_one_gather`: those level sums with every edge's pulled
+  spectrum gathered at once and summed in int64, the oracle that the
+  distinct-row keys of `EdgeDistribution.keyed_rows` must match with `==`.
+- `disagreement_one_gather` and `acceptance_exact_per_edge` (with
+  `_noise_factors`): the float routes to the same two numbers, one noise
+  kernel pass and one spectral term per edge, each summed in edge order;
+  within FLOAT_ROUTE_TOL of the exact route (the widest gaps on the
+  tests' cuts are 1.5e-14, 273 ulps, for a weight and 2.0e-14 for an
+  acceptance).
+- `sdp_objective_per_row`: the tensored SDP objective with the inner
+  products and their powers taken at every (x, y') point of every
+  distinct table row, the oracle that the distinct-correlation powers of
+  `cutgap` must match bit for bit.
 - `sample_disagreements_choice`: the Monte Carlo run of the two-query
   test with its edges drawn by `Generator.choice` and its flips as one
   (batch, N) array of uniforms, the oracle whose counts the guide-table
@@ -84,11 +94,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from cutgap.fourier import apply_noise_kernel, wht_matrix
+from cutgap.fourier import apply_noise_kernel, fwht_inplace, wht_matrix
 from cutgap.metrics import _cut_sum
 from cutgap.separator import (
     BESFeasibilityReport,
@@ -102,9 +113,11 @@ from cutgap.separator import (
 from cutgap.simplex import MAX_ITER, PIVOT_TOL, PRICE_BATCH, PRICE_TOL, SimplexResult
 from cutgap.tensor import DEFAULT_INNER_POWER, GramCache
 from cutgap.unique_games import value
-from cutgap.verifier import DecodeResult, _noise_factors, dictator_tables, piecewise_balance
+from cutgap.verifier import DecodeResult, dictator_tables, piecewise_balance
 
 DEFAULT_OUTER_POWER = 3
+# the float routes' distance from the correctly rounded exact value
+FLOAT_ROUTE_TOL = 1e-13
 
 
 class EdgeRow(NamedTuple):
@@ -377,9 +390,49 @@ def labeling_set_expansion_identity_loop(u, lam):
     return val, one_minus_phi
 
 
+def agreement_by_enumeration(d, tables, epsilon: float) -> tuple[Fraction, Fraction]:
+    """(cut weight, acceptance) of +/-1 tables, one row per vertex, over an
+    `EdgeDistribution`, in rationals: per edge, the (x, mu) pairs whose
+    queries disagree, counted by k = |mu| and weighed by
+    eps^k (1 - eps)^(N - k) / 2^N, give its disagreement p_e; the weight is
+    sum_e wt(e) p_e and the acceptance 1/2 + 1/2 sum_e wt(e) (1 - 2 p_e).
+    Edges of equal weight add their counts first. Epsilon and the weights
+    are the exact values of their binary64s."""
+    n = d.num_labels
+    tables = np.asarray(tables)
+    points = np.arange(1 << n)
+    y = d.tables[d.table_of][:, points[:, None] ^ points]  # [e, x, mu]
+    differ = tables[d.v][:, :, None] != tables[d.w[:, None, None], y]
+    flips = np.bitwise_count(points)
+    counts = np.stack([differ[:, :, flips == k].sum(axis=(1, 2)) for k in range(n + 1)], axis=1)
+    eps = Fraction(epsilon)
+    level = [eps**k * (1 - eps) ** (n - k) / 2**n for k in range(n + 1)]
+    weight = total = Fraction(0)
+    for wt in np.unique(d.weight).tolist():
+        edges = d.weight == wt
+        total += Fraction(wt) * int(edges.sum())
+        weight += Fraction(wt) * sum(c * f for c, f in zip(counts[edges].sum(axis=0).tolist(), level))
+    return weight, Fraction(1, 2) + (total - 2 * weight) / 2
+
+
+def level_sums_one_gather(d, tables) -> np.ndarray:
+    """`EdgeDistribution.level_sums` with every vertex's spectrum taken by
+    the butterfly in int64 and every edge's pulled spectrum gathered
+    at once, as an (|E|, 2^N) array, each edge's products added to its
+    (weight, |S|) cell."""
+    n = d.num_labels
+    spectra = fwht_inplace(np.array(tables, dtype=np.int64))
+    products = spectra[d.v] * spectra[d.w[:, None], d.tables[d.table_of]]
+    sizes = np.bitwise_count(np.arange(1 << n))
+    per_edge = np.stack([products[:, sizes == s].sum(axis=1) for s in range(n + 1)], axis=1)
+    weights, class_of = np.unique(d.weight, return_inverse=True)
+    return np.stack([per_edge[class_of == j].sum(axis=0) for j in range(len(weights))])
+
+
 def disagreement_one_gather(d, blocks, epsilon: float) -> float:
-    """`EdgeDistribution.disagreement` with every edge's pulled row gathered
-    at once, as an (|E|, 2^N) array."""
+    """The cut weight by the float noise-kernel route, with every edge's
+    pulled row gathered at once, as an (|E|, 2^N) array, and the terms
+    summed in edge order."""
     blocks = np.asarray(blocks, dtype=np.float64)
     smoothed = apply_noise_kernel(blocks, epsilon, d.num_labels)
     pulled = smoothed[d.w[:, None], d.tables[d.table_of]]
@@ -387,10 +440,24 @@ def disagreement_one_gather(d, blocks, epsilon: float) -> float:
     return float(np.cumsum(d.weight * (1.0 - agree / blocks.shape[1]) / 2.0)[-1])
 
 
+def _noise_factors(num_labels: int, epsilon: float) -> np.ndarray:
+    """(1 - 2 eps)^|alpha| per subset bitmask, the magnitudes through log
+    space; eps > 1/2 flips the sign per level, eps = 1/2 kills every
+    non-empty one."""
+    sizes = np.bitwise_count(np.arange(1 << num_labels, dtype=np.uint32)).astype(np.float64)
+    base = 1.0 - 2.0 * epsilon
+    if base == 0.0:
+        out = np.zeros(1 << num_labels)
+        out[0] = 1.0
+        return out
+    signs = np.where(sizes % 2 == 0, 1.0, math.copysign(1.0, base))
+    return signs * np.exp(sizes * math.log(abs(base)))
+
+
 def acceptance_exact_per_edge(u, proof, epsilon: float) -> float:
-    """`verifier.acceptance_probability_exact` with every vertex's spectrum
-    taken and every edge's term summed on its own, from an (|E|, 2^N) array
-    of pulled spectra."""
+    """The acceptance by the float spectral route, with every vertex's
+    spectrum taken and every edge's term summed on its own, in edge order,
+    from an (|E|, 2^N) array of pulled spectra."""
     d = u.edge_distribution
     spectra = wht_matrix(proof.tables.astype(np.float64))
     pulled = spectra[d.w[:, None], d.tables[d.table_of]]

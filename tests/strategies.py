@@ -3,6 +3,10 @@ kernels with their oracles in `tests/oracles.py`.
 
 - `lps`: small dense programs min c.x, A x <= b, x >= 0 with a working set
   to start from, the inputs of `cutgap.simplex.solve_lp`.
+- `ug_instances`, `sign_tables`, `CUT_EPSILONS` and `TEST_EPSILONS`: small
+  UG instances with general permutations, +/-1 tables over them and the
+  noise rates of a separator and of the two-query test, the inputs of
+  `cutgap.unique_games.EdgeDistribution.agreement`.
 """
 
 from __future__ import annotations
@@ -11,12 +15,21 @@ import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cutgap.unique_games import UGInstance
+
 # small integers, or quarters: every entry, and most sums of their
 # products, is exact in float64, so ties in the ratio test and zero-level
 # rows are real. Every array's elements come from a tuple (sampled_from fills
 # arrays several times faster than integers()).
 INTEGERS = (0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0)
 QUARTERS = INTEGERS + tuple(k / 4 for k in range(-12, 13) if k % 4)
+# edge weights before they are scaled to sum to 1: zero, dyadic, and values
+# up to 2^1074 apart, down to the least subnormal
+RAW_WEIGHTS = (0.0, 1.0, 0.5, 0.25, 3.0, 1 / 3, 0.1, 7e-12, 1e-300, 5e-324)
+# a separator's epsilon lies in (0, 1/2); the test's in [0, 1]
+CUT_EPSILONS = (st.sampled_from((0.1, 0.3, 0.45, 2.0**-30, 0.5 - 2.0**-40))
+                | st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+TEST_EPSILONS = st.sampled_from((0.0, 0.5, 1.0, 0.77)) | st.floats(0.0, 1.0)
 
 
 @st.composite
@@ -51,3 +64,31 @@ def lps(draw, max_rows: int = 10, max_cols: int = 16):
     c = draw(arrays(np.float64, n, elements=st.sampled_from(INTEGERS)))
     start = draw(st.none() | st.lists(st.integers(0, n - 1), unique=True))
     return c, A, b, start
+
+
+@st.composite
+def ug_instances(draw, max_labels: int = 4, max_vertices: int = 5, max_edges: int = 8):
+    """UG instances of 1..max_labels labels on 1..max_vertices vertices:
+    endpoints drawn freely (loops and isolated vertices included), a drawn
+    permutation per edge, and weights drawn from RAW_WEIGHTS, one of them
+    nonzero, over their sum. No degree regularity is asked for."""
+    n = draw(st.integers(1, max_labels))
+    m = draw(st.integers(1, max_vertices))
+    e = draw(st.integers(1, max_edges))
+    ends = st.lists(st.integers(0, m - 1), min_size=e, max_size=e)
+    v, w = draw(ends), draw(ends)
+    perm = draw(st.lists(st.permutations(range(n)), min_size=e, max_size=e))
+    raw = np.array(draw(st.lists(st.sampled_from(RAW_WEIGHTS), min_size=e, max_size=e)))
+    raw[draw(st.integers(0, e - 1))] = draw(st.sampled_from(RAW_WEIGHTS[1:]))
+    return UGInstance(m, n, v, w, raw / raw.sum(), perm, regularity_tol=np.inf)
+
+
+@st.composite
+def sign_tables(draw, num_vertices: int, num_labels: int):
+    """+/-1 tables of 2^N entries, one per vertex, each a copy of one of
+    1..num_vertices drawn rows, so rows repeat as often as not."""
+    rows = draw(arrays(np.int8, (draw(st.integers(1, num_vertices)), 1 << num_labels),
+                       elements=st.sampled_from((-1, 1))))
+    row_of = draw(st.lists(st.integers(0, len(rows) - 1), min_size=num_vertices,
+                           max_size=num_vertices))
+    return rows[row_of]

@@ -15,7 +15,11 @@ instance still kept its edges as objects beside its arrays; the k=3
 t = 3 digests, the case where `sdp_objective` takes one power per
 distinct correlation vector, were taken while it still took one at every
 point, and the 10^6-sample `pcp` digest while the edge draws still went
-through `Generator.choice`.
+through `Generator.choice`. The gap rows, the summaries (and so the
+stdouts) and the `pcp` stdouts were taken again when every cut weight and
+exact acceptance became its exact value, correctly rounded: their last
+digits moved, and no cut did. The k=3 case also runs in a subprocess with
+one BLAS thread, against the same digests.
 
 The k=2 read case pins what the benchmark's certify workload runs besides
 `verify` and `pcp`: `distortion` on the farthest-point 10- and 12-point
@@ -36,12 +40,15 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import cutgap
 from cutgap import metrics as mt
 from cutgap.cli import main
 from cutgap.quotient import build_kv_instance, build_ug_sdp_solution
@@ -61,15 +68,15 @@ READ_CASES = {"k3_eta0.3_eps0.3"}
 GOLDEN = {
     'k2_eta0.15_eps0.15': {
         't1/bes_instance.txt': '527349889210f67c718135a507b05d2af8f113c99dfbc8a08a8cdf7f3e01b86a',
-        't1/bes_summary.txt': 'f79aee9ccb8dad32b4348e9f25abdde8c095c4c04d70cd00279c7e7e36743628',
+        't1/bes_summary.txt': '0b3d643e39c45e35777b12bc668bf4ce108afe2b5000eea7c72522fc6f412170',
         't1/best_cut.txt': '0e4647c405bec769659bbfd45dcf0c424486b01f6e0d1745dbb8a54580a7ce2a',
-        't1/gap_row.tsv': 'ac125f84035ba5505d78e73e55eb7508e3f5be9bfa2583e82ed2e44fabf6f9e3',
-        't1/stdout': 'f79aee9ccb8dad32b4348e9f25abdde8c095c4c04d70cd00279c7e7e36743628',
+        't1/gap_row.tsv': '53b9b478cbe365b8f4eb29d59aa1486de24c6eb22a4a5346ddf2070d815a7512',
+        't1/stdout': '0b3d643e39c45e35777b12bc668bf4ce108afe2b5000eea7c72522fc6f412170',
         't3/bes_instance.txt': '527349889210f67c718135a507b05d2af8f113c99dfbc8a08a8cdf7f3e01b86a',
-        't3/bes_summary.txt': 'af862f89f96c42d7dec4834f06e02ce4702b399505850073abed2e7ae18e112e',
+        't3/bes_summary.txt': '4ae8be142c503ab443a49497988ba836973913b1b5db3d18bdc8b3c01883078b',
         't3/best_cut.txt': '0e4647c405bec769659bbfd45dcf0c424486b01f6e0d1745dbb8a54580a7ce2a',
-        't3/gap_row.tsv': 'e3f71c1789b4e803db48f4006b7a53c3bf9950d67b92fa3af7466e3fac1b7f0e',
-        't3/stdout': 'af862f89f96c42d7dec4834f06e02ce4702b399505850073abed2e7ae18e112e',
+        't3/gap_row.tsv': '3ca9a5fdeef7357479a050e424f8998bba8488b26aac468ec5ce5c15107e45fd',
+        't3/stdout': '4ae8be142c503ab443a49497988ba836973913b1b5db3d18bdc8b3c01883078b',
         'ug/basis.txt': 'df5a8c7da5967b9dd59f9d802b5929ebe7dc587b5459062ba50b6d9292f972a6',
         'ug/quotient_meta.txt': 'e1cad471e71210027795f3957058fc7a8e224ba431e93efe210f80d2838bfb4a',
         'ug/stdout': '98b0ce20a6ade32bc9768e329e4aa8f598dff793d0e3377d40a9a2520bbb5f7d',
@@ -79,15 +86,15 @@ GOLDEN = {
     },
     'k2_eta0.25_eps0.45': {
         't1/bes_instance.txt': 'afd2ef8537394f4107b9cc209cc51106ef33b9bb480f1d1d14c56e50cfcdc870',
-        't1/bes_summary.txt': 'f75a41dacb3296ae92e7078432085c796ea641348bee75463431978ef0a51245',
+        't1/bes_summary.txt': '5675516aca98618ff814c5cb15883496a82e74d5b65110ff8fb116cf953c219f',
         't1/best_cut.txt': 'd1151537c798572e2769f7812e12db07124fa09d49b53384011761a6081e6566',
-        't1/gap_row.tsv': '990878863f2d98868fb9f5a8a616fb3ad38f64f08d40f9d1e874bfbe10885baa',
-        't1/stdout': 'f75a41dacb3296ae92e7078432085c796ea641348bee75463431978ef0a51245',
+        't1/gap_row.tsv': '4eb8ce93338451dcd5cc2c762d24ffacb6b22c74eee0c9ba170cbc3cd1c0f1a8',
+        't1/stdout': '5675516aca98618ff814c5cb15883496a82e74d5b65110ff8fb116cf953c219f',
         't3/bes_instance.txt': 'afd2ef8537394f4107b9cc209cc51106ef33b9bb480f1d1d14c56e50cfcdc870',
-        't3/bes_summary.txt': '0efe40e6e7183a7f55e01bd5add0de37205664b434b715f2037d2dbcc9441385',
+        't3/bes_summary.txt': '1e74545a93539bd229ffcc5c8d79560c38ffdbf66eea54454ba643747f8d99b2',
         't3/best_cut.txt': 'd1151537c798572e2769f7812e12db07124fa09d49b53384011761a6081e6566',
-        't3/gap_row.tsv': 'c4b7679a1da94e421bdbe7a460b64790a7afad38aa2db9654d780419c9c487ff',
-        't3/stdout': '0efe40e6e7183a7f55e01bd5add0de37205664b434b715f2037d2dbcc9441385',
+        't3/gap_row.tsv': 'f940e0b54cd6a486e05a501b9fdcfb1101174631bc8ff70bad3d3c49345d9b8e',
+        't3/stdout': '1e74545a93539bd229ffcc5c8d79560c38ffdbf66eea54454ba643747f8d99b2',
         'ug/basis.txt': 'df5a8c7da5967b9dd59f9d802b5929ebe7dc587b5459062ba50b6d9292f972a6',
         'ug/quotient_meta.txt': '248d83f3902f34676d75e6843e6da7fcc21c82b1009b8f65ae4bd7c79b1b2886',
         'ug/stdout': 'c62290f3757b39725752f0186c6a8967b73f690ae1764d011da8d4269baff066',
@@ -97,15 +104,15 @@ GOLDEN = {
     },
     'k2_eta0.35_eps0.25': {
         't1/bes_instance.txt': '7f56a0dda9b7e813d83cc21d78ae4c01b337c2bf6328497d9eacb6745087a2d7',
-        't1/bes_summary.txt': '674a1311817351ce8a60797a291060214c21f4eb9448e826c1373c20281c8d86',
+        't1/bes_summary.txt': '59043679094bbbd37f2f0224d8fbd018eb367f83ff59b0b2f503d7282c82c261',
         't1/best_cut.txt': '0e4647c405bec769659bbfd45dcf0c424486b01f6e0d1745dbb8a54580a7ce2a',
-        't1/gap_row.tsv': 'ffaeba7c91b76cdfe678d767e55b944785a1e609d9f8245cf7eeb3503e21c972',
-        't1/stdout': '674a1311817351ce8a60797a291060214c21f4eb9448e826c1373c20281c8d86',
+        't1/gap_row.tsv': '57d034e374b7fb239cc774c17c1d70d2fa716e26343f84150dbb40ccfb228a46',
+        't1/stdout': '59043679094bbbd37f2f0224d8fbd018eb367f83ff59b0b2f503d7282c82c261',
         't3/bes_instance.txt': '7f56a0dda9b7e813d83cc21d78ae4c01b337c2bf6328497d9eacb6745087a2d7',
-        't3/bes_summary.txt': '14eac12427b9b45379eb3d382589b991d413aff4f0b5ea5e7ca031562d1846dd',
+        't3/bes_summary.txt': 'e7c348124878dde47cf8e08220be9ca7011aa5e65ca162e508d499a0a620cd4f',
         't3/best_cut.txt': '0e4647c405bec769659bbfd45dcf0c424486b01f6e0d1745dbb8a54580a7ce2a',
-        't3/gap_row.tsv': '3acae4607b1746fb46e7e19f9a566f1ab7f04858b7f2953129f4d1611079dced',
-        't3/stdout': '14eac12427b9b45379eb3d382589b991d413aff4f0b5ea5e7ca031562d1846dd',
+        't3/gap_row.tsv': '9600b57154bf5f6ac7de9975f7328ed387dfe99ab1e85cda4041a871c4d20394',
+        't3/stdout': 'e7c348124878dde47cf8e08220be9ca7011aa5e65ca162e508d499a0a620cd4f',
         'ug/basis.txt': 'df5a8c7da5967b9dd59f9d802b5929ebe7dc587b5459062ba50b6d9292f972a6',
         'ug/quotient_meta.txt': '215eaef544ff227541be91c99c57fcc7fbe3654360a78f865760ea3c659f366f',
         'ug/stdout': 'ca437db0a91d58aa90271e35b4262a3359e3263be4011baa7945a57199e26f89',
@@ -115,15 +122,15 @@ GOLDEN = {
     },
     'k2_eta0.45_eps0.35': {
         't1/bes_instance.txt': '71cde7775581caec728cd2a5673ea336fb089b040f1a22e5e98fac2661f7dcdf',
-        't1/bes_summary.txt': '448d481e2eacdce67816c15da7fc967fb7d27641cba632cf7d132ac3189f778e',
+        't1/bes_summary.txt': 'c2bead0891f3593ade0a8f8e17b5e96ed9ebe1ff9034bc14ced02f305224c7cd',
         't1/best_cut.txt': 'd1151537c798572e2769f7812e12db07124fa09d49b53384011761a6081e6566',
-        't1/gap_row.tsv': '2a86947d3a91f037fb9dc6e417d1f71723a28fd640e12480edec13b6213976c0',
-        't1/stdout': '448d481e2eacdce67816c15da7fc967fb7d27641cba632cf7d132ac3189f778e',
+        't1/gap_row.tsv': 'f998c8d91c999d71a7910beb2617add0dad6d6eef51036f690ed6ee1a42ef496',
+        't1/stdout': 'c2bead0891f3593ade0a8f8e17b5e96ed9ebe1ff9034bc14ced02f305224c7cd',
         't3/bes_instance.txt': '71cde7775581caec728cd2a5673ea336fb089b040f1a22e5e98fac2661f7dcdf',
-        't3/bes_summary.txt': 'df451ea6ec431830a23598450b1d10a4d91b72d75f63c880ef763ee6502cc24d',
+        't3/bes_summary.txt': '0ec73728f34263d482a9a5a42e3ae3aaec5b750f68ef630f07fc44211005b39e',
         't3/best_cut.txt': 'd1151537c798572e2769f7812e12db07124fa09d49b53384011761a6081e6566',
-        't3/gap_row.tsv': '14ee60e7fab19aa7b05fd4f344dabb973d91d5da53b1b638470d86e4f476945c',
-        't3/stdout': 'df451ea6ec431830a23598450b1d10a4d91b72d75f63c880ef763ee6502cc24d',
+        't3/gap_row.tsv': '7d75ba4e8b3b03f3023ecd74bef53572c24a7c0c30c2ca7bdc41a70de0e89f0d',
+        't3/stdout': '0ec73728f34263d482a9a5a42e3ae3aaec5b750f68ef630f07fc44211005b39e',
         'ug/basis.txt': 'df5a8c7da5967b9dd59f9d802b5929ebe7dc587b5459062ba50b6d9292f972a6',
         'ug/quotient_meta.txt': '771687573f5c037e370ac9a3c5a898b5221ddd90fb1e875ade20e828da32095a',
         'ug/stdout': 'ff2a1aba9a87d06e58f68e5115bf49de59a3446a815941f95019f97a893fac64',
@@ -133,18 +140,18 @@ GOLDEN = {
     },
     'k3_eta0.3_eps0.3': {
         'pcp/proof.txt': '218cdf0ddc297bdbe54b932b8d5d37efd66f2e51c92fae3fdf468fe60fd13fd2',
-        'pcp/stdout': 'dfb7fe79476374c082c4a8dffac32ed7f9d5260f2ce425516f472be4e921bd78',
-        'pcp/stdout_1e6': '9437d08622703153777987a3142fb659f0b770d1d4ef0819a1831877c2e0f54a',
+        'pcp/stdout': '1212646a0d20a7c23b84b1e1ff93b1019019042849025f3e6f951015efd002a0',
+        'pcp/stdout_1e6': 'e80b75b0379e936094b24029989e2d518b1bdbd54eb42c60a3cc19380426c155',
         't1/bes_instance.txt': '8443caa4f535205ce3b0e204ad72de351c6a08f36fa038d0063696e4c040a72c',
-        't1/bes_summary.txt': '6442d6a479e3f8810311a9e730b13f7d962547c4ca521424d4c1c7fd4060aa75',
+        't1/bes_summary.txt': 'b31e8ee48409b42e9e12e53103108ce178fa0092b1f41365fe1fe4dc6c3d6586',
         't1/best_cut.txt': 'a3054ac32da280449be49e8f21bb1ae43fe369e563c14826f6cdec55fc8c49a2',
-        't1/gap_row.tsv': 'e75e2ee14b7528c9178d0f82349a2090b27354a5edaad8d3194cb9fd06bb699b',
-        't1/stdout': '6442d6a479e3f8810311a9e730b13f7d962547c4ca521424d4c1c7fd4060aa75',
+        't1/gap_row.tsv': '224a8101d70fbc89d6e17af939ff6f0e329e3e598efcf84871f0023fc4e0d96a',
+        't1/stdout': 'b31e8ee48409b42e9e12e53103108ce178fa0092b1f41365fe1fe4dc6c3d6586',
         't3/bes_instance.txt': '8443caa4f535205ce3b0e204ad72de351c6a08f36fa038d0063696e4c040a72c',
-        't3/bes_summary.txt': '1b5677d1c8710af73923ec3a1e5baba73efe1d546c0964170f7c984465aa2d8f',
+        't3/bes_summary.txt': 'b17e2af7d671af85890540ff51f23905b343052ab8691aa87ab04218d2ef3591',
         't3/best_cut.txt': 'a3054ac32da280449be49e8f21bb1ae43fe369e563c14826f6cdec55fc8c49a2',
-        't3/gap_row.tsv': '68832028264d52afba02bd667820f13adb50b1255752c71e2fb1bfc0b8381bfb',
-        't3/stdout': '1b5677d1c8710af73923ec3a1e5baba73efe1d546c0964170f7c984465aa2d8f',
+        't3/gap_row.tsv': '16cbee5a1227e282dfd33701ae9515b2803fd2d5b92075a944939966df15f56a',
+        't3/stdout': 'b17e2af7d671af85890540ff51f23905b343052ab8691aa87ab04218d2ef3591',
         'ug/basis.txt': 'c6397897f84b0e51e7e0deb2f207a9487d46dfd764af9dfb5960206f217c743d',
         'ug/quotient_meta.txt': 'e6838536dc36d747239ba0351251dd52d5bbfaa858c214e7482ed044bd4d7ee7',
         'ug/stdout': '01d295b71e3e7f0a7cbfab6cc6d86a39d9311633b0612d13c61b28774e59339d',
@@ -277,6 +284,23 @@ def test_k2_read_outputs_match_golden_digests(tmp_path):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_build_outputs_match_golden_digests(tmp_path, case):
     assert run_case(str(tmp_path), *CASES[case], read=case in READ_CASES) == GOLDEN[case]
+
+
+def test_k3_build_outputs_match_golden_digests_under_one_blas_thread(tmp_path):
+    # the benchmark runs with one BLAS thread; OPENBLAS_NUM_THREADS is read
+    # when numpy loads, so the case runs in a fresh interpreter
+    case = "k3_eta0.3_eps0.3"
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cutgap.__file__)))
+    script = ("import json, sys\n"
+              "from test_golden_outputs import CASES, run_case\n"
+              f"print(json.dumps(run_case(sys.argv[1], *CASES[{case!r}], read=True)))\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([here, src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == GOLDEN[case]
 
 
 if __name__ == "__main__":

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,8 +44,11 @@ from cutgap.verifier import (
 )
 from fixtures import plant_instance
 from oracles import (
+    FLOAT_ROUTE_TOL,
     BESVectorHandle,
     _set_image_table,
+    acceptance_exact_per_edge,
+    agreement_by_enumeration,
     balanced_cut_search_per_trial,
     base_gram_block_per_pair,
     bes_expanded_text_loop,
@@ -51,6 +56,7 @@ from oracles import (
     check_bes_feasibility_per_pair,
     disagreement_one_gather,
     edge_rows,
+    level_sums_one_gather,
     sample_disagreements_choice,
     sdp_objective_per_row,
     shift_correlations,
@@ -517,8 +523,10 @@ def test_build_bes_rejects_oversized_exact():
 
 
 def _spectral_cut_weight(inst, cut):
+    """One minus the acceptance of the cut's blocks by the float spectral
+    route."""
     proof = Proof(inst.ug.num_labels, np.asarray(cut).reshape(inst.num_blocks, inst.block_size))
-    return 1.0 - acceptance_probability_exact(inst.ug, proof, inst.epsilon)
+    return 1.0 - acceptance_exact_per_edge(inst.ug, proof, inst.epsilon)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -530,7 +538,7 @@ def test_batched_cut_weight_matches_spectral_route(k):
             dictator_cut(inst, lam), _majority_cut(inst),
             rng.choice([-1, 1], size=inst.num_vertices)]
     for cut in cuts:
-        assert abs(cut_edge_weight(inst, cut) - _spectral_cut_weight(inst, cut)) < 1e-13
+        assert abs(cut_edge_weight(inst, cut) - _spectral_cut_weight(inst, cut)) < FLOAT_ROUTE_TOL
 
 
 def test_batched_cut_weight_matches_spectral_route_general_permutations():
@@ -542,7 +550,7 @@ def test_batched_cut_weight_matches_spectral_route_general_permutations():
     rng = np.random.default_rng(29)
     for cut in (dictator_cut(inst, hidden), _majority_cut(inst),
                 rng.choice([-1, 1], size=inst.num_vertices)):
-        assert abs(cut_edge_weight(inst, cut) - _spectral_cut_weight(inst, cut)) < 1e-13
+        assert abs(cut_edge_weight(inst, cut) - _spectral_cut_weight(inst, cut)) < FLOAT_ROUTE_TOL
 
 
 def test_edge_distribution_tables():
@@ -674,8 +682,7 @@ POINTS_K3 = [(3, 0.1, 0.2), (3, 0.3, 0.3), (3, 0.45, 0.45)]
 def seeded_cuts(inst, seed, count=60):
     """The majority cut, then random balanced and random +/-1 cuts in turn;
     then cuts whose blocks repeat: the coordinate dictators, a labeling
-    dictator with repeated labels and a random cut with two equal blocks;
-    and float blocks that are not +/-1, one block 0.0 and one -0.0."""
+    dictator with repeated labels and a random cut with two equal blocks."""
     rng = np.random.default_rng(seed)
     cuts = [_majority_cut(inst)]
     while len(cuts) < count:
@@ -689,25 +696,37 @@ def seeded_cuts(inst, seed, count=60):
     blocks = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, inst.block_size))
     blocks[2] = blocks[0]
     cuts.append(blocks.ravel())
-    blocks = rng.normal(size=(m, inst.block_size))
-    blocks[0], blocks[1], blocks[-1] = 0.0, -0.0, blocks[2]
-    cuts.append(blocks.ravel())
     return cuts
 
 
-def assert_cut_weights_match_one_gather(inst, cuts):
+def assert_cut_weights_match_oracles(inst, cuts):
+    """Each cut's level sums equal the one-gather oracle's and its weight is
+    within FLOAT_ROUTE_TOL of the float route; up to 4 labels its weight,
+    and the acceptance of its blocks, are the enumeration's, correctly
+    rounded."""
     d = inst.ug.edge_distribution
     for i, cut in enumerate(cuts):
         blocks = cut.reshape(inst.num_blocks, inst.block_size)
-        assert cut_edge_weight(inst, cut) == disagreement_one_gather(d, blocks, inst.epsilon), i
+        weight = cut_edge_weight(inst, cut)
+        assert np.array_equal(d.level_sums(blocks), level_sums_one_gather(d, blocks)), i
+        assert abs(weight - disagreement_one_gather(d, blocks, inst.epsilon)) < FLOAT_ROUTE_TOL, i
+        if inst.ug.num_labels <= 4:
+            exact_weight, exact_acceptance = agreement_by_enumeration(d, blocks, inst.epsilon)
+            assert weight == float(exact_weight), i
+            proof = Proof(inst.ug.num_labels, blocks)
+            assert acceptance_probability_exact(inst.ug, proof, inst.epsilon) == \
+                float(exact_acceptance), i
 
 
 @pytest.mark.parametrize("k, eta, eps", GRID_K2 + POINTS_K3)
 def test_chunked_cut_weight_is_the_one_gather_bit_for_bit(k, eta, eps):
-    # the exact weight takes its dot products one distinct row of v at a
-    # time, each over that row's distinct keys
+    # the exact weight sums one distinct row of v at a time, each over that
+    # row's distinct keys; its integer level sums are the one gather's. At
+    # k = 3 every random cut reads the own-row keys, and the one-gather
+    # oracle takes about 15 ms a cut, so fewer of them are drawn
     inst = build_bes(build_kv_instance(k, eta)[0], eps)
-    assert_cut_weights_match_one_gather(inst, seeded_cuts(inst, seed=k * 100 + int(eta * 100)))
+    assert_cut_weights_match_oracles(inst, seeded_cuts(inst, seed=k * 100 + int(eta * 100),
+                                                       count=60 if k < 3 else 20))
 
 
 def test_row_keyed_cut_weight_general_permutations():
@@ -716,7 +735,76 @@ def test_row_keyed_cut_weight_general_permutations():
     u, hidden = plant_instance(30, 8, 0.1, 0.8, seed=1)
     assert len(u.edge_distribution.perms) > u.num_labels
     inst = build_bes(u, 0.3)
-    assert_cut_weights_match_one_gather(inst, seeded_cuts(inst, seed=5) + [dictator_cut(inst, hidden)])
+    assert_cut_weights_match_oracles(inst, seeded_cuts(inst, seed=5) + [dictator_cut(inst, hidden)])
+
+
+def test_exact_routes_are_the_enumeration_on_general_permutations():
+    # 4 labels with general permutations: weights and acceptances are the
+    # correctly rounded rationals
+    u, hidden = plant_instance(6, 4, 0.15, 0.9, seed=9)
+    for eps in (0.2, 0.45):
+        inst = build_bes(u, eps)
+        assert_cut_weights_match_oracles(
+            inst, seeded_cuts(inst, seed=7, count=30) + [dictator_cut(inst, hidden)])
+
+
+def test_exact_routes_are_the_enumeration_on_every_k1_cut():
+    inst = build_bes(build_kv_instance(1, 0.3)[0], 0.3)
+    assert_cut_weights_match_oracles(inst, [np.array(c, dtype=np.int8) for c in
+                                            itertools.product((-1, 1), repeat=inst.num_vertices)])
+
+
+@pytest.mark.parametrize("entry", [0.0, -0.0, 0.5, np.nan, 2])
+def test_cut_weight_rejects_entries_other_than_signs(entry):
+    # the exact route reads the integer spectra of +/-1 rows only
+    _, _, inst, _ = kv_fixture()
+    cut = _majority_cut(inst).astype(np.float64 if isinstance(entry, float) else np.int64)
+    cut[inst.block_size:2 * inst.block_size] = entry
+    with pytest.raises(ValueError, match="entries must be \\+/-1"):
+        cut_edge_weight(inst, cut)
+    # one bad entry in otherwise distinct blocks, and a whole cut of it
+    cut = np.random.default_rng(4).choice([-1.0, 1.0], size=inst.num_vertices)
+    cut[5] = entry
+    for bad in (cut, np.full(inst.num_vertices, entry)):
+        with pytest.raises(ValueError, match="entries must be \\+/-1"):
+            cut_edge_weight(inst, bad)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_dictator_cut_weight_is_the_completeness_identity(k):
+    # the dictator cut of a labeling lam: a satisfied edge's queries
+    # correlate by rho = 1 - 2 eps, any other edge's not at all, so its
+    # weight is (sum_e wt(e) - rho val(lam)) / 2 and its acceptance
+    # 1/2 + rho val(lam) / 2, in rationals
+    for eta in (0.15, 0.3):
+        u = build_kv_instance(k, eta)[0]
+        d = u.edge_distribution
+        total = sum(map(Fraction, u.weight.tolist()))
+        rng = np.random.default_rng(k * 100 + int(eta * 100))
+        for eps in (0.1, 0.3, 0.45):
+            inst = build_bes(u, eps)
+            rho = 1 - 2 * Fraction(eps)
+            for _ in range(10):
+                lam = rng.integers(0, u.num_labels, size=u.num_vertices)
+                satisfied = lam[d.v] == d.perms[d.table_of, lam[d.w]]
+                val = sum(map(Fraction, u.weight[satisfied].tolist()))
+                cut = dictator_cut(inst, lam)
+                assert cut_edge_weight(inst, cut) == float((total - rho * val) / 2), (eta, eps)
+                proof = Proof(u.num_labels, cut.reshape(inst.num_blocks, inst.block_size))
+                assert acceptance_probability_exact(u, proof, eps) == float((1 + rho * val) / 2)
+
+
+def test_k3_search_cut_weight_is_pinned():
+    # the k = 3 gap row's search cut is the majority cut: its weight and
+    # acceptance are the exact values, correctly rounded, which the float
+    # routes missed by 176 and 64 ulps
+    u = build_kv_instance(3, 0.3)[0]
+    inst = build_bes(u, 0.3)
+    res = balanced_cut_search(inst, seed=0, local_search=False)
+    assert np.array_equal(res.cut, _majority_cut(inst))
+    assert res.edge_weight == cut_edge_weight(inst, res.cut) == 0.336063029296875
+    proof = Proof(8, res.cut.reshape(inst.num_blocks, inst.block_size))
+    assert acceptance_probability_exact(u, proof, 0.3) == 0.663936970703125
 
 
 @pytest.mark.parametrize("k, eta, eps, window", [

@@ -21,19 +21,22 @@ from cutgap.unique_games import (
     value,
 )
 from cutgap.quotient import build_kv_instance
-from cutgap.verifier import dictator_tables
+from cutgap.verifier import Proof, acceptance_probability_exact, dictator_tables
 
 from fixtures import plant_instance
 from oracles import (
+    agreement_by_enumeration,
     edge_rows,
     incidence,
     label_extended_graph_loop,
     labeling_set_expansion_identity_loop,
+    level_sums_one_gather,
     opt_exhaustive_loop,
     opt_search_loop,
     sample_disagreements_choice,
     ug_text_per_edge,
 )
+from strategies import CUT_EPSILONS, TEST_EPSILONS, sign_tables, ug_instances
 
 
 def single_edge_instance(n_labels=2, perm=None):
@@ -643,3 +646,20 @@ def test_sampler_rejects_tables_of_another_shape(shape):
     d = sampler_instance("kv3").edge_distribution
     with pytest.raises(ValueError, match="need one row of 2\\^8 values for each of 32"):
         d.sample_disagreements(np.ones(shape), 100, 0, 0.3)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_agreement_is_the_enumeration_on_generated_instances(data):
+    # the integer level sums are the one gather's, and a cut weight and an
+    # acceptance, each rounded once, are the enumeration's rationals
+    u = data.draw(ug_instances())
+    tables = data.draw(sign_tables(u.num_vertices, u.num_labels))
+    d = u.edge_distribution
+    assert np.array_equal(d.level_sums(tables), level_sums_one_gather(d, tables))
+    eps = data.draw(CUT_EPSILONS)
+    weight, _ = agreement_by_enumeration(d, tables, eps)
+    assert cut_edge_weight(build_bes(u, eps), tables.ravel()) == float(weight)
+    eps = data.draw(TEST_EPSILONS)
+    _, acceptance = agreement_by_enumeration(d, tables, eps)
+    assert acceptance_probability_exact(u, Proof(u.num_labels, tables), eps) == float(acceptance)

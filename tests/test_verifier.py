@@ -8,7 +8,6 @@ from cutgap.verifier import (
     Proof,
     acceptance_probability_exact,
     acceptance_probability_mc,
-    _noise_factors,
     decode_labeling,
     dictator_tables,
     piecewise_balance,
@@ -16,7 +15,16 @@ from cutgap.verifier import (
     proof_to_text,
 )
 from fixtures import plant_instance
-from oracles import _set_image_table, acceptance_exact_per_edge, decode_labeling_choice, edge_rows
+from oracles import (
+    FLOAT_ROUTE_TOL,
+    _noise_factors,
+    _set_image_table,
+    acceptance_exact_per_edge,
+    agreement_by_enumeration,
+    decode_labeling_choice,
+    edge_rows,
+    level_sums_one_gather,
+)
 
 
 def test_long_code_tables_are_dictators():
@@ -204,9 +212,9 @@ def test_exact_acceptance_handles_large_epsilon():
 
 
 def test_exact_acceptance_equals_per_edge_sum():
-    # grouping the edges by permutation builds each set-image table once;
-    # the per-edge terms and their summation order are those of one
-    # spectral term per edge, so the value is bit-identical
+    # one spectral term per edge, each pulled through the bit-by-bit
+    # set-image table and summed in floats, within FLOAT_ROUTE_TOL; the
+    # enumeration's rational, correctly rounded, exactly
     u, _ = plant_instance(8, 4, 0.2, 0.9, seed=5)
     assert len({tuple(p) for p in u.perm.tolist()}) > 1
     tables = np.random.default_rng(6).choice([-1, 1], size=(8, 16)).astype(np.int8)
@@ -217,14 +225,19 @@ def test_exact_acceptance_equals_per_edge_sum():
         pulled = spectra[e.w][_set_image_table(e.perm)]
         corr += e.weight * float(np.sum(spectra[e.v] * pulled * factors))
     got = acceptance_probability_exact(u, Proof(4, tables), 0.25)
-    assert got == 0.5 + 0.5 * corr
+    assert abs(got - (0.5 + 0.5 * corr)) < FLOAT_ROUTE_TOL
+    assert got == float(agreement_by_enumeration(u.edge_distribution, tables, 0.25)[1])
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_exact_acceptance_is_the_per_edge_form_bit_for_bit(k):
     # the spectra of the distinct rows only, one term per distinct key:
-    # proofs with no row repeated, some rows repeated and one row in all
+    # proofs with no row repeated, some rows repeated and one row in all.
+    # Their integer level sums are the one gather's; the acceptance is
+    # within FLOAT_ROUTE_TOL of the float per-edge form and, at k = 2, the
+    # enumeration's rational correctly rounded, for every epsilon in [0, 1]
     u = build_kv_instance(k, 0.3)[0]
+    d = u.edge_distribution
     m, n = u.num_vertices, u.num_labels
     rng = np.random.default_rng(17 + k)
     lam = rng.integers(0, n, size=m)
@@ -237,15 +250,21 @@ def test_exact_acceptance_is_the_per_edge_form_bit_for_bit(k):
               np.tile(majority, (m, 1))]
     for tables in proofs:
         proof = Proof(n, tables)
+        assert np.array_equal(d.level_sums(proof.tables), level_sums_one_gather(d, proof.tables))
         for eps in (0.0, 0.1, 0.3, 0.5, 0.77, 1.0):
-            assert acceptance_probability_exact(u, proof, eps) == \
-                acceptance_exact_per_edge(u, proof, eps), eps
+            got = acceptance_probability_exact(u, proof, eps)
+            assert abs(got - acceptance_exact_per_edge(u, proof, eps)) < FLOAT_ROUTE_TOL, eps
+            if k == 2:
+                assert got == float(agreement_by_enumeration(d, proof.tables, eps)[1]), eps
     # general permutations, 342 distinct among 345 edges
     u, hidden = plant_instance(30, 8, 0.1, 0.8, seed=1)
+    d = u.edge_distribution
     for tables in (dictator_tables(hidden, 8), rng.choice(np.array([-1, 1], dtype=np.int8),
                                                           size=(30, 256))):
         proof = Proof(8, tables)
-        assert acceptance_probability_exact(u, proof, 0.3) == acceptance_exact_per_edge(u, proof, 0.3)
+        assert np.array_equal(d.level_sums(proof.tables), level_sums_one_gather(d, proof.tables))
+        assert abs(acceptance_probability_exact(u, proof, 0.3) -
+                   acceptance_exact_per_edge(u, proof, 0.3)) < FLOAT_ROUTE_TOL
 
 
 def test_proof_text_round_trip():
