@@ -11,7 +11,7 @@ Labelings are plain integer arrays indexed by vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -203,17 +203,6 @@ class RowKeys(NamedTuple):
         return zip(self.v_row.tolist(), self.bounds[:-1].tolist(), self.bounds[1:].tolist())
 
 
-@cache
-def _spectral_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 2^N-point Walsh-Hadamard matrix, whose product with a row is the
-    row's unnormalized spectrum, and the (2^N, N + 1) indicator of |S| = s."""
-    tables = fwht_inplace(np.eye(1 << n)), np.equal.outer(np.bitwise_count(np.arange(1 << n)),
-                                                           np.arange(n + 1)).astype(np.float64)
-    for a in tables:
-        a.setflags(write=False)
-    return tables
-
-
 def distinct_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a 2-D array, in order of first appearance, and
     each row's index among them. Rows are equal when their bytes are (a
@@ -361,9 +350,12 @@ class EdgeDistribution:
 
     @cached_property
     def weight_classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The distinct edge weights, each edge's index among them and their
-        edge counts. Built once and read-only."""
-        classes = np.unique(self.weight, return_inverse=True, return_counts=True)
+        """The distinct edge weights, the edges stably sorted by weight and
+        where each weight's edges start in that order. Built once and
+        read-only."""
+        by_weight = np.argsort(self.weight, kind="stable")
+        weights, starts = np.unique(self.weight[by_weight], return_index=True)
+        classes = weights, by_weight, starts
         for a in classes:
             a.setflags(write=False)
         return classes
@@ -371,24 +363,25 @@ class EdgeDistribution:
     def level_sums(self, tables) -> np.ndarray:
         """G[j, s]: Â^v(S) B̂_e(S) summed over the edges e of weight class j
         and the sets S of size s, with Â^v the unnormalized spectrum of v's
-        +/-1 table and B̂_e = Â^w read through e's reindex table. Parseval
+        +/-1 table and B̂_e = Â^w read through e's reindex table. Each key's
+        level sums are taken once, then each class adds its edges' keys', so
+        the work is linear in |E| however many weights differ. Parseval
         bounds each edge's sum of |Â^v(S) B̂_e(S)| by 4^N, so every operand
         and partial sum is an integer below |E| 4^N (2^28 at k = 3): exact
         in float64 and BLAS, in any order and under any thread count."""
+        n = self.num_labels
         rows, keys = self.keyed_rows(np.asarray(tables))
         if not np.all(np.abs(rows) == 1):
             raise ValueError("table entries must be +/-1")
-        hadamard, levels = _spectral_tables(self.num_labels)
-        spectra = rows @ hadamard
+        spectra = fwht_inplace(rows.astype(np.float64))
         pulled = self.pulled_rows(spectra, keys)
-        weights, class_of, _ = self.weight_classes
-        n_keys = len(keys.key_pull)
-        counts = np.bincount(class_of * n_keys + keys.key_of, minlength=len(weights) * n_keys)
-        counts = counts.reshape(-1, n_keys).astype(np.float64)
-        sums = np.zeros((len(weights), spectra.shape[1]))
+        levels = np.equal.outer(np.bitwise_count(np.arange(1 << n)), np.arange(n + 1))
+        per_key = np.empty((len(keys.key_pull), n + 1))
         for r, lo, hi in keys.groups():
-            sums += (counts[:, lo:hi] @ pulled.take(keys.key_pull[lo:hi], axis=0)) * spectra[r]
-        return sums @ levels
+            by_level = spectra[r][:, None] * levels  # row r's spectrum, one column per |S|
+            per_key[lo:hi] = pulled.take(keys.key_pull[lo:hi], axis=0) @ by_level
+        _, by_weight, starts = self.weight_classes
+        return np.add.reduceat(per_key.take(keys.key_of[by_weight], axis=0), starts)
 
     def probabilities(self, tables, epsilon: float) -> tuple[float, float]:
         """The two-query test on +/-1 tables, one row per vertex: the
@@ -398,7 +391,8 @@ class EdgeDistribution:
         epsilon and the weights read as exact binary fractions, both sums are
         integers over one power of two, so each is rounded once, correctly."""
         n = self.num_labels
-        weights, _, edges = self.weight_classes
+        weights, _, starts = self.weight_classes
+        edges = np.diff(starts, append=len(self.weight))
         ratios = [w.as_integer_ratio() for w in weights.tolist()]  # (c, 2^p)
         top = max(den.bit_length() for _, den in ratios)
         c = [num << top - den.bit_length() for num, den in ratios]  # weights c / 2^(top - 1)

@@ -39,7 +39,7 @@ paths against. None of them is used by the cutgap package itself.
 - `agreement_by_enumeration`: a cut's weight and a proof's acceptance
   in rationals, every edge's (x, mu) pairs enumerated and counted by
   |mu|, the oracle that the integer level sums of
-  `EdgeDistribution.agreement`, rounded once, must match with `==`;
+  `EdgeDistribution.level_sums`, rounded once by `probabilities`, must match with `==`;
   `level_sums_one_gather`: those level sums with every edge's pulled
   spectrum gathered at once and summed in int64, the oracle that the
   distinct-row keys of `EdgeDistribution.keyed_rows` must match with `==`.
@@ -418,13 +418,14 @@ def agreement_by_enumeration(d, tables, epsilon: float) -> tuple[Fraction, Fract
 def level_sums_one_gather(d, tables) -> np.ndarray:
     """`EdgeDistribution.level_sums` with every vertex's spectrum taken by
     the butterfly in int64 and every edge's pulled spectrum gathered
-    at once, as an (|E|, 2^N) array, each edge's products added to its
-    (weight, |S|) cell."""
+    at once, as an (|E|, 2^N) array with its sets S ordered by size, each
+    edge's products added to its (weight, |S|) cell."""
     n = d.num_labels
+    by_size = np.argsort(np.bitwise_count(np.arange(1 << n)), kind="stable")
     spectra = fwht_inplace(np.array(tables, dtype=np.int64))
-    products = spectra[d.v] * spectra[d.w[:, None], d.tables[d.table_of]]
-    sizes = np.bitwise_count(np.arange(1 << n))
-    per_edge = np.stack([products[:, sizes == s].sum(axis=1) for s in range(n + 1)], axis=1)
+    products = spectra[:, by_size][d.v] * spectra[d.w[:, None], d.tables[:, by_size][d.table_of]]
+    per_edge = np.add.reduceat(products, np.cumsum([0] + [math.comb(n, s) for s in range(n)]),
+                               axis=1)
     weights, class_of = np.unique(d.weight, return_inverse=True)
     return np.stack([per_edge[class_of == j].sum(axis=0) for j in range(len(weights))])
 

@@ -6,7 +6,7 @@ kernels with their oracles in `tests/oracles.py`.
 - `ug_instances`, `sign_tables`, `CUT_EPSILONS` and `TEST_EPSILONS`: small
   UG instances with general permutations, +/-1 tables over them and the
   noise rates of a separator and of the two-query test, the inputs of
-  `cutgap.unique_games.EdgeDistribution.agreement`.
+  `cutgap.unique_games.EdgeDistribution.probabilities`.
 """
 
 from __future__ import annotations

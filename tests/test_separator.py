@@ -699,16 +699,17 @@ def seeded_cuts(inst, seed, count=60):
     return cuts
 
 
-def assert_cut_weights_match_oracles(inst, cuts):
-    """Each cut's level sums equal the one-gather oracle's and its weight is
-    within FLOAT_ROUTE_TOL of the float route; up to 4 labels its weight,
-    and the acceptance of its blocks, are the enumeration's, correctly
-    rounded."""
+def assert_cut_weights_match_oracles(inst, cuts, float_only=()):
+    """Each cut's weight is within FLOAT_ROUTE_TOL of the float route and,
+    unless its index is in `float_only`, its level sums equal the one-gather
+    oracle's; up to 4 labels its weight, and the acceptance of its blocks,
+    are the enumeration's, correctly rounded."""
     d = inst.ug.edge_distribution
     for i, cut in enumerate(cuts):
         blocks = cut.reshape(inst.num_blocks, inst.block_size)
         weight = cut_edge_weight(inst, cut)
-        assert np.array_equal(d.level_sums(blocks), level_sums_one_gather(d, blocks)), i
+        if i not in float_only:
+            assert np.array_equal(d.level_sums(blocks), level_sums_one_gather(d, blocks)), i
         assert abs(weight - disagreement_one_gather(d, blocks, inst.epsilon)) < FLOAT_ROUTE_TOL, i
         if inst.ug.num_labels <= 4:
             exact_weight, exact_acceptance = agreement_by_enumeration(d, blocks, inst.epsilon)
@@ -721,12 +722,14 @@ def assert_cut_weights_match_oracles(inst, cuts):
 @pytest.mark.parametrize("k, eta, eps", GRID_K2 + POINTS_K3)
 def test_chunked_cut_weight_is_the_one_gather_bit_for_bit(k, eta, eps):
     # the exact weight sums one distinct row of v at a time, each over that
-    # row's distinct keys; its integer level sums are the one gather's. At
-    # k = 3 every random cut reads the own-row keys, and the one-gather
-    # oracle takes about 15 ms a cut, so fewer of them are drawn
+    # row's distinct keys; its integer level sums are the one gather's bit
+    # for bit, and its weight is within FLOAT_ROUTE_TOL of the float route.
+    # Every cut meets the float route. At k = 3 the random cuts past the
+    # first 20 read the own-row keys as the 19 before them do, and skip the
+    # int64 one-gather oracle, which takes about 15 ms a cut there
     inst = build_bes(build_kv_instance(k, eta)[0], eps)
-    assert_cut_weights_match_oracles(inst, seeded_cuts(inst, seed=k * 100 + int(eta * 100),
-                                                       count=60 if k < 3 else 20))
+    assert_cut_weights_match_oracles(inst, seeded_cuts(inst, seed=k * 100 + int(eta * 100)),
+                                     float_only=range(20, 60) if k == 3 else ())
 
 
 def test_row_keyed_cut_weight_general_permutations():

@@ -1,5 +1,7 @@
 import functools
+import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -663,3 +665,30 @@ def test_agreement_is_the_enumeration_on_generated_instances(data):
     eps = data.draw(TEST_EPSILONS)
     _, acceptance = agreement_by_enumeration(d, tables, eps)
     assert acceptance_probability_exact(u, Proof(u.num_labels, tables), eps) == float(acceptance)
+
+
+def test_level_sums_are_linear_in_the_edges_when_every_weight_differs():
+    # 3000 edges of 4 labels, no two of one weight, under a proof whose 200
+    # rows all differ: about 3000 classes by 3000 keys, whose float64 table
+    # alone would take 72 MB. The route stays linear in |E|, and its values
+    # are the one gather's and the enumeration's
+    rng = np.random.default_rng(11)
+    e = 3000
+    perm = np.array(list(itertools.permutations(range(4))))[rng.integers(0, 24, size=e)]
+    raw = rng.random(e)
+    u = UGInstance(200, 4, rng.integers(0, 200, size=e), rng.integers(0, 200, size=e),
+                   raw / raw.sum(), perm, regularity_tol=np.inf)
+    d = u.edge_distribution
+    assert len(np.unique(d.weight)) == e
+    tables = rng.choice(np.array([-1, 1], dtype=np.int8), size=(200, 16))
+    tracemalloc.start()
+    try:
+        sums = d.level_sums(tables)
+        weight, acceptance = d.probabilities(tables, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+    assert np.array_equal(sums, level_sums_one_gather(d, tables))
+    exact_weight, exact_acceptance = agreement_by_enumeration(d, tables, 0.3)
+    assert (weight, acceptance) == (float(exact_weight), float(exact_acceptance))
