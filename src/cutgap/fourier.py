@@ -62,15 +62,19 @@ def apply_noise_kernel(values, eps: float, n_bits: int) -> np.ndarray:
     Product structure over bits: one (1-eps, eps) mixing pass per coordinate,
     butterfly-style like the Walsh-Hadamard transform. K commutes with every
     coordinate permutation, since those preserve Hamming distance.
+
+    The pass over bit h sets each value f to (1 - eps) * f + eps * f' for
+    its partner f' across bit h, with one temporary, eps * f'. With a and b
+    the values at bit h clear and set, that is (1 - eps) * a + eps * b and
+    (1 - eps) * b + eps * a, the same float as eps * a + (1 - eps) * b,
+    since float addition commutes.
     """
     out = np.array(values, dtype=np.float64, order="C")
     n = 1 << n_bits
     h = 1
     while h < n:
-        view = out.reshape(out.shape[:-1] + (n // (2 * h), 2, h))
-        a = view[..., 0, :].copy()
-        b = view[..., 1, :].copy()
-        view[..., 0, :] = (1 - eps) * a + eps * b
-        view[..., 1, :] = eps * a + (1 - eps) * b
+        across = eps * out.reshape(out.shape[:-1] + (n // (2 * h), 2, h))[..., ::-1, :]
+        out *= 1 - eps
+        out += across.reshape(out.shape)
         h *= 2
     return out

@@ -14,9 +14,9 @@ squared base inner product (tensor identity), read from the dense base Gram
 tensor of all m * N basis vectors, so nothing quadratic in N^2 is
 materialized. Every check is exact and exhaustive: the triangle inequality
 is swept over all (m N)^3 ordered triples of basis vectors in int8 by
-`tensor.triangle_sweep`, the sweep the separator's certificate also runs,
-and basis completeness is the identity B_i^T B_i = N I per class, so no
-check draws random numbers.
+`tensor.triangle_sweep_upper`, which reads about half of them by the
+symmetry of the pair sum, and basis completeness is the identity
+B_i^T B_i = N I per class, so no check draws random numbers.
 
 For eta >= 1/4 the typical window contains d = N/2, so within-class pairs
 {f, f*chi_c} are windowed in and produce UG self-loop edges (permutation
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypercube import NoisyHypercube, typical_window
-from .tensor import base_gram, shift_covariance_residual, triangle_sweep
+from .tensor import base_gram, shift_covariance_residual, triangle_sweep_upper
 from .unique_games import UGInstance
 
 __all__ = [
@@ -186,8 +186,15 @@ class FeasibilityReport:
 
 def _triangle_violation(gram: np.ndarray) -> float:
     """max (g_ac + g_bc - g_ab - 1) over every ordered triple (a, b, c) of the
-    m * N rows of a base_gram tensor, one `triangle_sweep` on G = N g, the
-    Gram B B^T of the +/-1 rows, as (G_ac + G_bc - G_ab - N) / N.
+    m * N rows of a base_gram tensor, as (G_ac + G_bc - G_ab - N) / N on
+    G = N g, the Gram B B^T of the +/-1 rows.
+
+    Swapping a and b keeps G_ac + G_bc, so the triples (a, b, c) and
+    (b, a, c) differ only in the G entry they subtract: one
+    `tensor.triangle_sweep_upper` over the pairs b >= a, subtracting
+    min(G_ab, G_ba), covers both (for B B^T the two are equal). That is
+    about half the sweep over every ordered pair, and exact, since the sums
+    are integers.
 
     |G| <= N, so G_ac + G_bc - G_ab lies in [-3N, 3N], which int8 holds for
     N <= 42; basis_from_text accepts k <= BASIS_MAX_K, so N <= 32. The triple
@@ -197,7 +204,7 @@ def _triangle_violation(gram: np.ndarray) -> float:
     if 3 * N > np.iinfo(np.int8).max:
         raise ValueError(f"basis dimension {N} overflows the int8 triangle sweep")
     g = (gram.reshape(m * N, m * N) * N).astype(np.int8)  # exact: gram holds integers / N
-    return (triangle_sweep(g, g, g, slice(None)) - N) / N
+    return (triangle_sweep_upper(g) - N) / N
 
 
 def check_ug_sdp_feasibility(sol: UGVectorSolution) -> FeasibilityReport:

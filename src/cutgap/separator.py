@@ -149,20 +149,60 @@ def _distinct_correlations(n_bits: int):
 
 
 @functools.cache
-def _orbit_representatives(n_bits: int) -> np.ndarray:
-    """One point per orbit of the group of order 2N that the coordinate XOR
-    shifts (x o c)_s = x_(s xor c) and the complement x -> -x generate, the
-    least index of each orbit, read-only. The group keeps every shift
-    correlation, C[g x, g y, :] = C[x, y, :], so it keeps every entry of
-    every base Gram: 1, 2, 5 and 30 orbits at N = 1, 2, 4 and 8."""
+def _orbit_action(n_bits: int) -> np.ndarray:
+    """act[g, x], the image of point x under each element g of the group of
+    order 2N that the coordinate XOR shifts (x o c)_s = x_(s xor c) and the
+    complement x -> -x generate: rows c < N shift by c, rows N + c shift by
+    c and complement. Read-only. The group keeps every shift correlation,
+    C[g x, g y, :] = C[x, y, :], so it keeps every entry of every base
+    Gram."""
     size = 1 << n_bits
     s = np.arange(n_bits)
     bits = (np.arange(size)[:, None] >> s) & 1  # [x, s] = bit s of x
     shifted = bits[:, s[None, :] ^ s[:, None]] @ (1 << s)  # [x, c] = x o c
-    orbit = np.concatenate([shifted, shifted ^ (size - 1)], axis=1)
-    reps = np.flatnonzero(orbit.min(axis=1) == np.arange(size))
+    act = np.concatenate([shifted, shifted ^ (size - 1)], axis=1).T.astype(np.int32)
+    act.setflags(write=False)
+    return act
+
+
+@functools.cache
+def _orbit_representatives(n_bits: int) -> np.ndarray:
+    """One point per orbit of the group of `_orbit_action`, the least index
+    of each orbit, read-only: 1, 2, 5 and 30 orbits at N = 1, 2, 4 and 8."""
+    act = _orbit_action(n_bits)
+    reps = np.flatnonzero(act.min(axis=0) == np.arange(act.shape[1]))
     reps.setflags(write=False)
     return reps
+
+
+@functools.cache
+def _pair_orbits(n_bits: int):
+    """One ordered point pair (a, b) per orbit of the group of
+    `_orbit_action` acting on both points, then one per orbit of that group
+    together with the swap (a, b) -> (b, a); each as read-only (first,
+    second) index arrays. An orbit is represented by its least pair, first
+    point first: a is an orbit representative and b the least point of its
+    orbit under the stabilizer of a. 2, 6, 44 and 4320 pairs at N = 1, 2, 4
+    and 8; 2, 5, 30 and 2288 with the swap. Built from the (2N, 2^N) action
+    table alone, one representative at a time."""
+    act = _orbit_action(n_bits)
+    size = act.shape[1]
+    points = np.arange(size)
+    firsts, seconds = [], []
+    for a in _orbit_representatives(n_bits).tolist():
+        stabilizer = act[act[:, a] == a]
+        b = np.flatnonzero(stabilizer.min(axis=0) == points)
+        firsts.append(np.full(len(b), a))
+        seconds.append(b)
+    first, second = np.concatenate(firsts), np.concatenate(seconds)
+    # the least pair of the orbit of (b, a), as the code g b * size + g a;
+    # a swap orbit joins the orbits of (a, b) and (b, a) and keeps the lesser
+    swapped = (act[:, second] * size + act[:, first]).min(axis=0)
+    keep = first * size + second <= swapped
+    out = (first, second), (first[keep], second[keep])
+    for index in (*out[0], *out[1]):
+        index.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -205,6 +245,19 @@ def assign_sdp_solution(inst: BESInstance, sol: UGVectorSolution,
     return BESVectorAssignment(inst, GramCache(sol.basis, l_in=l_in), l_in, t)
 
 
+def _sorted_rows(values: np.ndarray):
+    """np.unique(values, axis=0, return_inverse=True) for a 2-D array: the
+    distinct rows in lexicographic order and each row's index among them,
+    from one stable lexsort and a compare of adjacent rows."""
+    order = np.lexsort(values.T[::-1])
+    ordered = values[order]
+    new = np.ones(len(values), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    inverse = np.empty(len(values), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
+
+
 def _distinct_rows(assign: BESVectorAssignment):
     """The sorted distinct rows of the Gram table, each block pair's row as
     an (m, m) index array, and inner[r, j] = rows[r] . distinct[j] / N. Not
@@ -212,7 +265,7 @@ def _distinct_rows(assign: BESVectorAssignment):
     caller that runs both checks on one table finds them once and passes
     them to both."""
     m, n = assign.inst.num_blocks, assign.cache.N
-    rows, row_of = np.unique(assign.cache.table.reshape(m * m, -1), axis=0, return_inverse=True)
+    rows, row_of = _sorted_rows(assign.cache.table.reshape(m * m, -1))
     return rows, row_of.reshape(m, m), rows @ _distinct_correlations(n)[0].T / n
 
 
@@ -241,8 +294,6 @@ def sdp_objective(inst: BESInstance, assign: BESVectorAssignment,
     """
     n = inst.ug.num_labels
     eps = inst.epsilon
-    dist = _distance_matrix(n)
-    w_noise = (eps**dist) * (1 - eps) ** (n - dist) / inst.block_size  # weight of (x, y')
     d = inst.ug.edge_distribution
     if not np.array_equal(d.perms, np.arange(n) ^ d.perms[:, :1]):
         raise ValueError("sdp_objective needs XOR-shift edge permutations")
@@ -250,16 +301,19 @@ def sdp_objective(inst: BESInstance, assign: BESVectorAssignment,
     # 118 (table row, shift) keys at k = 3, whose 28 distinct shifted rows sort as every edge's
     keys, key_of = np.unique(row_of[d.v, d.w] * n + inst.ug.perm[:, 0], return_inverse=True)
     r, c = np.divmod(keys, n)
-    rows, group = np.unique(table_rows[r[:, None], np.arange(n) ^ c[:, None]], axis=0,
-                            return_inverse=True)
-    weights = np.bincount(group.ravel()[key_of], weights=d.weight)
-    # each row's inner products and their powers are taken once per distinct
-    # correlation vector C[x, y', :], then spread back over (x, y')
+    rows, group = _sorted_rows(table_rows[r[:, None], np.arange(n) ^ c[:, None]])
+    weights = np.bincount(group[key_of], weights=d.weight)
+    # each row's inner products, their powers and their noise weights are
+    # taken once per distinct correlation vector C[x, y', :], then spread
+    # back over (x, y'): the weight of (x, y') depends on |x xor y'| alone,
+    # which is (N - C[x, y', 0]) / 2
     distinct, spread = _distinct_correlations(n)
+    dist = ((n - distinct[:, 0]) // 2).astype(np.uint32)
+    w_class = (eps**dist) * (1 - eps) ** (n - dist) / inst.block_size
     mean_inner = 0.0
     for row, weight in zip(rows, weights):
         q_t = np.clip(distinct @ row / assign.cache.N, -1.0, 1.0) ** assign.t
-        mean_inner += weight * float(np.sum(w_noise * q_t[spread]))
+        mean_inner += weight * float(np.sum((w_class * q_t)[spread]))
     return (1.0 - mean_inner) / 2.0
 
 
@@ -303,10 +357,11 @@ def check_bes_feasibility(inst: BESInstance, assign: BESVectorAssignment,
 
     All four read the distinct rows of the Gram table: block pairs with the
     same row table[v, w] have the same base Gram. Each distinct row's base
-    inner products are taken once per distinct shift-correlation vector
-    (`_distinct_correlations`: 1425 at N = 8); the values are exact, so the
-    order of summation does not matter. Only the diagonal rows, for checks
-    (a)-(c), and the swept rows are spread to (2^N, 2^N) tables.
+    inner products, and for checks (a)-(c) their t-th powers, are taken
+    once per distinct shift-correlation vector (`_distinct_correlations`:
+    1425 at N = 8); the values are exact, so the order of summation does
+    not matter. Only the diagonal rows, for checks (a)-(c), and the swept
+    rows are spread to (2^N, 2^N) tables.
 
     Triangle checks run at the base level (t = 1); the odd-power transfer
     lemma carries them to every odd t. A triple (a, b, c) violates by
@@ -318,10 +373,19 @@ def check_bes_feasibility(inst: BESInstance, assign: BESVectorAssignment,
     bound is positive are swept, once per distinct row triple, by
     `tensor.triangle_sweep` on the integer numerators N^(l_in+1) g (every
     base inner product is a multiple of N^-(l_in+1); a swept row whose
-    values are not raises ValueError), so the certificate is exact. The
-    shifts and the complement of `_orbit_representatives` keep every Gram
-    entry, so the first point of a triple runs over one point per orbit
-    (30 of 256 at N = 8). The unit norms the bound relies on are check (a).
+    values are not raises ValueError), so the certificate is exact.
+
+    The sweep skips terms that repeat. Every row's Gram is symmetric, since
+    C[x, y, :] = C[y, x, :], so swapping a and b takes the terms of the row
+    triple (ac, bc, ab) to those of (bc, ac, ab): only the triples with
+    ac <= bc are swept (3 of 4 at k = 3 and l_in = 8). The shifts and the
+    complement of `_orbit_action` keep every Gram entry, so the term of
+    (g a, g b, g c) is that of (a, b, c), and the pair (a, b) runs over one
+    pair per orbit of that group, c over every point (`_pair_orbits`: 4320
+    of the 65536 ordered pairs at N = 8). When ac == bc the term is
+    symmetric in a and b as well, and one pair per orbit of the group with
+    the swap (2288) suffices. The unit norms the bound relies on are check
+    (a).
     `table_rows` is the table's `_distinct_rows`, found here when not given.
     """
     size = inst.block_size
@@ -333,7 +397,7 @@ def check_bes_feasibility(inst: BESInstance, assign: BESVectorAssignment,
     # (a)-(c) per distinct diagonal row, weighted by the blocks that carry it
     norm_res = ws_res = balance_lhs = 0.0
     for r, blocks in zip(*np.unique(np.diagonal(row_of), return_counts=True)):
-        t_mat = inner[r][spread] ** assign.t
+        t_mat = (inner[r] ** assign.t)[spread]
         # (a) unit norms of every point
         norm_res = max(norm_res, float(np.max(np.abs(np.diagonal(t_mat) - 1.0))))
         # (b) well-separatedness: E_{x,y}[inner^t] vanishes by exact antipodal
@@ -351,10 +415,12 @@ def check_bes_feasibility(inst: BESInstance, assign: BESVectorAssignment,
     g = np.abs(inner)
     near = np.max(g, axis=1, where=g != 1.0, initial=0.0)
     # rows of (a, c), (b, c) and (a, b) for a in U, b in V, c in W
-    pair_rows = np.broadcast_arrays(row_of[:, None, :], row_of[None, :, :], row_of[:, :, None])
-    ac, bc, ab = pair_rows
+    ac, bc, ab = np.broadcast_arrays(row_of[:, None, :], row_of[None, :, :], row_of[:, :, None])
     over = near[ac] + near[bc] + near[ab] > 1.0
-    row_triples = np.unique(np.stack([r[over] for r in pair_rows], axis=1), axis=0)
+    ac, bc, ab = ac[over], bc[over], ab[over]
+    # the triples (ac, bc, ab) and (bc, ac, ab) have the same terms, a and b
+    # swapped, so each is swept as the one with ac <= bc
+    row_triples = _sorted_rows(np.stack([np.minimum(ac, bc), np.maximum(ac, bc), ab], axis=1))[0]
     # the swept rows' values as the integer numerators over scale, each
     # spread to its Gram
     swept = np.unique(row_triples)
@@ -363,9 +429,9 @@ def check_bes_feasibility(inst: BESInstance, assign: BESVectorAssignment,
     if not np.array_equal(nums, np.round(nums)):
         raise ValueError(f"Gram entries not multiples of {n}^-{assign.l_in + 1}")
     nums = dict(zip(swept.tolist(), nums.astype(np.min_scalar_type(-3 * scale))[:, spread]))
-    reps = _orbit_representatives(n)
-    worst = max((triangle_sweep(*(nums[r] for r in triple), reps)
-                 for triple in row_triples.tolist()), default=scale)
+    pairs, swap_pairs = _pair_orbits(n)
+    worst = max((triangle_sweep(nums[r], nums[s], nums[t], swap_pairs if r == s else pairs)
+                 for r, s, t in row_triples.tolist()), default=scale)
 
     return BESFeasibilityReport(
         unit_norm_residual=norm_res,

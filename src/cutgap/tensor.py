@@ -38,7 +38,8 @@ DEFAULT_INNER_POWER = 8
 # the largest even inner power at which three base inner products, each a
 # multiple of N^-(l_in+1), sum exactly in float64 at N = 8: 3 * 8^17 < 2^53
 INNER_POWER_LIMIT = 16
-# pair-sum bytes per `triangle_sweep` step (k=3: 16 UG first points in int8, 4 BES ones in int32)
+# bytes per triangle sweep step (k=3: the gathered rows of 512 BES point pairs
+# in int32, the pair sums of 16 UG first points in int8)
 TRIANGLE_STEP_BYTES = 1 << 20
 
 
@@ -66,16 +67,36 @@ def shift_covariance_residual(gram: np.ndarray) -> float:
     return float(np.max(np.abs(gram.transpose(0, 2, 1, 3) - predicted)))
 
 
-def triangle_sweep(ac, bc, ab, first) -> int:
-    """max of ac[a, c] + bc[b, c] - ab[a, b] over the first points a that
-    `first` (a slice or an index array) selects and all b, c, for integer
-    tables whose dtype holds three times their largest entry. Each step
-    takes the max over c first, on as many first points as keep the pair
-    sums within TRIANGLE_STEP_BYTES."""
-    step = max(1, TRIANGLE_STEP_BYTES // bc.nbytes)
-    ac, ab = ac[first], ab[first]
-    return max(int(np.max(np.max(ac[a:a + step, None] + bc, axis=2) - ab[a:a + step]))
-               for a in range(0, len(ac), step))
+def triangle_sweep(ac, bc, ab, pairs) -> int:
+    """max of ac[a, c] + bc[b, c] - ab[a, b] over the point pairs (a, b)
+    that `pairs`, two index arrays of first and second points, lists and
+    over all c, for integer tables whose dtype holds three times their
+    largest entry. Each step gathers the rows ac[a] and bc[b] of as many
+    pairs as keep both gathers within TRIANGLE_STEP_BYTES, adds them in
+    place and takes the max over c first."""
+    first, second = pairs
+    step = max(1, TRIANGLE_STEP_BYTES // (2 * bc[0].nbytes))
+    worst = []
+    for i in range(0, len(first), step):
+        a, b = first[i:i + step], second[i:i + step]
+        sums = ac[a]
+        sums += bc[b]
+        worst.append(int(np.max(np.max(sums, axis=1) - ab[a, b])))
+    return max(worst)
+
+
+def triangle_sweep_upper(g) -> int:
+    """max of g[a, c] + g[b, c] - g[a, b] over all a, b, c, for an integer
+    table whose dtype holds three times its largest entry. The pair sum is
+    symmetric in a and b, so the pairs b >= a stand for both orders when
+    they subtract min(g[a, b], g[b, a]): about half the ordered pairs. Each
+    step takes the first points a in [lo, lo + step) with every second
+    point b >= lo, as many as keep the pair sums within
+    TRIANGLE_STEP_BYTES, and the max over c first."""
+    low = np.minimum(g, g.T)
+    step = max(1, TRIANGLE_STEP_BYTES // g.nbytes)
+    return max(int(np.max(np.max(g[lo:lo + step, None] + g[lo:], axis=2) - low[lo:lo + step, lo:]))
+               for lo in range(0, len(g), step))
 
 
 class GramCache:

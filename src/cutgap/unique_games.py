@@ -525,12 +525,13 @@ def opt_search(u: UGInstance, seed: int, restarts: int = 10):
     """
     d = u.edge_distribution
     n = u.num_labels
-    maps = np.concatenate([d.perms, np.argsort(d.perms, axis=1)])  # pi rows, then pi^-1
+    # pi rows, then pi^-1 rows, flat: map row r sends label i to maps[r * n + i]
+    maps = np.concatenate([d.perms, np.argsort(d.perms, axis=1)]).ravel()
     ends = d.incidence
     keep = ends.other != ends.vertex
-    other, rows, wts = ends.other[keep], ends.row[keep], ends.weight[keep]
+    other, starts, wts = ends.other[keep], ends.row[keep] * n, ends.weight[keep]
     bounds = np.searchsorted(ends.vertex[keep], np.arange(u.num_vertices + 1))
-    inc = [(other[a:b], rows[a:b], wts[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    inc = [(other[a:b], starts[a:b], wts[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
     best: np.ndarray | None = None
     best_val = -1.0
     for r in range(restarts):
@@ -539,9 +540,9 @@ def opt_search(u: UGInstance, seed: int, restarts: int = 10):
         improved = True
         while improved:
             improved = False
-            for v, (others, map_rows, weights) in enumerate(inc):
-                gains = np.bincount(maps[map_rows, lam[others]], weights=weights, minlength=n)
-                new_label = int(np.argmax(gains))  # argmax takes lowest index on ties
+            for v, (others, map_starts, weights) in enumerate(inc):
+                gains = np.bincount(maps.take(map_starts + lam.take(others)), weights, n)
+                new_label = int(gains.argmax())  # argmax takes lowest index on ties
                 if gains[new_label] > gains[lam[v]] + 1e-15:
                     lam[v] = new_label
                     improved = True

@@ -4,6 +4,10 @@ paths against. None of them is used by the cutgap package itself.
 - `character_table` and `naive_wht`: the Walsh-Hadamard transform as one
   product with the explicit character matrix, the oracle for the butterfly
   of `cutgap.fourier`.
+- `noise_kernel_two_copies`: the noise kernel's butterfly with both
+  halves of each pass copied and each written by its own expression, the
+  oracle that the one-temporary pass of `cutgap.fourier.apply_noise_kernel`
+  must match with `==`.
 - `tensor_inner` and `materialize_tensor_power`: tensor powers written out
   (<x tensor l, z tensor l> = <x, z>^l), the oracle for every symbolic
   tensored inner product.
@@ -71,8 +75,11 @@ paths against. None of them is used by the cutgap package itself.
   product C[x, y] . table[v, w] / N per point pair, the triangle sweep with
   its first point over half a block (the complement alone), and the
   separator's feasibility check built from both, the oracles that the
-  distinct-correlation values and the orbit sweep of
+  distinct-correlation values and the pair-orbit sweep of
   `cutgap.separator.check_bes_feasibility` must match with `==`.
+- `triangle_sweep_ordered`: the triangle sweep over every ordered triple,
+  the oracle for the pair-orbit sweep on generated Grams and for
+  `cutgap.tensor.triangle_sweep_upper`.
 - `decode_labeling_choice`: the Fourier decoder with each vertex's alpha
   drawn by `Generator.choice` from its renormalized spectrum and its label
   by `choice` over alpha's members, the oracle whose labelings the cdf
@@ -175,6 +182,23 @@ def naive_wht(f) -> np.ndarray:
     values = np.asarray(f, dtype=np.float64)
     k = len(values).bit_length() - 1
     return character_table(k).astype(np.float64) @ values / len(values)
+
+
+def noise_kernel_two_copies(values, eps: float, n_bits: int) -> np.ndarray:
+    """`fourier.apply_noise_kernel` with both halves of each pass copied:
+    the values a at bit h clear become (1 - eps) * a + eps * b and the
+    values b at bit h set become eps * a + (1 - eps) * b."""
+    out = np.array(values, dtype=np.float64, order="C")
+    n = 1 << n_bits
+    h = 1
+    while h < n:
+        view = out.reshape(out.shape[:-1] + (n // (2 * h), 2, h))
+        a = view[..., 0, :].copy()
+        b = view[..., 1, :].copy()
+        view[..., 0, :] = (1 - eps) * a + eps * b
+        view[..., 1, :] = eps * a + (1 - eps) * b
+        h *= 2
+    return out
 
 
 def tensor_inner(x, z, l: int) -> float:
@@ -597,6 +621,13 @@ def triangle_sweep_half(ac, bc, ab) -> int:
     three points keeps every Gram entry, so half a block covers all."""
     ac, bc, ab = (np.asarray(g, dtype=np.int64) for g in (ac, bc, ab))
     return max(int(np.max(np.max(ac[a] + bc, axis=1) - ab[a])) for a in range(len(ac) // 2))
+
+
+def triangle_sweep_ordered(ac, bc, ab) -> int:
+    """max of ac[a, c] + bc[b, c] - ab[a, b] in int64 over every ordered
+    triple (a, b, c), one first point at a time."""
+    ac, bc, ab = (np.asarray(g, dtype=np.int64) for g in (ac, bc, ab))
+    return max(int(np.max(np.max(ac[a] + bc, axis=1) - ab[a])) for a in range(len(ac)))
 
 
 def check_bes_feasibility_per_pair(inst, assign) -> BESFeasibilityReport:

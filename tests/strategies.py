@@ -7,6 +7,10 @@ kernels with their oracles in `tests/oracles.py`.
   UG instances with general permutations, +/-1 tables over them and the
   noise rates of a separator and of the two-query test, the inputs of
   `cutgap.unique_games.EdgeDistribution.probabilities`.
+- `correlation_rows`, `int8_tables` and `repeated_rows`: table rows whose
+  Grams C . row the separator's triangle certificate sweeps, square int8
+  tables for the UG triangle sweep, and 2-D arrays with repeated rows for
+  the sorted distinct rows of `cutgap.separator`.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ RAW_WEIGHTS = (0.0, 1.0, 0.5, 0.25, 3.0, 1 / 3, 0.1, 7e-12, 1e-300, 5e-324)
 CUT_EPSILONS = (st.sampled_from((0.1, 0.3, 0.45, 2.0**-30, 0.5 - 2.0**-40))
                 | st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
 TEST_EPSILONS = st.sampled_from((0.0, 0.5, 1.0, 0.77)) | st.floats(0.0, 1.0)
+# values of float rows: both zeros, which compare equal, and near-ties
+ROW_FLOATS = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0**-30, 1.0 + 2.0**-52, 3.0, -1e300)
 
 
 @st.composite
@@ -92,3 +98,42 @@ def sign_tables(draw, num_vertices: int, num_labels: int):
     row_of = draw(st.lists(st.integers(0, len(rows) - 1), min_size=num_vertices,
                            max_size=num_vertices))
     return rows[row_of]
+
+
+@st.composite
+def correlation_rows(draw):
+    """(N, rows): N in {1, 2, 4, 8} and three integer rows of N entries in
+    [-9, 9], the second a copy of the first as often as not."""
+    n = draw(st.sampled_from((1, 2, 4, 8)))
+    rows = draw(arrays(np.int64, (3, n), elements=st.sampled_from(tuple(range(-9, 10)))))
+    if draw(st.booleans()):
+        rows[1] = rows[0]
+    return n, rows
+
+
+@st.composite
+def int8_tables(draw, max_size: int = 24):
+    """Square int8 tables of 1..max_size rows with entries in [-42, 42],
+    so three of them sum within int8; symmetric as often as not."""
+    size = draw(st.integers(1, max_size))
+    table = draw(arrays(np.int8, (size, size), elements=st.sampled_from(tuple(range(-42, 43)))))
+    if draw(st.booleans()):
+        table = np.triu(table) + np.triu(table, 1).T
+    return table
+
+
+@st.composite
+def repeated_rows(draw, values, max_rows: int = 12, max_cols: int = 5):
+    """2-D arrays of 1..max_cols columns whose rows, as many as 3 *
+    max_rows, are copies of 1..max_rows rows drawn from `values`. In float
+    arrays some copies have the sign of each zero flipped, so rows that
+    compare equal differ in their bytes."""
+    dtype = np.asarray(values).dtype
+    rows = draw(arrays(dtype, (draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))),
+                       elements=st.sampled_from(values)))
+    row_of = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=3 * max_rows))
+    out = rows[row_of]
+    if dtype.kind == "f":
+        flip = draw(st.lists(st.integers(0, len(out) - 1), unique=True))
+        out[flip] = np.where(out[flip] == 0, -out[flip], out[flip])
+    return out

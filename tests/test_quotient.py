@@ -2,6 +2,9 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cutgap import quotient as qt
 from cutgap.quotient import (
@@ -239,6 +242,20 @@ def test_ug_triangle_sweep_finds_planted_violations():
         np.fill_diagonal(table, n)
         gram = (table / n).reshape(m, n, m, n)
         assert qt._triangle_violation(gram) == _triangle_oracle(gram)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_ug_triangle_sweep_is_the_oracle_on_generated_symmetric_grams(data):
+    # integer tables over N with the diagonal N, at m classes of N rows
+    n = 1 << data.draw(st.integers(0, 3))
+    m = data.draw(st.integers(1, 6))
+    half = np.triu(data.draw(arrays(np.int64, (m * n, m * n),
+                                    elements=st.sampled_from(tuple(range(-n, n + 1))))))
+    table = half + np.triu(half, 1).T
+    np.fill_diagonal(table, n)
+    gram = (table / n).reshape(m, n, m, n)
+    assert qt._triangle_violation(gram) == _triangle_oracle(gram)
 
 
 def test_ug_triangle_sweep_rejects_dimensions_past_int8():

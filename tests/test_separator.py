@@ -1,12 +1,17 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutgap import separator as sp
+from cutgap import tensor
 from cutgap.cli import main
 from cutgap.quotient import build_kv_instance, build_ug_sdp_solution
 from cutgap.fourier import apply_noise_kernel
@@ -61,7 +66,9 @@ from oracles import (
     sdp_objective_per_row,
     shift_correlations,
     triangle_sweep_half,
+    triangle_sweep_ordered,
 )
+from strategies import CUT_EPSILONS, ROW_FLOATS, correlation_rows, repeated_rows
 
 
 def kv_fixture(k=2, eta=0.3, eps=0.3, l_in=8, t=1):
@@ -401,9 +408,9 @@ def test_triangle_certificate_matches_brute_force_planted_rows():
 
 
 def test_triangle_certificate_matches_brute_force_four_point_blocks():
-    # half a 4-point block is 2 first points, fewer than one sweep step
-    # even for int64 numerators
-    assert TRIANGLE_STEP_BYTES // (4 * 4 * np.dtype(np.int64).itemsize) > 2
+    # the 6 pair orbits of a 4-point block are fewer than one sweep step
+    # even for int64 numerators (two gathered rows of 4 entries a pair)
+    assert TRIANGLE_STEP_BYTES // (2 * 4 * np.dtype(np.int64).itemsize) > 6
     violating = 0
     for seed in range(60):
         assign = planted_row_fixture(seed, m=8, n=2)
@@ -1006,26 +1013,105 @@ def test_assignment_holds_no_dense_correlation_tensor():
 
 @pytest.mark.parametrize("n", [2, 4, 8])
 def test_orbit_sweep_is_the_half_sweep_on_random_integer_tables(n):
-    # a Gram C . row of any integer rows is kept by the orbit group, so the
-    # orbit representatives find the same worst term as half a block
+    # a Gram C . row of any integer rows is symmetric and kept by the orbit
+    # group, so one pair per orbit finds the same worst term as half a
+    # block, and one per swap orbit does when the first two rows are equal
     rng = np.random.default_rng(31 + n)
     corr = shift_correlations(n).astype(np.int64)
+    pairs, swap_pairs = sp._pair_orbits(n)
     for trial in range(6):
         ac, bc, ab = (corr @ rng.integers(-9, 10, size=n) for _ in range(3))
-        worst = triangle_sweep(ac, bc, ab, _orbit_representatives(n))
-        assert worst == triangle_sweep_half(ac, bc, ab) > 0, trial
+        assert triangle_sweep(ac, bc, ab, pairs) == triangle_sweep_half(ac, bc, ab) > 0, trial
+        assert triangle_sweep(ac, ac, ab, swap_pairs) == triangle_sweep_half(ac, ac, ab), trial
+
+
+@pytest.mark.parametrize("n, count, swap_count", [(1, 2, 2), (2, 6, 5), (4, 44, 30),
+                                                  (8, 4320, 2288)])
+def test_pair_orbits_hold_one_pair_of_every_orbit(n, count, swap_count):
+    # every ordered pair's orbit, as its least image (g a, g b) coded
+    # g a * 2^N + g b, under the shifts and the complement written out
+    signs = signs_of_points(n).astype(np.int64)
+    s = np.arange(n)
+    group = np.array([sign_image(n, sign * signs[:, s ^ c]) for c in range(n) for sign in (1, -1)])
+    size = 1 << n
+    a, b = np.divmod(np.arange(size * size), size)
+    least = (group[:, a] * size + group[:, b]).min(axis=0)
+    swapped = (group[:, b] * size + group[:, a]).min(axis=0)
+    tables = sp._pair_orbits(n)
+    for (first, second), orbits in zip(tables, (least, np.minimum(least, swapped))):
+        assert np.array_equal(np.sort(first * size + second), np.unique(orbits))
+    assert [len(first) for first, _ in tables] == [count, swap_count]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_correlation_classes_are_symmetric_and_keep_the_distance(n):
+    # C[x, y, :] = C[y, x, :], so every Gram spread from the classes is
+    # symmetric; and C[x, y, 0] = N - 2 |x xor y| gives each class one
+    # noise weight
+    distinct, spread = sp._distinct_correlations(n)
+    assert np.array_equal(spread, spread.T)
+    assert np.array_equal(((n - distinct[:, 0]) // 2)[spread], sp._distance_matrix(n))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(correlation_rows(), st.integers(1, 3000))
+def test_pair_orbit_sweep_is_the_ordered_sweep_on_generated_grams(drawn, step):
+    n, rows = drawn
+    # each Gram C . row is symmetric and kept by the shifts and the complement
+    ac, bc, ab = (shift_correlations(n).astype(np.int64) @ row for row in rows)
+    pairs, swap_pairs = sp._pair_orbits(n)
+    worst = triangle_sweep_ordered(ac, bc, ab)
+    # `step` pairs per step, two gathered rows a pair
+    with mock.patch.object(tensor, "TRIANGLE_STEP_BYTES", 2 * step * bc[0].nbytes):
+        assert triangle_sweep(ac, bc, ab, pairs) == worst
+        if np.array_equal(rows[0], rows[1]):
+            assert triangle_sweep(ac, bc, ab, swap_pairs) == worst
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(repeated_rows(ROW_FLOATS) | repeated_rows(tuple(range(-3, 4))))
+def test_sorted_rows_are_numpy_unique_on_generated_tables(values):
+    # 0.0 and -0.0 compare equal, so both routes merge their rows
+    rows, inverse = sp._sorted_rows(values)
+    want_rows, want_inverse = np.unique(values, axis=0, return_inverse=True)
+    assert rows.dtype == values.dtype
+    assert np.array_equal(rows, want_rows) and np.array_equal(inverse, want_inverse.ravel())
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(CUT_EPSILONS, st.sampled_from((2, 8, 16)), st.sampled_from((1, 2, 3, 5)))
+def test_per_class_objective_is_the_per_row_loop_on_generated_noise(eps, l_in, t):
+    u, q, _ = build_kv_instance(2, 0.3)
+    inst = build_bes(u, eps)
+    assign = assign_sdp_solution(inst, build_ug_sdp_solution(q), l_in=l_in, t=t)
+    assert sdp_objective(inst, assign) == sdp_objective_per_row(inst, assign)
 
 
 def test_k3_check_sweeps_the_orbit_representatives_without_per_pair_grams(monkeypatch):
+    # the N = 8 pair tables are built lean, from the (16, 256) action table
+    for cached in (sp._orbit_action, sp._orbit_representatives, sp._pair_orbits):
+        cached.cache_clear()
+    tracemalloc.start()
+    try:
+        pairs, swap_pairs = sp._pair_orbits(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
     _, _, inst, assign = kv_fixture(k=3, t=3)
-    firsts = []
+    swept = []
     sweep = sp.triangle_sweep
-    monkeypatch.setattr(sp, "triangle_sweep", lambda *args: firsts.append(args[3]) or sweep(*args))
+    monkeypatch.setattr(sp, "triangle_sweep", lambda *args: swept.append(args) or sweep(*args))
     monkeypatch.setattr(BESVectorAssignment, "base_gram_block", None)
     rep = check_bes_feasibility(inst, assign)
     assert rep.triangle_violation == 0.0 and rep.triples_checked == 8192**3
-    reps = _orbit_representatives(8)
-    assert len(reps) == 30 and firsts and all(f is reps for f in firsts)
+    # three row triples, each taken with ac <= bc: one with two distinct rows
+    # over the 4320 pair orbits, two with ac == bc over the 2288 swap orbits,
+    # 8896 pairs against the 4 * 30 * 256 of one first point per orbit
+    assert len(pairs[0]) == 4320 and len(swap_pairs[0]) == 2288
+    assert sorted(args[0] is args[1] for args in swept) == [False, True, True]
+    assert all(args[3] is (swap_pairs if args[0] is args[1] else pairs) for args in swept)
+    assert sum(len(args[3][0]) for args in swept) == 8896
 
 
 def assert_check_is_the_per_pair_oracle(assign):

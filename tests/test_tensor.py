@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutgap.quotient import build_kv_instance, build_ug_sdp_solution
 from cutgap import tensor
@@ -9,6 +13,7 @@ from cutgap.tensor import (
     base_gram,
     shift_covariance_residual,
     triangle_sweep,
+    triangle_sweep_upper,
 )
 from oracles import (
     BESVectorHandle,
@@ -16,7 +21,9 @@ from oracles import (
     materialize_tensor_power,
     odd_power_triangle_transfer,
     tensor_inner,
+    triangle_sweep_ordered,
 )
+from strategies import int8_tables
 
 
 def orthonormal_basis(rng, n):
@@ -204,27 +211,58 @@ def test_odd_power_transfer_fuzz():
         checked += len(vals)
 
 
+def brute_force_terms(ac, bc, ab, first, second):
+    """ac[a, c] + bc[b, c] - ab[a, b] as exact integers, [pair, c]."""
+    return (ac[first].astype(object) + bc[second].astype(object)
+            - ab[first, second].astype(object)[:, None])
+
+
 @pytest.mark.parametrize("dtype, bound", [(np.int8, 42), (np.int32, 2**29), (np.int64, 2**60)])
 def test_triangle_sweep_is_the_brute_force_max(monkeypatch, dtype, bound):
     rng = np.random.default_rng(23)
     ac, bc, ab = (rng.integers(-bound, bound + 1, size=shape).astype(dtype)
                   for shape in ((13, 9), (7, 9), (13, 7)))
-    # three first points per step: the slice 2:13 is 11 points, so the
-    # last step holds two
-    monkeypatch.setattr(tensor, "TRIANGLE_STEP_BYTES", 3 * bc.nbytes)
-    first = slice(2, 13)
-    terms = (ac[first, None, :].astype(object) + bc[None, :, :].astype(object)
-             - ab[first, :, None].astype(object))
-    assert triangle_sweep(ac, bc, ab, first) == max(terms.ravel())
+    # three pairs per step (two gathered rows a pair): first points 2..12
+    # with every second point are 77 pairs, so the last step holds two
+    monkeypatch.setattr(tensor, "TRIANGLE_STEP_BYTES", 2 * 3 * bc[0].nbytes)
+    first, second = (a.ravel() for a in np.meshgrid(np.arange(2, 13), np.arange(7),
+                                                    indexing="ij"))
+    terms = brute_force_terms(ac, bc, ab, first, second)
+    assert triangle_sweep(ac, bc, ab, (first, second)) == max(terms.ravel())
 
 
 def test_triangle_sweep_takes_an_index_array_of_first_points(monkeypatch):
     rng = np.random.default_rng(29)
     ac, bc, ab = (rng.integers(-2**29, 2**29 + 1, size=shape).astype(np.int32)
                   for shape in ((13, 9), (7, 9), (13, 7)))
-    monkeypatch.setattr(tensor, "TRIANGLE_STEP_BYTES", 3 * bc.nbytes)
-    # five first points out of order: a step of three, then one of two
-    first = np.array([12, 2, 7, 4, 9])
-    terms = (ac[first, None, :].astype(object) + bc[None, :, :].astype(object)
-             - ab[first, :, None].astype(object))
-    assert triangle_sweep(ac, bc, ab, first) == max(terms.ravel())
+    monkeypatch.setattr(tensor, "TRIANGLE_STEP_BYTES", 2 * 3 * bc[0].nbytes)
+    # five pairs, first points out of order and repeated: a step of three,
+    # then one of two; only the listed pairs count
+    first, second = np.array([12, 2, 7, 12, 9]), np.array([0, 6, 3, 5, 5])
+    terms = brute_force_terms(ac, bc, ab, first, second)
+    assert triangle_sweep(ac, bc, ab, (first, second)) == max(terms.ravel())
+    every = brute_force_terms(ac, bc, ab, *np.divmod(np.arange(13 * 7), 7))
+    assert max(terms.ravel()) < max(every.ravel())
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_upper_triangle_sweep_is_the_brute_force_max(monkeypatch, symmetric):
+    # 11 rows, two first points per step; a table that is not symmetric is
+    # covered by subtracting the lesser of g[a, b] and g[b, a]
+    rng = np.random.default_rng(37)
+    monkeypatch.setattr(tensor, "TRIANGLE_STEP_BYTES", 2 * 11 * 11)
+    first, second = np.divmod(np.arange(11 * 11), 11)
+    for trial in range(20):
+        g = rng.integers(-40, 41, size=(11, 11)).astype(np.int8)
+        if symmetric:
+            g = np.triu(g) + np.triu(g, 1).T
+        terms = brute_force_terms(g, g, g, first, second)
+        assert triangle_sweep_upper(g) == max(terms.ravel()), trial
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(int8_tables(), st.integers(1, 24))
+def test_upper_triangle_sweep_is_the_ordered_sweep_on_generated_tables(g, step):
+    # `step` first points per step
+    with mock.patch.object(tensor, "TRIANGLE_STEP_BYTES", step * g.nbytes):
+        assert triangle_sweep_upper(g) == triangle_sweep_ordered(g, g, g)
