@@ -266,9 +266,10 @@ def cmd_verify(args) -> int:
                     break
             else:
                 print("OK ug_relabel_invariance")
+            graph = ug.label_extended_graph(inst)
             for _ in range(3):
                 lam = rng.integers(0, inst.num_labels, size=inst.num_vertices)
-                val, ome = ug.labeling_set_expansion_identity(inst, lam)
+                val, ome = ug.labeling_set_expansion_identity(inst, lam, graph)
                 if abs(val - ome) > 1e-9:
                     failures.append(("ug_expansion_identity", f"{val} vs {ome}"))
                     break

@@ -14,6 +14,8 @@ leading axes are a batch. Every operation is a pure function.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["apply_noise_kernel"]
@@ -26,30 +28,39 @@ def _checked_dimension(table_len: int) -> int:
     return table_len.bit_length() - 1
 
 
-def fwht_inplace(a: np.ndarray) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard butterfly along the last axis.
+@functools.cache
+def _hadamard(k: int) -> np.ndarray:
+    """The 2^k x 2^k matrix H[s, x] = (-1)^popcount(s & x), read-only."""
+    idx = np.arange(1 << k, dtype=np.uint32)
+    h = 1.0 - 2.0 * (np.bitwise_count(idx[:, None] & idx) & 1)
+    h.setflags(write=False)
+    return h
 
-    Computes sum_x f(x) (-1)^popcount(s & x) in O(N log N).
+
+def walsh_hadamard(tables, split: int | None = None) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along the last axis,
+    sum_x f(x) (-1)^popcount(s & x), in float64.
+
+    The characters factor over the low a bits of x and the high k - a bits
+    (a = `split`, k // 2 unless given), so with each table read as a
+    2^(k-a) x 2^a matrix X (row: the high bits) its spectrum is
+    H_{2^(k-a)} X H_{2^a}: two small matrix products for the whole batch.
+    On integer tables every product and partial sum is an integer, exact
+    while below 2^53 (as on +/-1 tables), so every split gives the same
+    floats.
     """
-    n = a.shape[-1]
-    _checked_dimension(n)
-    h = 1
-    while h < n:
-        shape = a.shape[:-1] + (n // (2 * h), 2, h)
-        view = a.reshape(shape)
-        top = view[..., 0, :] + view[..., 1, :]
-        bot = view[..., 0, :] - view[..., 1, :]
-        view[..., 0, :] = top
-        view[..., 1, :] = bot
-        h *= 2
-    return a
+    values = np.asarray(tables, dtype=np.float64)
+    k = _checked_dimension(values.shape[-1])
+    a = k // 2 if split is None else split
+    low = values.reshape(-1, 1 << a) @ _hadamard(a)
+    high = _hadamard(k - a) @ low.reshape(values.shape[:-1] + (1 << k - a, 1 << a))
+    return high.reshape(values.shape)
 
 
 def wht_matrix(tables: np.ndarray) -> np.ndarray:
     """Batched transform: rows of `tables` are truth tables, rows of the
     result are spectra (normalized by 2^-k)."""
-    out = np.array(tables, dtype=np.float64)
-    fwht_inplace(out)
+    out = walsh_hadamard(tables)
     out /= out.shape[-1]
     return out
 

@@ -453,14 +453,16 @@ class CutSearchResult:
     candidates: list  # (name, weight, balance) per candidate examined
 
 
-def _random_balanced_cut(inst: BESInstance, rng) -> np.ndarray:
-    half = inst.block_size // 2
-    blocks = []
-    for _ in range(inst.num_blocks):
-        a = np.full(inst.block_size, -1, dtype=np.int8)
-        a[rng.permutation(inst.block_size)[:half]] = 1
-        blocks.append(a)
-    return np.concatenate(blocks)
+def _random_balanced_cuts(inst: BESInstance, rng, count: int) -> np.ndarray:
+    """`count` cuts, one per row, each +1 on the first half of one shuffle
+    of every block's points. `Generator.permuted` shuffles the rows in
+    order, as one `rng.permutation(block_size)` per block and cut would,
+    so the generator is read the same way."""
+    size = inst.block_size
+    points = rng.permuted(np.tile(np.arange(size), (count * inst.num_blocks, 1)), axis=1)
+    cuts = np.full(points.shape, -1, dtype=np.int8)
+    np.put_along_axis(cuts, points[:, :size // 2], 1, axis=1)
+    return cuts.reshape(count, -1)
 
 
 def _majority_cut(inst: BESInstance) -> np.ndarray:
@@ -552,8 +554,8 @@ def balanced_cut_search(inst: BESInstance, seed: int = 0, labelings=None,
     for idx, lam in enumerate(labelings or []):
         candidates.append((f"labeling_{idx}", dictator_tables(lam, n).ravel()))
     candidates.append(("majority", _majority_cut(inst)))
-    for r in range(RANDOM_CANDIDATES):
-        candidates.append((f"random_{r}", _random_balanced_cut(inst, rng)))
+    cuts = _random_balanced_cuts(inst, rng, RANDOM_CANDIDATES)
+    candidates += [(f"random_{r}", cut) for r, cut in enumerate(cuts)]
 
     report = []
     best_cut = None

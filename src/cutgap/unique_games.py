@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import pairwise
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
-from .fourier import fwht_inplace
+from .fourier import walsh_hadamard
 
 __all__ = [
     "UGInstance",
@@ -24,6 +26,8 @@ __all__ = [
     "Incidence",
     "Guide",
     "Pulls",
+    "Levels",
+    "Slab",
     "RowKeys",
     "distinct_rows",
     "BudgetExceededError",
@@ -44,6 +48,9 @@ EXACT_LABEL_LIMIT = 8  # the one label cap: 2^N points per vertex (k <= 3 in the
 SAMPLE_BATCH = 1 << 16
 FLIP_ROWS = 4096
 GUIDE_BITS = 16
+# `EdgeDistribution.level_sums` takes the level dots of at most ROW_SLAB
+# distinct v-rows at a time (the k = 3 quotient instance's 32 in one)
+ROW_SLAB = 32
 
 
 class BudgetExceededError(ValueError):
@@ -187,6 +194,27 @@ class Pulls(NamedTuple):
     pair: np.ndarray  # per edge, the index of its (w[e], table_of[e]) pair
 
 
+class Levels(NamedTuple):
+    """The subsets S in order of size |S|, and the reindex tables in that
+    order (`EdgeDistribution.levels`)."""
+
+    order: np.ndarray  # the subset bitmasks, stably sorted by size
+    bounds: list  # the sets of size s sit at positions bounds[s]:bounds[s + 1]
+    # per table, the position each position reads: a coordinate permutation
+    # keeps |S|, so position i reads a position of i's level
+    tables: np.ndarray
+
+
+class Slab(NamedTuple):
+    """At most ROW_SLAB consecutive v-rows of a `RowKeys` and the pulls
+    their keys read, the unit of `EdgeDistribution.level_sums`."""
+
+    v_row: np.ndarray  # the slab's v-rows
+    keys: slice  # the slab's keys
+    gather: np.ndarray  # per pull read, the flat index of its level-sorted pulled spectrum
+    cell: np.ndarray  # per key, its v-row's place in the slab times the pulls read, plus its pull's
+
+
 class RowKeys(NamedTuple):
     """The distinct keys of the edges when each vertex reads one of a few
     distinct rows (`EdgeDistribution.row_keys`)."""
@@ -197,10 +225,7 @@ class RowKeys(NamedTuple):
     v_row: np.ndarray  # the distinct v-rows of the keys, increasing
     bounds: np.ndarray  # v-row v_row[i]'s keys are bounds[i]:bounds[i + 1]
     key_of: np.ndarray  # per edge, its key
-
-    def groups(self):
-        """(v-row, lo, hi) for each distinct v-row, whose keys are lo:hi."""
-        return zip(self.v_row.tolist(), self.bounds[:-1].tolist(), self.bounds[1:].tolist())
+    slabs: tuple  # the `Slab`s of v_row, in order
 
 
 def distinct_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -295,12 +320,30 @@ class EdgeDistribution:
             a.setflags(write=False)
         return guide
 
+    @cached_property
+    def levels(self) -> Levels:
+        """The subsets sorted by size and the reindex tables in that order:
+        position i of a level-sorted pulled row reads position tables[p][i]
+        of the level-sorted row. Built once and read-only."""
+        n = self.num_labels
+        order = np.argsort(np.bitwise_count(np.arange(1 << n)), kind="stable")
+        tables = np.argsort(order)[self.tables[:, order]]
+        for a in (order, tables):
+            a.setflags(write=False)
+        return Levels(order, np.cumsum([0] + [comb(n, s) for s in range(n + 1)]).tolist(), tables)
+
     def row_keys(self, row_of) -> RowKeys:
         """The edges' keys when vertex u reads distinct row row_of[u] of
         2^N values: an edge (v, w) with table p reads v's row and the pulled
         row (row of w)[tables[p]], so its term depends only on its key
         (row of v, pull), with pull = (row of w, p). The pulls are found from
-        the distinct (w, p) pairs (`pulls`), the keys from the edges."""
+        the distinct (w, p) pairs (`pulls`), the keys from the edges.
+
+        Each slab of ROW_SLAB v-rows finds the pulls its keys read, the flat
+        index of each one's level-sorted pulled row among the level-sorted
+        rows (`levels`), and each key's cell among the slab's (v-row, pull
+        read) pairs, so a slab's work and memory are at most ROW_SLAB times
+        its keys."""
         n_tables = len(self.tables)
         pairs = self.pulls
         pulls, pull_of = np.unique(row_of[pairs.other] * n_tables + pairs.table,
@@ -308,9 +351,22 @@ class EdgeDistribution:
         keys, key_of = np.unique(row_of[self.v] * len(pulls) + pull_of[pairs.pair],
                                  return_inverse=True)
         key_row, key_pull = np.divmod(keys, len(pulls))
-        v_row, first = np.unique(key_row, return_index=True)
-        return RowKeys(*np.divmod(pulls, n_tables), key_pull, v_row, np.append(first, len(keys)),
-                       key_of)
+        v_row, first, rank = np.unique(key_row, return_index=True, return_inverse=True)
+        bounds = np.append(first, len(keys))
+        pull_row, pull_table = np.divmod(pulls, n_tables)
+        slabs = []
+        for lo in range(0, len(v_row), ROW_SLAB):
+            hi = min(lo + ROW_SLAB, len(v_row))
+            slab_keys = slice(int(bounds[lo]), int(bounds[hi]))
+            read = np.zeros(len(pulls), dtype=bool)
+            read[key_pull[slab_keys]] = True
+            column = np.cumsum(read) - 1  # a read pull's place among them
+            read = read.nonzero()[0]
+            gather = self.levels.tables[pull_table[read]]
+            gather += (pull_row[read] << self.num_labels)[:, None]
+            cell = (rank[slab_keys] - lo) * len(read) + column[key_pull[slab_keys]]
+            slabs.append(Slab(v_row[lo:hi], slab_keys, gather, cell))
+        return RowKeys(pull_row, pull_table, key_pull, v_row, bounds, key_of, tuple(slabs))
 
     @cached_property
     def own_row_keys(self) -> RowKeys:
@@ -326,7 +382,8 @@ class EdgeDistribution:
 
     def _fixed_keys(self, row_of) -> RowKeys:
         keys = self.row_keys(row_of)
-        for a in keys:
+        slab_arrays = [a for slab in keys.slabs for a in (slab.v_row, slab.gather, slab.cell)]
+        for a in [*keys[:-1], *slab_arrays]:
             a.setflags(write=False)
         return keys
 
@@ -363,23 +420,29 @@ class EdgeDistribution:
     def level_sums(self, tables) -> np.ndarray:
         """G[j, s]: Â^v(S) B̂_e(S) summed over the edges e of weight class j
         and the sets S of size s, with Â^v the unnormalized spectrum of v's
-        +/-1 table and B̂_e = Â^w read through e's reindex table. Each key's
-        level sums are taken once, then each class adds its edges' keys', so
-        the work is linear in |E| however many weights differ. Parseval
-        bounds each edge's sum of |Â^v(S) B̂_e(S)| by 4^N, so every operand
-        and partial sum is an integer below |E| 4^N (2^28 at k = 3): exact
-        in float64 and BLAS, in any order and under any thread count."""
-        n = self.num_labels
+        +/-1 table and B̂_e = Â^w read through e's reindex table. The
+        distinct rows' spectra are taken once and sorted by level
+        (`levels`). Each slab of v-rows (`row_keys`) then takes the level
+        dots of its (v-row, pull read) pairs by one matrix product per
+        level, each key reads its cell, and each class adds its edges'
+        keys', so the work is linear in |E| however many weights differ.
+        Parseval bounds each edge's sum of |Â^v(S) B̂_e(S)| by 4^N, so every
+        operand and partial sum is an integer below |E| 4^N (2^28 at
+        k = 3): exact in float64 and BLAS, in any order and under any
+        thread count."""
         rows, keys = self.keyed_rows(np.asarray(tables))
         if not np.all(np.abs(rows) == 1):
             raise ValueError("table entries must be +/-1")
-        spectra = fwht_inplace(rows.astype(np.float64))
-        pulled = self.pulled_rows(spectra, keys)
-        levels = np.equal.outer(np.bitwise_count(np.arange(1 << n)), np.arange(n + 1))
-        per_key = np.empty((len(keys.key_pull), n + 1))
-        for r, lo, hi in keys.groups():
-            by_level = spectra[r][:, None] * levels  # row r's spectrum, one column per |S|
-            per_key[lo:hi] = pulled.take(keys.key_pull[lo:hi], axis=0) @ by_level
+        levels = self.levels
+        # indexing, not `take`: `take` copies an index array that is
+        # read-only, as the level order and the fixed keys' plans are
+        spectra = walsh_hadamard(rows)[:, levels.order]
+        per_key = np.empty((len(keys.key_pull), self.num_labels + 1))
+        for slab in keys.slabs:
+            pulled = spectra.ravel()[slab.gather]
+            own = spectra[slab.v_row]
+            for s, (lo, hi) in enumerate(pairwise(levels.bounds)):
+                per_key[slab.keys, s] = (own[:, lo:hi] @ pulled[:, lo:hi].T).ravel()[slab.cell]
         _, by_weight, starts = self.weight_classes
         return np.add.reduceat(per_key.take(keys.key_of[by_weight], axis=0), starts)
 
@@ -419,7 +482,8 @@ class EdgeDistribution:
         (exact: a power-of-two scale) names that edge in `guide.edge[j]`
         unless the bucket holds a cdf entry; only those draws are searched
         (about 4% at k = 3). The flip uniforms come FLIP_ROWS rows at a time
-        into one reused buffer, in the same order. The first query reads
+        into one reused buffer, in the same order, and each row's N flips
+        are packed into mu by one multiply (`_pack_rows`). The first query reads
         `blocks` at (v, x); the second reads the edge's pulled row at x ^ mu,
         from the rows of `own_row_keys` gathered once per call. Both gathers
         read flat indices, so `blocks` must hold one row of 2^N values per
@@ -438,11 +502,10 @@ class EdgeDistribution:
         pulled = self.pulled_rows(blocks, own).ravel()
         first = self.v.astype(np.intp) << n  # each query's row, as a flat offset
         second = own.key_pull[own.key_of].astype(np.intp) << n
-        # bit weights in the narrowest unsigned type that holds 2^N - 1, so
-        # the product with the flip indicators makes no int64 copy
-        bit_weights = (1 << np.arange(n)).astype(np.min_scalar_type((1 << n) - 1))
         flips = np.empty((min(samples, FLIP_ROWS), n))
-        mu = np.empty(min(samples, SAMPLE_BATCH), dtype=bit_weights.dtype)
+        # room for the bytes `_pack_rows` reads past the last row
+        hits = np.zeros(flips.size + (1 << (n - 1).bit_length()) - n, dtype=bool)
+        mu = np.empty(min(samples, SAMPLE_BATCH), dtype=np.uint8)
         count = 0
         done = 0
         while done < samples:
@@ -452,7 +515,8 @@ class EdgeDistribution:
             for lo in range(0, batch, FLIP_ROWS):
                 rows = flips[:min(batch - lo, FLIP_ROWS)]
                 rng.random(out=rows)
-                np.matmul(rows < epsilon, bit_weights, out=mu[lo:lo + len(rows)])
+                np.less(rows.ravel(), epsilon, out=hits[:rows.size])
+                _pack_rows(hits, n, mu[lo:lo + len(rows)])
             queried = values[first[ei] | x]
             x ^= mu[:batch]
             count += int(np.count_nonzero(queried != pulled[second[ei] | x]))
@@ -468,6 +532,22 @@ class EdgeDistribution:
         miss = (ei < 0).nonzero()[0]
         ei[miss] = guide.cdf.searchsorted(u[miss], side="right")
         return ei
+
+
+def _pack_rows(bits: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """out[i] = sum_j bits[i N + j] 2^j for j < N: the N-bit rows of a
+    flat 0/1 bool array, packed. Row i is read as the little-endian word of
+    the W bytes from byte i N on, W the least power of two >= N (so `bits`
+    holds W - N bytes past the last row, the next row's or spare). Times
+    sum_j 2^(8(W - 1) - 7j), byte j lands at bit 8(W - 1) + j; every other
+    term is a distinct power of two below 2^(8(W - 1)) or wraps past 8W
+    bits, so nothing carries into the top byte, which masked to N bits is
+    the row."""
+    width = 1 << (n - 1).bit_length()
+    words = np.ndarray(len(out), dtype=f"<u{width}", buffer=bits, strides=(n,))
+    magic = words.dtype.type(sum(1 << 8 * (width - 1) - 7 * j for j in range(width)))
+    np.right_shift(words * magic, 8 * (width - 1), out=out, casting="unsafe")
+    return np.bitwise_and(out, (1 << n) - 1, out=out)
 
 
 def value(u: UGInstance, lam) -> float:
@@ -522,6 +602,13 @@ def opt_search(u: UGInstance, seed: int, restarts: int = 10):
     pi), and lam[w'] == pi[a], that is a == pi^-1[lam[w']], on an edge (w',
     v, pi). Loop ends are left out (no single-vertex relabel can satisfy or
     break a loop unless pi has fixed points, which value() handles directly).
+
+    Restart r starts from `default_rng([seed, r])`, and the restarts run in
+    lockstep, one column each of a (|V|, restarts) array: at each vertex
+    one `bincount` over the (end, restart) pairs, in that order, takes every
+    restart's gains, each bin adding its restart's ends in incidence order,
+    as a search alone would. A restart leaves the lockstep after its first
+    pass without a move, at which its labeling is a fixed point.
     """
     d = u.edge_distribution
     n = u.num_labels
@@ -531,25 +618,32 @@ def opt_search(u: UGInstance, seed: int, restarts: int = 10):
     keep = ends.other != ends.vertex
     other, starts, wts = ends.other[keep], ends.row[keep] * n, ends.weight[keep]
     bounds = np.searchsorted(ends.vertex[keep], np.arange(u.num_vertices + 1))
-    inc = [(other[a:b], starts[a:b], wts[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    inc = [(other[a:b], starts[a:b, None], wts[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    lams = np.empty((u.num_vertices, restarts), dtype=np.int64)
+    for r in range(restarts):
+        lams[:, r] = np.random.default_rng([seed, r]).integers(0, n, size=u.num_vertices)
+    active = np.arange(restarts)
+    while len(active):
+        lam = lams[:, active]
+        offsets = np.arange(len(active)) * n  # restart i's gains are bins i n .. i n + n - 1
+        moved = np.zeros(len(active), dtype=bool)
+        for v, (others, map_starts, weights) in enumerate(inc):
+            bins = maps.take(map_starts + lam.take(others, axis=0))
+            bins += offsets
+            gains = np.bincount(bins.ravel(), np.repeat(weights, len(active)), n * len(active))
+            new = gains.reshape(-1, n).argmax(axis=1)  # argmax takes lowest index on ties
+            better = gains[offsets + new] > gains[offsets + lam[v]] + 1e-15
+            np.copyto(lam[v], new, where=better)
+            moved |= better
+        lams[:, active] = lam
+        active = active[moved]
     best: np.ndarray | None = None
     best_val = -1.0
     for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        lam = rng.integers(0, n, size=u.num_vertices)
-        improved = True
-        while improved:
-            improved = False
-            for v, (others, map_starts, weights) in enumerate(inc):
-                gains = np.bincount(maps.take(map_starts + lam.take(others)), weights, n)
-                new_label = int(gains.argmax())  # argmax takes lowest index on ties
-                if gains[new_label] > gains[lam[v]] + 1e-15:
-                    lam[v] = new_label
-                    improved = True
-        val = value(u, lam)
+        val = value(u, lams[:, r])
         if val > best_val:
             best_val = val
-            best = lam.copy()
+            best = lams[:, r].copy()
     return best, best_val
 
 
@@ -574,16 +668,18 @@ def label_extended_graph(u: UGInstance):
     return keys // size, keys % size, weight
 
 
-def labeling_set_expansion_identity(u: UGInstance, lam):
+def labeling_set_expansion_identity(u: UGInstance, lam, graph):
     """Return (val, 1 - Phi(S_lam)) computed by two independent routes.
 
     val comes from the satisfaction predicate; the expansion side walks the
-    label-extended graph: pick a uniform vertex of S_lam = {(v, lam[v])}
-    (degrees are regular) and a random incident edge by weight.
+    label-extended graph `graph` = `label_extended_graph(u)`, which every
+    labeling of the instance shares: pick a uniform vertex of S_lam =
+    {(v, lam[v])} (degrees are regular) and a random incident edge by
+    weight.
     """
     lam = np.asarray(lam, dtype=np.int64)
     val = value(u, lam)
-    lo, hi, weight = label_extended_graph(u)
+    lo, hi, weight = graph
     size = u.num_vertices * u.num_labels
     members = np.arange(u.num_vertices) * u.num_labels + lam
     in_set = np.zeros(size, dtype=bool)

@@ -23,9 +23,10 @@ import math
 
 import numpy as np
 
-from cutgap.fourier import fwht_inplace, wht_matrix
+from cutgap.fourier import wht_matrix
 from cutgap.metrics import FiniteMetric
 from cutgap.unique_games import UGInstance
+from oracles import fwht_inplace
 
 EXACT_ENUMERATION_LIMIT = 14
 

@@ -2,8 +2,10 @@
 paths against. None of them is used by the cutgap package itself.
 
 - `character_table` and `naive_wht`: the Walsh-Hadamard transform as one
-  product with the explicit character matrix, the oracle for the butterfly
-  of `cutgap.fourier`.
+  product with the explicit character matrix, and `fwht_inplace`, the same
+  transform as the in-place O(N log N) butterfly: the oracles for the
+  Kronecker transform of `cutgap.fourier`, which must match the butterfly
+  byte for byte on +/-1 tables.
 - `noise_kernel_two_copies`: the noise kernel's butterfly with both
   halves of each pass copied and each written by its own expression, the
   oracle that the one-temporary pass of `cutgap.fourier.apply_noise_kernel`
@@ -46,7 +48,8 @@ paths against. None of them is used by the cutgap package itself.
   `EdgeDistribution.level_sums`, rounded once by `probabilities`, must match with `==`;
   `level_sums_one_gather`: those level sums with every edge's pulled
   spectrum gathered at once and summed in int64, the oracle that the
-  distinct-row keys of `EdgeDistribution.keyed_rows` must match with `==`.
+  distinct-row keys of `EdgeDistribution.keyed_rows` and the slab products
+  of `EdgeDistribution.level_sums` must match with `==`.
 - `disagreement_one_gather` and `acceptance_exact_per_edge` (with
   `_noise_factors`): the float routes to the same two numbers, one noise
   kernel pass and one spectral term per edge, each summed in edge order;
@@ -61,6 +64,13 @@ paths against. None of them is used by the cutgap package itself.
   test with its edges drawn by `Generator.choice` and its flips as one
   (batch, N) array of uniforms, the oracle whose counts the guide-table
   sampler of `EdgeDistribution.sample_disagreements` must give with `==`.
+- `pack_rows_matmul`: the N-bit rows of a bool array packed by a uint8
+  `matmul` with the bit weights, the oracle for the one-multiply packing
+  of `cutgap.unique_games._pack_rows`.
+- `random_balanced_cut_loop`: one random balanced cut, one
+  `Generator.permutation` per block, the oracle whose cuts and generator
+  state the one shuffle of `cutgap.separator._random_balanced_cuts` must
+  give with `==`.
 - `balanced_cut_search_per_trial`: the balanced-cut search with every
   trial flip of its local search judged by two exact cut weights and its
   balance by `piecewise_balance` of the whole flipped cut, the oracle that
@@ -106,14 +116,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cutgap.fourier import apply_noise_kernel, fwht_inplace, wht_matrix
+from cutgap.fourier import apply_noise_kernel, wht_matrix
 from cutgap.metrics import _cut_sum
 from cutgap.separator import (
     BESFeasibilityReport,
     CutSearchResult,
     _block_views,
     _majority_cut,
-    _random_balanced_cut,
     cut_edge_weight,
     demand_cut,
 )
@@ -182,6 +191,24 @@ def naive_wht(f) -> np.ndarray:
     values = np.asarray(f, dtype=np.float64)
     k = len(values).bit_length() - 1
     return character_table(k).astype(np.float64) @ values / len(values)
+
+
+def fwht_inplace(a: np.ndarray) -> np.ndarray:
+    """Unnormalized fast Walsh-Hadamard butterfly along the last axis, in
+    place: sum_x f(x) (-1)^popcount(s & x) in O(N log N)."""
+    n = a.shape[-1]
+    if n <= 0 or n & (n - 1):
+        raise ValueError(f"table length {n} is not a power of two")
+    h = 1
+    while h < n:
+        shape = a.shape[:-1] + (n // (2 * h), 2, h)
+        view = a.reshape(shape)
+        top = view[..., 0, :] + view[..., 1, :]
+        bot = view[..., 0, :] - view[..., 1, :]
+        view[..., 0, :] = top
+        view[..., 1, :] = bot
+        h *= 2
+    return a
 
 
 def noise_kernel_two_copies(values, eps: float, n_bits: int) -> np.ndarray:
@@ -512,6 +539,12 @@ def sample_disagreements_choice(d, blocks, samples: int, seed: int,
     return count
 
 
+def pack_rows_matmul(rows: np.ndarray) -> np.ndarray:
+    """Each row of a (rows, N) bool array as sum_j rows[i, j] 2^j, by one
+    `matmul` with the bit weights in uint8."""
+    return np.matmul(rows, (1 << np.arange(rows.shape[1])).astype(np.uint8))
+
+
 def sdp_objective_per_row(inst, assign) -> float:
     """`separator.sdp_objective` with each distinct table row's inner
     products and their t-th powers taken over all (x, y') points."""
@@ -533,6 +566,18 @@ def sdp_objective_per_row(inst, assign) -> float:
     return (1.0 - mean_inner) / 2.0
 
 
+def random_balanced_cut_loop(inst, rng) -> np.ndarray:
+    """A cut with +1 on half of every block's points: per block, the first
+    half of one `rng.permutation` of the block's points."""
+    half = inst.block_size // 2
+    blocks = []
+    for _ in range(inst.num_blocks):
+        a = np.full(inst.block_size, -1, dtype=np.int8)
+        a[rng.permutation(inst.block_size)[:half]] = 1
+        blocks.append(a)
+    return np.concatenate(blocks)
+
+
 def balanced_cut_search_per_trial(inst, theta: float = 5.0 / 6.0, seed: int = 0,
                                   random_candidates: int = 8, labelings=None,
                                   local_search: bool = True):
@@ -549,7 +594,7 @@ def balanced_cut_search_per_trial(inst, theta: float = 5.0 / 6.0, seed: int = 0,
         candidates.append((f"labeling_{idx}", dictator_tables(lam, n).ravel()))
     candidates.append(("majority", _majority_cut(inst)))
     for r in range(random_candidates):
-        candidates.append((f"random_{r}", _random_balanced_cut(inst, rng)))
+        candidates.append((f"random_{r}", random_balanced_cut_loop(inst, rng)))
 
     report = []
     best_cut = None

@@ -7,6 +7,12 @@ kernels with their oracles in `tests/oracles.py`.
   UG instances with general permutations, +/-1 tables over them and the
   noise rates of a separator and of the two-query test, the inputs of
   `cutgap.unique_games.EdgeDistribution.probabilities`.
+- `search_instances`: UG instances of a given label count for the relabel
+  search of `cutgap.unique_games.opt_search`, with tied weights and an
+  isolated vertex as often as not.
+- `slab_inputs`: UG instances of 3 or 4 labels whose v ends read more
+  distinct +/-1 rows than one slab of `EdgeDistribution.level_sums` holds
+  as often as not, with those tables.
 - `correlation_rows`, `int8_tables` and `repeated_rows`: table rows whose
   Grams C . row the separator's triangle certificate sweeps, square int8
   tables for the UG triangle sweep, and 2-D arrays with repeated rows for
@@ -73,12 +79,14 @@ def lps(draw, max_rows: int = 10, max_cols: int = 16):
 
 
 @st.composite
-def ug_instances(draw, max_labels: int = 4, max_vertices: int = 5, max_edges: int = 8):
-    """UG instances of 1..max_labels labels on 1..max_vertices vertices:
-    endpoints drawn freely (loops and isolated vertices included), a drawn
-    permutation per edge, and weights drawn from RAW_WEIGHTS, one of them
-    nonzero, over their sum. No degree regularity is asked for."""
-    n = draw(st.integers(1, max_labels))
+def ug_instances(draw, max_labels: int = 4, max_vertices: int = 5, max_edges: int = 8,
+                 min_labels: int = 1):
+    """UG instances of min_labels..max_labels labels on 1..max_vertices
+    vertices: endpoints drawn freely (loops and isolated vertices
+    included), a drawn permutation per edge, and weights drawn from
+    RAW_WEIGHTS, one of them nonzero, over their sum. No degree regularity
+    is asked for."""
+    n = draw(st.integers(min_labels, max_labels))
     m = draw(st.integers(1, max_vertices))
     e = draw(st.integers(1, max_edges))
     ends = st.lists(st.integers(0, m - 1), min_size=e, max_size=e)
@@ -90,6 +98,18 @@ def ug_instances(draw, max_labels: int = 4, max_vertices: int = 5, max_edges: in
 
 
 @st.composite
+def search_instances(draw, num_labels: int):
+    """`ug_instances` of num_labels labels on 1..8 vertices with up to 16
+    edges, loops included; half of them with every weight equal, so that
+    gains tie, and as often as not with one more vertex that no edge
+    touches."""
+    u = draw(ug_instances(num_labels, max_vertices=8, max_edges=16, min_labels=num_labels))
+    weight = np.full(u.num_edges, 1 / u.num_edges) if draw(st.booleans()) else u.weight
+    return UGInstance(u.num_vertices + draw(st.integers(0, 1)), u.num_labels, u.v, u.w, weight,
+                      u.perm, regularity_tol=np.inf)
+
+
+@st.composite
 def sign_tables(draw, num_vertices: int, num_labels: int):
     """+/-1 tables of 2^N entries, one per vertex, each a copy of one of
     1..num_vertices drawn rows, so rows repeat as often as not."""
@@ -98,6 +118,35 @@ def sign_tables(draw, num_vertices: int, num_labels: int):
     row_of = draw(st.lists(st.integers(0, len(rows) - 1), min_size=num_vertices,
                            max_size=num_vertices))
     return rows[row_of]
+
+
+@st.composite
+def slab_inputs(draw, slab: int):
+    """(instance, tables): N in {3, 4} labels (so more than `slab` distinct
+    rows exist) on slab + 1 to 3 slab vertices, each the v end of one edge,
+    plus up to 2 |V| edges drawn freely; a few loops forced among them,
+    each edge's permutation one of 1..6 drawn ones and its weight one of
+    1..3 drawn nonzero classes. The tables copy 1..|V| distinct rows, each
+    read by some vertex, more than `slab` of them as often as not."""
+    n = draw(st.sampled_from((3, 4)))
+    m = draw(st.integers(slab + 1, 3 * slab))
+    e = m + draw(st.integers(0, 2 * m))
+    v = np.concatenate([np.arange(m), draw(arrays(np.int64, e - m, elements=st.integers(0, m - 1)))])
+    w = draw(arrays(np.int64, e, elements=st.integers(0, m - 1)))
+    loops = draw(st.lists(st.integers(0, e - 1), max_size=4))
+    w[loops] = v[loops]
+    perms = np.array(draw(st.lists(st.permutations(range(n)), min_size=1, max_size=6)))
+    perm = perms[draw(arrays(np.int64, e, elements=st.integers(0, len(perms) - 1)))]
+    classes = np.array(draw(st.lists(st.sampled_from(RAW_WEIGHTS[1:]), min_size=1, max_size=3)))
+    raw = classes[draw(arrays(np.int64, e, elements=st.integers(0, len(classes) - 1)))]
+    u = UGInstance(m, n, v, w, raw / raw.sum(), perm, regularity_tol=np.inf)
+    count = draw(st.integers(slab + 1, m) | st.integers(1, m))
+    codes = draw(st.lists(st.integers(0, (1 << (1 << n)) - 1), min_size=count, max_size=count,
+                          unique=True))
+    rows = (1 - 2 * ((np.array(codes)[:, None] >> np.arange(1 << n)) & 1)).astype(np.int8)
+    row_of = np.concatenate([np.arange(count),
+                             draw(arrays(np.int64, m - count, elements=st.integers(0, count - 1)))])
+    return u, rows[row_of[draw(st.permutations(range(m)))]]
 
 
 @st.composite

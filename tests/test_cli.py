@@ -266,6 +266,18 @@ def test_verify_clean_artifacts_pass(tmp_path, capsys):
     assert "OK ug_expansion_identity" in got
 
 
+def test_verify_builds_the_label_extended_graph_once(tmp_path, capsys, monkeypatch):
+    # the three expansion-identity labelings share one graph
+    out = tmp_path / "run"
+    main(["build-ug", "--k", "2", "--eta", "0.3", "--seed", "2",
+          "--budget-triples", "2000", "--out", str(out)])
+    built = []
+    make = ug.label_extended_graph
+    monkeypatch.setattr(ug, "label_extended_graph", lambda u: built.append(1) or make(u))
+    assert main(["verify", "--ug-file", str(out / "ug_instance.txt")]) == 0
+    assert built == [1] and "OK ug_expansion_identity" in capsys.readouterr().out
+
+
 def test_pcp_command(tmp_path, capsys):
     u, hidden = plant_instance(6, 3, 0.1, 0.8, seed=0)
     ug_file = tmp_path / "ug.txt"

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cutgap.fourier import apply_noise_kernel, fwht_inplace, wht_matrix
+from cutgap.fourier import apply_noise_kernel, walsh_hadamard, wht_matrix
 from fixtures import apply_noise_operator, bonami_beckner_check, junta_diagnostics, lp_norm
-from oracles import character_table, naive_wht, noise_kernel_two_copies
+from oracles import character_table, fwht_inplace, naive_wht, noise_kernel_two_copies
 from strategies import TEST_EPSILONS
 
 
@@ -77,6 +77,23 @@ def test_wht_matches_naive_randomized_large_k():
 def test_wht_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         wht_matrix([1.0] * 3)
+
+
+@pytest.mark.parametrize("k", range(9))
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_kronecker_transform_is_the_butterfly_byte_for_byte(k, data):
+    # H X H over the low a and high k - a bits gives the butterfly's floats
+    # on +/-1 tables (no -0.0 either) at every split a, batched, one table
+    # alone, and normalized at the default split k // 2
+    tables = data.draw(arrays(np.int8, (data.draw(st.integers(1, 5)), 1 << k),
+                              elements=st.sampled_from((-1, 1))))
+    want = fwht_inplace(tables.astype(np.float64))
+    for split in range(k + 1):
+        assert walsh_hadamard(tables, split).tobytes() == want.tobytes(), split
+        assert walsh_hadamard(tables[0], split).tobytes() == want[0].tobytes(), split
+    assert walsh_hadamard(tables).tobytes() == want.tobytes()
+    assert wht_matrix(tables).tobytes() == (want / (1 << k)).tobytes()
 
 
 def test_round_trip_is_exact_on_pm1_tables():

@@ -286,9 +286,10 @@ def test_expansion_identity_on_gap_instance_with_loops():
     # windows in the within-class distance N/2)
     u, q, cube = build_kv_instance(2, 0.3)
     rng = np.random.default_rng(71)
+    graph = label_extended_graph(u)
     for _ in range(200):
         lam = rng.integers(0, 4, size=4)
-        val, ome = labeling_set_expansion_identity(u, lam)
+        val, ome = labeling_set_expansion_identity(u, lam, graph)
         assert abs(val - ome) < 1e-9
 
 

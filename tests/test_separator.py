@@ -22,7 +22,7 @@ from cutgap.separator import (
     _FlipGains,
     _majority_cut,
     _orbit_representatives,
-    _random_balanced_cut,
+    _random_balanced_cuts,
     assign_sdp_solution,
     balanced_cut_search,
     bes_to_text,
@@ -62,6 +62,7 @@ from oracles import (
     disagreement_one_gather,
     edge_rows,
     level_sums_one_gather,
+    random_balanced_cut_loop,
     sample_disagreements_choice,
     sdp_objective_per_row,
     shift_correlations,
@@ -497,7 +498,7 @@ def test_cut_file_round_trip(tmp_path):
 
 def test_cut_text_is_one_entry_per_line_and_rejects_other_entries():
     _, _, inst, _ = kv_fixture(k=3)
-    cut = _random_balanced_cut(inst, np.random.default_rng(3))
+    cut = random_balanced_cut_loop(inst, np.random.default_rng(3))
     text = "".join(f"{int(v)}\n" for v in cut)
     assert cut_to_text(cut) == cut_to_text(cut.astype(np.float64)) == text
     assert cut_to_text(np.array([], dtype=np.int8)) == "\n"
@@ -693,7 +694,7 @@ def seeded_cuts(inst, seed, count=60):
     rng = np.random.default_rng(seed)
     cuts = [_majority_cut(inst)]
     while len(cuts) < count:
-        cuts.append(_random_balanced_cut(inst, rng) if len(cuts) % 2 else
+        cuts.append(random_balanced_cut_loop(inst, rng) if len(cuts) % 2 else
                     rng.choice(np.array([-1, 1], dtype=np.int8), size=inst.num_vertices))
     m, n = inst.num_blocks, inst.ug.num_labels
     cuts += [dictator_cut(inst, np.full(m, i)) for i in range(n)]
@@ -851,6 +852,22 @@ def test_gain_search_is_the_per_trial_search_bit_for_bit(k, eta, eps):
                            balanced_cut_search_per_trial(inst, seed=seed, labelings=[lam]))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_random_cuts_read_the_generator_as_one_permutation_per_block(k):
+    # the one shuffle gives the cuts of a permutation per block and cut, as
+    # int8 rows, and leaves the generator where those calls leave it, so
+    # the local search that follows visits the points in the same order
+    inst = build_bes(build_kv_instance(k, 0.3)[0], 0.3)
+    for seed in range(4):
+        for count in (1, 8):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            cuts = _random_balanced_cuts(inst, rng, count)
+            want = np.stack([random_balanced_cut_loop(inst, ref) for _ in range(count)])
+            assert cuts.dtype == want.dtype and np.array_equal(cuts, want), (seed, count)
+            assert np.array_equal(rng.permutation(inst.num_vertices),
+                                  ref.permutation(inst.num_vertices)), (seed, count)
+
+
 def assert_gains_match_exact(inst, cut, gains, points):
     """Each point's gain against the exact weight difference of its flip."""
     base = cut_edge_weight(inst, cut)
@@ -872,7 +889,7 @@ def flip(cut, gains, v, size):
 def test_flip_gains_match_exact_differences_k2(eta, eps):
     inst = build_bes(build_kv_instance(2, eta)[0], eps)
     rng = np.random.default_rng(int(eta * 100))
-    cut = _random_balanced_cut(inst, rng)
+    cut = random_balanced_cut_loop(inst, rng)
     gains = _FlipGains(inst, cut.reshape(inst.num_blocks, inst.block_size))
     everywhere = range(inst.num_vertices)
     assert_gains_match_exact(inst, cut, gains, everywhere)
@@ -885,7 +902,7 @@ def test_flip_gains_match_exact_differences_k2(eta, eps):
 def test_flip_gains_match_exact_differences_k3():
     inst = build_bes(build_kv_instance(3, 0.3)[0], 0.3)
     rng = np.random.default_rng(3)
-    cut = _random_balanced_cut(inst, rng)
+    cut = random_balanced_cut_loop(inst, rng)
     gains = _FlipGains(inst, cut.reshape(inst.num_blocks, inst.block_size))
     weight = cut_edge_weight(inst, cut)
     # each flip is kept, so each gain is read after all the earlier updates

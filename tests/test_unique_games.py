@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cutgap import unique_games as ug
 from cutgap.separator import balanced_cut_search, build_bes, cut_edge_weight
@@ -35,10 +36,18 @@ from oracles import (
     level_sums_one_gather,
     opt_exhaustive_loop,
     opt_search_loop,
+    pack_rows_matmul,
     sample_disagreements_choice,
     ug_text_per_edge,
 )
-from strategies import CUT_EPSILONS, TEST_EPSILONS, sign_tables, ug_instances
+from strategies import (
+    CUT_EPSILONS,
+    TEST_EPSILONS,
+    search_instances,
+    sign_tables,
+    slab_inputs,
+    ug_instances,
+)
 
 
 def single_edge_instance(n_labels=2, perm=None):
@@ -198,29 +207,30 @@ def test_expansion_identity_equals_the_dict_loop():
     for u in _label_extended_instances():
         for _ in range(20):
             lam = rng.integers(0, u.num_labels, size=u.num_vertices)
-            val, ome = labeling_set_expansion_identity(u, lam)
+            val, ome = labeling_set_expansion_identity(u, lam, label_extended_graph(u))
             val_loop, ome_loop = labeling_set_expansion_identity_loop(u, lam)
             assert val == val_loop and abs(ome - ome_loop) < 1e-12
 
 
 def test_expansion_identity_planted_perfect():
     u, hidden = plant_instance(8, 3, 0.0, 0.8, seed=23)
-    val, ome = labeling_set_expansion_identity(u, hidden)
+    val, ome = labeling_set_expansion_identity(u, hidden, label_extended_graph(u))
     assert abs(val - 1.0) < 1e-12 and abs(ome - 1.0) < 1e-12
 
 
 def test_expansion_identity_fully_unsatisfied():
     u = single_edge_instance(perm=[1, 0])
-    val, ome = labeling_set_expansion_identity(u, [0, 0])
+    val, ome = labeling_set_expansion_identity(u, [0, 0], label_extended_graph(u))
     assert val == 0.0 and ome == 0.0
 
 
 def test_expansion_identity_random_labelings():
     u, _ = plant_instance(9, 4, 0.25, 0.9, seed=29)
     rng = np.random.default_rng(31)
+    graph = label_extended_graph(u)
     for _ in range(50):
         lam = rng.integers(0, 4, size=9)
-        val, ome = labeling_set_expansion_identity(u, lam)
+        val, ome = labeling_set_expansion_identity(u, lam, graph)
         assert abs(val - ome) < 1e-9
 
 
@@ -309,6 +319,20 @@ def test_opt_search_equals_the_per_edge_loop(k, eta):
         assert np.array_equal(lam, lam_loop) and val == val_loop
 
 
+@pytest.mark.parametrize("restarts", [0, 1, 10])
+@pytest.mark.parametrize("num_labels", range(1, EXACT_LABEL_LIMIT + 1))
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_lockstep_search_is_the_loop_on_generated_instances(num_labels, restarts, data, seed):
+    # loops, tied weights and an isolated vertex: the restarts in lockstep
+    # give each restart's own labeling, gain for gain (and no labeling,
+    # value -1.0, without restarts)
+    u = data.draw(search_instances(num_labels))
+    lam, val = opt_search(u, seed=seed, restarts=restarts)
+    lam_loop, val_loop = opt_search_loop(u, seed=seed, restarts=restarts)
+    assert np.array_equal(lam, lam_loop) and val == val_loop
+
+
 def with_isolated_vertex():
     u = build_kv_instance(2, 0.3)[0]
     return UGInstance(u.num_vertices + 1, u.num_labels, u.v, u.w, u.weight, u.perm,
@@ -394,6 +418,27 @@ def test_pulls_and_own_row_keys_are_built_once_per_instance(monkeypatch):
     assert np.array_equal(pulls.table[pulls.pair], d.table_of)
 
 
+def assert_slab_plan(d, keys, num_rows, rng):
+    """The slabs split the keys' v-rows in order, at most ROW_SLAB at a
+    time; every pull a slab gathers is read by one of its keys, and each
+    key's cell names its v-row and, among level-sorted rows, its pulled
+    row (row of w)[tables[p]]."""
+    assert np.array_equal(np.concatenate([slab.v_row for slab in keys.slabs]), keys.v_row)
+    assert [slab.keys.start for slab in keys.slabs] == keys.bounds[:-1:ug.ROW_SLAB].tolist()
+    assert keys.slabs[-1].keys.stop == len(keys.key_pull)
+    key_row = np.repeat(keys.v_row, np.diff(keys.bounds))
+    values = rng.integers(-99, 99, size=(num_rows, 1 << d.num_labels))
+    sorted_values = values[:, d.levels.order]
+    for slab in keys.slabs:
+        assert 0 < len(slab.v_row) <= ug.ROW_SLAB
+        row, read = np.divmod(slab.cell, len(slab.gather))
+        assert np.array_equal(slab.v_row[row], key_row[slab.keys])
+        assert np.array_equal(np.unique(read), np.arange(len(slab.gather)))
+        pull = keys.key_pull[slab.keys]
+        pulled = values[keys.pull_row[pull, None], d.tables[keys.pull_table[pull]]]
+        assert np.array_equal(sorted_values.take(slab.gather)[read], pulled[:, d.levels.order])
+
+
 def test_row_keys_name_each_distinct_read_once():
     # an edge (v, w) with table p reads row row_of[v] and the pulled row
     # (row row_of[w])[tables[p]]: each key and each pull is one distinct read
@@ -413,10 +458,36 @@ def test_row_keys_name_each_distinct_read_once():
             assert len(np.unique(pulls, axis=0)) == len(pulls)
             assert len(set(zip(key_row.tolist(), keys.key_pull.tolist()))) == len(key_row)
             assert np.all(np.diff(keys.v_row) > 0)
+            assert_slab_plan(d, keys, row_of.max() + 1, rng)
         for name, row_of in (("own_row_keys", np.arange(m)),
                              ("one_row_keys", np.zeros(m, dtype=np.int64))):
-            for got, want in zip(getattr(d, name), d.row_keys(row_of)):
-                assert np.array_equal(got, want) and not got.flags.writeable
+            got, want = getattr(d, name), d.row_keys(row_of)
+            for a, b in zip(got[:-1], want[:-1]):
+                assert np.array_equal(a, b) and not a.flags.writeable
+            assert len(got.slabs) == len(want.slabs)
+            for slab, ref in zip(got.slabs, want.slabs):
+                assert slab.keys == ref.keys
+                for a, b in zip((slab.v_row, slab.gather, slab.cell), (ref.v_row, ref.gather, ref.cell)):
+                    assert np.array_equal(a, b) and not a.flags.writeable
+
+
+def test_slab_plans_of_the_fixed_keys_are_built_once_per_instance(monkeypatch):
+    # a cut of 32 distinct blocks reads the own-row keys, a coordinate cut
+    # the one-row keys: each plan (one slab of 32 v-rows, one of one) is
+    # built on the first call only, while a labeling cut's keys are its own
+    u = build_kv_instance(3, 0.3)[0]  # a fresh instance, so nothing is cached yet
+    built = []
+    make = ug.Slab
+    monkeypatch.setattr(ug, "Slab", lambda *fields: built.append(len(fields[0])) or make(*fields))
+    inst = build_bes(u, 0.3)
+    rng = np.random.default_rng(5)
+    for i in range(3):
+        cut_edge_weight(inst, rng.choice(np.array([-1, 1], dtype=np.int8), size=inst.num_vertices))
+        cut_edge_weight(inst, dictator_tables(np.full(32, i), 8).ravel())
+    assert built == [32, 1]
+    cut_edge_weight(inst, dictator_tables(rng.integers(0, 8, size=32), 8).ravel())
+    cut_edge_weight(inst, dictator_tables(rng.integers(0, 8, size=32), 8).ravel())
+    assert len(built) == 4 and built[:2] == [32, 1]
 
 
 def test_distinct_rows_are_equal_bytes():
@@ -641,6 +712,25 @@ def test_sampler_holds_no_full_flip_array(generators):
     assert rec.outs == [(4096, 8)] * 17 + [(368, 8)]
 
 
+@pytest.mark.parametrize("n", range(1, EXACT_LABEL_LIMIT + 1))
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_packed_flips_are_the_matmul_on_every_row_pattern(n, data):
+    # all 2^N rows of N bits in a drawn order, then drawn spare bytes: at
+    # N = 3, 5, 6 and 7 each row is read in a word of 4 or 8 bytes that
+    # reaches into the next row or the spare bytes, which the mask drops;
+    # a drawn prefix of the rows is packed, as for a partial flip block
+    patterns = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
+    rows = patterns[data.draw(st.permutations(range(1 << n)))]
+    spare = data.draw(arrays(bool, (1 << (n - 1).bit_length()) - n))
+    count = data.draw(st.integers(1, 1 << n))
+    out = np.empty(count, dtype=np.uint8)
+    assert ug._pack_rows(np.concatenate([rows.ravel(), spare]), n, out) is out
+    assert np.array_equal(out, pack_rows_matmul(rows[:count]))
+    if count == 1 << n:
+        assert np.array_equal(np.sort(out), np.arange(1 << n))
+
+
 @pytest.mark.parametrize("shape", [(32, 255), (32, 257), (31, 256), (256, 32), (32 * 256,)])
 def test_sampler_rejects_tables_of_another_shape(shape):
     # the gathers read flat indices, which a wrongly shaped table would
@@ -665,6 +755,19 @@ def test_agreement_is_the_enumeration_on_generated_instances(data):
     eps = data.draw(TEST_EPSILONS)
     _, acceptance = agreement_by_enumeration(d, tables, eps)
     assert acceptance_probability_exact(u, Proof(u.num_labels, tables), eps) == float(acceptance)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(slab_inputs(ug.ROW_SLAB))
+def test_slab_level_sums_are_the_one_gather_on_generated_instances(inputs):
+    # more v-rows than one slab holds as often as not, repeated rows,
+    # loops and several weight classes: the slab products are the one
+    # gather's integers, and a v-row count past ROW_SLAB takes more slabs
+    u, tables = inputs
+    d = u.edge_distribution
+    assert np.array_equal(d.level_sums(tables), level_sums_one_gather(d, tables))
+    keys = d.keyed_rows(tables)[1]
+    assert len(keys.slabs) == -(-len(keys.v_row) // ug.ROW_SLAB)
 
 
 def test_level_sums_are_linear_in_the_edges_when_every_weight_differs():
