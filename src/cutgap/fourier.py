@@ -37,21 +37,19 @@ def _hadamard(k: int) -> np.ndarray:
     return h
 
 
-def walsh_hadamard(tables, split: int | None = None) -> np.ndarray:
+def walsh_hadamard(tables) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the last axis,
     sum_x f(x) (-1)^popcount(s & x), in float64.
 
-    The characters factor over the low a bits of x and the high k - a bits
-    (a = `split`, k // 2 unless given), so with each table read as a
-    2^(k-a) x 2^a matrix X (row: the high bits) its spectrum is
-    H_{2^(k-a)} X H_{2^a}: two small matrix products for the whole batch.
-    On integer tables every product and partial sum is an integer, exact
-    while below 2^53 (as on +/-1 tables), so every split gives the same
-    floats.
+    The characters factor over the low a = k // 2 bits of x and the high
+    k - a bits, so with each table read as a 2^(k-a) x 2^a matrix X (row:
+    the high bits) its spectrum is H_{2^(k-a)} X H_{2^a}: two small matrix
+    products for the whole batch. On integer tables every product and
+    partial sum is an integer, exact while below 2^53 (as on +/-1 tables).
     """
     values = np.asarray(tables, dtype=np.float64)
     k = _checked_dimension(values.shape[-1])
-    a = k // 2 if split is None else split
+    a = k // 2
     low = values.reshape(-1, 1 << a) @ _hadamard(a)
     high = _hadamard(k - a) @ low.reshape(values.shape[:-1] + (1 << k - a, 1 << a))
     return high.reshape(values.shape)

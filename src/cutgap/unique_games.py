@@ -26,8 +26,6 @@ __all__ = [
     "Incidence",
     "Guide",
     "Pulls",
-    "Levels",
-    "Slab",
     "RowKeys",
     "distinct_rows",
     "BudgetExceededError",
@@ -222,10 +220,8 @@ class RowKeys(NamedTuple):
     pull_row: np.ndarray  # per pull, the row of w
     pull_table: np.ndarray  # per pull, its table
     key_pull: np.ndarray  # per key, its pull; the keys run sorted by their v-row
-    v_row: np.ndarray  # the distinct v-rows of the keys, increasing
-    bounds: np.ndarray  # v-row v_row[i]'s keys are bounds[i]:bounds[i + 1]
     key_of: np.ndarray  # per edge, its key
-    slabs: tuple  # the `Slab`s of v_row, in order
+    slabs: tuple  # the `Slab`s of the distinct v-rows, increasing, in order
 
 
 def distinct_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -339,11 +335,11 @@ class EdgeDistribution:
         (row of v, pull), with pull = (row of w, p). The pulls are found from
         the distinct (w, p) pairs (`pulls`), the keys from the edges.
 
-        Each slab of ROW_SLAB v-rows finds the pulls its keys read, the flat
-        index of each one's level-sorted pulled row among the level-sorted
-        rows (`levels`), and each key's cell among the slab's (v-row, pull
-        read) pairs, so a slab's work and memory are at most ROW_SLAB times
-        its keys."""
+        Each slab of ROW_SLAB v-rows finds the pulls its keys read, from
+        those keys alone, the flat index of each one's level-sorted pulled
+        row among the level-sorted rows (`levels`), and each key's cell
+        among the slab's (v-row, pull read) pairs, so the plans' work and
+        memory are linear in the keys."""
         n_tables = len(self.tables)
         pairs = self.pulls
         pulls, pull_of = np.unique(row_of[pairs.other] * n_tables + pairs.table,
@@ -358,15 +354,12 @@ class EdgeDistribution:
         for lo in range(0, len(v_row), ROW_SLAB):
             hi = min(lo + ROW_SLAB, len(v_row))
             slab_keys = slice(int(bounds[lo]), int(bounds[hi]))
-            read = np.zeros(len(pulls), dtype=bool)
-            read[key_pull[slab_keys]] = True
-            column = np.cumsum(read) - 1  # a read pull's place among them
-            read = read.nonzero()[0]
+            read, column = np.unique(key_pull[slab_keys], return_inverse=True)
             gather = self.levels.tables[pull_table[read]]
             gather += (pull_row[read] << self.num_labels)[:, None]
-            cell = (rank[slab_keys] - lo) * len(read) + column[key_pull[slab_keys]]
+            cell = (rank[slab_keys] - lo) * len(read) + column
             slabs.append(Slab(v_row[lo:hi], slab_keys, gather, cell))
-        return RowKeys(pull_row, pull_table, key_pull, v_row, bounds, key_of, tuple(slabs))
+        return RowKeys(pull_row, pull_table, key_pull, key_of, tuple(slabs))
 
     @cached_property
     def own_row_keys(self) -> RowKeys:
@@ -542,7 +535,10 @@ def _pack_rows(bits: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     sum_j 2^(8(W - 1) - 7j), byte j lands at bit 8(W - 1) + j; every other
     term is a distinct power of two below 2^(8(W - 1)) or wraps past 8W
     bits, so nothing carries into the top byte, which masked to N bits is
-    the row."""
+    the row. `np.packbits(rows, axis=-1, bitorder="little")` gives the same
+    bytes, but at 4096 rows of N = 1..8 takes 80-175 us against 10-21 us
+    here and 30-60 us for a uint8 matmul (numpy 2.4, one core of a 2-core
+    x86-64 machine)."""
     width = 1 << (n - 1).bit_length()
     words = np.ndarray(len(out), dtype=f"<u{width}", buffer=bits, strides=(n,))
     magic = words.dtype.type(sum(1 << 8 * (width - 1) - 7 * j for j in range(width)))

@@ -419,24 +419,30 @@ def test_pulls_and_own_row_keys_are_built_once_per_instance(monkeypatch):
 
 
 def assert_slab_plan(d, keys, num_rows, rng):
-    """The slabs split the keys' v-rows in order, at most ROW_SLAB at a
-    time; every pull a slab gathers is read by one of its keys, and each
-    key's cell names its v-row and, among level-sorted rows, its pulled
-    row (row of w)[tables[p]]."""
-    assert np.array_equal(np.concatenate([slab.v_row for slab in keys.slabs]), keys.v_row)
-    assert [slab.keys.start for slab in keys.slabs] == keys.bounds[:-1:ug.ROW_SLAB].tolist()
-    assert keys.slabs[-1].keys.stop == len(keys.key_pull)
-    key_row = np.repeat(keys.v_row, np.diff(keys.bounds))
+    """The slabs split the keys in order, by v-row: each holds the keys of
+    ROW_SLAB v-rows (the last of at most that many), the v-rows increase
+    across them, and no v-row's keys span two slabs; every pull a slab
+    gathers is read by one of its keys, and each key's cell names its v-row
+    and, among level-sorted rows, its pulled row (row of w)[tables[p]].
+    Returns each key's v-row."""
+    stops = [slab.keys.stop for slab in keys.slabs]
+    assert [slab.keys.start for slab in keys.slabs] == [0] + stops[:-1]
+    assert stops[-1] == len(keys.key_pull)
+    assert np.all(np.diff(np.concatenate([slab.v_row for slab in keys.slabs])) > 0)
+    assert all(len(slab.v_row) == ug.ROW_SLAB for slab in keys.slabs[:-1])
     values = rng.integers(-99, 99, size=(num_rows, 1 << d.num_labels))
     sorted_values = values[:, d.levels.order]
+    key_row = []
     for slab in keys.slabs:
         assert 0 < len(slab.v_row) <= ug.ROW_SLAB
         row, read = np.divmod(slab.cell, len(slab.gather))
-        assert np.array_equal(slab.v_row[row], key_row[slab.keys])
+        assert np.all(np.diff(row) >= 0) and np.array_equal(np.unique(row), np.arange(len(slab.v_row)))
         assert np.array_equal(np.unique(read), np.arange(len(slab.gather)))
         pull = keys.key_pull[slab.keys]
         pulled = values[keys.pull_row[pull, None], d.tables[keys.pull_table[pull]]]
         assert np.array_equal(sorted_values.take(slab.gather)[read], pulled[:, d.levels.order])
+        key_row.append(slab.v_row[row])
+    return np.concatenate(key_row)
 
 
 def test_row_keys_name_each_distinct_read_once():
@@ -450,15 +456,13 @@ def test_row_keys_name_each_distinct_read_once():
         for row_of in (np.zeros(m, dtype=np.int64), np.arange(m), rng.permutation(m),
                        rng.integers(0, 3, size=m)):
             keys = d.row_keys(row_of)
-            key_row = np.repeat(keys.v_row, np.diff(keys.bounds))
+            key_row = assert_slab_plan(d, keys, row_of.max() + 1, rng)
             assert np.array_equal(key_row[keys.key_of], row_of[d.v])
             pulls = np.stack([keys.pull_row, keys.pull_table], axis=1)
             assert np.array_equal(pulls[keys.key_pull[keys.key_of]],
                                   np.stack([row_of[d.w], d.table_of], axis=1))
             assert len(np.unique(pulls, axis=0)) == len(pulls)
             assert len(set(zip(key_row.tolist(), keys.key_pull.tolist()))) == len(key_row)
-            assert np.all(np.diff(keys.v_row) > 0)
-            assert_slab_plan(d, keys, row_of.max() + 1, rng)
         for name, row_of in (("own_row_keys", np.arange(m)),
                              ("one_row_keys", np.zeros(m, dtype=np.int64))):
             got, want = getattr(d, name), d.row_keys(row_of)
@@ -727,6 +731,7 @@ def test_packed_flips_are_the_matmul_on_every_row_pattern(n, data):
     out = np.empty(count, dtype=np.uint8)
     assert ug._pack_rows(np.concatenate([rows.ravel(), spare]), n, out) is out
     assert np.array_equal(out, pack_rows_matmul(rows[:count]))
+    assert np.array_equal(out, np.packbits(rows[:count], axis=-1, bitorder="little")[:, 0])
     if count == 1 << n:
         assert np.array_equal(np.sort(out), np.arange(1 << n))
 
@@ -767,7 +772,46 @@ def test_slab_level_sums_are_the_one_gather_on_generated_instances(inputs):
     d = u.edge_distribution
     assert np.array_equal(d.level_sums(tables), level_sums_one_gather(d, tables))
     keys = d.keyed_rows(tables)[1]
-    assert len(keys.slabs) == -(-len(keys.v_row) // ug.ROW_SLAB)
+    v_rows = len(np.unique(ug.distinct_rows(tables)[1][d.v]))
+    assert len(keys.slabs) == -(-v_rows // ug.ROW_SLAB)
+
+
+def test_slab_plans_are_linear_in_the_keys_past_many_slabs(monkeypatch):
+    # 4000 vertices of their own rows, 8000 edges: over a hundred slabs of
+    # v-rows, each finding the pulls it reads from its own keys. The arrays
+    # that numpy's functions return while the plans are built add up to a
+    # few times the edges, where a pass over every pull per slab would take
+    # about twice the pulls per slab
+    rng = np.random.default_rng(17)
+    m, e = 4000, 8000
+    perm = np.array([[0, 1], [1, 0]])[rng.integers(0, 2, size=e)]
+    raw = rng.random(e)
+    u = UGInstance(m, 2, rng.integers(0, m, size=e), rng.integers(0, m, size=e),
+                   raw / raw.sum(), perm, regularity_tol=np.inf)
+    d = u.edge_distribution
+    d.levels, d.pulls  # built once, outside the count
+
+    class Counted:
+        elements = 0
+
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            if not callable(attr) or isinstance(attr, type):
+                return attr
+
+            def call(*args, **kwargs):
+                out = attr(*args, **kwargs)
+                Counted.elements += sum(a.size for a in (out if isinstance(out, tuple) else (out,))
+                                        if isinstance(a, np.ndarray))
+                return out
+            return call
+
+    monkeypatch.setattr(ug, "np", Counted())
+    keys = d.row_keys(np.arange(m))
+    monkeypatch.undo()
+    assert len(keys.slabs) > 100 and len(keys.pull_row) > 5000
+    assert Counted.elements <= 16 * e
+    assert_slab_plan(d, keys, m, rng)
 
 
 def test_level_sums_are_linear_in_the_edges_when_every_weight_differs():

@@ -10,13 +10,14 @@ Each mutant replaces one expression or statement inside one function of
 `old` text, which must occur exactly once there. The mutated function is
 written back with `ast.unparse` (its comments are lost, nothing the
 interpreter runs changes apart from the mutant) and the rest of the module
-keeps its text. For every mutant, DIR is
-cleared and receives fresh copies of `src/`, `tests/` and `pyproject.toml`;
-the mutant's test files then run there with pytest, under a time limit.
-A mutant is killed when a test fails or errors, or when the run times out
-(a mutant can loop forever). Nothing under DIR is read back apart from
-pytest's report, so DIR can be any scratch directory outside the
-repository. Not a `test_*` file: pytest does not collect it.
+keeps its text. For every mutant a fresh directory is made inside DIR (with
+`tempfile.mkdtemp`) and receives copies of `src/`, `tests/` and
+`pyproject.toml`; the mutant's test files then run there with pytest, under
+a time limit, and that directory alone is deleted afterwards. DIR itself is
+created if missing and never emptied; it must lie outside the repository and
+must not contain it. A mutant is killed when a test fails or errors, or when
+the run times out (a mutant can loop forever). Not a `test_*` file: pytest
+does not collect it.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 from typing import NamedTuple
@@ -55,9 +57,6 @@ MUTANTS = (
     Mutant("hadamard_sign", "fourier", "_hadamard",
            "1.0 - 2.0 * (np.bitwise_count(idx[:, None] & idx) & 1)",
            "1.0 - 2.0 * (np.bitwise_count(idx[:, None] | idx) & 1)", FOURIER + LEVELS),
-    Mutant("wht_default_split", "fourier", "walsh_hadamard",
-           "k // 2 if split is None else split", "(k + 1) // 2 if split is None else split",
-           FOURIER + LEVELS),
     Mutant("wht_high_factor", "fourier", "walsh_hadamard",
            "_hadamard(k - a)", "_hadamard(k - a)[::-1]", FOURIER + LEVELS),
     Mutant("levels_order_unstable", "unique_games", "EdgeDistribution.levels",
@@ -72,8 +71,14 @@ MUTANTS = (
            "min(lo + ROW_SLAB, len(v_row))", "min(lo + ROW_SLAB - 1, len(v_row))", LEVELS),
     Mutant("slab_gather_row", "unique_games", "EdgeDistribution.row_keys",
            "pull_row[read] << self.num_labels", "pull_row[read] << self.num_labels - 1", LEVELS),
-    Mutant("slab_column", "unique_games", "EdgeDistribution.row_keys",
-           "np.cumsum(read) - 1", "np.cumsum(read[::-1])[::-1] - 1", LEVELS),
+    Mutant("slab_column_reversed", "unique_games", "EdgeDistribution.row_keys",
+           "np.unique(key_pull[slab_keys], return_inverse=True)",
+           "np.unique(key_pull[slab_keys][::-1], return_inverse=True)", LEVELS),
+    # every pull read by every slab: the same sums, but the plans' work
+    # grows with the slabs times the pulls
+    Mutant("slab_reads_every_pull", "unique_games", "EdgeDistribution.row_keys",
+           "np.unique(key_pull[slab_keys], return_inverse=True)",
+           "(np.arange(len(pull_row)), key_pull[slab_keys])", LEVELS),
     Mutant("slab_cell_row", "unique_games", "EdgeDistribution.row_keys",
            "(rank[slab_keys] - lo) * len(read)", "rank[slab_keys] * len(read)", LEVELS),
     Mutant("slab_product_transposed", "unique_games", "EdgeDistribution.level_sums",
@@ -176,9 +181,8 @@ def mutated_source(source: str, mutant: Mutant) -> str:
 
 
 def run(mutant: Mutant, workdir: Path, timeout: float) -> tuple[str, list]:
-    """('killed' | 'survived' | 'timeout', the failing test ids)."""
-    shutil.rmtree(workdir, ignore_errors=True)
-    workdir.mkdir(parents=True)
+    """('killed' | 'survived' | 'timeout', the failing test ids), from a
+    run in `workdir`, a fresh empty directory."""
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, workdir / name,
                         ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
@@ -202,7 +206,7 @@ def run(mutant: Mutant, workdir: Path, timeout: float) -> tuple[str, list]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--workdir", type=Path, help="scratch directory, cleared per mutant")
+    parser.add_argument("--workdir", type=Path, help="directory for one fresh scratch copy per mutant")
     parser.add_argument("--timeout", type=float, default=600.0, help="seconds per mutant")
     parser.add_argument("--list", action="store_true", help="print the mutants and exit")
     args = parser.parse_args(argv)
@@ -217,16 +221,21 @@ def main(argv=None) -> int:
         return 0
     if args.workdir is None:
         parser.error("--workdir is required to run mutants")
-    if args.workdir.resolve().is_relative_to(ROOT):
-        parser.error("--workdir must lie outside the repository")
+    workdir = args.workdir.resolve()
+    if workdir.is_relative_to(ROOT) or ROOT.is_relative_to(workdir):
+        parser.error("--workdir must lie outside the repository and not contain it")
+    workdir.mkdir(parents=True, exist_ok=True)
     survivors = 0
     for m in chosen:
-        verdict, failed = run(m, args.workdir, args.timeout)
+        scratch = Path(tempfile.mkdtemp(prefix=f"{m.name}-", dir=workdir))
+        try:
+            verdict, failed = run(m, scratch, args.timeout)
+        finally:
+            shutil.rmtree(scratch)
         survivors += verdict == "survived"
         # each failing test once, without its parameters
         tests = dict.fromkeys(re.sub(r"\[.*", "", t).split("::")[-1] for t in failed)
         print(f"{m.name}\t{verdict}\t{len(failed)}\t{' '.join(tests)}", flush=True)
-    shutil.rmtree(args.workdir, ignore_errors=True)
     print(f"{len(chosen) - survivors} of {len(chosen)} killed")
     return 0
 
