@@ -240,6 +240,8 @@ def cmd_build_bes(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (args.ug_file or args.basis_file):
+        raise ValueError("nothing to check: give --ug-file or --basis-file")
     failures = []
     rng = np.random.default_rng(args.seed)
     inst = None
@@ -335,6 +337,8 @@ def cmd_distortion(args) -> int:
 
 
 def cmd_round(args) -> int:
+    if args.balance is not None and not 0 <= args.balance < math.inf:
+        raise ValueError(f"--balance {args.balance} is not finite and nonnegative")
     with open(args.graph_file) as fh:
         weights, demands = mt.graph_from_text(fh.read())
     total = float(np.sum(demands) / 2)

@@ -10,7 +10,7 @@ Labelings are plain integer arrays indexed by vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import pairwise
 from math import comb
@@ -217,8 +217,6 @@ class RowKeys(NamedTuple):
     """The distinct keys of the edges when each vertex reads one of a few
     distinct rows (`EdgeDistribution.row_keys`)."""
 
-    pull_row: np.ndarray  # per pull, the row of w
-    pull_table: np.ndarray  # per pull, its table
     key_pull: np.ndarray  # per key, its pull; the keys run sorted by their v-row
     key_of: np.ndarray  # per edge, its key
     slabs: tuple  # the `Slab`s of the distinct v-rows, increasing, in order
@@ -262,6 +260,8 @@ class EdgeDistribution:
     perms: np.ndarray  # (distinct permutations, N)
     tables: np.ndarray  # (distinct permutations, 2^N)
     table_of: np.ndarray  # (|E|,)
+    # `row_keys`' plans, by the int64 bytes of their row map
+    plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def incidence(self) -> Incidence:
@@ -285,7 +285,7 @@ class EdgeDistribution:
     def pulls(self) -> Pulls:
         """The distinct (w, p) pairs of an edge's other endpoint w and its
         table p, sorted, and each edge's pair (254 pairs for 2576 edges at
-        k = 3), which `row_keys` merges. Built once."""
+        k = 3), which `row_keys` merges and the sampler reads. Built once."""
         keys, pair = np.unique(self.w * len(self.tables) + self.table_of, return_inverse=True)
         pulls = Pulls(*np.divmod(keys, len(self.tables)), pair)
         for a in pulls:
@@ -339,7 +339,16 @@ class EdgeDistribution:
         those keys alone, the flat index of each one's level-sorted pulled
         row among the level-sorted rows (`levels`), and each key's cell
         among the slab's (v-row, pull read) pairs, so the plans' work and
-        memory are linear in the keys."""
+        memory are linear in the keys.
+
+        A map's plan is built on first use and kept, read-only, in `plans`;
+        `level_sums` numbers rows by first appearance (`distinct_rows`), so
+        its maps are arange(|V|) for distinct rows, zeros for one row, and at
+        most Bell(|V|) in all (15 at k = 2; 2 or 3 per k = 3 `build-bes` row)."""
+        row_of = np.asarray(row_of, dtype=np.int64)
+        map_bytes = row_of.tobytes()
+        if map_bytes in self.plans:
+            return self.plans[map_bytes]
         n_tables = len(self.tables)
         pairs = self.pulls
         pulls, pull_of = np.unique(row_of[pairs.other] * n_tables + pairs.table,
@@ -349,54 +358,20 @@ class EdgeDistribution:
         key_row, key_pull = np.divmod(keys, len(pulls))
         v_row, first, rank = np.unique(key_row, return_index=True, return_inverse=True)
         bounds = np.append(first, len(keys))
-        pull_row, pull_table = np.divmod(pulls, n_tables)
+        w_row, table = np.divmod(pulls, n_tables)
         slabs = []
         for lo in range(0, len(v_row), ROW_SLAB):
             hi = min(lo + ROW_SLAB, len(v_row))
             slab_keys = slice(int(bounds[lo]), int(bounds[hi]))
             read, column = np.unique(key_pull[slab_keys], return_inverse=True)
-            gather = self.levels.tables[pull_table[read]]
-            gather += (pull_row[read] << self.num_labels)[:, None]
+            gather = self.levels.tables[table[read]]
+            gather += (w_row[read] << self.num_labels)[:, None]
             cell = (rank[slab_keys] - lo) * len(read) + column
             slabs.append(Slab(v_row[lo:hi], slab_keys, gather, cell))
-        return RowKeys(pull_row, pull_table, key_pull, key_of, tuple(slabs))
-
-    @cached_property
-    def own_row_keys(self) -> RowKeys:
-        """`row_keys` when every vertex u reads a row of its own, row u.
-        Built once and read-only."""
-        return self._fixed_keys(np.arange(self.num_vertices))
-
-    @cached_property
-    def one_row_keys(self) -> RowKeys:
-        """`row_keys` when every vertex reads the same row, as every block
-        of a coordinate or majority cut does. Built once and read-only."""
-        return self._fixed_keys(np.zeros(self.num_vertices, dtype=np.int64))
-
-    def _fixed_keys(self, row_of) -> RowKeys:
-        keys = self.row_keys(row_of)
-        slab_arrays = [a for slab in keys.slabs for a in (slab.v_row, slab.gather, slab.cell)]
-        for a in [*keys[:-1], *slab_arrays]:
+        for a in [key_pull, key_of, *(a for s in slabs for a in (s.v_row, s.gather, s.cell))]:
             a.setflags(write=False)
-        return keys
-
-    def keyed_rows(self, values: np.ndarray) -> tuple[np.ndarray, RowKeys]:
-        """The distinct rows of an array of one row per vertex
-        (`distinct_rows`) and the edges' keys over them (`row_keys`). The
-        keys of the two extreme cases are built once: no two rows equal
-        (the rows are then taken as given, in C order) and all rows
-        equal."""
-        rows, row_of = distinct_rows(values)
-        if len(rows) == self.num_vertices:
-            return np.ascontiguousarray(values), self.own_row_keys
-        return rows, self.one_row_keys if len(rows) == 1 else self.row_keys(row_of)
-
-    def pulled_rows(self, rows, keys: RowKeys) -> np.ndarray:
-        """The pulled row rows[row of w][tables[p]] of each of the keys'
-        pulls, by one flat `take`."""
-        index = self.tables[keys.pull_table]
-        index += (keys.pull_row << self.num_labels)[:, None]
-        return rows.take(index)
+        plan = self.plans[map_bytes] = RowKeys(key_pull, key_of, tuple(slabs))
+        return plan
 
     @cached_property
     def weight_classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -423,12 +398,13 @@ class EdgeDistribution:
         operand and partial sum is an integer below |E| 4^N (2^28 at
         k = 3): exact in float64 and BLAS, in any order and under any
         thread count."""
-        rows, keys = self.keyed_rows(np.asarray(tables))
+        rows, row_of = distinct_rows(np.asarray(tables))
+        keys = self.row_keys(row_of)
         if not np.all(np.abs(rows) == 1):
             raise ValueError("table entries must be +/-1")
         levels = self.levels
         # indexing, not `take`: `take` copies an index array that is
-        # read-only, as the level order and the fixed keys' plans are
+        # read-only, as the level order and the plans are
         spectra = walsh_hadamard(rows)[:, levels.order]
         per_key = np.empty((len(keys.key_pull), self.num_labels + 1))
         for slab in keys.slabs:
@@ -477,10 +453,10 @@ class EdgeDistribution:
         (about 4% at k = 3). The flip uniforms come FLIP_ROWS rows at a time
         into one reused buffer, in the same order, and each row's N flips
         are packed into mu by one multiply (`_pack_rows`). The first query reads
-        `blocks` at (v, x); the second reads the edge's pulled row at x ^ mu,
-        from the rows of `own_row_keys` gathered once per call. Both gathers
-        read flat indices, so `blocks` must hold one row of 2^N values per
-        UG vertex.
+        `blocks` at (v, x); the second reads the row blocks[w][tables[p]] of
+        the edge's (w, p) pair (`pulls`) at x ^ mu, the pairs' rows gathered
+        once per call. Both gathers read flat indices, so `blocks` must hold
+        one row of 2^N values per UG vertex.
         """
         n = self.num_labels
         blocks = np.asarray(blocks)
@@ -491,10 +467,10 @@ class EdgeDistribution:
                              f"values for each of {self.num_vertices} vertices")
         rng = np.random.default_rng(seed)
         values = blocks.ravel()
-        own = self.own_row_keys
-        pulled = self.pulled_rows(blocks, own).ravel()
+        pulls = self.pulls
+        pulled = values.take(self.tables[pulls.table] + (pulls.other << n)[:, None]).ravel()
         first = self.v.astype(np.intp) << n  # each query's row, as a flat offset
-        second = own.key_pull[own.key_of].astype(np.intp) << n
+        second = pulls.pair.astype(np.intp) << n
         flips = np.empty((min(samples, FLIP_ROWS), n))
         # room for the bytes `_pack_rows` reads past the last row
         hits = np.zeros(flips.size + (1 << (n - 1).bit_length()) - n, dtype=bool)

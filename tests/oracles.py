@@ -48,7 +48,7 @@ paths against. None of them is used by the cutgap package itself.
   `EdgeDistribution.level_sums`, rounded once by `probabilities`, must match with `==`;
   `level_sums_one_gather`: those level sums with every edge's pulled
   spectrum gathered at once and summed in int64, the oracle that the
-  distinct-row keys of `EdgeDistribution.keyed_rows` and the slab products
+  distinct-row keys of `EdgeDistribution.row_keys` and the slab products
   of `EdgeDistribution.level_sums` must match with `==`.
 - `disagreement_one_gather` and `acceptance_exact_per_edge` (with
   `_noise_factors`): the float routes to the same two numbers, one noise

@@ -416,6 +416,29 @@ def test_round_command(tmp_path, capsys):
     assert "demand_cut" in got
 
 
+@pytest.mark.parametrize("balance", ["nan", "inf", "-inf", "-1"])
+def test_round_rejects_a_balance_that_is_not_finite_and_nonnegative(tmp_path, capsys, balance):
+    gfile = tmp_path / "graph.txt"
+    gfile.write_text("GRAPH 4\n0 1 0.0 1.0\n2 3 0.0 1.0\n0 2 1.0 0.0\n1 3 1.0 0.0\n")
+    code = main(["round", "--graph-file", str(gfile), f"--balance={balance}"])
+    assert code == 1
+    assert capsys.readouterr().out == (f"FAIL round --balance {float(balance)} "
+                                       "is not finite and nonnegative\n")
+
+
+def test_round_allows_a_zero_balance(tmp_path, capsys):
+    # the default for a graph with no demand is B = 0
+    gfile = tmp_path / "graph.txt"
+    gfile.write_text("GRAPH 4\n0 1 0.0 1.0\n2 3 0.0 1.0\n0 2 1.0 0.0\n1 3 1.0 0.0\n")
+    assert main(["round", "--graph-file", str(gfile), "--balance", "0"]) == 0
+    assert "\trequired\t0\n" in capsys.readouterr().out
+
+
+def test_verify_with_nothing_to_check_fails(capsys):
+    assert main(["verify"]) == 1
+    assert capsys.readouterr().out == "FAIL verify nothing to check: give --ug-file or --basis-file\n"
+
+
 @pytest.mark.parametrize("bad", ["0 9 1.0 0.0", "0 1 1.0", "0 1 one 0.0", "0 1 nan 1.0",
                                  "0 1 -1.0 1.0", "0 1 1.0 -1.0"])
 def test_round_malformed_graph_fails_cleanly(tmp_path, capsys, bad):

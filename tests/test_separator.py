@@ -733,7 +733,7 @@ def test_chunked_cut_weight_is_the_one_gather_bit_for_bit(k, eta, eps):
     # row's distinct keys; its integer level sums are the one gather's bit
     # for bit, and its weight is within FLOAT_ROUTE_TOL of the float route.
     # Every cut meets the float route. At k = 3 the random cuts past the
-    # first 20 read the own-row keys as the 19 before them do, and skip the
+    # first 20 read the own-row plan as the 19 before them do, and skip the
     # int64 one-gather oracle, which takes about 15 ms a cut there
     inst = build_bes(build_kv_instance(k, eta)[0], eps)
     assert_cut_weights_match_oracles(inst, seeded_cuts(inst, seed=k * 100 + int(eta * 100)),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cutgap import unique_games as ug
+from cutgap.cli import main
 from cutgap.separator import balanced_cut_search, build_bes, cut_edge_weight
 from cutgap.unique_games import (
     EXACT_LABEL_LIMIT,
@@ -390,26 +391,27 @@ def test_incidence_is_built_once_and_read_by_both_searches(monkeypatch):
     assert len(built) == 1 and len(reads) == 2 and reads[1] is reads[0]
 
 
-def test_pulls_and_own_row_keys_are_built_once_per_instance(monkeypatch):
+def test_pulls_and_the_own_row_plan_are_built_once_per_instance(monkeypatch):
     u = build_kv_instance(3, 0.3)[0]  # a fresh instance, so nothing is cached yet
-    built, reads, own = [], [], []
+    built, reads, plans = [], [], []
     make = ug.Pulls
     cached = ug.EdgeDistribution.__dict__["pulls"]
-    cached_own = ug.EdgeDistribution.__dict__["own_row_keys"]
+    row_keys = ug.EdgeDistribution.row_keys
     monkeypatch.setattr(ug, "Pulls", lambda *cols: built.append(1) or make(*cols))
     monkeypatch.setattr(ug.EdgeDistribution, "pulls", property(
         lambda d: reads.append(cached.__get__(d, type(d))) or reads[-1]))
-    monkeypatch.setattr(ug.EdgeDistribution, "own_row_keys", property(
-        lambda d: own.append(cached_own.__get__(d, type(d))) or own[-1]))
+    monkeypatch.setattr(ug.EdgeDistribution, "row_keys",
+                        lambda d, row_of: plans.append(row_keys(d, row_of)) or plans[-1])
     inst = build_bes(u, 0.3)
     rng = np.random.default_rng(7)
-    for _ in range(3):  # 32 distinct blocks each
+    for _ in range(3):  # 32 distinct blocks each: one own-row map
         cut_edge_weight(inst, rng.choice(np.array([-1, 1], dtype=np.int8), size=inst.num_vertices))
     assert len(built) == 1 and len(reads) == 1
-    assert len(own) == 3 and all(keys is own[0] for keys in own)
-    # blocks that repeat merge the same pairs again
+    assert len(plans) == 3 and all(keys is plans[0] for keys in plans)
+    # blocks that repeat merge the same pairs again, into a plan of their own
     cut_edge_weight(inst, dictator_tables(rng.integers(0, 8, size=32), 8).ravel())
-    assert len(built) == 1 and len(reads) == 2 and reads[1] is reads[0] and len(own) == 3
+    assert len(built) == 1 and len(reads) == 2 and reads[1] is reads[0]
+    assert len(plans) == 4 and plans[3] is not plans[0]
     # one row per distinct (other endpoint, table) pair, fewer than the edges
     d, pulls = u.edge_distribution, reads[0]
     pairs = np.stack([pulls.other, pulls.table], axis=1)
@@ -418,19 +420,28 @@ def test_pulls_and_own_row_keys_are_built_once_per_instance(monkeypatch):
     assert np.array_equal(pulls.table[pulls.pair], d.table_of)
 
 
-def assert_slab_plan(d, keys, num_rows, rng):
+def plan_arrays(keys):
+    """Every array of a `RowKeys` plan, its slabs' included."""
+    return [keys.key_pull, keys.key_of,
+            *(a for slab in keys.slabs for a in (slab.v_row, slab.gather, slab.cell))]
+
+
+def assert_slab_plan(d, keys, row_of, rng):
     """The slabs split the keys in order, by v-row: each holds the keys of
     ROW_SLAB v-rows (the last of at most that many), the v-rows increase
     across them, and no v-row's keys span two slabs; every pull a slab
     gathers is read by one of its keys, and each key's cell names its v-row
-    and, among level-sorted rows, its pulled row (row of w)[tables[p]].
-    Returns each key's v-row."""
+    and, among level-sorted rows, the pulled row (row of w)[tables[p]] of
+    an edge (v, w) with table p that has the key. Returns each key's v-row."""
     stops = [slab.keys.stop for slab in keys.slabs]
     assert [slab.keys.start for slab in keys.slabs] == [0] + stops[:-1]
     assert stops[-1] == len(keys.key_pull)
     assert np.all(np.diff(np.concatenate([slab.v_row for slab in keys.slabs])) > 0)
     assert all(len(slab.v_row) == ug.ROW_SLAB for slab in keys.slabs[:-1])
-    values = rng.integers(-99, 99, size=(num_rows, 1 << d.num_labels))
+    assert np.array_equal(np.unique(keys.key_of), np.arange(len(keys.key_pull)))
+    edge = np.empty(len(keys.key_pull), dtype=np.int64)
+    edge[keys.key_of] = np.arange(len(keys.key_of))  # one edge of each key
+    values = rng.integers(-99, 99, size=(row_of.max() + 1, 1 << d.num_labels))
     sorted_values = values[:, d.levels.order]
     key_row = []
     for slab in keys.slabs:
@@ -438,8 +449,8 @@ def assert_slab_plan(d, keys, num_rows, rng):
         row, read = np.divmod(slab.cell, len(slab.gather))
         assert np.all(np.diff(row) >= 0) and np.array_equal(np.unique(row), np.arange(len(slab.v_row)))
         assert np.array_equal(np.unique(read), np.arange(len(slab.gather)))
-        pull = keys.key_pull[slab.keys]
-        pulled = values[keys.pull_row[pull, None], d.tables[keys.pull_table[pull]]]
+        e = edge[slab.keys]
+        pulled = values[row_of[d.w[e], None], d.tables[d.table_of[e]]]
         assert np.array_equal(sorted_values.take(slab.gather)[read], pulled[:, d.levels.order])
         key_row.append(slab.v_row[row])
     return np.concatenate(key_row)
@@ -456,29 +467,94 @@ def test_row_keys_name_each_distinct_read_once():
         for row_of in (np.zeros(m, dtype=np.int64), np.arange(m), rng.permutation(m),
                        rng.integers(0, 3, size=m)):
             keys = d.row_keys(row_of)
-            key_row = assert_slab_plan(d, keys, row_of.max() + 1, rng)
+            key_row = assert_slab_plan(d, keys, row_of, rng)
             assert np.array_equal(key_row[keys.key_of], row_of[d.v])
-            pulls = np.stack([keys.pull_row, keys.pull_table], axis=1)
-            assert np.array_equal(pulls[keys.key_pull[keys.key_of]],
-                                  np.stack([row_of[d.w], d.table_of], axis=1))
-            assert len(np.unique(pulls, axis=0)) == len(pulls)
+            # the pulls are the distinct (row of w, p) reads, in their order
+            _, read_of = np.unique(np.stack([row_of[d.w], d.table_of], axis=1), axis=0,
+                                   return_inverse=True)
+            assert np.array_equal(keys.key_pull[keys.key_of], read_of.ravel())
             assert len(set(zip(key_row.tolist(), keys.key_pull.tolist()))) == len(key_row)
-        for name, row_of in (("own_row_keys", np.arange(m)),
-                             ("one_row_keys", np.zeros(m, dtype=np.int64))):
-            got, want = getattr(d, name), d.row_keys(row_of)
-            for a, b in zip(got[:-1], want[:-1]):
+        # a map's plan is kept: an equal map of another type reads it, and
+        # a fresh build of the map is equal to it
+        for row_of in (np.arange(m), np.zeros(m, dtype=np.int64)):
+            got = d.row_keys(row_of)
+            assert d.row_keys(row_of.tolist()) is got
+            d.plans.clear()
+            want = d.row_keys(row_of)
+            assert want is not got and len(d.plans) == 1
+            assert [slab.keys for slab in got.slabs] == [slab.keys for slab in want.slabs]
+            for a, b in zip(plan_arrays(got), plan_arrays(want), strict=True):
                 assert np.array_equal(a, b) and not a.flags.writeable
-            assert len(got.slabs) == len(want.slabs)
-            for slab, ref in zip(got.slabs, want.slabs):
-                assert slab.keys == ref.keys
-                for a, b in zip((slab.v_row, slab.gather, slab.cell), (ref.v_row, ref.gather, ref.cell)):
-                    assert np.array_equal(a, b) and not a.flags.writeable
+
+
+def test_row_plans_are_keyed_by_the_whole_row_map(monkeypatch):
+    # two labeling cuts of 4 distinct rows each, under different row maps:
+    # a plan looked up by less than the whole map would weigh the second
+    # cut's edges by the first cut's keys
+    u = build_kv_instance(3, 0.3)[0]  # a fresh instance, so nothing is cached yet
+    d = u.edge_distribution
+    built = []
+    make = ug.RowKeys
+    monkeypatch.setattr(ug, "RowKeys", lambda *fields: built.append(1) or make(*fields))
+    first, second = dictator_tables(np.arange(32) % 4, 8), dictator_tables(np.arange(32) // 8, 8)
+    maps = [ug.distinct_rows(tables)[1] for tables in (first, second)]
+    assert maps[0].max() == maps[1].max() == 3 and not np.array_equal(*maps)
+    want = [level_sums_one_gather(d, tables) for tables in (first, second)]
+    assert not np.array_equal(*want)
+    for tables, sums in ((first, want[0]), (second, want[1]), (first, want[0])):
+        assert (d.level_sums(tables) == sums).all()
+    assert len(built) == 2 and len(d.plans) == 2
+
+
+def test_the_sampler_builds_no_slab_plan(monkeypatch):
+    # the Monte Carlo count reads the pulls alone: no plan, no slab
+    u = build_kv_instance(3, 0.3)[0]  # a fresh instance, so nothing is cached yet
+    built = []
+    make = ug.Slab
+    monkeypatch.setattr(ug, "Slab", lambda *fields: built.append(1) or make(*fields))
+    d = u.edge_distribution
+    blocks = np.random.default_rng(3).choice(np.array([-1, 1], dtype=np.int8), size=(32, 256))
+    got = d.sample_disagreements(blocks, 5000, seed=4, epsilon=0.3)
+    assert got == sample_disagreements_choice(d, blocks, 5000, 4, 0.3)
+    assert built == [] and d.plans == {}
+
+
+def test_every_kept_plan_is_read_only():
+    u = build_kv_instance(3, 0.3)[0]
+    d = u.edge_distribution
+    rng = np.random.default_rng(9)
+    cuts = [rng.choice(np.array([-1, 1], dtype=np.int8), size=(32, 256)),
+            dictator_tables(rng.integers(0, 8, size=32), 8), dictator_tables(np.zeros(32), 8)]
+    for tables in cuts:
+        d.level_sums(tables)
+    assert len(d.plans) == 3
+    for keys in d.plans.values():
+        for a in plan_arrays(keys):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+
+
+def test_a_k3_build_row_keeps_at_most_three_plans(tmp_path, monkeypatch):
+    # the exact cut weights of one build-bes row (coordinate, majority,
+    # labeling and random candidates and the best cut) read few row maps
+    seen = {}
+    row_keys = ug.EdgeDistribution.row_keys
+
+    def spy(d, row_of):
+        seen[id(d)] = d
+        return row_keys(d, row_of)
+    monkeypatch.setattr(ug.EdgeDistribution, "row_keys", spy)
+    assert main(["build-bes", "--k", "3", "--eta", "0.3", "--epsilon", "0.3",
+                 "--out", str(tmp_path)]) == 0
+    assert len(seen) == 1
+    assert 1 <= len(next(iter(seen.values())).plans) <= 3
 
 
 def test_slab_plans_of_the_fixed_keys_are_built_once_per_instance(monkeypatch):
-    # a cut of 32 distinct blocks reads the own-row keys, a coordinate cut
-    # the one-row keys: each plan (one slab of 32 v-rows, one of one) is
-    # built on the first call only, while a labeling cut's keys are its own
+    # a cut of 32 distinct blocks reads the own-row map, a coordinate cut
+    # the one-row map: each plan (one slab of 32 v-rows, one of one) is
+    # built on the first call only, while a labeling cut's map is its own
     u = build_kv_instance(3, 0.3)[0]  # a fresh instance, so nothing is cached yet
     built = []
     make = ug.Slab
@@ -771,8 +847,9 @@ def test_slab_level_sums_are_the_one_gather_on_generated_instances(inputs):
     u, tables = inputs
     d = u.edge_distribution
     assert np.array_equal(d.level_sums(tables), level_sums_one_gather(d, tables))
-    keys = d.keyed_rows(tables)[1]
-    v_rows = len(np.unique(ug.distinct_rows(tables)[1][d.v]))
+    row_of = ug.distinct_rows(tables)[1]
+    keys = d.row_keys(row_of)
+    v_rows = len(np.unique(row_of[d.v]))
     assert len(keys.slabs) == -(-v_rows // ug.ROW_SLAB)
 
 
@@ -809,9 +886,9 @@ def test_slab_plans_are_linear_in_the_keys_past_many_slabs(monkeypatch):
     monkeypatch.setattr(ug, "np", Counted())
     keys = d.row_keys(np.arange(m))
     monkeypatch.undo()
-    assert len(keys.slabs) > 100 and len(keys.pull_row) > 5000
+    assert len(keys.slabs) > 100 and len(np.unique(keys.key_pull)) > 5000
     assert Counted.elements <= 16 * e
-    assert_slab_plan(d, keys, m, rng)
+    assert_slab_plan(d, keys, np.arange(m), rng)
 
 
 def test_level_sums_are_linear_in_the_edges_when_every_weight_differs():

@@ -70,7 +70,7 @@ MUTANTS = (
     Mutant("slab_short", "unique_games", "EdgeDistribution.row_keys",
            "min(lo + ROW_SLAB, len(v_row))", "min(lo + ROW_SLAB - 1, len(v_row))", LEVELS),
     Mutant("slab_gather_row", "unique_games", "EdgeDistribution.row_keys",
-           "pull_row[read] << self.num_labels", "pull_row[read] << self.num_labels - 1", LEVELS),
+           "w_row[read] << self.num_labels", "w_row[read] << self.num_labels - 1", LEVELS),
     Mutant("slab_column_reversed", "unique_games", "EdgeDistribution.row_keys",
            "np.unique(key_pull[slab_keys], return_inverse=True)",
            "np.unique(key_pull[slab_keys][::-1], return_inverse=True)", LEVELS),
@@ -78,9 +78,15 @@ MUTANTS = (
     # grows with the slabs times the pulls
     Mutant("slab_reads_every_pull", "unique_games", "EdgeDistribution.row_keys",
            "np.unique(key_pull[slab_keys], return_inverse=True)",
-           "(np.arange(len(pull_row)), key_pull[slab_keys])", LEVELS),
+           "(np.arange(len(pulls)), key_pull[slab_keys])", LEVELS),
     Mutant("slab_cell_row", "unique_games", "EdgeDistribution.row_keys",
            "(rank[slab_keys] - lo) * len(read)", "rank[slab_keys] * len(read)", LEVELS),
+    # the plans kept by their row map: looked up by the distinct-row count
+    # alone, or never found again
+    Mutant("plan_keyed_by_row_count", "unique_games", "EdgeDistribution.row_keys",
+           "row_of.tobytes()", "str(row_of.max() + 1)", LEVELS),
+    Mutant("plan_rebuilt_each_call", "unique_games", "EdgeDistribution.row_keys",
+           "map_bytes in self.plans", "False", LEVELS),
     Mutant("slab_product_transposed", "unique_games", "EdgeDistribution.level_sums",
            "(own[:, lo:hi] @ pulled[:, lo:hi].T).ravel()[slab.cell]",
            "(pulled[:, lo:hi] @ own[:, lo:hi].T).ravel()[slab.cell]", LEVELS),
@@ -115,6 +121,14 @@ MUTANTS = (
     Mutant("pack_row_stride", "unique_games", "_pack_rows",
            "np.ndarray(len(out), dtype=f'<u{width}', buffer=bits, strides=(n,))",
            "np.ndarray(len(out), dtype=f'<u{width}', buffer=bits, strides=(width,))", SAMPLER),
+    # the sampler's second query through the (w, p) pairs
+    Mutant("sampler_second_by_w", "unique_games", "EdgeDistribution.sample_disagreements",
+           "pulls.pair.astype(np.intp) << n", "self.w.astype(np.intp) << n", SAMPLER),
+    Mutant("sampler_pulled_unpermuted", "unique_games", "EdgeDistribution.sample_disagreements",
+           "self.tables[pulls.table]", "np.arange(1 << n)", SAMPLER),
+    Mutant("sampler_pulled_other_reversed", "unique_games",
+           "EdgeDistribution.sample_disagreements", "pulls.other << n", "pulls.other[::-1] << n",
+           SAMPLER),
     Mutant("flips_at_most", "unique_games", "EdgeDistribution.sample_disagreements",
            "np.less(rows.ravel(), epsilon, out=hits[:rows.size])",
            "np.less_equal(rows.ravel(), epsilon, out=hits[:rows.size])", SAMPLER),
