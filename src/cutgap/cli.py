@@ -342,7 +342,8 @@ def cmd_round(args) -> int:
     with open(args.graph_file) as fh:
         weights, demands = mt.graph_from_text(fh.read())
     total = float(np.sum(demands) / 2)
-    B = args.balance if args.balance is not None else total / 2
+    # + 0.0 reads -0.0 as 0.0, so both zeros print the same bound
+    B = args.balance + 0.0 if args.balance is not None else total / 2
     oracle = lambda w, d: mt.local_search_sparsest_cut(w, d, seed=args.seed)
     res = mt.round_to_balanced_cut(weights, demands, oracle, B=B, seed=args.seed)
     side = "".join("1" if v else "0" for v in res.cut)

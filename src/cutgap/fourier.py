@@ -1,4 +1,4 @@
-"""Walsh-Hadamard transform and noise kernel on {-1,1}^k, on plain arrays.
+"""The Walsh-Hadamard transform on {-1,1}^k, on plain arrays.
 
 Conventions (used across the whole package):
 
@@ -18,7 +18,8 @@ import functools
 
 import numpy as np
 
-__all__ = ["apply_noise_kernel"]
+# empty: the benchmark's tracer wraps `wht_matrix` by name
+__all__: list[str] = []
 
 
 def _checked_dimension(table_len: int) -> int:
@@ -60,30 +61,4 @@ def wht_matrix(tables: np.ndarray) -> np.ndarray:
     result are spectra (normalized by 2^-k)."""
     out = walsh_hadamard(tables)
     out /= out.shape[-1]
-    return out
-
-
-def apply_noise_kernel(values, eps: float, n_bits: int) -> np.ndarray:
-    """K f along the last axis, K[x, y] = eps^d(x,y) (1-eps)^(n_bits - d(x,y)):
-    the mean of f at x with each bit flipped independently with probability
-    eps, which is T_rho at rho = 1 - 2 eps. Leading axes are a batch.
-
-    Product structure over bits: one (1-eps, eps) mixing pass per coordinate,
-    butterfly-style like the Walsh-Hadamard transform. K commutes with every
-    coordinate permutation, since those preserve Hamming distance.
-
-    The pass over bit h sets each value f to (1 - eps) * f + eps * f' for
-    its partner f' across bit h, with one temporary, eps * f'. With a and b
-    the values at bit h clear and set, that is (1 - eps) * a + eps * b and
-    (1 - eps) * b + eps * a, the same float as eps * a + (1 - eps) * b,
-    since float addition commutes.
-    """
-    out = np.array(values, dtype=np.float64, order="C")
-    n = 1 << n_bits
-    h = 1
-    while h < n:
-        across = eps * out.reshape(out.shape[:-1] + (n // (2 * h), 2, h))[..., ::-1, :]
-        out *= 1 - eps
-        out += across.reshape(out.shape)
-        h *= 2
     return out

@@ -387,6 +387,7 @@ def round_to_balanced_cut(weights, demands, sparse_cut_oracle, B: float,
     accumulated = 0.0
     stagnant = 0
     rounds = 0
+    flagged_partial = False
     while rounds < max_rounds:
         rounds += 1
         cut = np.asarray(sparse_cut_oracle(weights, remaining), dtype=bool)
@@ -407,14 +408,12 @@ def round_to_balanced_cut(weights, demands, sparse_cut_oracle, B: float,
         if accumulated >= 2.0 * B / 3.0:
             break
         if stagnant >= patience:
-            phi, dem, wt = best_xor_cut(
-                collected, weights, np.asarray(demands, dtype=np.float64), B, rng
-            )
-            return RoundingResult(phi, wt, dem, rounds, flagged_partial=True)
+            flagged_partial = True
+            break
     phi, dem, wt = best_xor_cut(
         collected, weights, np.asarray(demands, dtype=np.float64), B, rng
     )
-    return RoundingResult(phi, wt, dem, rounds, flagged_partial=False)
+    return RoundingResult(phi, wt, dem, rounds, flagged_partial=flagged_partial)
 
 
 def local_search_sparsest_cut(weights, demands, seed: int = 0, restarts: int = 8):

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import apply_noise_kernel
 from .quotient import UGVectorSolution
 from .tensor import INNER_POWER_LIMIT, GramCache, triangle_sweep
 from .unique_games import EXACT_LABEL_LIMIT, UGInstance, ug_to_text
@@ -476,14 +475,17 @@ class _FlipGains:
     """The exact change in cut weight from flipping one point (the gain of
     Kernighan-Lin and Fiduccia-Mattheyses), kept current under flips.
 
-    With S = K A the smoothed blocks, the cut weight is sum_e wt_e / 2 minus
-    sum_e wt_e <A^(v_e), S^(w_e) o T_e> / 2^(N+1), and its gradient in
-    A(u, x) is the field F_u(x) = sum_{e: v_e=u} wt_e S[w_e, T_e[x]] +
-    sum_{e: w_e=u} wt_e S[v_e, T_e^-1[x]]. Flipping (u, x) moves the weight
-    by (A(u, x) F_u(x) - 2 sum_{loop e at u} wt_e K[T_e[x], x]) / 2^N, the
-    loop term being the one quadratic part. A flip changes S[u] by
-    -2 A(u, x) K[:, x], so it moves only the fields of u's neighbours, each
-    by a multiple of one kernel row: K[T_e[x'], x] = K[x', T_e^-1[x]].
+    With K[x, y] = eps^|x^y| (1-eps)^(N-|x^y|) the noise kernel, the cut
+    weight is sum_e wt_e / 2 minus sum_e wt_e <A^(v_e) K, A^(w_e) o T_e> /
+    2^(N+1). Each T_e permutes coordinates and K depends only on Hamming
+    distance, so K[y, T_e[x]] = K[T_e^-1[y], x], and the weight's gradient in
+    A(u, x) is the field F_u = B_u K of the pulled table B_u = sum_{e: v_e=u}
+    wt_e A^(w_e) o T_e + sum_{e: w_e=u} wt_e A^(v_e) o T_e^-1. Flipping (u, x)
+    moves the weight by (A(u, x) (B_u K)(x) - 2 sum_{loop e at u} wt_e
+    K[T_e[x], x]) / 2^N, the loop term being the one quadratic part. A kept
+    flip moves one entry of B per end of u, B[o, M[x]] by -2 A(u, x) wt for
+    the end's other endpoint o, map M and weight wt: the reverse end at o
+    reads A(u, .) through M^-1.
 
     The edge ends are the distribution's `incidence`, loops included, each
     map row resolved to a point table: T_e from v_e, T_e^-1 from w_e.
@@ -501,11 +503,10 @@ class _FlipGains:
         self.others, self.weights, self.bounds = ends.other, ends.weight, ends.bounds
         self.maps = np.concatenate([d.tables, np.argsort(d.tables, axis=1)])[ends.row]
         points = np.arange(size)
-        smoothed = apply_noise_kernel(blocks, eps, n)
-        pulled = self.weights[:, None] * smoothed[self.others[:, None], self.maps]
-        self.field = np.bincount((ends.vertex[:, None] * size + points).ravel(),
-                                 weights=pulled.ravel(),
-                                 minlength=blocks.size).reshape(blocks.shape)
+        rows = self.weights[:, None] * blocks[self.others[:, None], self.maps]
+        self.pulled = np.bincount((ends.vertex[:, None] * size + points).ravel(),
+                                  weights=rows.ravel(),
+                                  minlength=blocks.size).reshape(blocks.shape)
         loops = d.v == d.w
         loop_terms = d.weight[loops, None] * self.kernel[d.tables[d.table_of[loops]], points]
         self.loop = np.bincount((d.v[loops, None] * size + points).ravel(),
@@ -514,13 +515,13 @@ class _FlipGains:
 
     def gain(self, u: int, x: int, a: int) -> float:
         """Weight after flipping (u, x), which holds a, minus weight before."""
-        return (a * self.field[u, x] - 2 * self.loop[u, x]) / self.size
+        return (a * np.dot(self.pulled[u], self.kernel[x]) - 2 * self.loop[u, x]) / self.size
 
     def flip(self, u: int, x: int, a: int) -> None:
         """Record the flip of (u, x) from a to -a."""
         e = slice(self.bounds[u], self.bounds[u + 1])
-        rows = self.kernel[self.maps[e, x]]
-        np.add.at(self.field, self.others[e], (-2 * a * self.weights[e])[:, None] * rows)
+        # an (other, point) pair repeats where two ends share it
+        np.add.at(self.pulled, (self.others[e], self.maps[e, x]), -2 * a * self.weights[e])
 
 
 def balanced_cut_search(inst: BESInstance, seed: int = 0, labelings=None,

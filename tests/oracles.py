@@ -6,10 +6,10 @@ paths against. None of them is used by the cutgap package itself.
   transform as the in-place O(N log N) butterfly: the oracles for the
   Kronecker transform of `cutgap.fourier`, which must match the butterfly
   byte for byte on +/-1 tables.
-- `noise_kernel_two_copies`: the noise kernel's butterfly with both
-  halves of each pass copied and each written by its own expression, the
-  oracle that the one-temporary pass of `cutgap.fourier.apply_noise_kernel`
-  must match with `==`.
+- `noise_kernel_two_copies`: the noise kernel K f as a butterfly, one
+  (1 - eps, eps) mixing pass per bit, the oracle for the kernel matrix of
+  `cutgap.separator._FlipGains` and for the float cut-weight route of
+  `disagreement_one_gather`.
 - `tensor_inner` and `materialize_tensor_power`: tensor powers written out
   (<x tensor l, z tensor l> = <x, z>^l), the oracle for every symbolic
   tensored inner product.
@@ -116,7 +116,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cutgap.fourier import apply_noise_kernel, wht_matrix
+from cutgap.fourier import wht_matrix
 from cutgap.metrics import _cut_sum
 from cutgap.separator import (
     BESFeasibilityReport,
@@ -212,9 +212,11 @@ def fwht_inplace(a: np.ndarray) -> np.ndarray:
 
 
 def noise_kernel_two_copies(values, eps: float, n_bits: int) -> np.ndarray:
-    """`fourier.apply_noise_kernel` with both halves of each pass copied:
-    the values a at bit h clear become (1 - eps) * a + eps * b and the
-    values b at bit h set become eps * a + (1 - eps) * b."""
+    """K f along the last axis, K[x, y] = eps^d(x,y) (1-eps)^(n_bits - d(x,y)),
+    leading axes a batch: the mean of f at x with each bit flipped
+    independently with probability eps. One pass per bit h, with both
+    halves copied: the values a at bit h clear become (1 - eps) * a + eps * b
+    and the values b at bit h set become eps * a + (1 - eps) * b."""
     out = np.array(values, dtype=np.float64, order="C")
     n = 1 << n_bits
     h = 1
@@ -486,7 +488,7 @@ def disagreement_one_gather(d, blocks, epsilon: float) -> float:
     pulled row gathered at once, as an (|E|, 2^N) array, and the terms
     summed in edge order."""
     blocks = np.asarray(blocks, dtype=np.float64)
-    smoothed = apply_noise_kernel(blocks, epsilon, d.num_labels)
+    smoothed = noise_kernel_two_copies(blocks, epsilon, d.num_labels)
     pulled = smoothed[d.w[:, None], d.tables[d.table_of]]
     agree = np.einsum("ex,ex->e", blocks[d.v], pulled)
     return float(np.cumsum(d.weight * (1.0 - agree / blocks.shape[1]) / 2.0)[-1])

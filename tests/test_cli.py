@@ -434,6 +434,15 @@ def test_round_allows_a_zero_balance(tmp_path, capsys):
     assert "\trequired\t0\n" in capsys.readouterr().out
 
 
+def test_round_prints_a_negative_zero_balance_as_zero(tmp_path, capsys):
+    gfile = tmp_path / "graph.txt"
+    gfile.write_text("GRAPH 4\n0 1 0.0 1.0\n2 3 0.0 1.0\n0 2 1.0 0.0\n1 3 1.0 0.0\n")
+    assert main(["round", "--graph-file", str(gfile), "--balance", "0"]) == 0
+    zero = capsys.readouterr().out
+    assert main(["round", "--graph-file", str(gfile), "--balance=-0.0"]) == 0
+    assert capsys.readouterr().out == zero
+
+
 def test_verify_with_nothing_to_check_fails(capsys):
     assert main(["verify"]) == 1
     assert capsys.readouterr().out == "FAIL verify nothing to check: give --ug-file or --basis-file\n"

@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cutgap.fourier import apply_noise_kernel, walsh_hadamard, wht_matrix
+from cutgap.fourier import walsh_hadamard, wht_matrix
 from fixtures import apply_noise_operator, bonami_beckner_check, junta_diagnostics, lp_norm
-from oracles import character_table, fwht_inplace, naive_wht, noise_kernel_two_copies
-from strategies import TEST_EPSILONS
+from oracles import character_table, fwht_inplace, naive_wht
 
 
 def dictator(k, j):
@@ -242,16 +241,3 @@ def test_boolean_function_rejects_bad_tables():
         junta_diagnostics([1, 1, 1], 1, 1.0)
     with pytest.raises(ValueError):
         junta_diagnostics([2, 1], 1, 1.0)
-
-
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(st.data())
-def test_noise_pass_is_the_two_copy_pass_bit_for_bit(data):
-    # +/-1 cut tables or wide-range floats, 1-4 rows of 2^0..2^8 points
-    n_bits = data.draw(st.integers(0, 8))
-    elements = st.sampled_from((-1.0, 1.0)) | st.floats(-1e300, 1e300)
-    values = data.draw(arrays(np.float64, (data.draw(st.integers(1, 4)), 1 << n_bits),
-                              elements=elements))
-    eps = data.draw(TEST_EPSILONS)
-    got = apply_noise_kernel(values, eps, n_bits)
-    assert got.tobytes() == noise_kernel_two_copies(values, eps, n_bits).tobytes()

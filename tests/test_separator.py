@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 from cutgap import separator as sp
 from cutgap import tensor
 from cutgap.cli import main
+from cutgap.config import derive_seed
 from cutgap.quotient import build_kv_instance, build_ug_sdp_solution
-from cutgap.fourier import apply_noise_kernel
 from cutgap.tensor import TRIANGLE_STEP_BYTES, triangle_sweep
 from cutgap.separator import (
     GAIN_BAND,
@@ -39,6 +40,7 @@ from cutgap.separator import (
 from cutgap.unique_games import (
     UGInstance,
     opt_exhaustive,
+    opt_search,
     value,
 )
 from cutgap.verifier import (
@@ -62,6 +64,7 @@ from oracles import (
     disagreement_one_gather,
     edge_rows,
     level_sums_one_gather,
+    noise_kernel_two_copies,
     random_balanced_cut_loop,
     sample_disagreements_choice,
     sdp_objective_per_row,
@@ -69,7 +72,7 @@ from oracles import (
     triangle_sweep_half,
     triangle_sweep_ordered,
 )
-from strategies import CUT_EPSILONS, ROW_FLOATS, correlation_rows, repeated_rows
+from strategies import CUT_EPSILONS, ROW_FLOATS, correlation_rows, repeated_rows, ug_instances
 
 
 def kv_fixture(k=2, eta=0.3, eps=0.3, l_in=8, t=1):
@@ -114,31 +117,43 @@ def test_edge_weights_sum_to_one():
     assert abs(total - 1.0) < 1e-9
 
 
+def flip_kernel(inst):
+    """The noise kernel K[x, y] that `_FlipGains` builds for `inst`."""
+    blocks = np.ones((inst.num_blocks, inst.block_size), dtype=np.int8)
+    return _FlipGains(inst, blocks).kernel
+
+
 def test_per_term_weight_formula():
-    # weight of a single (e, x, mu) term with |mu-| = 1 at N = 4
+    # weight of a single (e, x, mu) term with |mu-| = 1 at N = 4: the kernel
+    # entry of the pair (x, x^1) is eps^1 (1-eps)^3
     _, _, inst, _ = kv_fixture(eps=0.1)
     e = edge_rows(inst.ug)[0]
     term = e.weight * (1 / 16) * 0.1 * 0.9**3
-    n = inst.ug.num_labels
-    # recompute through the kernel: weight of pair (x, x^1) summed over the
-    # kernel row equals eps^1 (1-eps)^3 / 16 times wt(e)
-    unit = np.zeros(16)
-    unit[1] = 1.0
-    k_col = apply_noise_kernel(unit, 0.1, n)
-    assert abs(e.weight * k_col[0] / 16 - term) < 1e-18
+    kernel = flip_kernel(inst)
+    assert abs(e.weight * kernel[1, 0] / 16 - term) < 1e-18
 
 
 def test_noise_kernel_rows_sum_to_one():
-    rng = np.random.default_rng(0)
-    vec = np.ones(64)
-    out = apply_noise_kernel(vec, 0.23, 6)
-    assert np.max(np.abs(out - 1.0)) < 1e-12
-    # kernel matches the explicit matrix on a random vector
-    idx = np.arange(64, dtype=np.uint32)
-    d = np.bitwise_count(idx[:, None] ^ idx[None, :])
-    K = 0.23**d * 0.77 ** (6 - d)
-    v = rng.normal(size=64)
-    assert np.max(np.abs(apply_noise_kernel(v, 0.23, 6) - K @ v)) < 1e-12
+    for k, eps in [(1, 0.23), (2, 0.1), (3, 0.45)]:
+        inst = build_bes(build_kv_instance(k, 0.3)[0], eps)
+        kernel = flip_kernel(inst)
+        n, size = inst.ug.num_labels, inst.block_size
+        assert np.max(np.abs(kernel.sum(axis=1) - 1.0)) < 1e-12
+        # K is the butterfly's pass on each unit vector: column y is K e_y
+        units = noise_kernel_two_copies(np.eye(size), eps, n)
+        assert np.max(np.abs(units.T - kernel)) <= 1e-15
+        assert np.array_equal(kernel, kernel.T)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_noise_kernel_is_fixed_by_every_reindex_table(k):
+    # the flip update reads K[T[x], T[y]] as K[x, y]: each table permutes
+    # coordinates, so it keeps Hamming distance, and K depends on no more
+    u = build_kv_instance(k, 0.3)[0]
+    d = u.edge_distribution
+    kernel = flip_kernel(build_bes(u, 0.3))
+    for table in np.concatenate([d.tables, np.argsort(d.tables, axis=1)]):
+        assert np.array_equal(kernel[np.ix_(table, table)], kernel)
 
 
 def test_constant_cut_costs_nothing():
@@ -605,14 +620,6 @@ def test_set_image_oracle_equals_reindex_tables():
             assert np.array_equal(_set_image_table(perm), table)
 
 
-def test_batched_noise_pass_equals_per_row_kernel():
-    rng = np.random.default_rng(31)
-    rows = rng.normal(size=(5, 64))
-    batched = apply_noise_kernel(rows, 0.3, 6)
-    for row, out in zip(rows, batched):
-        assert np.array_equal(out, apply_noise_kernel(row, 0.3, 6))
-
-
 def test_mc_cut_weight_pinned():
     # the (e, x, mu) draws for a seed are fixed; these counts were taken
     # before the sampler moved into the shared edge distribution
@@ -912,6 +919,51 @@ def test_flip_gains_match_exact_differences_k3():
         new_weight = cut_edge_weight(inst, cut)
         assert abs(gain - (new_weight - weight)) <= 1e-13, v
         weight = new_weight
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(ug_instances(), CUT_EPSILONS, st.integers(0, 2**32 - 1))
+def test_flip_gains_match_exact_differences_after_kept_flips(u, eps, seed):
+    # loops, isolated vertices, repeated (other, point) pairs and weights
+    # down to the least subnormal; the cut need not be balanced
+    inst = build_bes(u, eps)
+    rng = np.random.default_rng(seed)
+    cut = rng.choice(np.array([-1, 1], dtype=np.int8), size=inst.num_vertices)
+    gains = _FlipGains(inst, cut.reshape(inst.num_blocks, inst.block_size))
+    for v in rng.integers(0, inst.num_vertices, size=12):
+        flip(cut, gains, v, inst.block_size)
+    assert_gains_match_exact(inst, cut, gains, range(inst.num_vertices))
+
+
+def test_k3_local_search_is_pinned(monkeypatch):
+    # the search `build-bes` runs at k = 3, eta = epsilon = 0.3, seed 0, with
+    # local search on: sweep 1 tries 7971 flips that keep the balance and
+    # keeps 2293, sweep 2 tries 7509 and keeps none; no gain falls in the band
+    u = build_kv_instance(3, 0.3)[0]
+    inst = build_bes(u, 0.3)
+    lam, _ = opt_search(u, seed=derive_seed(0, "opt_search"), restarts=10)
+    events = []
+    gain, flip_, weight = _FlipGains.gain, _FlipGains.flip, sp.cut_edge_weight
+
+    def recorded_gain(self, *args):
+        g = gain(self, *args)
+        events.append("b" if abs(g) < GAIN_BAND else "g")
+        return g
+
+    monkeypatch.setattr(_FlipGains, "gain", recorded_gain)
+    monkeypatch.setattr(_FlipGains, "flip", lambda *args: events.append("f") or flip_(*args))
+    monkeypatch.setattr(sp, "cut_edge_weight", lambda *args: events.append("w") or weight(*args))
+    res = balanced_cut_search(inst, seed=derive_seed(0, "cut_search"), labelings=[lam])
+    trials = "".join(events)
+    candidates = len(trials) - len(trials.lstrip("w"))
+    # each sweep that keeps a flip ends with one exact weight
+    sweeps = trials[candidates:].split("w")
+    assert [(s.count("g"), s.count("f")) for s in sweeps] == [(7971, 2293), (7509, 0)]
+    assert "b" not in trials
+    assert res.edge_weight == 0.13741213610451045
+    assert res.candidates[-1] == ("local_search", res.edge_weight, res.balance)
+    assert (hashlib.sha256(res.cut.tobytes()).hexdigest()
+            == "a8d89aaca261fd0e6e6a0483b9fdbcbb2595658e08895cbfecdcfd7776003681")
 
 
 def test_band_trials_take_the_exact_route(monkeypatch):

@@ -141,6 +141,31 @@ MUTANTS = (
            "rng.permuted(np.tile(np.arange(size), (count * inst.num_blocks, 1)), axis=1)",
            "rng.permuted(np.tile(np.arange(size), (count * inst.num_blocks + 1, 1)), axis=1)[:-1]",
            SEPARATOR),
+    # the flip gains: pulled tables kept current by one entry per edge end
+    Mutant("gains_pulled_inverse_map", "separator", "_FlipGains.__init__",
+           "blocks[self.others[:, None], self.maps]",
+           "blocks[self.others[:, None], np.argsort(self.maps, axis=1)]", SEPARATOR),
+    Mutant("gains_pulled_at_other", "separator", "_FlipGains.__init__",
+           "ends.vertex[:, None] * size + points", "self.others[:, None] * size + points",
+           SEPARATOR),
+    Mutant("flip_at_own_vertex", "separator", "_FlipGains.flip",
+           "(self.others[e], self.maps[e, x])", "(u, self.maps[e, x])", SEPARATOR),
+    Mutant("flip_unmapped_point", "separator", "_FlipGains.flip",
+           "(self.others[e], self.maps[e, x])", "(self.others[e], x)", SEPARATOR),
+    Mutant("flip_no_factor_two", "separator", "_FlipGains.flip",
+           "-2 * a * self.weights[e]", "-a * self.weights[e]", SEPARATOR),
+    # a fancy-index add keeps one of two ends that share (other, point)
+    Mutant("flip_buffered_add", "separator", "_FlipGains.flip",
+           "np.add.at(self.pulled, (self.others[e], self.maps[e, x]), -2 * a * self.weights[e])",
+           "self.pulled.__setitem__((self.others[e], self.maps[e, x]), "
+           "self.pulled[self.others[e], self.maps[e, x]] - 2 * a * self.weights[e])", SEPARATOR),
+    Mutant("gain_loop_sign", "separator", "_FlipGains.gain",
+           "a * np.dot(self.pulled[u], self.kernel[x]) - 2 * self.loop[u, x]",
+           "a * np.dot(self.pulled[u], self.kernel[x]) + 2 * self.loop[u, x]", SEPARATOR),
+    # K is symmetric entry for entry (its distance matrix is), so a column
+    # is the row's floats in the row's order: an equivalent mutant
+    Mutant("gain_kernel_column", "separator", "_FlipGains.gain",
+           "self.kernel[x]", "self.kernel[:, x]", SEPARATOR),
     # verify's one label-extended graph
     Mutant("verify_graph_per_labeling", "cli", "cmd_verify",
            "ug.labeling_set_expansion_identity(inst, lam, graph)",
