@@ -133,7 +133,6 @@ def _distortion_lp_data(metric: FiniteMetric):
     n = metric.n
     bits = _cut_bits(n)
     iu, ju = np.triu_indices(n, 1)
-    delta = (bits[:, iu] != bits[:, ju]).T.astype(np.float64)
     dvec = metric.d[iu, ju]
     # variables: (lambda_cuts, Gamma); minimize Gamma subject to
     #   -sum lambda delta <= -d   (no contraction)
@@ -143,9 +142,10 @@ def _distortion_lp_data(metric: FiniteMetric):
     c[-1] = 1.0
     A = np.zeros((2 * npairs, ncuts + 1))
     b = np.zeros(2 * npairs)
-    A[:npairs, :ncuts] = -delta
+    # delta, one row per pair (i, j); negated, its zeros are -0.0
+    A[npairs:, :ncuts] = bits.T[iu] != bits.T[ju]
+    np.negative(A[npairs:, :ncuts], out=A[:npairs, :ncuts])
     b[:npairs] = -dvec
-    A[npairs:, :ncuts] = delta
     A[npairs:, -1] = -dvec
     return bits, (iu, ju), c, A, b
 
@@ -319,10 +319,10 @@ def farthest_point_sample(metric: FiniteMetric, size: int, seed_point: int = 0):
     return sorted(chosen)
 
 
-def _cut_sum(pairs: np.ndarray, cut: np.ndarray) -> float:
-    """Sum of a symmetric weight or demand matrix over the separated pairs."""
-    sep = cut[:, None] != cut[None, :]
-    return float(np.sum(pairs * sep) / 2.0)
+def _cut_sum(pairs: np.ndarray, sep: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Sum of a symmetric weight or demand matrix over the pairs a cut
+    separates (the mask cut[:, None] != cut), the products formed in `out`."""
+    return float(np.multiply(pairs, sep, out=out).sum() / 2.0)
 
 
 def best_xor_cut(cuts, weights, demands, B, rng=None):
@@ -350,8 +350,9 @@ def best_xor_cut(cuts, weights, demands, B, rng=None):
         for i in range(k):
             if code >> i & 1:
                 phi ^= cuts[i]
-        dem = _cut_sum(demands, phi)
-        wt = _cut_sum(weights, phi)
+        sep = phi[:, None] != phi
+        dem = _cut_sum(demands, sep)
+        wt = _cut_sum(weights, sep)
         key = (dem < B / 3.0, wt)  # feasible-first, then light cuts
         if best is None or key < best[0]:
             best = (key, phi, dem, wt)
@@ -391,18 +392,18 @@ def round_to_balanced_cut(weights, demands, sparse_cut_oracle, B: float,
     while rounds < max_rounds:
         rounds += 1
         cut = np.asarray(sparse_cut_oracle(weights, remaining), dtype=bool)
-        dem_now = _cut_sum(remaining, cut)
+        sep = cut[:, None] != cut
+        dem_now = _cut_sum(remaining, sep)
         if dem_now >= B / 3.0:
             return RoundingResult(
                 cut=cut,
-                edge_weight=_cut_sum(weights, cut),
+                edge_weight=_cut_sum(weights, sep),
                 demand=dem_now,
                 rounds=rounds,
                 flagged_partial=False,
             )
         collected.append(cut)
         accumulated += dem_now
-        sep = cut[:, None] != cut[None, :]
         remaining[sep] = 0.0
         stagnant = stagnant + 1 if dem_now <= 0 else 0
         if accumulated >= 2.0 * B / 3.0:
@@ -418,10 +419,11 @@ def round_to_balanced_cut(weights, demands, sparse_cut_oracle, B: float,
 
 def local_search_sparsest_cut(weights, demands, seed: int = 0, restarts: int = 8):
     """Single-flip local search minimizing sparsity; the default oracle for
-    the rounding pipeline."""
+    the rounding pipeline. A trial's two sums read one mask and one buffer."""
     weights = np.asarray(weights, dtype=np.float64)
     demands = np.asarray(demands, dtype=np.float64)
     n = weights.shape[0]
+    sep, prod = np.empty((n, n), dtype=bool), np.empty((n, n))
     best_cut = None
     best_ratio = np.inf
     for r in range(restarts):
@@ -434,9 +436,10 @@ def local_search_sparsest_cut(weights, demands, seed: int = 0, restarts: int = 8
             improved = False
             for v in range(n):
                 cut[v] ^= True
-                dem = _cut_sum(demands, cut) if cut.any() and not cut.all() else 0.0
+                # a trivial cut separates nothing, so its demand is 0
+                dem = _cut_sum(demands, np.not_equal(cut[:, None], cut, out=sep), prod)
                 if dem > 0:
-                    ratio = _cut_sum(weights, cut) / dem
+                    ratio = _cut_sum(weights, sep, prod) / dem
                     if ratio < best_ratio - 1e-15:
                         best_ratio = ratio
                         best_cut = cut.copy()
@@ -445,8 +448,8 @@ def local_search_sparsest_cut(weights, demands, seed: int = 0, restarts: int = 8
                 cut[v] ^= True
         if best_cut is None:
             best_cut = cut.copy()
-            dem = _cut_sum(demands, best_cut)
+            dem = _cut_sum(demands, np.not_equal(best_cut[:, None], best_cut, out=sep), prod)
             if dem > 0:
-                best_ratio = _cut_sum(weights, best_cut) / dem
+                best_ratio = _cut_sum(weights, sep, prod) / dem
     return best_cut
 

@@ -3,7 +3,8 @@
 Solves  minimize c.x  subject to  A x <= b,  x >= 0  on a dense tableau
 (most-negative reduced cost enters, Bland's rule as the anti-cycling
 fallback). Meant for the cut-cone distortion programs: a few hundred rows
-and a few thousand columns at most; robustness over speed.
+and a few thousand columns at most. Its speed comes from less work around
+the same float operations: the tests' full-tableau simplex pins every float.
 
 The tableau holds only a working set of the columns of A, besides the
 slacks and the artificials. Whenever the restricted program is optimal, in
@@ -19,8 +20,9 @@ The tableau is kept in dictionary form: only its non-basic columns and
 the rhs are stored, each basic column being implicitly the unit column of
 its row (on the 12-point distortion LP, 108 of the 240 columns a full
 tableau would hold, on average over the pivots). Every pivot is the plain
-dense rank-1 update of those columns, and its decisions are exactly those
-of the full tableau's update: each stored float equals the full tableau's
+dense rank-1 update of those columns, formed in work arrays the tableau
+keeps (`_Tableau.pivot`), and its decisions are exactly those of the full
+tableau's update: each stored float equals the full tableau's
 (see `_Tableau`), every tie is broken by the full tableau's column order,
 and phase 2 leaves out the artificial columns, which have all left the
 basis, are zero and never enter.
@@ -94,14 +96,15 @@ def _bland_iterate(t: _Tableau, max_iter: int) -> tuple[str, int]:
     to exact zeros, keeping the tie set real).
     """
     it = 0
-    m = t.tab.shape[0] - 1
+    # pricing replaces the tableau and its work arrays only between calls
+    tab, rhs, entering_column = t.tab, t.rhs, t.column[:, 0]
+    m = len(rhs)
+    obj, col = tab[-1, :-1], entering_column[:m]
     bland_mode = False
     stall = 0
     stall_limit = 2 * m + 16
-    last_obj = t.tab[-1, -1]
+    last_obj = tab[-1, -1]
     while it < max_iter:
-        tab = t.tab
-        obj = tab[-1, :-1]
         # ndarray methods rather than the np. wrappers: a pivot is short
         # enough for the wrappers' call overhead to show
         if bland_mode:
@@ -118,18 +121,17 @@ def _bland_iterate(t: _Tableau, max_iter: int) -> tuple[str, int]:
             ties = (obj == obj[entering]).nonzero()[0]
             if len(ties) > 1:
                 entering = int(ties[t.ids[ties].argmin()])
-        col = tab[:m, entering]
-        rhs = tab[:m, -1]
+        entering_column[:] = tab[:, entering]
         eligible = (col > PIVOT_TOL).nonzero()[0]
         if len(eligible) == 0:
             return "unbounded", it
         ratios = rhs[eligible] / col[eligible]
-        ties = eligible[ratios <= ratios.min()]
+        ties = eligible[ratios <= np.minimum.reduce(ratios)]
         best_row = int(ties[t.basis[ties].argmin()])
         t.pivot(best_row, entering)
         it += 1
-        if t.tab[-1, -1] > last_obj + PIVOT_TOL:
-            last_obj = t.tab[-1, -1]
+        if tab[-1, -1] > last_obj + PIVOT_TOL:
+            last_obj = tab[-1, -1]
             stall = 0
             bland_mode = False
         else:
@@ -137,6 +139,13 @@ def _bland_iterate(t: _Tableau, max_iter: int) -> tuple[str, int]:
             if stall >= stall_limit:
                 bland_mode = True
     return "stalled", it
+
+
+def _price_batch(rc: np.ndarray) -> np.ndarray:
+    """The at most PRICE_BATCH columns pricing below -PRICE_TOL, most negative
+    first, ties by index: the stable sort's head, sorting the negative alone."""
+    new = np.flatnonzero(rc < -PRICE_TOL)
+    return new[np.argsort(rc[new], kind="stable")[:PRICE_BATCH]]
 
 
 class _Tableau:
@@ -165,9 +174,9 @@ class _Tableau:
     columns, which the full tableau keeps when such a column leaves and the
     dictionary form writes as 0.0. No decision reads the sign of a zero
     (costs, ratios and the clamped rhs are compared by value), and the
-    einsum of the update adds every product to 0.0, so a zero product is
-    +0.0 and that sign never reaches another entry: the pivots, the rhs and
-    so every result are bit for bit the full tableau's.
+    update adds every product to 0.0 (as the full tableau's einsum), so a
+    zero product is +0.0 and that sign never reaches another entry: the
+    pivots, the rhs and so every result are bit for bit the full tableau's.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, start: np.ndarray):
@@ -182,7 +191,7 @@ class _Tableau:
         tab[:m, :w] = np.where(neg[:, None], -A[:, start], A[:, start])
         tab[negative, w + np.arange(n_art)] = -1.0
         tab[:m, -1] = np.abs(b)
-        self.tab = tab
+        self._keep(tab)
         self.A = A
         self.ids = np.concatenate([np.arange(w), w + negative])
         self.slack0 = w  # the tableau column of slack 0
@@ -190,27 +199,34 @@ class _Tableau:
         self.basis = w + np.arange(m)
         self.basis[neg] = w + m + np.arange(n_art)
 
+    def _keep(self, tab: np.ndarray) -> None:
+        """Hold `tab` as the tableau, and the pivot's work arrays at its size."""
+        self.tab = tab
+        self.rhs = tab[:-1, -1]
+        self.column = np.empty((tab.shape[0], 1))
+        self.product = np.empty(tab.shape)
+
     def pivot(self, row: int, slot: int) -> None:
-        """The full tableau's pivot on stored column `slot`: the rank-1
-        update of the stored columns, and the leaving column stored in the
-        entering column's slot, each entry computed as the update computes
-        it from a unit column (1/p in the pivot row, 0 - f/p elsewhere)."""
-        tab = self.tab
-        p = tab[row, slot]
+        """The full tableau's pivot on stored column `slot`, which the caller
+        has copied into `column`: the rank-1 update of the stored columns,
+        and the leaving column stored in the entering column's slot, each
+        entry computed as the update computes it from a unit column (1/p in
+        the pivot row, 0 - f/p elsewhere)."""
+        tab, column = self.tab, self.column
+        p = column[row, 0]
         tab[row] /= p
-        factors = tab[:, slot].copy()
-        factors[row] = 0.0
-        # each entry is the one product f_i r_j added to 0.0 (np.outer's
-        # product, a zero always +0.0), formed in about half np.outer's time
-        tab -= np.einsum("i,j->ij", factors, tab[row])
+        column[row, 0] = 0.0
+        # formed in the kept buffer by a product of inner dimension 1: each
+        # entry is the one product f_i r_j added to 0.0, a zero always +0.0
+        np.dot(column, tab[row][None, :], out=self.product)
+        tab -= self.product
         # degenerate rows must stay exactly zero or Bland's tie set (and with it
         # the anti-cycling guarantee) dissolves into float dust
-        rhs = tab[:-1, -1]
-        rhs[np.abs(rhs) < 1e-11] = 0.0
+        self.rhs[np.abs(self.rhs) < 1e-11] = 0.0
         # 0.0 - (...) rather than -(...): zeros come out +0.0, as the full
         # update's do
         inverse = 1.0 / p
-        np.subtract(0.0, factors * inverse, out=tab[:, slot])
+        np.subtract(0.0, np.multiply(column, inverse, out=column), out=tab[:, slot:slot + 1])
         tab[row, slot] = inverse
         self.ids[slot], self.basis[row] = self.basis[row], self.ids[slot]
 
@@ -227,7 +243,7 @@ class _Tableau:
         real = self.cols[self.ids] < n + len(self.basis)
         # compress keeps the tableau row-major, and the pricing products'
         # last bits depend on the layout BLAS is handed
-        self.tab = self.tab.compress(np.append(real, True), axis=1)
+        self._keep(self.tab.compress(np.append(real, True), axis=1))
         self.ids = self.ids[real]
 
     def optimize(self, cost: np.ndarray) -> tuple[str, int]:
@@ -253,8 +269,7 @@ class _Tableau:
         duals[slacks] = self.tab[-1, slots]
         rc = cost + duals @ self.A
         rc[self.cols[self.cols < n]] = np.inf
-        new = np.argsort(rc, kind="stable")[:PRICE_BATCH]
-        new = new[rc[new] < -PRICE_TOL]
+        new = _price_batch(rc)
         if len(new) == 0:
             return False
         slack_block = np.zeros((m, m))
@@ -264,7 +279,7 @@ class _Tableau:
         block = np.empty((m + 1, len(new)))
         block[:m] = slack_block @ self.A[:, new]
         block[-1] = rc[new]
-        self.tab = np.concatenate([self.tab[:, :-1], block, self.tab[:, -1:]], axis=1)
+        self._keep(np.concatenate([self.tab[:, :-1], block, self.tab[:, -1:]], axis=1))
         self.ids = np.concatenate([self.ids, len(self.cols) + np.arange(len(new))])
         self.cols = np.concatenate([self.cols, new])
         return True
@@ -381,7 +396,9 @@ def _solve_core(c, A, b, start) -> SimplexResult:
             if t.cols[t.basis[i]] >= n + m:
                 hits = ((t.cols[t.ids] < n + m) & (np.abs(t.tab[i, :-1]) > PIVOT_TOL)).nonzero()[0]
                 if len(hits):
-                    t.pivot(i, int(hits[t.ids[hits].argmin()]))
+                    slot = int(hits[t.ids[hits].argmin()])
+                    t.column[:, 0] = t.tab[:, slot]
+                    t.pivot(i, slot)
         t.retire_artificials()
 
     # phase 2 objective row

@@ -94,11 +94,18 @@ paths against. None of them is used by the cutgap package itself.
   drawn by `Generator.choice` from its renormalized spectrum and its label
   by `choice` over alpha's members, the oracle whose labelings the cdf
   lookups of `cutgap.verifier.decode_labeling` must give with `==`.
-- `sparsity` and `local_search_sparsest_cut_via_sparsity`: a cut's edge
-  weight over its demand, and the sparsest-cut local search with every
-  trial's demand taken once for the `> 0` test and again inside
-  `sparsity`, the oracle whose cuts
-  `cutgap.metrics.local_search_sparsest_cut` must match with `==`.
+- `cut_sum`, `sparsity`, `local_search_sparsest_cut_via_sparsity` and
+  `local_search_sparsest_cut_mask_per_sum`: a cut's weight or demand with
+  its separation mask built per sum, a cut's edge weight over its demand,
+  and the sparsest-cut local search with every trial's demand taken once
+  for the `> 0` test and again inside `sparsity`, or with one mask and one
+  product array per sum; the oracles whose cuts
+  `cutgap.metrics.local_search_sparsest_cut` (one mask per trial, both sums
+  in one kept buffer) must match with `==`.
+- `distortion_lp_data_cut_major`: the cut-cone LP's (c, A, b) with the
+  separation matrix built cut-major and transposed, the oracle that the
+  pair-major build of `cutgap.metrics._distortion_lp_data` must match byte
+  for byte, -0.0 entries included.
 - `solve_lp_full_tableau`: the column-generation simplex on the full
   tableau, every basic column stored as its unit column and updated by
   every pivot, and each basis matrix gathered from [A | I], the oracle
@@ -117,7 +124,7 @@ from typing import NamedTuple
 import numpy as np
 
 from cutgap.fourier import wht_matrix
-from cutgap.metrics import _cut_sum
+from cutgap.metrics import FiniteMetric, _cut_bits
 from cutgap.separator import (
     BESFeasibilityReport,
     CutSearchResult,
@@ -753,21 +760,27 @@ def decode_labeling_choice(u, proof, seed: int, rounds: int = 10) -> DecodeResul
     return DecodeResult(best_lam, best_val, tuple(fallback))
 
 
+def cut_sum(pairs: np.ndarray, cut: np.ndarray) -> float:
+    """Sum of a symmetric weight or demand matrix over the separated pairs."""
+    sep = cut[:, None] != cut[None, :]
+    return float(np.sum(pairs * sep) / 2.0)
+
+
 def sparsity(weights: np.ndarray, demands: np.ndarray, cut) -> float:
     """(cut edge weight) / (cut demand); trivial or zero-demand cuts rejected."""
     cut = np.asarray(cut, dtype=bool)
     if cut.all() or not cut.any():
         raise ValueError("cut must be nontrivial")
-    dem = _cut_sum(np.asarray(demands), cut)
+    dem = cut_sum(np.asarray(demands), cut)
     if dem <= 0:
         raise ValueError("cut separates no demand")
-    return _cut_sum(np.asarray(weights), cut) / dem
+    return cut_sum(np.asarray(weights), cut) / dem
 
 
 def local_search_sparsest_cut_via_sparsity(weights, demands, seed: int = 0,
                                            restarts: int = 8):
     """`metrics.local_search_sparsest_cut` judging each trial flip by
-    `sparsity`, after its own `_cut_sum` of the demands for the `> 0` test."""
+    `sparsity`, after its own `cut_sum` of the demands for the `> 0` test."""
     weights = np.asarray(weights, dtype=np.float64)
     demands = np.asarray(demands, dtype=np.float64)
     n = weights.shape[0]
@@ -784,7 +797,7 @@ def local_search_sparsest_cut_via_sparsity(weights, demands, seed: int = 0,
             for v in range(n):
                 cut[v] ^= True
                 ok = cut.any() and not cut.all()
-                if ok and _cut_sum(demands, cut) > 0:
+                if ok and cut_sum(demands, cut) > 0:
                     ratio = sparsity(weights, demands, cut)
                     if ratio < best_ratio - 1e-15:
                         best_ratio = ratio
@@ -794,9 +807,66 @@ def local_search_sparsest_cut_via_sparsity(weights, demands, seed: int = 0,
                 cut[v] ^= True
         if best_cut is None:
             best_cut = cut.copy()
-            if _cut_sum(demands, best_cut) > 0:
+            if cut_sum(demands, best_cut) > 0:
                 best_ratio = sparsity(weights, demands, best_cut)
     return best_cut
+
+
+def local_search_sparsest_cut_mask_per_sum(weights, demands, seed: int = 0,
+                                           restarts: int = 8):
+    """`metrics.local_search_sparsest_cut` with each of a trial's sums
+    building its own separation mask and product array (`cut_sum`), and
+    no sum at all for a trivial cut."""
+    weights = np.asarray(weights, dtype=np.float64)
+    demands = np.asarray(demands, dtype=np.float64)
+    n = weights.shape[0]
+    best_cut = None
+    best_ratio = np.inf
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        cut = rng.random(n) < 0.5
+        if cut.all() or not cut.any():
+            cut[int(rng.integers(n))] ^= True
+        improved = True
+        while improved:
+            improved = False
+            for v in range(n):
+                cut[v] ^= True
+                dem = cut_sum(demands, cut) if cut.any() and not cut.all() else 0.0
+                if dem > 0:
+                    ratio = cut_sum(weights, cut) / dem
+                    if ratio < best_ratio - 1e-15:
+                        best_ratio = ratio
+                        best_cut = cut.copy()
+                        improved = True
+                        continue
+                cut[v] ^= True
+        if best_cut is None:
+            best_cut = cut.copy()
+            dem = cut_sum(demands, best_cut)
+            if dem > 0:
+                best_ratio = cut_sum(weights, best_cut) / dem
+    return best_cut
+
+
+def distortion_lp_data_cut_major(metric: FiniteMetric):
+    """(c, A, b) of `metrics._distortion_lp_data`, the separation matrix
+    indexed cut-major, transposed and negated as a float array."""
+    n = metric.n
+    bits = _cut_bits(n)
+    iu, ju = np.triu_indices(n, 1)
+    delta = (bits[:, iu] != bits[:, ju]).T.astype(np.float64)
+    dvec = metric.d[iu, ju]
+    ncuts, npairs = len(bits), len(iu)
+    c = np.zeros(ncuts + 1)
+    c[-1] = 1.0
+    A = np.zeros((2 * npairs, ncuts + 1))
+    b = np.zeros(2 * npairs)
+    A[:npairs, :ncuts] = -delta
+    b[:npairs] = -dvec
+    A[npairs:, :ncuts] = delta
+    A[npairs:, -1] = -dvec
+    return c, A, b
 
 
 # The full-tableau simplex that `cutgap.simplex` stored before it kept

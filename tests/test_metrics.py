@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from cutgap import metrics as mt
 from cutgap.metrics import (
     FiniteMetric,
     best_xor_cut,
@@ -20,7 +21,12 @@ from cutgap.metrics import (
 from cutgap.quotient import build_kv_instance
 from cutgap.separator import build_bes
 from fixtures import cut_metric_combination, graph_to_text, induced, lp_cuts
-from oracles import local_search_sparsest_cut_via_sparsity, sparsity
+from oracles import (
+    distortion_lp_data_cut_major,
+    local_search_sparsest_cut_mask_per_sum,
+    local_search_sparsest_cut_via_sparsity,
+    sparsity,
+)
 from test_golden_outputs import k2_graph
 
 
@@ -160,6 +166,22 @@ def test_distortion_size_guard_and_export():
     assert text.startswith("OBJECTIVE min")
     assert "CONSTRAINTS" in text and "BOUNDS" in text
     assert "gamma" in text
+
+
+def test_lp_data_matches_cut_major_build():
+    """The pair-major separation matrix gives the cut-major build's c, A
+    and b byte for byte, so every -0.0 of the contraction rows too, on l1
+    metrics of random points (with a repeated point) at every size the LP
+    takes."""
+    rng = np.random.default_rng(34)
+    for n in range(1, mt.LP_POINT_LIMIT + 1):
+        x = rng.random((n, 3))
+        x[-1] = x[0]
+        metric = FiniteMetric(np.abs(x[:, None] - x[None, :]).sum(axis=2))
+        got = mt._distortion_lp_data(metric)[2:]
+        want = distortion_lp_data_cut_major(metric)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], n
+        assert [a.shape for a in got] == [a.shape for a in want], n
 
 
 def test_export_text_pinned():
@@ -343,25 +365,47 @@ def test_local_search_oracle_finds_sparse_cut():
 
 
 def test_local_search_matches_sparsity_oracle():
-    """Each trial's demand taken once gives the cuts of the search that
-    judged it through `sparsity`, on the certify GRAPH (the expanded k=2
-    separator instance) and on a random weighted graph whose sparse demands
-    leave many trial cuts separating none."""
+    """One separation mask per trial, read by both sums through one kept
+    product buffer, gives the cuts of the search that judged each trial
+    through `sparsity` and of the one that built a mask and a product array
+    per sum, on the certify GRAPH (the expanded k=2 separator instance),
+    that graph with demands partly erased as `round` erases them, and
+    seeded random weighted graphs, some with sparse demands that leave many
+    trial cuts separating none; and `round` the same result through either
+    search on the two k=2 graphs."""
     inst = build_bes(build_kv_instance(2, 0.3)[0], 0.3)
     weights, demands = k2_graph(inst)
     # the matrices `round` reads back from the GRAPH file
     parsed = graph_from_text(graph_to_text(weights, demands))
     assert np.array_equal(parsed[0], weights) and np.array_equal(parsed[1], demands)
+    erased = demands.copy()
+    erased[:8, :] = erased[:, :8] = 0.0
+    graphs = [(weights, demands, range(5)), (weights, erased, range(3))]
     rng = np.random.default_rng(31)
     n = 14
     w = np.triu(rng.uniform(0.0, 2.0, (n, n)) * (rng.random((n, n)) < 0.6), 1)
     d = np.triu(rng.random((n, n)) < 0.1, 1).astype(np.float64)
-    graphs = [(weights, demands, range(5)), (w + w.T, d + d.T, range(20))]
+    graphs.append((w + w.T, d + d.T, range(20)))
+    rng = np.random.default_rng(34)
+    for n, density in ((12, 0.5), (20, 0.1), (33, 0.3)):
+        w = np.triu(rng.uniform(0.0, 2.0, (n, n)) * (rng.random((n, n)) < 0.6), 1)
+        d = np.triu(rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < density), 1)
+        graphs.append((w + w.T, d + d.T, range(6)))
+    searches = (local_search_sparsest_cut, local_search_sparsest_cut_via_sparsity,
+                local_search_sparsest_cut_mask_per_sum)
     for weights, demands, seeds in graphs:
         for seed in seeds:
-            got = local_search_sparsest_cut(weights, demands, seed=seed)
-            want = local_search_sparsest_cut_via_sparsity(weights, demands, seed=seed)
-            assert got.tolist() == want.tolist(), seed
+            got, *want = (search(weights, demands, seed=seed).tolist() for search in searches)
+            assert want == [got, got], seed
+    for weights, demands, _ in graphs[:2]:
+        B = float(np.sum(demands) / 2) / 2
+        for seed in range(2):
+            results = [round_to_balanced_cut(weights, demands,
+                                             lambda w, d: search(w, d, seed=seed), B, seed=seed)
+                       for search in (searches[0], searches[2])]
+            got, want = ((r.cut.tolist(), r.edge_weight.hex(), r.demand.hex(), r.rounds,
+                          r.flagged_partial) for r in results)
+            assert got == want, seed
 
 
 def test_graph_text_round_trip():

@@ -19,7 +19,7 @@ from cutgap.simplex import solve_lp
 import oracles
 from fixtures import cut_metric_combination
 from oracles import solve_lp_full_tableau
-from strategies import lps
+from strategies import lps, reduced_costs
 
 
 def brute_force_optimum(c, A, b):
@@ -174,6 +174,42 @@ def test_matches_full_tableau_bit_for_bit(lp):
     result = got[0]
     if isinstance(result, tuple) and result[0] == "optimal":
         assert all(j < sum(lp[1].shape) for j in result[2])
+
+
+def test_generated_lps_widen_the_tableau_mid_phase(monkeypatch):
+    """The draws of `test_matches_full_tableau_bit_for_bit` include programs
+    whose pricing widens the tableau and whose pivoting then resumes on it,
+    so the pivot's work arrays are reallocated mid-phase and used at the
+    new width."""
+    widened = []  # a tableau at each pivot after a widening
+    append, pivot = simplex._Tableau._append_priced, simplex._Tableau.pivot
+
+    def recording_append(t, cost):
+        grown = append(t, cost)
+        t.widened = grown or getattr(t, "widened", False)
+        return grown
+
+    def recording_pivot(t, row, slot):
+        if getattr(t, "widened", False):
+            assert t.product.shape == t.tab.shape and t.column.shape == (len(t.tab), 1)
+            widened.append(t)
+        pivot(t, row, slot)
+
+    monkeypatch.setattr(simplex._Tableau, "_append_priced", recording_append)
+    monkeypatch.setattr(simplex._Tableau, "pivot", recording_pivot)
+    test_matches_full_tableau_bit_for_bit()
+    assert len({id(t) for t in widened}) >= 10
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(reduced_costs())
+def test_price_batch_is_the_stable_sorts_head(rc):
+    """The pricing round's batch is the head of the stable sort of every
+    reduced cost, cut at PRICE_BATCH and filtered to those below
+    -PRICE_TOL: the same columns in the same order."""
+    head = np.argsort(rc, kind="stable")[:simplex.PRICE_BATCH]
+    want = head[rc[head] < -simplex.PRICE_TOL]
+    assert simplex._price_batch(rc).tolist() == want.tolist()
 
 
 def test_artificial_at_zero_level_is_driven_out(monkeypatch):

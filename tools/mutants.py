@@ -51,6 +51,9 @@ SEARCH = ("tests/test_unique_games.py", "tests/test_cli.py")
 SAMPLER = ("tests/test_unique_games.py", "tests/test_separator.py", "tests/test_verifier.py")
 SEPARATOR = ("tests/test_separator.py",)
 LEVELS = ("tests/test_unique_games.py", "tests/test_separator.py", "tests/test_verifier.py")
+SIMPLEX = ("tests/test_simplex.py",)
+LP_DATA = ("tests/test_metrics.py", "tests/test_simplex.py")
+ROUNDING = ("tests/test_metrics.py",)
 
 MUTANTS = (
     # the Kronecker transform and the level-sorted slab products
@@ -166,6 +169,48 @@ MUTANTS = (
     # is the row's floats in the row's order: an equivalent mutant
     Mutant("gain_kernel_column", "separator", "_FlipGains.gain",
            "self.kernel[x]", "self.kernel[:, x]", SEPARATOR),
+    # the simplex's dictionary pivot: the ratio test's ties, the rhs clamp,
+    # the kept work arrays and the leaving column
+    Mutant("ratio_ties_strict", "simplex", "_bland_iterate",
+           "ratios <= np.minimum.reduce(ratios)", "ratios < np.minimum.reduce(ratios)", SIMPLEX),
+    Mutant("leaving_ties_by_row", "simplex", "_bland_iterate",
+           "best_row = int(ties[t.basis[ties].argmin()])", "best_row = int(ties[0])", SIMPLEX),
+    Mutant("entering_ties_by_slot", "simplex", "_bland_iterate",
+           "if len(ties) > 1:\n    entering = int(ties[t.ids[ties].argmin()])",
+           "if len(ties) > 1:\n    entering = int(ties[0])", SIMPLEX),
+    Mutant("rhs_clamp_dropped", "simplex", "_Tableau.pivot",
+           "self.rhs[np.abs(self.rhs) < 1e-11] = 0.0", "pass", SIMPLEX),
+    Mutant("pivot_factor_kept", "simplex", "_Tableau.pivot",
+           "column[row, 0] = 0.0", "pass", SIMPLEX),
+    Mutant("buffers_stale_after_pricing", "simplex", "_Tableau._append_priced",
+           "self._keep(np.concatenate([self.tab[:, :-1], block, self.tab[:, -1:]], axis=1))",
+           "setattr(self, 'tab', np.concatenate([self.tab[:, :-1], block, self.tab[:, -1:]], "
+           "axis=1))", SIMPLEX),
+    # -(f/p) for 0 - f/p: the leaving column's zeros become -0.0, whose sign
+    # no decision reads and the clamped rhs never holds: an equivalent mutant
+    Mutant("leaving_column_negated", "simplex", "_Tableau.pivot",
+           "np.subtract(0.0, np.multiply(column, inverse, out=column), out=tab[:, slot:slot + 1])",
+           "np.negative(np.multiply(column, inverse, out=column), out=tab[:, slot:slot + 1])",
+           SIMPLEX),
+    # the pricing batch
+    Mutant("pricing_at_threshold", "simplex", "_price_batch",
+           "rc < -PRICE_TOL", "rc <= -PRICE_TOL", SIMPLEX),
+    Mutant("pricing_sort_unstable", "simplex", "_price_batch",
+           "np.argsort(rc[new], kind='stable')", "np.argsort(rc[new], kind='quicksort')", SIMPLEX),
+    # the LP data's separation matrix, pair-major
+    Mutant("lp_data_contraction_unsigned", "metrics", "_distortion_lp_data",
+           "np.negative(A[npairs:, :ncuts], out=A[:npairs, :ncuts])",
+           "np.positive(A[npairs:, :ncuts], out=A[:npairs, :ncuts])", LP_DATA),
+    Mutant("lp_data_zeros_unsigned", "metrics", "_distortion_lp_data",
+           "np.negative(A[npairs:, :ncuts], out=A[:npairs, :ncuts])",
+           "np.subtract(0.0, A[npairs:, :ncuts], out=A[:npairs, :ncuts])", LP_DATA),
+    # round's local search: one mask per trial, read by both sums
+    Mutant("local_search_mask_once_per_sweep", "metrics", "local_search_sparsest_cut",
+           "np.not_equal(cut[:, None], cut, out=sep)",
+           "sep if v else np.not_equal(cut[:, None], cut, out=sep)", ROUNDING),
+    Mutant("local_search_weights_own_mask", "metrics", "local_search_sparsest_cut",
+           "ratio = _cut_sum(weights, sep, prod) / dem",
+           "ratio = _cut_sum(weights, ~sep, prod) / dem", ROUNDING),
     # verify's one label-extended graph
     Mutant("verify_graph_per_labeling", "cli", "cmd_verify",
            "ug.labeling_set_expansion_identity(inst, lam, graph)",
