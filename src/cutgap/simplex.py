@@ -71,11 +71,13 @@ class SimplexResult:
         b = np.asarray(b, dtype=np.float64)
         slack = b - A @ self.x
         rc = c - A.T @ self.dual
+        # + 0.0 reads -0.0 (the negation of a zero slack or x) as 0.0, so a
+        # zero residual prints as 0
         return {
             "primal_feasibility": float(max(np.max(-slack, initial=0.0),
-                                            np.max(-self.x, initial=0.0))),
+                                            np.max(-self.x, initial=0.0))) + 0.0,
             "dual_feasibility": float(max(np.max(-rc, initial=0.0),
-                                          np.max(self.dual, initial=0.0))),
+                                          np.max(self.dual, initial=0.0))) + 0.0,
             "comp_slack_rows": float(np.max(np.abs(self.dual * slack), initial=0.0)),
             "comp_slack_cols": float(np.max(np.abs(self.x * rc), initial=0.0)),
             "duality_gap": float(abs(c @ self.x - b @ self.dual)),

@@ -41,10 +41,9 @@ __all__ = [
 
 EXACT_LABEL_LIMIT = 8  # the one label cap: 2^N points per vertex (k <= 3 in the gap pipeline)
 # `EdgeDistribution.sample_disagreements` draws at most SAMPLE_BATCH queries
-# at a time, and their flip uniforms FLIP_ROWS rows at a time (0.25 MB of
-# float64 at N = 8); GUIDE_BITS sets the guide table's 2^16 buckets
+# at a time, from two uniforms and one byte each; a guide table
+# (`_guide_table`) has at most 2^GUIDE_BITS buckets
 SAMPLE_BATCH = 1 << 16
-FLIP_ROWS = 4096
 GUIDE_BITS = 16
 # `EdgeDistribution.level_sums` takes the level dots of at most ROW_SLAB
 # distinct v-rows at a time (the k = 3 quotient instance's 32 in one)
@@ -173,14 +172,12 @@ class Incidence(NamedTuple):
 
 
 class Guide(NamedTuple):
-    """The edge weights' cdf and its guide table of 2^GUIDE_BITS buckets
-    (`EdgeDistribution.guide`)."""
+    """A cdf and its guide table of B = len(entry) buckets (`_guide_table`)."""
 
     cdf: np.ndarray  # cumulative weights over their sum, as Generator.choice forms them
-    # the edge every uniform in bucket j draws, or -1 where the bucket holds
-    # a cdf entry: lo[j] = #{cdf <= j / 2^GUIDE_BITS} where it equals
-    # hi[j] = #{cdf < (j + 1) / 2^GUIDE_BITS}
-    edge: np.ndarray
+    # the index every uniform in bucket j draws, or -1 where the bucket holds
+    # a cdf entry: lo[j] = #{cdf <= j / B} where it equals hi[j] = #{cdf < (j + 1) / B}
+    entry: np.ndarray
 
 
 class Pulls(NamedTuple):
@@ -232,6 +229,61 @@ def distinct_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row_of = np.array([index.setdefault(flat[i:i + width], len(index))
                        for i in range(0, len(flat), width)])
     return np.frombuffer(b"".join(index), dtype=values.dtype).reshape(len(index), -1), row_of
+
+
+def _guide_table(p: np.ndarray) -> Guide:
+    """The cdf that `Generator.choice(len(p), p=p)` searches, and a guide
+    table over it (Chen and Asau 1974): a uniform u in bucket j = floor(u B)
+    finds between lo[j] = #{cdf <= j / B} and hi[j] = #{cdf < (j + 1) / B}
+    cdf entries at or below it, so the bucket alone names its draw wherever
+    the two agree, and `entry[j]` is that draw, or -1. B is 256 buckets per
+    entry, rounded up to a power of two (so u B is exact) and capped at
+    2^GUIDE_BITS: 16 flip patterns or 26 edges take 4096 or 8192 buckets,
+    not 2^16. The entries are int32, so 2^16 buckets hold 256 KiB and each
+    draw of a batch 4 bytes. Read-only. With b_i = floor(cdf[i] B), hi[j]
+    is #{i : b_i <= j}; b is nondecreasing, as the cdf is, so that count is
+    i for j in [b_(i-1), b_i), which one `np.repeat` writes. lo[j] differs
+    from hi[j] exactly where an entry lies strictly inside bucket j, that
+    is j = b_i for the entries with cdf[i] B not an integer."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    buckets = min(1 << GUIDE_BITS, 256 << (len(cdf) - 1).bit_length())
+    scaled = cdf * buckets  # exact: a power-of-two scale
+    below = np.floor(scaled)
+    entry = np.repeat(np.arange(len(cdf) + 1, dtype=np.int32),
+                      np.diff(below.astype(np.intp), prepend=0, append=buckets))
+    entry[below[below != scaled].astype(np.intp)] = -1
+    guide = Guide(cdf, entry)
+    for a in guide:
+        a.setflags(write=False)
+    return guide
+
+
+def _guided_draw(guide: Guide, u: np.ndarray) -> np.ndarray:
+    """`guide.cdf.searchsorted(u, side="right")`, the number of cdf entries
+    at or below each uniform, which is what `Generator.choice` draws from
+    u: one gather of the bucket's entry, and a search only where the bucket
+    holds a cdf entry (about 4% of the edge draws at k = 3)."""
+    bucket = np.empty(len(u), dtype=np.intp)
+    np.multiply(u, len(guide.entry), out=bucket, casting="unsafe")  # truncates: the floor
+    drawn = guide.entry[bucket]
+    miss = (drawn < 0).nonzero()[0]
+    drawn[miss] = guide.cdf.searchsorted(u[miss], side="right")
+    return drawn
+
+
+def _flip_guide(n: int, epsilon: float) -> Guide:
+    """The guide table of the N-bit flip patterns mu, each bit set with
+    probability epsilon: q(mu) = eps^|mu| (1 - eps)^(N - |mu|), one power
+    pair per size |mu| in Python floats."""
+    eps = float(epsilon)
+    by_size = np.array([eps**s * (1 - eps)**(n - s) for s in range(n + 1)])
+    return _guide_table(by_size[np.bitwise_count(np.arange(1 << n))])
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 <= epsilon <= 1.0:  # also rejects nan
+        raise ValueError(f"epsilon={epsilon} is not a probability in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -294,27 +346,10 @@ class EdgeDistribution:
 
     @cached_property
     def guide(self) -> Guide:
-        """The cdf that `Generator.choice` searches for an edge draw, and a
-        guide table over it (Chen and Asau 1974): a uniform u in bucket
-        j = floor(u 2^GUIDE_BITS) finds between lo[j] and hi[j] cdf entries
-        at or below it, so the bucket alone names its edge wherever the two
-        agree, and `edge[j]` is that edge, or -1. Built once and read-only.
-        With b_i the ceiling (for lo) or the floor (for hi) of
-        cdf[i] 2^GUIDE_BITS, the bound is #{i : b_i <= j}; b is
-        nondecreasing, as the cdf is, so that count is i for j in
-        [b_(i-1), b_i), which one `np.repeat` writes."""
-        p = self.weight / self.weight.sum()
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        buckets = 1 << GUIDE_BITS
-        scaled = cdf * buckets  # exact: a power-of-two scale
-        index = np.arange(len(cdf) + 1)
-        lo, hi = (np.repeat(index, np.diff(f(scaled).astype(np.intp), prepend=0, append=buckets))
-                  for f in (np.ceil, np.floor))
-        guide = Guide(cdf, np.where(lo == hi, lo, -1))
-        for a in guide:
-            a.setflags(write=False)
-        return guide
+        """The guide table of the edges by weight (`_guide_table`), which
+        draws the edges `Generator.choice(|E|, p=weight / weight.sum())`
+        draws. Built once."""
+        return _guide_table(self.weight / self.weight.sum())
 
     @cached_property
     def levels(self) -> Levels:
@@ -422,6 +457,7 @@ class EdgeDistribution:
         Â^v(S) B̂_e(S) / 4^N and rho = 1 - 2 epsilon (noise stability). With
         epsilon and the weights read as exact binary fractions, both sums are
         integers over one power of two, so each is rounded once, correctly."""
+        _check_epsilon(epsilon)
         n = self.num_labels
         weights, _, starts = self.weight_classes
         edges = np.diff(starts, append=len(self.weight))
@@ -442,21 +478,19 @@ class EdgeDistribution:
         """How many of `samples` seeded draws of (e, x, mu) query two
         different values; the draws depend only on the seed.
 
-        Each batch of SAMPLE_BATCH draws reads the generator as
-        `choice(len(p), p=p, size=batch)` for the edges, `integers` for x
-        and `random((batch, N)) < epsilon` for mu would, in that order, so
-        the counts are the ones those calls give. choice draws a uniform u
-        per edge and takes `cdf.searchsorted(u, side="right")`, the number
-        of cdf entries at or below u. Here u's bucket j = floor(u 2^16)
-        (exact: a power-of-two scale) names that edge in `guide.edge[j]`
-        unless the bucket holds a cdf entry; only those draws are searched
-        (about 4% at k = 3). The flip uniforms come FLIP_ROWS rows at a time
-        into one reused buffer, in the same order, and each row's N flips
-        are packed into mu by one multiply (`_pack_rows`). The first query reads
-        `blocks` at (v, x); the second reads the row blocks[w][tables[p]] of
-        the edge's (w, p) pair (`pulls`) at x ^ mu, the pairs' rows gathered
-        once per call. Both gathers read flat indices, so `blocks` must hold
-        one row of 2^N values per UG vertex.
+        Each batch of SAMPLE_BATCH draws reads the generator three times:
+        `random(batch)` for the edges, `integers(0, 2^N, size=batch,
+        dtype=np.uint8)` for x and `random(batch)` for mu. The edges are
+        what `choice(|E|, p=p, size=batch)` draws from the first uniforms,
+        through the instance's guide table (`guide`); the flip patterns, with
+        their N independent epsilon-biased bits, are one draw each of
+        `choice(2^N, p=q, size=batch)` with q(mu) = eps^|mu| (1 - eps)^(N - |mu|),
+        through a guide table built per call (`_flip_guide`). So the counts
+        are the ones those calls give. The first query reads `blocks` at
+        (v, x); the second reads the row blocks[w][tables[p]] of the edge's
+        (w, p) pair (`pulls`) at x ^ mu, the pairs' rows gathered once per
+        call. Both gathers read flat indices, so `blocks` must hold one row
+        of 2^N values per UG vertex.
         """
         n = self.num_labels
         blocks = np.asarray(blocks)
@@ -465,61 +499,26 @@ class EdgeDistribution:
         if blocks.shape != (self.num_vertices, 1 << n):
             raise ValueError(f"tables of shape {blocks.shape}: need one row of 2^{n} "
                              f"values for each of {self.num_vertices} vertices")
+        _check_epsilon(epsilon)
         rng = np.random.default_rng(seed)
         values = blocks.ravel()
         pulls = self.pulls
         pulled = values.take(self.tables[pulls.table] + (pulls.other << n)[:, None]).ravel()
         first = self.v.astype(np.intp) << n  # each query's row, as a flat offset
         second = pulls.pair.astype(np.intp) << n
-        flips = np.empty((min(samples, FLIP_ROWS), n))
-        # room for the bytes `_pack_rows` reads past the last row
-        hits = np.zeros(flips.size + (1 << (n - 1).bit_length()) - n, dtype=bool)
-        mu = np.empty(min(samples, SAMPLE_BATCH), dtype=np.uint8)
+        edges, flips = self.guide, _flip_guide(n, epsilon)
         count = 0
         done = 0
         while done < samples:
             batch = min(samples - done, SAMPLE_BATCH)
-            ei = self._draw_edges(rng, batch)
-            x = rng.integers(0, 1 << n, size=batch)
-            for lo in range(0, batch, FLIP_ROWS):
-                rows = flips[:min(batch - lo, FLIP_ROWS)]
-                rng.random(out=rows)
-                np.less(rows.ravel(), epsilon, out=hits[:rows.size])
-                _pack_rows(hits, n, mu[lo:lo + len(rows)])
+            ei = _guided_draw(edges, rng.random(batch))
+            x = rng.integers(0, 1 << n, size=batch, dtype=np.uint8)
+            y = _guided_draw(flips, rng.random(batch))
+            y ^= x  # x ^ mu, the second query's point before its reindexing
             queried = values[first[ei] | x]
-            x ^= mu[:batch]
-            count += int(np.count_nonzero(queried != pulled[second[ei] | x]))
+            count += int(np.count_nonzero(queried != pulled[second[ei] | y]))
             done += batch
         return count
-
-    def _draw_edges(self, rng, batch: int) -> np.ndarray:
-        """`batch` edges drawn as `rng.choice(len(p), p=p, size=batch)`
-        draws them: the same uniforms, the same edges (`guide`)."""
-        guide = self.guide
-        u = rng.random(batch)
-        ei = guide.edge[(u * (1 << GUIDE_BITS)).astype(np.intp)]
-        miss = (ei < 0).nonzero()[0]
-        ei[miss] = guide.cdf.searchsorted(u[miss], side="right")
-        return ei
-
-
-def _pack_rows(bits: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
-    """out[i] = sum_j bits[i N + j] 2^j for j < N: the N-bit rows of a
-    flat 0/1 bool array, packed. Row i is read as the little-endian word of
-    the W bytes from byte i N on, W the least power of two >= N (so `bits`
-    holds W - N bytes past the last row, the next row's or spare). Times
-    sum_j 2^(8(W - 1) - 7j), byte j lands at bit 8(W - 1) + j; every other
-    term is a distinct power of two below 2^(8(W - 1)) or wraps past 8W
-    bits, so nothing carries into the top byte, which masked to N bits is
-    the row. `np.packbits(rows, axis=-1, bitorder="little")` gives the same
-    bytes, but at 4096 rows of N = 1..8 takes 80-175 us against 10-21 us
-    here and 30-60 us for a uint8 matmul (numpy 2.4, one core of a 2-core
-    x86-64 machine)."""
-    width = 1 << (n - 1).bit_length()
-    words = np.ndarray(len(out), dtype=f"<u{width}", buffer=bits, strides=(n,))
-    magic = words.dtype.type(sum(1 << 8 * (width - 1) - 7 * j for j in range(width)))
-    np.right_shift(words * magic, 8 * (width - 1), out=out, casting="unsafe")
-    return np.bitwise_and(out, (1 << n) - 1, out=out)
 
 
 def value(u: UGInstance, lam) -> float:

@@ -61,12 +61,10 @@ paths against. None of them is used by the cutgap package itself.
   distinct table row, the oracle that the distinct-correlation powers of
   `cutgap` must match bit for bit.
 - `sample_disagreements_choice`: the Monte Carlo run of the two-query
-  test with its edges drawn by `Generator.choice` and its flips as one
-  (batch, N) array of uniforms, the oracle whose counts the guide-table
-  sampler of `EdgeDistribution.sample_disagreements` must give with `==`.
-- `pack_rows_matmul`: the N-bit rows of a bool array packed by a uint8
-  `matmul` with the bit weights, the oracle for the one-multiply packing
-  of `cutgap.unique_games._pack_rows`.
+  test with its edges and its flip patterns drawn by `Generator.choice`
+  (the patterns by `flip_probabilities`), the oracle whose counts and
+  generator state the guide-table sampler of
+  `EdgeDistribution.sample_disagreements` must give with `==`.
 - `random_balanced_cut_loop`: one random balanced cut, one
   `Generator.permutation` per block, the oracle whose cuts and generator
   state the one shuffle of `cutgap.separator._random_balanced_cuts` must
@@ -526,32 +524,32 @@ def acceptance_exact_per_edge(u, proof, epsilon: float) -> float:
     return 0.5 + 0.5 * float(np.cumsum(terms)[-1])
 
 
+def flip_probabilities(n: int, epsilon: float) -> np.ndarray:
+    """q(mu) = eps^|mu| (1 - eps)^(N - |mu|) for each N-bit flip pattern mu,
+    each pattern's two powers taken in Python floats."""
+    return np.array([epsilon**s * (1 - epsilon)**(n - s)
+                     for s in np.bitwise_count(np.arange(1 << n)).tolist()])
+
+
 def sample_disagreements_choice(d, blocks, samples: int, seed: int,
                                 epsilon: float) -> int:
     """`EdgeDistribution.sample_disagreements` drawing each batch's edges
-    with `Generator.choice` and its flips as one (batch, N) array of
-    uniforms, mu the int64 product of the flip indicators and the bit
-    weights summed by rows."""
+    and its flip patterns with `Generator.choice`, between them x as uint8
+    `integers`, and each query read from the edge's own tables."""
     rng = np.random.default_rng(seed)
     n = d.num_labels
     p = d.weight / d.weight.sum()
-    bit_weights = 1 << np.arange(n, dtype=np.int64)
+    q = flip_probabilities(n, float(epsilon))
     count = done = 0
     while done < samples:
         batch = min(samples - done, 1 << 16)
         ei = rng.choice(len(p), p=p, size=batch)
-        x = rng.integers(0, 1 << n, size=batch)
-        mu = ((rng.random((batch, n)) < epsilon) * bit_weights).sum(axis=1)
+        x = rng.integers(0, 1 << n, size=batch, dtype=np.uint8).astype(np.int64)
+        mu = rng.choice(1 << n, p=q, size=batch)
         y = d.tables[d.table_of[ei], x ^ mu]
         count += int(np.sum(blocks[d.v[ei], x] != blocks[d.w[ei], y]))
         done += batch
     return count
-
-
-def pack_rows_matmul(rows: np.ndarray) -> np.ndarray:
-    """Each row of a (rows, N) bool array as sum_j rows[i, j] 2^j, by one
-    `matmul` with the bit weights in uint8."""
-    return np.matmul(rows, (1 << np.arange(rows.shape[1])).astype(np.uint8))
 
 
 def sdp_objective_per_row(inst, assign) -> float:

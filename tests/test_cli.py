@@ -645,3 +645,16 @@ def test_verify_ug_header_counts_fail_cleanly(tmp_path, capsys, text, expected):
     code = main(["verify", "--ug-file", ug_file])
     assert code == 1
     assert capsys.readouterr().out == f"FAIL ug_structure {expected}\n"
+
+
+@pytest.mark.parametrize("text", ["METRIC 3\n1\n1 1\n", "METRIC 4\n1\n2 1\n3 2 1\n"],
+                         ids=["triangle", "path4"])
+def test_distortion_prints_a_zero_residual_as_0(tmp_path, capsys, text):
+    # a zero slack or x negated is -0.0, which printed as -0
+    mfile = tmp_path / "metric.txt"
+    mfile.write_text(text)
+    assert main(["distortion", "--metric-file", str(mfile)]) == 0
+    got = dict(line.split("\t", 1) for line in capsys.readouterr().out.splitlines()
+               if line.startswith("certificate_"))
+    assert got["certificate_primal_feasibility"] == "0"
+    assert "-0" not in got.values()

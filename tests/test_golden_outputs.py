@@ -18,8 +18,12 @@ point, and the 10^6-sample `pcp` digest while the edge draws still went
 through `Generator.choice`. The gap rows, the summaries (and so the
 stdouts) and the `pcp` stdouts were taken again when every cut weight and
 exact acceptance became its exact value, correctly rounded: their last
-digits moved, and no cut did. The k=3 case also runs in a subprocess with
-one BLAS thread, against the same digests.
+digits moved, and no cut did. The build stdouts and summaries (their
+`cut weight MC cross-check` lines) and the `pcp` stdouts (their
+`acceptance_mc` lines) were taken again when the test's noise became one
+draw per query, each flip pattern mu drawn as one `Generator.choice` over
+the 2^N patterns in place of N uniforms; no other byte moved. The k=3 case
+also runs in a subprocess with one BLAS thread, against the same digests.
 
 The k=2 read case pins what the benchmark's certify workload runs besides
 `verify` and `pcp`: `distortion` on the farthest-point 10- and 12-point
@@ -68,15 +72,15 @@ READ_CASES = {"k3_eta0.3_eps0.3"}
 GOLDEN = {
     'k2_eta0.15_eps0.15': {
         't1/bes_instance.txt': '527349889210f67c718135a507b05d2af8f113c99dfbc8a08a8cdf7f3e01b86a',
-        't1/bes_summary.txt': '0b3d643e39c45e35777b12bc668bf4ce108afe2b5000eea7c72522fc6f412170',
+        't1/bes_summary.txt': 'b0f91a1339dcb3f8306d413db000881835374c1fac3db7e9c16f66271e3d9afe',
         't1/best_cut.txt': '0e4647c405bec769659bbfd45dcf0c424486b01f6e0d1745dbb8a54580a7ce2a',
         't1/gap_row.tsv': '53b9b478cbe365b8f4eb29d59aa1486de24c6eb22a4a5346ddf2070d815a7512',
-        't1/stdout': '0b3d643e39c45e35777b12bc668bf4ce108afe2b5000eea7c72522fc6f412170',
+        't1/stdout': 'b0f91a1339dcb3f8306d413db000881835374c1fac3db7e9c16f66271e3d9afe',
         't3/bes_instance.txt': '527349889210f67c718135a507b05d2af8f113c99dfbc8a08a8cdf7f3e01b86a',
-        't3/bes_summary.txt': '4ae8be142c503ab443a49497988ba836973913b1b5db3d18bdc8b3c01883078b',
+        't3/bes_summary.txt': '925ded968b66b61473e5473db76aac0406762ba1449dae24ad8f9ac35add4c01',
         't3/best_cut.txt': '0e4647c405bec769659bbfd45dcf0c424486b01f6e0d1745dbb8a54580a7ce2a',
         't3/gap_row.tsv': '3ca9a5fdeef7357479a050e424f8998bba8488b26aac468ec5ce5c15107e45fd',
-        't3/stdout': '4ae8be142c503ab443a49497988ba836973913b1b5db3d18bdc8b3c01883078b',
+        't3/stdout': '925ded968b66b61473e5473db76aac0406762ba1449dae24ad8f9ac35add4c01',
         'ug/basis.txt': 'df5a8c7da5967b9dd59f9d802b5929ebe7dc587b5459062ba50b6d9292f972a6',
         'ug/quotient_meta.txt': 'e1cad471e71210027795f3957058fc7a8e224ba431e93efe210f80d2838bfb4a',
         'ug/stdout': '98b0ce20a6ade32bc9768e329e4aa8f598dff793d0e3377d40a9a2520bbb5f7d',
@@ -86,15 +90,15 @@ GOLDEN = {
     },
     'k2_eta0.25_eps0.45': {
         't1/bes_instance.txt': 'afd2ef8537394f4107b9cc209cc51106ef33b9bb480f1d1d14c56e50cfcdc870',
-        't1/bes_summary.txt': '5675516aca98618ff814c5cb15883496a82e74d5b65110ff8fb116cf953c219f',
+        't1/bes_summary.txt': '97105deaf86fd1adbbb67ddaf400c7e2848f23eeaa1757c5f1355389218accce',
         't1/best_cut.txt': 'd1151537c798572e2769f7812e12db07124fa09d49b53384011761a6081e6566',
         't1/gap_row.tsv': '4eb8ce93338451dcd5cc2c762d24ffacb6b22c74eee0c9ba170cbc3cd1c0f1a8',
-        't1/stdout': '5675516aca98618ff814c5cb15883496a82e74d5b65110ff8fb116cf953c219f',
+        't1/stdout': '97105deaf86fd1adbbb67ddaf400c7e2848f23eeaa1757c5f1355389218accce',
         't3/bes_instance.txt': 'afd2ef8537394f4107b9cc209cc51106ef33b9bb480f1d1d14c56e50cfcdc870',
-        't3/bes_summary.txt': '1e74545a93539bd229ffcc5c8d79560c38ffdbf66eea54454ba643747f8d99b2',
+        't3/bes_summary.txt': '5059a2a0e966a38851498c5903d934cac98ced7ed4541d4ba97b1bb58363933f',
         't3/best_cut.txt': 'd1151537c798572e2769f7812e12db07124fa09d49b53384011761a6081e6566',
         't3/gap_row.tsv': 'f940e0b54cd6a486e05a501b9fdcfb1101174631bc8ff70bad3d3c49345d9b8e',
-        't3/stdout': '1e74545a93539bd229ffcc5c8d79560c38ffdbf66eea54454ba643747f8d99b2',
+        't3/stdout': '5059a2a0e966a38851498c5903d934cac98ced7ed4541d4ba97b1bb58363933f',
         'ug/basis.txt': 'df5a8c7da5967b9dd59f9d802b5929ebe7dc587b5459062ba50b6d9292f972a6',
         'ug/quotient_meta.txt': '248d83f3902f34676d75e6843e6da7fcc21c82b1009b8f65ae4bd7c79b1b2886',
         'ug/stdout': 'c62290f3757b39725752f0186c6a8967b73f690ae1764d011da8d4269baff066',
@@ -104,15 +108,15 @@ GOLDEN = {
     },
     'k2_eta0.35_eps0.25': {
         't1/bes_instance.txt': '7f56a0dda9b7e813d83cc21d78ae4c01b337c2bf6328497d9eacb6745087a2d7',
-        't1/bes_summary.txt': '59043679094bbbd37f2f0224d8fbd018eb367f83ff59b0b2f503d7282c82c261',
+        't1/bes_summary.txt': '1773b4ac9f7f67c2ca8b3d5cbe70132eaaad9c81da80bb58cb5df03c5acacaac',
         't1/best_cut.txt': '0e4647c405bec769659bbfd45dcf0c424486b01f6e0d1745dbb8a54580a7ce2a',
         't1/gap_row.tsv': '57d034e374b7fb239cc774c17c1d70d2fa716e26343f84150dbb40ccfb228a46',
-        't1/stdout': '59043679094bbbd37f2f0224d8fbd018eb367f83ff59b0b2f503d7282c82c261',
+        't1/stdout': '1773b4ac9f7f67c2ca8b3d5cbe70132eaaad9c81da80bb58cb5df03c5acacaac',
         't3/bes_instance.txt': '7f56a0dda9b7e813d83cc21d78ae4c01b337c2bf6328497d9eacb6745087a2d7',
-        't3/bes_summary.txt': 'e7c348124878dde47cf8e08220be9ca7011aa5e65ca162e508d499a0a620cd4f',
+        't3/bes_summary.txt': 'a9afaf728ed523b790e674d5fae6fa5a9b6bb7e72c441a57e226797ed8aae849',
         't3/best_cut.txt': '0e4647c405bec769659bbfd45dcf0c424486b01f6e0d1745dbb8a54580a7ce2a',
         't3/gap_row.tsv': '9600b57154bf5f6ac7de9975f7328ed387dfe99ab1e85cda4041a871c4d20394',
-        't3/stdout': 'e7c348124878dde47cf8e08220be9ca7011aa5e65ca162e508d499a0a620cd4f',
+        't3/stdout': 'a9afaf728ed523b790e674d5fae6fa5a9b6bb7e72c441a57e226797ed8aae849',
         'ug/basis.txt': 'df5a8c7da5967b9dd59f9d802b5929ebe7dc587b5459062ba50b6d9292f972a6',
         'ug/quotient_meta.txt': '215eaef544ff227541be91c99c57fcc7fbe3654360a78f865760ea3c659f366f',
         'ug/stdout': 'ca437db0a91d58aa90271e35b4262a3359e3263be4011baa7945a57199e26f89',
@@ -122,15 +126,15 @@ GOLDEN = {
     },
     'k2_eta0.45_eps0.35': {
         't1/bes_instance.txt': '71cde7775581caec728cd2a5673ea336fb089b040f1a22e5e98fac2661f7dcdf',
-        't1/bes_summary.txt': 'c2bead0891f3593ade0a8f8e17b5e96ed9ebe1ff9034bc14ced02f305224c7cd',
+        't1/bes_summary.txt': '2330ff349ad507362080317d6a69c62e75cb64be532b78855e66c58167482707',
         't1/best_cut.txt': 'd1151537c798572e2769f7812e12db07124fa09d49b53384011761a6081e6566',
         't1/gap_row.tsv': 'f998c8d91c999d71a7910beb2617add0dad6d6eef51036f690ed6ee1a42ef496',
-        't1/stdout': 'c2bead0891f3593ade0a8f8e17b5e96ed9ebe1ff9034bc14ced02f305224c7cd',
+        't1/stdout': '2330ff349ad507362080317d6a69c62e75cb64be532b78855e66c58167482707',
         't3/bes_instance.txt': '71cde7775581caec728cd2a5673ea336fb089b040f1a22e5e98fac2661f7dcdf',
-        't3/bes_summary.txt': '0ec73728f34263d482a9a5a42e3ae3aaec5b750f68ef630f07fc44211005b39e',
+        't3/bes_summary.txt': '6c823c7cf0e713d21e053dd73c137e65c107b1f54c4efd8138114f76f567b39e',
         't3/best_cut.txt': 'd1151537c798572e2769f7812e12db07124fa09d49b53384011761a6081e6566',
         't3/gap_row.tsv': '7d75ba4e8b3b03f3023ecd74bef53572c24a7c0c30c2ca7bdc41a70de0e89f0d',
-        't3/stdout': '0ec73728f34263d482a9a5a42e3ae3aaec5b750f68ef630f07fc44211005b39e',
+        't3/stdout': '6c823c7cf0e713d21e053dd73c137e65c107b1f54c4efd8138114f76f567b39e',
         'ug/basis.txt': 'df5a8c7da5967b9dd59f9d802b5929ebe7dc587b5459062ba50b6d9292f972a6',
         'ug/quotient_meta.txt': '771687573f5c037e370ac9a3c5a898b5221ddd90fb1e875ade20e828da32095a',
         'ug/stdout': 'ff2a1aba9a87d06e58f68e5115bf49de59a3446a815941f95019f97a893fac64',
@@ -140,18 +144,18 @@ GOLDEN = {
     },
     'k3_eta0.3_eps0.3': {
         'pcp/proof.txt': '218cdf0ddc297bdbe54b932b8d5d37efd66f2e51c92fae3fdf468fe60fd13fd2',
-        'pcp/stdout': '1212646a0d20a7c23b84b1e1ff93b1019019042849025f3e6f951015efd002a0',
-        'pcp/stdout_1e6': 'e80b75b0379e936094b24029989e2d518b1bdbd54eb42c60a3cc19380426c155',
+        'pcp/stdout': '6c7d215a0741f495b337d00fa8e702fd44b22c106e5f1e1acdab0337542dd0b0',
+        'pcp/stdout_1e6': '9a297f06f43a59dfea032b79326136bfdd1e620255cb6f4eaee2c80d45473bf1',
         't1/bes_instance.txt': '8443caa4f535205ce3b0e204ad72de351c6a08f36fa038d0063696e4c040a72c',
-        't1/bes_summary.txt': 'b31e8ee48409b42e9e12e53103108ce178fa0092b1f41365fe1fe4dc6c3d6586',
+        't1/bes_summary.txt': '0e9fb0f8e3ece59ea4d1b113143f607a0606590ea0c24dce7b1b56d49bea323d',
         't1/best_cut.txt': 'a3054ac32da280449be49e8f21bb1ae43fe369e563c14826f6cdec55fc8c49a2',
         't1/gap_row.tsv': '224a8101d70fbc89d6e17af939ff6f0e329e3e598efcf84871f0023fc4e0d96a',
-        't1/stdout': 'b31e8ee48409b42e9e12e53103108ce178fa0092b1f41365fe1fe4dc6c3d6586',
+        't1/stdout': '0e9fb0f8e3ece59ea4d1b113143f607a0606590ea0c24dce7b1b56d49bea323d',
         't3/bes_instance.txt': '8443caa4f535205ce3b0e204ad72de351c6a08f36fa038d0063696e4c040a72c',
-        't3/bes_summary.txt': 'b17e2af7d671af85890540ff51f23905b343052ab8691aa87ab04218d2ef3591',
+        't3/bes_summary.txt': 'a82175f46bdf8aba1905776ab3d4c5df70f01f85777cd55080488b4d5b430576',
         't3/best_cut.txt': 'a3054ac32da280449be49e8f21bb1ae43fe369e563c14826f6cdec55fc8c49a2',
         't3/gap_row.tsv': '16cbee5a1227e282dfd33701ae9515b2803fd2d5b92075a944939966df15f56a',
-        't3/stdout': 'b17e2af7d671af85890540ff51f23905b343052ab8691aa87ab04218d2ef3591',
+        't3/stdout': 'a82175f46bdf8aba1905776ab3d4c5df70f01f85777cd55080488b4d5b430576',
         'ug/basis.txt': 'c6397897f84b0e51e7e0deb2f207a9487d46dfd764af9dfb5960206f217c743d',
         'ug/quotient_meta.txt': 'e6838536dc36d747239ba0351251dd52d5bbfaa858c214e7482ed044bd4d7ee7',
         'ug/stdout': '01d295b71e3e7f0a7cbfab6cc6d86a39d9311633b0612d13c61b28774e59339d',

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from cutgap import unique_games as ug
 from cutgap.cli import main
@@ -31,13 +30,13 @@ from fixtures import plant_instance
 from oracles import (
     agreement_by_enumeration,
     edge_rows,
+    flip_probabilities,
     incidence,
     label_extended_graph_loop,
     labeling_set_expansion_identity_loop,
     level_sums_one_gather,
     opt_exhaustive_loop,
     opt_search_loop,
-    pack_rows_matmul,
     sample_disagreements_choice,
     ug_text_per_edge,
 )
@@ -685,6 +684,8 @@ def test_distinct_permutations_are_the_unique_rows(name):
 
 @pytest.mark.parametrize("name", SAMPLER_INSTANCES)
 def test_guide_bounds_are_the_cdf_searches(name):
+    # 256 buckets per edge rounded up to a power of two, at most 2^16: the
+    # k = 2 instance's 26 edges take 2^13
     d = sampler_instance(name).edge_distribution
     guide = d.guide
     assert d.guide is guide  # built once
@@ -692,11 +693,15 @@ def test_guide_bounds_are_the_cdf_searches(name):
     cdf = p.cumsum()
     cdf /= cdf[-1]
     assert np.array_equal(guide.cdf, cdf)
-    j = np.arange(1 << ug.GUIDE_BITS)
-    lo = cdf.searchsorted(j / (1 << ug.GUIDE_BITS), "right")
-    hi = cdf.searchsorted((j + 1) / (1 << ug.GUIDE_BITS), "left")
-    assert guide.edge.dtype == np.intp
-    assert np.array_equal(guide.edge, np.where(lo == hi, lo, -1))
+    buckets = len(guide.entry)
+    assert buckets == min(1 << ug.GUIDE_BITS, 256 << (len(p) - 1).bit_length())
+    if name == "kv2":
+        assert buckets == 1 << 13
+    j = np.arange(buckets)
+    lo = cdf.searchsorted(j / buckets, "right")
+    hi = cdf.searchsorted((j + 1) / buckets, "left")
+    assert guide.entry.dtype == np.int32
+    assert np.array_equal(guide.entry, np.where(lo == hi, lo, -1))
     assert not any(a.flags.writeable for a in guide)
 
 
@@ -707,28 +712,24 @@ def test_edge_draws_on_a_cdf_entry_or_a_bucket_bound_are_choices(name):
     # edge and where the draw is searched
     d = sampler_instance(name).edge_distribution
     cdf = d.guide.cdf
+    buckets = len(d.guide.entry)
     u = np.concatenate([cdf, np.nextafter(cdf, 0), np.nextafter(cdf, 1),
-                        np.arange(1 << ug.GUIDE_BITS) / (1 << ug.GUIDE_BITS)])
+                        np.arange(buckets) / buckets])
     u = u[u < 1]
-
-    class Uniforms:
-        def random(self, size):
-            assert size == len(u)
-            return u
-
-    assert np.array_equal(d._draw_edges(Uniforms(), len(u)), cdf.searchsorted(u, "right"))
+    assert np.array_equal(ug._guided_draw(d.guide, u), cdf.searchsorted(u, "right"))
 
 
 @pytest.fixture
 def generators(monkeypatch):
     """Every generator np.random.default_rng makes from here on, with the
-    names of the methods called on it and the shapes of their `out` arrays."""
+    names of the methods called on it and the shapes and dtypes of the
+    arrays they return."""
     made = []
     make = np.random.default_rng
 
     class Recorded:
         def __init__(self, seed):
-            self.gen, self.calls, self.outs = make(seed), [], []
+            self.gen, self.calls, self.drawn = make(seed), [], []
             made.append(self)
 
         def __getattr__(self, name):
@@ -736,9 +737,9 @@ def generators(monkeypatch):
 
             def call(*args, **kwargs):
                 self.calls.append(name)
-                if "out" in kwargs:
-                    self.outs.append(kwargs["out"].shape)
-                return method(*args, **kwargs)
+                got = method(*args, **kwargs)
+                self.drawn.append((np.shape(got), np.asarray(got).dtype))
+                return got
             return call
 
     monkeypatch.setattr(np.random, "default_rng", Recorded)
@@ -748,8 +749,7 @@ def generators(monkeypatch):
 @pytest.mark.parametrize("name", SAMPLER_INSTANCES)
 def test_sampler_draws_what_choice_draws(name, generators):
     # the same count, with the generator left where choice leaves it, over
-    # one draw, a partial flip block either side of a whole one, one whole
-    # batch and a partial one after it
+    # one draw, a few thousand, one whole batch and a partial one after it
     u = sampler_instance(name)
     d = u.edge_distribution
     blocks = np.random.default_rng(5).choice(np.array([-1, 1], dtype=np.int8),
@@ -780,36 +780,58 @@ def test_sampler_draws_what_choice_draws_on_planted_instances(num_labels):
 
 
 def test_sampler_holds_no_full_flip_array(generators):
-    # a batch of 65536 draws and one of 4464: each draws its edges' and
-    # its points' uniforms, then its flips FLIP_ROWS = 4096 rows at a time
-    # into one buffer
+    # a batch of 65536 draws and one of 4464: each reads the generator three
+    # times, the edges' uniforms, the points as bytes and one uniform per
+    # flip pattern, so no (batch, N) array of flips is drawn
     u = sampler_instance("kv3")
     blocks = np.ones((u.num_vertices, 1 << u.num_labels))
     u.edge_distribution.sample_disagreements(blocks, 70000, 0, 0.3)
     rec = generators[-1]
-    assert rec.calls == (["random", "integers"] + ["random"] * 16
-                         + ["random", "integers"] + ["random"] * 2)
-    assert rec.outs == [(4096, 8)] * 17 + [(368, 8)]
+    assert rec.calls == ["random", "integers", "random"] * 2
+    f8, u1 = np.dtype(np.float64), np.dtype(np.uint8)
+    assert rec.drawn == [((65536,), f8), ((65536,), u1), ((65536,), f8),
+                         ((4464,), f8), ((4464,), u1), ((4464,), f8)]
 
 
 @pytest.mark.parametrize("n", range(1, EXACT_LABEL_LIMIT + 1))
 @settings(max_examples=10, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
-def test_packed_flips_are_the_matmul_on_every_row_pattern(n, data):
-    # all 2^N rows of N bits in a drawn order, then drawn spare bytes: at
-    # N = 3, 5, 6 and 7 each row is read in a word of 4 or 8 bytes that
-    # reaches into the next row or the spare bytes, which the mask drops;
-    # a drawn prefix of the rows is packed, as for a partial flip block
-    patterns = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
-    rows = patterns[data.draw(st.permutations(range(1 << n)))]
-    spare = data.draw(arrays(bool, (1 << (n - 1).bit_length()) - n))
-    count = data.draw(st.integers(1, 1 << n))
-    out = np.empty(count, dtype=np.uint8)
-    assert ug._pack_rows(np.concatenate([rows.ravel(), spare]), n, out) is out
-    assert np.array_equal(out, pack_rows_matmul(rows[:count]))
-    assert np.array_equal(out, np.packbits(rows[:count], axis=-1, bitorder="little")[:, 0])
-    if count == 1 << n:
-        assert np.array_equal(np.sort(out), np.arange(1 << n))
+def test_flip_guide_draws_what_choice_draws(n, data):
+    # the flip guide draws what choice(2^N, p=q) draws from the same
+    # generator, and on the uniforms at and beside every cdf entry and
+    # bucket bound; its q is the product of N epsilon-biased bits
+    epsilon = data.draw(st.sampled_from([0.0, 0.05, 0.3, 0.5, 1.0]))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    size = data.draw(st.integers(1, 3000))
+    guide = ug._flip_guide(n, epsilon)
+    q = flip_probabilities(n, epsilon)
+    bits = np.arange(1 << n)[:, None] >> np.arange(n) & 1
+    assert np.allclose(q, np.prod(np.where(bits == 1, epsilon, 1 - epsilon), axis=1),
+                       rtol=1e-14, atol=0)
+    want = np.random.default_rng(seed).choice(1 << n, p=q, size=size)
+    assert np.array_equal(ug._guided_draw(guide, np.random.default_rng(seed).random(size)),
+                          want)
+    cdf = q.cumsum()
+    cdf /= cdf[-1]
+    assert np.array_equal(guide.cdf, cdf)
+    buckets = len(guide.entry)
+    assert buckets == min(1 << ug.GUIDE_BITS, 256 << n)
+    u = np.concatenate([cdf, np.nextafter(cdf, 0), np.nextafter(cdf, 1),
+                        np.arange(buckets) / buckets])
+    u = u[u < 1]
+    assert np.array_equal(ug._guided_draw(guide, u), cdf.searchsorted(u, "right"))
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), -0.1, 1.5])
+def test_both_routes_reject_an_epsilon_outside_the_unit_interval(epsilon):
+    # a nan would flip no bit and a value outside [0, 1] would give flip
+    # probabilities that are not probabilities, or a noise rate below -1
+    u = sampler_instance("kv2")
+    blocks = np.ones((u.num_vertices, 1 << u.num_labels))
+    with pytest.raises(ValueError, match="is not a probability in \\[0, 1\\]"):
+        u.edge_distribution.sample_disagreements(blocks, 100, 0, epsilon)
+    with pytest.raises(ValueError, match="is not a probability in \\[0, 1\\]"):
+        u.edge_distribution.probabilities(blocks, epsilon)
 
 
 @pytest.mark.parametrize("shape", [(32, 255), (32, 257), (31, 256), (256, 32), (32 * 256,)])

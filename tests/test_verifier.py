@@ -290,12 +290,12 @@ def test_proof_validation():
 
 def test_mc_acceptance_pinned():
     # the (e, x, mu) draws for a seed are fixed; this estimate was taken
-    # before the sampler moved into the shared edge distribution, and it is
-    # one minus the separator's MC cut weight of the same tables and seed
+    # again when each flip pattern became one guided draw, and it is one
+    # minus the separator's MC cut weight of the same tables and seed
     u, _ = plant_instance(6, 4, 0.15, 0.9, seed=9)
     tables = np.random.default_rng(11).choice([-1, 1], size=(6, 16)).astype(np.int8)
     est, se = acceptance_probability_mc(u, Proof(4, tables), 40000, seed=13, epsilon=0.2)
-    assert (est, se) == (0.496725, 0.0024999463712997924)
+    assert (est, se) == (0.50115, 0.0024999933874912546)
 
 
 @pytest.mark.parametrize("epsilon", [float("nan"), 1.5, -0.1])
@@ -309,8 +309,8 @@ def test_acceptance_rejects_epsilon_outside_probabilities(epsilon):
 
 
 def test_acceptance_mc_rejects_no_samples_and_tables_of_another_shape():
-    # the sampler's one input check: a table per UG vertex, 2^N values
-    # each, and at least one sample
+    # the sampler's input checks besides epsilon's: a table per UG vertex,
+    # 2^N values each, and at least one sample
     u, hidden = plant_instance(6, 3, 0.1, 0.8, seed=41)
     with pytest.raises(ValueError, match="at least one sample"):
         acceptance_probability_mc(u, Proof(3, dictator_tables(hidden, 3)), 0, seed=0,

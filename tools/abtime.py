@@ -20,7 +20,11 @@ Operations:
 - `lp12`: the kernel `metrics.l1_distortion_lp` on the 12-point t=1 handle
   metric of those inputs;
 - `round`: the kernel `metrics.round_to_balanced_cut` with the local-search
-  oracle on their GRAPH file, as the `round` command runs it.
+  oracle on their GRAPH file, as the `round` command runs it;
+- `mc`: the kernel `EdgeDistribution.sample_disagreements`, the 10^6-sample
+  count that certify's `pcp` makes on their k=3 UG instance and PROOF at
+  epsilon 0.3, with seed = round. It prints the count, so two trees whose
+  draws differ differ in output.
 
 For each operation it prints, per side, the median and quartiles in
 milliseconds and the rounds that side won (ties count for neither), then
@@ -47,7 +51,7 @@ import time
 from pathlib import Path
 
 BENCHMARK_OPS = ("certify", "build-k3", "sweep-k2")
-KERNELS = ("lp12", "round")
+KERNELS = ("lp12", "round", "mc")
 OPS = BENCHMARK_OPS + KERNELS
 
 
@@ -59,11 +63,16 @@ def _worker(inputs: str, workdir: str) -> None:
 
     from cutgap import cli
     from cutgap import metrics as mt
+    from cutgap import unique_games as ug
+    from cutgap import verifier as pv
     import workloads
 
     metric = mt.metric_from_text(Path(inputs, "metric_t1_n12.txt").read_text())
     weights, demands = mt.graph_from_text(Path(inputs, "graph.txt").read_text())
     balance = float(np.sum(demands) / 2) / 2
+    certify = workloads.WORKLOADS["certify"]
+    edges = ug.ug_from_text(Path(inputs, "ug3", "ug_instance.txt").read_text()).edge_distribution
+    proof = pv.proof_from_text(Path(inputs, "proof.txt").read_text())
 
     def benchmark_op(name: str, index: int) -> None:
         where = os.path.join(workdir, f"{name}-{index}")
@@ -80,7 +89,11 @@ def _worker(inputs: str, workdir: str) -> None:
         res = mt.round_to_balanced_cut(weights, demands, oracle, B=balance, seed=index)
         print(res.cut.astype(int).tolist(), res.edge_weight.hex(), res.demand.hex(), res.rounds)
 
-    kernels = {"lp12": lp12, "round": rounding}
+    def count(index: int) -> None:
+        print(edges.sample_disagreements(proof.tables, certify.pcp_samples, index,
+                                         certify.epsilon))
+
+    kernels = {"lp12": lp12, "round": rounding, "mc": count}
     for line in sys.stdin:
         request = json.loads(line)
         name, index = request["op"], request["round"]

@@ -55,6 +55,17 @@ SIMPLEX = ("tests/test_simplex.py",)
 LP_DATA = ("tests/test_metrics.py", "tests/test_simplex.py")
 ROUNDING = ("tests/test_metrics.py",)
 
+_X_DRAW = "    x = rng.integers(0, 1 << n, size=batch, dtype=np.uint8)\n"
+_FLIP_DRAW = "    y = _guided_draw(flips, rng.random(batch))\n"
+_SAMPLER_LOOP = ("while done < samples:\n"
+                 "    batch = min(samples - done, SAMPLE_BATCH)\n"
+                 "    ei = _guided_draw(edges, rng.random(batch))\n"
+                 "{draws}"
+                 "    y ^= x\n"
+                 "    queried = values[first[ei] | x]\n"
+                 "    count += int(np.count_nonzero(queried != pulled[second[ei] | y]))\n"
+                 "    done += batch")
+
 MUTANTS = (
     # the Kronecker transform and the level-sorted slab products
     Mutant("hadamard_sign", "fourier", "_hadamard",
@@ -113,17 +124,32 @@ MUTANTS = (
            "active = active[moved]", "active = active if moved.any() else active[:0]", SEARCH),
     Mutant("search_last_best", "unique_games", "opt_search",
            "val > best_val", "val >= best_val", SEARCH),
-    # the flip bits packed by one multiply
-    Mutant("pack_no_mask", "unique_games", "_pack_rows",
-           "np.bitwise_and(out, (1 << n) - 1, out=out)", "out", SAMPLER),
-    Mutant("pack_magic_step", "unique_games", "_pack_rows",
-           "8 * (width - 1) - 7 * j", "8 * (width - 1) - 8 * j + 1", SAMPLER),
-    Mutant("pack_shift", "unique_games", "_pack_rows",
-           "np.right_shift(words * magic, 8 * (width - 1), out=out, casting='unsafe')",
-           "np.right_shift(words * magic, 8 * width - 9, out=out, casting='unsafe')", SAMPLER),
-    Mutant("pack_row_stride", "unique_games", "_pack_rows",
-           "np.ndarray(len(out), dtype=f'<u{width}', buffer=bits, strides=(n,))",
-           "np.ndarray(len(out), dtype=f'<u{width}', buffer=bits, strides=(width,))", SAMPLER),
+    # the guide tables and the flip patterns drawn by one choice each
+    Mutant("flip_eps_powers_swapped", "unique_games", "_flip_guide",
+           "eps ** s * (1 - eps) ** (n - s)", "eps ** (n - s) * (1 - eps) ** s", SAMPLER),
+    Mutant("flip_by_edge_guide", "unique_games", "EdgeDistribution.sample_disagreements",
+           "_guided_draw(flips, rng.random(batch))",
+           "_guided_draw(edges, rng.random(batch)) % (1 << n)", SAMPLER),
+    # mu's uniforms drawn before x: one statement moved, so the whole loop
+    Mutant("draws_flips_before_x", "unique_games", "EdgeDistribution.sample_disagreements",
+           _SAMPLER_LOOP.format(draws=_X_DRAW + _FLIP_DRAW),
+           _SAMPLER_LOOP.format(draws=_FLIP_DRAW + _X_DRAW), SAMPLER),
+    Mutant("x_drawn_as_int64", "unique_games", "EdgeDistribution.sample_disagreements",
+           "rng.integers(0, 1 << n, size=batch, dtype=np.uint8)",
+           "rng.integers(0, 1 << n, size=batch)", SAMPLER),
+    Mutant("guided_search_left", "unique_games", "_guided_draw",
+           "guide.cdf.searchsorted(u[miss], side='right')",
+           "guide.cdf.searchsorted(u[miss], side='left')", SAMPLER),
+    Mutant("guide_marks_next_bucket", "unique_games", "_guide_table",
+           "below[below != scaled].astype(np.intp)",
+           "below[below != scaled].astype(np.intp) + 1", SAMPLER),
+    Mutant("guide_marks_whole_steps", "unique_games", "_guide_table",
+           "below[below != scaled]", "below[below < buckets]", SAMPLER),
+    # 2^16 buckets for every table: the same draws from every uniform, so
+    # equivalent on the counts; only the pinned bucket count can see it
+    Mutant("guide_buckets_always_max", "unique_games", "_guide_table",
+           "min(1 << GUIDE_BITS, 256 << (len(cdf) - 1).bit_length())", "1 << GUIDE_BITS",
+           SAMPLER),
     # the sampler's second query through the (w, p) pairs
     Mutant("sampler_second_by_w", "unique_games", "EdgeDistribution.sample_disagreements",
            "pulls.pair.astype(np.intp) << n", "self.w.astype(np.intp) << n", SAMPLER),
@@ -132,9 +158,6 @@ MUTANTS = (
     Mutant("sampler_pulled_other_reversed", "unique_games",
            "EdgeDistribution.sample_disagreements", "pulls.other << n", "pulls.other[::-1] << n",
            SAMPLER),
-    Mutant("flips_at_most", "unique_games", "EdgeDistribution.sample_disagreements",
-           "np.less(rows.ravel(), epsilon, out=hits[:rows.size])",
-           "np.less_equal(rows.ravel(), epsilon, out=hits[:rows.size])", SAMPLER),
     # the search's random cuts drawn by one shuffle
     Mutant("random_cut_other_half", "separator", "_random_balanced_cuts",
            "points[:, :size // 2]", "points[:, size - size // 2:]", SEPARATOR),
