@@ -319,10 +319,15 @@ def farthest_point_sample(metric: FiniteMetric, size: int, seed_point: int = 0):
     return sorted(chosen)
 
 
-def _cut_sum(pairs: np.ndarray, sep: np.ndarray, out: np.ndarray | None = None) -> float:
+def _cut_sum(pairs: np.ndarray, sep: np.ndarray) -> float:
     """Sum of a symmetric weight or demand matrix over the pairs a cut
-    separates (the mask cut[:, None] != cut), the products formed in `out`."""
-    return float(np.multiply(pairs, sep, out=out).sum() / 2.0)
+    separates (the mask cut[:, None] != cut), each product halved before
+    the sum. Halving commutes with rounding for normal floats, so this is
+    the float of the whole sum halved, and a total that fits in a float
+    stays finite."""
+    half = np.multiply(pairs, sep)
+    half *= 0.5
+    return float(half.sum())
 
 
 def best_xor_cut(cuts, weights, demands, B, rng=None):
@@ -330,7 +335,8 @@ def best_xor_cut(cuts, weights, demands, B, rng=None):
     ranked by (demand >= B/3 first, then minimal edge weight).
 
     Exhaustive over all 2^k subsets for k <= XOR_EXHAUSTIVE_CUTS, else
-    sampled.
+    2^XOR_EXHAUSTIVE_CUTS uniform subsets, their codes drawn 63 bits at a
+    time (one draw below 2^k while k <= 63).
     A random subset cuts each demand pair with probability 1/2 wherever some
     cut separates it, so the expected demand cut is at least half the
     collectively separated demand.
@@ -343,13 +349,22 @@ def best_xor_cut(cuts, weights, demands, B, rng=None):
         codes = range(1 << k)
     else:
         rng = rng or np.random.default_rng(0)
-        codes = [int(c) for c in rng.integers(0, 1 << k, size=1 << XOR_EXHAUSTIVE_CUTS)]
+        codes = [0] * (1 << XOR_EXHAUSTIVE_CUTS)
+        for low in range(0, k, 63):  # int64 draws hold at most 63 bits
+            bits = rng.integers(0, 1 << min(k - low, 63), size=len(codes))
+            codes = [code | int(b) << low for code, b in zip(codes, bits)]
+    # row c of table j: the xor of the cuts 8j + i that bit i of c picks
+    tables = []
+    for low in range(0, k, 8):
+        table = np.zeros((1 << min(k - low, 8), len(cuts[0])), dtype=bool)
+        for i, cut in enumerate(cuts[low:low + 8]):
+            table[1 << i:2 << i] = table[:1 << i] ^ cut
+        tables.append(table)
     best = None
     for code in codes:
-        phi = np.zeros_like(cuts[0])
-        for i in range(k):
-            if code >> i & 1:
-                phi ^= cuts[i]
+        phi = tables[0][code & 255]
+        for j in range(1, len(tables)):
+            phi = phi ^ tables[j][code >> 8 * j & 255]
         sep = phi[:, None] != phi
         dem = _cut_sum(demands, sep)
         wt = _cut_sum(weights, sep)
@@ -417,39 +432,154 @@ def round_to_balanced_cut(weights, demands, sparse_cut_oracle, B: float,
     return RoundingResult(phi, wt, dem, rounds, flagged_partial=flagged_partial)
 
 
+class _CutTotals:
+    """A cut's weight and demand, and each vertex's weight and demand to the
+    other side (the gains of Kernighan-Lin and Fiduccia-Mattheyses), kept
+    current under single flips.
+
+    Flipping v moves the cut's weight W to W + (deg(v) - out(v)) - out(v),
+    where deg(v) is v's weight to every other vertex (a diagonal pair never
+    crosses a cut) and out(v) its weight to the other side; the demand D
+    alike. `across` holds out(v) of both matrices: one matrix product per
+    anchor, then an O(n) update per kept flip. The totals and `across` are
+    taken afresh (anchored) after n kept flips, so a kept flip costs O(n)
+    amortized and a trial O(1).
+
+    The bound. Let u = 2^-53 and R(v) be v's row sum, diagonal included. A
+    full sum adds n^2 halved products, and in any order it errs by at most
+    n^2 u times the exact sum (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, section 4.2). deg(v) errs by at most (n + 1) u R(v);
+    out(v), at most n terms updated at most n times since the anchor, by
+    2n u R(v); the estimate's three roundings add at most 2u (|W| + 2R(v)).
+    So a trial's estimate W' lies within e + (n^2 + 5n + 8) u (|W| + R(v))
+    of the trial cut's full sum, where e bounds the error of the running W
+    (a flip kept on its estimate passes that trial's bound on as e), and D'
+    likewise. `band` = 4 (n + 4)^2 u is more than twice that coefficient;
+    the margin absorbs the rounding of the ratio bounds in `bounds` and the
+    terms of second order. The bound assumes nonnegative weights and
+    demands, as the GRAPH reader ensures, and no underflow: every nonzero
+    weight and demand at least 2^-1021.
+    """
+
+    def __init__(self, weights: np.ndarray, demands: np.ndarray):
+        self.pairs = (weights, demands)
+        n = weights.shape[0]
+        self.band = 4 * (n + 4) ** 2 * 2.0**-53
+        # an overflowing row sum reads inf, and its trials are decided by the full sums
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = np.array([p.sum(axis=1) for p in self.pairs])
+            self.scale = rows.tolist()
+            self.degree = (rows - [np.diagonal(p) for p in self.pairs]).tolist()
+
+    def sums(self, cut: np.ndarray) -> tuple[float, float]:
+        """The cut's weight and demand as full sums on one mask, the values
+        that every decision of the search must match."""
+        sep = np.not_equal(cut[:, None], cut)
+        return _cut_sum(self.pairs[0], sep), _cut_sum(self.pairs[1], sep)
+
+    def anchor(self, cut: np.ndarray, sums: tuple | None = None) -> None:
+        """Take the totals from the full sums and `across` from one product."""
+        self.totals = self.sums(cut) if sums is None else sums
+        self.errors = tuple(self.band * t for t in self.totals)
+        sides = np.stack([cut, ~cut], axis=1).astype(np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            into = np.array([p @ sides for p in self.pairs])
+        self.across = np.where(cut, into[:, :, 1], into[:, :, 0])
+        self.reads = self.across.tolist()
+        self.flips = 0
+
+    def bounds(self, v: int):
+        """(lo, hi) around fl(wt / dem), the ratio that the full sums give the
+        cut with v flipped, or None when its demand may be 0. The estimates
+        are kept for `flip`."""
+        (w, d), (ew, ed) = self.totals, self.errors
+        out_w, out_d = self.reads[0][v], self.reads[1][v]
+        wt = w + (self.degree[0][v] - out_w) - out_w
+        dem = d + (self.degree[1][v] - out_d) - out_d
+        e_wt = ew + self.band * (abs(w) + self.scale[0][v])
+        e_dem = ed + self.band * (abs(d) + self.scale[1][v])
+        self.trial = (wt, dem), (e_wt, e_dem)
+        if not dem > e_dem:
+            return None
+        return (wt - e_wt) / (dem + e_dem), (wt + e_wt) / (dem - e_dem)
+
+    def flip(self, cut: np.ndarray, v: int, sums: tuple | None = None) -> None:
+        """Record the kept flip of v, already made in `cut`; `sums` are the
+        new cut's full sums when they were taken."""
+        if self.flips + 1 >= len(cut):
+            self.anchor(cut, sums)
+            return
+        if sums is None:
+            self.totals, self.errors = self.trial
+        else:
+            self.totals, self.errors = sums, tuple(self.band * t for t in sums)
+        other = cut != cut[v]
+        rows = np.array([p[v] for p in self.pairs])
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.across += np.where(other, rows, -rows)
+            self.across[:, v] = rows @ other
+        self.reads = self.across.tolist()
+        self.flips += 1
+
+
 def local_search_sparsest_cut(weights, demands, seed: int = 0, restarts: int = 8):
     """Single-flip local search minimizing sparsity; the default oracle for
-    the rounding pipeline. A trial's two sums read one mask and one buffer."""
+    the rounding pipeline.
+
+    Each restart starts from a seeded random cut and sweeps the vertices in
+    order until a sweep keeps no flip. A trial flip is kept when the cut
+    then separates demand (dem > 0) and its ratio wt / dem, each a full sum
+    on one mask (`_cut_sum`), is below the best ratio so far less 1e-15.
+    The search reads both tests from the trial's O(1) estimate
+    (`_CutTotals.bounds`); only where the estimate's error bound leaves
+    either test open do the full sums decide, against the best ratio summed
+    in full. So every flip kept is the one that the full sums of every trial
+    keep, and the cut returned is theirs.
+    """
     weights = np.asarray(weights, dtype=np.float64)
     demands = np.asarray(demands, dtype=np.float64)
     n = weights.shape[0]
-    sep, prod = np.empty((n, n), dtype=bool), np.empty((n, n))
+    totals = _CutTotals(weights, demands)
     best_cut = None
-    best_ratio = np.inf
+    # bounds on the threshold best_ratio - 1e-15, equal once the best cut's
+    # ratio is summed in full
+    low = high = np.inf
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         cut = rng.random(n) < 0.5
         if cut.all() or not cut.any():
             cut[int(rng.integers(n))] ^= True
+        totals.anchor(cut)
         improved = True
         while improved:
             improved = False
             for v in range(n):
                 cut[v] ^= True
-                # a trivial cut separates nothing, so its demand is 0
-                dem = _cut_sum(demands, np.not_equal(cut[:, None], cut, out=sep), prod)
-                if dem > 0:
-                    ratio = _cut_sum(weights, sep, prod) / dem
-                    if ratio < best_ratio - 1e-15:
-                        best_ratio = ratio
-                        best_cut = cut.copy()
-                        improved = True
-                        continue
+                span = totals.bounds(v)
+                sums = None
+                if span is not None and span[1] < low:
+                    keep = True
+                    low, high = span[0] - 1e-15, span[1] - 1e-15
+                elif span is not None and span[0] >= high:
+                    keep = False
+                else:
+                    # too close to call: the full sums decide
+                    if low != high:
+                        wt, dem = totals.sums(best_cut)
+                        low = high = wt / dem - 1e-15
+                    wt, dem = sums = totals.sums(cut)
+                    keep = dem > 0 and wt / dem < low
+                    if keep:
+                        low = high = wt / dem - 1e-15
+                if keep:
+                    best_cut = cut.copy()
+                    totals.flip(cut, v, sums)
+                    improved = True
+                    continue
                 cut[v] ^= True
         if best_cut is None:
             best_cut = cut.copy()
-            dem = _cut_sum(demands, np.not_equal(best_cut[:, None], best_cut, out=sep), prod)
+            wt, dem = totals.sums(best_cut)
             if dem > 0:
-                best_ratio = _cut_sum(weights, sep, prod) / dem
+                low = high = wt / dem - 1e-15
     return best_cut
-

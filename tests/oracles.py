@@ -98,8 +98,9 @@ paths against. None of them is used by the cutgap package itself.
   and the sparsest-cut local search with every trial's demand taken once
   for the `> 0` test and again inside `sparsity`, or with one mask and one
   product array per sum; the oracles whose cuts
-  `cutgap.metrics.local_search_sparsest_cut` (one mask per trial, both sums
-  in one kept buffer) must match with `==`.
+  `cutgap.metrics.local_search_sparsest_cut` (each trial decided by its
+  flip-gain estimate, by the full sums only inside the estimate's error
+  band) must match with `==`.
 - `distortion_lp_data_cut_major`: the cut-cone LP's (c, A, b) with the
   separation matrix built cut-major and transposed, the oracle that the
   pair-major build of `cutgap.metrics._distortion_lp_data` must match byte

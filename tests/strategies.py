@@ -20,6 +20,10 @@ kernels with their oracles in `tests/oracles.py`.
   Grams C . row the separator's triangle certificate sweeps, square int8
   tables for the UG triangle sweep, and 2-D arrays with repeated rows for
   the sorted distinct rows of `cutgap.separator`.
+- `demand_graphs`: GRAPH (weights, demands) pairs of up to 256 vertices
+  with dyadic, tied values, zero-demand vertices, diagonal pairs and a
+  vertex that a sparse cut isolates, the inputs of
+  `cutgap.metrics.local_search_sparsest_cut`.
 """
 
 from __future__ import annotations
@@ -46,6 +50,10 @@ CUT_EPSILONS = (st.sampled_from((0.1, 0.3, 0.45, 2.0**-30, 0.5 - 2.0**-40))
 TEST_EPSILONS = st.sampled_from((0.0, 0.5, 1.0, 0.77)) | st.floats(0.0, 1.0)
 # values of float rows: both zeros, which compare equal, and near-ties
 ROW_FLOATS = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0**-30, 1.0 + 2.0**-52, 3.0, -1e300)
+# GRAPH weights and demands: dyadic values, so many trial cuts tie, and
+# a few that are not, so the running sums round
+DYADIC_PAIRS = (0.0, 0.25, 0.5, 1.0, 1.0, 2.0, 3.0)
+ROUNDING_PAIRS = DYADIC_PAIRS + (0.1, 1 / 3, 0.7)
 # reduced costs: the pricing threshold and its float neighbours, held
 # columns' +inf, both zeros and a few repeated negatives
 PRICES = (-PRICE_TOL, np.nextafter(-PRICE_TOL, 0.0), np.nextafter(-PRICE_TOL, -1.0),
@@ -201,3 +209,39 @@ def repeated_rows(draw, values, max_rows: int = 12, max_cols: int = 5):
         flip = draw(st.lists(st.integers(0, len(out) - 1), unique=True))
         out[flip] = np.where(out[flip] == 0, -out[flip], out[flip])
     return out
+
+
+@st.composite
+def demand_graphs(draw, max_vertices: int = 256):
+    """(weights, demands): symmetric n x n matrices, n in 1..max_vertices
+    (at most 12 as often as not), as the GRAPH reader returns them. Their
+    pairs are filled from a drawn seed: weights at a drawn density, demands
+    dense or in blocks of 16, both from DYADIC_PAIRS or ROUNDING_PAIRS. As
+    often as not some vertices have no demand, the demands are all zero, the
+    diagonal holds pairs (`i i w d` lines), or vertex 0 is joined to the rest
+    by one light edge and demands, so that a sparse cut has it alone on one
+    side."""
+    n = draw(st.integers(1, 12) | st.integers(13, max_vertices))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = draw(st.sampled_from((DYADIC_PAIRS, ROUNDING_PAIRS)))
+    density = draw(st.sampled_from((0.05, 0.3, 1.0)))
+    weights = rng.choice(values, (n, n)) * (rng.random((n, n)) < density)
+    demands = rng.choice(values, (n, n))
+    if draw(st.booleans()):
+        blocks = np.arange(n) // 16
+        demands *= blocks[:, None] == blocks
+    if draw(st.booleans()):
+        idle = rng.random(n) < 0.3
+        demands[idle] = demands[:, idle] = 0.0
+    if draw(st.booleans()):
+        demands[:] = 0.0
+    weights, demands = (np.triu(m, 1) + np.triu(m, 1).T for m in (weights, demands))
+    if draw(st.booleans()):
+        loops = rng.random(n) < 0.5
+        weights[loops, loops] = rng.choice(values, int(loops.sum()))
+        demands[loops, loops] = rng.choice(values, int(loops.sum()))
+    if n > 1 and draw(st.booleans()):
+        weights[0, 1:] = weights[1:, 0] = 0.0
+        weights[0, 1] = weights[1, 0] = 0.25
+        demands[0, 1:] = demands[1:, 0] = 1.0
+    return weights, demands

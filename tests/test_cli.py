@@ -416,6 +416,27 @@ def test_round_command(tmp_path, capsys):
     assert "demand_cut" in got
 
 
+@pytest.mark.filterwarnings("error")
+def test_round_sums_a_weight_near_the_float_limit_without_overflow(tmp_path, capsys):
+    # both halves of the symmetric matrix sum to 2e308 = inf: each product
+    # is halved before the sum
+    gfile = tmp_path / "graph.txt"
+    gfile.write_text("GRAPH 2\n0 1 1e308 1\n")
+    assert main(["round", "--graph-file", str(gfile)]) == 0
+    assert "edge_weight\t1e+308\n" in capsys.readouterr().out
+
+
+def test_round_combines_the_64_cuts_of_max_rounds(tmp_path, capsys):
+    # a star whose leaves the local search cuts off one per round, lightest
+    # first: 64 rounds of demand 1 reach 2B/3 = 64, and the XOR stage then
+    # samples subsets of all 64 cuts
+    gfile = tmp_path / "graph.txt"
+    gfile.write_text("GRAPH 71\n" + "".join(f"0 {i} {1 + i / 128} 1\n" for i in range(1, 71)))
+    assert main(["round", "--graph-file", str(gfile), "--balance", "96"]) == 0
+    out = capsys.readouterr().out
+    assert "\ndemand_cut\t32\trequired\t32\n" in out and out.endswith("\nrounds\t64\n")
+
+
 @pytest.mark.parametrize("balance", ["nan", "inf", "-inf", "-1"])
 def test_round_rejects_a_balance_that_is_not_finite_and_nonnegative(tmp_path, capsys, balance):
     gfile = tmp_path / "graph.txt"

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutgap import metrics as mt
 from cutgap.metrics import (
@@ -27,7 +29,11 @@ from oracles import (
     local_search_sparsest_cut_via_sparsity,
     sparsity,
 )
+from strategies import demand_graphs
 from test_golden_outputs import k2_graph
+
+SEARCHES = (local_search_sparsest_cut, local_search_sparsest_cut_via_sparsity,
+            local_search_sparsest_cut_mask_per_sum)
 
 
 def hamming_metric(k):
@@ -365,10 +371,9 @@ def test_local_search_oracle_finds_sparse_cut():
 
 
 def test_local_search_matches_sparsity_oracle():
-    """One separation mask per trial, read by both sums through one kept
-    product buffer, gives the cuts of the search that judged each trial
-    through `sparsity` and of the one that built a mask and a product array
-    per sum, on the certify GRAPH (the expanded k=2 separator instance),
+    """The flip-gain search gives the cuts of the search that judged each
+    trial through `sparsity` and of the one that built a mask and a product
+    array per sum, on the certify GRAPH (the expanded k=2 separator instance),
     that graph with demands partly erased as `round` erases them, and
     seeded random weighted graphs, some with sparse demands that leave many
     trial cuts separating none; and `round` the same result through either
@@ -391,21 +396,106 @@ def test_local_search_matches_sparsity_oracle():
         w = np.triu(rng.uniform(0.0, 2.0, (n, n)) * (rng.random((n, n)) < 0.6), 1)
         d = np.triu(rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < density), 1)
         graphs.append((w + w.T, d + d.T, range(6)))
-    searches = (local_search_sparsest_cut, local_search_sparsest_cut_via_sparsity,
-                local_search_sparsest_cut_mask_per_sum)
     for weights, demands, seeds in graphs:
         for seed in seeds:
-            got, *want = (search(weights, demands, seed=seed).tolist() for search in searches)
+            got, *want = (search(weights, demands, seed=seed).tolist() for search in SEARCHES)
             assert want == [got, got], seed
     for weights, demands, _ in graphs[:2]:
         B = float(np.sum(demands) / 2) / 2
         for seed in range(2):
             results = [round_to_balanced_cut(weights, demands,
                                              lambda w, d: search(w, d, seed=seed), B, seed=seed)
-                       for search in (searches[0], searches[2])]
+                       for search in (SEARCHES[0], SEARCHES[2])]
             got, want = ((r.cut.tolist(), r.edge_weight.hex(), r.demand.hex(), r.rounds,
                           r.flagged_partial) for r in results)
             assert got == want, seed
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(demand_graphs(), st.integers(0, 2**16), st.integers(1, 2))
+def test_local_search_meets_its_oracles_on_generated_graphs(graph, seed, restarts):
+    """The flip-gain search keeps the flips, and returns the cut, of both
+    full-sum searches on graphs of up to 256 vertices with tied dyadic
+    values, idle vertices, all-zero demands, diagonal pairs and one-vertex
+    sides."""
+    weights, demands = graph
+    got, *want = (search(weights, demands, seed=seed, restarts=restarts).tolist()
+                  for search in SEARCHES)
+    assert want == [got, got]
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(demand_graphs(max_vertices=40), st.integers(0, 2**16))
+def test_flip_estimates_bound_the_ratio_of_the_full_sums(graph, seed):
+    """Along a walk of 3n kept flips (so the totals are anchored afresh at
+    least once), some taken with their full sums and most from their
+    estimates, every trial's bounds hold the ratio wt / dem of the trial
+    cut's full sums, and come only with dem > 0."""
+    weights, demands = graph
+    n = len(weights)
+    rng = np.random.default_rng(seed)
+    cut = rng.random(n) < 0.5
+    totals = mt._CutTotals(weights, demands)
+    totals.anchor(cut)
+    for step in range(3 * n):
+        v = int(rng.integers(n))
+        cut[v] ^= True
+        span = totals.bounds(v)
+        wt, dem = totals.sums(cut)
+        if span is not None:
+            assert dem > 0 and span[0] <= wt / dem <= span[1], step
+        totals.flip(cut, v, (wt, dem) if step % 4 == 0 else None)
+
+
+def test_local_search_sums_in_full_only_where_the_estimate_cannot_decide(monkeypatch):
+    """On the certify GRAPH a search takes the full sums only to anchor each
+    of its 8 restarts (weight and demand): every trial is decided by its
+    estimate."""
+    weights, demands = k2_graph(build_bes(build_kv_instance(2, 0.3)[0], 0.3))
+    calls = []
+    real = mt._cut_sum
+    monkeypatch.setattr(mt, "_cut_sum", lambda *a: calls.append(1) or real(*a))
+    for seed in range(3):
+        calls.clear()
+        want = local_search_sparsest_cut_mask_per_sum(weights, demands, seed=seed)
+        assert local_search_sparsest_cut(weights, demands, seed=seed).tolist() == want.tolist()
+        assert len(calls) == 2 * 8, seed
+
+
+def test_cut_sum_halves_each_product_so_a_total_that_fits_stays_finite():
+    pairs = np.array([[0.0, 1e308, 3.0], [1e308, 0.0, 0.5], [3.0, 0.5, 7.0]])
+    sep = np.array([[False, True, False], [True, False, True], [False, True, False]])
+    assert mt._cut_sum(pairs, sep) == 1e308 + 0.5
+    rng = np.random.default_rng(7)
+    pairs = rng.random((9, 9))
+    sep = rng.random((9, 9)) < 0.5
+    assert mt._cut_sum(pairs + pairs.T, sep | sep.T) == float(
+        np.sum((pairs + pairs.T) * (sep | sep.T)) / 2.0)
+
+
+def test_best_xor_cut_samples_subsets_of_max_rounds_cuts():
+    """With k = 64 cuts, `round_to_balanced_cut`'s max_rounds, the subsets'
+    codes are drawn 63 bits and then 1 (the first draw is the one below 2^k
+    that k <= 63 makes), and the cut returned is the first best of the
+    sampled subsets, found here from whole-array sums (exact, as the weights
+    are integers)."""
+    rng = np.random.default_rng(11)
+    n, k, B = 6, 64, 15.0
+    weights = np.triu(rng.integers(0, 4, (n, n)), 1).astype(np.float64)
+    weights += weights.T
+    demands = np.ones((n, n)) - np.eye(n)
+    cuts = rng.random((k, n)) < 0.5
+    phi, dem, wt = best_xor_cut(list(cuts), weights, demands, B, np.random.default_rng(k))
+    draws = np.random.default_rng(k)
+    codes = (draws.integers(0, 1 << 63, size=1 << 16), draws.integers(0, 2, size=1 << 16))
+    # bit i of a code picks cut i
+    picks = np.concatenate([c[:, None] >> np.arange(63) & 1 for c in codes], axis=1)[:, :k]
+    phis = picks @ cuts.astype(np.int64) % 2 == 1
+    sep = phis[:, :, None] != phis[:, None, :]
+    dems, wts = ((m * sep).sum(axis=(1, 2)) / 2 for m in (demands, weights))
+    first = min(range(len(phis)), key=lambda c: (dems[c] < B / 3, wts[c]))
+    assert dem >= B / 3
+    assert (phi.tolist(), dem, wt) == (phis[first].tolist(), dems[first], wts[first])
 
 
 def test_graph_text_round_trip():

@@ -21,6 +21,10 @@ Operations:
   metric of those inputs;
 - `round`: the kernel `metrics.round_to_balanced_cut` with the local-search
   oracle on their GRAPH file, as the `round` command runs it;
+- `round256`: the same on a generated 256-vertex graph (`family_graph`:
+  10% of the pairs weighted, unit demands inside blocks of 16 vertices,
+  drawn from seed 0), so that the A/B shows how the search scales, not only
+  the 64-vertex certify case;
 - `mc`: the kernel `EdgeDistribution.sample_disagreements`, the 10^6-sample
   count that certify's `pcp` makes on their k=3 UG instance and PROOF at
   epsilon 0.3, with seed = round. It prints the count, so two trees whose
@@ -51,8 +55,21 @@ import time
 from pathlib import Path
 
 BENCHMARK_OPS = ("certify", "build-k3", "sweep-k2")
-KERNELS = ("lp12", "round", "mc")
+KERNELS = ("lp12", "round", "round256", "mc")
 OPS = BENCHMARK_OPS + KERNELS
+
+
+def family_graph(n: int):
+    """(weights, demands) on n vertices, drawn from seed 0: each pair i < j
+    weighted uniformly in [0, 1) with probability 0.1, and demand 1 between
+    the distinct vertices of each block of 16."""
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    weights = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.1), 1)
+    blocks = np.arange(n) // 16
+    demands = np.triu((blocks[:, None] == blocks).astype(np.float64), 1)
+    return weights + weights.T, demands + demands.T
 
 
 def _worker(inputs: str, workdir: str) -> None:
@@ -69,7 +86,6 @@ def _worker(inputs: str, workdir: str) -> None:
 
     metric = mt.metric_from_text(Path(inputs, "metric_t1_n12.txt").read_text())
     weights, demands = mt.graph_from_text(Path(inputs, "graph.txt").read_text())
-    balance = float(np.sum(demands) / 2) / 2
     certify = workloads.WORKLOADS["certify"]
     edges = ug.ug_from_text(Path(inputs, "ug3", "ug_instance.txt").read_text()).edge_distribution
     proof = pv.proof_from_text(Path(inputs, "proof.txt").read_text())
@@ -84,16 +100,19 @@ def _worker(inputs: str, workdir: str) -> None:
         res = mt.l1_distortion_lp(metric)
         print(res.gamma.hex(), res.lp.iterations)
 
-    def rounding(index: int) -> None:
+    def rounding(index: int, graph=(weights, demands)) -> None:
         oracle = lambda w, d: mt.local_search_sparsest_cut(w, d, seed=index)
-        res = mt.round_to_balanced_cut(weights, demands, oracle, B=balance, seed=index)
+        res = mt.round_to_balanced_cut(*graph, oracle, B=float(np.sum(graph[1]) / 2) / 2,
+                                       seed=index)
         print(res.cut.astype(int).tolist(), res.edge_weight.hex(), res.demand.hex(), res.rounds)
 
     def count(index: int) -> None:
         print(edges.sample_disagreements(proof.tables, certify.pcp_samples, index,
                                          certify.epsilon))
 
-    kernels = {"lp12": lp12, "round": rounding, "mc": count}
+    graph256 = family_graph(256)
+    kernels = {"lp12": lp12, "round": rounding, "mc": count,
+               "round256": lambda index: rounding(index, graph256)}
     for line in sys.stdin:
         request = json.loads(line)
         name, index = request["op"], request["round"]

@@ -227,13 +227,17 @@ MUTANTS = (
     Mutant("lp_data_zeros_unsigned", "metrics", "_distortion_lp_data",
            "np.negative(A[npairs:, :ncuts], out=A[:npairs, :ncuts])",
            "np.subtract(0.0, A[npairs:, :ncuts], out=A[:npairs, :ncuts])", LP_DATA),
-    # round's local search: one mask per trial, read by both sums
-    Mutant("local_search_mask_once_per_sweep", "metrics", "local_search_sparsest_cut",
-           "np.not_equal(cut[:, None], cut, out=sep)",
-           "sep if v else np.not_equal(cut[:, None], cut, out=sep)", ROUNDING),
-    Mutant("local_search_weights_own_mask", "metrics", "local_search_sparsest_cut",
-           "ratio = _cut_sum(weights, sep, prod) / dem",
-           "ratio = _cut_sum(weights, ~sep, prod) / dem", ROUNDING),
+    # round's local search: each trial decided by its flip-gain estimate
+    # unless the estimate's error bound leaves a test open
+    Mutant("local_search_band_dropped", "metrics", "_CutTotals.__init__",
+           "self.band = 4 * (n + 4) ** 2 * 2.0 ** (-53)", "self.band = 0.0", ROUNDING),
+    Mutant("local_search_across_stale", "metrics", "_CutTotals.flip",
+           "self.across += np.where(other, rows, -rows)", "pass", ROUNDING),
+    Mutant("local_search_diagonal_crosses", "metrics", "_CutTotals.__init__",
+           "self.degree = (rows - [np.diagonal(p) for p in self.pairs]).tolist()",
+           "self.degree = rows.tolist()", ROUNDING),
+    Mutant("local_search_demand_from_estimate", "metrics", "_CutTotals.bounds",
+           "dem > e_dem", "dem > 0", ROUNDING),
     # verify's one label-extended graph
     Mutant("verify_graph_per_labeling", "cli", "cmd_verify",
            "ug.labeling_set_expansion_identity(inst, lam, graph)",
