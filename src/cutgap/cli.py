@@ -341,7 +341,9 @@ def cmd_round(args) -> int:
         raise ValueError(f"--balance {args.balance} is not finite and nonnegative")
     with open(args.graph_file) as fh:
         weights, demands = mt.graph_from_text(fh.read())
-    total = float(np.sum(demands) / 2)
+    # each entry halved before the sum, as `metrics._cut_sum` does: a total
+    # that fits in a float stays finite
+    total = float(np.sum(demands * 0.5))
     # + 0.0 reads -0.0 as 0.0, so both zeros print the same bound
     B = args.balance + 0.0 if args.balance is not None else total / 2
     oracle = lambda w, d: mt.local_search_sparsest_cut(w, d, seed=args.seed)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import read_fields, split_lines
 from .simplex import SimplexResult, solve_lp
 
 __all__ = [
@@ -250,7 +251,7 @@ def metric_from_text(text: str) -> FiniteMetric:
     1 <= n <= METRIC_POINT_LIMIT, then exactly n - 1 rows. A bad header, a
     missing or extra row, a row of the wrong length or an unparsable number
     raises ValueError naming the line."""
-    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    lines = split_lines(text)
     head = lines[0][1] if lines else []
     if len(head) != 2 or head[0] != "METRIC" or not head[1].isdigit() or int(head[1]) < 1:
         raise ValueError(f"line {lines[0][0] if lines else 1}: not a metric file: "
@@ -262,16 +263,16 @@ def metric_from_text(text: str) -> FiniteMetric:
         raise ValueError(f"line {lines[n][0]}: extra row, METRIC {n} has {n - 1} rows")
     if len(lines) < n:
         raise ValueError(f"line {lines[-1][0] + 1}: missing row {len(lines)} of {n - 1}")
+
+    def checks(widths, dist):  # row i holds d(i, 0..i-1)
+        return [(widths != np.arange(1, len(widths) + 1),
+                 lambda r: f"expected {r + 1} distances, got {widths[r]}")]
+
+    (dist,) = read_fields(lines[1:], float, checks)
+    below = np.arange(n)[:, None] > np.arange(n)
     d = np.zeros((n, n))
-    for i, (no, fields) in enumerate(lines[1:], 1):
-        try:
-            row = [float(x) for x in fields]
-        except ValueError as exc:
-            raise ValueError(f"line {no}: {exc}") from None
-        if len(row) != i:
-            raise ValueError(f"line {no}: expected {i} distances, got {len(row)}")
-        d[i, :i] = row
-        d[:i, i] = row
+    d[below] = dist
+    d.T[below] = dist
     return FiniteMetric(d)
 
 
@@ -281,7 +282,7 @@ def graph_from_text(text: str):
     [1, GRAPH_VERTEX_LIMIT]), a line without exactly four fields, an
     unparsable number, a weight or demand that is negative, infinite or nan,
     or a vertex outside [0, n) raises ValueError naming the line."""
-    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    lines = split_lines(text)
     if not lines:
         raise ValueError("line 1: empty GRAPH file")
     no, head = lines[0]
@@ -290,22 +291,25 @@ def graph_from_text(text: str):
     n = int(head[1])
     if n > GRAPH_VERTEX_LIMIT:
         raise ValueError(f"line {no}: {n} vertices exceed the limit {GRAPH_VERTEX_LIMIT}")
+
+    def checks(widths, ends, values):
+        return [(((ends < 0) | (ends >= n)).any(axis=1), lambda r: (
+                    f"vertex out of range [0, {n}): {ends[r, 0]} {ends[r, 1]}")),
+                (~((values >= 0) & (values < np.inf)).all(axis=1), lambda r: (
+                    "weight and demand must be finite and nonnegative: "
+                    f"{values[r, 0]} {values[r, 1]}"))]  # also rejects nan
+
+    ends, values = read_fields(
+        lines[1:], (int, int, float, float), checks,
+        lambda fields: f"expected `i j weight demand`, got {len(fields)} fields")
+    # both cells of each line, in line order; of the cells a later line sets
+    # again, only that line's value is kept
+    cells = (ends * n + ends[:, ::-1]).astype(np.intp).ravel()
+    last = len(cells) - 1 - np.unique(cells[::-1], return_index=True)[1]
     weights = np.zeros((n, n))
     demands = np.zeros((n, n))
-    for no, fields in lines[1:]:
-        if len(fields) != 4:
-            raise ValueError(f"line {no}: expected `i j weight demand`, got {len(fields)} fields")
-        try:
-            i, j, w, d = int(fields[0]), int(fields[1]), float(fields[2]), float(fields[3])
-        except ValueError as exc:
-            raise ValueError(f"line {no}: {exc}") from None
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"line {no}: vertex out of range [0, {n}): {i} {j}")
-        if not (0 <= w < np.inf and 0 <= d < np.inf):  # also rejects nan
-            raise ValueError(f"line {no}: weight and demand must be finite and "
-                             f"nonnegative: {w} {d}")
-        weights[i, j] = weights[j, i] = w
-        demands[i, j] = demands[j, i] = d
+    weights.flat[cells[last]] = values[last // 2, 0]
+    demands.flat[cells[last]] = values[last // 2, 1]
     return weights, demands
 
 

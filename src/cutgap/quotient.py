@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import any_per_row, read_fields, split_lines
 from .hypercube import NoisyHypercube, typical_window
 from .tensor import base_gram, shift_covariance_residual, triangle_sweep_upper
 from .unique_games import UGInstance
@@ -303,8 +304,8 @@ def basis_to_text(sol: UGVectorSolution) -> str:
 def basis_from_text(text: str) -> UGVectorSolution:
     """Inverse of `basis_to_text`; a bad header, a missing or extra row, or
     a row that is not N entries of +/-1 raises ValueError naming the line."""
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    head = lines[0][1].split() if lines else []
+    lines = split_lines(text)
+    head = lines[0][1] if lines else []
     if len(head) != 3 or head[0] != "BASIS":
         raise ValueError(f"line {lines[0][0] if lines else 1}: not a basis file")
     try:
@@ -320,20 +321,18 @@ def basis_from_text(text: str) -> UGVectorSolution:
     if len(lines) - 1 != rows:
         at = lines[rows + 1][0] if len(lines) - 1 > rows else lines[-1][0] + 1
         raise ValueError(f"line {at}: BASIS {k} {m} has {rows} rows, found {len(lines) - 1}")
-    basis = np.zeros((m, N, N), dtype=np.int8)
-    pos = 1
-    for i in range(m):
-        if lines[pos][1] != f"CLASS {i}":
-            raise ValueError(f"line {lines[pos][0]}: expected CLASS {i} header")
-        pos += 1
-        for s in range(N):
-            no, ln = lines[pos]
-            try:
-                row = [int(x) for x in ln.split()]
-            except ValueError as exc:
-                raise ValueError(f"line {no}: {exc}") from None
-            if len(row) != N or any(abs(x) != 1 for x in row):
-                raise ValueError(f"line {no}: expected {N} entries of +/-1")
-            basis[i, s] = row
-            pos += 1
-    return UGVectorSolution(k, basis)
+    # each class is its `CLASS i` line, exactly as written, then N rows; the
+    # rows before the first bad class line are read first, as they come first
+    raw = text.splitlines()
+    m_ok = next((i for i, (no, _) in enumerate(lines[1::N + 1]) if raw[no - 1] != f"CLASS {i}"),
+                m)
+    body = [row for i, row in enumerate(lines[1:m_ok * (N + 1) + 1]) if i % (N + 1)]
+
+    def checks(widths, entries):
+        off = any_per_row(np.abs(entries) != 1, widths)
+        return [((widths != N) | off, lambda r: f"expected {N} entries of +/-1")]
+
+    (entries,) = read_fields(body, int, checks)
+    if m_ok < m:
+        raise ValueError(f"line {lines[1 + m_ok * (N + 1)][0]}: expected CLASS {m_ok} header")
+    return UGVectorSolution(k, entries.astype(np.int8).reshape(m, N, N))

@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._fields import int_array, read_fields, split_lines
 from .fourier import walsh_hadamard
 
 __all__ = [
@@ -79,7 +80,7 @@ class UGInstance:
         n = self.num_labels
         # endpoints stay exact integers (an object array past int64) until
         # the range check, so an error names the endpoint as given
-        v, w = _int_array(self.v), _int_array(self.w)
+        v, w = int_array(self.v), int_array(self.w)
         weight = np.array(self.weight, dtype=np.float64)
         perm = np.array(self.perm, dtype=np.int64)
         if perm.shape[1:] != (n,) or not len(v) == len(w) == len(weight) == len(perm):
@@ -144,15 +145,6 @@ class UGInstance:
             a.setflags(write=False)
         return EdgeDistribution(self.num_vertices, self.num_labels, self.v, self.w,
                                 self.weight, perms, tables, table_of)
-
-
-def _int_array(values) -> np.ndarray:
-    """Integers as an int64 array, or as an object array when an entry does
-    not fit int64 (it compares as the exact integer)."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
 
 
 def _not_permutations(perms: np.ndarray, n: int) -> np.ndarray:
@@ -684,10 +676,10 @@ def ug_from_text(text: str) -> UGInstance:
     unparsable number, or a permutation that is not one raises ValueError
     naming the first line that holds any of these (the field count and
     numbers are checked before the permutation on a line)."""
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    lines = split_lines(text)
     if not lines:
         raise ValueError("line 1: empty UG file")
-    no, head = lines[0][0], lines[0][1].split()
+    no, head = lines[0]
     if len(head) != 4 or head[0] != "UG":
         raise ValueError(f"line {no}: expected header `UG N |V| |E|`")
     try:
@@ -702,35 +694,15 @@ def ug_from_text(text: str) -> UGInstance:
     if len(lines) - 1 != ne:
         at = lines[ne + 1][0] if len(lines) - 1 > ne else lines[-1][0] + 1
         raise ValueError(f"line {at}: expected {ne} edge lines, found {len(lines) - 1}")
-    # Python lists until the constructor: an endpoint past int64 stays exact
-    v, w, weight = [], [], []
-    labels: list = []
-    for no, ln in lines[1:]:
-        parts = ln.split()
-        try:
-            if len(parts) != n + 3:
-                raise ValueError(f"expected `v w weight` and a permutation of {n} labels")
-            edge = (int(parts[0]), int(parts[1]), float(parts[2]))
-            perm = list(map(int, parts[3:]))
-        except ValueError as exc:
-            # a bad permutation on an earlier line is the first error
-            _check_permutations(labels, lines[1:len(v) + 1], n)
-            raise ValueError(f"line {no}: {exc}") from None
-        v.append(edge[0])
-        w.append(edge[1])
-        weight.append(edge[2])
-        labels += perm
-    perms = _check_permutations(labels, lines[1:], n)
-    return UGInstance(nv, n, v, w, weight, perms)
+    rows = lines[1:]
 
+    def checks(widths, ints, weights):
+        return [(_not_permutations(ints[:, 2:], n), lambda r: (
+            f"{' '.join(rows[r][1][3:])} is not a permutation of 0..{n - 1}"))]
 
-def _check_permutations(labels: list, lines: list, n: int) -> np.ndarray:
-    """The labels of the edge `lines`, n per line, as one (lines, n) array;
-    ValueError naming the first line whose labels are not a permutation of
-    0..n-1."""
-    perms = _int_array(labels).reshape(len(lines), n)
-    bad = np.flatnonzero(_not_permutations(perms, n))
-    if len(bad):
-        no, ln = lines[bad[0]]
-        raise ValueError(f"line {no}: {' '.join(ln.split()[3:])} is not a permutation of 0..{n - 1}")
-    return perms.astype(np.int64, copy=False)
+    # ints keep an endpoint past int64 exact (an object array) for the
+    # constructor's range check
+    ints, weights = read_fields(
+        rows, (int, int, float) + (int,) * n, checks,
+        lambda fields: f"expected `v w weight` and a permutation of {n} labels")
+    return UGInstance(nv, n, ints[:, 0], ints[:, 1], weights[:, 0], ints[:, 2:])

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import any_per_row, read_fields, split_lines
 from .fourier import wht_matrix
 from .unique_games import EXACT_LABEL_LIMIT, UGInstance, value as ug_value
 
@@ -170,7 +171,7 @@ def proof_from_text(text: str) -> Proof:
     """Inverse of `proof_to_text`; an empty file, a bad header, an entry
     other than +/-1, a row of the wrong length, or a missing or extra row
     raises ValueError naming the line."""
-    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    lines = split_lines(text)
     if not lines:
         raise ValueError("line 1: empty PROOF file")
     no, head = lines[0]
@@ -184,17 +185,14 @@ def proof_from_text(text: str) -> Proof:
         raise ValueError(f"line {no}: vertex count {nv} out of range")
     if not 0 <= n <= EXACT_LABEL_LIMIT:  # each table has 2^n entries
         raise ValueError(f"line {no}: label count {n} out of range")
-    rows = []
-    for no, row in lines[1:]:
-        try:
-            rows.append([int(x) for x in row])
-        except ValueError as exc:
-            raise ValueError(f"line {no}: {exc}") from None
-        if any(abs(x) != 1 for x in rows[-1]):
-            raise ValueError(f"line {no}: proof entries must be +/-1")
-        if len(row) != 1 << n:
-            raise ValueError(f"line {no}: expected {1 << n} entries, got {len(row)}")
-    if len(rows) != nv:
-        at = lines[nv + 1][0] if nv < len(rows) else lines[-1][0] + 1
-        raise ValueError(f"line {at}: PROOF {nv} {n} has {nv} rows, found {len(rows)}")
-    return Proof(n, np.array(rows, dtype=np.int8))
+
+    def checks(widths, entries):
+        return [(any_per_row(np.abs(entries) != 1, widths), lambda r: "proof entries must be +/-1"),
+                (widths != 1 << n, lambda r: f"expected {1 << n} entries, got {widths[r]}")]
+
+    # every row is checked before the row count
+    (entries,) = read_fields(lines[1:], int, checks)
+    if len(lines) - 1 != nv:
+        at = lines[nv + 1][0] if nv < len(lines) - 1 else lines[-1][0] + 1
+        raise ValueError(f"line {at}: PROOF {nv} {n} has {nv} rows, found {len(lines) - 1}")
+    return Proof(n, entries.astype(np.int8).reshape(nv, 1 << n))

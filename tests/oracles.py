@@ -122,8 +122,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from cutgap._fields import int_array
 from cutgap.fourier import wht_matrix
-from cutgap.metrics import FiniteMetric, _cut_bits
+from cutgap.metrics import GRAPH_VERTEX_LIMIT, METRIC_POINT_LIMIT, FiniteMetric, _cut_bits
+from cutgap.quotient import BASIS_MAX_K, UGVectorSolution
 from cutgap.separator import (
     BESFeasibilityReport,
     CutSearchResult,
@@ -134,8 +136,13 @@ from cutgap.separator import (
 )
 from cutgap.simplex import MAX_ITER, PIVOT_TOL, PRICE_BATCH, PRICE_TOL, SimplexResult
 from cutgap.tensor import DEFAULT_INNER_POWER, GramCache
-from cutgap.unique_games import value
-from cutgap.verifier import DecodeResult, dictator_tables, piecewise_balance
+from cutgap.unique_games import (
+    EXACT_LABEL_LIMIT,
+    UGInstance,
+    _not_permutations,
+    value,
+)
+from cutgap.verifier import DecodeResult, Proof, dictator_tables, piecewise_balance
 
 DEFAULT_OUTER_POWER = 3
 # the float routes' distance from the correctly rounded exact value
@@ -1144,3 +1151,182 @@ def _solve_core(c, A, b, start) -> SimplexResult:
         basis=basis,
         working_columns=int(np.sum(t.cols < n)),
     )
+
+
+def ug_from_text_per_line(text: str) -> UGInstance:
+    """The UG reader converting one edge line at a time, each field by its
+    own `int` or `float` call, with the labels checked as permutations once
+    all lines are read, or, when a line fails, on the lines before it."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines:
+        raise ValueError("line 1: empty UG file")
+    no, head = lines[0][0], lines[0][1].split()
+    if len(head) != 4 or head[0] != "UG":
+        raise ValueError(f"line {no}: expected header `UG N |V| |E|`")
+    try:
+        n, nv, ne = int(head[1]), int(head[2]), int(head[3])
+    except ValueError as exc:
+        raise ValueError(f"line {no}: {exc}") from None
+    if n < 1 or nv < 1 or ne < 0:
+        raise ValueError(f"line {no}: header counts N = {n}, |V| = {nv}, |E| = {ne}: "
+                         "need N >= 1, |V| >= 1 and |E| >= 0")
+    if n > EXACT_LABEL_LIMIT:
+        raise ValueError(f"line {no}: {n} labels exceed the limit {EXACT_LABEL_LIMIT}")
+    if len(lines) - 1 != ne:
+        at = lines[ne + 1][0] if len(lines) - 1 > ne else lines[-1][0] + 1
+        raise ValueError(f"line {at}: expected {ne} edge lines, found {len(lines) - 1}")
+    v, w, weight = [], [], []
+    labels: list = []
+    for no, ln in lines[1:]:
+        parts = ln.split()
+        try:
+            if len(parts) != n + 3:
+                raise ValueError(f"expected `v w weight` and a permutation of {n} labels")
+            edge = (int(parts[0]), int(parts[1]), float(parts[2]))
+            perm = list(map(int, parts[3:]))
+        except ValueError as exc:
+            _check_permutations(labels, lines[1:len(v) + 1], n)
+            raise ValueError(f"line {no}: {exc}") from None
+        v.append(edge[0])
+        w.append(edge[1])
+        weight.append(edge[2])
+        labels += perm
+    perms = _check_permutations(labels, lines[1:], n)
+    return UGInstance(nv, n, v, w, weight, perms)
+
+
+def _check_permutations(labels: list, lines: list, n: int) -> np.ndarray:
+    perms = int_array(labels).reshape(len(lines), n)
+    bad = np.flatnonzero(_not_permutations(perms, n))
+    if len(bad):
+        no, ln = lines[bad[0]]
+        raise ValueError(f"line {no}: {' '.join(ln.split()[3:])} is not a permutation of 0..{n - 1}")
+    return perms.astype(np.int64, copy=False)
+
+
+def basis_from_text_per_line(text: str) -> UGVectorSolution:
+    """The BASIS reader converting one row at a time."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    head = lines[0][1].split() if lines else []
+    if len(head) != 3 or head[0] != "BASIS":
+        raise ValueError(f"line {lines[0][0] if lines else 1}: not a basis file")
+    try:
+        k, m = int(head[1]), int(head[2])
+    except ValueError as exc:
+        raise ValueError(f"line {lines[0][0]}: {exc}") from None
+    if not 0 <= k <= BASIS_MAX_K:
+        raise ValueError(f"line {lines[0][0]}: k={k} out of range")
+    if m < 1:
+        raise ValueError(f"line {lines[0][0]}: class count {m} out of range")
+    N = 1 << k
+    rows = m * (N + 1)
+    if len(lines) - 1 != rows:
+        at = lines[rows + 1][0] if len(lines) - 1 > rows else lines[-1][0] + 1
+        raise ValueError(f"line {at}: BASIS {k} {m} has {rows} rows, found {len(lines) - 1}")
+    basis = np.zeros((m, N, N), dtype=np.int8)
+    pos = 1
+    for i in range(m):
+        if lines[pos][1] != f"CLASS {i}":
+            raise ValueError(f"line {lines[pos][0]}: expected CLASS {i} header")
+        pos += 1
+        for s in range(N):
+            no, ln = lines[pos]
+            try:
+                row = [int(x) for x in ln.split()]
+            except ValueError as exc:
+                raise ValueError(f"line {no}: {exc}") from None
+            if len(row) != N or any(abs(x) != 1 for x in row):
+                raise ValueError(f"line {no}: expected {N} entries of +/-1")
+            basis[i, s] = row
+            pos += 1
+    return UGVectorSolution(k, basis)
+
+
+def proof_from_text_per_line(text: str) -> Proof:
+    """The PROOF reader converting one row at a time."""
+    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines:
+        raise ValueError("line 1: empty PROOF file")
+    no, head = lines[0]
+    if len(head) != 3 or head[0] != "PROOF":
+        raise ValueError(f"line {no}: expected header `PROOF |V| N`")
+    try:
+        nv, n = int(head[1]), int(head[2])
+    except ValueError as exc:
+        raise ValueError(f"line {no}: {exc}") from None
+    if nv < 1:
+        raise ValueError(f"line {no}: vertex count {nv} out of range")
+    if not 0 <= n <= EXACT_LABEL_LIMIT:
+        raise ValueError(f"line {no}: label count {n} out of range")
+    rows = []
+    for no, row in lines[1:]:
+        try:
+            rows.append([int(x) for x in row])
+        except ValueError as exc:
+            raise ValueError(f"line {no}: {exc}") from None
+        if any(abs(x) != 1 for x in rows[-1]):
+            raise ValueError(f"line {no}: proof entries must be +/-1")
+        if len(row) != 1 << n:
+            raise ValueError(f"line {no}: expected {1 << n} entries, got {len(row)}")
+    if len(rows) != nv:
+        at = lines[nv + 1][0] if nv < len(rows) else lines[-1][0] + 1
+        raise ValueError(f"line {at}: PROOF {nv} {n} has {nv} rows, found {len(rows)}")
+    return Proof(n, np.array(rows, dtype=np.int8))
+
+
+def metric_from_text_per_line(text: str) -> FiniteMetric:
+    """The METRIC reader converting one row at a time."""
+    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    head = lines[0][1] if lines else []
+    if len(head) != 2 or head[0] != "METRIC" or not head[1].isdigit() or int(head[1]) < 1:
+        raise ValueError(f"line {lines[0][0] if lines else 1}: not a metric file: "
+                         "expected header `METRIC n` with n >= 1")
+    n = int(head[1])
+    if n > METRIC_POINT_LIMIT:
+        raise ValueError(f"line {lines[0][0]}: {n} points exceed the limit {METRIC_POINT_LIMIT}")
+    if len(lines) > n:
+        raise ValueError(f"line {lines[n][0]}: extra row, METRIC {n} has {n - 1} rows")
+    if len(lines) < n:
+        raise ValueError(f"line {lines[-1][0] + 1}: missing row {len(lines)} of {n - 1}")
+    d = np.zeros((n, n))
+    for i, (no, fields) in enumerate(lines[1:], 1):
+        try:
+            row = [float(x) for x in fields]
+        except ValueError as exc:
+            raise ValueError(f"line {no}: {exc}") from None
+        if len(row) != i:
+            raise ValueError(f"line {no}: expected {i} distances, got {len(row)}")
+        d[i, :i] = row
+        d[:i, i] = row
+    return FiniteMetric(d)
+
+
+def graph_from_text_per_line(text: str):
+    """The GRAPH reader converting one line at a time; a later line for the
+    same pair overrides an earlier one as it is assigned."""
+    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines:
+        raise ValueError("line 1: empty GRAPH file")
+    no, head = lines[0]
+    if len(head) != 2 or head[0] != "GRAPH" or not head[1].isdigit() or int(head[1]) < 1:
+        raise ValueError(f"line {no}: expected header `GRAPH n` with n >= 1")
+    n = int(head[1])
+    if n > GRAPH_VERTEX_LIMIT:
+        raise ValueError(f"line {no}: {n} vertices exceed the limit {GRAPH_VERTEX_LIMIT}")
+    weights = np.zeros((n, n))
+    demands = np.zeros((n, n))
+    for no, fields in lines[1:]:
+        if len(fields) != 4:
+            raise ValueError(f"line {no}: expected `i j weight demand`, got {len(fields)} fields")
+        try:
+            i, j, w, d = int(fields[0]), int(fields[1]), float(fields[2]), float(fields[3])
+        except ValueError as exc:
+            raise ValueError(f"line {no}: {exc}") from None
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"line {no}: vertex out of range [0, {n}): {i} {j}")
+        if not (0 <= w < np.inf and 0 <= d < np.inf):
+            raise ValueError(f"line {no}: weight and demand must be finite and "
+                             f"nonnegative: {w} {d}")
+        weights[i, j] = weights[j, i] = w
+        demands[i, j] = demands[j, i] = d
+    return weights, demands

@@ -479,6 +479,18 @@ def test_round_malformed_graph_fails_cleanly(tmp_path, capsys, bad):
     assert capsys.readouterr().out.startswith("FAIL round line 2: ")
 
 
+@pytest.mark.filterwarnings("error")
+def test_round_default_balance_of_huge_demand_stays_finite(tmp_path, capsys):
+    # summing both halves of the demand matrix before halving would overflow
+    # 2e308 to inf, and no cut could meet B / 3 = inf
+    gfile = tmp_path / "graph.txt"
+    gfile.write_text("GRAPH 2\n0 1 1 1e308\n")
+    assert main(["round", "--graph-file", str(gfile)]) == 0
+    assert capsys.readouterr().out == (
+        "cut\t01\nedge_weight\t1\ndemand_cut\t1e+308\trequired\t1.6666666666666666e+307\n"
+        "rounds\t1\n")
+
+
 def _pcp_files(tmp_path, ug_text=None, proof_text=None):
     u, hidden = plant_instance(6, 3, 0.1, 0.8, seed=0)
     ug_file = tmp_path / "ug.txt"

@@ -29,6 +29,11 @@ Operations:
   count that certify's `pcp` makes on their k=3 UG instance and PROOF at
   epsilon 0.3, with seed = round. It prints the count, so two trees whose
   draws differ differ in output.
+- `read`: the five artifact readers once on each of those inputs that
+  certify reads (`ug_from_text`, `basis_from_text`, `proof_from_text`,
+  `metric_from_text` on the four METRIC files, `graph_from_text`). It
+  prints the SHA-256 of every parsed array's dtype, shape and bytes, so
+  two trees that parse any value differently differ in output.
 
 For each operation it prints, per side, the median and quartiles in
 milliseconds and the rounds that side won (ties count for neither), then
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -55,7 +61,7 @@ import time
 from pathlib import Path
 
 BENCHMARK_OPS = ("certify", "build-k3", "sweep-k2")
-KERNELS = ("lp12", "round", "round256", "mc")
+KERNELS = ("lp12", "round", "round256", "mc", "read")
 OPS = BENCHMARK_OPS + KERNELS
 
 
@@ -80,6 +86,7 @@ def _worker(inputs: str, workdir: str) -> None:
 
     from cutgap import cli
     from cutgap import metrics as mt
+    from cutgap import quotient as qt
     from cutgap import unique_games as ug
     from cutgap import verifier as pv
     import workloads
@@ -102,7 +109,7 @@ def _worker(inputs: str, workdir: str) -> None:
 
     def rounding(index: int, graph=(weights, demands)) -> None:
         oracle = lambda w, d: mt.local_search_sparsest_cut(w, d, seed=index)
-        res = mt.round_to_balanced_cut(*graph, oracle, B=float(np.sum(graph[1]) / 2) / 2,
+        res = mt.round_to_balanced_cut(*graph, oracle, B=float(np.sum(graph[1] * 0.5)) / 2,
                                        seed=index)
         print(res.cut.astype(int).tolist(), res.edge_weight.hex(), res.demand.hex(), res.rounds)
 
@@ -110,8 +117,25 @@ def _worker(inputs: str, workdir: str) -> None:
         print(edges.sample_disagreements(proof.tables, certify.pcp_samples, index,
                                          certify.epsilon))
 
+    texts = {name: Path(inputs, name).read_text() for name in
+             ("ug3/ug_instance.txt", "ug3/basis.txt", "proof.txt", "graph.txt",
+              *certify.metric_files)}
+
+    def read(index: int) -> None:
+        inst = ug.ug_from_text(texts["ug3/ug_instance.txt"])
+        arrays = [inst.v, inst.w, inst.weight, inst.perm,
+                  qt.basis_from_text(texts["ug3/basis.txt"]).basis,
+                  pv.proof_from_text(texts["proof.txt"]).tables,
+                  *mt.graph_from_text(texts["graph.txt"])]
+        arrays += [mt.metric_from_text(texts[name]).d for name in certify.metric_files]
+        digest = hashlib.sha256()
+        for a in arrays:
+            digest.update(f"{a.dtype.str}{a.shape}".encode())
+            digest.update(a.tobytes())
+        print(digest.hexdigest())
+
     graph256 = family_graph(256)
-    kernels = {"lp12": lp12, "round": rounding, "mc": count,
+    kernels = {"lp12": lp12, "round": rounding, "mc": count, "read": read,
                "round256": lambda index: rounding(index, graph256)}
     for line in sys.stdin:
         request = json.loads(line)

@@ -54,6 +54,14 @@ LEVELS = ("tests/test_unique_games.py", "tests/test_separator.py", "tests/test_v
 SIMPLEX = ("tests/test_simplex.py",)
 LP_DATA = ("tests/test_metrics.py", "tests/test_simplex.py")
 ROUNDING = ("tests/test_metrics.py",)
+READERS = ("tests/test_readers.py", "tests/test_cli.py")
+
+_CONVERT_TRY = ("try:\n"
+                "{shared}"
+                "    table[u] = conv(keys[u])\n"
+                "except ValueError as exc:\n"
+                "    errors[g, u] = str(exc)\n"
+                "    failed.append(u)")
 
 _X_DRAW = "    x = rng.integers(0, 1 << n, size=batch, dtype=np.uint8)\n"
 _FLIP_DRAW = "    y = _guided_draw(flips, rng.random(batch))\n"
@@ -238,6 +246,24 @@ MUTANTS = (
            "self.degree = rows.tolist()", ROUNDING),
     Mutant("local_search_demand_from_estimate", "metrics", "_CutTotals.bounds",
            "dem > e_dem", "dem > 0", ROUNDING),
+    # the artifact readers: each function's own table of distinct tokens,
+    # the first offending line, and a later GRAPH line for the same pair
+    # winning. One table for int and float: a token int rejects (a weight's
+    # `0.5`) fails in the float columns too. Checks skipped once a number
+    # fails: a bad UG permutation on an earlier line no longer wins
+    Mutant("reader_table_shared", "_fields", "_convert", _CONVERT_TRY.format(shared=""),
+           _CONVERT_TRY.format(shared="    if (0, u) in errors:\n"
+                                      "        raise ValueError(errors[0, u])\n"), READERS),
+    Mutant("reader_locator_line_late", "_fields", "_convert",
+           "np.cumsum(widths)", "np.cumsum(widths) - widths", READERS),
+    Mutant("reader_locator_line_early", "_fields", "_convert",
+           "np.searchsorted(np.cumsum(widths), at, side='right')",
+           "np.searchsorted(np.cumsum(widths), at, side='left')", READERS),
+    Mutant("reader_checks_after_failure", "_fields", "read_fields",
+           "checks is not None", "checks is not None and failure is None", READERS),
+    Mutant("graph_first_line_wins", "metrics", "graph_from_text",
+           "len(cells) - 1 - np.unique(cells[::-1], return_index=True)[1]",
+           "np.unique(cells, return_index=True)[1]", READERS),
     # verify's one label-extended graph
     Mutant("verify_graph_per_labeling", "cli", "cmd_verify",
            "ug.labeling_set_expansion_identity(inst, lam, graph)",
