@@ -146,14 +146,6 @@ def cmd_build_ug(args) -> int:
     return 1 if failures else 0
 
 
-def _sdp_checks(inst, assign):
-    """The separator SDP's feasibility report and objective, both read from
-    one finding of the Gram table's distinct rows."""
-    table_rows = sp._distinct_rows(assign)
-    return (sp.check_bes_feasibility(inst, assign, table_rows),
-            sp.sdp_objective(inst, assign, table_rows))
-
-
 def cmd_build_bes(args) -> int:
     cfg = _load_config(args)
     inst_ug, quot, _ = qt.build_kv_instance(cfg.k, cfg.eta, window=cfg.window)
@@ -174,7 +166,8 @@ def cmd_build_bes(args) -> int:
     del ug_text  # not held through the checks and the cut search
 
     failures = []
-    feas, objective = _sdp_checks(inst, assign)
+    feas = sp.check_bes_feasibility(inst, assign)
+    objective = sp.sdp_objective(inst, assign)
     tol = 1e-9
     if feas.unit_norm_residual > tol:
         failures.append(("unit_norms", feas.unit_norm_residual))
@@ -192,7 +185,7 @@ def cmd_build_bes(args) -> int:
         labelings=[lam],
         local_search=inst.num_vertices <= 64,
     )
-    ratio = search.edge_weight / objective if objective > 0 else float("inf")
+    ratio = sp.gap_ratio(inst, search.cut, objective)
     mc_est, mc_err, mc_ok = sp.cut_edge_weight_mc(
         inst, search.cut, samples=cfg.budget_samples,
         seed=derive_seed(cfg.seed, "cut_mc"),

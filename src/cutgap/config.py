@@ -55,6 +55,8 @@ class RunConfig:
             raise ValueError(f"t={self.t} must be a positive odd integer")
         if not 2 <= self.l_in <= INNER_POWER_LIMIT or self.l_in % 2:
             raise ValueError(f"l_in={self.l_in} must be even, in [2, {INNER_POWER_LIMIT}]")
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} must be a non-negative integer")
         if self.window not in ("typical", "none"):
             raise ValueError(f"window={self.window!r} not in {{typical, none}}")
         for name in ("budget_triples", "budget_samples", "budget_restarts",

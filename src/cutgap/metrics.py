@@ -63,8 +63,10 @@ class FiniteMetric:
             raise ValueError("diagonal must be zero")
         if np.min(d) < -self.tol:
             raise ValueError("distances must be nonnegative")
-        viol = d[:, None, :] + d[None, :, :] - d[:, :, None]
-        if np.min(viol) < -self.tol:
+        # each distance halved before the sum, and the sum held against half
+        # the tolerance: a metric whose distances fit in a float stays finite
+        half = d * 0.5
+        if np.min(half[:, None, :] + half[None, :, :] - half[:, :, None]) < -self.tol / 2:
             raise ValueError("triangle inequality violated")
         d.setflags(write=False)
 
@@ -89,11 +91,12 @@ def is_negative_type(metric: FiniteMetric, base_point: int = 0,
     eigenpair, plus realizing vectors whose squared distances reproduce d
     when the verdict is positive.
     """
-    d = metric.d
-    g = (d[base_point][:, None] + d[base_point][None, :] - d) / 2.0
+    # each distance halved before the sum, so a metric whose distances fit
+    # in a float keeps a finite Gram; the tolerance is relative to |G|
+    half = metric.d * 0.5
+    g = half[base_point][:, None] + half[base_point][None, :] - half
     eigvals, eigvecs = np.linalg.eigh(g)
-    scale = max(1.0, float(np.max(np.abs(g))))
-    ok = bool(eigvals[0] >= -tol * scale)
+    ok = bool(eigvals[0] >= -tol * float(np.max(np.abs(g))))
     embedding = None
     if ok:
         embedding = eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None)))

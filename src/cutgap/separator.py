@@ -25,13 +25,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .quotient import UGVectorSolution
 from .tensor import INNER_POWER_LIMIT, GramCache, triangle_sweep
-from .unique_games import EXACT_LABEL_LIMIT, UGInstance, ug_to_text
+from .unique_games import EXACT_LABEL_LIMIT, UGInstance, _binary_fractions, ug_to_text
 from .verifier import dictator_tables, piecewise_balance
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "BESInstance",
@@ -45,6 +49,7 @@ __all__ = [
     "assign_sdp_solution",
     "sdp_objective",
     "sdp_objective_closed_form_t1",
+    "gap_ratio",
     "check_bes_feasibility",
     "balanced_cut_search",
     "bes_to_text",
@@ -135,13 +140,32 @@ def demand_cut(inst: BESInstance, cut) -> float:
 def _distinct_correlations(n_bits: int):
     """The distinct vectors C[x, y, :], C[x, y, d] = sum_s x_s y_(s xor d), over
     the points x, y of a block (n_bits a power of two), and per (x, y) its
-    vector's index; read-only, found by an integer code (entries in [-N, N])."""
+    vector's index; read-only, found by an integer code (entries in [-N, N],
+    int64)."""
     s = np.arange(n_bits)
     signs = dictator_tables(s, n_bits).T  # int8 [x, s] = x_s; the second factor is y_(s xor d)
     corr = np.tensordot(signs, signs[:, s[:, None] ^ s], axes=([1], [1])).reshape(-1, n_bits)
     code = (corr.astype(np.int64) + n_bits) @ (2 * n_bits + 1) ** np.arange(n_bits)
     _, first, spread = np.unique(code, return_index=True, return_inverse=True)
-    out = corr[first].astype(np.float64), spread.reshape(1 << n_bits, -1)
+    out = corr[first].astype(np.int64), spread.reshape(1 << n_bits, -1)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+@functools.cache
+def _class_counts(n_bits: int):
+    """Per distinct vector of `_distinct_correlations`: how many point pairs
+    (x, y) of a block carry it, how many of those have y = x, its distance
+    |x xor y| (C[x, y, 0] = N - 2 |x xor y|) and the index of the vector of
+    (x, -y), its negation; each read-only."""
+    distinct, spread = _distinct_correlations(n_bits)
+    classes = len(distinct)
+    out = (np.bincount(spread.ravel(), minlength=classes),
+           np.bincount(np.diagonal(spread), minlength=classes),
+           (n_bits - distinct[:, 0]) // 2,
+           np.empty(classes, dtype=np.intp))
+    out[3][spread] = spread[:, ::-1]  # column -y of row x, the complement of y
     for a in out:
         a.setflags(write=False)
     return out
@@ -210,9 +234,12 @@ class BESVectorAssignment:
     ((1/sqrt(N)) sum_i x_i u_{v,i}^(tensor l_in))^(tensor t) of the sign
     pattern x (see `cutgap.tensor`).
 
-    A base inner product is base((v, x), (w, y)) = C[x, y] . table[v, w] / N
-    for the shift correlations C of the sign patterns, read from their
-    distinct vectors: no tensor, dense C or per-pair Gram block is formed.
+    A base inner product is base((v, x), (w, y)) = C[x, y] . table[v, w] /
+    scale for the shift correlations C of the sign patterns, read from their
+    distinct vectors, with the table's integer numerators
+    (`tensor.GramCache`) and scale = N^(l_in+1): an int64 dot over one
+    integer, so each float below is rounded once. No tensor, dense C or
+    per-pair Gram block is formed.
     """
 
     inst: BESInstance
@@ -220,19 +247,29 @@ class BESVectorAssignment:
     l_in: int
     t: int
 
+    @property
+    def scale(self) -> int:
+        """N^(l_in+1), the denominator of every base inner product."""
+        return self.cache.N ** (self.l_in + 1)
+
+    @functools.cached_property
+    def gram_rows(self):
+        """The table's `_distinct_rows`, found on first use and kept: the
+        objective and every check read them."""
+        return _distinct_rows(self)
+
     def base_gram_block(self, v: int, w: int) -> np.ndarray:
         """(2^N, 2^N) base inner products between two whole blocks, each
         taken once per distinct shift-correlation vector."""
         distinct, spread = _distinct_correlations(self.cache.N)
-        return (distinct @ self.cache.table[v, w] / self.cache.N)[spread]
+        return (distinct @ self.cache.table[v, w] / self.scale)[spread]
 
     def base_inner_flat(self, a_ids, b_ids) -> np.ndarray:
         """Vectorized base inner products for flat vertex id pairs."""
         av, ax = np.divmod(np.asarray(a_ids), self.inst.block_size)
         bv, bx = np.divmod(np.asarray(b_ids), self.inst.block_size)
         distinct, spread = _distinct_correlations(self.cache.N)
-        out = np.einsum("bd,bd->b", distinct[spread[ax, bx]], self.cache.table[av, bv])
-        return np.clip(out / self.cache.N, -1.0, 1.0)
+        return np.einsum("bd,bd->b", distinct[spread[ax, bx]], self.cache.table[av, bv]) / self.scale
 
 
 def assign_sdp_solution(inst: BESInstance, sol: UGVectorSolution,
@@ -258,14 +295,14 @@ def _sorted_rows(values: np.ndarray):
 
 
 def _distinct_rows(assign: BESVectorAssignment):
-    """The sorted distinct rows of the Gram table, each block pair's row as
-    an (m, m) index array, and inner[r, j] = rows[r] . distinct[j] / N. Not
-    kept on the assignment, since a table may change between calls: a
-    caller that runs both checks on one table finds them once and passes
-    them to both."""
+    """The sorted distinct rows of the Gram table (int64 numerators over
+    N^l_in), each block pair's row as an (m, m) index array, and
+    inner[r, j] = rows[r] . distinct[j], row r's base inner product at
+    every distinct shift-correlation vector as an int64 numerator over
+    N^(l_in+1)."""
     m, n = assign.inst.num_blocks, assign.cache.N
     rows, row_of = _sorted_rows(assign.cache.table.reshape(m * m, -1))
-    return rows, row_of.reshape(m, m), rows @ _distinct_correlations(n)[0].T / n
+    return rows, row_of.reshape(m, m), rows @ _distinct_correlations(n)[0].T
 
 
 @functools.cache
@@ -277,43 +314,61 @@ def _distance_matrix(n_bits: int) -> np.ndarray:
     return dist
 
 
-def sdp_objective(inst: BESInstance, assign: BESVectorAssignment,
-                  table_rows=None) -> float:
+def sdp_objective(inst: BESInstance, assign: BESVectorAssignment) -> Fraction:
     """(1/4) E[ ||V_a - V_b||^2 ] over the edge distribution, by exact
-    enumeration of (x, mu) per UG edge. Comparable directly with cut weights
-    (a +/-v0 cut solution scores exactly its cut weight), within two limits:
-    a cut bounds only the SDP *minimum* from above, not this one feasible
-    point, and only when the cut's demand is >= `inst.balance`.
+    enumeration of (x, mu) per UG edge, as (1 - mean inner product) / 2 with
+    the weights' total taken as 1 (`UGInstance` checks it to 1e-9); exact,
+    so float() rounds it once. Comparable directly with cut weights (a
+    +/-v0 cut solution scores its cut weight), within two limits: a cut
+    bounds only the SDP *minimum* from above, not this one feasible point,
+    and only when the cut's demand is >= `inst.balance`.
 
     An edge of XOR shift c pairs (v, x) with (w, y), y_i = y'_(i xor c), and
-    base((v,x),(w,y)) = sum_d C[x, y', d] table[v, w, d xor c] / N; edges
-    with the same shifted table row give the same term, so each distinct
-    row is evaluated once with the summed weight of its edges. `table_rows`
-    is the table's `_distinct_rows`, found here when not given.
+    base((v,x),(w,y)) = sum_d C[x, y', d] table[v, w, d xor c] / scale;
+    edges with the same shifted table row give the same term, so each
+    distinct row is evaluated once with the summed weight of its edges.
+    Every factor is an integer over a power of two or of N: the weights and
+    epsilon read as exact binary fractions (`_binary_fractions`), the noise
+    weight eps^d (1 - eps)^(N - d) / 2^N of a pair at distance d, and a
+    power base^t = num^t / scale^t. A row's distinct correlation vectors
+    are grouped by (distance, numerator) and each group's power is taken
+    once, in Python ints, so the mean is one integer over one denominator.
     """
+    # imported on first use: `fractions` loads `decimal` (about 5 ms and
+    # 0.3 MB), which no other command needs
+    from fractions import Fraction
+
     n = inst.ug.num_labels
-    eps = inst.epsilon
     d = inst.ug.edge_distribution
     if not np.array_equal(d.perms, np.arange(n) ^ d.perms[:, :1]):
         raise ValueError("sdp_objective needs XOR-shift edge permutations")
-    table_rows, row_of, _ = table_rows or _distinct_rows(assign)
+    base_rows, row_of, _ = assign.gram_rows
     # 118 (table row, shift) keys at k = 3, whose 28 distinct shifted rows sort as every edge's
     keys, key_of = np.unique(row_of[d.v, d.w] * n + inst.ug.perm[:, 0], return_inverse=True)
     r, c = np.divmod(keys, n)
-    rows, group = _sorted_rows(table_rows[r[:, None], np.arange(n) ^ c[:, None]])
-    weights = np.bincount(group[key_of], weights=d.weight)
-    # each row's inner products, their powers and their noise weights are
-    # taken once per distinct correlation vector C[x, y', :], then spread
-    # back over (x, y'): the weight of (x, y') depends on |x xor y'| alone,
-    # which is (N - C[x, y', 0]) / 2
-    distinct, spread = _distinct_correlations(n)
-    dist = ((n - distinct[:, 0]) // 2).astype(np.uint32)
-    w_class = (eps**dist) * (1 - eps) ** (n - dist) / inst.block_size
-    mean_inner = 0.0
-    for row, weight in zip(rows, weights):
-        q_t = np.clip(distinct @ row / assign.cache.N, -1.0, 1.0) ** assign.t
-        mean_inner += weight * float(np.sum((w_class * q_t)[spread]))
-    return (1.0 - mean_inner) / 2.0
+    rows, group = _sorted_rows(base_rows[r[:, None], np.arange(n) ^ c[:, None]])
+    # each row's weight, an integer over 2^p: its edges counted per distinct
+    # weight c_j / 2^p
+    weights, class_of = np.unique(d.weight, return_inverse=True)
+    edges = np.bincount(group[key_of] * len(weights) + class_of, minlength=len(rows) * len(weights))
+    c, p = _binary_fractions(weights.tolist())
+    row_weights = [sum(e * cj for e, cj in zip(counts, c))
+                   for counts in edges.reshape(len(rows), -1).tolist()]
+    (m,), q = _binary_fractions([inst.epsilon])  # eps = m / 2^q
+    noise = [m**k * ((1 << q) - m) ** (n - k) for k in range(n + 1)]  # over 2^(q N)
+    pairs, _, dist, _ = _class_counts(n)
+    mean = 0
+    for weight, nums in zip(row_weights, rows @ _distinct_correlations(n)[0].T):
+        values, value_of = np.unique(nums, return_inverse=True)
+        # the point pairs per (distance, numerator), below 2^16: exact as float64
+        cells = np.bincount(dist * len(values) + value_of, weights=pairs)
+        at = np.flatnonzero(cells)
+        powers = [v**assign.t for v in values.tolist()]
+        mean += weight * sum(noise[k] * int(count) * powers[j] for k, j, count in
+                             zip(*(a.tolist() for a in np.divmod(at, len(values))),
+                                 cells[at].tolist()))
+    den = (1 << p + q * n + n) * assign.scale**assign.t
+    return Fraction(den - mean, 2 * den)
 
 
 def sdp_objective_closed_form_t1(inst: BESInstance, assign: BESVectorAssignment) -> float:
@@ -331,6 +386,17 @@ def sdp_objective_closed_form_t1(inst: BESInstance, assign: BESVectorAssignment)
     return (1.0 - mean_inner) / 2.0
 
 
+def gap_ratio(inst: BESInstance, cut, objective: Fraction) -> float:
+    """The gap ratio of a cut: its exact weight
+    (`EdgeDistribution.probability_numerators`) over the exact objective of
+    `sdp_objective`, rounded once; inf when the objective is not positive."""
+    if objective <= 0:
+        return math.inf
+    disagree, _, whole = inst.ug.edge_distribution.probability_numerators(
+        _block_views(inst, cut), inst.epsilon)
+    return disagree * objective.denominator / (whole * objective.numerator)
+
+
 @dataclass
 class BESFeasibilityReport:
     unit_norm_residual: float
@@ -345,22 +411,23 @@ class BESFeasibilityReport:
     adversarial_pairs: int = 0
 
     def balance_feasible(self) -> bool:
-        return self.balance_lhs >= self.balance_required - 1e-9
+        # balance_lhs is its exact value rounded once and the bound is a
+        # float, so the compare errs only within half an ulp below the bound
+        return self.balance_lhs >= self.balance_required
 
 
-def check_bes_feasibility(inst: BESInstance, assign: BESVectorAssignment,
-                          table_rows=None) -> BESFeasibilityReport:
+def check_bes_feasibility(inst: BESInstance, assign: BESVectorAssignment) -> BESFeasibilityReport:
     """Unit norms, the per-block well-separatedness identity, the demand
     balance constraint, and the triangle inequality over every ordered
-    triple.
+    triple, each exact and rounded once.
 
-    All four read the distinct rows of the Gram table: block pairs with the
-    same row table[v, w] have the same base Gram. Each distinct row's base
-    inner products, and for checks (a)-(c) their t-th powers, are taken
-    once per distinct shift-correlation vector (`_distinct_correlations`:
-    1425 at N = 8); the values are exact, so the order of summation does
-    not matter. Only the diagonal rows, for checks (a)-(c), and the swept
-    rows are spread to (2^N, 2^N) tables.
+    All four read the assignment's `gram_rows`: block pairs with the same
+    row table[v, w] have the same base Gram, and each distinct row's base
+    inner products are integer numerators over scale = N^(l_in+1), one per
+    distinct shift-correlation vector (`_distinct_correlations`: 1425 at
+    N = 8). For checks (a)-(c) a diagonal row's t-th powers are taken once
+    per distinct numerator, in Python ints, and each vector's point pairs
+    are counted (`_class_counts`), so no (2^N, 2^N) table is formed.
 
     Triangle checks run at the base level (t = 1); the odd-power transfer
     lemma carries them to every odd t. A triple (a, b, c) violates by
@@ -370,9 +437,8 @@ def check_bes_feasibility(inst: BESInstance, assign: BESVectorAssignment,
     most near[UW] + near[VW] + near[UV] - 1, where near[r] is the largest
     |inner| other than 1 in row r's Gram. Only the block triples where that
     bound is positive are swept, once per distinct row triple, by
-    `tensor.triangle_sweep` on the integer numerators N^(l_in+1) g (every
-    base inner product is a multiple of N^-(l_in+1); a swept row whose
-    values are not raises ValueError), so the certificate is exact.
+    `tensor.triangle_sweep` on the swept rows' numerators spread to their
+    Grams, so the certificate is exact.
 
     The sweep skips terms that repeat. Every row's Gram is symmetric, since
     C[x, y, :] = C[y, x, :], so swapping a and b takes the terms of the row
@@ -385,57 +451,61 @@ def check_bes_feasibility(inst: BESInstance, assign: BESVectorAssignment,
     symmetric in a and b as well, and one pair per orbit of the group with
     the swap (2288) suffices. The unit norms the bound relies on are check
     (a).
-    `table_rows` is the table's `_distinct_rows`, found here when not given.
     """
     size = inst.block_size
     m = inst.num_blocks
     n = assign.cache.N
-    _, row_of, inner = table_rows or _distinct_rows(assign)
-    spread = _distinct_correlations(n)[1]
+    _, row_of, inner = assign.gram_rows
+    scale = assign.scale
+    one = scale**assign.t
+    pairs, diagonal, _, antipode = _class_counts(n)
+    has_diagonal = diagonal > 0
 
     # (a)-(c) per distinct diagonal row, weighted by the blocks that carry it
-    norm_res = ws_res = balance_lhs = 0.0
+    norm_res = ws_res = balance_lhs = 0
     for r, blocks in zip(*np.unique(np.diagonal(row_of), return_counts=True)):
-        t_mat = (inner[r] ** assign.t)[spread]
+        values, value_of = np.unique(inner[r], return_inverse=True)
+        powers = [v**assign.t for v in values.tolist()]
         # (a) unit norms of every point
-        norm_res = max(norm_res, float(np.max(np.abs(np.diagonal(t_mat) - 1.0))))
+        norm_res = max(norm_res, *(abs(powers[j] - one)
+                                   for j in np.unique(value_of[has_diagonal]).tolist()))
         # (b) well-separatedness: E_{x,y}[inner^t] vanishes by exact antipodal
-        # cancellation (column y vs its complement), making the identity
+        # cancellation (y against its complement), making the identity
         # (1/2) E ||V_x - V_y||^2 = 1 exact per block
-        ws_res = max(ws_res, float(np.max(np.abs(t_mat + t_mat[:, ::-1]))))
+        both = np.unique(value_of * len(values) + value_of[antipode])
+        ws_res = max(ws_res, *(abs(powers[a] + powers[b])
+                               for a, b in zip(*(x.tolist() for x in np.divmod(both, len(values))))))
         # (c) balance constraint: (1/4) sum_dem ||V_x - V_y||^2 per block
-        # equals (1/4) (2 C(size,2) - sum_{x != y} inner^t) with the pair sum
-        # exactly -size (ordered total 0 minus the diagonal of ones)
-        off_diag_sum = float(np.sum(t_mat)) - float(np.trace(t_mat))
-        balance_lhs += int(blocks) * (0.25 * (2 * math.comb(size, 2) - off_diag_sum))
+        # is (1/4) (2 C(size,2) - sum_{x != y} inner^t)
+        off_diagonal = np.bincount(value_of, weights=pairs - diagonal).astype(np.int64)
+        balance_lhs += int(blocks) * (2 * math.comb(size, 2) * one
+                                      - sum(k * p for k, p in zip(off_diagonal.tolist(), powers)))
     balance_exact = m * size**2 / 4.0
 
     # (d) triangle certificate at the base level
     g = np.abs(inner)
-    near = np.max(g, axis=1, where=g != 1.0, initial=0.0)
+    near = np.max(g, axis=1, where=g != scale, initial=0)
     # rows of (a, c), (b, c) and (a, b) for a in U, b in V, c in W
     ac, bc, ab = np.broadcast_arrays(row_of[:, None, :], row_of[None, :, :], row_of[:, :, None])
-    over = near[ac] + near[bc] + near[ab] > 1.0
+    over = near[ac] + near[bc] + near[ab] > scale
     ac, bc, ab = ac[over], bc[over], ab[over]
     # the triples (ac, bc, ab) and (bc, ac, ab) have the same terms, a and b
     # swapped, so each is swept as the one with ac <= bc
     row_triples = _sorted_rows(np.stack([np.minimum(ac, bc), np.maximum(ac, bc), ab], axis=1))[0]
-    # the swept rows' values as the integer numerators over scale, each
-    # spread to its Gram
+    # the swept rows' numerators, each spread to its Gram
     swept = np.unique(row_triples)
-    scale = n ** (assign.l_in + 1)
-    nums = inner[swept] * scale
-    if not np.array_equal(nums, np.round(nums)):
-        raise ValueError(f"Gram entries not multiples of {n}^-{assign.l_in + 1}")
-    nums = dict(zip(swept.tolist(), nums.astype(np.min_scalar_type(-3 * scale))[:, spread]))
-    pairs, swap_pairs = _pair_orbits(n)
-    worst = max((triangle_sweep(nums[r], nums[s], nums[t], swap_pairs if r == s else pairs)
+    spread = _distinct_correlations(n)[1]
+    nums = dict(zip(swept.tolist(),
+                    inner[swept].astype(np.min_scalar_type(-3 * scale))[:, spread]))
+    pair_orbits, swap_orbits = _pair_orbits(n)
+    worst = max((triangle_sweep(nums[r], nums[s], nums[t],
+                                swap_orbits if r == s else pair_orbits)
                  for r, s, t in row_triples.tolist()), default=scale)
 
     return BESFeasibilityReport(
-        unit_norm_residual=norm_res,
-        well_separatedness_residual=ws_res,
-        balance_lhs=balance_lhs,
+        unit_norm_residual=norm_res / one,
+        well_separatedness_residual=ws_res / one,
+        balance_lhs=balance_lhs / (4 * one),
         balance_required=inst.balance,
         balance_exact_value=balance_exact,
         triangle_violation=max(worst - scale, 0) / scale,

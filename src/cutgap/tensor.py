@@ -10,7 +10,9 @@ pattern x) carries, for inner power l_in and outer power t, the unit vector
 and the inner product of two such vectors is ((1/N) x^T M y)^t with
 M[i][j] = <v_i, w_j>^l_in the base Gram block of the vertex pair. The gap
 solution's bases are shift-covariant (<v_i, w_j> depends on i xor j only),
-so one dense table of m * m * N numbers holds every block.
+so one dense table of m * m * N numbers holds every block. The bases are
++/-1 over sqrt(N), so each number is an integer over N^l_in and each base
+inner product an integer over N^(l_in+1): the table holds the integers.
 
 The analytic construction fixes t astronomically large (recorded below as
 REFERENCE_OUTER_POWER); any |base| < 1 underflows to zero at that exponent,
@@ -35,8 +37,11 @@ __all__ = [
 REFERENCE_OUTER_POWER = 2**240 + 1
 
 DEFAULT_INNER_POWER = 8
-# the largest even inner power at which three base inner products, each a
-# multiple of N^-(l_in+1), sum exactly in float64 at N = 8: 3 * 8^17 < 2^53
+# the largest even inner power at which every table numerator (at most
+# 8^16 = 2^48 at N = 8) is exact as a float64 too, for `GramCache.gram`;
+# the int64 sums stay inside 2^63: a base inner product's dot of N terms
+# has partial sums below N^(l_in+2) = 2^54, a triangle's three numerators
+# sum below 3 * 2^51
 INNER_POWER_LIMIT = 16
 # bytes per triangle sweep step (k=3: the gathered rows of 512 BES point pairs
 # in int32, the pair sums of 16 UG first points in int8)
@@ -100,12 +105,14 @@ def triangle_sweep_upper(g) -> int:
 
 
 class GramCache:
-    """Dense table of the powered base Grams of a shift-covariant basis.
+    """Dense table of the powered base Grams of a shift-covariant basis, as
+    integer numerators.
 
-    table[v, w, c] = <u_{v,0}, u_{w,c}>^l_in holds every block:
-    gram(v, w)[s, t] = table[v, w, s xor t]. The table is built once from
-    the basis; a basis that is not shift-covariant is rejected with
-    ValueError, since the table would misread it.
+    table[v, w, c] = (N <u_{v,0}, u_{w,c}>)^l_in, an int64 over N^l_in,
+    holds every block: gram(v, w)[s, t] = table[v, w, s xor t] / N^l_in.
+    The table is built once from the basis; a basis that is not
+    shift-covariant is rejected with ValueError, since the table would
+    misread it.
     """
 
     # blocks computed on demand: none, the table is built in the constructor
@@ -118,7 +125,8 @@ class GramCache:
         if residual:
             raise ValueError(f"basis is not shift-covariant (residual {residual:g})")
         self.l_in = l_in
-        self.table = gram[:, 0] ** l_in
+        # N <u, u'> is an integer in [-N, N], exact in float64
+        self.table = (gram[:, 0] * self.N).astype(np.int64) ** l_in
         self.table.setflags(write=False)
         idx = np.arange(self.N)
         self._xor = idx[:, None] ^ idx[None, :]
@@ -128,5 +136,6 @@ class GramCache:
         return self.basis.shape[1]
 
     def gram(self, v: int, w: int) -> np.ndarray:
-        """M[s, t] = <u_{v,s}, u_{w,t}>^l_in for the ordered pair (v, w)."""
-        return self.table[v, w][self._xor]
+        """M[s, t] = <u_{v,s}, u_{w,t}>^l_in for the ordered pair (v, w), as
+        float64: each numerator and N^l_in are exact, so each entry is."""
+        return self.table[v, w][self._xor] / self.N**self.l_in

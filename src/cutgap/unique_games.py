@@ -273,6 +273,14 @@ def _flip_guide(n: int, epsilon: float) -> Guide:
     return _guide_table(by_size[np.bitwise_count(np.arange(1 << n))])
 
 
+def _binary_fractions(values) -> tuple[list[int], int]:
+    """Finite floats as the exact binary fractions they are, over one power
+    of two: (nums, p) with values[i] = nums[i] / 2^p."""
+    ratios = [float(x).as_integer_ratio() for x in values]  # (num, 2^p_i)
+    p = max(den.bit_length() for _, den in ratios) - 1
+    return [num << p + 1 - den.bit_length() for num, den in ratios], p
+
+
 def _check_epsilon(epsilon: float) -> None:
     if not 0.0 <= epsilon <= 1.0:  # also rejects nan
         raise ValueError(f"epsilon={epsilon} is not a probability in [0, 1]")
@@ -442,28 +450,33 @@ class EdgeDistribution:
         _, by_weight, starts = self.weight_classes
         return np.add.reduceat(per_key.take(keys.key_of[by_weight], axis=0), starts)
 
-    def probabilities(self, tables, epsilon: float) -> tuple[float, float]:
-        """The two-query test on +/-1 tables, one row per vertex: the
-        probability sum_e wt(e) (1 - c_e) / 2 that its queries disagree and
-        the acceptance 1/2 + 1/2 sum_e wt(e) c_e, with c_e = sum_S rho^|S|
-        Â^v(S) B̂_e(S) / 4^N and rho = 1 - 2 epsilon (noise stability). With
-        epsilon and the weights read as exact binary fractions, both sums are
-        integers over one power of two, so each is rounded once, correctly."""
+    def probability_numerators(self, tables, epsilon: float) -> tuple[int, int, int]:
+        """The two-query test on +/-1 tables, one row per vertex, exactly:
+        (disagree, accept, whole), the probability sum_e wt(e) (1 - c_e) / 2
+        that its queries disagree being disagree / whole and the acceptance
+        1/2 + 1/2 sum_e wt(e) c_e being accept / whole, with c_e = sum_S
+        rho^|S| Â^v(S) B̂_e(S) / 4^N and rho = 1 - 2 epsilon (noise
+        stability). With epsilon and the weights read as exact binary
+        fractions (`_binary_fractions`), both sums are integers over one
+        power of two."""
         _check_epsilon(epsilon)
         n = self.num_labels
         weights, _, starts = self.weight_classes
         edges = np.diff(starts, append=len(self.weight))
-        ratios = [w.as_integer_ratio() for w in weights.tolist()]  # (c, 2^p)
-        top = max(den.bit_length() for _, den in ratios)
-        c = [num << top - den.bit_length() for num, den in ratios]  # weights c / 2^(top - 1)
-        m, den = float(epsilon).as_integer_ratio()  # rho = (den - 2 m) / den, den = 2^q
-        q = den.bit_length() - 1
-        factors = [(den - 2 * m)**s << q * (n - s) for s in range(n + 1)]
+        c, p = _binary_fractions(weights.tolist())  # weights c / 2^p
+        (m,), q = _binary_fractions([epsilon])  # rho = (2^q - 2 m) / 2^q
+        factors = [((1 << q) - 2 * m)**s << q * (n - s) for s in range(n + 1)]
         correlation = sum(cj * sum(f * g for f, g in zip(factors, row))
                           for cj, row in zip(c, self.level_sums(tables).astype(np.int64).tolist()))
         total = sum(cj * nj for cj, nj in zip(c, edges.tolist())) << q * n + 2 * n
-        whole = 1 << top + q * n + 2 * n  # twice the denominator of both sums
-        return (total - correlation) / whole, (whole // 2 + correlation) / whole
+        whole = 1 << p + 1 + q * n + 2 * n  # twice the denominator of both sums
+        return total - correlation, whole // 2 + correlation, whole
+
+    def probabilities(self, tables, epsilon: float) -> tuple[float, float]:
+        """The disagreement and the acceptance of `probability_numerators`,
+        each rounded once, correctly."""
+        disagree, accept, whole = self.probability_numerators(tables, epsilon)
+        return disagree / whole, accept / whole
 
     def sample_disagreements(self, blocks, samples: int, seed: int,
                              epsilon: float) -> int:

@@ -57,9 +57,18 @@ paths against. None of them is used by the cutgap package itself.
   tests' cuts are 1.5e-14, 273 ulps, for a weight and 2.0e-14 for an
   acceptance).
 - `sdp_objective_per_row`: the tensored SDP objective with the inner
-  products and their powers taken at every (x, y') point of every
-  distinct table row, the oracle that the distinct-correlation powers of
-  `cutgap` must match bit for bit.
+  product numerators taken at every (x, y') point of every distinct table
+  row and summed in rationals, the oracle that the integer objective of
+  `cutgap.separator.sdp_objective`, grouped per distinct correlation
+  vector, must match with `==`; `sdp_objective_float`, the same objective
+  summed in float64 per row, the float route the objective took before it
+  became exact (one ulp off at k = 2, t = 3, l_in = 16), within
+  FLOAT_ROUTE_TOL of it.
+- `sdp_by_enumeration`: the objective and checks (a)-(c) of the separator
+  SDP in rationals from the basis alone, every edge's (x, mu) pairs and
+  every block's point pairs enumerated, the oracle that the printed
+  objective, residuals and `balance_lhs` must match with `==` once
+  rounded, and, with `agreement_by_enumeration`, the gap ratio.
 - `sample_disagreements_choice`: the Monte Carlo run of the two-query
   test with its edges and its flip patterns drawn by `Generator.choice`
   (the patterns by `flip_probabilities`), the oracle whose counts and
@@ -80,9 +89,10 @@ paths against. None of them is used by the cutgap package itself.
   oracles here and in the tests.
 - `base_gram_block_per_pair`, `triangle_sweep_half` and
   `check_bes_feasibility_per_pair`: a block pair's base Gram as one
-  product C[x, y] . table[v, w] / N per point pair, the triangle sweep with
-  its first point over half a block (the complement alone), and the
-  separator's feasibility check built from both, the oracles that the
+  integer product C[x, y] . table[v, w] per point pair, the triangle sweep
+  with its first point over half a block (the complement alone), and the
+  separator's feasibility check built from both, checks (a)-(c) summed in
+  rationals over every point pair, the oracles that the
   distinct-correlation values and the pair-orbit sweep of
   `cutgap.separator.check_bes_feasibility` must match with `==`.
 - `triangle_sweep_ordered`: the triangle sweep over every ordered triple,
@@ -560,9 +570,41 @@ def sample_disagreements_choice(d, blocks, samples: int, seed: int,
     return count
 
 
-def sdp_objective_per_row(inst, assign) -> float:
-    """`separator.sdp_objective` with each distinct table row's inner
-    products and their t-th powers taken over all (x, y') points."""
+def sdp_objective_per_row(inst, assign) -> Fraction:
+    """`separator.sdp_objective` with each distinct shifted table row's
+    inner product numerators taken at every (x, y') point, in int64, each
+    point's noise weight and power in rationals grouped by (distance,
+    numerator), and each row's weight the exact sum of its edges'."""
+    n = inst.ug.num_labels
+    scale = n ** (assign.l_in + 1)
+    idx = np.arange(inst.block_size, dtype=np.uint32)
+    dist = np.bitwise_count(idx[:, None] ^ idx[None, :]).astype(np.int64).ravel()
+    eps = Fraction(inst.epsilon)
+    noise = [eps**k * (1 - eps) ** (n - k) / inst.block_size for k in range(n + 1)]
+    d = inst.ug.edge_distribution
+    shifted = d.perms[d.table_of]
+    rows, group = np.unique(assign.cache.table[d.v[:, None], d.w[:, None], shifted],
+                            axis=0, return_inverse=True)
+    weights = [Fraction(0)] * len(rows)
+    for r, wt in zip(group.ravel().tolist(), d.weight.tolist()):
+        weights[r] += Fraction(wt)
+    corr = shift_correlations(n).reshape(-1, n).astype(np.int64)
+    mean = Fraction(0)
+    for row, weight in zip(rows, weights):
+        # each point's (numerator, distance) as one int64 code
+        cells, counts = np.unique((corr @ row) * (n + 1) + dist, return_counts=True)
+        nums, k = np.divmod(cells, n + 1)
+        mean += weight * sum(noise[d] * count * Fraction(num, scale) ** assign.t
+                             for num, d, count in zip(nums.tolist(), k.tolist(), counts.tolist()))
+    return (1 - mean) / 2
+
+
+def sdp_objective_float(inst, assign) -> float:
+    """The tensored SDP objective in float64, with the inner products and
+    their powers taken at every (x, y') point of every distinct table row
+    and summed per row: the float route `separator.sdp_objective` took
+    before it became exact, whose values it gives bit for bit, within
+    FLOAT_ROUTE_TOL of the exact value."""
     n = inst.ug.num_labels
     eps = inst.epsilon
     idx = np.arange(inst.block_size, dtype=np.uint32)
@@ -570,15 +612,66 @@ def sdp_objective_per_row(inst, assign) -> float:
     w_noise = (eps**dist) * (1 - eps) ** (n - dist) / inst.block_size
     d = inst.ug.edge_distribution
     shifted = d.perms[d.table_of]
-    rows, group = np.unique(assign.cache.table[d.v[:, None], d.w[:, None], shifted],
+    table = assign.cache.table / n**assign.l_in
+    rows, group = np.unique(table[d.v[:, None], d.w[:, None], shifted],
                             axis=0, return_inverse=True)
     weights = np.bincount(group.ravel(), weights=d.weight)
     corr = shift_correlations(n)
     mean_inner = 0.0
     for row, weight in zip(rows, weights):
-        q = np.clip(corr @ row / assign.cache.N, -1.0, 1.0)
+        q = np.clip(corr @ row / n, -1.0, 1.0)
         mean_inner += weight * float(np.sum(w_noise * q**assign.t))
     return (1.0 - mean_inner) / 2.0
+
+
+def _signs(n_bits: int) -> np.ndarray:
+    """[x, i] = 1 - 2 (bit i of x), int64."""
+    return 1 - 2 * ((np.arange(1 << n_bits)[:, None] >> np.arange(n_bits)) & 1)
+
+
+def sdp_by_enumeration(inst, assign) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(objective, unit_norm_residual, well_separatedness_residual,
+    balance_lhs) of the tensored solution in rationals, from the basis
+    alone. With M[i, j] = <u_{v,i}, u_{w,j}>^l_in, the vectors of (v, x)
+    and (w, y) have the inner product ((1/N) x^T M y)^t. The objective is
+    (1 - mean) / 2, the mean over every edge e (v, w) and every (x, mu)
+    pair, y = (x ^ mu) o pi_e, weighed by wt(e) eps^|mu| (1 - eps)^(N - |mu|)
+    / 2^N; the checks enumerate every point pair of every block with
+    itself. Epsilon and the weights are the exact values of their
+    binary64s."""
+    basis = np.asarray(assign.cache.basis, dtype=np.int64)
+    n, l_in, t = inst.ug.num_labels, assign.l_in, assign.t
+    size = inst.block_size
+    one = n ** ((l_in + 1) * t)  # a base inner product's numerators are over N^(l_in+1)
+    signs = _signs(n)
+    points = np.arange(size)
+    flips = np.bitwise_count(points)
+
+    def numerators(v, w, second):
+        """N^(l_in+1) times the base inner product of (v, x) and (w, second[x, z])."""
+        gram = (basis[v] @ basis[w].T) ** l_in  # N^l_in <u_{v,i}, u_{w,j}>^l_in
+        return np.einsum("xi,ij,xzj->xz", signs, gram, signs[second])
+
+    eps = Fraction(inst.epsilon)
+    mean = Fraction(0)
+    for v, w, wt, perm in zip(inst.ug.v.tolist(), inst.ug.w.tolist(),
+                              inst.ug.weight.tolist(), inst.ug.perm):
+        z = points[:, None] ^ points  # [x, mu] = x ^ mu
+        y = np.sum(((z[:, :, None] >> perm) & 1) << np.arange(n), axis=2)
+        nums = numerators(v, w, y)
+        mean += Fraction(wt) * sum(eps**k * (1 - eps) ** (n - k) / size
+                                   * sum(a**t for a in nums[:, flips == k].ravel().tolist())
+                                   for k in range(n + 1)) / one
+    norm = separated = balance = 0
+    pairs = np.broadcast_to(points, (size, size))
+    for v in range(inst.num_blocks):
+        powers = [[a**t for a in row] for row in numerators(v, v, pairs).tolist()]
+        norm = max(norm, *(abs(powers[x][x] - one) for x in range(size)))
+        separated = max(separated, *(abs(powers[x][y] + powers[x][size - 1 - y])
+                                     for x in range(size) for y in range(size)))
+        off = sum(powers[x][y] for x in range(size) for y in range(size) if x != y)
+        balance += 2 * math.comb(size, 2) * one - off
+    return (1 - mean) / 2, Fraction(norm, one), Fraction(separated, one), Fraction(balance, 4 * one)
 
 
 def random_balanced_cut_loop(inst, rng) -> np.ndarray:
@@ -671,8 +764,12 @@ def shift_correlations(n_bits: int) -> np.ndarray:
 
 def base_gram_block_per_pair(assign, v: int, w: int) -> np.ndarray:
     """(2^N, 2^N) base inner products of blocks v and w, one product
-    C[x, y] . table[v, w] / N per point pair."""
-    return shift_correlations(assign.cache.N) @ assign.cache.table[v, w] / assign.cache.N
+    C[x, y] . table[v, w] per point pair in int64, over N^(l_in+1)."""
+    return _gram_numerators_per_pair(assign, v, w) / assign.cache.N ** (assign.l_in + 1)
+
+
+def _gram_numerators_per_pair(assign, v: int, w: int) -> np.ndarray:
+    return shift_correlations(assign.cache.N).astype(np.int64) @ assign.cache.table[v, w]
 
 
 def triangle_sweep_half(ac, bc, ab) -> int:
@@ -692,39 +789,38 @@ def triangle_sweep_ordered(ac, bc, ab) -> int:
 
 def check_bes_feasibility_per_pair(inst, assign) -> BESFeasibilityReport:
     """`separator.check_bes_feasibility` with each distinct row's Gram
-    formed per point pair (`base_gram_block_per_pair`) from the first block
-    pair that carries it, and every swept row triple checked by
-    `triangle_sweep_half`."""
+    numerators formed per point pair from the first block pair that carries
+    it, checks (a)-(c) summed over every point pair in rationals, and every
+    swept row triple checked by `triangle_sweep_half`."""
     size = inst.block_size
     m = inst.num_blocks
+    scale = assign.cache.N ** (assign.l_in + 1)
     rows, first, row_of = np.unique(assign.cache.table.reshape(m * m, -1), axis=0,
                                     return_index=True, return_inverse=True)
     row_of = row_of.reshape(m, m)
-    grams = [base_gram_block_per_pair(assign, *divmod(int(f), m)) for f in first]
-    norm_res = ws_res = balance_lhs = 0.0
+    grams = [_gram_numerators_per_pair(assign, *divmod(int(f), m)) for f in first]
+    one = scale**assign.t
+    norm_res = ws_res = balance_lhs = 0
     for r, blocks in zip(*np.unique(np.diagonal(row_of), return_counts=True)):
-        t_mat = grams[r] ** assign.t
-        norm_res = max(norm_res, float(np.max(np.abs(np.diagonal(t_mat) - 1.0))))
-        ws_res = max(ws_res, float(np.max(np.abs(t_mat + t_mat[:, ::-1]))))
-        off_diag_sum = float(np.sum(t_mat)) - float(np.trace(t_mat))
-        balance_lhs += int(blocks) * (0.25 * (2 * math.comb(size, 2) - off_diag_sum))
-    near = np.array([np.max(np.abs(g), where=np.abs(g) != 1.0, initial=0.0) for g in grams])
+        t_mat = [[a**assign.t for a in row] for row in grams[r].tolist()]
+        norm_res = max(norm_res, *(abs(t_mat[x][x] - one) for x in range(size)))
+        ws_res = max(ws_res, *(abs(t_mat[x][y] + t_mat[x][size - 1 - y])
+                               for x in range(size) for y in range(size)))
+        off_diag_sum = sum(map(sum, t_mat)) - sum(t_mat[x][x] for x in range(size))
+        balance_lhs += int(blocks) * (2 * math.comb(size, 2) * one - off_diag_sum)
+    near = np.array([np.max(np.abs(g), where=np.abs(g) != scale, initial=0) for g in grams])
     # the rows of (a, c), (b, c) and (a, b) for a, b, c in blocks u, v, w
     # whose bound near[UW] + near[VW] + near[UV] - 1 is positive
     swept = {(row_of[u, w], row_of[v, w], row_of[u, v])
              for u in range(m) for v in range(m) for w in range(m)
-             if near[row_of[u, w]] + near[row_of[v, w]] + near[row_of[u, v]] > 1.0}
-    scale = assign.cache.N ** (assign.l_in + 1)
+             if near[row_of[u, w]] + near[row_of[v, w]] + near[row_of[u, v]] > scale}
     worst = scale
     for triple in swept:
-        nums = [grams[r] * scale for r in triple]
-        if any(not np.array_equal(g, np.round(g)) for g in nums):
-            raise ValueError(f"Gram entries not multiples of {assign.cache.N}^-{assign.l_in + 1}")
-        worst = max(worst, triangle_sweep_half(*nums))
+        worst = max(worst, triangle_sweep_half(*(grams[r] for r in triple)))
     return BESFeasibilityReport(
-        unit_norm_residual=norm_res,
-        well_separatedness_residual=ws_res,
-        balance_lhs=balance_lhs,
+        unit_norm_residual=norm_res / one,
+        well_separatedness_residual=ws_res / one,
+        balance_lhs=balance_lhs / (4 * one),
         balance_required=inst.balance,
         balance_exact_value=m * size**2 / 4.0,
         triangle_violation=max(worst - scale, 0) / scale,

@@ -16,6 +16,9 @@ kernels with their oracles in `tests/oracles.py`.
 - `slab_inputs`: UG instances of 3 or 4 labels whose v ends read more
   distinct +/-1 rows than one slab of `EdgeDistribution.level_sums` holds
   as often as not, with those tables.
+- `quotient_instances`: the quotiented noisy-hypercube gap instances at
+  k <= 2, with eta and the window drawn, the inputs of the separator SDP
+  of `cutgap.separator`.
 - `correlation_rows`, `int8_tables` and `repeated_rows`: table rows whose
   Grams C . row the separator's triangle certificate sweeps, square int8
   tables for the UG triangle sweep, and 2-D arrays with repeated rows for
@@ -29,9 +32,11 @@ kernels with their oracles in `tests/oracles.py`.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import assume
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cutgap.quotient import build_kv_instance
 from cutgap.simplex import PRICE_TOL
 from cutgap.unique_games import UGInstance
 
@@ -170,6 +175,24 @@ def slab_inputs(draw, slab: int):
     row_of = np.concatenate([np.arange(count),
                              draw(arrays(np.int64, m - count, elements=st.integers(0, count - 1)))])
     return u, rows[row_of[draw(st.permutations(range(m)))]]
+
+
+@st.composite
+def quotient_instances(draw, max_k: int = 2):
+    """(k, eta, window, (instance, quotient)) from `build_kv_instance`: k in
+    1..max_k, the window typical or none, eta in (0, 1/2), from 1/(2N) on
+    for the typical window, which is empty below (an eta whose window is
+    empty all the same is rejected)."""
+    k = draw(st.integers(1, max_k))
+    window = draw(st.sampled_from(("typical", "none")))
+    low = 1 / (2 << k) if window == "typical" else 0.0
+    eta = draw(st.sampled_from((0.3, 0.45)) | st.floats(low, 0.5, exclude_min=low == 0.0,
+                                                         exclude_max=True))
+    try:
+        u, quot, _ = build_kv_instance(k, eta, window=window)
+    except ValueError:
+        assume(False)
+    return k, eta, window, (u, quot)
 
 
 @st.composite

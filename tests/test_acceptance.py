@@ -345,7 +345,7 @@ def test_criterion_5_separator_k2():
         f"covers all C(64,3)=41664 triples (ordered sweep {feas.triples_checked})",
     )
 
-    objective = sdp_objective(inst, assign)
+    objective = float(sdp_objective(inst, assign))
     report(
         "5.objective_frozen",
         abs(objective - FROZEN_BES_OBJECTIVE_K2) <= 1e-9,
@@ -367,7 +367,7 @@ def test_criterion_5_gap_rows_and_monotonicity():
         inst = build_bes(inst_ug, eps)
         sol = build_ug_sdp_solution(build_kv_instance(2, 0.3)[1])
         assign = assign_sdp_solution(inst, sol, l_in=8, t=1)
-        objective = sdp_objective(inst, assign)
+        objective = float(sdp_objective(inst, assign))
         search = balanced_cut_search(
             inst, seed=derive_seed(0, "cut_search"), labelings=[lam]
         )
@@ -443,7 +443,7 @@ def test_criterion_5_relaxation_inequality():
     # coordinate by coordinate; for a +/-1 cut, weight >= lambda * demand.
     inst_ug, inst, assign = _k2_bes_fixture(0.3)
     lam, _ = opt_exhaustive(inst_ug)
-    objective = sdp_objective(inst, assign)
+    objective = float(sdp_objective(inst, assign))
     search = balanced_cut_search(
         inst, seed=derive_seed(0, "cut_search"), labelings=[lam]
     )

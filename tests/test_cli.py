@@ -2,6 +2,8 @@ import argparse
 import os
 import pathlib
 import re
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +20,13 @@ from cutgap.tensor import INNER_POWER_LIMIT
 from cutgap.unique_games import ug_to_text
 from cutgap.verifier import Proof, dictator_tables, proof_to_text
 from fixtures import plant_instance
+from oracles import (
+    agreement_by_enumeration,
+    check_bes_feasibility_per_pair,
+    sdp_by_enumeration,
+    sdp_objective_per_row,
+)
+from test_golden_outputs import CASES as GOLDEN_CASES
 
 
 def read(path):
@@ -84,6 +93,112 @@ def test_build_ug_invalid_k(tmp_path, capsys):
     code = main(["build-ug", "--k", "9", "--eta", "0.2", "--out", str(tmp_path)])
     assert code == 1
     assert capsys.readouterr().out == "FAIL build-ug k=9 outside [1, 3]\n"
+
+
+@pytest.mark.parametrize("command", ["build-ug", "build-bes"])
+def test_negative_seed_fails_before_anything_is_written(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    assert main([command, "--k", "2", "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().out == f"FAIL {command} seed=-1 must be a non-negative integer\n"
+    assert not out.exists()
+
+
+def printed_sdp_values(out) -> dict:
+    """The printed objective, ratio and checks (a)-(c) of a build-bes run,
+    each as its text: from gap_row.tsv and from bes_summary.txt."""
+    row = dict(zip(*(ln.split("\t") for ln in read(out / "gap_row.tsv").splitlines()[1:])))
+    summary = read(out / "bes_summary.txt")
+    fields = {name: re.search(rf"{pattern}([^ \n]+)", summary).group(1) for name, pattern in
+              (("summary_objective", r"sdp objective \(t=\d+\): "),
+               ("summary_ratio", "gap ratio best/sdp: "), ("balance_lhs", "balance_lhs="),
+               ("unit_norm", "unit_norm="), ("well_separated", "well_separated="))}
+    return {"objective": row["sdp_objective"], "ratio": row["ratio"], **fields}
+
+
+def assert_printed_sdp_values(out, objective, checks, weight):
+    """Each printed value is its exact value rounded once: the objective,
+    the checks (unit norm, well-separatedness, balance_lhs) and the best
+    cut's exact weight over the objective, all Fractions."""
+    printed = {name: float(text) for name, text in printed_sdp_values(out).items()}
+    norm, separated, balance = checks
+    assert printed == {"objective": float(objective), "summary_objective": float(objective),
+                       "ratio": float(weight / objective),
+                       "summary_ratio": float(weight / objective),
+                       "balance_lhs": float(balance), "unit_norm": float(norm),
+                       "well_separated": float(separated)}
+
+
+def enumerated_sdp_side(k, eta, epsilon, t, l_in, window, out):
+    """(objective, checks, best cut weight) of a k <= 2 build-bes run, all
+    by enumeration in rationals."""
+    u, q, _ = qt.build_kv_instance(k, eta, window=window)
+    inst = sp.build_bes(u, epsilon)
+    objective, *checks = sdp_by_enumeration(
+        inst, sp.assign_sdp_solution(inst, qt.build_ug_sdp_solution(q), l_in=l_in, t=t))
+    cut = sp.cut_from_text(read(out / "best_cut.txt")).reshape(inst.num_blocks, -1)
+    return objective, checks, agreement_by_enumeration(u.edge_distribution, cut, epsilon)[0]
+
+
+def test_build_bes_prints_the_exact_objective_of_the_l_in_16_row(tmp_path):
+    # the float route printed 0.49999999999999717, one ulp above the exact
+    # value's rounding, and divided the ratio by it
+    assert main(["build-bes", "--k", "2", "--eta", "0.3", "--epsilon", "0.3", "--t", "3",
+                 "--l-in", "16", "--out", str(tmp_path)]) == 0
+    assert printed_sdp_values(tmp_path)["objective"] == "0.49999999999999711"
+    assert_printed_sdp_values(tmp_path, *enumerated_sdp_side(2, 0.3, 0.3, 3, 16, "typical",
+                                                             tmp_path))
+
+
+@pytest.mark.parametrize("k, window", [(1, "typical"), (1, "none"), (2, "typical"), (2, "none")])
+def test_build_bes_prints_exact_sdp_values(tmp_path, k, window):
+    for t in (1, 3):
+        for l_in in (2, 8, 16):
+            out = tmp_path / f"t{t}_l{l_in}"
+            assert main(["build-bes", "--k", str(k), "--eta", "0.3", "--epsilon", "0.3",
+                         "--t", str(t), "--l-in", str(l_in), "--window", window,
+                         "--budget-samples", "2000", "--out", str(out)]) == 0
+            assert_printed_sdp_values(out, *enumerated_sdp_side(k, 0.3, 0.3, t, l_in, window,
+                                                                out))
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_build_bes_rows_print_exact_sdp_values(tmp_path, case):
+    # k = 2 against the enumeration; k = 3, too large to enumerate, against
+    # the per-point objective, the per-pair checks and the exact weight
+    k, eta, epsilon, ts = GOLDEN_CASES[case]
+    for t in ts:
+        out = tmp_path / f"t{t}"
+        assert main(["build-bes", "--k", str(k), "--eta", str(eta), "--epsilon", str(epsilon),
+                     "--t", str(t), "--out", str(out)]) == 0
+        if k <= 2:
+            assert_printed_sdp_values(out, *enumerated_sdp_side(k, eta, epsilon, t, 8, "typical",
+                                                                out))
+            continue
+        u, q, _ = qt.build_kv_instance(k, eta)
+        inst = sp.build_bes(u, epsilon)
+        assign = sp.assign_sdp_solution(inst, qt.build_ug_sdp_solution(q), t=t)
+        objective = sdp_objective_per_row(inst, assign)
+        rep = check_bes_feasibility_per_pair(inst, assign)
+        cut = sp.cut_from_text(read(out / "best_cut.txt")).reshape(inst.num_blocks, -1)
+        disagree, _, whole = u.edge_distribution.probability_numerators(cut, epsilon)
+        assert_printed_sdp_values(
+            out, objective, [Fraction(x) for x in (rep.unit_norm_residual,
+                                                   rep.well_separatedness_residual,
+                                                   rep.balance_lhs)],
+            Fraction(disagree, whole))
+        assert float(objective) == {1: 0.49966159097948787, 3: 0.4999999808913364}[t]
+
+
+def test_distortion_of_a_huge_equilateral_metric_prints_negative_type(tmp_path, capsys):
+    # the metric checks sum halved distances; the LP's own overflow on this
+    # input stays (ROADMAP item 1), so only warnings from metrics.py count
+    path = tmp_path / "metric.txt"
+    path.write_text("METRIC 3\n1e308\n1e308 1e308\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        main(["distortion", "--metric-file", str(path)])
+    assert capsys.readouterr().out.startswith("negative_type\tTrue\t")
+    assert not [w for w in caught if w.filename.endswith("metrics.py")]
 
 
 def test_build_bes_pipeline_and_gap_row(tmp_path):

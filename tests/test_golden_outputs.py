@@ -22,8 +22,12 @@ digits moved, and no cut did. The build stdouts and summaries (their
 `cut weight MC cross-check` lines) and the `pcp` stdouts (their
 `acceptance_mc` lines) were taken again when the test's noise became one
 draw per query, each flip pattern mu drawn as one `Generator.choice` over
-the 2^N patterns in place of N uniforms; no other byte moved. The k=3 case
-also runs in a subprocess with one BLAS thread, against the same digests.
+the 2^N patterns in place of N uniforms; no other byte moved. The gap
+rows, summaries and build stdouts of k2_eta0.15_eps0.15 and
+k2_eta0.25_eps0.45 (t = 1 and 3) and of k3 at t = 3 were taken again when
+the gap ratio became the exact cut weight over the exact objective,
+rounded once: only their `ratio` digits moved. The k=3 case also runs in a
+subprocess with one BLAS thread, against the same digests.
 
 The k=2 read case pins what the benchmark's certify workload runs besides
 `verify` and `pcp`: `distortion` on the farthest-point 10- and 12-point
@@ -72,15 +76,15 @@ READ_CASES = {"k3_eta0.3_eps0.3"}
 GOLDEN = {
     'k2_eta0.15_eps0.15': {
         't1/bes_instance.txt': '527349889210f67c718135a507b05d2af8f113c99dfbc8a08a8cdf7f3e01b86a',
-        't1/bes_summary.txt': 'b0f91a1339dcb3f8306d413db000881835374c1fac3db7e9c16f66271e3d9afe',
+        't1/bes_summary.txt': '6c8e4e8eecf265eae2061dfb219702fe1aecf7dc156530751c843b70bfd77d5b',
         't1/best_cut.txt': '0e4647c405bec769659bbfd45dcf0c424486b01f6e0d1745dbb8a54580a7ce2a',
-        't1/gap_row.tsv': '53b9b478cbe365b8f4eb29d59aa1486de24c6eb22a4a5346ddf2070d815a7512',
-        't1/stdout': 'b0f91a1339dcb3f8306d413db000881835374c1fac3db7e9c16f66271e3d9afe',
+        't1/gap_row.tsv': '1dd81e9457d262fbe74ae45d3c586f53ee6b0731b3220649ee7cb0219d377237',
+        't1/stdout': '6c8e4e8eecf265eae2061dfb219702fe1aecf7dc156530751c843b70bfd77d5b',
         't3/bes_instance.txt': '527349889210f67c718135a507b05d2af8f113c99dfbc8a08a8cdf7f3e01b86a',
-        't3/bes_summary.txt': '925ded968b66b61473e5473db76aac0406762ba1449dae24ad8f9ac35add4c01',
+        't3/bes_summary.txt': '8d7f0d66e9115cb93467651f452f66d2bd2bccc839b8d80536f903aa09582e1a',
         't3/best_cut.txt': '0e4647c405bec769659bbfd45dcf0c424486b01f6e0d1745dbb8a54580a7ce2a',
-        't3/gap_row.tsv': '3ca9a5fdeef7357479a050e424f8998bba8488b26aac468ec5ce5c15107e45fd',
-        't3/stdout': '925ded968b66b61473e5473db76aac0406762ba1449dae24ad8f9ac35add4c01',
+        't3/gap_row.tsv': '49d4a1580c1b0e1491fee0a635ba26496727da3162c25ac234b599c721f8cb2d',
+        't3/stdout': '8d7f0d66e9115cb93467651f452f66d2bd2bccc839b8d80536f903aa09582e1a',
         'ug/basis.txt': 'df5a8c7da5967b9dd59f9d802b5929ebe7dc587b5459062ba50b6d9292f972a6',
         'ug/quotient_meta.txt': 'e1cad471e71210027795f3957058fc7a8e224ba431e93efe210f80d2838bfb4a',
         'ug/stdout': '98b0ce20a6ade32bc9768e329e4aa8f598dff793d0e3377d40a9a2520bbb5f7d',
@@ -90,15 +94,15 @@ GOLDEN = {
     },
     'k2_eta0.25_eps0.45': {
         't1/bes_instance.txt': 'afd2ef8537394f4107b9cc209cc51106ef33b9bb480f1d1d14c56e50cfcdc870',
-        't1/bes_summary.txt': '97105deaf86fd1adbbb67ddaf400c7e2848f23eeaa1757c5f1355389218accce',
+        't1/bes_summary.txt': '9009292f9d957870f85e5af9f9acd6d2824e4edee906bc439e2e30262581c691',
         't1/best_cut.txt': 'd1151537c798572e2769f7812e12db07124fa09d49b53384011761a6081e6566',
-        't1/gap_row.tsv': '4eb8ce93338451dcd5cc2c762d24ffacb6b22c74eee0c9ba170cbc3cd1c0f1a8',
-        't1/stdout': '97105deaf86fd1adbbb67ddaf400c7e2848f23eeaa1757c5f1355389218accce',
+        't1/gap_row.tsv': 'a35b7f1dd79d70f31e3829e7bf6453ccf475eac3e658f7636dd23c28b23f61f9',
+        't1/stdout': '9009292f9d957870f85e5af9f9acd6d2824e4edee906bc439e2e30262581c691',
         't3/bes_instance.txt': 'afd2ef8537394f4107b9cc209cc51106ef33b9bb480f1d1d14c56e50cfcdc870',
-        't3/bes_summary.txt': '5059a2a0e966a38851498c5903d934cac98ced7ed4541d4ba97b1bb58363933f',
+        't3/bes_summary.txt': 'ab8c756727350f9ee7c9a76becf92d1ae85b59ec82867134ebee30ac5bef4bc7',
         't3/best_cut.txt': 'd1151537c798572e2769f7812e12db07124fa09d49b53384011761a6081e6566',
-        't3/gap_row.tsv': 'f940e0b54cd6a486e05a501b9fdcfb1101174631bc8ff70bad3d3c49345d9b8e',
-        't3/stdout': '5059a2a0e966a38851498c5903d934cac98ced7ed4541d4ba97b1bb58363933f',
+        't3/gap_row.tsv': 'f4593aa903e7f02bc7ad5cb7d6b7ded57f857040527d6ab6e8f98127fd2350f9',
+        't3/stdout': 'ab8c756727350f9ee7c9a76becf92d1ae85b59ec82867134ebee30ac5bef4bc7',
         'ug/basis.txt': 'df5a8c7da5967b9dd59f9d802b5929ebe7dc587b5459062ba50b6d9292f972a6',
         'ug/quotient_meta.txt': '248d83f3902f34676d75e6843e6da7fcc21c82b1009b8f65ae4bd7c79b1b2886',
         'ug/stdout': 'c62290f3757b39725752f0186c6a8967b73f690ae1764d011da8d4269baff066',
@@ -152,10 +156,10 @@ GOLDEN = {
         't1/gap_row.tsv': '224a8101d70fbc89d6e17af939ff6f0e329e3e598efcf84871f0023fc4e0d96a',
         't1/stdout': '0e9fb0f8e3ece59ea4d1b113143f607a0606590ea0c24dce7b1b56d49bea323d',
         't3/bes_instance.txt': '8443caa4f535205ce3b0e204ad72de351c6a08f36fa038d0063696e4c040a72c',
-        't3/bes_summary.txt': 'a82175f46bdf8aba1905776ab3d4c5df70f01f85777cd55080488b4d5b430576',
+        't3/bes_summary.txt': '3e079dc0ba5c6ff429b598aca2ed58f221c47609248e4238a8f68078d64d391c',
         't3/best_cut.txt': 'a3054ac32da280449be49e8f21bb1ae43fe369e563c14826f6cdec55fc8c49a2',
-        't3/gap_row.tsv': '16cbee5a1227e282dfd33701ae9515b2803fd2d5b92075a944939966df15f56a',
-        't3/stdout': 'a82175f46bdf8aba1905776ab3d4c5df70f01f85777cd55080488b4d5b430576',
+        't3/gap_row.tsv': 'df74d8d7e4cd638bc73f046a2856f93f4770d9bf550c30b4fd53d0d80c86de2c',
+        't3/stdout': '3e079dc0ba5c6ff429b598aca2ed58f221c47609248e4238a8f68078d64d391c',
         'ug/basis.txt': 'c6397897f84b0e51e7e0deb2f207a9487d46dfd764af9dfb5960206f217c743d',
         'ug/quotient_meta.txt': 'e6838536dc36d747239ba0351251dd52d5bbfaa858c214e7482ed044bd4d7ee7',
         'ug/stdout': '01d295b71e3e7f0a7cbfab6cc6d86a39d9311633b0612d13c61b28774e59339d',

@@ -70,6 +70,24 @@ def test_hamming_metric_is_negative_type():
     assert np.max(np.abs(got - d)) < 1e-8
 
 
+@pytest.mark.filterwarnings("error")
+def test_huge_equilateral_metric_is_negative_type_without_overflow():
+    # each distance is halved before the Gram's and the triangles' sums, so
+    # 1e308 + 1e308 never forms
+    d = np.full((3, 3), 1e308)
+    np.fill_diagonal(d, 0.0)
+    ok, witness = is_negative_type(FiniteMetric(d))
+    assert ok and witness.min_eigenvalue >= 0.0
+
+
+def test_scaled_k23_still_violates_negative_type():
+    # the eigenvalue tolerance is relative to |G| with no floor at 1, so
+    # scaling the metric down keeps the verdict
+    for scale in (2.0**-40, 2.0**-20, 1.0, 2.0**20):
+        ok, witness = is_negative_type(FiniteMetric(k23_path_metric().d * scale))
+        assert not ok and witness.min_eigenvalue < 0, scale
+
+
 def test_k23_violates_negative_type():
     ok, witness = is_negative_type(k23_path_metric())
     assert not ok

@@ -152,9 +152,6 @@ READERS = [
 ]
 
 
-# a METRIC with a 1e308 distance overflows the triangle check's sums to inf
-# in both readers' FiniteMetric, which still compares correctly
-@pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
 @pytest.mark.parametrize("reader, oracle, texts", READERS)
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(data=st.data())

@@ -34,6 +34,7 @@ from cutgap.separator import (
     cut_to_text,
     demand_cut,
     check_bes_feasibility,
+    gap_ratio,
     sdp_objective,
     sdp_objective_closed_form_t1,
 )
@@ -67,12 +68,21 @@ from oracles import (
     noise_kernel_two_copies,
     random_balanced_cut_loop,
     sample_disagreements_choice,
+    sdp_by_enumeration,
+    sdp_objective_float,
     sdp_objective_per_row,
     shift_correlations,
     triangle_sweep_half,
     triangle_sweep_ordered,
 )
-from strategies import CUT_EPSILONS, ROW_FLOATS, correlation_rows, repeated_rows, ug_instances
+from strategies import (
+    CUT_EPSILONS,
+    ROW_FLOATS,
+    correlation_rows,
+    quotient_instances,
+    repeated_rows,
+    ug_instances,
+)
 
 
 def kv_fixture(k=2, eta=0.3, eps=0.3, l_in=8, t=1):
@@ -286,7 +296,7 @@ def brute_force_triangle(assign):
     """Oracle: the worst term g(a, c) + g(b, c) - 1 - g(a, b) over every
     ordered triple of the full base Gram, or 0 when none is positive."""
     corr = shift_correlations(assign.cache.N)
-    g = np.einsum("xyd,vwd->vxwy", corr, assign.cache.table) / assign.cache.N
+    g = np.einsum("xyd,vwd->vxwy", corr, assign.cache.table) / assign.scale
     g = g.reshape(assign.inst.num_vertices, -1)
     viol = (g[:, None, :] + g[None, :, :]) - (1.0 + g[:, :, None])
     return max(float(np.max(viol)), 0.0)
@@ -296,7 +306,8 @@ def planted_row_fixture(seed, m=5, n=4, l_in=8):
     """m blocks of 2^n points: every diagonal row is e_0 (block v's points
     are the sign vectors x / sqrt(N)), and about half the block pairs carry
     one of three random rows of l1 norm below 1, in multiples of 1/16 so
-    that every Gram entry is exact. The certificate treats a pair at +/-1 as
+    that every Gram entry is exact; the table holds them as numerators over
+    N^l_in, which must be integers. The certificate treats a pair at +/-1 as
     equal or opposite points. That holds here although the tables need not
     be Grams of vectors: only a diagonal Gram has such entries, at y = x and
     y = -x, and under any row the Gram row of -x is that of x negated."""
@@ -310,7 +321,10 @@ def planted_row_fixture(seed, m=5, n=4, l_in=8):
         for w in range(v + 1, m):
             if rng.random() < 0.5:
                 table[v, w] = table[w, v] = pool[rng.integers(3)]
-    return BESVectorAssignment(build_bes(u, 0.2), SimpleNamespace(table=table, N=n), l_in, 1)
+    numerators = table * n**l_in
+    assert np.array_equal(numerators, np.round(numerators))
+    return BESVectorAssignment(build_bes(u, 0.2),
+                               SimpleNamespace(table=numerators.astype(np.int64), N=n), l_in, 1)
 
 
 def test_bes_feasibility_k2_exact():
@@ -446,14 +460,6 @@ def test_triangle_certificate_int64_numerators_match_brute_force():
         assert check_bes_feasibility(assign.inst, assign).triangle_violation == worst, seed
         violating += worst > 0
     assert violating >= 3
-
-
-def test_triangle_certificate_rejects_inexact_gram():
-    # 0.1 is no multiple of 4^-9, so the row's Gram has no integer numerators
-    assign = planted_row_fixture(0)
-    assign.cache.table[0, 1] = assign.cache.table[1, 0] = [0.5, 0.1, 0.0, 0.0]
-    with pytest.raises(ValueError, match="not multiples of 4\\^-9"):
-        check_bes_feasibility(assign.inst, assign)
 
 
 def test_balance_claim_chain_on_random_cuts():
@@ -674,14 +680,18 @@ def test_within_block_sweep_reads_each_blocks_gram():
     # that row's block triple to find it.
     u, _ = plant_instance(6, 4, 0.0, 0.9, seed=3)
     inst = build_bes(u, 0.2)
-    table = np.zeros((6, 6, 4))
-    table[np.arange(6), np.arange(6), 0] = 1.0
-    table[2, 2, 0] = -1.0
+    table = np.zeros((6, 6, 4), dtype=np.int64)
+    table[np.arange(6), np.arange(6), 0] = 4**8  # numerators over 4^8
+    table[2, 2, 0] = -(4**8)
     assign = BESVectorAssignment(inst, SimpleNamespace(table=table, N=4), 8, 1)
     rep = check_bes_feasibility(inst, assign)
     assert rep.triangle_violation == brute_force_triangle(assign) == 2.0
     assert rep.triples_checked == 96**3
-    table[2, 2, 0] = 1.0
+    # the assignment keeps its table's distinct rows, so a new table needs
+    # a new assignment
+    table = table.copy()
+    table[2, 2, 0] = 4**8
+    assign = BESVectorAssignment(inst, SimpleNamespace(table=table, N=4), 8, 1)
     rep = check_bes_feasibility(inst, assign)
     assert rep.triangle_violation == brute_force_triangle(assign) == 0.0
 
@@ -838,6 +848,51 @@ def test_distinct_correlation_objective_is_the_per_row_loop_bit_for_bit(k, eta, 
         for t in (1, 3, 5):
             assign = assign_sdp_solution(inst, sol, l_in=l_in, t=t)
             assert sdp_objective(inst, assign) == sdp_objective_per_row(inst, assign), (l_in, t)
+
+
+@pytest.mark.parametrize("k, eta, eps", GRID_K2 + [(3, 0.3, 0.3)])
+def test_float_objective_is_within_tolerance_of_the_exact(k, eta, eps):
+    u, q, _ = build_kv_instance(k, eta)
+    inst = build_bes(u, eps)
+    sol = build_ug_sdp_solution(q)
+    for l_in in (8, 16):
+        for t in (1, 3):
+            assign = assign_sdp_solution(inst, sol, l_in=l_in, t=t)
+            assert abs(sdp_objective(inst, assign) - sdp_objective_float(inst, assign)) \
+                < FLOAT_ROUTE_TOL, (l_in, t)
+
+
+def test_float_objective_misrounds_the_k2_l_in_16_row():
+    # the row the float route printed one ulp high; the exact objective is
+    # the enumeration's, and so is the ratio it divides
+    u, q, inst, assign = kv_fixture(l_in=16, t=3)
+    exact = sdp_objective(inst, assign)
+    assert exact == sdp_by_enumeration(inst, assign)[0]
+    assert float(exact) == 0.4999999999999971
+    assert sdp_objective_float(inst, assign) == 0.49999999999999717
+    cut = _majority_cut(inst)
+    weight = agreement_by_enumeration(u.edge_distribution, cut.reshape(4, 16), 0.3)[0]
+    assert gap_ratio(inst, cut, exact) == float(weight / exact)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(quotient_instances(), CUT_EPSILONS, st.sampled_from((1, 2, 3, 5)),
+       st.sampled_from((2, 4, 8, 16)), st.integers(0, 2**32 - 1))
+def test_exact_sdp_side_is_the_enumeration_on_generated_instances(drawn, eps, t, l_in, seed):
+    # the objective, checks (a)-(c) and the ratio of a random cut, each its
+    # enumerated value rounded once; at even t the antipodes no longer
+    # cancel, so check (b) meets nonzero values
+    *_, (u, q) = drawn
+    inst = build_bes(u, eps)
+    assign = assign_sdp_solution(inst, build_ug_sdp_solution(q), l_in=l_in, t=t)
+    objective, norm, separated, balance = sdp_by_enumeration(inst, assign)
+    assert sdp_objective(inst, assign) == objective
+    rep = check_bes_feasibility(inst, assign)
+    assert (rep.unit_norm_residual, rep.well_separatedness_residual, rep.balance_lhs) == \
+        (float(norm), float(separated), float(balance))
+    cut = np.random.default_rng(seed).choice(np.array([-1, 1], dtype=np.int8), inst.num_vertices)
+    weight = agreement_by_enumeration(u.edge_distribution, cut.reshape(inst.num_blocks, -1), eps)[0]
+    assert gap_ratio(inst, cut, objective) == float(weight / objective)
 
 
 def assert_same_search(res, ref):
@@ -1214,7 +1269,7 @@ def test_distinct_value_check_is_the_per_pair_oracle(k, eta, eps):
 @pytest.mark.parametrize("l_in", [2, 8, 16])
 def test_distinct_value_check_is_the_per_pair_oracle_planted(l_in):
     # 4-point blocks from l_in = 8 on: at l_in = 2 their rows' steps of 1/16
-    # are no multiples of 2^-3, and both routes raise
+    # have no integer numerators over 2^2
     violating = 0
     for seed in range(12):
         fixtures = [planted_row_fixture(seed, l_in=l_in)]

@@ -34,6 +34,13 @@ Operations:
   `metric_from_text` on the four METRIC files, `graph_from_text`). It
   prints the SHA-256 of every parsed array's dtype, shape and bytes, so
   two trees that parse any value differently differ in output.
+- `bes_sdp`: the SDP side of one k=3 `build-bes` row at t = 1 and at
+  t = 3 on their k=3 UG and basis files, epsilon 0.3 and l_in 8: the
+  assignment, the feasibility report, the objective and the gap ratio of
+  their PROOF's cut. It prints the report and the rounded objective. A
+  tree whose CLI still has `_sdp_checks` (the float route, which found the
+  table's distinct rows once for both) runs that, with the ratio a float
+  division by a cut weight taken before timing.
 
 For each operation it prints, per side, the median and quartiles in
 milliseconds and the rounds that side won (ties count for neither), then
@@ -61,7 +68,7 @@ import time
 from pathlib import Path
 
 BENCHMARK_OPS = ("certify", "build-k3", "sweep-k2")
-KERNELS = ("lp12", "round", "round256", "mc", "read")
+KERNELS = ("lp12", "round", "round256", "mc", "read", "bes_sdp")
 OPS = BENCHMARK_OPS + KERNELS
 
 
@@ -87,6 +94,7 @@ def _worker(inputs: str, workdir: str) -> None:
     from cutgap import cli
     from cutgap import metrics as mt
     from cutgap import quotient as qt
+    from cutgap import separator as sp
     from cutgap import unique_games as ug
     from cutgap import verifier as pv
     import workloads
@@ -134,8 +142,25 @@ def _worker(inputs: str, workdir: str) -> None:
             digest.update(a.tobytes())
         print(digest.hexdigest())
 
+    inst3 = sp.build_bes(ug.ug_from_text(texts["ug3/ug_instance.txt"]), certify.epsilon)
+    sol3 = qt.basis_from_text(texts["ug3/basis.txt"])
+    cut3 = proof.tables.ravel()
+    weight3 = sp.cut_edge_weight(inst3, cut3)
+
+    def bes_sdp(index: int) -> None:
+        for t in (1, 3):
+            assign = sp.assign_sdp_solution(inst3, sol3, l_in=8, t=t)
+            if hasattr(cli, "_sdp_checks"):
+                feas, objective = cli._sdp_checks(inst3, assign)
+                ratio = weight3 / objective
+            else:
+                feas = sp.check_bes_feasibility(inst3, assign)
+                objective = sp.sdp_objective(inst3, assign)
+                ratio = sp.gap_ratio(inst3, cut3, objective)
+            print(t, feas, repr(float(objective)), ratio > 0)
+
     graph256 = family_graph(256)
-    kernels = {"lp12": lp12, "round": rounding, "mc": count, "read": read,
+    kernels = {"lp12": lp12, "round": rounding, "mc": count, "read": read, "bes_sdp": bes_sdp,
                "round256": lambda index: rounding(index, graph256)}
     for line in sys.stdin:
         request = json.loads(line)

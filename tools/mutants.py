@@ -51,6 +51,7 @@ SEARCH = ("tests/test_unique_games.py", "tests/test_cli.py")
 SAMPLER = ("tests/test_unique_games.py", "tests/test_separator.py", "tests/test_verifier.py")
 SEPARATOR = ("tests/test_separator.py",)
 LEVELS = ("tests/test_unique_games.py", "tests/test_separator.py", "tests/test_verifier.py")
+SDP = ("tests/test_separator.py", "tests/test_cli.py")
 SIMPLEX = ("tests/test_simplex.py",)
 LP_DATA = ("tests/test_metrics.py", "tests/test_simplex.py")
 ROUNDING = ("tests/test_metrics.py",)
@@ -200,6 +201,27 @@ MUTANTS = (
     # is the row's floats in the row's order: an equivalent mutant
     Mutant("gain_kernel_column", "separator", "_FlipGains.gain",
            "self.kernel[x]", "self.kernel[:, x]", SEPARATOR),
+    # the separator SDP's exact side: the objective's (distance, numerator)
+    # groups, powers and weights, checks (a)-(c) and the gap ratio
+    Mutant("objective_distance_class_dropped", "separator", "sdp_objective",
+           "np.flatnonzero(cells)", "np.flatnonzero(cells[:-len(values)])", SDP),
+    Mutant("objective_power_one", "separator", "sdp_objective",
+           "[v ** assign.t for v in values.tolist()]", "[v for v in values.tolist()]", SDP),
+    Mutant("weight_numerator_unshifted", "unique_games", "_binary_fractions",
+           "[num << p + 1 - den.bit_length() for num, den in ratios]",
+           "[num << p + 1 - den.bit_length() for num, den in ratios[:-1]] + [ratios[-1][0]]",
+           SDP + ("tests/test_unique_games.py",)),
+    Mutant("objective_noise_complement_sign", "separator", "sdp_objective",
+           "(1 << q) - m", "(1 << q) + m", SDP),
+    Mutant("unit_norm_off_diagonal", "separator", "check_bes_feasibility",
+           "value_of[has_diagonal]", "value_of[~has_diagonal]", SDP),
+    Mutant("well_separated_without_antipode", "separator", "check_bes_feasibility",
+           "value_of[antipode]", "value_of", SDP),
+    Mutant("balance_with_the_diagonal", "separator", "check_bes_feasibility",
+           "pairs - diagonal", "pairs", SDP),
+    Mutant("ratio_rounded_twice", "separator", "gap_ratio",
+           "disagree * objective.denominator / (whole * objective.numerator)",
+           "disagree * objective.denominator / whole / objective.numerator", SDP),
     # the simplex's dictionary pivot: the ratio test's ties, the rhs clamp,
     # the kept work arrays and the leaving column
     Mutant("ratio_ties_strict", "simplex", "_bland_iterate",
