@@ -43,12 +43,15 @@ METRIC_POINT_LIMIT = 16
 # `_cut_sum`, take 8 MB at this cap: 16x the 64-vertex expanded k=2 graph
 GRAPH_VERTEX_LIMIT = 1024
 XOR_EXHAUSTIVE_CUTS = 16  # best_xor_cut samples 2^16 subsets of more cuts
+# `FiniteMetric`'s absolute tolerance on its checks, and `is_negative_type`'s
+# on the least eigenvalue, relative to the largest |Gram entry|
+METRIC_TOL = 1e-9
+NEGATIVE_TYPE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class FiniteMetric:
     d: np.ndarray
-    tol: float = 1e-9
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=np.float64)
@@ -57,16 +60,16 @@ class FiniteMetric:
             raise ValueError("distance matrix must be square")
         if not np.all(np.isfinite(d)):
             raise ValueError("distances must be finite")
-        if np.max(np.abs(d - d.T)) > self.tol:
+        if np.max(np.abs(d - d.T)) > METRIC_TOL:
             raise ValueError("distance matrix must be symmetric")
-        if np.max(np.abs(np.diag(d))) > self.tol:
+        if np.max(np.abs(np.diag(d))) > METRIC_TOL:
             raise ValueError("diagonal must be zero")
-        if np.min(d) < -self.tol:
+        if np.min(d) < -METRIC_TOL:
             raise ValueError("distances must be nonnegative")
         # each distance halved before the sum, and the sum held against half
         # the tolerance: a metric whose distances fit in a float stays finite
         half = d * 0.5
-        if np.min(half[:, None, :] + half[None, :, :] - half[:, :, None]) < -self.tol / 2:
+        if np.min(half[:, None, :] + half[None, :, :] - half[:, :, None]) < -METRIC_TOL / 2:
             raise ValueError("triangle inequality violated")
         d.setflags(write=False)
 
@@ -82,8 +85,7 @@ class NegativeTypeWitness:
     embedding: np.ndarray | None  # rows are realizing vectors when PSD
 
 
-def is_negative_type(metric: FiniteMetric, base_point: int = 0,
-                     tol: float = 1e-9):
+def is_negative_type(metric: FiniteMetric, base_point: int = 0):
     """Schoenberg test: d is negative type iff the centered matrix
     G[i,j] = (d(i,r) + d(j,r) - d(i,j)) / 2 is PSD (any base point r).
 
@@ -96,7 +98,7 @@ def is_negative_type(metric: FiniteMetric, base_point: int = 0,
     half = metric.d * 0.5
     g = half[base_point][:, None] + half[base_point][None, :] - half
     eigvals, eigvecs = np.linalg.eigh(g)
-    ok = bool(eigvals[0] >= -tol * float(np.max(np.abs(g))))
+    ok = bool(eigvals[0] >= -NEGATIVE_TYPE_TOL * float(np.max(np.abs(g))))
     embedding = None
     if ok:
         embedding = eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None)))

@@ -106,9 +106,7 @@ def build_kv_instance(k: int, eta: float, window: str = "typical"):
     Returns (instance, quotient, hypercube). The label-extended graph of
     the instance is weighted-graph-isomorphic to the windowed hypercube.
     """
-    if not 1 <= k <= PIPELINE_MAX_K:
-        raise ValueError(f"k={k} outside [1, {PIPELINE_MAX_K}]")
-    q = build_quotient(k)
+    q = build_quotient(k)  # checks k
     N = q.N
     if window == "typical":
         win = typical_window(N, eta)

@@ -31,8 +31,9 @@ import numpy as np
 
 from .quotient import UGVectorSolution
 from .tensor import INNER_POWER_LIMIT, GramCache, triangle_sweep
-from .unique_games import EXACT_LABEL_LIMIT, UGInstance, _binary_fractions, ug_to_text
-from .verifier import dictator_tables, piecewise_balance
+from .unique_games import (EXACT_LABEL_LIMIT, UGInstance, _binary_fractions, distinct_rows,
+                           ug_to_text)
+from .verifier import dictator_tables, mc_estimate, piecewise_balance
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -123,8 +124,7 @@ def cut_edge_weight_mc(inst: BESInstance, cut, samples: int, seed: int):
     """
     cut_count = inst.ug.edge_distribution.sample_disagreements(
         _block_views(inst, cut), samples, seed, inst.epsilon)
-    p = cut_count / samples
-    stderr = math.sqrt(max(p * (1 - p), 1e-300) / samples)
+    p, stderr = mc_estimate(cut_count, samples)
     return p, stderr, bool(stderr < 0.05 * max(p, 1e-300))
 
 
@@ -281,27 +281,14 @@ def assign_sdp_solution(inst: BESInstance, sol: UGVectorSolution,
     return BESVectorAssignment(inst, GramCache(sol.basis, l_in=l_in), l_in, t)
 
 
-def _sorted_rows(values: np.ndarray):
-    """np.unique(values, axis=0, return_inverse=True) for a 2-D array: the
-    distinct rows in lexicographic order and each row's index among them,
-    from one stable lexsort and a compare of adjacent rows."""
-    order = np.lexsort(values.T[::-1])
-    ordered = values[order]
-    new = np.ones(len(values), dtype=bool)
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
-    inverse = np.empty(len(values), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return ordered[new], inverse
-
-
 def _distinct_rows(assign: BESVectorAssignment):
-    """The sorted distinct rows of the Gram table (int64 numerators over
+    """The distinct rows of the Gram table (int64 numerators over
     N^l_in), each block pair's row as an (m, m) index array, and
     inner[r, j] = rows[r] . distinct[j], row r's base inner product at
     every distinct shift-correlation vector as an int64 numerator over
     N^(l_in+1)."""
     m, n = assign.inst.num_blocks, assign.cache.N
-    rows, row_of = _sorted_rows(assign.cache.table.reshape(m * m, -1))
+    rows, row_of = distinct_rows(assign.cache.table.reshape(m * m, -1))
     return rows, row_of.reshape(m, m), rows @ _distinct_correlations(n)[0].T
 
 
@@ -343,10 +330,10 @@ def sdp_objective(inst: BESInstance, assign: BESVectorAssignment) -> Fraction:
     if not np.array_equal(d.perms, np.arange(n) ^ d.perms[:, :1]):
         raise ValueError("sdp_objective needs XOR-shift edge permutations")
     base_rows, row_of, _ = assign.gram_rows
-    # 118 (table row, shift) keys at k = 3, whose 28 distinct shifted rows sort as every edge's
+    # 118 (table row, shift) keys at k = 3, whose shifted rows, every edge's, hold 28 distinct
     keys, key_of = np.unique(row_of[d.v, d.w] * n + inst.ug.perm[:, 0], return_inverse=True)
     r, c = np.divmod(keys, n)
-    rows, group = _sorted_rows(base_rows[r[:, None], np.arange(n) ^ c[:, None]])
+    rows, group = distinct_rows(base_rows[r[:, None], np.arange(n) ^ c[:, None]])
     # each row's weight, an integer over 2^p: its edges counted per distinct
     # weight c_j / 2^p
     weights, class_of = np.unique(d.weight, return_inverse=True)
@@ -491,7 +478,7 @@ def check_bes_feasibility(inst: BESInstance, assign: BESVectorAssignment) -> BES
     ac, bc, ab = ac[over], bc[over], ab[over]
     # the triples (ac, bc, ab) and (bc, ac, ab) have the same terms, a and b
     # swapped, so each is swept as the one with ac <= bc
-    row_triples = _sorted_rows(np.stack([np.minimum(ac, bc), np.maximum(ac, bc), ab], axis=1))[0]
+    row_triples = distinct_rows(np.stack([np.minimum(ac, bc), np.maximum(ac, bc), ab], axis=1))[0]
     # the swept rows' numerators, each spread to its Gram
     swept = np.unique(row_triples)
     spread = _distinct_correlations(n)[1]

@@ -214,13 +214,15 @@ class RowKeys(NamedTuple):
 def distinct_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a 2-D array, in order of first appearance, and
     each row's index among them. Rows are equal when their bytes are (a
-    float -0.0 and 0.0 stay apart), so no two unequal rows ever merge."""
+    float -0.0 and 0.0 stay apart), so no two unequal rows ever merge. No
+    rows give no distinct rows and an empty index."""
     flat = values.tobytes()
-    width = len(flat) // len(values)
+    width = values.shape[1] * values.itemsize
     index: dict = {}
     row_of = np.array([index.setdefault(flat[i:i + width], len(index))
-                       for i in range(0, len(flat), width)])
-    return np.frombuffer(b"".join(index), dtype=values.dtype).reshape(len(index), -1), row_of
+                       for i in range(0, len(flat), width)], dtype=np.intp)
+    rows = np.frombuffer(b"".join(index), dtype=values.dtype)
+    return rows.reshape(len(index), values.shape[1]), row_of
 
 
 def _guide_table(p: np.ndarray) -> Guide:
@@ -526,39 +528,38 @@ class EdgeDistribution:
         return count
 
 
-def value(u: UGInstance, lam) -> float:
-    """Total weight of edges satisfied by the labeling."""
+def value(u: UGInstance, lam):
+    """Total weight of edges satisfied by the labeling, a float; or, for a
+    stack of labelings (one per row), each row's, as an array."""
     lam = np.asarray(lam, dtype=np.int64)
-    if len(lam) != u.num_vertices:
+    if lam.shape[-1:] != (u.num_vertices,):
         raise ValueError("labeling must assign every vertex")
     d = u.edge_distribution
-    satisfied = lam[d.v] == d.perms[d.table_of, lam[d.w]]
+    satisfied = lam[..., d.v] == d.perms[d.table_of, lam[..., d.w]]
     # a sequential sum in edge order (an unsatisfied edge adds 0.0, which
     # changes nothing), so every reported value keeps its last digits
-    return float(np.cumsum(np.where(satisfied, d.weight, 0.0))[-1])
+    sums = np.cumsum(np.where(satisfied, d.weight, 0.0), axis=-1)[..., -1]
+    return float(sums) if lam.ndim == 1 else sums
 
 
 def opt_exhaustive(u: UGInstance, budget: int = 10**8):
     """Exact optimum by enumerating all N^|V| labelings.
 
     Labeling number c gives vertex i digit i of c in base N (little-endian);
-    the first labeling of the highest value is returned, and each value is
-    `value`'s sequential sum in edge order. Labelings are scored in chunks
-    of at most 2^20 (labeling, edge) pairs.
+    the first labeling of the highest value is returned. Labelings are
+    scored by `value` in chunks of at most 2^20 (labeling, edge) pairs.
     Refuses (with the exact count) when the enumeration exceeds `budget`.
     """
     count = u.num_labels**u.num_vertices
     if count > budget:
         raise BudgetExceededError(count, budget)
-    edge_ids = np.arange(u.num_edges)
     place = u.num_labels ** np.arange(u.num_vertices, dtype=np.int64)
     chunk = max(1, (1 << 20) // u.num_edges)
     best_val = -1.0
     best = None
     for lo in range(0, count, chunk):
         lams = np.arange(lo, min(lo + chunk, count))[:, None] // place % u.num_labels
-        satisfied = lams[:, u.v] == u.perm[edge_ids, lams[:, u.w]]
-        vals = np.cumsum(np.where(satisfied, u.weight, 0.0), axis=1)[:, -1]
+        vals = value(u, lams)
         i = int(np.argmax(vals))  # the first maximum, as a strict > scan keeps
         if vals[i] > best_val:
             best_val = float(vals[i])
@@ -584,7 +585,8 @@ def opt_search(u: UGInstance, seed: int, restarts: int = 10):
     one `bincount` over the (end, restart) pairs, in that order, takes every
     restart's gains, each bin adding its restart's ends in incidence order,
     as a search alone would. A restart leaves the lockstep after its first
-    pass without a move, at which its labeling is a fixed point.
+    pass without a move, at which its labeling is a fixed point. The
+    restarts are then scored by one `value` call and the first best kept.
     """
     d = u.edge_distribution
     n = u.num_labels
@@ -613,14 +615,11 @@ def opt_search(u: UGInstance, seed: int, restarts: int = 10):
             moved |= better
         lams[:, active] = lam
         active = active[moved]
-    best: np.ndarray | None = None
-    best_val = -1.0
-    for r in range(restarts):
-        val = value(u, lams[:, r])
-        if val > best_val:
-            best_val = val
-            best = lams[:, r].copy()
-    return best, best_val
+    if not restarts:
+        return None, -1.0
+    vals = value(u, lams.T)
+    r = int(np.argmax(vals))  # the first maximum, as a strict > scan keeps
+    return lams[:, r].copy(), float(vals[r])
 
 
 def label_extended_graph(u: UGInstance):

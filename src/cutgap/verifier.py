@@ -40,6 +40,7 @@ __all__ = [
     "piecewise_balance",
     "acceptance_probability_exact",
     "acceptance_probability_mc",
+    "mc_estimate",
     "decode_labeling",
     "proof_to_text",
     "proof_from_text",
@@ -99,9 +100,15 @@ def acceptance_probability_mc(u: UGInstance, proof: Proof, samples: int,
     """Operational Monte Carlo estimate: run the two-query test `samples`
     times. Returns (estimate, stderr); deterministic per seed."""
     reject = u.edge_distribution.sample_disagreements(proof.tables, samples, seed, epsilon)
-    p = (samples - reject) / samples
-    stderr = math.sqrt(max(p * (1 - p), 1e-300) / samples)
-    return p, stderr
+    return mc_estimate(samples - reject, samples)
+
+
+def mc_estimate(count: int, samples: int) -> tuple[float, float]:
+    """The frequency count / samples of a Monte Carlo run and its standard
+    error, floored above 0 so that a frequency of 0 or 1 keeps a positive
+    one."""
+    p = count / samples
+    return p, math.sqrt(max(p * (1 - p), 1e-300) / samples)
 
 
 @dataclass
@@ -134,21 +141,18 @@ def decode_labeling(u: UGInstance, proof: Proof, seed: int, rounds: int = 10) ->
     cdf[live] = probs.cumsum(axis=1)
     cdf[live] /= cdf[live, -1:]
     members = _subset_members(n)
-    best_lam = None
-    best_val = -1.0
-    for _ in range(rounds):
-        lam = np.zeros(u.num_vertices, dtype=np.int64)
+    lams = np.zeros((rounds, u.num_vertices), dtype=np.int64)
+    for lam in lams:
         for v in range(u.num_vertices):
             if not live[v]:
                 lam[v] = int(rng.integers(n))
                 continue
             elems = members[int(cdf[v].searchsorted(rng.random(), side="right"))]
             lam[v] = elems[int(rng.integers(0, len(elems)))]
-        val = ug_value(u, lam)
-        if val > best_val:
-            best_val = val
-            best_lam = lam.copy()
-    return DecodeResult(best_lam, best_val, tuple(int(v) for v in np.flatnonzero(~live)))
+    vals = ug_value(u, lams)
+    best = int(np.argmax(vals))  # the first maximum, as a strict > scan keeps
+    return DecodeResult(lams[best], float(vals[best]),
+                        tuple(int(v) for v in np.flatnonzero(~live)))
 
 
 @functools.cache

@@ -22,7 +22,7 @@ kernels with their oracles in `tests/oracles.py`.
 - `correlation_rows`, `int8_tables` and `repeated_rows`: table rows whose
   Grams C . row the separator's triangle certificate sweeps, square int8
   tables for the UG triangle sweep, and 2-D arrays with repeated rows for
-  the sorted distinct rows of `cutgap.separator`.
+  `cutgap.unique_games.distinct_rows`.
 - `demand_graphs`: GRAPH (weights, demands) pairs of up to 256 vertices
   with dyadic, tied values, zero-demand vertices, diagonal pairs and a
   vertex that a sparse cut isolates, the inputs of

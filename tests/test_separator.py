@@ -77,10 +77,8 @@ from oracles import (
 )
 from strategies import (
     CUT_EPSILONS,
-    ROW_FLOATS,
     correlation_rows,
     quotient_instances,
-    repeated_rows,
     ug_instances,
 )
 
@@ -1189,16 +1187,6 @@ def test_pair_orbit_sweep_is_the_ordered_sweep_on_generated_grams(drawn, step):
         assert triangle_sweep(ac, bc, ab, pairs) == worst
         if np.array_equal(rows[0], rows[1]):
             assert triangle_sweep(ac, bc, ab, swap_pairs) == worst
-
-
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(repeated_rows(ROW_FLOATS) | repeated_rows(tuple(range(-3, 4))))
-def test_sorted_rows_are_numpy_unique_on_generated_tables(values):
-    # 0.0 and -0.0 compare equal, so both routes merge their rows
-    rows, inverse = sp._sorted_rows(values)
-    want_rows, want_inverse = np.unique(values, axis=0, return_inverse=True)
-    assert rows.dtype == values.dtype
-    assert np.array_equal(rows, want_rows) and np.array_equal(inverse, want_inverse.ravel())
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)

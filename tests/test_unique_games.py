@@ -42,7 +42,9 @@ from oracles import (
 )
 from strategies import (
     CUT_EPSILONS,
+    ROW_FLOATS,
     TEST_EPSILONS,
+    repeated_rows,
     search_instances,
     sign_tables,
     slab_inputs,
@@ -583,6 +585,40 @@ def test_distinct_rows_are_equal_bytes():
     rows, row_of = ug.distinct_rows(floats)
     assert row_of[1] != row_of[3] and row_of[4] == row_of[0]
     assert np.signbit(rows[row_of[3]]).all() and not np.signbit(rows[row_of[1]]).any()
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(repeated_rows(ROW_FLOATS) | repeated_rows(tuple(range(-3, 4))))
+def test_distinct_rows_number_generated_tables_by_first_appearance(values):
+    # the drawn stack, its first row alone and no rows; a -0.0 copy of a
+    # 0.0 row keeps its own row
+    for stack in (values, values[:1], values[:0]):
+        rows, row_of = ug.distinct_rows(stack)
+        assert rows.dtype == stack.dtype and rows.shape[1:] == stack.shape[1:]
+        assert row_of.dtype == np.intp and rows[row_of].tobytes() == stack.tobytes()
+        assert len({row.tobytes() for row in rows}) == len(rows)
+        # row r first appears before row r + 1
+        numbers, first = np.unique(row_of, return_index=True)
+        assert np.array_equal(numbers, np.arange(len(rows))) and np.all(np.diff(first) > 0)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(ug_instances())
+def test_value_of_a_stack_is_each_labelings_value_on_generated_instances(u):
+    # every labeling, numbered as opt_exhaustive numbers them; each row's
+    # value has the digits of the per-edge Python sum in edge order
+    place = u.num_labels ** np.arange(u.num_vertices)
+    lams = np.arange(u.num_labels**u.num_vertices)[:, None] // place % u.num_labels
+    vals = value(u, lams)
+    one_by_one = [value(u, lam) for lam in lams]
+    assert all(type(val) is float for val in one_by_one)
+    assert vals.tobytes() == np.array(one_by_one).tobytes()
+    per_edge = [sum(e.weight for e in edge_rows(u) if lam[e.v] == e.perm[lam[e.w]])
+                for lam in lams.tolist()]
+    assert vals.tobytes() == np.array(per_edge, dtype=np.float64).tobytes()
+    lam, val = opt_exhaustive_loop(u)
+    best = int(np.argmax(vals))
+    assert np.array_equal(lams[best], lam) and vals[best] == val
 
 
 @pytest.mark.parametrize("seed", [1, 3])

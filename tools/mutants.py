@@ -132,7 +132,19 @@ MUTANTS = (
     Mutant("search_keep_finished", "unique_games", "opt_search",
            "active = active[moved]", "active = active if moved.any() else active[:0]", SEARCH),
     Mutant("search_last_best", "unique_games", "opt_search",
-           "val > best_val", "val >= best_val", SEARCH),
+           "int(np.argmax(vals))", "len(vals) - 1 - int(np.argmax(vals[::-1]))", SEARCH),
+    # one routine per primitive: distinct rows, and the value of a stack of
+    # labelings that the exhaustive scan and the decoder score with
+    Mutant("distinct_rows_width_from_count", "unique_games", "distinct_rows",
+           "values.shape[1] * values.itemsize", "len(flat) // len(values)",
+           LEVELS + ("tests/test_cli.py",)),
+    Mutant("value_sum_over_labelings", "unique_games", "value",
+           "np.cumsum(np.where(satisfied, d.weight, 0.0), axis=-1)",
+           "np.cumsum(np.where(satisfied, d.weight, 0.0), axis=0)",
+           SEARCH + ("tests/test_verifier.py",)),
+    Mutant("decode_last_best", "verifier", "decode_labeling",
+           "int(np.argmax(vals))", "len(vals) - 1 - int(np.argmax(vals[::-1]))",
+           ("tests/test_verifier.py", "tests/test_cli.py")),
     # the guide tables and the flip patterns drawn by one choice each
     Mutant("flip_eps_powers_swapped", "unique_games", "_flip_guide",
            "eps ** s * (1 - eps) ** (n - s)", "eps ** (n - s) * (1 - eps) ** s", SAMPLER),
