@@ -10,8 +10,8 @@ The tableau holds only a working set of the columns of A, besides the
 slacks and the artificials. Whenever the restricted program is optimal, in
 either phase, every column of A is priced in one product with the
 objective row's slack block (the tableau's slack block is B^-1 up to row
-signs, so that row holds the duals), and at most PRICE_BATCH columns of
-most negative reduced cost are appended to the tableau and pivoting
+signs, so that row holds the duals), every column pricing below
+-PRICE_TOL is appended to the tableau, in index order, and pivoting
 resumes from the same basis (Gilmore-Gomory column generation). The solve
 stops when no column prices below -PRICE_TOL. A start holding every column
 solves the program without pricing.
@@ -42,7 +42,6 @@ __all__ = ["SimplexResult", "solve_lp"]
 
 PIVOT_TOL = 1e-9
 PRICE_TOL = 1e-10
-PRICE_BATCH = 8
 MAX_ITER = 500_000  # pivots each phase of a solve may take
 
 
@@ -141,13 +140,6 @@ def _bland_iterate(t: _Tableau, max_iter: int) -> tuple[str, int]:
             if stall >= stall_limit:
                 bland_mode = True
     return "stalled", it
-
-
-def _price_batch(rc: np.ndarray) -> np.ndarray:
-    """The at most PRICE_BATCH columns pricing below -PRICE_TOL, most negative
-    first, ties by index: the stable sort's head, sorting the negative alone."""
-    new = np.flatnonzero(rc < -PRICE_TOL)
-    return new[np.argsort(rc[new], kind="stable")[:PRICE_BATCH]]
 
 
 class _Tableau:
@@ -251,7 +243,7 @@ class _Tableau:
     def optimize(self, cost: np.ndarray) -> tuple[str, int]:
         """Pivot to an optimum of the restricted program, price every column
         of A against the objective row (whose costs on A are `cost`), append
-        the best and resume, until none prices below -PRICE_TOL."""
+        every column pricing below -PRICE_TOL and resume, until none does."""
         total = 0
         while True:
             status, it = _bland_iterate(self, MAX_ITER - total)
@@ -271,7 +263,7 @@ class _Tableau:
         duals[slacks] = self.tab[-1, slots]
         rc = cost + duals @ self.A
         rc[self.cols[self.cols < n]] = np.inf
-        new = _price_batch(rc)
+        new = np.flatnonzero(rc < -PRICE_TOL)
         if len(new) == 0:
             return False
         slack_block = np.zeros((m, m))
@@ -279,7 +271,9 @@ class _Tableau:
         rows = np.flatnonzero((self.basis >= self.slack0) & (self.basis < self.slack0 + m))
         slack_block[rows, self.basis[rows] - self.slack0] = 1.0
         block = np.empty((m + 1, len(new)))
-        block[:m] = slack_block @ self.A[:, new]
+        # einsum sums in one fixed order; a BLAS product of this size is
+        # threaded, and rounds differently under one thread than under more
+        block[:m] = np.einsum("ij,jk->ik", slack_block, self.A[:, new])
         block[-1] = rc[new]
         self._keep(np.concatenate([self.tab[:, :-1], block, self.tab[:, -1:]], axis=1))
         self.ids = np.concatenate([self.ids, len(self.cols) + np.arange(len(new))])

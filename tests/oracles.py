@@ -144,7 +144,7 @@ from cutgap.separator import (
     cut_edge_weight,
     demand_cut,
 )
-from cutgap.simplex import MAX_ITER, PIVOT_TOL, PRICE_BATCH, PRICE_TOL, SimplexResult
+from cutgap.simplex import MAX_ITER, PIVOT_TOL, PRICE_TOL, SimplexResult
 from cutgap.tensor import DEFAULT_INNER_POWER, GramCache
 from cutgap.unique_games import (
     EXACT_LABEL_LIMIT,
@@ -1096,7 +1096,7 @@ class _Tableau:
     def optimize(self, cost: np.ndarray) -> tuple[str, int]:
         """Pivot to an optimum of the restricted program, price every column
         of A against the objective row (whose costs on A are `cost`), append
-        the best and resume, until none prices below -PRICE_TOL."""
+        every column pricing below -PRICE_TOL and resume, until none does."""
         total = 0
         while True:
             status, it = _bland_iterate(self.tab, self.basis, MAX_ITER - total)
@@ -1108,12 +1108,11 @@ class _Tableau:
         m, n = self.A.shape
         rc = cost + self.tab[-1, self.slack] @ self.A
         rc[self.cols[self.cols < n]] = np.inf
-        new = np.argsort(rc, kind="stable")[:PRICE_BATCH]
-        new = new[rc[new] < -PRICE_TOL]
+        new = np.flatnonzero(rc < -PRICE_TOL)
         if len(new) == 0:
             return False
         block = np.empty((m + 1, len(new)))
-        block[:m] = self.tab[:m, self.slack] @ self.A[:, new]
+        block[:m] = np.einsum("ij,jk->ik", self.tab[:m, self.slack], self.A[:, new])
         block[-1] = rc[new]
         self.tab = np.concatenate([self.tab[:, :-1], block, self.tab[:, -1:]], axis=1)
         self.cols = np.concatenate([self.cols, new])

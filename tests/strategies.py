@@ -3,9 +3,6 @@ kernels with their oracles in `tests/oracles.py`.
 
 - `lps`: small dense programs min c.x, A x <= b, x >= 0 with a working set
   to start from, the inputs of `cutgap.simplex.solve_lp`.
-- `reduced_costs`: pricing rounds' reduced-cost vectors, with ties, +inf
-  for the columns already held and values at and around -PRICE_TOL, the
-  inputs of `cutgap.simplex._price_batch`.
 - `ug_instances`, `sign_tables`, `CUT_EPSILONS` and `TEST_EPSILONS`: small
   UG instances with general permutations, +/-1 tables over them and the
   noise rates of a separator and of the two-query test, the inputs of
@@ -37,7 +34,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cutgap.quotient import build_kv_instance
-from cutgap.simplex import PRICE_TOL
 from cutgap.unique_games import UGInstance
 
 # small integers, or quarters: every entry, and most sums of their
@@ -59,10 +55,6 @@ ROW_FLOATS = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0**-30, 1.0 + 2.0**-52, 3.0, -1e300)
 # a few that are not, so the running sums round
 DYADIC_PAIRS = (0.0, 0.25, 0.5, 1.0, 1.0, 2.0, 3.0)
 ROUNDING_PAIRS = DYADIC_PAIRS + (0.1, 1 / 3, 0.7)
-# reduced costs: the pricing threshold and its float neighbours, held
-# columns' +inf, both zeros and a few repeated negatives
-PRICES = (-PRICE_TOL, np.nextafter(-PRICE_TOL, 0.0), np.nextafter(-PRICE_TOL, -1.0),
-          -2 * PRICE_TOL, np.inf, 0.0, -0.0, 1.0, -0.25, -1.0, -3.0)
 
 
 @st.composite
@@ -97,13 +89,6 @@ def lps(draw, max_rows: int = 10, max_cols: int = 16):
     c = draw(arrays(np.float64, n, elements=st.sampled_from(INTEGERS)))
     start = draw(st.none() | st.lists(st.integers(0, n - 1), unique=True))
     return c, A, b, start
-
-
-def reduced_costs(max_size: int = 64):
-    """Reduced-cost vectors of 0..max_size columns: entries drawn from
-    PRICES, so most vectors hold ties, or any finite float."""
-    entries = st.sampled_from(PRICES) | st.floats(-4.0, 4.0)
-    return st.integers(0, max_size).flatmap(lambda n: arrays(np.float64, n, elements=entries))
 
 
 @st.composite

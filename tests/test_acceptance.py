@@ -92,7 +92,7 @@ FROZEN_GAP_ROWS = {
     0.1: (0.49904891304347826, 0.12988749999999996),
 }
 # 10 farthest-point-sampled handles of the k=2 separator metric (t=1)
-FROZEN_LP_GAMMA_10PT = 0.9999999999999998
+FROZEN_LP_GAMMA_10PT = 1.0000000000000002
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:

@@ -172,10 +172,10 @@ GOLDEN = {
 
 
 K2_READ_GOLDEN = {
-    'distortion/t1_n10': '9012c3a87f27d0866431bf37da8aad7fa1b17066cb0fc4199f9f53bb80db5813',
-    'distortion/t1_n12': '24a9ceae25631e6d81d47534332e1bc1f7295afad37fea291b4e5ecd4b1cb2e9',
-    'distortion/t3_n10': '9012c3a87f27d0866431bf37da8aad7fa1b17066cb0fc4199f9f53bb80db5813',
-    'distortion/t3_n12': '24a9ceae25631e6d81d47534332e1bc1f7295afad37fea291b4e5ecd4b1cb2e9',
+    'distortion/t1_n10': '4451bd5f7e8968460bc2b296bd04b7b2c73eea6843e72cfe4c52e2eda38493c4',
+    'distortion/t1_n12': '2bc61683d0589e25cbd12f123fbe3890b2fb033535fe0b4a84d4469ee85f3d86',
+    'distortion/t3_n10': '4451bd5f7e8968460bc2b296bd04b7b2c73eea6843e72cfe4c52e2eda38493c4',
+    'distortion/t3_n12': '2bc61683d0589e25cbd12f123fbe3890b2fb033535fe0b4a84d4469ee85f3d86',
     'round/graph.txt': '2e9245cf850f473777777b1ee66c1b8a4938e0d733f7959ac6dbffcbe10b4601',
     'round/stdout': '3a96c24240b1b6f102b7f4e8f3ea103b7257ece1ef444f6f5e9953f59ee8923c',
 }

@@ -17,8 +17,8 @@ Operations:
   `cutgap.cli.main` calls of `perfbench/workloads.py` with seed = round;
   certify reads inputs built once, before timing, by BASE's
   `perfbench/inputs.py` into a temporary directory;
-- `lp12`: the kernel `metrics.l1_distortion_lp` on the 12-point t=1 handle
-  metric of those inputs;
+- `lp10`, `lp12`: the kernel `metrics.l1_distortion_lp` on the 10- and
+  12-point t=1 handle metrics of those inputs, the two LPs certify solves;
 - `round`: the kernel `metrics.round_to_balanced_cut` with the local-search
   oracle on their GRAPH file, as the `round` command runs it;
 - `round256`: the same on a generated 256-vertex graph (`family_graph`:
@@ -68,7 +68,7 @@ import time
 from pathlib import Path
 
 BENCHMARK_OPS = ("certify", "build-k3", "sweep-k2")
-KERNELS = ("lp12", "round", "round256", "mc", "read", "bes_sdp")
+KERNELS = ("lp10", "lp12", "round", "round256", "mc", "read", "bes_sdp")
 OPS = BENCHMARK_OPS + KERNELS
 
 
@@ -99,7 +99,8 @@ def _worker(inputs: str, workdir: str) -> None:
     from cutgap import verifier as pv
     import workloads
 
-    metric = mt.metric_from_text(Path(inputs, "metric_t1_n12.txt").read_text())
+    metrics = {n: mt.metric_from_text(Path(inputs, f"metric_t1_n{n}.txt").read_text())
+               for n in (10, 12)}
     weights, demands = mt.graph_from_text(Path(inputs, "graph.txt").read_text())
     certify = workloads.WORKLOADS["certify"]
     edges = ug.ug_from_text(Path(inputs, "ug3", "ug_instance.txt").read_text()).edge_distribution
@@ -111,8 +112,8 @@ def _worker(inputs: str, workdir: str) -> None:
         for call in op.calls:
             print(call.argv[0], cli.main(call.argv))
 
-    def lp12(index: int) -> None:
-        res = mt.l1_distortion_lp(metric)
+    def lp(index: int, n: int) -> None:
+        res = mt.l1_distortion_lp(metrics[n])
         print(res.gamma.hex(), res.lp.iterations)
 
     def rounding(index: int, graph=(weights, demands)) -> None:
@@ -160,7 +161,8 @@ def _worker(inputs: str, workdir: str) -> None:
             print(t, feas, repr(float(objective)), ratio > 0)
 
     graph256 = family_graph(256)
-    kernels = {"lp12": lp12, "round": rounding, "mc": count, "read": read, "bes_sdp": bes_sdp,
+    kernels = {"lp10": lambda index: lp(index, 10), "lp12": lambda index: lp(index, 12),
+               "round": rounding, "mc": count, "read": read, "bes_sdp": bes_sdp,
                "round256": lambda index: rounding(index, graph256)}
     for line in sys.stdin:
         request = json.loads(line)

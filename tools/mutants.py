@@ -257,11 +257,17 @@ MUTANTS = (
            "np.subtract(0.0, np.multiply(column, inverse, out=column), out=tab[:, slot:slot + 1])",
            "np.negative(np.multiply(column, inverse, out=column), out=tab[:, slot:slot + 1])",
            SIMPLEX),
-    # the pricing batch
-    Mutant("pricing_at_threshold", "simplex", "_price_batch",
+    # the pricing round: every column below the threshold, none at it
+    Mutant("pricing_at_threshold", "simplex", "_Tableau._append_priced",
            "rc < -PRICE_TOL", "rc <= -PRICE_TOL", SIMPLEX),
-    Mutant("pricing_sort_unstable", "simplex", "_price_batch",
-           "np.argsort(rc[new], kind='stable')", "np.argsort(rc[new], kind='quicksort')", SIMPLEX),
+    Mutant("pricing_first_column_only", "simplex", "_Tableau._append_priced",
+           "new = np.flatnonzero(rc < -PRICE_TOL)", "new = np.flatnonzero(rc < -PRICE_TOL)[:1]",
+           SIMPLEX),
+    # the appended columns by a BLAS product, whose rounding follows the
+    # thread count
+    Mutant("pricing_block_blas", "simplex", "_Tableau._append_priced",
+           "np.einsum('ij,jk->ik', slack_block, self.A[:, new])", "slack_block @ self.A[:, new]",
+           SIMPLEX),
     # the LP data's separation matrix, pair-major
     Mutant("lp_data_contraction_unsigned", "metrics", "_distortion_lp_data",
            "np.negative(A[npairs:, :ncuts], out=A[:npairs, :ncuts])",
